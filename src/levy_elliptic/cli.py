@@ -45,6 +45,10 @@ from .solver import (
 )
 
 
+# Largest solve grid in grid_points^d rows; solve checks it, so others run at high d.
+MAX_SOLVE_ROWS = 1 << 21
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -133,12 +137,14 @@ def _cmd_sample_noise(cfg: RunConfig) -> int:
 
 def _cmd_solve(cfg: RunConfig, override: bool) -> int:
     seed = _need_seed(cfg)
+    n, d = cfg.blocks["solve"]["grid_points"], cfg.box.dim
+    if n**d > MAX_SOLVE_ROWS:
+        raise ConfigError("solve.grid_points", f"{n}^{d} rows exceed the cap of {MAX_SOLVE_ROWS}")
     system = _system(cfg)
     realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, seed)
     field = solve_mild(realization, cfg.gamma, system, override=override)
     os.makedirs(cfg.outdir, exist_ok=True)
     dump_coeffs_csv(field, os.path.join(cfg.outdir, "coefficients.csv"))
-    n = cfg.blocks["solve"]["grid_points"]
     axes = [np.linspace(a, b, n) for a, b in cfg.box.intervals]
     dump_field_grid_csv(field, axes, os.path.join(cfg.outdir, "field.csv"))
     print(f"solved with {len(system)} modes; outputs in {cfg.outdir}")

@@ -196,10 +196,10 @@ def _merge(base: dict, extra: dict, path: str = "") -> None:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(here, "unknown key")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict) and isinstance(value, dict) and here != "cutoff":
             _merge(base[key], value, here)
         else:
-            base[key] = value
+            base[key] = value  # a cutoff names one criterion, replacing the default's
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -235,8 +235,10 @@ def load_config(
             )
         _require(isinstance(loaded, dict), config_path, "top level must be an object")
         _merge(doc, loaded)
+    given_cutoff = doc.pop("cutoff")  # a --set cutoff replaces it, never merges into it
     for item in overrides:
         _apply_override(doc, item)
+    doc.setdefault("cutoff", given_cutoff)
     if seed is not None:
         doc["seed"] = seed
     if workers is not None:
@@ -290,14 +292,13 @@ def _validate(doc: dict) -> RunConfig:
 
     cut = doc["cutoff"]
     _require(isinstance(cut, dict), "cutoff", "expected an object")
-    if "threshold" in cut and cut.get("threshold") is not None:
-        _require(cut.get("count") in (None, DEFAULTS["cutoff"]["count"]) or "count" not in cut,
-                 "cutoff", "give either count or threshold, not both")
+    _require(len(cut) == 1 and set(cut) <= {"count", "threshold"}, "cutoff", "give exactly one of count or threshold")
+    if "threshold" in cut:
         thr = _as_number(cut["threshold"], "cutoff.threshold")
         _require(thr > 0.0, "cutoff.threshold", "threshold must be > 0")
         cutoff = ("threshold", thr)
     else:
-        count = cut.get("count")
+        count = cut["count"]
         _require(isinstance(count, int) and count >= 1, "cutoff.count", "count must be an integer >= 1")
         cutoff = ("count", float(count))
 

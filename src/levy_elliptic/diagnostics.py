@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, eigen_matrix, enumerate_eigen, gauss_nodes
+from .domain import EigenSystem, HyperBox, eigen_matrix, eigen_rmatvec, enumerate_eigen, gauss_nodes
 from .functions import fourier_vector, integral, abs_power_integral
 from .integrability import existence_verdict, rr_integrability
 from .measures import (
@@ -282,10 +282,8 @@ def weak_identity_test(
     numerical-integration error; threshold 1e-6 scaled by field magnitude.
     """
     u = solve_mild(realization, gamma, system, override=override)
-    kmax = int(system.indices.max())
-    nodes = max(64, 2 * kmax + 48)
-    pts, w = gauss_nodes(system.box, nodes)
-    uvals = u.coeffs @ eigen_matrix(system, pts)
+    pts, w = gauss_nodes(system.box, max(64, 2 * int(system.indices.max()) + 48))
+    uvals = eigen_rmatvec(system, u.coeffs, pts)
     lhs = float(np.dot(w, uvals * phi.evaluate(pts)))
     rhs = pair_with_function(realization, green_convolve(system, gamma, phi), system)
     scale = max(1.0, float(np.max(np.abs(uvals))))

@@ -9,6 +9,11 @@ explicit: for a multi-index k with integer components >= 1,
 and {e_k} is an orthonormal basis of L^2(D).  Enumeration is exact lattice
 enumeration below a threshold, sorted by eigenvalue with lexicographic
 tie-breaking on the index so orderings are reproducible across runs.
+
+Every value e_k(x) is a product of rows of per-axis sine tables.  On that one
+kernel, ``eigen_matrix`` gives the dense K x n matrix for small inputs, and
+``eigen_matvec`` (E @ w) and ``eigen_rmatvec`` (c @ E) work in blocks of about
+CHUNK_CELLS values that round as the unchunked products do (one BLAS thread).
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+# Values (modes x points) per block in eigen_matvec and eigen_rmatvec: 16 MiB.
+CHUNK_CELLS = 1 << 21
 
 
 class QuadratureError(RuntimeError):
@@ -210,38 +218,90 @@ def weyl_count(box: HyperBox, t: float) -> int:
     return int(np.count_nonzero(eigenvalues_of(box, idx) <= t))
 
 
-def _boundary_mask(box: HyperBox, pts: np.ndarray) -> np.ndarray:
-    return np.any((pts == box.lower) | (pts == box.upper), axis=1)
+def single_mode(box: HyperBox, index) -> EigenSystem:
+    """One-entry system holding the multi-index ``index``; validates it."""
+    idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
+    if idx.ndim != 1 or len(idx) != box.dim or np.any(idx < 1):
+        raise ValueError(f"index {index} invalid for a dim-{box.dim} box")
+    return EigenSystem(box, idx[None, :], eigenvalues_of(box, idx[None, :]), ("count", 1))
 
 
-def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
-    """Matrix E[j, i] = e_{k_j}(x_i) for the system's indices at given points.
-
-    Points on the boundary evaluate to exactly zero (Dirichlet), bypassing
-    the sine roundoff at the endpoints.
-    """
-    box = system.box
+def _unit_points(box: HyperBox, points) -> tuple[np.ndarray, np.ndarray]:
+    """Points as fractions (x - a) / L of each side, and their boundary mask."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != box.dim:
         raise ValueError(f"points have dim {pts.shape[1]}, box has {box.dim}")
     if not np.all(box.contains(pts)):
         raise ValueError("point outside the closed box")
-    lengths, lower = box.lengths, box.lower
-    out = np.ones((len(system), pts.shape[0]))
-    for j in range(box.dim):
-        phase = np.pi * np.outer(system.indices[:, j], (pts[:, j] - lower[j]) / lengths[j])
-        out *= math.sqrt(2.0 / lengths[j]) * np.sin(phase)
-    out[:, _boundary_mask(box, pts)] = 0.0
+    return (pts - box.lower) / box.lengths, np.any((pts == box.lower) | (pts == box.upper), axis=1)
+
+
+def sine_tables(box: HyperBox, indices: np.ndarray, units) -> list:
+    """Per axis j, (lo, T) with T[k - lo, i] = sqrt(2/L_j) sin(pi k units[j][i])
+    for k from the lowest to the highest k_j of ``indices``."""
+    return [
+        (k.min(), math.sqrt(2.0 / L) * np.sin(np.pi * np.outer(np.arange(k.min(), k.max() + 1), u)))
+        for k, u, L in zip(indices.T, units, box.lengths)
+    ]
+
+
+def _sine_block(tables: list, indices: np.ndarray, on_boundary: np.ndarray) -> np.ndarray:
+    """E[r, i] = e_{k_r}(x_i): table rows gathered and multiplied axis by axis.
+    Boundary columns are exactly zero (Dirichlet), bypassing sine roundoff."""
+    (lo, table), *rest = tables
+    out = table[indices[:, 0] - lo]
+    for (lo, table), k in zip(rest, indices.T[1:]):
+        out *= table[k - lo]
+    out[:, on_boundary] = 0.0
+    return out
+
+
+def _spans(total: int, other: int, quantum: int):
+    """(start, stop) blocks of about CHUNK_CELLS / other rows or points.  Whole
+    multiples of ``quantum`` (of BLAS's 4-lane groups) round as one unchunked
+    call would; a shorter tail, which BLAS rounds apart, joins the last block."""
+    step = max(quantum, CHUNK_CELLS // max(other, 1) // quantum * quantum)
+    cuts = list(range(step, total - quantum + 1, step))
+    return zip([0] + cuts, cuts + [total])
+
+
+def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
+    """Dense E[j, i] = e_{k_j}(x_i), for small K x points; 0 on the boundary."""
+    unit, on_boundary = _unit_points(system.box, points)
+    return _sine_block(sine_tables(system.box, system.indices, unit.T), system.indices, on_boundary)
+
+
+def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
+    """E @ w: sum_i e_k(x_i) w_i for every mode, in blocks of modes against all
+    points, so each sum runs as in the unchunked product.  The sine tables are
+    built once if they fit in CHUNK_CELLS (d >= 2), else per block (d = 1)."""
+    box, idx = system.box, system.indices
+    unit, on_boundary = _unit_points(box, points)
+    fits = sum(int(k.max() - k.min()) + 1 for k in idx.T) * len(unit) <= CHUNK_CELLS
+    whole = sine_tables(box, idx, unit.T) if fits else None
+    out = np.empty(len(system))
+    for start, stop in _spans(len(system), len(unit), 64):
+        rows = idx[start:stop]
+        block = _sine_block(whole or sine_tables(box, rows, unit.T), rows, on_boundary)
+        out[start:stop] = block @ weights
+    return out
+
+
+def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
+    """c @ E: sum_k c_k e_k(x_i) at every point, in blocks of points against all
+    modes; blocks of 8 points keep a block near CHUNK_CELLS up to K = 2^18."""
+    box, idx = system.box, system.indices
+    unit, on_boundary = _unit_points(box, points)
+    out = np.empty(len(unit))
+    for start, stop in _spans(len(unit), len(system), 8):
+        tables = sine_tables(box, idx, unit[start:stop].T)
+        out[start:stop] = coeffs @ _sine_block(tables, idx, on_boundary[start:stop])
     return out
 
 
 def eigenfunction_eval(box: HyperBox, index, x) -> float:
     """Value of one eigenfunction at one point; exactly 0 on the boundary."""
-    idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
-    if idx.ndim != 1 or len(idx) != box.dim or np.any(idx < 1):
-        raise ValueError(f"index {index} invalid for a dim-{box.dim} box")
-    system = EigenSystem(box, idx[None, :], eigenvalues_of(box, idx[None, :]), ("count", 1))
-    return float(eigen_matrix(system, np.atleast_2d(np.asarray(x, dtype=float)))[0, 0])
+    return float(eigen_matrix(single_mode(box, index), x)[0, 0])
 
 
 def constant_fourier(system: EigenSystem) -> np.ndarray:

@@ -25,7 +25,10 @@ from .domain import (
     box_integral,
     constant_fourier,
     eigen_matrix,
+    eigen_matvec,
+    eigen_rmatvec,
     gauss_nodes,
+    single_mode,
 )
 
 
@@ -50,15 +53,10 @@ class Eigenfunction:
 
     def __post_init__(self):
         object.__setattr__(self, "index", tuple(int(k) for k in np.atleast_1d(self.index)))
-        if len(self.index) != self.box.dim or any(k < 1 for k in self.index):
-            raise ValueError(f"index {self.index} invalid for dim-{self.box.dim} box")
+        single_mode(self.box, self.index)  # validates the index
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        idx = np.asarray(self.index, dtype=np.int64)[None, :]
-        from .domain import eigenvalues_of
-
-        sys1 = EigenSystem(self.box, idx, eigenvalues_of(self.box, idx), ("count", 1))
-        return eigen_matrix(sys1, points)[0]
+        return eigen_matrix(single_mode(self.box, self.index), points)[0]
 
 
 @dataclass(frozen=True)
@@ -161,13 +159,7 @@ class SpectralFunction:
             raise ValueError("coefficient length must match the system")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(pts))
-        chunk = max(1, int(2_000_000 / max(len(self.system), 1)))
-        for start in range(0, len(pts), chunk):
-            block = pts[start : start + chunk]
-            out[start : start + len(block)] = self.coeffs @ eigen_matrix(self.system, block)
-        return out
+        return eigen_rmatvec(self.system, self.coeffs, points)
 
 
 @dataclass(frozen=True)
@@ -205,66 +197,30 @@ def fourier_coeff(box: HyperBox, index, f, tol: float = 1e-10) -> float:
     and spectral expansions; general descriptors go through adaptive tensor
     Gauss quadrature and raise QuadratureError if refinement stalls.
     """
-    idx = tuple(int(k) for k in np.atleast_1d(index))
-    if len(idx) != box.dim or any(k < 1 for k in idx):
-        raise ValueError(f"index {idx} invalid for dim-{box.dim} box")
+    mode = single_mode(box, index)
 
     if isinstance(f, Scaled):
-        return f.factor * fourier_coeff(box, idx, f.inner, tol)
-    if isinstance(f, Eigenfunction) and _same_box(f.box, box):
-        return 1.0 if tuple(f.index) == idx else 0.0
-    if isinstance(f, Constant):
-        return f.value * _constant_fourier_single(box, idx)
-    if isinstance(f, Indicator):
-        return float(sum(_indicator_fourier_single(box, idx, bx) for bx in f.boxes))
+        return f.factor * fourier_coeff(box, index, f.inner, tol)
+    if isinstance(f, (Constant, Indicator)) or (
+        isinstance(f, Eigenfunction) and _same_box(f.box, box)
+    ):
+        return float(fourier_vector(mode, f)[0])
     if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
-        pos = f.system.position(idx)
+        pos = f.system.position(index)
         return float(f.coeffs[pos]) if pos is not None else 0.0
 
-    kmax = max(idx)
-    eig = Eigenfunction(box, idx)
-
     def integrand(pts):
-        return f.evaluate(pts) * eig.evaluate(pts)
+        return f.evaluate(pts) * eigen_matrix(mode, pts)[0]
 
     if box.dim <= 2:
-        n0 = max(32, 2 * kmax + 8)
+        n0 = max(32, 2 * int(mode.indices.max()) + 8)
         n_cap = 4096 if box.dim == 1 else 1024
         return adaptive_tensor_quad(integrand, box, tol=tol, n0=n0, n_max=max(n_cap, 2 * n0))
     return box_integral(integrand, box, tol=tol)
 
 
-def _constant_fourier_single(box: HyperBox, idx: tuple[int, ...]) -> float:
-    sys1 = _single_system(box, idx)
-    return float(constant_fourier(sys1)[0])
-
-
-def _single_system(box: HyperBox, idx: tuple[int, ...]) -> EigenSystem:
-    from .domain import eigenvalues_of
-
-    arr = np.asarray(idx, dtype=np.int64)[None, :]
-    return EigenSystem(box, arr, eigenvalues_of(box, arr), ("count", 1))
-
-
-def _indicator_fourier_single(box: HyperBox, idx: tuple[int, ...], sub: HyperBox) -> float:
-    # Per axis: int_alpha^beta sqrt(2/L) sin(pi k (x-a)/L) dx
-    #         = sqrt(2/L) L/(pi k) [cos(pi k (alpha-a)/L) - cos(pi k (beta-a)/L)].
-    out = 1.0
-    for j in range(box.dim):
-        a, _ = box.intervals[j]
-        L = box.lengths[j]
-        alpha, beta = sub.intervals[j]
-        k = idx[j]
-        out *= (
-            math.sqrt(2.0 / L)
-            * L
-            / (math.pi * k)
-            * (math.cos(math.pi * k * (alpha - a) / L) - math.cos(math.pi * k * (beta - a) / L))
-        )
-    return out
-
-
 def indicator_fourier_vector(system: EigenSystem, f: Indicator) -> np.ndarray:
+    """<f, e_k>: per axis sqrt(2/L) L/(pi k) [cos(pi k (alpha-a)/L) - cos(pi k (beta-a)/L)]."""
     box = system.box
     total = np.zeros(len(system))
     for sub in f.boxes:
@@ -284,7 +240,7 @@ def indicator_fourier_vector(system: EigenSystem, f: Indicator) -> np.ndarray:
     return total
 
 
-def fourier_vector(system: EigenSystem, f, nodes_per_axis: int | None = None) -> np.ndarray:
+def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     """Coefficients <f, e_k> for every index of the system at once.
 
     Closed forms where the descriptor admits them; otherwise one shared
@@ -292,7 +248,7 @@ def fourier_vector(system: EigenSystem, f, nodes_per_axis: int | None = None) ->
     """
     box = system.box
     if isinstance(f, Scaled):
-        return f.factor * fourier_vector(system, f.inner, nodes_per_axis)
+        return f.factor * fourier_vector(system, f.inner)
     if isinstance(f, Constant):
         return f.value * constant_fourier(system)
     if isinstance(f, Eigenfunction) and _same_box(f.box, box):
@@ -316,11 +272,8 @@ def fourier_vector(system: EigenSystem, f, nodes_per_axis: int | None = None) ->
                 out[pos] = f.coeffs[pos_f]
         return out
 
-    if nodes_per_axis is None:
-        kmax = int(system.indices.max())
-        nodes_per_axis = max(64, 2 * kmax + 48)
-    pts, w = gauss_nodes(box, nodes_per_axis)
-    return eigen_matrix(system, pts) @ (w * f.evaluate(pts))
+    pts, w = gauss_nodes(box, max(64, 2 * int(system.indices.max()) + 48))
+    return eigen_matvec(system, pts, w * f.evaluate(pts))
 
 
 def integral(f, box: HyperBox, tol: float = 1e-8) -> float:
@@ -330,7 +283,7 @@ def integral(f, box: HyperBox, tol: float = 1e-8) -> float:
     if isinstance(f, Constant):
         return f.value * box.volume
     if isinstance(f, Eigenfunction) and _same_box(f.box, box):
-        return _constant_fourier_single(box, tuple(f.index))
+        return float(constant_fourier(single_mode(box, f.index))[0])
     if isinstance(f, Indicator):
         return float(sum(bx.volume for bx in f.boxes))
     if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec
 from .functions import (
     CallableFunction,
     Eigenfunction,
@@ -177,7 +177,7 @@ def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray
     if trip.sigma != 0.0:
         c += realization.gaussian_coefficients(system.indices)
     if realization.atoms.count:
-        c += eigen_matrix(system, realization.atoms.locations) @ realization.atoms.sizes
+        c += eigen_matvec(system, realization.atoms.locations, realization.atoms.sizes)
     if realization.policy == "gaussianize":
         c += realization.small_jump_coefficients(system.indices)
     return c

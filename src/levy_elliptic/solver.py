@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, eigen_rmatvec, sine_tables
 from .functions import SpectralFunction, fourier_vector
 from .integrability import existence_verdict
 from .noise import NoiseRealization, pair_eigen
@@ -41,9 +41,6 @@ class SpectralField:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if len(self.coeffs) != len(self.system):
             raise ValueError("coefficient length must match the system")
-
-    def as_function(self) -> SpectralFunction:
-        return SpectralFunction(self.system, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ def green_gamma_eval(system: EigenSystem, gamma: float, x, y) -> GreenValue:
     tail bound is infinite.
     """
     box = system.box
-    ex = eigen_matrix(system, np.atleast_2d(np.asarray(x, dtype=float)))[:, 0]
-    ey = eigen_matrix(system, np.atleast_2d(np.asarray(y, dtype=float)))[:, 0]
+    ex, ey = eigen_matrix(system, np.vstack([x, y])).T
     value = float(np.sum(ex * ey * system.lams ** (-gamma)))
     sup_sq = 2.0**box.dim / box.volume  # |e_k(x) e_k(y)| <= prod 2/L_i
     tail = sup_sq * series_tail_bound(box, gamma, float(system.lams[-1]))
@@ -95,8 +91,7 @@ def green_gamma_eval(system: EigenSystem, gamma: float, x, y) -> GreenValue:
 
 def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
     """Truncated Green kernel on a product grid of points; shape (len(xs), len(ys))."""
-    ex = eigen_matrix(system, np.atleast_2d(np.asarray(xs, dtype=float)))
-    ey = eigen_matrix(system, np.atleast_2d(np.asarray(ys, dtype=float)))
+    ex, ey = eigen_matrix(system, xs), eigen_matrix(system, ys)
     return (ex * system.lams[:, None] ** (-gamma)).T @ ey
 
 
@@ -131,13 +126,7 @@ def eval_field(field: SpectralField, points) -> np.ndarray:
 
     Exactly zero at boundary points (Dirichlet), enforced by masking.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(pts))
-    chunk = max(1, int(2_000_000 / max(len(field.system), 1)))
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        out[start : start + len(block)] = field.coeffs @ eigen_matrix(field.system, block)
-    return out
+    return eigen_rmatvec(field.system, field.coeffs, points)
 
 
 def eval_field_grid(field: SpectralField, axes: list[np.ndarray]) -> np.ndarray:
@@ -149,21 +138,14 @@ def eval_field_grid(field: SpectralField, axes: list[np.ndarray]) -> np.ndarray:
     box = field.system.box
     if len(axes) != box.dim:
         raise ValueError("one coordinate array per axis required")
+    axes = [np.asarray(xs, dtype=float) for xs in axes]
     idx = field.system.indices
-    kmax = idx.max(axis=0)
-    dense = np.zeros(tuple(int(k) for k in kmax))
-    dense[tuple(idx[:, j] - 1 for j in range(box.dim))] = field.coeffs
-
-    tensor = dense
-    for j in range(box.dim):
-        a, b = box.intervals[j]
-        L = box.lengths[j]
-        xs = np.asarray(axes[j], dtype=float)
+    tables = sine_tables(box, idx, [(xs - a) / L for xs, a, L in zip(axes, box.lower, box.lengths)])
+    tensor = np.zeros(tuple(len(table) for _, table in tables))
+    tensor[tuple(k - lo for k, (lo, _) in zip(idx.T, tables))] = field.coeffs
+    for (a, b), xs, (_, table) in zip(box.intervals, axes, tables):
         if np.any(xs < a) or np.any(xs > b):
             raise ValueError("grid coordinate outside the closed box")
-        table = math.sqrt(2.0 / L) * np.sin(
-            np.pi * np.outer(np.arange(1, kmax[j] + 1), (xs - a) / L)
-        )
         table[:, (xs == a) | (xs == b)] = 0.0
         tensor = np.tensordot(tensor, table, axes=([0], [0]))
     return tensor

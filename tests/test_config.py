@@ -1,0 +1,42 @@
+import json
+
+import pytest
+
+from levy_elliptic.config import ConfigError, load_config
+
+
+def config_file(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCutoff:
+    def test_default_is_a_count(self):
+        assert load_config(None, []).cutoff == ("count", 256.0)
+
+    def test_file_may_set_a_threshold(self, tmp_path):
+        path = config_file(tmp_path, {"cutoff": {"threshold": 100}})
+        assert load_config(path, []).cutoff == ("threshold", 100.0)
+
+    def test_threshold_override_alone_replaces_the_default_count(self):
+        assert load_config(None, ["lambda_max=100"]).cutoff == ("threshold", 100.0)
+
+    @pytest.mark.parametrize("count", [256, 64])
+    def test_count_and_threshold_overrides_together_are_refused(self, count):
+        with pytest.raises(ConfigError, match="exactly one of count or threshold"):
+            load_config(None, [f"K={count}", "lambda_max=100"])
+
+    def test_file_naming_both_is_refused(self, tmp_path):
+        path = config_file(tmp_path, {"cutoff": {"count": 256, "threshold": 100}})
+        with pytest.raises(ConfigError, match="exactly one of count or threshold"):
+            load_config(path, [])
+
+    def test_override_replaces_the_file_cutoff(self, tmp_path):
+        path = config_file(tmp_path, {"cutoff": {"threshold": 100}})
+        assert load_config(path, ["K=64"]).cutoff == ("count", 64.0)
+        assert load_config(path, ["K=64", "K=32"]).cutoff == ("count", 32.0)
+
+    def test_unknown_cutoff_key_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_config(config_file(tmp_path, {"cutoff": {"thresh": 100}}), [])
