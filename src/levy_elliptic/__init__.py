@@ -65,8 +65,6 @@ from .noise import (
 )
 from .solver import (
     RegimeRefusalError,
-    SpectralField,
-    eval_field,
     eval_field_grid,
     green_convolve,
     green_gamma_eval,

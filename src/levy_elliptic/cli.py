@@ -4,11 +4,8 @@ Subcommands: check, sample-noise, solve, verify {cf,isometry,weak,
 spectral-bound}, sweep {sobolev,continuity}, green-oracle.  Configuration
 comes from one JSON file plus ``--set key=value`` overrides; stochastic
 subcommands require a seed.  Exit codes: 0 all good, 1 a non-inconclusive
-verification failed, 2 config error or refused regime.
-
-Every numeric value written to CSV uses 17 significant digits so files
-round-trip doubles exactly; given one seed, outputs are byte-identical
-across runs and worker counts.
+verification failed, 2 config error or refused regime.  Given one seed,
+outputs are byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ import sys
 import numpy as np
 
 from . import _rng
+from ._csvio import write_csv
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     TestReport,
@@ -49,19 +47,6 @@ from .solver import (
 MAX_SOLVE_ROWS = 1 << 21
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._=-]+", "_", name)
 
@@ -72,28 +57,21 @@ def emit_report(reports: list[TestReport], outdir: str) -> int:
     Returns the runner exit code: 0 iff every non-inconclusive report passed.
     """
     os.makedirs(outdir, exist_ok=True)
-    jsonl = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    _write_lines(os.path.join(outdir, "reports.jsonl"), jsonl)
+    with open(os.path.join(outdir, "reports.jsonl"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
 
-    summary = ["name,statistic,threshold,pass"]
-    for r in reports:
-        summary.append(f"{r.name},{_fmt(r.statistic)},{_fmt(r.threshold)},{_fmt(r.passed)}")
-    _write_lines(os.path.join(outdir, "summary.csv"), summary)
+    rows = [(r.name, r.statistic, r.threshold, r.passed, r.inconclusive) for r in reports]
+    header = ["name", "statistic", "threshold", "pass", "inconclusive"]
+    write_csv(os.path.join(outdir, "summary.csv"), header, zip(*rows))
 
     for r in reports:
         if "trajectory" in r.details:
-            rows = ["K,norm"]
-            rows += [f"{int(k)},{_fmt(float(s))}" for k, s in r.details["trajectory"]]
-            _write_lines(os.path.join(outdir, f"sweep_{_sanitize(r.name)}.csv"), rows)
+            path = os.path.join(outdir, f"sweep_{_sanitize(r.name)}.csv")
+            write_csv(path, ["K", "norm"], zip(*r.details["trajectory"]))
         if "median_sup_norm" in r.details:
-            rows = ["level,median_max_increment,median_sup_norm"]
-            for lvl, inc, sup in zip(
-                r.details["levels"],
-                r.details["median_max_increment"],
-                r.details["median_sup_norm"],
-            ):
-                rows.append(f"{int(lvl)},{_fmt(float(inc))},{_fmt(float(sup))}")
-            _write_lines(os.path.join(outdir, f"levels_{_sanitize(r.name)}.csv"), rows)
+            path = os.path.join(outdir, f"levels_{_sanitize(r.name)}.csv")
+            keys = ["levels", "median_max_increment", "median_sup_norm"]
+            write_csv(path, ["level", *keys[1:]], [r.details[k] for k in keys])
 
     failed = any(not r.inconclusive and not r.passed for r in reports)
     return 1 if failed else 0
@@ -271,14 +249,11 @@ def _cmd_green_oracle(cfg: RunConfig) -> int:
     err = np.abs(spectral - exact)
 
     os.makedirs(cfg.outdir, exist_ok=True)
-    rows = ["x,y,spectral,exact,abs_error"]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            rows.append(
-                f"{_fmt(float(x))},{_fmt(float(y))},{_fmt(float(spectral[i, j]))},"
-                f"{_fmt(float(exact[i, j]))},{_fmt(float(err[i, j]))}"
-            )
-    _write_lines(os.path.join(cfg.outdir, "green_oracle.csv"), rows)
+    write_csv(
+        os.path.join(cfg.outdir, "green_oracle.csv"),
+        ["x", "y", "spectral", "exact", "abs_error"],
+        [np.repeat(xs, n), np.tile(ys, n), spectral.ravel(), exact.ravel(), err.ravel()],
+    )
     max_err = float(err.max())
     print(f"max abs error {max_err:.3e} over {n}x{n} pairs (tolerance {tol:g})")
     return 0 if max_err <= tol else 1

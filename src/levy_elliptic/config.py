@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
 from dataclasses import dataclass
 
 from .domain import HyperBox
@@ -42,7 +41,7 @@ DEFAULTS: dict = {
     "mode": "spectral",
     "seed": None,
     "outdir": "levy-out",
-    "workers": None,
+    "workers": 1,
     "cf": {
         "u_grid": [0.5, 1.0, 2.0],
         "M": 100000,
@@ -191,15 +190,20 @@ def _apply_override(doc: dict, item: str) -> None:
         _assign(doc, dotted, copy.deepcopy(value))
 
 
+# Objects that a config file replaces whole instead of merging key by key: a
+# cutoff names one criterion, and a measure or function names its own kind.
+_REPLACED = ("cutoff", "triplet.measure", "cf.f", "isometry.f", "weak.phi")
+
+
 def _merge(base: dict, extra: dict, path: str = "") -> None:
     for key, value in extra.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(here, "unknown key")
-        if isinstance(base[key], dict) and isinstance(value, dict) and here != "cutoff":
+        if isinstance(base[key], dict) and isinstance(value, dict) and here not in _REPLACED:
             _merge(base[key], value, here)
         else:
-            base[key] = value  # a cutoff names one criterion, replacing the default's
+            base[key] = value
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -310,8 +314,6 @@ def _validate(doc: dict) -> RunConfig:
         _require(isinstance(seed, int) and seed >= 0, "seed", "seed must be a non-negative integer")
 
     workers = doc["workers"]
-    if workers is None:
-        workers = int(os.environ.get("LEVY_ELLIPTIC_WORKERS", "1"))
     _require(isinstance(workers, int) and workers >= 1, "workers", "workers must be an integer >= 1")
 
     outdir = doc["outdir"]

@@ -21,15 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, eigen_matrix, eigen_rmatvec, enumerate_eigen, gauss_nodes
-from .functions import fourier_vector, integral, abs_power_integral
+from .domain import EigenSystem, HyperBox, eigen_matrix, enumerate_eigen, gauss_nodes
+from .functions import SpectralFunction, abs_power_integral, fourier_vector, integral
 from .integrability import existence_verdict, rr_integrability
 from .measures import (
     LevyTriplet,
-    NullMeasure,
     band_variance,
     characteristic_exponent,
-    jump_exponent,
     jump_exponent_quadrature,
     sample_band_jump_sizes,
     sample_jump_sizes,
@@ -39,7 +37,6 @@ from .measures import (
 from .noise import pair_eigen, pair_with_function, sample_noise
 from .solver import (
     RegimeRefusalError,
-    SpectralField,
     eval_field_grid,
     green_convolve,
     solve_mild,
@@ -124,11 +121,15 @@ def _pairing_batch(
     total = int(counts.sum())
     if total:
         sizes = np.atleast_1d(sample_jump_sizes(measure, eps, rng, size=total))
-        locations = box.lower + rng.random((total, box.dim)) * box.lengths
-        values = f.evaluate(locations) * sizes
-        owner = np.repeat(np.arange(m), counts)
-        x += np.bincount(owner, weights=values, minlength=m)
+        x += _atom_sums(box, f, sizes, counts, rng)
     return x
+
+
+def _atom_sums(box: HyperBox, f, sizes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """Per-replicate sums of f(y) z at uniform y, replicate i taking the next counts[i] sizes."""
+    locations = box.lower + rng.random((len(sizes), box.dim)) * box.lengths
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(owner, weights=f.evaluate(locations) * sizes, minlength=len(counts))
 
 
 def empirical_cf_test(
@@ -245,9 +246,7 @@ def isometry_test(
     total = int(counts.sum())
     if total:
         sizes = np.atleast_1d(sample_band_jump_sizes(measure, eps, band_high, rng, size=total))
-        locations = box.lower + rng.random((total, box.dim)) * box.lengths
-        values = f.evaluate(locations) * sizes
-        y = np.bincount(np.repeat(np.arange(m), counts), weights=values, minlength=m)
+        y = _atom_sums(box, f, sizes, counts, rng)
     empirical = float(np.var(y))
     statistic = abs(empirical / exact - 1.0)
     return TestReport(
@@ -283,7 +282,7 @@ def weak_identity_test(
     """
     u = solve_mild(realization, gamma, system, override=override)
     pts, w = gauss_nodes(system.box, max(64, 2 * int(system.indices.max()) + 48))
-    uvals = eigen_rmatvec(system, u.coeffs, pts)
+    uvals = u.evaluate(pts)
     lhs = float(np.dot(w, uvals * phi.evaluate(pts)))
     rhs = pair_with_function(realization, green_convolve(system, gamma, phi), system)
     scale = max(1.0, float(np.max(np.abs(uvals))))
@@ -480,7 +479,7 @@ def continuity_probe(
         coeffs = pair_eigen(realization, system) / system.lams**gamma
         incs, sups = [], []
         for n_modes, axes in zip(prefix_sizes, axes_per_level):
-            fld = SpectralField(system.prefix(n_modes), gamma, coeffs[:n_modes])
+            fld = SpectralFunction(system.prefix(n_modes), coeffs[:n_modes])
             values = eval_field_grid(fld, axes)
             max_inc = 0.0
             for axis in range(d):

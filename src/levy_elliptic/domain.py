@@ -109,17 +109,6 @@ class EigenSystem:
             raise ValueError(f"count must lie in [1, {len(self)}]")
         return EigenSystem(self.box, self.indices[:count], self.lams[:count], ("count", count))
 
-    def to_csv(self, path) -> None:
-        """Dump (ordinal, k_1..k_d, lambda) rows for debugging."""
-        d = self.box.dim
-        header = "ordinal," + ",".join(f"k_{i+1}" for i in range(d)) + ",lambda"
-        lines = [header]
-        for i, (row, lam) in enumerate(zip(self.indices, self.lams)):
-            ks = ",".join(str(int(c)) for c in row)
-            lines.append(f"{i},{ks},{format(lam, '.17g')}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _lattice_below(lengths: np.ndarray, lam_max: float) -> np.ndarray:
     """All multi-indices (>= 1 each axis) with eigenvalue <= lam_max.

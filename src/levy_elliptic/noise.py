@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
+from ._csvio import write_csv
 from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec
 from .functions import (
     CallableFunction,
@@ -60,14 +61,8 @@ class JumpAtomSet:
         return len(self.sizes)
 
     def to_csv(self, path) -> None:
-        d = self.box.dim
-        header = ",".join(f"y_{i+1}" for i in range(d)) + ",z"
-        lines = [header]
-        for loc, z in zip(self.locations, self.sizes):
-            coords = ",".join(format(c, ".17g") for c in loc)
-            lines.append(f"{coords},{format(z, '.17g')}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = [*(f"y_{i+1}" for i in range(self.box.dim)), "z"]
+        write_csv(path, header, [*self.locations.T, self.sizes])
 
 
 def sample_prm_large(

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, eigen_rmatvec, sine_tables
+from ._csvio import write_csv
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, sine_tables
 from .functions import SpectralFunction, fourier_vector
 from .integrability import existence_verdict
 from .noise import NoiseRealization, pair_eigen
@@ -26,21 +27,6 @@ from .noise import NoiseRealization, pair_eigen
 
 class RegimeRefusalError(RuntimeError):
     """Raised when solving is requested outside the existence regime."""
-
-
-@dataclass
-class SpectralField:
-    """A function represented by coefficients against an eigen listing."""
-
-    system: EigenSystem
-    gamma: float
-    coeffs: np.ndarray
-    provenance: str = "manual"
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if len(self.coeffs) != len(self.system):
-            raise ValueError("coefficient length must match the system")
 
 
 @dataclass(frozen=True)
@@ -100,8 +86,8 @@ def solve_mild(
     gamma: float,
     system: EigenSystem,
     override: bool = False,
-) -> SpectralField:
-    """Mild solution of the noise-driven problem as a spectral field.
+) -> SpectralFunction:
+    """Mild solution of the noise-driven problem as an eigen-expansion.
 
     Refuses regimes where no mild solution exists unless ``override`` is
     set (divergence sweeps set it deliberately).
@@ -112,24 +98,10 @@ def solve_mild(
             f"no mild solution for d={system.box.dim}, gamma={gamma}; "
             "pass override=True for divergence experiments"
         )
-    coeffs = pair_eigen(realization, system) / system.lams**gamma
-    return SpectralField(
-        system,
-        gamma,
-        coeffs,
-        provenance=f"solved-from-noise(seed={realization.master_seed})",
-    )
+    return SpectralFunction(system, pair_eigen(realization, system) / system.lams**gamma)
 
 
-def eval_field(field: SpectralField, points) -> np.ndarray:
-    """Evaluate the truncated expansion at arbitrary points.
-
-    Exactly zero at boundary points (Dirichlet), enforced by masking.
-    """
-    return eigen_rmatvec(field.system, field.coeffs, points)
-
-
-def eval_field_grid(field: SpectralField, axes: list[np.ndarray]) -> np.ndarray:
+def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarray:
     """Evaluate on a tensor grid given per-axis coordinate arrays.
 
     Uses per-axis sine tables and tensor contractions, which keeps the cost
@@ -151,7 +123,7 @@ def eval_field_grid(field: SpectralField, axes: list[np.ndarray]) -> np.ndarray:
     return tensor
 
 
-def sobolev_norm(field: SpectralField, r: float) -> SobolevNorm:
+def sobolev_norm(field: SpectralFunction, r: float) -> SobolevNorm:
     """Partial sum of the squared order-r Sobolev norm over the cutoff.
 
     value = sum_k lambda_k^r a_k^2; the increment over the last doubling of
@@ -163,15 +135,14 @@ def sobolev_norm(field: SpectralField, r: float) -> SobolevNorm:
     return SobolevNorm(total, total - float(np.sum(terms[:half])))
 
 
-def torsion_solution(system: EigenSystem) -> SpectralField:
+def torsion_solution(system: EigenSystem) -> SpectralFunction:
     """Solution of the unit-source Dirichlet problem (-Laplace v = 1).
 
     Spectral coefficients <1, e_k> / lambda_k; on an interval (a, b) the
     exact solution is (x - a)(b - x)/2, which makes this a convenient
     closed-form oracle target.
     """
-    coeffs = constant_fourier(system) / system.lams
-    return SpectralField(system, 1.0, coeffs, provenance="torsion")
+    return SpectralFunction(system, constant_fourier(system) / system.lams)
 
 
 def green_convolve(system: EigenSystem, gamma: float, phi) -> SpectralFunction:
@@ -184,31 +155,16 @@ def green_convolve(system: EigenSystem, gamma: float, phi) -> SpectralFunction:
     return SpectralFunction(system, coeffs)
 
 
-def dump_coeffs_csv(field: SpectralField, path) -> None:
+def dump_coeffs_csv(field: SpectralFunction, path) -> None:
     """Coefficient dump: (ordinal, k_1..k_d, lambda, a_k) rows."""
-    d = field.system.box.dim
-    header = "ordinal," + ",".join(f"k_{i+1}" for i in range(d)) + ",lambda,a_k"
-    lines = [header]
-    for i, (row, lam, a) in enumerate(
-        zip(field.system.indices, field.system.lams, field.coeffs)
-    ):
-        ks = ",".join(str(int(c)) for c in row)
-        lines.append(f"{i},{ks},{format(lam, '.17g')},{format(a, '.17g')}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    system = field.system
+    header = ["ordinal", *(f"k_{i+1}" for i in range(system.box.dim)), "lambda", "a_k"]
+    write_csv(path, header, [range(len(system)), *system.indices.T, system.lams, field.coeffs])
 
 
-def dump_field_grid_csv(field: SpectralField, axes: list[np.ndarray], path) -> None:
+def dump_field_grid_csv(field: SpectralFunction, axes: list[np.ndarray], path) -> None:
     """Field dump on a tensor grid: (x_1..x_d, value) rows."""
     values = eval_field_grid(field, axes)
-    d = field.system.box.dim
-    header = ",".join(f"x_{i+1}" for i in range(d)) + ",value"
-    lines = [header]
+    header = [*(f"x_{i+1}" for i in range(len(axes))), "value"]
     grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    flat = values.ravel()
-    for pt, v in zip(coords, flat):
-        cs = ",".join(format(c, ".17g") for c in pt)
-        lines.append(f"{cs},{format(v, '.17g')}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, [*(g.ravel() for g in grids), values.ravel()])

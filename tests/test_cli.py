@@ -1,5 +1,6 @@
 """Golden runs of the command line through ``cli.run`` on small configs."""
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,18 @@ def test_oversized_solve_grid_is_refused_before_solving(tmp_path, capsys):
 def test_missing_seed_is_a_config_error(tmp_path, capsys):
     assert run(SOLVE + ["--out", str(tmp_path / "out")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_sweep_summary_rows_parse_to_the_header_width(tmp_path, capsys):
+    # Report names such as sobolev[d=1,gamma=1.0,r=1.4] hold commas.
+    outdir = tmp_path / "out"
+    assert run(["sweep", "sobolev", "--set", "surrogate=true", "--seed", "5", "--out", str(outdir)]) == 0
+    with open(outdir / "summary.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["name", "statistic", "threshold", "pass", "inconclusive"]
+    assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+    by_name = {row[0]: dict(zip(header, row)) for row in rows}
+    # r = 1.4 sits just below r_max = 1.5: its last-doubling increment misses the band.
+    assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["inconclusive"] == "true"
+    assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["pass"] == "false"
+    assert by_name["sobolev[d=1,gamma=1.0,r=1.0]"]["inconclusive"] == "false"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from levy_elliptic.config import ConfigError, load_config
+from levy_elliptic.measures import SymmetricTwoPoint
 
 
 def config_file(tmp_path, doc):
@@ -40,3 +41,41 @@ class TestCutoff:
     def test_unknown_cutoff_key_is_refused(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(config_file(tmp_path, {"cutoff": {"thresh": 100}}), [])
+
+
+class TestReplacedObjects:
+    def test_file_may_name_another_measure(self, tmp_path):
+        doc = {"triplet": {"measure": {"kind": "two_point", "rate": 1.0, "magnitude": 1.0}}}
+        assert isinstance(load_config(config_file(tmp_path, doc), []).triplet.measure, SymmetricTwoPoint)
+
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("weak", "phi", {"kind": "constant", "value": 2.0}),
+            ("cf", "f", {"kind": "indicator", "boxes": [[[0.0, 0.5]]]}),
+            ("isometry", "f", {"kind": "polynomial", "coeffs": [0.0, 1.0]}),
+        ],
+    )
+    def test_file_may_name_another_function(self, tmp_path, block, key, value):
+        cfg = load_config(config_file(tmp_path, {block: {key: value}}), [])
+        assert cfg.blocks[block][key] == value
+
+    def test_other_keys_still_merge(self, tmp_path):
+        cfg = load_config(config_file(tmp_path, {"weak": {"replicates": 3}}), [])
+        assert cfg.blocks["weak"] == {"phi": {"kind": "eigenfunction", "index": [1]}, "replicates": 3}
+
+    def test_unknown_key_beside_a_replaced_object_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="weak.phj"):
+            load_config(config_file(tmp_path, {"weak": {"phj": {"kind": "constant"}}}), [])
+
+
+class TestWorkers:
+    def test_default_is_one_whatever_the_environment(self, monkeypatch):
+        monkeypatch.setenv("LEVY_ELLIPTIC_WORKERS", "4")
+        assert load_config(None, []).workers == 1
+
+    def test_flag_beats_override_beats_file(self, tmp_path):
+        path = config_file(tmp_path, {"workers": 2})
+        assert load_config(path, []).workers == 2
+        assert load_config(path, ["workers=3"]).workers == 3
+        assert load_config(path, ["workers=3"], workers=4).workers == 4

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from levy_elliptic.diagnostics import continuity_probe, spectral_bound_check, weak_identity_test
+from levy_elliptic.diagnostics import _atom_sums, continuity_probe, spectral_bound_check, weak_identity_test
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import Eigenfunction
+from levy_elliptic.functions import AxisPower, Eigenfunction
 from levy_elliptic.measures import AlphaStable, LevyTriplet
 from levy_elliptic.noise import sample_noise
 
@@ -38,3 +38,14 @@ def test_spectral_bound_passes_on_interior_points(d):
     report = spectral_bound_check(box, [100.0, 300.0, 1000.0, 3000.0], pts)
     assert report.passed, report.details["slopes"]
     assert report.replicates == 4
+
+
+def test_atom_sums_give_each_replicate_its_own_atoms():
+    box = HyperBox(((0.0, 2.0),))
+    f = AxisPower(1.0)
+    sizes = np.array([1.0, -2.0, 0.5, 3.0])
+    counts = np.array([2, 0, 2])
+    got = _atom_sums(box, f, sizes, counts, np.random.default_rng(9))
+    y = 2.0 * np.random.default_rng(9).random(4)
+    expected = [y[0] * 1.0 + y[1] * -2.0, 0.0, y[2] * 0.5 + y[3] * 3.0]
+    assert got == pytest.approx(expected, rel=1e-15)

@@ -74,17 +74,6 @@ class TestEnumeration:
         system = enumerate_eigen(SQUARE, count=2)
         assert [tuple(r) for r in system.indices] == [(1, 1), (1, 2)]
 
-    def test_csv_dump(self, tmp_path):
-        system = enumerate_eigen(SQUARE, count=5)
-        path = tmp_path / "eig.csv"
-        system.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "ordinal,k_1,k_2,lambda"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[:3] == ["0", "1", "1"]
-        assert float(first[3]) == system.lams[0]
-
 
 class TestWeylCount:
     def test_interval_t_100(self):

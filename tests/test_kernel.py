@@ -21,7 +21,8 @@ from levy_elliptic.domain import (
 )
 from levy_elliptic.measures import AlphaStable, LevyTriplet
 from levy_elliptic.noise import JumpAtomSet, NoiseRealization, pair_eigen
-from levy_elliptic.solver import SpectralField, eval_field_grid
+from levy_elliptic.functions import SpectralFunction
+from levy_elliptic.solver import eval_field_grid
 
 
 def dense_reference(system, points):
@@ -83,7 +84,7 @@ def test_grid_contraction_matches_dense_reference():
     system = enumerate_eigen(box, count=40)
     coeffs = np.random.default_rng(3).standard_normal(40)
     axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)]
-    grid = eval_field_grid(SpectralField(system, 1.0, coeffs), axes)
+    grid = eval_field_grid(SpectralFunction(system, coeffs), axes)
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     flat = coeffs @ dense_reference(system, pts)
     assert np.max(np.abs(grid.ravel() - flat)) < 1e-12

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_nodes, eigen_matrix
-from levy_elliptic.functions import Constant, Eigenfunction
+from levy_elliptic.functions import Constant, Eigenfunction, SpectralFunction
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
 from levy_elliptic.noise import JumpAtomSet, NoiseRealization, pair_eigen, sample_noise
 from levy_elliptic.solver import (
     RegimeRefusalError,
-    SpectralField,
     dump_coeffs_csv,
     dump_field_grid_csv,
-    eval_field,
     eval_field_grid,
     green_convolve,
     green_gamma_eval,
@@ -95,12 +93,12 @@ class TestSolveMild:
         system = enumerate_eigen(UNIT, count=20)
         field = solve_mild(real, 1.0, system)
         assert np.all(field.coeffs == 0.0)
-        assert np.all(eval_field(field, [[0.3], [0.7]]) == 0.0)
+        assert np.all(field.evaluate([[0.3], [0.7]]) == 0.0)
 
     def test_single_atom_green_oracle(self):
         system = enumerate_eigen(UNIT, count=2000)
         field = solve_mild(one_atom_realization(0.5, 2.0), 1.0, system)
-        got = eval_field(field, [[0.25]])[0]
+        got = field.evaluate([[0.25]])[0]
         assert got == pytest.approx(2.0 * interval_green(0.25, 0.5), abs=1e-4)
         assert got == pytest.approx(0.25, abs=1e-4)
 
@@ -110,7 +108,7 @@ class TestSolveMild:
         with pytest.raises(RegimeRefusalError):
             solve_mild(real, 0.2, system)
         field = solve_mild(real, 0.2, system, override=True)
-        assert field.provenance.startswith("solved-from-noise")
+        assert isinstance(field, SpectralFunction) and field.system is system
 
     def test_operator_inversion_recovers_pairing(self):
         real = sample_noise(UNIT, LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 1.0)), master_seed=3)
@@ -122,60 +120,60 @@ class TestSolveMild:
 
 class TestFieldEvaluation:
     def test_boundary_exactly_zero(self):
-        field = SpectralField(enumerate_eigen(UNIT, count=7), 1.0, np.ones(7))
-        assert np.all(eval_field(field, [[0.0], [1.0]]) == 0.0)
+        field = SpectralFunction(enumerate_eigen(UNIT, count=7), np.ones(7))
+        assert np.all(field.evaluate([[0.0], [1.0]]) == 0.0)
         square = enumerate_eigen(HyperBox.unit(2), count=5)
-        field2 = SpectralField(square, 1.0, np.ones(5))
-        assert eval_field(field2, [[0.0, 0.5]])[0] == 0.0
+        field2 = SpectralFunction(square, np.ones(5))
+        assert field2.evaluate([[0.0, 0.5]])[0] == 0.0
 
     def test_single_mode_value(self):
         system = enumerate_eigen(UNIT, count=1)
-        field = SpectralField(system, 1.0, np.array([1.0]))
-        assert eval_field(field, [[0.5]])[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        field = SpectralFunction(system, np.array([1.0]))
+        assert field.evaluate([[0.5]])[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_outside_box_rejected(self):
-        field = SpectralField(enumerate_eigen(UNIT, count=3), 1.0, np.ones(3))
+        field = SpectralFunction(enumerate_eigen(UNIT, count=3), np.ones(3))
         with pytest.raises(ValueError):
-            eval_field(field, [[1.2]])
+            field.evaluate([[1.2]])
 
     def test_grid_matches_pointwise(self):
         system = enumerate_eigen(HyperBox.unit(2), count=40)
         rng = np.random.default_rng(0)
-        field = SpectralField(system, 1.0, rng.standard_normal(40))
+        field = SpectralFunction(system, rng.standard_normal(40))
         axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)]
         grid = eval_field_grid(field, axes)
         pts = np.array([[x, y] for x in axes[0] for y in axes[1]])
-        flat = eval_field(field, pts).reshape(9, 7)
+        flat = field.evaluate(pts).reshape(9, 7)
         assert np.max(np.abs(grid - flat)) < 1e-12
         assert np.all(grid[0, :] == 0.0) and np.all(grid[:, -1] == 0.0)
 
 
 class TestSobolevNorm:
     def test_single_mode_squared_norm(self):
-        field = SpectralField(enumerate_eigen(UNIT, count=1), 1.0, np.array([1.0]))
+        field = SpectralFunction(enumerate_eigen(UNIT, count=1), np.array([1.0]))
         got = sobolev_norm(field, 2.0)
         assert got.value == pytest.approx(math.pi**4, rel=1e-14)
 
     def test_zero_field(self):
-        field = SpectralField(enumerate_eigen(UNIT, count=9), 1.0, np.zeros(9))
+        field = SpectralFunction(enumerate_eigen(UNIT, count=9), np.zeros(9))
         assert sobolev_norm(field, 3.0).value == 0.0
 
     def test_inverse_eigenvalue_surrogate_partial_sums(self):
         # sum_k lambda_k^-1 = sum 1/(pi k)^2 = 1/6 on the unit interval.
         system = enumerate_eigen(UNIT, count=20000)
-        field = SpectralField(system, 1.0, 1.0 / system.lams)
+        field = SpectralFunction(system, 1.0 / system.lams)
         got = sobolev_norm(field, 1.0)
         assert abs(got.value - 1.0 / 6.0) < 1e-5
         assert got.last_block_increment > 0.0
         smaller = sobolev_norm(
-            SpectralField(system.prefix(10000), 1.0, 1.0 / system.lams[:10000]), 1.0
+            SpectralFunction(system.prefix(10000), 1.0 / system.lams[:10000]), 1.0
         )
         assert smaller.value < got.value < 1.0 / 6.0
 
     def test_monotone_in_order_when_eigenvalues_exceed_one(self):
         system = enumerate_eigen(UNIT, count=30)
         rng = np.random.default_rng(1)
-        field = SpectralField(system, 1.0, rng.standard_normal(30))
+        field = SpectralFunction(system, rng.standard_normal(30))
         values = [sobolev_norm(field, r).value for r in np.linspace(-1.0, 3.0, 9)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -184,18 +182,18 @@ class TestTorsion:
     def test_unit_interval_center(self):
         system = enumerate_eigen(UNIT, count=1000)
         v = torsion_solution(system)
-        assert eval_field(v, [[0.5]])[0] == pytest.approx(0.125, abs=1e-4)
+        assert v.evaluate([[0.5]])[0] == pytest.approx(0.125, abs=1e-4)
 
     def test_boundary_zero(self):
         system = enumerate_eigen(UNIT, count=100)
-        assert eval_field(torsion_solution(system), [[0.0]])[0] == 0.0
+        assert torsion_solution(system).evaluate([[0.0]])[0] == 0.0
 
     def test_length_two_interval(self):
         box = HyperBox(((0.0, 2.0),))
         system = enumerate_eigen(box, count=1000)
         v = torsion_solution(system)
         # Closed form x (2 - x) / 2 at x = 1.
-        assert eval_field(v, [[1.0]])[0] == pytest.approx(0.5, abs=1e-4)
+        assert v.evaluate([[1.0]])[0] == pytest.approx(0.5, abs=1e-4)
 
 
 class TestGreenConvolve:
@@ -231,7 +229,7 @@ class TestParseval:
 class TestDumps:
     def test_coefficient_csv(self, tmp_path):
         system = enumerate_eigen(UNIT, count=4)
-        field = SpectralField(system, 1.0, np.array([0.5, -1.0, 0.25, 0.0]))
+        field = SpectralFunction(system, np.array([0.5, -1.0, 0.25, 0.0]))
         path = tmp_path / "coeffs.csv"
         dump_coeffs_csv(field, path)
         lines = path.read_text().strip().split("\n")
@@ -242,7 +240,7 @@ class TestDumps:
 
     def test_field_grid_csv(self, tmp_path):
         system = enumerate_eigen(UNIT, count=3)
-        field = SpectralField(system, 1.0, np.ones(3))
+        field = SpectralFunction(system, np.ones(3))
         path = tmp_path / "field.csv"
         dump_field_grid_csv(field, [np.linspace(0.0, 1.0, 5)], path)
         lines = path.read_text().strip().split("\n")
