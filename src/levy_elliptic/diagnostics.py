@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .measures import (
     band_variance,
     characteristic_exponent,
     jump_exponent_quadrature,
-    sample_band_jump_sizes,
     sample_jump_sizes,
     tail_mass,
     truncated_variance,
@@ -41,6 +41,9 @@ from .solver import (
     green_convolve,
     solve_mild,
 )
+
+# Atoms per chunk of a Monte Carlo batch (whole replicates): about 8 MiB a column.
+BATCH_ATOMS = 1 << 20
 
 CONVERGED_BAND = 0.01
 DIVERGENT_BAND = 0.05
@@ -109,27 +112,52 @@ def _pairing_batch(
     """
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
     measure = triplet.measure
-    coeffs = fourier_vector(system, f)
+    x = _jump_sums(box, measure, f, m, rng, eps)
+    if triplet.b != 0.0:
+        x += triplet.b * integral(f, box)
     small_var = truncated_variance(measure, eps) if policy == "gaussianize" else 0.0
+    coeffs = fourier_vector(system, f)
     gauss_var = (triplet.sigma**2 + small_var) * float(np.dot(coeffs, coeffs))
-
-    lam = box.volume * tail_mass(measure, eps)
-    counts = rng.poisson(lam, m) if lam > 0.0 else np.zeros(m, dtype=np.int64)
-    x = np.full(m, triplet.b * integral(f, box) if triplet.b != 0.0 else 0.0)
     if gauss_var > 0.0:
         x += math.sqrt(gauss_var) * rng.standard_normal(m)
-    total = int(counts.sum())
-    if total:
-        sizes = np.atleast_1d(sample_jump_sizes(measure, eps, rng, size=total))
-        x += _atom_sums(box, f, sizes, counts, rng)
     return x
 
 
-def _atom_sums(box: HyperBox, f, sizes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
-    """Per-replicate sums of f(y) z at uniform y, replicate i taking the next counts[i] sizes."""
-    locations = box.lower + rng.random((len(sizes), box.dim)) * box.lengths
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return np.bincount(owner, weights=f.evaluate(locations) * sizes, minlength=len(counts))
+def _jump_sums(
+    box: HyperBox, measure, f, m: int, rng, lo: float, hi: float = math.inf
+) -> np.ndarray:
+    """m replicate sums of f(y) z over the atoms of nu on {lo < |z| <= hi}.
+
+    The Poisson counts of all replicates come first; then consecutive chunks
+    of whole replicates, about BATCH_ATOMS atoms each, draw their sizes and
+    uniform locations from ``rng``, so memory is bounded by the chunk.
+    """
+    lam = box.volume * (tail_mass(measure, lo) - tail_mass(measure, hi))
+    if not lam <= BATCH_ATOMS:
+        raise ValueError(
+            f"eps={lo:g} gives {lam:.3g} expected atoms in each of the M={m} replicates; "
+            f"a chunk of whole replicates holds about BATCH_ATOMS={BATCH_ATOMS} atoms, "
+            "so raise eps"
+        )
+    out = np.zeros(m)
+    if lam == 0.0:
+        return out
+    counts = rng.poisson(lam, m)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < m:
+        first = int(ends[start] - counts[start])
+        stop = max(start + 1, int(np.searchsorted(ends, first + BATCH_ATOMS, side="right")))
+        n = int(ends[stop - 1]) - first
+        if n:
+            sizes = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
+            locations = box.lower + rng.random((n, box.dim)) * box.lengths
+            owner = np.repeat(np.arange(stop - start), counts[start:stop])
+            out[start:stop] = np.bincount(
+                owner, weights=f.evaluate(locations) * sizes, minlength=stop - start
+            )
+        start = stop
+    return out
 
 
 def empirical_cf_test(
@@ -161,24 +189,22 @@ def empirical_cf_test(
     u_grid = [float(u) for u in u_grid]
     x = _pairing_batch(box, triplet, f, system, eps, policy, m, seed)
 
-    def psi(u_val: float) -> complex:
-        if psi_quadrature:
-            re = -0.5 * triplet.sigma**2 * u_val * u_val + jump_exponent_quadrature(
-                triplet.measure, u_val
-            )
-            return complex(re, triplet.b * u_val)
-        return characteristic_exponent(triplet, u_val)
+    def psi(u_vals):
+        if not psi_quadrature:
+            return characteristic_exponent(triplet, u_vals)
+        # The quadrature route keeps one adaptive integral per node.
+        jump = np.vectorize(partial(jump_exponent_quadrature, triplet.measure))(u_vals)
+        return -0.5 * triplet.sigma**2 * u_vals**2 + jump + 1j * (triplet.b * u_vals)
 
     pts, w = gauss_nodes(box, 64 if box.dim <= 2 else 16)
     fvals = f.evaluate(pts)
     stats, detail_rows = [], []
     for u in u_grid:
-        exponent = complex(0.0, 0.0)
-        # x-quadrature of Psi(u f(x)); vectorized over nodes via the grid.
-        vals = np.array([psi(u * fv) for fv in fvals]) if not _is_const(fvals) else None
-        if vals is None:
-            exponent = psi(u * float(fvals[0])) * box.volume
+        # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
+        if _is_const(fvals):
+            exponent = complex(psi(u * float(fvals[0]))) * box.volume
         else:
+            vals = psi(u * fvals)
             exponent = complex(np.dot(w, vals.real), np.dot(w, vals.imag))
         target = np.exp(exponent)
         empirical = complex(np.mean(np.exp(1j * u * x)))
@@ -227,7 +253,12 @@ def isometry_test(
     simulable equivalent.  Statistic: |empirical/exact - 1|, threshold 0.05
     sized for m = 1e5.
     """
-    exact = abs_power_integral(f, box, 2.0) * band_variance(measure, eps, band_high)
+    if m < 1000:
+        raise ValueError("m below 1000 has no statistical power; refused")
+    f_square = abs_power_integral(f, box, 2.0)
+    if not math.isfinite(f_square):
+        raise ValueError("integrand is not square-integrable; isometry test undefined")
+    exact = f_square * band_variance(measure, eps, band_high)
     if exact == 0.0:
         return TestReport(
             name="isometry_band",
@@ -240,13 +271,7 @@ def isometry_test(
             inconclusive=True,
         )
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
-    lam = box.volume * (tail_mass(measure, eps) - tail_mass(measure, band_high))
-    counts = rng.poisson(lam, m)
-    y = np.zeros(m)
-    total = int(counts.sum())
-    if total:
-        sizes = np.atleast_1d(sample_band_jump_sizes(measure, eps, band_high, rng, size=total))
-        y = _atom_sums(box, f, sizes, counts, rng)
+    y = _jump_sums(box, measure, f, m, rng, eps, band_high)
     empirical = float(np.var(y))
     statistic = abs(empirical / exact - 1.0)
     return TestReport(

@@ -189,17 +189,23 @@ def _stable_cos_constant(alpha: float) -> float:
     return special.gamma(2.0 - alpha) * (math.pi / 2.0) * np.sinc(t / 2.0)
 
 
-def jump_exponent(measure: LevyMeasure, u: float) -> float:
-    """int (cos(uz) - 1) nu(dz), the jump part of the exponent (closed form)."""
+def jump_exponent(measure: LevyMeasure, u):
+    """int (cos(uz) - 1) nu(dz), the jump part of the exponent (closed form).
+
+    ``u`` may be a scalar or an array; the result has its shape.
+    """
+    u = np.asarray(u, dtype=float)
     if isinstance(measure, NullMeasure):
-        return 0.0
-    if isinstance(measure, SymmetricTwoPoint):
-        return measure.rate * (math.cos(u * measure.magnitude) - 1.0)
-    if isinstance(measure, AlphaStable):
-        return -_stable_cos_constant(measure.alpha) * abs(u) ** measure.alpha
-    if isinstance(measure, VarianceGamma):
-        return -measure.c * math.log1p((u / measure.m) ** 2)
-    raise TypeError(f"unknown measure {measure!r}")
+        out = np.zeros_like(u)
+    elif isinstance(measure, SymmetricTwoPoint):
+        out = measure.rate * (np.cos(u * measure.magnitude) - 1.0)
+    elif isinstance(measure, AlphaStable):
+        out = -_stable_cos_constant(measure.alpha) * np.abs(u) ** measure.alpha
+    elif isinstance(measure, VarianceGamma):
+        out = -measure.c * np.log1p((u / measure.m) ** 2)
+    else:
+        raise TypeError(f"unknown measure {measure!r}")
+    return out[()]
 
 
 def jump_exponent_quadrature(measure: LevyMeasure, u: float, tol: float = 1e-10) -> float:
@@ -239,33 +245,38 @@ def jump_exponent_quadrature(measure: LevyMeasure, u: float, tol: float = 1e-10)
     return head + osc - mass
 
 
-def characteristic_exponent(triplet: LevyTriplet, u: float) -> complex:
+def characteristic_exponent(triplet: LevyTriplet, u):
     """Exponent of the noise law per unit volume at frequency u.
 
     Returns i*b*u - sigma^2 u^2 / 2 + int (cos(uz) - 1) nu(dz); the jump
     integral is real because every supported measure is symmetric, so the
-    imaginary part equals b*u exactly.
+    imaginary part equals b*u exactly.  ``u`` may be a scalar or an array.
     """
-    if not math.isfinite(u):
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
         raise ValueError(f"u must be finite, got {u}")
     real = -0.5 * triplet.sigma**2 * u * u + jump_exponent(triplet.measure, u)
-    return complex(real, triplet.b * u)
+    return (real + 1j * (triplet.b * u))[()]
 
 
 def sample_jump_sizes(
-    measure: LevyMeasure, eps: float, rng: np.random.Generator, size: int | None = None
+    measure: LevyMeasure,
+    lo: float,
+    rng: np.random.Generator,
+    size: int | None = None,
+    hi: float = math.inf,
 ):
-    """Draw jump sizes from nu restricted to {|z| > eps}, normalized.
+    """Draw jump sizes from nu restricted to {lo < |z| <= hi}, normalized.
 
     Signs are symmetric by construction.  Magnitudes use the inverse-tail
     transform (stable), the atom itself (two-point), or rejection against a
-    shifted exponential envelope (variance-gamma).  Raises when the tail
-    above eps carries no mass or infinite mass.
+    shifted exponential envelope (variance-gamma).  Raises when the range
+    carries no mass or infinite mass.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     n = 1 if size is None else int(size)
-    mass = tail_mass(measure, eps)
+    mass = tail_mass(measure, lo) - tail_mass(measure, hi)
     if mass == 0.0:
         raise ValueError("no jumps above threshold")
     if not math.isfinite(mass):
@@ -274,9 +285,12 @@ def sample_jump_sizes(
     if isinstance(measure, SymmetricTwoPoint):
         mags = np.full(n, measure.magnitude)
     elif isinstance(measure, AlphaStable):
-        mags = eps * rng.random(n) ** (-1.0 / measure.alpha)
+        # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf.
+        a = measure.alpha
+        r = (lo / hi) ** a
+        mags = lo * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / a)
     elif isinstance(measure, VarianceGamma):
-        mags = _vg_tail_magnitudes(measure, eps, rng, n)
+        mags = _vg_magnitudes(measure, lo, hi, rng, n)
     else:  # pragma: no cover - guarded by tail_mass above
         raise TypeError(f"unknown measure {measure!r}")
 
@@ -285,63 +299,32 @@ def sample_jump_sizes(
     return out[0] if size is None else out
 
 
-def _vg_tail_magnitudes(measure: VarianceGamma, eps: float, rng, n: int) -> np.ndarray:
-    # Density on (eps, inf) is proportional to z^-1 e^(-mz), dominated by the
-    # shifted exponential m e^(-m(z-eps)) with acceptance ratio eps / z.
+def sample_band_jump_sizes(
+    measure: LevyMeasure, lo: float, hi: float, rng: np.random.Generator, size: int | None = None
+):
+    """``sample_jump_sizes(measure, lo, rng, size, hi)``.  Nothing in the package
+    calls it; it stays only while ``perfbench/tracer.py`` traces it by name."""
+    return sample_jump_sizes(measure, lo, rng, size, hi)
+
+
+def _vg_magnitudes(measure: VarianceGamma, lo: float, hi: float, rng, n: int) -> np.ndarray:
+    # Density on (lo, inf) is proportional to z^-1 e^(-mz), dominated by the
+    # shifted exponential m e^(-m(z-lo)) with acceptance ratio lo / z; a
+    # finite hi rejects the proposals above it too.
     m = measure.m
-    accept_rate = max(eps * m * math.exp(m * eps) * special.exp1(m * eps), 1e-3)
+    band_share = 1.0 - tail_mass(measure, hi) / tail_mass(measure, lo)
+    accept_rate = max(lo * m * math.exp(m * lo) * special.exp1(m * lo) * band_share, 1e-3)
     out = np.empty(n)
     filled = 0
     while filled < n:
         todo = n - filled
         batch = min(int(todo / accept_rate) + 16, 10_000_000)
-        prop = eps + rng.exponential(scale=1.0 / m, size=batch)
-        keep = prop[rng.random(batch) * prop < eps]
+        prop = lo + rng.exponential(scale=1.0 / m, size=batch)
+        keep = prop[(rng.random(batch) * prop < lo) & (prop <= hi)]
         take = keep[: todo]
         out[filled : filled + take.size] = take
         filled += take.size
     return out
-
-
-def sample_band_jump_sizes(
-    measure: LevyMeasure,
-    lo: float,
-    hi: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw jump sizes from nu restricted to the band {lo < |z| <= hi}."""
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    band = tail_mass(measure, lo) - tail_mass(measure, hi)
-    if band <= 0.0 or not math.isfinite(band):
-        raise ValueError("band carries no finite positive mass")
-    n = 1 if size is None else int(size)
-
-    if isinstance(measure, SymmetricTwoPoint):
-        mags = np.full(n, measure.magnitude)
-    elif isinstance(measure, AlphaStable):
-        a = measure.alpha
-        t_lo, t_hi = lo ** (-a), hi ** (-a)
-        mags = (t_lo - rng.random(n) * (t_lo - t_hi)) ** (-1.0 / a)
-    elif isinstance(measure, VarianceGamma):
-        # Rejection from the tail sampler; the band holds most of the tail
-        # mass for the eps ranges used here.
-        mags = np.empty(n)
-        filled = 0
-        while filled < n:
-            todo = n - filled
-            batch = int(todo * tail_mass(measure, lo) / band) + 16
-            prop = _vg_tail_magnitudes(measure, lo, rng, min(batch, 10_000_000))
-            take = prop[prop <= hi][: todo]
-            mags[filled : filled + take.size] = take
-            filled += take.size
-    else:  # pragma: no cover
-        raise TypeError(f"unknown measure {measure!r}")
-
-    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    out = signs * mags
-    return out[0] if size is None else out
 
 
 def measure_to_dict(measure: LevyMeasure) -> dict:

@@ -13,6 +13,9 @@ WEAK = [
     "--set", 'weak.phi={"kind":"eigenfunction","index":[1,2]}', "--set", "weak.replicates=2",
 ]
 
+CF = ["verify", "cf", "--set", "eps=0.05", "--set", "M=2000", "--set", 'cf.f={"kind":"axis_power","exponent":1.0}']
+ISOMETRY = ["verify", "isometry", "--set", "eps=0.05", "--set", "M=2000"]
+
 
 def outputs(outdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
@@ -20,7 +23,12 @@ def outputs(outdir: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize(
     "argv,files",
-    [(SOLVE, {"coefficients.csv", "field.csv"}), (WEAK, {"reports.jsonl", "summary.csv"})],
+    [
+        (SOLVE, {"coefficients.csv", "field.csv"}),
+        (WEAK, {"reports.jsonl", "summary.csv"}),
+        (CF, {"reports.jsonl", "summary.csv"}),
+        (ISOMETRY, {"reports.jsonl", "summary.csv"}),
+    ],
 )
 def test_outputs_repeat_byte_for_byte_across_runs_and_workers(tmp_path, capsys, argv, files):
     runs = []
@@ -51,6 +59,16 @@ def test_oversized_solve_grid_is_refused_before_solving(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run(["solve", "--set", "d=6", "--seed", "5", "--out", str(outdir)]) == 2
     assert "solve.grid_points" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [CF, ISOMETRY])
+def test_batch_over_the_atom_budget_is_refused(tmp_path, capsys, argv):
+    # eps = 1e-6 gives 1e9 stable atoms a replicate, over BATCH_ATOMS = 2^20.
+    outdir = tmp_path / "out"
+    assert run(argv + ["--set", "eps=1e-6", "--seed", "5", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "eps=1e-06" in err and "M=2000" in err and "BATCH_ATOMS=1048576" in err
     assert not outdir.exists()
 
 

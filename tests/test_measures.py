@@ -7,6 +7,7 @@ from scipy.stats import kstest
 
 from levy_elliptic.measures import (
     AlphaStable,
+    _stable_cos_constant,
     LevyTriplet,
     NullMeasure,
     SymmetricTwoPoint,
@@ -198,7 +199,7 @@ class TestSamplers:
 
     def test_band_sampler_stable(self):
         rng = np.random.default_rng(4)
-        z = sample_band_jump_sizes(AlphaStable(1.0), 0.1, 1.0, rng, size=50_000)
+        z = sample_jump_sizes(AlphaStable(1.0), 0.1, rng, size=50_000, hi=1.0)
         assert np.all((np.abs(z) > 0.1) & (np.abs(z) <= 1.0))
         lo_tail, hi_tail = 0.1**-1.0, 1.0
         span = lo_tail - hi_tail
@@ -207,6 +208,56 @@ class TestSamplers:
             return (lo_tail - t**-1.0) / span
 
         assert kstest(np.abs(z), cdf).statistic < 0.012
+
+    def test_band_sampler_variance_gamma_ks(self):
+        c, m, lo, hi = 1.0, 1.0, 0.05, 1.0
+        rng = np.random.default_rng(8)
+        z = sample_jump_sizes(VarianceGamma(c, m), lo, rng, size=50_000, hi=hi)
+        assert np.all((np.abs(z) > lo) & (np.abs(z) <= hi))
+        band = special.exp1(m * lo) - special.exp1(m * hi)
+
+        def cdf(t):
+            return (special.exp1(m * lo) - special.exp1(m * t)) / band
+
+        assert kstest(np.abs(z), cdf).statistic < 0.012
+
+    def test_band_sampler_two_point(self):
+        rng = np.random.default_rng(9)
+        z = sample_jump_sizes(SymmetricTwoPoint(1.0, 0.8), 0.5, rng, size=1000, hi=1.0)
+        assert set(np.unique(z)) == {-0.8, 0.8}
+        with pytest.raises(ValueError, match="no jumps"):
+            sample_jump_sizes(SymmetricTwoPoint(1.0, 0.8), 0.1, rng, size=10, hi=0.5)
+
+    def test_band_wrapper_draws_what_the_sampler_draws(self):
+        z = sample_band_jump_sizes(AlphaStable(1.5), 0.1, 1.0, np.random.default_rng(12), size=100)
+        ref = sample_jump_sizes(AlphaStable(1.5), 0.1, np.random.default_rng(12), size=100, hi=1.0)
+        assert np.array_equal(z, ref)
+
+    def test_band_needs_lo_below_hi(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            sample_jump_sizes(AlphaStable(1.0), 1.0, np.random.default_rng(0), hi=1.0)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
+    def test_unbounded_stable_draws_the_inverse_tail_bit_for_bit(self, alpha):
+        z = sample_jump_sizes(AlphaStable(alpha), 0.01, np.random.default_rng(10), size=1000)
+        rng = np.random.default_rng(10)
+        mags = 0.01 * rng.random(1000) ** (-1.0 / alpha)
+        expected = np.where(rng.random(1000) < 0.5, -1.0, 1.0) * mags
+        assert np.array_equal(z, expected)
+
+    def test_unbounded_variance_gamma_keeps_the_tail_rejection_bit_for_bit(self):
+        # Replays the tail rejection: proposals eps + Exp(m), kept when U z < eps.
+        measure, eps, n = VarianceGamma(1.0, 2.0), 0.1, 500
+        z = sample_jump_sizes(measure, eps, np.random.default_rng(11), size=n)
+        rng = np.random.default_rng(11)
+        rate = max(eps * 2.0 * math.exp(2.0 * eps) * special.exp1(2.0 * eps), 1e-3)
+        mags = []
+        while len(mags) < n:
+            batch = min(int((n - len(mags)) / rate) + 16, 10_000_000)
+            prop = eps + rng.exponential(scale=0.5, size=batch)
+            mags.extend(prop[rng.random(batch) * prop < eps][: n - len(mags)])
+        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * np.array(mags)
+        assert np.array_equal(z, expected)
 
     def test_empty_support_errors(self):
         rng = np.random.default_rng(5)
@@ -224,6 +275,44 @@ class TestSamplers:
         rng = np.random.default_rng(7)
         z = sample_jump_sizes(SymmetricTwoPoint(1.0, 1.0), 0.5, rng)
         assert z in (-1.0, 1.0)
+
+
+def scalar_exponent(trip, u):
+    """The exponent as it was written before it took arrays: math-module scalars."""
+    measure = trip.measure
+    if isinstance(measure, SymmetricTwoPoint):
+        jump = measure.rate * (math.cos(u * measure.magnitude) - 1.0)
+    elif isinstance(measure, AlphaStable):
+        jump = -_stable_cos_constant(measure.alpha) * abs(u) ** measure.alpha
+    elif isinstance(measure, VarianceGamma):
+        jump = -measure.c * math.log1p((u / measure.m) ** 2)
+    else:
+        jump = 0.0
+    return complex(-0.5 * trip.sigma**2 * u * u + jump, trip.b * u)
+
+
+class TestArrayExponent:
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    def test_array_form_matches_scalar_form(self, measure):
+        trip = LevyTriplet(0.3, 0.7, measure)
+        u = np.linspace(-20.0, 20.0, 401)[:, None] * np.array([1.0, 1e-3])
+        arr = characteristic_exponent(trip, u)
+        assert arr.shape == u.shape and arr.dtype == complex
+        # SIMD and scalar pow may round apart by an ulp, so not bit for bit.
+        expected = np.vectorize(lambda v: scalar_exponent(trip, v), otypes=[complex])(u)
+        assert np.allclose(arr, expected, rtol=1e-15, atol=0.0)
+        one_by_one = np.vectorize(lambda v: characteristic_exponent(trip, v), otypes=[complex])(u)
+        assert np.allclose(arr, one_by_one, rtol=1e-15, atol=0.0)
+
+    def test_scalar_form_stays_scalar(self):
+        trip = LevyTriplet(0.3, 0.7, AlphaStable(1.5))
+        assert isinstance(characteristic_exponent(trip, 1.0), complex)
+        assert isinstance(jump_exponent(AlphaStable(1.5), 1.0), float)
+
+    def test_any_non_finite_entry_is_refused(self):
+        trip = LevyTriplet(0.0, 1.0, AlphaStable(1.5))
+        with pytest.raises(ValueError):
+            characteristic_exponent(trip, np.array([0.0, np.nan]))
 
 
 class TestValidation:
