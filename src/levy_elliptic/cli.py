@@ -26,6 +26,7 @@ from .diagnostics import (
     continuity_probe,
     empirical_cf_test,
     isometry_test,
+    run_replicates,
     sobolev_sweep,
     spectral_bound_check,
     weak_identity_test,
@@ -142,11 +143,9 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
                 block["u_grid"],
                 block["M"],
                 seed,
-                box=cfg.box,
                 system=system,
                 eps=cfg.eps,
                 policy=cfg.policy,
-                psi_quadrature=block["psi_quadrature"],
             )
         ]
     elif which == "isometry":
@@ -167,20 +166,14 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         block = cfg.blocks["weak"]
         phi = parse_function(block["phi"], cfg.box)
         system = _system(cfg)
-        reports = []
-        for i in range(block["replicates"]):
+
+        def one(i: int) -> TestReport:
             rep_seed = _rng.replicate_seed(seed, i)
             realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, rep_seed)
-            reports.append(
-                weak_identity_test(
-                    realization,
-                    phi,
-                    cfg.gamma,
-                    system,
-                    override=override,
-                    label=f"weak_identity[{i}]",
-                )
-            )
+            label = f"weak_identity[{i}]"
+            return weak_identity_test(realization, phi, cfg.gamma, system, override, label)
+
+        reports = run_replicates(one, block["replicates"], cfg.workers)
     elif which == "spectral-bound":
         block = cfg.blocks["spectral_bound"]
         rng = _rng.stream(seed, _rng.SAMPLE_STREAM)
@@ -199,14 +192,13 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
     if which == "sobolev":
         block = cfg.blocks["sobolev"]
         reports = sobolev_sweep(
-            cfg.box.dim,
+            cfg.box,
             cfg.gamma,
-            cfg.triplet.measure,
+            cfg.triplet,
             block["r_list"],
             block["K_list"],
             block["replicates"],
             seed,
-            box=cfg.box,
             eps=block["eps"],
             policy=cfg.policy,
             workers=cfg.workers,
@@ -217,13 +209,12 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
         block = cfg.blocks["continuity"]
         reports = [
             continuity_probe(
-                cfg.box.dim,
+                cfg.box,
                 cfg.gamma,
-                cfg.triplet.measure,
+                cfg.triplet,
                 block["grid_levels"],
                 block["replicates"],
                 seed,
-                box=cfg.box,
                 eps=cfg.eps,
                 policy=cfg.policy,
                 workers=cfg.workers,

@@ -45,7 +45,6 @@ DEFAULTS: dict = {
     "cf": {
         "u_grid": [0.5, 1.0, 2.0],
         "M": 100000,
-        "psi_quadrature": False,
         "f": {"kind": "constant", "value": 1.0},
     },
     "isometry": {
@@ -90,7 +89,6 @@ _ALIASES: dict[str, list[str]] = {
     "workers": ["workers"],
     "M": ["cf.M", "isometry.M"],
     "u_grid": ["cf.u_grid"],
-    "psi_quadrature": ["cf.psi_quadrature"],
     "band_high": ["isometry.band_high"],
     "replicates": ["weak.replicates", "sobolev.replicates", "continuity.replicates"],
     "r_list": ["sobolev.r_list"],
@@ -177,8 +175,10 @@ def _apply_override(doc: dict, item: str) -> None:
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
+            value = None
+        if not isinstance(value, dict):  # null, alpha:1.5, ... are shorthands
             try:
-                value = parse_measure_shorthand(raw)
+                value = parse_measure_shorthand(value if isinstance(value, str) else raw)
             except ValueError as exc:
                 raise ConfigError(key, str(exc))
     else:
@@ -348,7 +348,6 @@ def _validate_blocks(blocks: dict) -> None:
     )
     for i, u in enumerate(cf["u_grid"]):
         _as_number(u, f"cf.u_grid[{i}]")
-    _require(isinstance(cf["psi_quadrature"], bool), "cf.psi_quadrature", "expected a boolean")
 
     iso = blocks["isometry"]
     _require(isinstance(iso["M"], int) and iso["M"] >= 1, "isometry.M", "M must be a positive integer")

@@ -17,30 +17,23 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, eigen_matrix, enumerate_eigen, gauss_nodes
+from .domain import EigenSystem, HyperBox, eigen_matrix, enumerate_eigen, gauss_nodes, resolving_gauss_nodes
 from .functions import SpectralFunction, abs_power_integral, fourier_vector, integral
-from .integrability import existence_verdict, rr_integrability
+from .integrability import rr_integrability
 from .measures import (
     LevyTriplet,
     band_variance,
     characteristic_exponent,
-    jump_exponent_quadrature,
     sample_jump_sizes,
     tail_mass,
     truncated_variance,
 )
 from .noise import pair_eigen, pair_with_function, sample_noise
-from .solver import (
-    RegimeRefusalError,
-    eval_field_grid,
-    green_convolve,
-    solve_mild,
-)
+from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
 # Atoms per chunk of a Monte Carlo batch (whole replicates): about 8 MiB a column.
 BATCH_ATOMS = 1 << 20
@@ -93,7 +86,6 @@ def run_replicates(fn, n: int, workers: int = 1) -> list:
 
 
 def _pairing_batch(
-    box: HyperBox,
     triplet: LevyTriplet,
     f,
     system: EigenSystem,
@@ -112,9 +104,9 @@ def _pairing_batch(
     """
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
     measure = triplet.measure
-    x = _jump_sums(box, measure, f, m, rng, eps)
+    x = _jump_sums(system.box, measure, f, m, rng, eps)
     if triplet.b != 0.0:
-        x += triplet.b * integral(f, box)
+        x += triplet.b * integral(f, system.box)
     small_var = truncated_variance(measure, eps) if policy == "gaussianize" else 0.0
     coeffs = fourier_vector(system, f)
     gauss_var = (triplet.sigma**2 + small_var) * float(np.dot(coeffs, coeffs))
@@ -167,44 +159,34 @@ def empirical_cf_test(
     m: int,
     seed: int,
     *,
-    box: HyperBox,
     system: EigenSystem,
     eps: float = 0.01,
     policy: str = "gaussianize",
-    psi_quadrature: bool = False,
 ) -> TestReport:
     """Empirical characteristic function of <noise, f> against its law.
 
-    Target: exp(int_D Psi(u f(x)) dx) with the exponent in closed form or,
-    when ``psi_quadrature`` is set, through the adaptive-quadrature route.
+    Target: exp(int_D Psi(u f(x)) dx) with the exponent in closed form.
     Statistic: max_u |empirical CF - target|; threshold 4/sqrt(m), the
     conservative envelope for bounded complex averages.
     """
     if m < 1000:
         raise ValueError("m below 1000 has no statistical power; refused")
+    box = system.box
     report = rr_integrability(f, triplet, box)
     if not report.verdict:
         raise ValueError("integrand is not noise-integrable; CF test undefined")
 
     u_grid = [float(u) for u in u_grid]
-    x = _pairing_batch(box, triplet, f, system, eps, policy, m, seed)
-
-    def psi(u_vals):
-        if not psi_quadrature:
-            return characteristic_exponent(triplet, u_vals)
-        # The quadrature route keeps one adaptive integral per node.
-        jump = np.vectorize(partial(jump_exponent_quadrature, triplet.measure))(u_vals)
-        return -0.5 * triplet.sigma**2 * u_vals**2 + jump + 1j * (triplet.b * u_vals)
-
+    x = _pairing_batch(triplet, f, system, eps, policy, m, seed)
     pts, w = gauss_nodes(box, 64 if box.dim <= 2 else 16)
     fvals = f.evaluate(pts)
     stats, detail_rows = [], []
     for u in u_grid:
         # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
         if _is_const(fvals):
-            exponent = complex(psi(u * float(fvals[0]))) * box.volume
+            exponent = complex(characteristic_exponent(triplet, u * float(fvals[0]))) * box.volume
         else:
-            vals = psi(u * fvals)
+            vals = characteristic_exponent(triplet, u * fvals)
             exponent = complex(np.dot(w, vals.real), np.dot(w, vals.imag))
         target = np.exp(exponent)
         empirical = complex(np.mean(np.exp(1j * u * x)))
@@ -227,7 +209,7 @@ def empirical_cf_test(
         passed=statistic <= threshold,
         replicates=m,
         seed=seed,
-        details={"direction": "le", "grid": detail_rows, "psi_quadrature": psi_quadrature},
+        details={"direction": "le", "grid": detail_rows},
     )
 
 
@@ -306,7 +288,7 @@ def weak_identity_test(
     numerical-integration error; threshold 1e-6 scaled by field magnitude.
     """
     u = solve_mild(realization, gamma, system, override=override)
-    pts, w = gauss_nodes(system.box, max(64, 2 * int(system.indices.max()) + 48))
+    pts, w = resolving_gauss_nodes(system)
     uvals = u.evaluate(pts)
     lhs = float(np.dot(w, uvals * phi.evaluate(pts)))
     rhs = pair_with_function(realization, green_convolve(system, gamma, phi), system)
@@ -347,15 +329,14 @@ def _classify(rel_inc: float, slope: float) -> str:
 
 
 def sobolev_sweep(
-    d: int,
+    box: HyperBox,
     gamma: float,
-    measure,
+    triplet: LevyTriplet,
     r_list,
     k_list,
     replicates: int,
     seed: int,
     *,
-    box: HyperBox | None = None,
     eps: float = 1.0,
     policy: str = "gaussianize",
     workers: int = 1,
@@ -376,20 +357,13 @@ def sobolev_sweep(
     decay lambda_k^(-gamma), which turns the sweep into an exact check of
     the analytic boundary.
     """
-    box = box or HyperBox.unit(d)
-    if box.dim != d:
-        raise ValueError("box dimension disagrees with d")
+    d = box.dim
     k_list = [int(k) for k in k_list]
     if sorted(k_list) != k_list or len(k_list) < 2:
         raise ValueError("k_list must be ascending with at least two entries")
     if k_list[-1] != 2 * k_list[-2]:
         raise ValueError("the last two cutoffs must be a doubling (bands assume it)")
-    triplet = LevyTriplet(0.0, 0.0, measure)
-    verdict = existence_verdict(d, gamma, triplet)
-    if not verdict.exists and not override:
-        raise RegimeRefusalError(
-            f"no mild solution for d={d}, gamma={gamma}; pass override=True"
-        )
+    refuse_outside_regime(d, gamma, triplet, override)
 
     system = enumerate_eigen(box, count=k_list[-1])
     lams = system.lams
@@ -454,14 +428,13 @@ def sobolev_sweep(
 
 
 def continuity_probe(
-    d: int,
+    box: HyperBox,
     gamma: float,
-    measure,
+    triplet: LevyTriplet,
     grid_levels,
     replicates: int,
     seed: int,
     *,
-    box: HyperBox | None = None,
     eps: float = 0.01,
     policy: str = "gaussianize",
     workers: int = 1,
@@ -477,18 +450,11 @@ def continuity_probe(
     probe reports the fraction of replicates supporting the predicted side
     (continuous iff gamma > d/2) against the 0.8 consistency threshold.
     """
-    box = box or HyperBox.unit(d)
-    if box.dim != d:
-        raise ValueError("box dimension disagrees with d")
+    d = box.dim
     levels = sorted(int(l) for l in grid_levels)
     if len(levels) < 3:
         raise ValueError("need at least three grid levels")
-    triplet = LevyTriplet(0.0, 0.0, measure)
-    verdict = existence_verdict(d, gamma, triplet)
-    if not verdict.exists and not override:
-        raise RegimeRefusalError(
-            f"no mild solution for d={d}, gamma={gamma}; pass override=True"
-        )
+    refuse_outside_regime(d, gamma, triplet, override)
 
     l_min = float(np.min(box.lengths))
     lam_caps = [(math.pi * 2**l / l_min) ** 2 for l in levels]
@@ -501,7 +467,7 @@ def continuity_probe(
     def one(rep: int) -> tuple[bool, bool, np.ndarray, np.ndarray]:
         rep_seed = _rng.replicate_seed(seed, rep)
         realization = sample_noise(box, triplet, eps=eps, policy=policy, master_seed=rep_seed)
-        coeffs = pair_eigen(realization, system) / system.lams**gamma
+        coeffs = solve_mild(realization, gamma, system, override=override).coeffs
         incs, sups = [], []
         for n_modes, axes in zip(prefix_sizes, axes_per_level):
             fld = SpectralFunction(system.prefix(n_modes), coeffs[:n_modes])

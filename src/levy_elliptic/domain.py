@@ -329,6 +329,11 @@ def gauss_nodes(box: HyperBox, n_per_axis: int):
     return pts, weight
 
 
+def resolving_gauss_nodes(system: EigenSystem):
+    """Tensor Gauss rule that integrates products with every mode of the system."""
+    return gauss_nodes(system.box, max(64, 2 * int(system.indices.max()) + 48))
+
+
 def adaptive_tensor_quad(
     evaluate,
     box: HyperBox,

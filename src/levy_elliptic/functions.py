@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .domain import (
     EigenSystem,
@@ -27,7 +26,7 @@ from .domain import (
     eigen_matrix,
     eigen_matvec,
     eigen_rmatvec,
-    gauss_nodes,
+    resolving_gauss_nodes,
     single_mode,
 )
 
@@ -124,6 +123,8 @@ class GridFunction:
     values: np.ndarray
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator(
             self.axes, self.values, method="linear", bounds_error=False, fill_value=None
         )
@@ -272,7 +273,7 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
                 out[pos] = f.coeffs[pos_f]
         return out
 
-    pts, w = gauss_nodes(box, max(64, 2 * int(system.indices.max()) + 48))
+    pts, w = resolving_gauss_nodes(system)
     return eigen_matvec(system, pts, w * f.evaluate(pts))
 
 

@@ -81,6 +81,15 @@ def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
     return (ex * system.lams[:, None] ** (-gamma)).T @ ey
 
 
+def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> None:
+    """Raise RegimeRefusalError where no mild solution exists, unless overridden."""
+    if not existence_verdict(d, gamma, triplet).exists and not override:
+        raise RegimeRefusalError(
+            f"no mild solution for d={d}, gamma={gamma}; "
+            "pass override=True for divergence experiments"
+        )
+
+
 def solve_mild(
     realization: NoiseRealization,
     gamma: float,
@@ -92,12 +101,7 @@ def solve_mild(
     Refuses regimes where no mild solution exists unless ``override`` is
     set (divergence sweeps set it deliberately).
     """
-    verdict = existence_verdict(system.box.dim, gamma, realization.triplet)
-    if not verdict.exists and not override:
-        raise RegimeRefusalError(
-            f"no mild solution for d={system.box.dim}, gamma={gamma}; "
-            "pass override=True for divergence experiments"
-        )
+    refuse_outside_regime(system.box.dim, gamma, realization.triplet, override)
     return SpectralFunction(system, pair_eigen(realization, system) / system.lams**gamma)
 
 

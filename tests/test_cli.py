@@ -1,6 +1,10 @@
 """Golden runs of the command line through ``cli.run`` on small configs."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,12 @@ WEAK = [
 
 CF = ["verify", "cf", "--set", "eps=0.05", "--set", "M=2000", "--set", 'cf.f={"kind":"axis_power","exponent":1.0}']
 ISOMETRY = ["verify", "isometry", "--set", "eps=0.05", "--set", "M=2000"]
+SOBOLEV = ["sweep", "sobolev", "--set", "K_list=1024,2048,4096", "--set", "replicates=4"]
+CONTINUITY = ["sweep", "continuity", "--set", "grid_levels=3,4,5", "--set", "replicates=4"]
+SAMPLE = ["sample-noise", "--set", "d=2", "--set", "eps=0.05"]
+GREEN = ["green-oracle", "--set", "grid_points=8"]
+SPECTRAL = ["verify", "spectral-bound", "--set", "t_list=100,300,1000", "--set", "x_count=3"]
+REPORTS = {"reports.jsonl", "summary.csv"}
 
 
 def outputs(outdir: Path) -> dict[str, bytes]:
@@ -28,6 +38,11 @@ def outputs(outdir: Path) -> dict[str, bytes]:
         (WEAK, {"reports.jsonl", "summary.csv"}),
         (CF, {"reports.jsonl", "summary.csv"}),
         (ISOMETRY, {"reports.jsonl", "summary.csv"}),
+        (SOBOLEV, REPORTS | {f"sweep_sobolev_d=1_gamma=1.0_r={r}_.csv" for r in ("1.0", "1.4", "1.6")}),
+        (CONTINUITY, REPORTS | {"levels_continuity_d=1_gamma=1.0_.csv"}),
+        (SAMPLE, {"atoms.csv", "manifest.json"}),
+        (GREEN, {"green_oracle.csv"}),
+        (SPECTRAL, REPORTS),
     ],
 )
 def test_outputs_repeat_byte_for_byte_across_runs_and_workers(tmp_path, capsys, argv, files):
@@ -46,10 +61,11 @@ def test_other_seed_changes_the_solution(tmp_path, capsys):
     assert outputs(tmp_path / "5") != outputs(tmp_path / "6")
 
 
-def test_refused_regime_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [SOLVE, SOBOLEV, CONTINUITY])
+def test_refused_regime_exits_2(tmp_path, capsys, argv):
     # A mild solution exists iff gamma > d/4.
     outdir = tmp_path / "out"
-    assert run(SOLVE + ["--set", "gamma=0.4", "--seed", "5", "--out", str(outdir)]) == 2
+    assert run(argv + ["--set", "gamma=0.2", "--seed", "5", "--out", str(outdir)]) == 2
     assert "refused" in capsys.readouterr().err
     assert not outdir.exists()
 
@@ -90,3 +106,56 @@ def test_sweep_summary_rows_parse_to_the_header_width(tmp_path, capsys):
     assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["inconclusive"] == "true"
     assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["pass"] == "false"
     assert by_name["sobolev[d=1,gamma=1.0,r=1.0]"]["inconclusive"] == "false"
+
+
+def test_failed_check_exits_1(tmp_path, capsys):
+    # Four modes leave a Green-kernel error of about 1.9e-2 against the 1e-3 tolerance.
+    outdir = tmp_path / "out"
+    assert run(["green-oracle", "--set", "K=4", "--out", str(outdir)]) == 1
+    assert "tolerance 0.001" in capsys.readouterr().out
+    assert (outdir / "green_oracle.csv").exists()
+
+
+def test_removed_psi_quadrature_key_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cf": {"psi_quadrature": True}}))
+    assert run(CF + ["--config", str(config), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_gaussian_only_sobolev_sweep_classifies_both_sides(tmp_path, capsys, seed):
+    # White noise with sigma = 1 and no jumps; at d=1, gamma=1 the ceiling is r = 1.5.
+    outdir = tmp_path / "out"
+    argv = [
+        "sweep", "sobolev", "--set", "measure=null", "--set", "sigma=1", "--set", "r_list=1.0,1.6",
+        "--set", "K_list=4096,8192,16384", "--set", "replicates=8",
+    ]
+    assert run(argv + ["--seed", str(seed), "--out", str(outdir)]) == 0
+    with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
+        details = [json.loads(line)["details"] for line in fh]
+    assert [d["classification"] for d in details] == ["convergent", "divergent"]
+
+
+def test_cli_import_leaves_integrate_interpolate_and_optimize_unloaded():
+    src = str(Path(__import__("levy_elliptic").__file__).resolve().parents[1])
+    code = (
+        "import sys, levy_elliptic.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_weak_replicates_match_across_workers_under_frequent_thread_switches(tmp_path, capsys):
+    # The replicate threads share the eigen system, whose position table is built lazily.
+    argv = WEAK[:-1] + ["weak.replicates=8"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "4"):
+            assert run(argv + ["--seed", "5", "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs(tmp_path / "1") == outputs(tmp_path / "4")

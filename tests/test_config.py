@@ -3,7 +3,7 @@ import json
 import pytest
 
 from levy_elliptic.config import ConfigError, load_config
-from levy_elliptic.measures import SymmetricTwoPoint
+from levy_elliptic.measures import AlphaStable, NullMeasure, SymmetricTwoPoint
 
 
 def config_file(tmp_path, doc):
@@ -79,3 +79,33 @@ class TestWorkers:
         assert load_config(path, []).workers == 2
         assert load_config(path, ["workers=3"]).workers == 3
         assert load_config(path, ["workers=3"], workers=4).workers == 4
+
+
+class TestMeasureOverride:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("null", NullMeasure()),
+            ('{"kind": "null"}', NullMeasure()),
+            ("alpha:1.2", AlphaStable(1.2)),
+            ('"alpha:1.2"', AlphaStable(1.2)),
+            ("twopoint:2,0.5", SymmetricTwoPoint(2.0, 0.5)),
+        ],
+    )
+    def test_json_object_or_shorthand(self, text, expected):
+        assert load_config(None, [f"measure={text}"]).triplet.measure == expected
+
+    @pytest.mark.parametrize("text", ["1.5", "alpha", "cauchy:1"])
+    def test_other_values_are_refused_at_the_key(self, text):
+        with pytest.raises(ConfigError, match="config error at measure"):
+            load_config(None, [f"measure={text}"])
+
+
+class TestRemovedKeys:
+    def test_file_naming_psi_quadrature_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="cf.psi_quadrature: unknown key"):
+            load_config(config_file(tmp_path, {"cf": {"psi_quadrature": False}}), [])
+
+    def test_psi_quadrature_override_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown override key"):
+            load_config(None, ["psi_quadrature=true"])

@@ -175,7 +175,7 @@ class TestPairWithFunction:
         for i in range(400):
             real = sample_noise(box, triplet, eps=0.5, master_seed=replicate_seed(13, i))
             direct.append(pair_with_function(real, f, system))
-        batch = _pairing_batch(box, triplet, f, system, 0.5, "gaussianize", 20_000, 14)
+        batch = _pairing_batch(triplet, f, system, 0.5, "gaussianize", 20_000, 14)
         # Var of a compound Poisson sum with rate 2 and unit magnitudes is 2.
         assert np.var(batch) == pytest.approx(2.0, rel=0.05)
         assert np.var(direct) == pytest.approx(2.0, rel=0.35)
@@ -183,9 +183,9 @@ class TestPairWithFunction:
     def test_gaussian_pairing_variance_window(self):
         # Unit-variance white noise paired with the unit constant: variance 1
         # up to the truncation deficit of the expansion (< 1% at 1000 modes).
-        box, system = UNIT, enumerate_eigen(UNIT, count=1000)
+        system = enumerate_eigen(UNIT, count=1000)
         x = _pairing_batch(
-            box, LevyTriplet(0.0, 1.0, NullMeasure()), Constant(1.0), system, 0.01, "gaussianize", 100_000, 15
+            LevyTriplet(0.0, 1.0, NullMeasure()), Constant(1.0), system, 0.01, "gaussianize", 100_000, 15
         )
         assert 0.98 <= np.var(x) <= 1.02
 
@@ -193,9 +193,9 @@ class TestPairWithFunction:
         "measure", [SymmetricTwoPoint(1.0, 1.0), VarianceGamma(1.0, 1.0)]
     )
     def test_symmetry_odd_moments(self, measure):
-        box, system = UNIT, enumerate_eigen(UNIT, count=128)
+        system = enumerate_eigen(UNIT, count=128)
         x = _pairing_batch(
-            box, LevyTriplet(0.0, 0.0, measure), Constant(1.0), system, 0.05, "gaussianize", 100_000, 16
+            LevyTriplet(0.0, 0.0, measure), Constant(1.0), system, 0.05, "gaussianize", 100_000, 16
         )
         m = len(x)
         assert abs(np.mean(x)) <= 3.0 * np.std(x) / math.sqrt(m)
@@ -204,9 +204,8 @@ class TestPairWithFunction:
 
     def test_compensator_drop_zero_mean(self):
         # Raw band atoms have exactly zero mean for symmetric measures.
-        box, system = UNIT, enumerate_eigen(UNIT, count=16)
+        system = enumerate_eigen(UNIT, count=16)
         x = _pairing_batch(
-            box,
             LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 0.8)),
             Constant(1.0),
             system,
