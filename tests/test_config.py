@@ -102,10 +102,6 @@ class TestMeasureOverride:
 
 
 class TestRemovedKeys:
-    def test_file_naming_psi_quadrature_is_refused(self, tmp_path):
-        with pytest.raises(ConfigError, match="cf.psi_quadrature: unknown key"):
-            load_config(config_file(tmp_path, {"cf": {"psi_quadrature": False}}), [])
-
     def test_psi_quadrature_override_is_refused(self):
         with pytest.raises(ConfigError, match="unknown override key"):
             load_config(None, ["psi_quadrature=true"])
