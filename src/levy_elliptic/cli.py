@@ -4,7 +4,8 @@ Subcommands: check, sample-noise, solve, verify {cf,isometry,weak,
 spectral-bound}, sweep {sobolev,continuity}, green-oracle.  Configuration
 comes from one JSON file plus ``--set key=value`` overrides; stochastic
 subcommands require a seed.  Exit codes: 0 all good, 1 a non-inconclusive
-verification failed, 2 config error or refused regime.  Given one seed,
+verification failed, 2 config error, refused regime or an integral that
+adaptive quadrature could not resolve.  Given one seed,
 outputs are byte-identical across runs and worker counts.
 """
 
@@ -31,7 +32,7 @@ from .diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from .domain import eigen_matrix, enumerate_eigen
+from .domain import QuadratureError, eigen_matrix, enumerate_eigen
 from .functions import SpectralFunction, parse_function
 from .integrability import GREEN_BOUND_MODE, existence_verdict, rr_integrability
 from .noise import sample_noise
@@ -310,6 +311,9 @@ def run(argv: list[str]) -> int:
         return 2
     except RegimeRefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    except QuadratureError as exc:
+        print(f"unresolved integral: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

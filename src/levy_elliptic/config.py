@@ -278,10 +278,10 @@ def _validate(doc: dict) -> RunConfig:
     sigma = _as_number(trip["sigma"], "triplet.sigma")
     _require(sigma >= 0.0, "triplet.sigma", "sigma must be >= 0")
     measure_doc = trip["measure"]
-    if isinstance(measure_doc, str):
-        measure_doc = parse_measure_shorthand(measure_doc)
-    _require(isinstance(measure_doc, dict), "triplet.measure", "expected an object or shorthand")
+    _require(isinstance(measure_doc, (dict, str)), "triplet.measure", "expected an object or shorthand")
     try:
+        if isinstance(measure_doc, str):
+            measure_doc = parse_measure_shorthand(measure_doc)
         measure = measure_from_dict(measure_doc)
         triplet = LevyTriplet(b, sigma, measure)
     except (ValueError, KeyError) as exc:

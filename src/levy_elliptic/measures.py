@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,9 @@ def tail_mass(measure: LevyMeasure, radius: float) -> float:
     if isinstance(measure, AlphaStable):
         return radius ** (-measure.alpha)
     if isinstance(measure, VarianceGamma):
-        return 2.0 * measure.c * special.exp1(measure.m * radius)
+        from scipy.special import exp1
+
+        return 2.0 * measure.c * exp1(measure.m * radius)
     raise TypeError(f"unknown measure {measure!r}")
 
 
@@ -160,6 +161,8 @@ def small_moment(measure: LevyMeasure, p: float) -> float:
             return math.inf
         return a / (p - a)
     if isinstance(measure, VarianceGamma):
+        from scipy import special
+
         c, m = measure.c, measure.m
         # 2c int_0^1 z^(p-1) e^(-mz) dz = 2c Gamma(p) P(p, m) / m^p
         return 2.0 * c * special.gamma(p) * special.gammainc(p, m) / m**p
@@ -186,7 +189,7 @@ def _stable_cos_constant(alpha: float) -> float:
     # C(alpha) = Gamma(2-alpha) cos(pi alpha / 2) / (1 - alpha).  The sinc
     # form below is smooth through alpha = 1 where the quotient is 0/0.
     t = alpha - 1.0
-    return special.gamma(2.0 - alpha) * (math.pi / 2.0) * np.sinc(t / 2.0)
+    return math.gamma(2.0 - alpha) * (math.pi / 2.0) * np.sinc(t / 2.0)
 
 
 def jump_exponent(measure: LevyMeasure, u):
@@ -324,9 +327,11 @@ def _vg_magnitudes(measure: VarianceGamma, lo: float, hi: float, rng, n: int) ->
     # Density on (lo, inf) is proportional to z^-1 e^(-mz), dominated by the
     # shifted exponential m e^(-m(z-lo)) with acceptance ratio lo / z; a
     # finite hi rejects the proposals above it too.
+    from scipy.special import exp1
+
     m = measure.m
     band_share = 1.0 - tail_mass(measure, hi) / tail_mass(measure, lo)
-    accept_rate = max(lo * m * math.exp(m * lo) * special.exp1(m * lo) * band_share, 1e-3)
+    accept_rate = max(lo * m * math.exp(m * lo) * exp1(m * lo) * band_share, 1e-3)
     out = np.empty(n)
     filled = 0
     while filled < n:

@@ -150,13 +150,40 @@ def test_gaussian_only_sobolev_sweep_classifies_both_sides(tmp_path, capsys, see
     assert [d["classification"] for d in details] == ["convergent", "divergent"]
 
 
-def test_cli_import_leaves_integrate_interpolate_and_optimize_unloaded():
+def test_unresolved_quadrature_exits_2_without_traceback(tmp_path, capsys):
+    # |truncated Green kernel|^0.5 on the d=2 box defeats the adaptive rule.
+    argv = ["check", "--set", "d=2", "--set", "gamma=0.4", "--set", "measure=alpha:0.5", "--set", "K=64"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "quadrature did not converge" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def scipy_after(code: str) -> list[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     src = str(Path(__import__("levy_elliptic").__file__).resolve().parents[1])
-    code = (
-        "import sys, levy_elliptic.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') if m in sys.modules])"
-    )
+    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
 
+
+@pytest.mark.parametrize("module", ["levy_elliptic", "levy_elliptic.cli"])
+def test_import_loads_no_scipy(module):
+    assert scipy_after(f"import {module}") == []
+
+
+def test_default_measure_runs_load_no_scipy(tmp_path):
+    runs = [
+        argv + ["--seed", "5", "--out", str(tmp_path / str(i))]
+        for i, argv in enumerate([SOLVE, CF, ISOMETRY, SOBOLEV])
+    ]
+    code = f"from levy_elliptic.cli import run\nassert [run(a) for a in {runs!r}] == [0, 0, 0, 0]"
+    assert scipy_after(code) == []
+
+
+def test_variance_gamma_solve_imports_scipy_special_lazily(tmp_path):
+    argv = SOLVE + ["--set", "measure=vgamma:1,1", "--seed", "5", "--out", str(tmp_path / "out")]
+    loaded = scipy_after(f"from levy_elliptic.cli import run\nassert run({argv!r}) == 0")
+    assert "scipy.special" in loaded
+    assert (tmp_path / "out" / "coefficients.csv").exists()

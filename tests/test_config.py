@@ -101,6 +101,13 @@ class TestMeasureOverride:
             load_config(None, [f"measure={text}"])
 
 
+    @pytest.mark.parametrize("text", ["alpha", "cauchy:1", "alpha:x"])
+    def test_bad_shorthand_in_a_file_is_refused_at_the_key(self, tmp_path, text):
+        path = config_file(tmp_path, {"triplet": {"measure": text}})
+        with pytest.raises(ConfigError, match="config error at triplet.measure"):
+            load_config(path, [])
+
+
 class TestRemovedKeys:
     def test_psi_quadrature_override_is_refused(self):
         with pytest.raises(ConfigError, match="unknown override key"):

@@ -103,6 +103,14 @@ class TestCharacteristicExponent:
         for u in np.linspace(-8.0, 8.0, 33):
             assert characteristic_exponent(trip, float(u)).real <= 1e-15
 
+    def test_stable_constant_matches_scipy_gamma(self):
+        # math.gamma in place of scipy.special.gamma, through the alpha = 1 limit.
+        alphas = np.append(np.linspace(0.001, 1.999, 1999), 1.0)
+        ours = np.array([_stable_cos_constant(a) for a in alphas])
+        ref = special.gamma(2.0 - alphas) * (np.pi / 2.0) * np.sinc((alphas - 1.0) / 2.0)
+        np.testing.assert_allclose(ours, ref, rtol=1e-15, atol=0.0)
+        assert _stable_cos_constant(1.0) == math.pi / 2.0
+
     def test_nonfinite_u_rejected(self):
         trip = LevyTriplet(0.0, 0.0, NullMeasure())
         with pytest.raises(ValueError):
