@@ -21,7 +21,6 @@ from .domain import (
     EigenSystem,
     HyperBox,
     QuadratureError,
-    eigenfunction_eval,
     enumerate_eigen,
     weyl_count,
 )
@@ -30,13 +29,11 @@ from .functions import (
     CallableFunction,
     Constant,
     Eigenfunction,
-    GridFunction,
     Indicator,
     Polynomial,
     Scaled,
     SpectralFunction,
     UncertifiedFunctionError,
-    fourier_coeff,
 )
 from .integrability import (
     GREEN_BOUND_MODE,
@@ -52,7 +49,6 @@ from .measures import (
     SymmetricTwoPoint,
     VarianceGamma,
     characteristic_exponent,
-    nu_stats,
     sample_jump_sizes,
 )
 from .noise import (
@@ -68,7 +64,6 @@ from .solver import (
     eval_field_grid,
     green_convolve,
     green_gamma_eval,
-    sobolev_norm,
     solve_mild,
     torsion_solution,
 )

@@ -6,7 +6,9 @@ comes from one JSON file plus ``--set key=value`` overrides; stochastic
 subcommands require a seed.  Exit codes: 0 all good, 1 a non-inconclusive
 verification failed, 2 config error, refused regime or an integral that
 adaptive quadrature could not resolve.  Given one seed,
-outputs are byte-identical across runs and worker counts.
+outputs are byte-identical across runs and worker counts on one machine and
+numpy build; another CPU or build may round some values differently, since
+numpy picks its SIMD kernels (log, exp, pow, ...) at run time.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
     seed = _need_seed(cfg)
     if which == "cf":
         block = cfg.blocks["cf"]
-        f = parse_function(block["f"], cfg.box)
+        f = parse_function(block["f"], cfg.box, "cf.f")
         system = _system(cfg)
         reports = [
             empirical_cf_test(
@@ -151,7 +153,7 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         ]
     elif which == "isometry":
         block = cfg.blocks["isometry"]
-        f = parse_function(block["f"], cfg.box)
+        f = parse_function(block["f"], cfg.box, "isometry.f")
         reports = [
             isometry_test(
                 cfg.triplet.measure,
@@ -165,7 +167,7 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         ]
     elif which == "weak":
         block = cfg.blocks["weak"]
-        phi = parse_function(block["phi"], cfg.box)
+        phi = parse_function(block["phi"], cfg.box, "weak.phi")
         system = _system(cfg)
 
         def one(i: int) -> TestReport:

@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass
 
+from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import HyperBox
 from .integrability import GREEN_BOUND_MODE
-from .measures import LevyTriplet, measure_from_dict
+from .measures import LevyTriplet, parse_measure
 from .noise import POLICIES
-
-
-class ConfigError(Exception):
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"config error at {path}: {message}")
 
 
 DEFAULTS: dict = {
@@ -133,28 +126,6 @@ def _parse_set_value(text: str):
     return text
 
 
-def parse_measure_shorthand(text: str) -> dict:
-    """alpha:1.5 | twopoint:rate,magnitude | vgamma:c,m | null."""
-    head, _, rest = text.partition(":")
-    head = head.strip().lower()
-    args = [float(x) for x in rest.split(",")] if rest else []
-    if head in ("alpha", "alpha_stable", "stable"):
-        if len(args) != 1:
-            raise ValueError("alpha measure needs one parameter, e.g. alpha:1.5")
-        return {"kind": "alpha_stable", "alpha": args[0]}
-    if head in ("twopoint", "two_point"):
-        if len(args) != 2:
-            raise ValueError("twopoint measure needs rate,magnitude")
-        return {"kind": "two_point", "rate": args[0], "magnitude": args[1]}
-    if head in ("vgamma", "variance_gamma"):
-        if len(args) != 2:
-            raise ValueError("vgamma measure needs c,m")
-        return {"kind": "variance_gamma", "c": args[0], "m": args[1]}
-    if head == "null":
-        return {"kind": "null"}
-    raise ValueError(f"unknown measure shorthand {text!r}")
-
-
 def _assign(doc: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
     node = doc
@@ -177,10 +148,7 @@ def _apply_override(doc: dict, item: str) -> None:
         except json.JSONDecodeError:
             value = None
         if not isinstance(value, dict):  # null, alpha:1.5, ... are shorthands
-            try:
-                value = parse_measure_shorthand(value if isinstance(value, str) else raw)
-            except ValueError as exc:
-                raise ConfigError(key, str(exc))
+            value = parse_measure(value if isinstance(value, str) else raw, key).to_dict()
     else:
         value = _parse_set_value(raw)
     targets = _ALIASES.get(key, [key] if "." in key else None)
@@ -206,17 +174,6 @@ def _merge(base: dict, extra: dict, path: str = "") -> None:
             base[key] = value
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(path, message)
-
-
-def _as_number(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    _require(math.isfinite(float(value)), path, "expected a finite number")
-    return float(value)
-
-
 def load_config(
     config_path: str | None,
     overrides: list[str],
@@ -237,7 +194,7 @@ def load_config(
             raise ConfigError(
                 f"{config_path}:{exc.lineno}:{exc.colno}", f"invalid JSON ({exc.msg})"
             )
-        _require(isinstance(loaded, dict), config_path, "top level must be an object")
+        require(isinstance(loaded, dict), config_path, "top level must be an object")
         _merge(doc, loaded)
     given_cutoff = doc.pop("cutoff")  # a --set cutoff replaces it, never merges into it
     for item in overrides:
@@ -254,70 +211,59 @@ def load_config(
 
 def _validate(doc: dict) -> RunConfig:
     dim = doc["box"]["dim"]
-    _require(isinstance(dim, int) and 1 <= dim <= 6, "box.dim", "dim must be an integer in [1, 6]")
+    require(isinstance(dim, int) and 1 <= dim <= 6, "box.dim", "dim must be an integer in [1, 6]")
     intervals = doc["box"]["intervals"]
-    _require(isinstance(intervals, list) and intervals, "box.intervals", "expected a list of pairs")
+    require(isinstance(intervals, list) and intervals, "box.intervals", "expected a list of pairs")
     if len(intervals) == 1 and dim > 1:
         intervals = intervals * dim
-    _require(len(intervals) == dim, "box.intervals", f"need {dim} interval pairs")
+    require(len(intervals) == dim, "box.intervals", f"need {dim} interval pairs")
     pairs = []
     for i, pair in enumerate(intervals):
-        _require(
+        require(
             isinstance(pair, (list, tuple)) and len(pair) == 2,
             f"box.intervals[{i}]",
             "expected [lower, upper]",
         )
-        lo = _as_number(pair[0], f"box.intervals[{i}][0]")
-        hi = _as_number(pair[1], f"box.intervals[{i}][1]")
-        _require(lo < hi, f"box.intervals[{i}]", "lower must be below upper")
+        lo = as_number(pair[0], f"box.intervals[{i}][0]")
+        hi = as_number(pair[1], f"box.intervals[{i}][1]")
+        require(lo < hi, f"box.intervals[{i}]", "lower must be below upper")
         pairs.append((lo, hi))
     box = HyperBox(tuple(pairs))
 
     trip = doc["triplet"]
-    b = _as_number(trip["b"], "triplet.b")
-    sigma = _as_number(trip["sigma"], "triplet.sigma")
-    _require(sigma >= 0.0, "triplet.sigma", "sigma must be >= 0")
-    measure_doc = trip["measure"]
-    _require(isinstance(measure_doc, (dict, str)), "triplet.measure", "expected an object or shorthand")
-    try:
-        if isinstance(measure_doc, str):
-            measure_doc = parse_measure_shorthand(measure_doc)
-        measure = measure_from_dict(measure_doc)
-        triplet = LevyTriplet(b, sigma, measure)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError("triplet.measure", str(exc))
+    b = as_number(trip["b"], "triplet.b")
+    sigma = as_number(trip["sigma"], "triplet.sigma")
+    require(sigma >= 0.0, "triplet.sigma", "sigma must be >= 0")
+    triplet = LevyTriplet(b, sigma, parse_measure(trip["measure"], "triplet.measure"))
 
-    gamma = _as_number(doc["gamma"], "gamma")
-    _require(gamma > 0.0, "gamma", "gamma must be > 0")
-    eps = _as_number(doc["eps"], "eps")
-    _require(0.0 < eps <= 1.0, "eps", "eps must lie in (0, 1]")
+    gamma = as_number(doc["gamma"], "gamma")
+    require(gamma > 0.0, "gamma", "gamma must be > 0")
+    eps = as_number(doc["eps"], "eps")
+    require(0.0 < eps <= 1.0, "eps", "eps must lie in (0, 1]")
     policy = doc["small_jump_policy"]
-    _require(policy in POLICIES, "small_jump_policy", f"must be one of {POLICIES}")
+    require(policy in POLICIES, "small_jump_policy", f"must be one of {POLICIES}")
 
     cut = doc["cutoff"]
-    _require(isinstance(cut, dict), "cutoff", "expected an object")
-    _require(len(cut) == 1 and set(cut) <= {"count", "threshold"}, "cutoff", "give exactly one of count or threshold")
+    require(isinstance(cut, dict), "cutoff", "expected an object")
+    require(len(cut) == 1 and set(cut) <= {"count", "threshold"}, "cutoff", "give exactly one of count or threshold")
     if "threshold" in cut:
-        thr = _as_number(cut["threshold"], "cutoff.threshold")
-        _require(thr > 0.0, "cutoff.threshold", "threshold must be > 0")
+        thr = as_number(cut["threshold"], "cutoff.threshold")
+        require(thr > 0.0, "cutoff.threshold", "threshold must be > 0")
         cutoff = ("threshold", thr)
     else:
-        count = cut["count"]
-        _require(isinstance(count, int) and count >= 1, "cutoff.count", "count must be an integer >= 1")
-        cutoff = ("count", float(count))
+        cutoff = ("count", float(as_int(cut["count"], "cutoff.count")))
 
     mode = doc["mode"]
-    _require(mode in ("spectral", GREEN_BOUND_MODE), "mode", f"must be 'spectral' or '{GREEN_BOUND_MODE}'")
+    require(mode in ("spectral", GREEN_BOUND_MODE), "mode", f"must be 'spectral' or '{GREEN_BOUND_MODE}'")
 
     seed = doc["seed"]
     if seed is not None:
-        _require(isinstance(seed, int) and seed >= 0, "seed", "seed must be a non-negative integer")
+        as_int(seed, "seed", least=0)
 
-    workers = doc["workers"]
-    _require(isinstance(workers, int) and workers >= 1, "workers", "workers must be an integer >= 1")
+    workers = as_int(doc["workers"], "workers")
 
     outdir = doc["outdir"]
-    _require(isinstance(outdir, str) and outdir, "outdir", "outdir must be a non-empty string")
+    require(isinstance(outdir, str) and outdir, "outdir", "outdir must be a non-empty string")
 
     blocks = {
         name: copy.deepcopy(doc[name])
@@ -342,50 +288,33 @@ def _validate(doc: dict) -> RunConfig:
 
 def _validate_blocks(blocks: dict) -> None:
     cf = blocks["cf"]
-    _require(isinstance(cf["M"], int) and cf["M"] >= 1, "cf.M", "M must be a positive integer")
-    _require(
-        isinstance(cf["u_grid"], list) and cf["u_grid"], "cf.u_grid", "expected a non-empty list"
-    )
-    for i, u in enumerate(cf["u_grid"]):
-        _as_number(u, f"cf.u_grid[{i}]")
+    as_int(cf["M"], "cf.M")
+    as_list(cf["u_grid"], "cf.u_grid", 1, as_number)
 
     iso = blocks["isometry"]
-    _require(isinstance(iso["M"], int) and iso["M"] >= 1, "isometry.M", "M must be a positive integer")
-    _as_number(iso["band_high"], "isometry.band_high")
+    as_int(iso["M"], "isometry.M")
+    as_number(iso["band_high"], "isometry.band_high")
 
-    weak = blocks["weak"]
-    _require(
-        isinstance(weak["replicates"], int) and weak["replicates"] >= 1,
-        "weak.replicates",
-        "replicates must be a positive integer",
-    )
+    as_int(blocks["weak"]["replicates"], "weak.replicates")
 
     sob = blocks["sobolev"]
-    _require(isinstance(sob["r_list"], list) and sob["r_list"], "sobolev.r_list", "expected a list")
-    _require(isinstance(sob["K_list"], list) and len(sob["K_list"]) >= 2, "sobolev.K_list", "need >= 2 cutoffs")
-    _require(isinstance(sob["replicates"], int) and sob["replicates"] >= 1, "sobolev.replicates", "positive integer")
-    _require(isinstance(sob["surrogate"], bool), "sobolev.surrogate", "expected a boolean")
-    eps = _as_number(sob["eps"], "sobolev.eps")
-    _require(0.0 < eps <= 1.0, "sobolev.eps", "eps must lie in (0, 1]")
+    as_list(sob["r_list"], "sobolev.r_list", 1, as_number)
+    as_list(sob["K_list"], "sobolev.K_list", 2, as_int)
+    as_int(sob["replicates"], "sobolev.replicates")
+    require(isinstance(sob["surrogate"], bool), "sobolev.surrogate", "expected a boolean")
+    eps = as_number(sob["eps"], "sobolev.eps")
+    require(0.0 < eps <= 1.0, "sobolev.eps", "eps must lie in (0, 1]")
 
     cont = blocks["continuity"]
-    _require(
-        isinstance(cont["grid_levels"], list) and len(cont["grid_levels"]) >= 3,
-        "continuity.grid_levels",
-        "need >= 3 levels",
-    )
-    _require(isinstance(cont["replicates"], int) and cont["replicates"] >= 1, "continuity.replicates", "positive integer")
+    as_list(cont["grid_levels"], "continuity.grid_levels", 3, as_int)
+    as_int(cont["replicates"], "continuity.replicates")
 
     sb = blocks["spectral_bound"]
-    _require(isinstance(sb["t_list"], list) and len(sb["t_list"]) >= 2, "spectral_bound.t_list", "need >= 2 values")
-    _require(isinstance(sb["x_count"], int) and sb["x_count"] >= 1, "spectral_bound.x_count", "positive integer")
+    as_list(sb["t_list"], "spectral_bound.t_list", 2, as_number)
+    as_int(sb["x_count"], "spectral_bound.x_count")
 
-    _require(
-        isinstance(blocks["solve"]["grid_points"], int) and blocks["solve"]["grid_points"] >= 2,
-        "solve.grid_points",
-        "need >= 2 grid points",
-    )
+    as_int(blocks["solve"]["grid_points"], "solve.grid_points", least=2)
     go = blocks["green_oracle"]
-    _require(isinstance(go["grid_points"], int) and go["grid_points"] >= 2, "green_oracle.grid_points", "need >= 2")
-    tol = _as_number(go["tolerance"], "green_oracle.tolerance")
-    _require(tol > 0.0, "green_oracle.tolerance", "tolerance must be > 0")
+    as_int(go["grid_points"], "green_oracle.grid_points", least=2)
+    tol = as_number(go["tolerance"], "green_oracle.tolerance")
+    require(tol > 0.0, "green_oracle.tolerance", "tolerance must be > 0")

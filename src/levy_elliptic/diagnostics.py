@@ -24,14 +24,7 @@ from . import _rng
 from .domain import EigenSystem, HyperBox, eigen_matrix, enumerate_eigen, gauss_nodes, resolving_gauss_nodes
 from .functions import SpectralFunction, abs_power_integral, fourier_vector, integral
 from .integrability import rr_integrability
-from .measures import (
-    LevyTriplet,
-    band_variance,
-    characteristic_exponent,
-    sample_jump_sizes,
-    tail_mass,
-    truncated_variance,
-)
+from .measures import LevyTriplet, band_variance, characteristic_exponent, sample_jump_sizes
 from .noise import pair_eigen, pair_with_function, sample_noise
 from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
@@ -107,7 +100,7 @@ def _pairing_batch(
     x = _jump_sums(system.box, measure, f, m, rng, eps)
     if triplet.b != 0.0:
         x += triplet.b * integral(f, system.box)
-    small_var = truncated_variance(measure, eps) if policy == "gaussianize" else 0.0
+    small_var = measure.truncated_variance(eps) if policy == "gaussianize" else 0.0
     coeffs = fourier_vector(system, f)
     gauss_var = (triplet.sigma**2 + small_var) * float(np.dot(coeffs, coeffs))
     if gauss_var > 0.0:
@@ -124,7 +117,7 @@ def _jump_sums(
     of whole replicates, about BATCH_ATOMS atoms each, draw their sizes and
     uniform locations from ``rng``, so memory is bounded by the chunk.
     """
-    lam = box.volume * (tail_mass(measure, lo) - tail_mass(measure, hi))
+    lam = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
     if not lam <= BATCH_ATOMS:
         raise ValueError(
             f"eps={lo:g} gives {lam:.3g} expected atoms in each of the M={m} replicates; "

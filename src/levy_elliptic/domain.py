@@ -288,11 +288,6 @@ def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
     return out
 
 
-def eigenfunction_eval(box: HyperBox, index, x) -> float:
-    """Value of one eigenfunction at one point; exactly 0 on the boundary."""
-    return float(eigen_matrix(single_mode(box, index), x)[0, 0])
-
-
 def constant_fourier(system: EigenSystem) -> np.ndarray:
     """Coefficients <1, e_k> for every index of the system (closed form).
 

@@ -16,11 +16,10 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import ConfigError, as_int, as_list, as_number
 from .domain import (
     EigenSystem,
     HyperBox,
-    QuadratureError,
-    adaptive_tensor_quad,
     box_integral,
     constant_fourier,
     eigen_matrix,
@@ -115,23 +114,6 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Multilinear interpolant of values sampled on a tensor grid."""
-
-    box: HyperBox
-    axes: tuple[np.ndarray, ...]
-    values: np.ndarray
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            self.axes, self.values, method="linear", bounds_error=False, fill_value=None
-        )
-        return np.asarray(interp(np.atleast_2d(np.asarray(points, dtype=float))))
-
-
-@dataclass(frozen=True)
 class CallableFunction:
     """Opaque callable contract: points array (m, d) -> values (m,).
 
@@ -180,7 +162,6 @@ FunctionDescriptor = (
     | Indicator
     | AxisPower
     | Polynomial
-    | GridFunction
     | CallableFunction
     | SpectralFunction
     | Scaled
@@ -189,35 +170,6 @@ FunctionDescriptor = (
 
 def _same_box(a: HyperBox, b: HyperBox) -> bool:
     return a.intervals == b.intervals
-
-
-def fourier_coeff(box: HyperBox, index, f, tol: float = 1e-10) -> float:
-    """Coefficient <f, e_k> on the box.
-
-    Exact for eigenfunction inputs (orthonormality), constants, indicators
-    and spectral expansions; general descriptors go through adaptive tensor
-    Gauss quadrature and raise QuadratureError if refinement stalls.
-    """
-    mode = single_mode(box, index)
-
-    if isinstance(f, Scaled):
-        return f.factor * fourier_coeff(box, index, f.inner, tol)
-    if isinstance(f, (Constant, Indicator)) or (
-        isinstance(f, Eigenfunction) and _same_box(f.box, box)
-    ):
-        return float(fourier_vector(mode, f)[0])
-    if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
-        pos = f.system.position(index)
-        return float(f.coeffs[pos]) if pos is not None else 0.0
-
-    def integrand(pts):
-        return f.evaluate(pts) * eigen_matrix(mode, pts)[0]
-
-    if box.dim <= 2:
-        n0 = max(32, 2 * int(mode.indices.max()) + 8)
-        n_cap = 4096 if box.dim == 1 else 1024
-        return adaptive_tensor_quad(integrand, box, tol=tol, n0=n0, n_max=max(n_cap, 2 * n0))
-    return box_integral(integrand, box, tol=tol)
 
 
 def indicator_fourier_vector(system: EigenSystem, f: Indicator) -> np.ndarray:
@@ -342,9 +294,7 @@ def lq_finite(f, box: HyperBox, q: float) -> bool | None:
     """Whether int |f|^q < infinity; None when not analytically decidable."""
     if isinstance(f, Scaled):
         return lq_finite(f.inner, box, q)
-    if isinstance(
-        f, (Constant, Eigenfunction, Indicator, Polynomial, GridFunction, SpectralFunction)
-    ):
+    if isinstance(f, (Constant, Eigenfunction, Indicator, Polynomial, SpectralFunction)):
         return True
     if isinstance(f, AxisPower):
         a, _ = box.intervals[f.axis]
@@ -356,20 +306,39 @@ def lq_finite(f, box: HyperBox, q: float) -> bool | None:
     return None
 
 
-def parse_function(data: dict, box: HyperBox):
-    """Descriptor from a JSON config block."""
-    kind = data.get("kind")
-    if kind == "constant":
-        return Constant(float(data.get("value", 1.0)))
-    if kind == "eigenfunction":
-        return Eigenfunction(box, tuple(int(k) for k in data["index"]))
-    if kind == "indicator":
-        boxes = tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"])
-        return Indicator(boxes)
-    if kind == "axis_power":
-        return AxisPower(
-            float(data["exponent"]), int(data.get("axis", 0)), float(data.get("offset", 0.0))
-        )
-    if kind == "polynomial":
-        return Polynomial(tuple(float(c) for c in data["coeffs"]), int(data.get("axis", 0)))
-    raise ValueError(f"unknown function kind {kind!r}")
+# The config keys of each function kind besides "kind"; absent optional keys take defaults.
+_FUNCTION_KEYS = {
+    "constant": ("value",),
+    "eigenfunction": ("index",),
+    "indicator": ("boxes",),
+    "axis_power": ("exponent", "axis", "offset"),
+    "polynomial": ("coeffs", "axis"),
+}
+
+
+def parse_function(data: dict, box: HyperBox, path: str = "f"):
+    """Descriptor from its JSON config object; ConfigError names a bad key under ``path``."""
+    if not isinstance(data, dict) or data.get("kind") not in _FUNCTION_KEYS:
+        raise ConfigError(path, f"expected an object whose kind is one of {sorted(_FUNCTION_KEYS)}")
+    kind = data["kind"]
+    for key in data:
+        if key != "kind" and key not in _FUNCTION_KEYS[kind]:
+            raise ConfigError(f"{path}.{key}", f"unknown key for {kind}")
+    try:
+        if kind == "constant":
+            return Constant(as_number(data.get("value", 1.0), f"{path}.value"))
+        if kind == "eigenfunction":
+            return Eigenfunction(box, tuple(as_list(data["index"], f"{path}.index", 1, as_int)))
+        if kind == "indicator":
+            return Indicator(tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"]))
+        axis = as_int(data.get("axis", 0), f"{path}.axis", least=0)
+        if kind == "axis_power":
+            exponent = as_number(data["exponent"], f"{path}.exponent")
+            return AxisPower(exponent, axis, as_number(data.get("offset", 0.0), f"{path}.offset"))
+        return Polynomial(tuple(as_list(data["coeffs"], f"{path}.coeffs", 1, as_number)), axis)
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}", f"missing key of {kind}")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # from the descriptor's own checks
+        raise ConfigError(path, str(exc))

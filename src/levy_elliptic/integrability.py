@@ -33,17 +33,7 @@ from .functions import (
     abs_power_integral,
     lq_finite,
 )
-from .measures import (
-    AlphaStable,
-    LevyMeasure,
-    LevyTriplet,
-    NullMeasure,
-    SymmetricTwoPoint,
-    VarianceGamma,
-    measure_to_dict,
-    tail_mass,
-    truncated_variance,
-)
+from .measures import LevyMeasure, LevyTriplet
 
 GREEN_BOUND_MODE = "laplacian-green-bound"
 
@@ -94,59 +84,21 @@ class ExistenceVerdict:
         }
 
 
-def jump_compound_integrand(measure: LevyMeasure, w) -> np.ndarray:
-    """J(w) = int (|z w|^2 ^ 1) nu(dz), vectorized over w >= 0.
-
-    Splitting at |z| = 1/w gives
-    J(w) = w^2 int_{|z| <= 1/w} z^2 nu(dz) + nu({|z| > 1/w}),
-    which is closed-form for every supported family.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w < 0.0):
-        raise ValueError("w must be >= 0")
-    if isinstance(measure, NullMeasure):
-        return np.zeros_like(w)
-    if isinstance(measure, SymmetricTwoPoint):
-        return measure.rate * np.minimum((measure.magnitude * w) ** 2, 1.0)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if isinstance(measure, AlphaStable):
-        a = measure.alpha
-        out[pos] = (2.0 / (2.0 - a)) * w[pos] ** a
-        return out
-    if isinstance(measure, VarianceGamma):
-        inv = 1.0 / w[pos]
-        m, c = measure.m, measure.c
-        mr = m * inv
-        trunc = 2.0 * c * (-np.expm1(-mr) - mr * np.exp(-mr)) / m**2
-        from scipy.special import exp1
-
-        out[pos] = w[pos] ** 2 * trunc + 2.0 * c * exp1(mr)
-        return out
-    raise TypeError(f"unknown measure {measure!r}")
-
-
 def _jump_integral_finite(measure: LevyMeasure, f, box: HyperBox) -> bool:
-    """Analytic finiteness of the jump integral for the given integrand."""
-    if isinstance(measure, NullMeasure) or isinstance(measure, SymmetricTwoPoint):
+    """Analytic finiteness of the jump integral for the given integrand.
+
+    A finite measure bounds J by its total mass.  Otherwise J(w) grows like
+    w^index, with index the small-jump index; at index 0 only
+    logarithmically, so any integrable power singularity keeps the
+    x-integral finite.
+    """
+    if math.isfinite(measure.tail_mass(0.0)):
         return True
-    if isinstance(measure, AlphaStable):
-        finite = lq_finite(f, box, measure.alpha)
-        if finite is None:
-            raise UncertifiedFunctionError(
-                "cannot decide the jump integral for an uncertified callable"
-            )
-        return finite
-    if isinstance(measure, VarianceGamma):
-        # J(w) grows only logarithmically in w, so any integrand with an
-        # integrable power singularity keeps the x-integral finite.
-        finite = lq_finite(f, box, 1e-3)
-        if finite is None:
-            raise UncertifiedFunctionError(
-                "cannot decide the jump integral for an uncertified callable"
-            )
-        return finite
-    raise TypeError(f"unknown measure {measure!r}")
+    index = measure.small_jump_index
+    finite = lq_finite(f, box, index if index > 0.0 else 1e-3)
+    if finite is None:
+        raise UncertifiedFunctionError("cannot decide the jump integral for an uncertified callable")
+    return finite
 
 
 def rr_integrability(
@@ -170,31 +122,22 @@ def rr_integrability(
         gauss = triplet.sigma**2 * abs_power_integral(f, box, 2.0, tol=gauss_tol)
 
     measure = triplet.measure
-    if isinstance(measure, NullMeasure):
+    if measure.tail_mass(0.0) == 0.0:
         jump = 0.0
     elif not _jump_integral_finite(measure, f, box):
         jump = math.inf
-    elif isinstance(measure, AlphaStable):
-        # J(w) = 2 w^alpha / (2 - alpha), so the x-integral reduces to the
-        # alpha-power integral, which handles singular integrands exactly.
-        a = measure.alpha
-        jump = (2.0 / (2.0 - a)) * abs_power_integral(f, box, a, tol=jump_tol)
+    elif measure.homogeneity is not None:
+        # J(w) = J(1) w^p, so the x-integral reduces to the p-power integral,
+        # which handles singular integrands exactly.
+        p = measure.homogeneity
+        jump = measure.jump_integrand(1.0) * abs_power_integral(f, box, p, tol=jump_tol)
     else:
         jump = box_integral(
-            lambda pts: jump_compound_integrand(measure, np.abs(f.evaluate(pts))),
-            box,
-            tol=jump_tol,
+            lambda pts: measure.jump_integrand(np.abs(f.evaluate(pts))), box, tol=jump_tol
         )
 
     verdict = all(math.isfinite(v) for v in (drift, gauss, jump))
     return IntegrabilityReport(drift, gauss, jump, verdict)
-
-
-def _small_moment_exponent_floor(measure: LevyMeasure) -> float:
-    """Infimum of p with int_{|z|<=1} |z|^p nu(dz) < infinity (exclusive)."""
-    if isinstance(measure, AlphaStable):
-        return measure.alpha
-    return 0.0
 
 
 def existence_verdict(d: int, gamma: float | str, triplet: LevyTriplet) -> ExistenceVerdict:
@@ -209,7 +152,7 @@ def existence_verdict(d: int, gamma: float | str, triplet: LevyTriplet) -> Exist
     summary = {
         "b": triplet.b,
         "sigma": triplet.sigma,
-        "measure": measure_to_dict(triplet.measure),
+        "measure": triplet.measure.to_dict(),
     }
 
     if gamma == GREEN_BOUND_MODE:
@@ -219,9 +162,7 @@ def existence_verdict(d: int, gamma: float | str, triplet: LevyTriplet) -> Exist
         else:
             p_hi = d / (d - 2.0)
             p_required = (0.0, p_hi)
-            exists = triplet.sigma == 0.0 and _small_moment_exponent_floor(
-                triplet.measure
-            ) < p_hi
+            exists = triplet.sigma == 0.0 and triplet.measure.small_jump_index < p_hi
         r_max = 2.0 - d / 2.0
         continuous = d == 1
         return ExistenceVerdict(d, gamma, summary, exists, p_required, r_max, continuous)

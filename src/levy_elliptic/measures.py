@@ -1,47 +1,132 @@
-"""Symmetric Levy measures: exact integrals, exponents, and jump samplers.
+"""Symmetric Levy measures: one frozen dataclass per family.
 
-The measure families form a closed enumeration rather than a pluggable
-density, because correct jump sampling and divergence detection need exact
-tail formulas:
+The families form a closed enumeration rather than a pluggable density,
+because correct jump sampling and divergence detection need exact tail
+formulas:
 
 * ``AlphaStable(alpha)`` -- density (alpha/2) |z|^(-alpha-1), alpha in (0,2).
 * ``SymmetricTwoPoint(rate, magnitude)`` -- rate * (delta_{+a} + delta_{-a}) / 2.
 * ``VarianceGamma(c, m)`` -- density (c/|z|) exp(-m |z|).
 * ``NullMeasure`` -- no jumps.
 
-All families are symmetric under z -> -z, and every integral used by the
-rest of the package (tail mass, truncated second moments, small-jump
-p-moments, cosine exponents) has a closed form here.  Divergent integrals
-are flagged by the analytic criterion (e.g. p <= alpha for the stable
-family), never by watching quadrature blow up.
+Everything that depends on the family lives on its class (see
+``LevyMeasure``): closed-form tail mass and truncated variance, the jump
+exponent, the density that the reference quadrature integrates, the band
+magnitude sampler, J(w), the small-jump index and the config shape.  All
+families are symmetric under z -> -z.  Divergent integrals are flagged by
+the analytic criterion (e.g. p <= alpha for the stable family), never by
+watching quadrature blow up.
+
+A new family is one class here plus one row in ``FAMILIES``: its ``kind``
+names it in config objects, and its shorthand ``head:a,b`` takes the
+fields in declaration order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
+from ._checks import ConfigError, as_number
+
+
+class LevyMeasure:
+    """Base of the families: the methods every family defines.
+
+    ``kind`` names the family in config objects and ``heads`` adds short
+    names for the ``head:a,b`` shorthand.  ``density`` is None for purely
+    atomic families; others define it as a method.
+    """
+
+    kind: ClassVar[str]
+    heads: ClassVar[tuple[str, ...]] = ()
+    density: Callable | None = None
+    small_jump_index: float = 0.0  # inf of p with int_{|z|<=1} |z|^p nu(dz) < infinity
+    homogeneity: float | None = None  # p when J(w) = J(1) w^p for every w
+
+    def tail_mass(self, radius: float) -> float:
+        """nu({|z| > radius}), radius >= 0; infinite at 0 for infinite activity."""
+        raise NotImplementedError
+
+    def truncated_variance(self, radius: float) -> float:
+        """int_{|z| <= radius} z^2 nu(dz), radius >= 0."""
+        raise NotImplementedError
+
+    def jump_exponent(self, u: np.ndarray) -> np.ndarray:
+        """int (cos(uz) - 1) nu(dz) in closed form, elementwise over an array u."""
+        raise NotImplementedError
+
+    def band_magnitudes(self, lo: float, hi: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n magnitudes |z| from nu restricted to {lo < |z| <= hi}, normalized."""
+        raise NotImplementedError
+
+    def jump_integrand(self, w: np.ndarray) -> np.ndarray:
+        """J(w) = int (|z w|^2 ^ 1) nu(dz), elementwise over an array w >= 0.
+
+        Splitting at |z| = 1/w gives
+        J(w) = w^2 int_{|z| <= 1/w} z^2 nu(dz) + nu({|z| > 1/w}).
+        """
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        """JSON-friendly encoding used by config files and manifests."""
+        return {"kind": self.kind, **asdict(self)}
+
 
 @dataclass(frozen=True)
-class AlphaStable:
+class AlphaStable(LevyMeasure):
     """Symmetric alpha-stable jump measure with density (alpha/2)|z|^(-alpha-1)."""
 
     alpha: float
+    kind = "alpha_stable"
+    heads = ("alpha", "stable")
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
 
+    @property
+    def small_jump_index(self) -> float:
+        return self.alpha
+
+    @property
+    def homogeneity(self) -> float:
+        return self.alpha
+
+    def density(self, z):
+        return 0.5 * self.alpha * z ** (-1.0 - self.alpha)
+
+    def tail_mass(self, radius):
+        return radius ** (-self.alpha) if radius > 0.0 else math.inf
+
+    def truncated_variance(self, radius):
+        a = self.alpha
+        return a * radius ** (2.0 - a) / (2.0 - a)
+
+    def jump_exponent(self, u):
+        return -_stable_cos_constant(self.alpha) * np.abs(u) ** self.alpha
+
+    def band_magnitudes(self, lo, hi, rng, n):
+        # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf.
+        a = self.alpha
+        r = (lo / hi) ** a
+        return lo * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / a)
+
+    def jump_integrand(self, w):
+        return (2.0 / (2.0 - self.alpha)) * w**self.alpha
+
 
 @dataclass(frozen=True)
-class SymmetricTwoPoint:
+class SymmetricTwoPoint(LevyMeasure):
     """Two equal atoms at +/- magnitude with total mass ``rate``."""
 
     rate: float
     magnitude: float
+    kind = "two_point"
+    heads = ("twopoint",)
 
     def __post_init__(self):
         if self.rate <= 0.0:
@@ -49,13 +134,31 @@ class SymmetricTwoPoint:
         if self.magnitude <= 0.0:
             raise ValueError(f"magnitude must be > 0, got {self.magnitude}")
 
+    def tail_mass(self, radius):
+        return self.rate if self.magnitude > radius else 0.0
+
+    def truncated_variance(self, radius):
+        a = self.magnitude
+        return self.rate * a * a if a <= radius else 0.0
+
+    def jump_exponent(self, u):
+        return self.rate * (np.cos(u * self.magnitude) - 1.0)
+
+    def band_magnitudes(self, lo, hi, rng, n):
+        return np.full(n, self.magnitude)
+
+    def jump_integrand(self, w):
+        return self.rate * np.minimum((self.magnitude * w) ** 2, 1.0)
+
 
 @dataclass(frozen=True)
-class VarianceGamma:
+class VarianceGamma(LevyMeasure):
     """Symmetric variance-gamma jump measure with density (c/|z|) exp(-m|z|)."""
 
     c: float
     m: float
+    kind = "variance_gamma"
+    heads = ("vgamma",)
 
     def __post_init__(self):
         if self.c <= 0.0:
@@ -63,13 +166,118 @@ class VarianceGamma:
         if self.m <= 0.0:
             raise ValueError(f"m must be > 0, got {self.m}")
 
+    def density(self, z):
+        return self.c * np.exp(-self.m * z) / z
+
+    def tail_mass(self, radius):
+        from scipy.special import exp1
+
+        return 2.0 * self.c * exp1(self.m * radius)
+
+    def truncated_variance(self, radius):
+        mr = self.m * radius
+        return 2.0 * self.c * (-math.expm1(-mr) - mr * math.exp(-mr)) / self.m**2
+
+    def jump_exponent(self, u):
+        return -self.c * np.log1p((u / self.m) ** 2)
+
+    def band_magnitudes(self, lo, hi, rng, n):
+        # Density on (lo, inf) is proportional to z^-1 e^(-mz), dominated by the
+        # shifted exponential m e^(-m(z-lo)) with acceptance ratio lo / z; a
+        # finite hi rejects the proposals above it too.
+        from scipy.special import exp1
+
+        m = self.m
+        band_share = 1.0 - self.tail_mass(hi) / self.tail_mass(lo)
+        accept_rate = max(lo * m * math.exp(m * lo) * exp1(m * lo) * band_share, 1e-3)
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            todo = n - filled
+            batch = min(int(todo / accept_rate) + 16, 10_000_000)
+            prop = lo + rng.exponential(scale=1.0 / m, size=batch)
+            keep = prop[(rng.random(batch) * prop < lo) & (prop <= hi)]
+            take = keep[: todo]
+            out[filled : filled + take.size] = take
+            filled += take.size
+        return out
+
+    def jump_integrand(self, w):
+        from scipy.special import exp1
+
+        out = np.zeros_like(w)
+        pos = w > 0.0
+        mr = self.m / w[pos]
+        trunc = 2.0 * self.c * (-np.expm1(-mr) - mr * np.exp(-mr)) / self.m**2
+        out[pos] = w[pos] ** 2 * trunc + 2.0 * self.c * exp1(mr)
+        return out
+
 
 @dataclass(frozen=True)
-class NullMeasure:
+class NullMeasure(LevyMeasure):
     """The zero measure: a noise with no jump component."""
 
+    kind = "null"
 
-LevyMeasure = Union[AlphaStable, SymmetricTwoPoint, VarianceGamma, NullMeasure]
+    def tail_mass(self, radius):
+        return 0.0
+
+    def truncated_variance(self, radius):
+        return 0.0
+
+    def jump_exponent(self, u):
+        return np.zeros_like(u)
+
+    def jump_integrand(self, w):
+        return np.zeros_like(w)
+
+
+# The registry: config kind -> family class.
+FAMILIES: dict[str, type[LevyMeasure]] = {
+    cls.kind: cls for cls in (AlphaStable, SymmetricTwoPoint, VarianceGamma, NullMeasure)
+}
+_HEADS = {head: cls for cls in FAMILIES.values() for head in (cls.kind, *cls.heads)}
+
+
+def parse_measure(spec: dict | str, path: str = "measure") -> LevyMeasure:
+    """A measure from its config object or from its shorthand.
+
+    The object is ``{"kind": KIND, FIELD: number, ...}`` with exactly the
+    family's fields; the shorthand is ``head:a,b`` with the fields in
+    declaration order (``alpha:1.5``, ``twopoint:1,0.5``, ``vgamma:1,1``,
+    ``null``).  Raises ConfigError naming the offending key under ``path``.
+    """
+    if isinstance(spec, str):
+        head, _, rest = spec.partition(":")
+        cls = _HEADS.get(head.strip().lower())
+        if cls is None:
+            raise ConfigError(path, f"unknown measure shorthand {spec!r}")
+        names = [f.name for f in fields(cls)]
+        try:
+            args = [float(arg) for arg in rest.split(",")] if rest else []
+        except ValueError:
+            args = None
+        if args is None or len(args) != len(names):
+            shape = ":" + ",".join(names) if names else ""
+            raise ConfigError(path, f"expected {head}{shape} with numbers, got {spec!r}")
+        spec = {"kind": cls.kind, **dict(zip(names, args))}
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "expected an object or shorthand")
+    cls = FAMILIES.get(spec.get("kind"))
+    if cls is None:
+        raise ConfigError(f"{path}.kind", f"unknown measure kind; one of {sorted(FAMILIES)}")
+    names = [f.name for f in fields(cls)]
+    for key in spec:
+        if key != "kind" and key not in names:
+            raise ConfigError(f"{path}.{key}", f"unknown key for {cls.kind}")
+    for name in names:
+        if name not in spec:
+            raise ConfigError(f"{path}.{name}", f"missing parameter of {cls.kind}")
+    values = [as_number(spec[name], f"{path}.{name}") for name in names]
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
 
 
 @dataclass(frozen=True)
@@ -78,7 +286,7 @@ class LevyTriplet:
 
     Constructing a triplet checks sigma >= 0 and evaluates the defining
     integral of a Levy measure, int (z^2 ^ 1) nu(dz) < infinity, through
-    the closed forms below.
+    the closed forms above.
     """
 
     b: float
@@ -88,100 +296,16 @@ class LevyTriplet:
     def __post_init__(self):
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        check = truncated_variance(self.measure, 1.0) + tail_mass(self.measure, 1.0)
+        check = self.measure.truncated_variance(1.0) + self.measure.tail_mass(1.0)
         if not math.isfinite(check):
             raise ValueError("measure violates the Levy integrability condition")
-
-
-@dataclass(frozen=True)
-class NuStats:
-    """Tail mass above eps, variance below eps, and p-moment below 1."""
-
-    tail_mass: float
-    small_variance: float
-    p_moment_small: float
-
-
-def tail_mass(measure: LevyMeasure, radius: float) -> float:
-    """nu({|z| > radius}).  Infinite for infinite-activity families at radius 0."""
-    if radius < 0.0:
-        raise ValueError("radius must be >= 0")
-    if isinstance(measure, NullMeasure):
-        return 0.0
-    if isinstance(measure, SymmetricTwoPoint):
-        return measure.rate if measure.magnitude > radius else 0.0
-    if radius == 0.0:
-        return math.inf
-    if isinstance(measure, AlphaStable):
-        return radius ** (-measure.alpha)
-    if isinstance(measure, VarianceGamma):
-        from scipy.special import exp1
-
-        return 2.0 * measure.c * exp1(measure.m * radius)
-    raise TypeError(f"unknown measure {measure!r}")
-
-
-def truncated_variance(measure: LevyMeasure, radius: float) -> float:
-    """int_{|z| <= radius} z^2 nu(dz)."""
-    if radius < 0.0:
-        raise ValueError("radius must be >= 0")
-    if isinstance(measure, NullMeasure) or radius == 0.0:
-        return 0.0
-    if isinstance(measure, SymmetricTwoPoint):
-        a = measure.magnitude
-        return measure.rate * a * a if a <= radius else 0.0
-    if isinstance(measure, AlphaStable):
-        a = measure.alpha
-        return a * radius ** (2.0 - a) / (2.0 - a)
-    if isinstance(measure, VarianceGamma):
-        mr = measure.m * radius
-        return 2.0 * measure.c * (-math.expm1(-mr) - mr * math.exp(-mr)) / measure.m**2
-    raise TypeError(f"unknown measure {measure!r}")
 
 
 def band_variance(measure: LevyMeasure, lo: float, hi: float = 1.0) -> float:
     """int_{lo < |z| <= hi} z^2 nu(dz)."""
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    return truncated_variance(measure, hi) - truncated_variance(measure, lo)
-
-
-def small_moment(measure: LevyMeasure, p: float) -> float:
-    """int_{|z| <= 1} |z|^p nu(dz); math.inf when the integral diverges."""
-    if p <= 0.0:
-        raise ValueError(f"p must be > 0, got {p}")
-    if isinstance(measure, NullMeasure):
-        return 0.0
-    if isinstance(measure, SymmetricTwoPoint):
-        a = measure.magnitude
-        return measure.rate * a**p if a <= 1.0 else 0.0
-    if isinstance(measure, AlphaStable):
-        a = measure.alpha
-        if p <= a:
-            return math.inf
-        return a / (p - a)
-    if isinstance(measure, VarianceGamma):
-        from scipy import special
-
-        c, m = measure.c, measure.m
-        # 2c int_0^1 z^(p-1) e^(-mz) dz = 2c Gamma(p) P(p, m) / m^p
-        return 2.0 * c * special.gamma(p) * special.gammainc(p, m) / m**p
-    raise TypeError(f"unknown measure {measure!r}")
-
-
-def nu_stats(measure: LevyMeasure, eps: float, p: float) -> NuStats:
-    """Tail mass, small-jump variance and small-jump p-moment at level eps.
-
-    ``eps`` must lie in (0, 1]; the p-moment is always taken over |z| <= 1.
-    Divergent p-moments are reported as math.inf.
-    """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return NuStats(
-        tail_mass=tail_mass(measure, eps),
-        small_variance=truncated_variance(measure, eps),
-        p_moment_small=small_moment(measure, p),
-    )
+    return measure.truncated_variance(hi) - measure.truncated_variance(lo)
 
 
 def _stable_cos_constant(alpha: float) -> float:
@@ -192,59 +316,28 @@ def _stable_cos_constant(alpha: float) -> float:
     return math.gamma(2.0 - alpha) * (math.pi / 2.0) * np.sinc(t / 2.0)
 
 
-def jump_exponent(measure: LevyMeasure, u):
-    """int (cos(uz) - 1) nu(dz), the jump part of the exponent (closed form).
-
-    ``u`` may be a scalar or an array; the result has its shape.
-    """
-    u = np.asarray(u, dtype=float)
-    if isinstance(measure, NullMeasure):
-        out = np.zeros_like(u)
-    elif isinstance(measure, SymmetricTwoPoint):
-        out = measure.rate * (np.cos(u * measure.magnitude) - 1.0)
-    elif isinstance(measure, AlphaStable):
-        out = -_stable_cos_constant(measure.alpha) * np.abs(u) ** measure.alpha
-    elif isinstance(measure, VarianceGamma):
-        out = -measure.c * np.log1p((u / measure.m) ** 2)
-    else:
-        raise TypeError(f"unknown measure {measure!r}")
-    return out[()]
-
-
 def jump_exponent_quadrature(measure: LevyMeasure, u: float, tol: float = 1e-10) -> float:
     """Adaptive-quadrature evaluation of int (cos(uz) - 1) nu(dz).
 
-    An independent route to cross-check the closed forms.  In t = |u| z the
-    integral runs over (0, 1] in doubling pieces from min(|u|, 1), where
-    cos t - 1 = -2 sin^2(t/2) keeps its relative precision at small t, and
-    over the oscillatory tail (1, inf) with a cosine-weighted rule; so a
-    small |u| neither shrinks the oscillation nor spreads the mass of nu
-    over an interval far longer than the rule can see.
+    An independent route to cross-check the closed forms: it integrates the
+    family's density, not its exponent.  In t = |u| z the integral runs over
+    (0, 1] in doubling pieces from min(|u|, 1), where cos t - 1 =
+    -2 sin^2(t/2) keeps its relative precision at small t, and over the
+    oscillatory tail (1, inf) with a cosine-weighted rule; so a small |u|
+    neither shrinks the oscillation nor spreads the mass of nu over an
+    interval far longer than the rule can see.
     """
     from scipy import integrate
 
-    if isinstance(measure, NullMeasure):
-        return 0.0
-    if isinstance(measure, SymmetricTwoPoint):
+    if measure.density is None:
         # Purely atomic: quadrature degenerates to the exact sum.
-        return jump_exponent(measure, u)
+        return float(measure.jump_exponent(np.asarray(u, dtype=float)))
     u = abs(float(u))
-    if isinstance(measure, AlphaStable):
-        a = measure.alpha
-
-        def density(t):  # both half-lines folded onto (0, inf), in t = u z
-            return a * u**a * t ** (-1.0 - a)
-
-    elif isinstance(measure, VarianceGamma):
-        c, m = measure.c, measure.m
-
-        def density(t):
-            return 2.0 * c * np.exp(-m * t / u) / t
-
-    else:
-        raise TypeError(f"unknown measure {measure!r}")
     if u == 0.0:
         return 0.0
+
+    def density(t):  # both half-lines folded onto (0, inf), in t = u z
+        return 2.0 * measure.density(t / u) / u
 
     edges = [0.0, min(u, 1.0)]
     while edges[-1] < 1.0:
@@ -271,7 +364,7 @@ def characteristic_exponent(triplet: LevyTriplet, u):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError(f"u must be finite, got {u}")
-    real = -0.5 * triplet.sigma**2 * u * u + jump_exponent(triplet.measure, u)
+    real = -0.5 * triplet.sigma**2 * u * u + triplet.measure.jump_exponent(u)
     return (real + 1j * (triplet.b * u))[()]
 
 
@@ -284,32 +377,19 @@ def sample_jump_sizes(
 ):
     """Draw jump sizes from nu restricted to {lo < |z| <= hi}, normalized.
 
-    Signs are symmetric by construction.  Magnitudes use the inverse-tail
-    transform (stable), the atom itself (two-point), or rejection against a
-    shifted exponential envelope (variance-gamma).  Raises when the range
-    carries no mass or infinite mass.
+    Signs are symmetric by construction; magnitudes come from the family's
+    ``band_magnitudes``.  Raises when the range carries no mass or infinite
+    mass.
     """
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     n = 1 if size is None else int(size)
-    mass = tail_mass(measure, lo) - tail_mass(measure, hi)
+    mass = measure.tail_mass(lo) - measure.tail_mass(hi)
     if mass == 0.0:
         raise ValueError("no jumps above threshold")
     if not math.isfinite(mass):
         raise ValueError("infinite jump intensity above threshold; use eps > 0")
-
-    if isinstance(measure, SymmetricTwoPoint):
-        mags = np.full(n, measure.magnitude)
-    elif isinstance(measure, AlphaStable):
-        # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf.
-        a = measure.alpha
-        r = (lo / hi) ** a
-        mags = lo * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / a)
-    elif isinstance(measure, VarianceGamma):
-        mags = _vg_magnitudes(measure, lo, hi, rng, n)
-    else:  # pragma: no cover - guarded by tail_mass above
-        raise TypeError(f"unknown measure {measure!r}")
-
+    mags = measure.band_magnitudes(lo, hi, rng, n)
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     out = signs * mags
     return out[0] if size is None else out
@@ -321,51 +401,3 @@ def sample_band_jump_sizes(
     """``sample_jump_sizes(measure, lo, rng, size, hi)``.  Nothing in the package
     calls it; it stays only while ``perfbench/tracer.py`` traces it by name."""
     return sample_jump_sizes(measure, lo, rng, size, hi)
-
-
-def _vg_magnitudes(measure: VarianceGamma, lo: float, hi: float, rng, n: int) -> np.ndarray:
-    # Density on (lo, inf) is proportional to z^-1 e^(-mz), dominated by the
-    # shifted exponential m e^(-m(z-lo)) with acceptance ratio lo / z; a
-    # finite hi rejects the proposals above it too.
-    from scipy.special import exp1
-
-    m = measure.m
-    band_share = 1.0 - tail_mass(measure, hi) / tail_mass(measure, lo)
-    accept_rate = max(lo * m * math.exp(m * lo) * exp1(m * lo) * band_share, 1e-3)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        todo = n - filled
-        batch = min(int(todo / accept_rate) + 16, 10_000_000)
-        prop = lo + rng.exponential(scale=1.0 / m, size=batch)
-        keep = prop[(rng.random(batch) * prop < lo) & (prop <= hi)]
-        take = keep[: todo]
-        out[filled : filled + take.size] = take
-        filled += take.size
-    return out
-
-
-def measure_to_dict(measure: LevyMeasure) -> dict:
-    """JSON-friendly encoding used by config files and manifests."""
-    if isinstance(measure, AlphaStable):
-        return {"kind": "alpha_stable", "alpha": measure.alpha}
-    if isinstance(measure, SymmetricTwoPoint):
-        return {"kind": "two_point", "rate": measure.rate, "magnitude": measure.magnitude}
-    if isinstance(measure, VarianceGamma):
-        return {"kind": "variance_gamma", "c": measure.c, "m": measure.m}
-    if isinstance(measure, NullMeasure):
-        return {"kind": "null"}
-    raise TypeError(f"unknown measure {measure!r}")
-
-
-def measure_from_dict(data: dict) -> LevyMeasure:
-    kind = data.get("kind")
-    if kind == "alpha_stable":
-        return AlphaStable(alpha=float(data["alpha"]))
-    if kind == "two_point":
-        return SymmetricTwoPoint(rate=float(data["rate"]), magnitude=float(data["magnitude"]))
-    if kind == "variance_gamma":
-        return VarianceGamma(c=float(data["c"]), m=float(data["m"]))
-    if kind == "null":
-        return NullMeasure()
-    raise ValueError(f"unknown measure kind {kind!r}")

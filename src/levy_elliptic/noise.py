@@ -36,13 +36,7 @@ from .functions import (
     integral,
     lq_finite,
 )
-from .measures import (
-    LevyTriplet,
-    measure_to_dict,
-    sample_jump_sizes,
-    tail_mass,
-    truncated_variance,
-)
+from .measures import LevyTriplet, sample_jump_sizes
 
 POLICIES = ("gaussianize", "drop")
 
@@ -73,7 +67,7 @@ def sample_prm_large(
     Atom count ~ Poisson(|D| * nu({|z| > eps})), locations i.i.d. uniform on
     the box, sizes i.i.d. from the normalized restricted measure.
     """
-    lam = tail_mass(measure, eps)
+    lam = measure.tail_mass(eps)
     if not math.isfinite(lam):
         raise ValueError("infinite jump intensity above eps; increase eps")
     d = box.dim
@@ -116,7 +110,7 @@ class NoiseRealization:
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
         if self.policy == "drop":
             return np.zeros(len(idx))
-        var = truncated_variance(self.triplet.measure, self.eps)
+        var = self.triplet.measure.truncated_variance(self.eps)
         if var == 0.0:
             return np.zeros(len(idx))
         draws = _rng.keyed_normals(self.master_seed, _rng.SMALL_JUMP_COEFF, idx)
@@ -127,7 +121,7 @@ class NoiseRealization:
             "triplet": {
                 "b": self.triplet.b,
                 "sigma": self.triplet.sigma,
-                "measure": measure_to_dict(self.triplet.measure),
+                "measure": self.triplet.measure.to_dict(),
             },
             "eps": self.eps,
             "small_jump_policy": self.policy,

@@ -37,14 +37,6 @@ class GreenValue:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class SobolevNorm:
-    """Squared Sobolev norm partial sum and its last dyadic-block increment."""
-
-    value: float
-    last_block_increment: float
-
-
 def series_tail_bound(box: HyperBox, gamma: float, lambda_max: float) -> float:
     """Estimate of sum_{lambda_k > lambda_max} lambda_k^(-gamma).
 
@@ -125,18 +117,6 @@ def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarr
         table[:, (xs == a) | (xs == b)] = 0.0
         tensor = np.tensordot(tensor, table, axes=([0], [0]))
     return tensor
-
-
-def sobolev_norm(field: SpectralFunction, r: float) -> SobolevNorm:
-    """Partial sum of the squared order-r Sobolev norm over the cutoff.
-
-    value = sum_k lambda_k^r a_k^2; the increment over the last doubling of
-    the listing is reported alongside for divergence diagnostics.
-    """
-    terms = field.system.lams**r * field.coeffs**2
-    total = float(np.sum(terms))
-    half = len(terms) // 2
-    return SobolevNorm(total, total - float(np.sum(terms[:half])))
 
 
 def torsion_solution(system: EigenSystem) -> SpectralFunction:

@@ -129,6 +129,34 @@ def test_failed_check_exits_1(tmp_path, capsys):
     assert (outdir / "green_oracle.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "measure,path",
+    [
+        ({"kind": "alpha_stable", "alpha": 1.5, "beta": 3}, "triplet.measure.beta"),
+        ({"kind": "alpha_stable", "alpha": True}, "triplet.measure.alpha"),
+        ({"kind": "alpha_stable"}, "triplet.measure.alpha"),
+    ],
+)
+def test_bad_measure_object_exits_2_at_its_path(tmp_path, capsys, measure, path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"triplet": {"measure": measure}}))
+    assert run(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["verify", "cf", "--set", 'cf.f={"kind":"constant","valu":2.0}'], "cf.f.valu"),
+        (["verify", "isometry", "--set", 'isometry.f={"kind":"constant","valu":2.0}'], "isometry.f.valu"),
+        (["verify", "weak", "--set", 'weak.phi={"kind":"eigenfunction","index":[1],"box":1}'], "weak.phi.box"),
+    ],
+)
+def test_unknown_function_key_exits_2_at_its_path(tmp_path, capsys, argv, path):
+    assert run(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    assert f"config error at {path}: unknown key" in capsys.readouterr().err
+
+
 def test_removed_psi_quadrature_key_is_refused(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"cf": {"psi_quadrature": True}}))

@@ -108,6 +108,58 @@ class TestMeasureOverride:
             load_config(path, [])
 
 
+class TestMeasureObjects:
+    @pytest.mark.parametrize(
+        "measure,path",
+        [
+            ({"kind": "alpha_stable", "alpha": 1.5, "beta": 3}, "triplet.measure.beta"),
+            ({"kind": "alpha_stable", "alpha": True}, "triplet.measure.alpha"),
+            ({"kind": "alpha_stable"}, "triplet.measure.alpha"),
+        ],
+    )
+    def test_bad_key_is_refused_at_its_path(self, tmp_path, measure, path):
+        with pytest.raises(ConfigError) as exc:
+            load_config(config_file(tmp_path, {"triplet": {"measure": measure}}), [])
+        assert exc.value.path == path
+
+    def test_override_object_is_checked_like_a_file(self):
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, ['measure={"kind": "two_point", "rate": 1.0, "magnitude": 1.0, "size": 2}'])
+        assert exc.value.path == "triplet.measure.size"
+
+
+class TestListEntries:
+    @pytest.mark.parametrize(
+        "item,path",
+        [
+            ("K_list=a,b", "sobolev.K_list[0]"),
+            ("K_list=1024,2048.0", "sobolev.K_list[1]"),
+            ("K_list=[1024,true]", "sobolev.K_list[1]"),
+            ("K_list=0,1", "sobolev.K_list[0]"),
+            ("grid_levels=4,5,x", "continuity.grid_levels[2]"),
+            ("grid_levels=4,5.5,6", "continuity.grid_levels[1]"),
+            ("r_list=1.0,x", "sobolev.r_list[1]"),
+            ("r_list=[1.0,NaN]", "sobolev.r_list[1]"),
+            ("t_list=100,Infinity", "spectral_bound.t_list[1]"),
+            ("t_list=100,false", "spectral_bound.t_list[1]"),
+        ],
+    )
+    def test_bad_entry_is_refused_at_its_path(self, item, path):
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, [item])
+        assert exc.value.path == path
+
+    def test_integer_too_large_for_a_float_is_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, ["r_list=[1.0, 1" + "0" * 400 + "]"])
+        assert exc.value.path == "sobolev.r_list[1]"
+
+    def test_good_entries_load(self):
+        cfg = load_config(None, ["K_list=1024,2048", "grid_levels=3,4,5", "r_list=1,1.5", "t_list=100,300.5"])
+        assert cfg.blocks["sobolev"]["K_list"] == [1024, 2048]
+        assert cfg.blocks["spectral_bound"]["t_list"] == [100, 300.5]
+
+
 class TestRemovedKeys:
     def test_psi_quadrature_override_is_refused(self):
         with pytest.raises(ConfigError, match="unknown override key"):

@@ -8,10 +8,10 @@ from levy_elliptic.domain import (
     adaptive_tensor_quad,
     constant_fourier,
     eigen_matrix,
-    eigenfunction_eval,
     eigenvalues_of,
     enumerate_eigen,
     gauss_nodes,
+    single_mode,
     weyl_count,
 )
 
@@ -104,28 +104,32 @@ class TestWeylCount:
         assert weyl_count(SQUARE, t) == len(enumerate_eigen(SQUARE, lambda_max=t))
 
 
+def eigenfunction_value(box, index, x) -> float:
+    return float(eigen_matrix(single_mode(box, index), np.atleast_2d(x))[0, 0])
+
+
 class TestEigenfunctions:
     def test_interval_values(self):
-        assert eigenfunction_eval(UNIT, (1,), (0.5,)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert eigenfunction_eval(UNIT, (2,), (0.5,)) == pytest.approx(0.0, abs=1e-14)
+        assert eigenfunction_value(UNIT, (1,), (0.5,)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert eigenfunction_value(UNIT, (2,), (0.5,)) == pytest.approx(0.0, abs=1e-14)
 
     def test_square_center(self):
-        assert eigenfunction_eval(SQUARE, (1, 1), (0.5, 0.5)) == pytest.approx(2.0, rel=1e-14)
+        assert eigenfunction_value(SQUARE, (1, 1), (0.5, 0.5)) == pytest.approx(2.0, rel=1e-14)
 
     def test_boundary_exactly_zero(self):
-        assert eigenfunction_eval(UNIT, (3,), (0.0,)) == 0.0
-        assert eigenfunction_eval(UNIT, (3,), (1.0,)) == 0.0
-        assert eigenfunction_eval(SQUARE, (2, 2), (0.0, 0.37)) == 0.0
+        assert eigenfunction_value(UNIT, (3,), (0.0,)) == 0.0
+        assert eigenfunction_value(UNIT, (3,), (1.0,)) == 0.0
+        assert eigenfunction_value(SQUARE, (2, 2), (0.0, 0.37)) == 0.0
 
     def test_outside_box_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            eigenfunction_eval(UNIT, (1,), (1.5,))
+            eigenfunction_value(UNIT, (1,), (1.5,))
 
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError):
-            eigenfunction_eval(UNIT, (0,), (0.5,))
+            eigenfunction_value(UNIT, (0,), (0.5,))
         with pytest.raises(ValueError):
-            eigenfunction_eval(SQUARE, (1,), (0.5, 0.5))
+            eigenfunction_value(SQUARE, (1,), (0.5, 0.5))
 
     def test_orthonormality_gram_matrix(self):
         system = enumerate_eigen(UNIT, count=20)

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levy_elliptic.domain import HyperBox, QuadratureError, enumerate_eigen
+from levy_elliptic.config import ConfigError
+from levy_elliptic.domain import HyperBox, enumerate_eigen, single_mode
 from levy_elliptic.functions import (
     AxisPower,
     CallableFunction,
     Constant,
     Eigenfunction,
-    GridFunction,
     Indicator,
     Polynomial,
     Scaled,
     SpectralFunction,
     abs_power_integral,
-    fourier_coeff,
     fourier_vector,
     integral,
     lq_finite,
@@ -26,50 +25,33 @@ from levy_elliptic.functions import (
 UNIT = HyperBox.unit(1)
 
 
-class TestFourierCoeff:
-    def test_orthonormality_exact(self):
-        e1 = Eigenfunction(UNIT, (1,))
-        assert fourier_coeff(UNIT, (1,), e1) == 1.0
-        assert fourier_coeff(UNIT, (2,), e1) == 0.0
-
+class TestFourierVector:
     def test_constant_closed_form_vs_quad_oracle(self):
         oracle, _ = integrate.quad(lambda x: math.sqrt(2.0) * math.sin(math.pi * x), 0, 1)
         assert oracle == pytest.approx(2.0 * math.sqrt(2.0) / math.pi, rel=1e-12)
-        got = fourier_coeff(UNIT, (1,), Constant(1.0))
+        got = fourier_vector(single_mode(UNIT, (1,)), Constant(1.0))[0]
         assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_quadrature_path_recovers_orthonormality(self):
         wrapped = CallableFunction(
             lambda p: math.sqrt(2.0) * np.sin(3.0 * math.pi * p[:, 0]), certified=True
         )
-        assert fourier_coeff(UNIT, (3,), wrapped) == pytest.approx(1.0, abs=1e-10)
-        assert fourier_coeff(UNIT, (4,), wrapped) == pytest.approx(0.0, abs=1e-10)
-
-    def test_nonconvergence_flag(self):
-        # Algebraic endpoint singularity defeats fixed Gauss refinement at
-        # this tolerance, which must surface as an error, not a bad number.
-        with pytest.raises(QuadratureError):
-            fourier_coeff(UNIT, (1,), AxisPower(-0.5), tol=1e-14)
+        got = fourier_vector(enumerate_eigen(UNIT, count=4), wrapped)
+        assert got == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-10)
 
     def test_indicator_closed_form_vs_quadrature(self):
         sub = HyperBox(((0.2, 0.7),))
-        got = fourier_coeff(UNIT, (3,), Indicator((sub,)))
+        got = fourier_vector(single_mode(UNIT, (3,)), Indicator((sub,)))[0]
         oracle, _ = integrate.quad(
             lambda x: math.sqrt(2.0) * math.sin(3 * math.pi * x), 0.2, 0.7
         )
         assert got == pytest.approx(oracle, rel=1e-12)
 
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            fourier_coeff(UNIT, (0,), Constant(1.0))
-
-
-class TestFourierVector:
-    def test_matches_scalar_closed_forms(self):
+    def test_constant_matches_the_per_mode_closed_form(self):
         system = enumerate_eigen(UNIT, count=8)
-        vec = fourier_vector(system, Constant(2.0))
-        scalars = [fourier_coeff(UNIT, tuple(k), Constant(2.0)) for k in system.indices]
-        assert vec == pytest.approx(scalars, rel=1e-14)
+        k = system.indices[:, 0]
+        expected = 2.0 * math.sqrt(2.0) * (1 - (-1.0) ** k) / (math.pi * k)
+        assert fourier_vector(system, Constant(2.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_spectral_prefix_alignment(self):
         big = enumerate_eigen(UNIT, count=10)
@@ -166,12 +148,6 @@ class TestDescriptors:
         )
         assert f.evaluate(x) == pytest.approx(manual, rel=1e-12)
 
-    def test_grid_function_linear_interp(self):
-        axes = (np.linspace(0.0, 1.0, 11),)
-        values = axes[0] ** 2
-        g = GridFunction(UNIT, axes, values)
-        assert g.evaluate(np.array([[0.35]]))[0] == pytest.approx(0.5 * (0.09 + 0.16), rel=1e-12)
-
     def test_polynomial_evaluate(self):
         p = Polynomial((1.0, 0.0, 2.0))  # 1 + 2 x^2
         assert p.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.5)
@@ -183,3 +159,23 @@ class TestDescriptors:
         assert isinstance(g, Constant) and g.value == 3.5
         with pytest.raises(ValueError):
             parse_function({"kind": "mystery"}, UNIT)
+
+    @pytest.mark.parametrize(
+        "data,path",
+        [
+            ({"kind": "constant", "valu": 2.0}, "cf.f.valu"),
+            ({"kind": "axis_power", "exponent": 1.0, "axes": 0}, "cf.f.axes"),
+            ({"kind": "eigenfunction"}, "cf.f.index"),
+            ({"kind": "mystery"}, "cf.f"),
+            ([1.0], "cf.f"),
+            ({"kind": "eigenfunction", "index": [0]}, "cf.f.index[0]"),
+            ({"kind": "eigenfunction", "index": [1, 1]}, "cf.f"),
+            ({"kind": "constant", "value": True}, "cf.f.value"),
+            ({"kind": "polynomial", "coeffs": [1.0, "x"]}, "cf.f.coeffs[1]"),
+            ({"kind": "indicator", "boxes": [[[0.5, 0.2]]]}, "cf.f"),
+        ],
+    )
+    def test_parse_function_refuses_at_the_key(self, data, path):
+        with pytest.raises(ConfigError) as exc:
+            parse_function(data, UNIT, "cf.f")
+        assert exc.value.path == path

@@ -18,7 +18,6 @@ from levy_elliptic.integrability import (
     GREEN_BOUND_MODE,
     ExistenceVerdict,
     existence_verdict,
-    jump_compound_integrand,
     rr_integrability,
 )
 from levy_elliptic.measures import (
@@ -56,12 +55,13 @@ class TestJumpIntegrand:
             )
             tail, _ = integrate.quad(lambda z: 2.0 * dens(z), split, np.inf, limit=400)
             oracle = head + tail
-        assert jump_compound_integrand(measure, np.array([w]))[0] == pytest.approx(
+        assert measure.jump_integrand(np.array([w]))[0] == pytest.approx(
             oracle, rel=1e-8
         )
 
     def test_zero_argument(self):
-        assert jump_compound_integrand(AlphaStable(1.0), np.array([0.0]))[0] == 0.0
+        for measure in (AlphaStable(1.0), VarianceGamma(1.0, 1.0), SymmetricTwoPoint(1.0, 1.0), NullMeasure()):
+            assert measure.jump_integrand(np.array([0.0]))[0] == 0.0
 
 
 class TestRRIntegrability:

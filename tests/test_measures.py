@@ -1,11 +1,21 @@
+import ast
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.stats import kstest
 
+import levy_elliptic
+from levy_elliptic.config import ConfigError
+
 from levy_elliptic.measures import (
+    FAMILIES,
     AlphaStable,
     _stable_cos_constant,
     LevyTriplet,
@@ -14,16 +24,10 @@ from levy_elliptic.measures import (
     VarianceGamma,
     band_variance,
     characteristic_exponent,
-    jump_exponent,
     jump_exponent_quadrature,
-    measure_from_dict,
-    measure_to_dict,
-    nu_stats,
+    parse_measure,
     sample_band_jump_sizes,
     sample_jump_sizes,
-    small_moment,
-    tail_mass,
-    truncated_variance,
 )
 
 ALL_MEASURES = [
@@ -85,7 +89,7 @@ class TestCharacteristicExponent:
     @pytest.mark.parametrize("u", [1e-4, 1e-2, 0.3, 1.0, 2.7])
     def test_closed_form_matches_quadrature_route(self, measure, u):
         # Relative only: at u = 1e-4 the variance-gamma exponent is about -1e-8.
-        assert jump_exponent(measure, u) == pytest.approx(
+        assert measure.jump_exponent(np.asarray(u)) == pytest.approx(
             jump_exponent_quadrature(measure, u), rel=1e-8, abs=0.0
         )
 
@@ -119,20 +123,13 @@ class TestCharacteristicExponent:
             characteristic_exponent(trip, math.nan)
 
 
-class TestNuStats:
+class TestClosedForms:
     def test_stable_alpha_one_closed_forms(self):
-        stats = nu_stats(AlphaStable(1.0), eps=1.0, p=1.5)
-        assert stats.tail_mass == 1.0
-        assert stats.small_variance == pytest.approx(1.0, rel=1e-14)
-        assert stats.p_moment_small == pytest.approx(2.0, rel=1e-14)
+        assert AlphaStable(1.0).tail_mass(1.0) == 1.0
+        assert AlphaStable(1.0).truncated_variance(1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_null_measure_all_zero(self):
-        stats = nu_stats(NullMeasure(), eps=0.3, p=2.0)
-        assert (stats.tail_mass, stats.small_variance, stats.p_moment_small) == (0, 0, 0)
-
-    def test_stable_divergent_moment_flag(self):
-        assert nu_stats(AlphaStable(1.0), eps=1.0, p=0.5).p_moment_small == math.inf
-        assert nu_stats(AlphaStable(1.0), eps=1.0, p=1.0).p_moment_small == math.inf
+        assert (NullMeasure().tail_mass(0.3), NullMeasure().truncated_variance(0.3)) == (0, 0)
 
     @pytest.mark.parametrize(
         "measure",
@@ -144,35 +141,30 @@ class TestNuStats:
             density = stable_density(measure.alpha)
         else:
             density = vg_density(measure.c, measure.m)
-        assert tail_mass(measure, eps) == pytest.approx(
+        assert measure.tail_mass(eps) == pytest.approx(
             quad_oracle(density, lambda z: 1.0, eps, np.inf), rel=1e-8
         )
-        assert truncated_variance(measure, eps) == pytest.approx(
+        assert measure.truncated_variance(eps) == pytest.approx(
             quad_oracle(density, lambda z: z * z, 0.0, eps), rel=1e-8
         )
-        p = 1.8 if isinstance(measure, AlphaStable) else 0.7
-        assert small_moment(measure, p) == pytest.approx(
-            quad_oracle(density, lambda z: z**p, 0.0, 1.0), rel=1e-8
-        )
+        z = np.array([0.01, 0.3, 2.0])
+        assert measure.density(z) == pytest.approx(density(z), rel=1e-14)
 
     def test_two_point_atoms(self):
         m = SymmetricTwoPoint(2.0, 0.4)
-        assert tail_mass(m, 0.3) == 2.0
-        assert tail_mass(m, 0.4) == 0.0
-        assert truncated_variance(m, 0.4) == pytest.approx(2.0 * 0.16, rel=1e-15)
-        assert small_moment(m, 1.0) == pytest.approx(0.8, rel=1e-15)
+        assert m.tail_mass(0.3) == 2.0
+        assert m.tail_mass(0.4) == 0.0
+        assert m.truncated_variance(0.4) == pytest.approx(2.0 * 0.16, rel=1e-15)
 
     def test_band_variance(self):
         assert band_variance(AlphaStable(1.0), 0.1, 1.0) == pytest.approx(0.9, rel=1e-14)
         assert band_variance(SymmetricTwoPoint(1.0, 0.8), 0.5, 1.0) == pytest.approx(0.64)
 
-    def test_eps_and_p_validation(self):
-        with pytest.raises(ValueError):
-            nu_stats(AlphaStable(1.0), eps=0.0, p=1.0)
-        with pytest.raises(ValueError):
-            nu_stats(AlphaStable(1.0), eps=1.5, p=1.0)
-        with pytest.raises(ValueError):
-            nu_stats(AlphaStable(1.0), eps=0.5, p=0.0)
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    def test_small_jump_index(self, measure):
+        # inf of p with int_{|z|<=1} |z|^p nu(dz) finite: alpha for stable, 0 for the rest.
+        expected = measure.alpha if isinstance(measure, AlphaStable) else 0.0
+        assert measure.small_jump_index == expected
 
 
 class TestSamplers:
@@ -316,7 +308,6 @@ class TestArrayExponent:
     def test_scalar_form_stays_scalar(self):
         trip = LevyTriplet(0.3, 0.7, AlphaStable(1.5))
         assert isinstance(characteristic_exponent(trip, 1.0), complex)
-        assert isinstance(jump_exponent(AlphaStable(1.5), 1.0), float)
 
     def test_any_non_finite_entry_is_refused(self):
         trip = LevyTriplet(0.0, 1.0, AlphaStable(1.5))
@@ -344,6 +335,127 @@ class TestValidation:
     def test_levy_condition_finite_at_construction(self, measure):
         LevyTriplet(0.0, 1.0, measure)  # no raise
 
-    @pytest.mark.parametrize("measure", ALL_MEASURES)
-    def test_dict_round_trip(self, measure):
-        assert measure_from_dict(measure_to_dict(measure)) == measure
+
+
+# float.hex of tail mass and truncated variance at RADII, jump exponent at
+# FREQS and J(w) at WEIGHTS, as the per-function closed forms computed them
+# before the families carried their own methods; the methods must keep every bit.
+RADII = [0.0, 0.01, 0.4, 1.0, 2.5]
+FREQS = [0.0, 0.01, 0.5, 1.0, 3.0]
+WEIGHTS = [0.0, 0.01, 0.7, 1.0, 4.0]
+PINNED = {
+    'AlphaStable(alpha=0.7)': (
+        ['inf', '0x1.91e6de449ff75p+4', '0x1.e62e5531fd7eap+0', '0x1.0000000000000p+0', '0x1.0d9856dd52513p-1'],
+        ['0x0.0p+0', '0x1.629060c6abf06p-10', '0x1.4f1744f58e6bcp-3', '0x1.13b13b13b13b1p-1', '0x1.c5a54365a5976p+0'],
+        ['-0x0.0p+0', '-0x1.baee3ee41e1e2p-5', '-0x1.ac0cdcf14525cp-1', '-0x1.5baf5190955c5p+0', '-0x1.77182db43cea1p+1'],
+        ['0x0.0p+0', '0x1.f5bcceba3de67p-5', '0x1.32d403441d8aep+0', '0x1.89d89d89d89d8p+0', '0x1.03d7705537b3fp+2'],
+    ),
+    'AlphaStable(alpha=1.0)': (
+        ['inf', '0x1.9000000000000p+6', '0x1.4000000000000p+1', '0x1.0000000000000p+0', '0x1.999999999999ap-2'],
+        ['0x0.0p+0', '0x1.47ae147ae147bp-7', '0x1.999999999999ap-2', '0x1.0000000000000p+0', '0x1.4000000000000p+1'],
+        ['-0x0.0p+0', '-0x1.015bf9217271ap-6', '-0x1.921fb54442d18p-1', '-0x1.921fb54442d18p+0', '-0x1.2d97c7f3321d2p+2'],
+        ['0x0.0p+0', '0x1.47ae147ae147bp-6', '0x1.6666666666666p+0', '0x1.0000000000000p+1', '0x1.0000000000000p+3'],
+    ),
+    'AlphaStable(alpha=1.5)': (
+        ['inf', '0x1.f400000000000p+9', '0x1.f9f6e4990f226p+1', '0x1.0000000000000p+0', '0x1.030dc4ea03a72p-2'],
+        ['0x0.0p+0', '0x1.3333333333334p-2', '0x1.e5b9d136c6d96p+0', '0x1.8000000000000p+1', '0x1.2f9422c23c47ep+2'],
+        ['-0x0.0p+0', '-0x1.488c7cecf010bp-9', '-0x1.c5bf891b4ef6ap-1', '-0x1.40d931ff62705p+1', '-0x1.a0cb58ba43432p+3'],
+        ['0x0.0p+0', '0x1.0624dd2f1a9fcp-8', '0x1.2bdbe460916e0p+1', '0x1.0000000000000p+2', '0x1.0000000000000p+5'],
+    ),
+    'SymmetricTwoPoint(rate=2.0, magnitude=0.4)': (
+        ['0x1.0000000000000p+1', '0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+        ['0x0.0p+0', '0x0.0p+0', '0x1.47ae147ae147cp-2', '0x1.47ae147ae147cp-2', '0x1.47ae147ae147cp-2'],
+        ['0x0.0p+0', '-0x1.0c6f629690000p-16', '-0x1.4696d5113b0c0p-5', '-0x1.43558c122e840p-3', '-0x1.46790b5e24318p+0'],
+        ['0x0.0p+0', '0x1.0c6f7a0b5ed8dp-15', '0x1.41205bc01a36dp-3', '0x1.47ae147ae147cp-2', '0x1.0000000000000p+1'],
+    ),
+    'VarianceGamma(c=1.0, m=1.0)': (
+        ['inf', '0x1.026d702cb211ap+3', '0x1.679e5defc6f84p+0', '0x1.c14c5d3bf8f9cp-2', '0x1.9834bd5bdc853p-5'],
+        ['0x0.0p+0', '0x1.a0a5081f5bf00p-14', '0x1.f83bc3c62eb30p-4', '0x1.0e95393a62190p-1', '0x1.6ce757bbed530p+0'],
+        ['-0x0.0p+0', '-0x1.a368d06580001p-14', '-0x1.c8ff7c79a9a22p-3', '-0x1.62e42fefa39efp-1', '-0x1.26bb1bbb55516p+1'],
+        ['0x0.0p+0', '0x1.a36e2eb1c432dp-13', '0x1.43b5b9a562004p-1', '0x1.ef3b67d85e95ep-1', '0x1.77e05826e62adp+1'],
+    ),
+    'VarianceGamma(c=0.5, m=2.0)': (
+        ['inf', '0x1.ad67108c79d67p+1', '0x1.3e0d078c6910ap-2', '0x1.9097cdc7f6561p-5', '0x1.2d04d00aecaf6p-10'],
+        ['0x0.0p+0', '0x1.9de134ff8e400p-15', '0x1.8797fd292e9b0p-5', '0x1.3020005305ea7p-3', '0x1.eb4d1017f6016p-3'],
+        ['-0x0.0p+0', '-0x1.a36cd71a4d5acp-17', '-0x1.f0a30c01162a6p-6', '-0x1.c8ff7c79a9a22p-4', '-0x1.2dbc55768deb3p-1'],
+        ['0x0.0p+0', '0x1.a36e2eb1c432dp-16', '0x1.c6c14a0b09445p-4', '0x1.9445f3c5037ffp-3', '0x1.d757865b9c746p-1'],
+    ),
+    'NullMeasure()': (
+        ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+        ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+        ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+        ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+    ),
+}
+
+
+class TestPinnedClosedForms:
+    @pytest.mark.parametrize(
+        "measure",
+        [AlphaStable(0.7), AlphaStable(1.0), AlphaStable(1.5), SymmetricTwoPoint(2.0, 0.4),
+         VarianceGamma(1.0, 1.0), VarianceGamma(0.5, 2.0), NullMeasure()],
+        ids=repr,
+    )
+    def test_every_bit(self, measure):
+        tail, trunc, psi, jw = PINNED[repr(measure)]
+        assert [float(measure.tail_mass(r)).hex() for r in RADII] == tail
+        assert [float(measure.truncated_variance(r)).hex() for r in RADII] == trunc
+        assert [float(v).hex() for v in measure.jump_exponent(np.array(FREQS))] == psi
+        assert [float(v).hex() for v in measure.jump_integrand(np.array(WEIGHTS))] == jw
+
+
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+FAMILY_INSTANCES = st.one_of(
+    st.builds(AlphaStable, st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True)),
+    st.builds(SymmetricTwoPoint, POSITIVE, POSITIVE),
+    st.builds(VarianceGamma, POSITIVE, POSITIVE),
+    st.just(NullMeasure()),
+)
+
+
+class TestRegistry:
+    @given(FAMILY_INSTANCES)
+    def test_dict_to_class_to_dict(self, measure):
+        doc = json.loads(json.dumps(measure.to_dict()))
+        assert parse_measure(doc) == measure
+        assert parse_measure(doc).to_dict() == doc
+
+    @given(FAMILY_INSTANCES)
+    def test_shorthand_takes_the_fields_in_order(self, measure):
+        args = ",".join(repr(getattr(measure, f.name)) for f in fields(measure))
+        for head in (measure.kind, *measure.heads):
+            assert parse_measure(f"{head.upper()}:{args}" if args else head) == measure
+
+    @pytest.mark.parametrize(
+        "spec,path",
+        [
+            ({"kind": "alpha_stable", "alpha": 1.5, "beta": 3}, "m.beta"),
+            ({"kind": "alpha_stable", "alpha": True}, "m.alpha"),
+            ({"kind": "alpha_stable", "alpha": "1.5"}, "m.alpha"),
+            ({"kind": "variance_gamma", "c": 1.0}, "m.m"),
+            ({"kind": "null", "rate": 1.0}, "m.rate"),
+            ({"kind": "cauchy"}, "m.kind"),
+            ({"alpha": 1.5}, "m.kind"),
+            ({"kind": "alpha_stable", "alpha": 2.5}, "m"),
+            ("twopoint:1", "m"),
+            ("vgamma:1,x", "m"),
+            ("null:1", "m"),
+            (1.5, "m"),
+        ],
+    )
+    def test_bad_spec_is_refused_at_its_key(self, spec, path):
+        with pytest.raises(ConfigError) as exc:
+            parse_measure(spec, "m")
+        assert exc.value.path == path
+
+
+def test_no_module_but_measures_names_a_family():
+    family_names = {cls.__name__ for cls in FAMILIES.values()}
+    for path in sorted(Path(levy_elliptic.__file__).parent.glob("*.py")):
+        if path.name in ("measures.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & family_names, path.name

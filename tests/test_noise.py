@@ -21,7 +21,6 @@ from levy_elliptic.measures import (
     NullMeasure,
     SymmetricTwoPoint,
     VarianceGamma,
-    truncated_variance,
 )
 from levy_elliptic.noise import (
     JumpAtomSet,
@@ -124,7 +123,7 @@ class TestPairEigen:
         real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, measure), eps=eps, master_seed=9)
         idx = np.arange(1, 200_001)[:, None]
         draws = real.small_jump_coefficients(idx)
-        assert np.var(draws) == pytest.approx(truncated_variance(measure, eps), rel=0.02)
+        assert np.var(draws) == pytest.approx(measure.truncated_variance(eps), rel=0.02)
 
     def test_drop_policy_adds_nothing(self):
         real = sample_noise(

@@ -16,7 +16,6 @@ from levy_elliptic.solver import (
     green_gamma_eval,
     green_gamma_grid,
     series_tail_bound,
-    sobolev_norm,
     solve_mild,
     torsion_solution,
 )
@@ -146,36 +145,6 @@ class TestFieldEvaluation:
         flat = field.evaluate(pts).reshape(9, 7)
         assert np.max(np.abs(grid - flat)) < 1e-12
         assert np.all(grid[0, :] == 0.0) and np.all(grid[:, -1] == 0.0)
-
-
-class TestSobolevNorm:
-    def test_single_mode_squared_norm(self):
-        field = SpectralFunction(enumerate_eigen(UNIT, count=1), np.array([1.0]))
-        got = sobolev_norm(field, 2.0)
-        assert got.value == pytest.approx(math.pi**4, rel=1e-14)
-
-    def test_zero_field(self):
-        field = SpectralFunction(enumerate_eigen(UNIT, count=9), np.zeros(9))
-        assert sobolev_norm(field, 3.0).value == 0.0
-
-    def test_inverse_eigenvalue_surrogate_partial_sums(self):
-        # sum_k lambda_k^-1 = sum 1/(pi k)^2 = 1/6 on the unit interval.
-        system = enumerate_eigen(UNIT, count=20000)
-        field = SpectralFunction(system, 1.0 / system.lams)
-        got = sobolev_norm(field, 1.0)
-        assert abs(got.value - 1.0 / 6.0) < 1e-5
-        assert got.last_block_increment > 0.0
-        smaller = sobolev_norm(
-            SpectralFunction(system.prefix(10000), 1.0 / system.lams[:10000]), 1.0
-        )
-        assert smaller.value < got.value < 1.0 / 6.0
-
-    def test_monotone_in_order_when_eigenvalues_exceed_one(self):
-        system = enumerate_eigen(UNIT, count=30)
-        rng = np.random.default_rng(1)
-        field = SpectralFunction(system, rng.standard_normal(30))
-        values = [sobolev_norm(field, r).value for r in np.linspace(-1.0, 3.0, 9)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestTorsion:
