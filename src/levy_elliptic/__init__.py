@@ -26,20 +26,18 @@ from .domain import (
 )
 from .functions import (
     AxisPower,
-    CallableFunction,
     Constant,
     Eigenfunction,
     Indicator,
     Polynomial,
-    Scaled,
+    RadialPower,
     SpectralFunction,
-    UncertifiedFunctionError,
 )
 from .integrability import (
-    GREEN_BOUND_MODE,
     ExistenceVerdict,
     IntegrabilityReport,
     existence_verdict,
+    green_kernel_integrability,
     rr_integrability,
 )
 from .measures import (

@@ -34,14 +34,14 @@ from .diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from .domain import QuadratureError, eigen_matrix, enumerate_eigen
-from .functions import SpectralFunction, parse_function
-from .integrability import GREEN_BOUND_MODE, existence_verdict, rr_integrability
+from .domain import QuadratureError, enumerate_eigen
+from .integrability import existence_verdict, green_kernel_integrability
 from .noise import sample_noise
 from .solver import (
     RegimeRefusalError,
     dump_coeffs_csv,
     dump_field_grid_csv,
+    green_gamma_eval,
     green_gamma_grid,
     solve_mild,
 )
@@ -95,14 +95,24 @@ def _need_seed(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    gamma_arg = cfg.gamma if cfg.mode == "spectral" else GREEN_BOUND_MODE
-    verdict = existence_verdict(cfg.box.dim, gamma_arg, cfg.triplet)
+    """The gate's verdict, the untruncated kernel's integrability and the run's truncation."""
+    verdict = existence_verdict(cfg.box.dim, cfg.gamma, cfg.triplet)
+    kernel = green_kernel_integrability(cfg.box, cfg.gamma, cfg.triplet)
     system = _system(cfg)
     center = 0.5 * (cfg.box.lower + cfg.box.upper)
-    g_eff = cfg.gamma if cfg.mode == "spectral" else 1.0
-    kernel_coeffs = eigen_matrix(system, center[None, :])[:, 0] / system.lams**g_eff
-    report = rr_integrability(SpectralFunction(system, kernel_coeffs), cfg.triplet, cfg.box)
-    payload = {"existence": verdict.to_dict(), "integrability": report.to_dict()}
+    diagonal = green_gamma_eval(system, cfg.gamma, center, center)
+    payload = {
+        "existence": verdict.to_dict(),
+        "kernel_integrability": kernel.to_dict(),
+        # The gate alone refuses: the kernel is noise-integrable, yet gamma <= d/4.
+        "gate_stricter": kernel.verdict and not verdict.exists,
+        "truncation": {
+            "modes": len(system),
+            "lambda_max": float(system.lams[-1]),
+            "diagonal": diagonal.value,
+            "diagonal_tail_bound": diagonal.tail_bound,
+        },
+    }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
@@ -137,12 +147,11 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
     seed = _need_seed(cfg)
     if which == "cf":
         block = cfg.blocks["cf"]
-        f = parse_function(block["f"], cfg.box, "cf.f")
         system = _system(cfg)
         reports = [
             empirical_cf_test(
                 cfg.triplet,
-                f,
+                block["f"],
                 block["u_grid"],
                 block["M"],
                 seed,
@@ -153,12 +162,11 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         ]
     elif which == "isometry":
         block = cfg.blocks["isometry"]
-        f = parse_function(block["f"], cfg.box, "isometry.f")
         reports = [
             isometry_test(
                 cfg.triplet.measure,
                 cfg.eps,
-                f,
+                block["f"],
                 block["M"],
                 seed,
                 box=cfg.box,
@@ -167,14 +175,13 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         ]
     elif which == "weak":
         block = cfg.blocks["weak"]
-        phi = parse_function(block["phi"], cfg.box, "weak.phi")
         system = _system(cfg)
 
         def one(i: int) -> TestReport:
             rep_seed = _rng.replicate_seed(seed, i)
             realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, rep_seed)
             label = f"weak_identity[{i}]"
-            return weak_identity_test(realization, phi, cfg.gamma, system, override, label)
+            return weak_identity_test(realization, block["phi"], cfg.gamma, system, override, label)
 
         reports = run_replicates(one, block["replicates"], cfg.workers)
     elif which == "spectral-bound":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import HyperBox
-from .integrability import GREEN_BOUND_MODE
+from .functions import parse_function
 from .measures import LevyTriplet, parse_measure
 from .noise import POLICIES
 
@@ -31,7 +31,6 @@ DEFAULTS: dict = {
     "eps": 0.01,
     "small_jump_policy": "gaussianize",
     "cutoff": {"count": 256},
-    "mode": "spectral",
     "seed": None,
     "outdir": "levy-out",
     "workers": 1,
@@ -76,7 +75,6 @@ _ALIASES: dict[str, list[str]] = {
     "small_jump_policy": ["small_jump_policy"],
     "K": ["cutoff.count"],
     "lambda_max": ["cutoff.threshold"],
-    "mode": ["mode"],
     "seed": ["seed"],
     "outdir": ["outdir"],
     "workers": ["workers"],
@@ -103,7 +101,6 @@ class RunConfig:
     eps: float
     policy: str
     cutoff: tuple[str, float]
-    mode: str
     seed: int | None
     outdir: str
     workers: int
@@ -253,9 +250,6 @@ def _validate(doc: dict) -> RunConfig:
     else:
         cutoff = ("count", float(as_int(cut["count"], "cutoff.count")))
 
-    mode = doc["mode"]
-    require(mode in ("spectral", GREEN_BOUND_MODE), "mode", f"must be 'spectral' or '{GREEN_BOUND_MODE}'")
-
     seed = doc["seed"]
     if seed is not None:
         as_int(seed, "seed", least=0)
@@ -270,6 +264,9 @@ def _validate(doc: dict) -> RunConfig:
         for name in ("cf", "isometry", "weak", "sobolev", "continuity", "spectral_bound", "solve", "green_oracle")
     }
     _validate_blocks(blocks)
+    # Parsed at load against the run's box, so every subcommand refuses a bad descriptor.
+    for name, key in (("cf", "f"), ("isometry", "f"), ("weak", "phi")):
+        blocks[name][key] = parse_function(blocks[name][key], box, f"{name}.{key}")
 
     return RunConfig(
         box=box,
@@ -278,7 +275,6 @@ def _validate(doc: dict) -> RunConfig:
         eps=eps,
         policy=policy,
         cutoff=cutoff,
-        mode=mode,
         seed=seed,
         outdir=outdir,
         workers=workers,

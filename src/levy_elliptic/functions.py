@@ -1,22 +1,21 @@
 """Function descriptors: the closed set of integrands the package accepts.
 
-Descriptors exist so that pairing, Fourier analysis, and integrability
-checks can dispatch to closed forms when they exist and fall back to
-tensor Gauss quadrature otherwise.  A bare callable can be wrapped in
-``CallableFunction``, but consumers that need analytic finiteness
-information (integrability verdicts, noise pairing) refuse it unless the
-caller certifies integrability explicitly.
+Descriptors exist so that pairing and Fourier analysis can dispatch to
+closed forms when they exist and fall back to tensor Gauss quadrature
+otherwise, and so that ``lq_finite`` decides every L^q question
+analytically.  Config objects name the kinds that ``parse_function``
+builds, checked against the run's box; ``SpectralFunction`` and
+``RadialPower`` are built by the package itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._checks import ConfigError, as_int, as_list, as_number
+from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import (
     EigenSystem,
     HyperBox,
@@ -28,10 +27,6 @@ from .domain import (
     resolving_gauss_nodes,
     single_mode,
 )
-
-
-class UncertifiedFunctionError(ValueError):
-    """Raised when an operation needs integrability facts a descriptor lacks."""
 
 
 @dataclass(frozen=True)
@@ -114,18 +109,15 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class CallableFunction:
-    """Opaque callable contract: points array (m, d) -> values (m,).
+class RadialPower:
+    """f(x) = |x - centre|^exponent for a centre in the closed box."""
 
-    ``certified`` asserts the caller has verified integrability against the
-    intended noise; operations that need that fact refuse when it is False.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    certified: bool = False
+    exponent: float
+    centre: tuple[float, ...]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(points, dtype=float))), dtype=float)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.linalg.norm(pts - np.asarray(self.centre), axis=1) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -145,27 +137,7 @@ class SpectralFunction:
         return eigen_rmatvec(self.system, self.coeffs, points)
 
 
-@dataclass(frozen=True)
-class Scaled:
-    """c * f for a descriptor f; keeps closed forms of the inner descriptor."""
-
-    inner: object
-    factor: float
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self.factor * self.inner.evaluate(points)
-
-
-FunctionDescriptor = (
-    Constant
-    | Eigenfunction
-    | Indicator
-    | AxisPower
-    | Polynomial
-    | CallableFunction
-    | SpectralFunction
-    | Scaled
-)
+FunctionDescriptor = Constant | Eigenfunction | Indicator | AxisPower | Polynomial | RadialPower | SpectralFunction
 
 
 def _same_box(a: HyperBox, b: HyperBox) -> bool:
@@ -200,8 +172,6 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     tensor Gauss rule sized to resolve the highest mode of the system.
     """
     box = system.box
-    if isinstance(f, Scaled):
-        return f.factor * fourier_vector(system, f.inner)
     if isinstance(f, Constant):
         return f.value * constant_fourier(system)
     if isinstance(f, Eigenfunction) and _same_box(f.box, box):
@@ -231,8 +201,6 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
 
 def integral(f, box: HyperBox, tol: float = 1e-8) -> float:
     """int_D f dx with closed forms where available; math.inf if divergent."""
-    if isinstance(f, Scaled):
-        return f.factor * integral(f.inner, box, tol)
     if isinstance(f, Constant):
         return f.value * box.volume
     if isinstance(f, Eigenfunction) and _same_box(f.box, box):
@@ -247,20 +215,9 @@ def integral(f, box: HyperBox, tol: float = 1e-8) -> float:
 
 
 def abs_power_integral(f, box: HyperBox, q: float, tol: float = 1e-8) -> float:
-    """int_D |f|^q dx; math.inf when the analytic criterion says divergent.
-
-    Raises UncertifiedFunctionError for opaque callables without the
-    certified flag, because divergence cannot be decided by quadrature.
-    """
-    finite = lq_finite(f, box, q)
-    if finite is None:
-        raise UncertifiedFunctionError(
-            "cannot decide integrability of an uncertified callable"
-        )
-    if not finite:
+    """int_D |f|^q dx; math.inf when the analytic criterion says divergent."""
+    if not lq_finite(f, box, q):
         return math.inf
-    if isinstance(f, Scaled):
-        return abs(f.factor) ** q * abs_power_integral(f.inner, box, q, tol)
     if isinstance(f, Constant):
         return abs(f.value) ** q * box.volume
     if isinstance(f, Indicator):
@@ -290,20 +247,18 @@ def _axis_power_integral(f: AxisPower, box: HyperBox, q: float, signed: bool) ->
     return other * val
 
 
-def lq_finite(f, box: HyperBox, q: float) -> bool | None:
-    """Whether int |f|^q < infinity; None when not analytically decidable."""
-    if isinstance(f, Scaled):
-        return lq_finite(f.inner, box, q)
-    if isinstance(f, (Constant, Eigenfunction, Indicator, Polynomial, SpectralFunction)):
-        return True
+def lq_finite(f, box: HyperBox, q: float) -> bool:
+    """Whether int_D |f|^q < infinity, decided analytically.
+
+    A power singularity is integrable iff q * exponent exceeds minus its
+    codimension: 1 for an axis power, d for a radial one.
+    """
     if isinstance(f, AxisPower):
         a, _ = box.intervals[f.axis]
-        if a - f.offset > 0.0:
-            return True
-        return q * f.exponent > -1.0
-    if isinstance(f, CallableFunction):
-        return True if f.certified else None
-    return None
+        return a - f.offset > 0.0 or q * f.exponent > -1.0
+    if isinstance(f, RadialPower):
+        return q * f.exponent > -box.dim
+    return True
 
 
 # The config keys of each function kind besides "kind"; absent optional keys take defaults.
@@ -328,13 +283,23 @@ def parse_function(data: dict, box: HyperBox, path: str = "f"):
         if kind == "constant":
             return Constant(as_number(data.get("value", 1.0), f"{path}.value"))
         if kind == "eigenfunction":
-            return Eigenfunction(box, tuple(as_list(data["index"], f"{path}.index", 1, as_int)))
+            index = as_list(data["index"], f"{path}.index", 1, as_int)
+            # One entry applies to every axis, as one box.intervals pair does.
+            return Eigenfunction(box, tuple(index * box.dim if len(index) == 1 else index))
         if kind == "indicator":
-            return Indicator(tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"]))
+            members = tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"])
+            for i, member in enumerate(members):
+                inside = member.dim == box.dim and box.contains(np.stack([member.lower, member.upper])).all()
+                require(bool(inside), f"{path}.boxes[{i}]", f"member must be a {box.dim}-d box inside the run's box")
+            return Indicator(members)
         axis = as_int(data.get("axis", 0), f"{path}.axis", least=0)
+        require(axis < box.dim, f"{path}.axis", f"axis must lie in [0, {box.dim})")
         if kind == "axis_power":
             exponent = as_number(data["exponent"], f"{path}.exponent")
-            return AxisPower(exponent, axis, as_number(data.get("offset", 0.0), f"{path}.offset"))
+            offset = as_number(data.get("offset", 0.0), f"{path}.offset")
+            below = offset <= box.intervals[axis][0]
+            require(below, f"{path}.offset", "offset must sit at or below the box on its axis")
+            return AxisPower(exponent, axis, offset)
         return Polynomial(tuple(as_list(data["coeffs"], f"{path}.coeffs", 1, as_number)), axis)
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}", f"missing key of {kind}")

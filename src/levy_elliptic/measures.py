@@ -12,9 +12,10 @@ formulas:
 Everything that depends on the family lives on its class (see
 ``LevyMeasure``): closed-form tail mass and truncated variance, the jump
 exponent, the density that the reference quadrature integrates, the band
-magnitude sampler, J(w), the small-jump index and the config shape.  All
-families are symmetric under z -> -z.  Divergent integrals are flagged by
-the analytic criterion (e.g. p <= alpha for the stable family), never by
+magnitude sampler, the small-jump index and the config shape.  All
+families are symmetric under z -> -z.  Integrability verdicts read only
+the tail mass at 0 and the small-jump index (e.g. int |f|^alpha < infinity
+for the stable family), so divergence is decided analytically, never by
 watching quadrature blow up.
 
 A new family is one class here plus one row in ``FAMILIES``: its ``kind``
@@ -45,7 +46,6 @@ class LevyMeasure:
     heads: ClassVar[tuple[str, ...]] = ()
     density: Callable | None = None
     small_jump_index: float = 0.0  # inf of p with int_{|z|<=1} |z|^p nu(dz) < infinity
-    homogeneity: float | None = None  # p when J(w) = J(1) w^p for every w
 
     def tail_mass(self, radius: float) -> float:
         """nu({|z| > radius}), radius >= 0; infinite at 0 for infinite activity."""
@@ -61,14 +61,6 @@ class LevyMeasure:
 
     def band_magnitudes(self, lo: float, hi: float, rng: np.random.Generator, n: int) -> np.ndarray:
         """n magnitudes |z| from nu restricted to {lo < |z| <= hi}, normalized."""
-        raise NotImplementedError
-
-    def jump_integrand(self, w: np.ndarray) -> np.ndarray:
-        """J(w) = int (|z w|^2 ^ 1) nu(dz), elementwise over an array w >= 0.
-
-        Splitting at |z| = 1/w gives
-        J(w) = w^2 int_{|z| <= 1/w} z^2 nu(dz) + nu({|z| > 1/w}).
-        """
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -92,10 +84,6 @@ class AlphaStable(LevyMeasure):
     def small_jump_index(self) -> float:
         return self.alpha
 
-    @property
-    def homogeneity(self) -> float:
-        return self.alpha
-
     def density(self, z):
         return 0.5 * self.alpha * z ** (-1.0 - self.alpha)
 
@@ -114,9 +102,6 @@ class AlphaStable(LevyMeasure):
         a = self.alpha
         r = (lo / hi) ** a
         return lo * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / a)
-
-    def jump_integrand(self, w):
-        return (2.0 / (2.0 - self.alpha)) * w**self.alpha
 
 
 @dataclass(frozen=True)
@@ -146,9 +131,6 @@ class SymmetricTwoPoint(LevyMeasure):
 
     def band_magnitudes(self, lo, hi, rng, n):
         return np.full(n, self.magnitude)
-
-    def jump_integrand(self, w):
-        return self.rate * np.minimum((self.magnitude * w) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -202,16 +184,6 @@ class VarianceGamma(LevyMeasure):
             filled += take.size
         return out
 
-    def jump_integrand(self, w):
-        from scipy.special import exp1
-
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        mr = self.m / w[pos]
-        trunc = 2.0 * self.c * (-np.expm1(-mr) - mr * np.exp(-mr)) / self.m**2
-        out[pos] = w[pos] ** 2 * trunc + 2.0 * self.c * exp1(mr)
-        return out
-
 
 @dataclass(frozen=True)
 class NullMeasure(LevyMeasure):
@@ -227,9 +199,6 @@ class NullMeasure(LevyMeasure):
 
     def jump_exponent(self, u):
         return np.zeros_like(u)
-
-    def jump_integrand(self, w):
-        return np.zeros_like(w)
 
 
 # The registry: config kind -> family class.

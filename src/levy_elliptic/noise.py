@@ -27,11 +27,9 @@ from . import _rng
 from ._csvio import write_csv
 from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec
 from .functions import (
-    CallableFunction,
     Eigenfunction,
     FunctionDescriptor,
     Indicator,
-    UncertifiedFunctionError,
     fourier_vector,
     integral,
     lq_finite,
@@ -185,12 +183,8 @@ def pair_with_function(
     """
     if system.box.intervals != realization.box.intervals:
         raise ValueError("realization and system live on different boxes")
-    if isinstance(f, CallableFunction) and not f.certified:
-        raise UncertifiedFunctionError(
-            "refusing an uncertified callable; certify integrability first"
-        )
-    if lq_finite(f, realization.box, 2.0) is False and realization.triplet.sigma != 0.0:
-        raise UncertifiedFunctionError("integrand is not square integrable for sigma > 0")
+    if realization.triplet.sigma != 0.0 and not lq_finite(f, realization.box, 2.0):
+        raise ValueError("integrand is not square integrable for sigma > 0")
 
     if isinstance(f, Eigenfunction) and f.box.intervals == system.box.intervals:
         pos = system.position(f.index)

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from levy_elliptic import domain
 from levy_elliptic.cli import run
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
@@ -178,13 +181,97 @@ def test_gaussian_only_sobolev_sweep_classifies_both_sides(tmp_path, capsys, see
     assert [d["classification"] for d in details] == ["convergent", "divergent"]
 
 
-def test_unresolved_quadrature_exits_2_without_traceback(tmp_path, capsys):
-    # |truncated Green kernel|^0.5 on the d=2 box defeats the adaptive rule.
-    argv = ["check", "--set", "d=2", "--set", "gamma=0.4", "--set", "measure=alpha:0.5", "--set", "K=64"]
+def test_unresolved_quadrature_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # The isometry test integrates |x|^2 by adaptive quadrature; with a node
+    # budget equal to the starting rule the doubling can never confirm it.
+    real = domain.adaptive_tensor_quad
+    monkeypatch.setattr(
+        domain, "adaptive_tensor_quad", lambda ev, box, tol, n0, n_max: real(ev, box, tol, n0, n0)
+    )
+    argv = ISOMETRY + ["--set", 'isometry.f={"kind":"polynomial","coeffs":[0,1]}', "--seed", "5"]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "quadrature did not converge" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_cf_test_on_a_singular_integrand_runs_without_value_quadrature(tmp_path, capsys):
+    # The integrability check once integrated the variance-gamma jump term of
+    # x^-0.5 on the d=2 box and stalled; the verdict now needs no integral.
+    argv = [
+        "verify", "cf", "--set", "d=2", "--set", "eps=0.5", "--set", "M=1000", "--set", "measure=vgamma:1,1",
+        "--set", 'cf.f={"kind":"axis_power","exponent":-0.5}', "--seed", "5",
+    ]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def check_payload(argv, capsys) -> dict:
+    assert run(["check", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--set", "d=1", "--set", "gamma=0.2", "--set", "sigma=1"], ["--set", "d=1", "--set", "gamma=0.1"]],
+)
+def test_check_says_no_when_the_kernel_is_not_integrable(capsys, argv):
+    payload = check_payload(argv, capsys)
+    assert payload["kernel_integrability"]["verdict"] is False
+    assert payload["existence"]["exists"] is False and payload["gate_stricter"] is False
+
+
+def test_check_flags_where_the_gate_is_stricter(capsys):
+    # Pure alpha = 1.5 jumps need |x - c|^(2 gamma - 1) in L^1.5: gamma > 1/6, below d/4.
+    payload = check_payload(["--set", "d=1", "--set", "gamma=0.2"], capsys)
+    assert payload["kernel_integrability"] == {"exponents": [1.5], "verdict": True}
+    assert payload["existence"]["exists"] is False and payload["gate_stricter"] is True
+
+
+def test_check_reports_the_truncation(capsys):
+    payload = check_payload(["--set", "K=64"], capsys)
+    truncation = payload["truncation"]
+    assert truncation["modes"] == 64 and truncation["lambda_max"] == pytest.approx((64 * math.pi) ** 2)
+    # G_1(1/2, 1/2) = 1/4 on the unit interval, inside the reported tail bound.
+    assert abs(truncation["diagonal"] - 0.25) <= truncation["diagonal_tail_bound"]
+    truncation = check_payload(["--set", "d=2", "--set", "K=64"], capsys)["truncation"]
+    assert truncation["diagonal_tail_bound"] == math.inf
+
+
+def test_check_decides_a_large_truncation_quickly(capsys):
+    start = time.perf_counter()
+    payload = check_payload(["--set", "d=3", "--set", "K=131072"], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert payload["truncation"]["modes"] == 131072 and payload["kernel_integrability"]["verdict"] is True
+
+
+def test_removed_mode_key_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "laplacian-green-bound"}))
+    assert run(["check", "--config", str(config)]) == 2
+    assert "config error at mode: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value,path",
+    [
+        ('cf.f={"kind":"constant","valu":2}', "cf.f.valu"),
+        ('cf.f={"kind":"axis_power","exponent":1,"axis":5}', "cf.f.axis"),
+        ('cf.f={"kind":"axis_power","exponent":0.5,"offset":0.5}', "cf.f.offset"),
+        ('isometry.f={"kind":"polynomial","coeffs":[1],"axis":1}', "isometry.f.axis"),
+        ('isometry.f={"kind":"indicator","boxes":[[[0.5,2]]]}', "isometry.f.boxes[0]"),
+        ('weak.phi={"kind":"indicator","boxes":[[[0,0.5],[0,0.5]]]}', "weak.phi.boxes[0]"),
+        ('weak.phi={"kind":"nope"}', "weak.phi"),
+    ],
+)
+def test_function_descriptors_are_checked_against_the_box_at_load(tmp_path, capsys, value, path):
+    # check never uses these descriptors, so a refusal there comes from loading.
+    assert run(["check", "--set", value, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+
+
+def test_default_weak_phi_loads_at_every_dimension(tmp_path, capsys):
+    argv = ["verify", "weak", "--set", "d=2", "--set", "eps=0.05", "--set", "K=64", "--set", "weak.replicates=2"]
+    assert run(argv + ["--seed", "5", "--out", str(tmp_path / "out")]) == 0
 
 
 def scipy_after(code: str) -> list[str]:

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from levy_elliptic.config import ConfigError, load_config
+from levy_elliptic.domain import HyperBox
+from levy_elliptic.functions import Constant, Eigenfunction, Indicator, Polynomial
 from levy_elliptic.measures import AlphaStable, NullMeasure, SymmetricTwoPoint
 
 
@@ -49,20 +51,20 @@ class TestReplacedObjects:
         assert isinstance(load_config(config_file(tmp_path, doc), []).triplet.measure, SymmetricTwoPoint)
 
     @pytest.mark.parametrize(
-        "block,key,value",
+        "block,key,value,descriptor",
         [
-            ("weak", "phi", {"kind": "constant", "value": 2.0}),
-            ("cf", "f", {"kind": "indicator", "boxes": [[[0.0, 0.5]]]}),
-            ("isometry", "f", {"kind": "polynomial", "coeffs": [0.0, 1.0]}),
+            ("weak", "phi", {"kind": "constant", "value": 2.0}, Constant(2.0)),
+            ("cf", "f", {"kind": "indicator", "boxes": [[[0.0, 0.5]]]}, Indicator((HyperBox(((0.0, 0.5),)),))),
+            ("isometry", "f", {"kind": "polynomial", "coeffs": [0.0, 1.0]}, Polynomial((0.0, 1.0))),
         ],
     )
-    def test_file_may_name_another_function(self, tmp_path, block, key, value):
+    def test_file_may_name_another_function(self, tmp_path, block, key, value, descriptor):
         cfg = load_config(config_file(tmp_path, {block: {key: value}}), [])
-        assert cfg.blocks[block][key] == value
+        assert cfg.blocks[block][key] == descriptor
 
     def test_other_keys_still_merge(self, tmp_path):
         cfg = load_config(config_file(tmp_path, {"weak": {"replicates": 3}}), [])
-        assert cfg.blocks["weak"] == {"phi": {"kind": "eigenfunction", "index": [1]}, "replicates": 3}
+        assert cfg.blocks["weak"] == {"phi": Eigenfunction(HyperBox.unit(1), (1,)), "replicates": 3}
 
     def test_unknown_key_beside_a_replaced_object_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="weak.phj"):

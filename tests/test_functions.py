@@ -8,12 +8,11 @@ from levy_elliptic.config import ConfigError
 from levy_elliptic.domain import HyperBox, enumerate_eigen, single_mode
 from levy_elliptic.functions import (
     AxisPower,
-    CallableFunction,
     Constant,
     Eigenfunction,
     Indicator,
     Polynomial,
-    Scaled,
+    RadialPower,
     SpectralFunction,
     abs_power_integral,
     fourier_vector,
@@ -32,12 +31,12 @@ class TestFourierVector:
         got = fourier_vector(single_mode(UNIT, (1,)), Constant(1.0))[0]
         assert got == pytest.approx(oracle, rel=1e-12)
 
-    def test_quadrature_path_recovers_orthonormality(self):
-        wrapped = CallableFunction(
-            lambda p: math.sqrt(2.0) * np.sin(3.0 * math.pi * p[:, 0]), certified=True
-        )
-        got = fourier_vector(enumerate_eigen(UNIT, count=4), wrapped)
-        assert got == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-10)
+    def test_quadrature_path_recovers_closed_form_coefficients(self):
+        # <x^2, e_k> = sqrt(2) [-(-1)^k / (pi k) + 2 ((-1)^k - 1) / (pi k)^3].
+        got = fourier_vector(enumerate_eigen(UNIT, count=6), Polynomial((0.0, 0.0, 1.0)))
+        a = math.pi * np.arange(1, 7)
+        sign = (-1.0) ** np.arange(1, 7)
+        assert got == pytest.approx(math.sqrt(2.0) * (-sign / a + 2.0 * (sign - 1.0) / a**3), abs=1e-12)
 
     def test_indicator_closed_form_vs_quadrature(self):
         sub = HyperBox(((0.2, 0.7),))
@@ -108,23 +107,24 @@ class TestIntegrals:
         f = SpectralFunction(system, np.array([3.0, 0.0, 4.0]))
         assert abs_power_integral(f, UNIT, 2.0) == 25.0
 
-    def test_scaled_delegates(self):
-        f = Scaled(Constant(1.0), 0.5)
-        assert integral(f, UNIT) == 0.5
-        assert abs_power_integral(f, UNIT, 2.0) == 0.25
-
     def test_lq_finite_analytics(self):
         assert lq_finite(AxisPower(-1.0), UNIT, 0.9) is True
         assert lq_finite(AxisPower(-1.0), UNIT, 1.0) is False
+        assert lq_finite(AxisPower(-1.0, offset=-0.5), UNIT, 5.0) is True
         assert lq_finite(Constant(7.0), UNIT, 123.0) is True
-        assert lq_finite(CallableFunction(lambda p: p[:, 0]), UNIT, 2.0) is None
-        assert lq_finite(CallableFunction(lambda p: p[:, 0], certified=True), UNIT, 2.0) is True
+        assert lq_finite(Polynomial((1.0, 2.0)), UNIT, 2.0) is True
 
-    def test_uncertified_callable_refused(self):
-        from levy_elliptic.functions import UncertifiedFunctionError
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_radial_power_is_in_lq_iff_q_exponent_exceeds_minus_d(self, d):
+        box = HyperBox.unit(d)
+        centre = (0.5,) * d
+        assert lq_finite(RadialPower(-d / 2.0, centre), box, 1.99) is True
+        assert lq_finite(RadialPower(-d / 2.0, centre), box, 2.0) is False
+        assert lq_finite(RadialPower(0.5, centre), box, 2.0) is True
 
-        with pytest.raises(UncertifiedFunctionError):
-            abs_power_integral(CallableFunction(lambda p: p[:, 0]), UNIT, 2.0)
+    def test_radial_power_evaluates_the_distance_power(self):
+        f = RadialPower(-0.5, (0.5, 0.5))
+        assert f.evaluate(np.array([[0.5, 0.75], [0.8, 0.1]])) == pytest.approx([2.0, 0.5**-0.5])
 
 
 class TestDescriptors:
@@ -159,6 +159,10 @@ class TestDescriptors:
         assert isinstance(g, Constant) and g.value == 3.5
         with pytest.raises(ValueError):
             parse_function({"kind": "mystery"}, UNIT)
+
+    def test_one_entry_eigenfunction_index_applies_to_every_axis(self):
+        f = parse_function({"kind": "eigenfunction", "index": [2]}, HyperBox.unit(3))
+        assert f.index == (2, 2, 2)
 
     @pytest.mark.parametrize(
         "data,path",

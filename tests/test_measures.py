@@ -337,51 +337,43 @@ class TestValidation:
 
 
 
-# float.hex of tail mass and truncated variance at RADII, jump exponent at
-# FREQS and J(w) at WEIGHTS, as the per-function closed forms computed them
-# before the families carried their own methods; the methods must keep every bit.
+# float.hex of tail mass and truncated variance at RADII and jump exponent at
+# FREQS, as the per-function closed forms computed them before the families
+# carried their own methods; the methods must keep every bit.
 RADII = [0.0, 0.01, 0.4, 1.0, 2.5]
 FREQS = [0.0, 0.01, 0.5, 1.0, 3.0]
-WEIGHTS = [0.0, 0.01, 0.7, 1.0, 4.0]
 PINNED = {
     'AlphaStable(alpha=0.7)': (
         ['inf', '0x1.91e6de449ff75p+4', '0x1.e62e5531fd7eap+0', '0x1.0000000000000p+0', '0x1.0d9856dd52513p-1'],
         ['0x0.0p+0', '0x1.629060c6abf06p-10', '0x1.4f1744f58e6bcp-3', '0x1.13b13b13b13b1p-1', '0x1.c5a54365a5976p+0'],
         ['-0x0.0p+0', '-0x1.baee3ee41e1e2p-5', '-0x1.ac0cdcf14525cp-1', '-0x1.5baf5190955c5p+0', '-0x1.77182db43cea1p+1'],
-        ['0x0.0p+0', '0x1.f5bcceba3de67p-5', '0x1.32d403441d8aep+0', '0x1.89d89d89d89d8p+0', '0x1.03d7705537b3fp+2'],
     ),
     'AlphaStable(alpha=1.0)': (
         ['inf', '0x1.9000000000000p+6', '0x1.4000000000000p+1', '0x1.0000000000000p+0', '0x1.999999999999ap-2'],
         ['0x0.0p+0', '0x1.47ae147ae147bp-7', '0x1.999999999999ap-2', '0x1.0000000000000p+0', '0x1.4000000000000p+1'],
         ['-0x0.0p+0', '-0x1.015bf9217271ap-6', '-0x1.921fb54442d18p-1', '-0x1.921fb54442d18p+0', '-0x1.2d97c7f3321d2p+2'],
-        ['0x0.0p+0', '0x1.47ae147ae147bp-6', '0x1.6666666666666p+0', '0x1.0000000000000p+1', '0x1.0000000000000p+3'],
     ),
     'AlphaStable(alpha=1.5)': (
         ['inf', '0x1.f400000000000p+9', '0x1.f9f6e4990f226p+1', '0x1.0000000000000p+0', '0x1.030dc4ea03a72p-2'],
         ['0x0.0p+0', '0x1.3333333333334p-2', '0x1.e5b9d136c6d96p+0', '0x1.8000000000000p+1', '0x1.2f9422c23c47ep+2'],
         ['-0x0.0p+0', '-0x1.488c7cecf010bp-9', '-0x1.c5bf891b4ef6ap-1', '-0x1.40d931ff62705p+1', '-0x1.a0cb58ba43432p+3'],
-        ['0x0.0p+0', '0x1.0624dd2f1a9fcp-8', '0x1.2bdbe460916e0p+1', '0x1.0000000000000p+2', '0x1.0000000000000p+5'],
     ),
     'SymmetricTwoPoint(rate=2.0, magnitude=0.4)': (
         ['0x1.0000000000000p+1', '0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
         ['0x0.0p+0', '0x0.0p+0', '0x1.47ae147ae147cp-2', '0x1.47ae147ae147cp-2', '0x1.47ae147ae147cp-2'],
         ['0x0.0p+0', '-0x1.0c6f629690000p-16', '-0x1.4696d5113b0c0p-5', '-0x1.43558c122e840p-3', '-0x1.46790b5e24318p+0'],
-        ['0x0.0p+0', '0x1.0c6f7a0b5ed8dp-15', '0x1.41205bc01a36dp-3', '0x1.47ae147ae147cp-2', '0x1.0000000000000p+1'],
     ),
     'VarianceGamma(c=1.0, m=1.0)': (
         ['inf', '0x1.026d702cb211ap+3', '0x1.679e5defc6f84p+0', '0x1.c14c5d3bf8f9cp-2', '0x1.9834bd5bdc853p-5'],
         ['0x0.0p+0', '0x1.a0a5081f5bf00p-14', '0x1.f83bc3c62eb30p-4', '0x1.0e95393a62190p-1', '0x1.6ce757bbed530p+0'],
         ['-0x0.0p+0', '-0x1.a368d06580001p-14', '-0x1.c8ff7c79a9a22p-3', '-0x1.62e42fefa39efp-1', '-0x1.26bb1bbb55516p+1'],
-        ['0x0.0p+0', '0x1.a36e2eb1c432dp-13', '0x1.43b5b9a562004p-1', '0x1.ef3b67d85e95ep-1', '0x1.77e05826e62adp+1'],
     ),
     'VarianceGamma(c=0.5, m=2.0)': (
         ['inf', '0x1.ad67108c79d67p+1', '0x1.3e0d078c6910ap-2', '0x1.9097cdc7f6561p-5', '0x1.2d04d00aecaf6p-10'],
         ['0x0.0p+0', '0x1.9de134ff8e400p-15', '0x1.8797fd292e9b0p-5', '0x1.3020005305ea7p-3', '0x1.eb4d1017f6016p-3'],
         ['-0x0.0p+0', '-0x1.a36cd71a4d5acp-17', '-0x1.f0a30c01162a6p-6', '-0x1.c8ff7c79a9a22p-4', '-0x1.2dbc55768deb3p-1'],
-        ['0x0.0p+0', '0x1.a36e2eb1c432dp-16', '0x1.c6c14a0b09445p-4', '0x1.9445f3c5037ffp-3', '0x1.d757865b9c746p-1'],
     ),
     'NullMeasure()': (
-        ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
         ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
@@ -397,11 +389,10 @@ class TestPinnedClosedForms:
         ids=repr,
     )
     def test_every_bit(self, measure):
-        tail, trunc, psi, jw = PINNED[repr(measure)]
+        tail, trunc, psi = PINNED[repr(measure)]
         assert [float(measure.tail_mass(r)).hex() for r in RADII] == tail
         assert [float(measure.truncated_variance(r)).hex() for r in RADII] == trunc
         assert [float(v).hex() for v in measure.jump_exponent(np.array(FREQS))] == psi
-        assert [float(v).hex() for v in measure.jump_integrand(np.array(WEIGHTS))] == jw
 
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)

@@ -8,13 +8,7 @@ from scipy import integrate
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
 from levy_elliptic.diagnostics import _pairing_batch, run_replicates
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import (
-    CallableFunction,
-    Constant,
-    Eigenfunction,
-    Indicator,
-    UncertifiedFunctionError,
-)
+from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -147,11 +141,11 @@ class TestPairWithFunction:
             val = pair_with_function(real, Eigenfunction(UNIT, (k,)), system)
             assert val == coeffs[pos]
 
-    def test_uncertified_callable_refused(self):
-        real = atom_realization([[0.5]], [2.0])
+    def test_integrand_outside_l2_refused_with_a_gaussian_part(self):
+        real = atom_realization([[0.5]], [2.0], triplet=LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 2.0)))
         system = enumerate_eigen(UNIT, count=4)
-        with pytest.raises(UncertifiedFunctionError):
-            pair_with_function(real, CallableFunction(lambda p: p[:, 0]), system)
+        with pytest.raises(ValueError, match="not square integrable"):
+            pair_with_function(real, AxisPower(-0.5), system)
 
     def test_additivity_exact_over_disjoint_boxes(self):
         triplet = LevyTriplet(0.5, 0.7, SymmetricTwoPoint(3.0, 1.0))
