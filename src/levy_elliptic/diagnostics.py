@@ -28,8 +28,11 @@ from .measures import LevyTriplet, band_variance, characteristic_exponent, sampl
 from .noise import pair_eigen, pair_with_function, sample_noise
 from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
-# Atoms per chunk of a Monte Carlo batch (whole replicates): about 8 MiB a column.
+# Largest expected atom count a Monte Carlo replicate may have; more is refused.
 BATCH_ATOMS = 1 << 20
+# Atoms per block of whole replicates in a Monte Carlo batch: 128 KiB a column,
+# so a block's sizes, locations and weights stay within a 2 MiB L2 cache.
+BLOCK_ATOMS = 1 << 14
 
 CONVERGED_BAND = 0.01
 DIVERGENT_BAND = 0.05
@@ -113,9 +116,12 @@ def _jump_sums(
 ) -> np.ndarray:
     """m replicate sums of f(y) z over the atoms of nu on {lo < |z| <= hi}.
 
-    The Poisson counts of all replicates come first; then consecutive chunks
-    of whole replicates, about BATCH_ATOMS atoms each, draw their sizes and
-    uniform locations from ``rng``, so memory is bounded by the chunk.
+    The Poisson counts of all replicates come first.  Then consecutive
+    blocks of whole replicates, about BLOCK_ATOMS atoms each (a replicate
+    with more atoms is a block of its own), draw their sizes and uniform
+    locations from ``rng``, and ``np.add.reduceat`` sums each non-empty
+    replicate's segment.  Memory is bounded by the block, and the result
+    depends on BLOCK_ATOMS through the block boundaries of the draws.
     """
     lam = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
     if not lam <= BATCH_ATOMS:
@@ -132,15 +138,16 @@ def _jump_sums(
     start = 0
     while start < m:
         first = int(ends[start] - counts[start])
-        stop = max(start + 1, int(np.searchsorted(ends, first + BATCH_ATOMS, side="right")))
+        stop = max(start + 1, int(np.searchsorted(ends, first + BLOCK_ATOMS, side="right")))
         n = int(ends[stop - 1]) - first
         if n:
-            sizes = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
-            locations = box.lower + rng.random((n, box.dim)) * box.lengths
-            owner = np.repeat(np.arange(stop - start), counts[start:stop])
-            out[start:stop] = np.bincount(
-                owner, weights=f.evaluate(locations) * sizes, minlength=stop - start
-            )
+            terms = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
+            locations = rng.random((n, box.dim))
+            locations *= box.lengths
+            locations += box.lower
+            terms *= f.evaluate(locations)
+            filled = start + np.flatnonzero(counts[start:stop])
+            out[filled] = np.add.reduceat(terms, ends[filled] - counts[filled] - first)
         start = stop
     return out
 
@@ -169,10 +176,17 @@ def empirical_cf_test(
     if not report.verdict:
         raise ValueError("integrand is not noise-integrable; CF test undefined")
 
+    pts, w = gauss_nodes(box, 64 if box.dim <= 2 else 16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = f.evaluate(pts)
+    non_finite = int(np.count_nonzero(~np.isfinite(fvals)))
+    if non_finite:
+        raise ValueError(
+            f"integrand is not finite at {non_finite} of the {fvals.size} Gauss nodes of the CF test; "
+            "CF test undefined"
+        )
     u_grid = [float(u) for u in u_grid]
     x = _pairing_batch(triplet, f, system, eps, policy, m, seed)
-    pts, w = gauss_nodes(box, 64 if box.dim <= 2 else 16)
-    fvals = f.evaluate(pts)
     stats, detail_rows = [], []
     for u in u_grid:
         # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.

@@ -101,7 +101,12 @@ class AlphaStable(LevyMeasure):
         # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf.
         a = self.alpha
         r = (lo / hi) ** a
-        return lo * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / a)
+        mags = rng.random(n)
+        mags *= 1.0 - r
+        mags += r
+        mags **= -1.0 / a
+        mags *= lo
+        return mags
 
 
 @dataclass(frozen=True)
@@ -164,25 +169,38 @@ class VarianceGamma(LevyMeasure):
         return -self.c * np.log1p((u / self.m) ** 2)
 
     def band_magnitudes(self, lo, hi, rng, n):
-        # Density on (lo, inf) is proportional to z^-1 e^(-mz), dominated by the
-        # shifted exponential m e^(-m(z-lo)) with acceptance ratio lo / z; a
-        # finite hi rejects the proposals above it too.
+        # The density z^-1 e^(-mz) on (lo, hi] splits at c = min(max(lo, 1/m), hi).
+        # On (lo, c] log-uniform proposals are kept with probability
+        # e^(-m(z-lo)) >= 1/e; on (c, hi] proposals c + Exp(m), truncated at hi,
+        # are kept with probability c/z, which is at least 0.59 on average since
+        # mc >= 1.  Each draw's piece is fixed first, with the piece's E1 mass
+        # as its weight: picking the piece again after a rejection would bias
+        # the law.  So draws stay i.i.d. in draw order.
         from scipy.special import exp1
 
         m = self.m
-        band_share = 1.0 - self.tail_mass(hi) / self.tail_mass(lo)
-        accept_rate = max(lo * m * math.exp(m * lo) * exp1(m * lo) * band_share, 1e-3)
+        c = min(max(lo, 1.0 / m), hi)
+        e_lo, e_c, e_hi = exp1(m * lo), exp1(m * c), exp1(m * hi)
+        below = rng.random(n) * (e_lo - e_hi) < e_lo - e_c
+        n_below = int(np.count_nonzero(below))
+        span, cut = math.log(c / lo), -math.expm1(-m * (hi - c))
         out = np.empty(n)
-        filled = 0
-        while filled < n:
-            todo = n - filled
-            batch = min(int(todo / accept_rate) + 16, 10_000_000)
-            prop = lo + rng.exponential(scale=1.0 / m, size=batch)
-            keep = prop[(rng.random(batch) * prop < lo) & (prop <= hi)]
-            take = keep[: todo]
-            out[filled : filled + take.size] = take
-            filled += take.size
+        out[below] = _rejection_draws(rng, n_below, lambda u: lo * np.exp(span * u), lambda z: np.exp(-m * (z - lo)))
+        out[~below] = _rejection_draws(rng, n - n_below, lambda u: c - np.log1p(-cut * u) / m, lambda z: c / z)
         return out
+
+
+def _rejection_draws(rng, n, propose, keep_probability):
+    """n i.i.d. draws in order: proposals propose(U), each kept with keep_probability(z)."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        batch = 2 * (n - filled) + 16
+        z = propose(rng.random(batch))
+        take = z[rng.random(batch) < keep_probability(z)][: n - filled]
+        out[filled : filled + take.size] = take
+        filled += take.size
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,8 +349,9 @@ def characteristic_exponent(triplet: LevyTriplet, u):
     imaginary part equals b*u exactly.  ``u`` may be a scalar or an array.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"u must be finite, got {u}")
+    non_finite = int(np.count_nonzero(~np.isfinite(u)))
+    if non_finite:
+        raise ValueError(f"u must be finite, got {non_finite} non-finite of {u.size} values")
     real = -0.5 * triplet.sigma**2 * u * u + triplet.measure.jump_exponent(u)
     return (real + 1j * (triplet.b * u))[()]
 
@@ -359,8 +378,10 @@ def sample_jump_sizes(
     if not math.isfinite(mass):
         raise ValueError("infinite jump intensity above threshold; use eps > 0")
     mags = measure.band_magnitudes(lo, hi, rng, n)
-    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    out = signs * mags
+    # Bit-identical to np.where(V < 0.5, -1.0, 1.0) * mags for V = rng.random(n).
+    half = rng.random(n)
+    half -= 0.5
+    out = np.copysign(mags, half, out=mags)
     return out[0] if size is None else out
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,26 @@ def test_cf_test_on_a_singular_integrand_runs_without_value_quadrature(tmp_path,
         "--set", 'cf.f={"kind":"axis_power","exponent":-0.5}', "--seed", "5",
     ]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def test_cf_integrand_that_overflows_at_the_nodes_exits_2_in_one_line(tmp_path, capsys):
+    # x^-400 passes the integrability verdict but is inf at 17 of the 64 nodes.
+    argv = CF + ["--set", 'cf.f={"kind":"axis_power","exponent":-400}', "--set", "measure=vgamma:1,1", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "invalid request: integrand is not finite at 17 of the 64 Gauss nodes of the CF test; CF test undefined"
+    ]
+
+
+def test_variance_gamma_cf_at_a_tiny_eps_finishes(tmp_path):
+    # At eps = 1e-6 the one-piece tail rejection kept about one proposal in 7e4.
+    argv = ["verify", "cf", "--set", "measure=vgamma:1,1", "--set", "eps=1e-6", "--set", "M=1000", "--seed", "3"]
+    start = time.monotonic()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert time.monotonic() - start < 10.0
 
 
 def check_payload(argv, capsys) -> dict:

@@ -60,31 +60,96 @@ def test_spectral_bound_passes_on_interior_points(d):
     assert report.replicates == 4
 
 
-@pytest.mark.parametrize("budget", [1 << 20, 4])
-def test_jump_sums_give_each_replicate_its_own_atoms(monkeypatch, budget):
-    # Poisson(3) counts: at a budget of 4 atoms, chunks hold one to a few
-    # replicates, and a replicate above the budget makes a chunk of its own.
-    monkeypatch.setattr(diagnostics, "BATCH_ATOMS", budget)
-    box, f, measure, m = HyperBox(((0.0, 2.0),)), AxisPower(1.0), SymmetricTwoPoint(1.5, 3.0), 50
-    got = _jump_sums(box, measure, f, m, np.random.default_rng(9), 0.5)
-    rng = np.random.default_rng(9)
-    counts = rng.poisson(3.0, m)
-    expected, i = np.zeros(m), 0
+def per_replicate_sums(box, measure, f, counts, rng, lo, budget, hi=np.inf):
+    """The block walk of ``_jump_sums`` with each replicate summed in a plain loop.
+
+    A block grows while its atom count stays within the budget; its sizes,
+    then its locations, are drawn from ``rng``.  Returns the sums and the
+    atom count of each block that drew atoms.
+    """
+    m = len(counts)
+    expected, blocks, i = np.zeros(m), [], 0
     while i < m:
         j = i + 1
         while j < m and counts[i : j + 1].sum() <= budget:
             j += 1
-        n = counts[i:j].sum()
+        n = int(counts[i:j].sum())
         if n:
-            sizes = sample_jump_sizes(measure, 0.5, rng, size=n)
-            y = 2.0 * rng.random(n)
+            blocks.append(n)
+            sizes = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
+            y = box.lower + rng.random((n, box.dim)) * box.lengths
+            weights = f.evaluate(y)
             atom = 0
             for rep in range(i, j):
                 for _ in range(counts[rep]):
-                    expected[rep] += y[atom] * sizes[atom]
+                    expected[rep] += weights[atom] * sizes[atom]
                     atom += 1
         i = j
-    assert got == pytest.approx(expected, rel=1e-14)
+    return expected, blocks
+
+
+# Segment sums add at most a dozen terms of size at most 6 in another order
+# than the loop: a few ulps of 6 * 12, fixed before the first run.
+SUM_ABS_TOL = 1e-13
+
+
+@pytest.mark.parametrize("budget", [diagnostics.BLOCK_ATOMS, 4])
+def test_jump_sums_give_each_replicate_its_own_atoms(monkeypatch, budget):
+    # Poisson(3) counts: at a budget of 4 atoms, blocks hold one to a few
+    # replicates, and a replicate above the budget makes a block of its own.
+    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", budget)
+    box, f, measure, m = HyperBox(((0.0, 2.0),)), AxisPower(1.0), SymmetricTwoPoint(1.5, 3.0), 50
+    got = _jump_sums(box, measure, f, m, np.random.default_rng(9), 0.5)
+    rng = np.random.default_rng(9)
+    counts = rng.poisson(3.0, m)
+    expected, _ = per_replicate_sums(box, measure, f, counts, rng, 0.5, budget)
+    assert got == pytest.approx(expected, rel=1e-14, abs=SUM_ABS_TOL)
+
+
+class FixedCounts:
+    """A generator whose Poisson draw returns given counts and consumes nothing;
+    every other draw is real."""
+
+    def __init__(self, counts, seed):
+        self.counts = np.asarray(counts)
+        self.rng = np.random.default_rng(seed)
+
+    def poisson(self, lam, size):
+        assert size == len(self.counts)
+        return self.counts.copy()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize(
+    "counts, blocks",
+    [
+        # Empty replicates open, split and close the first and last blocks;
+        # the first fills its 6 atoms exactly, and the 9-atom replicate is
+        # above the block and stands alone.
+        ([0, 2, 0, 4, 0, 9, 0, 1, 0, 0, 4, 0, 0], [6, 9, 5]),
+        ([0, 0, 0, 0], []),
+        ([7], [7]),
+    ],
+)
+def test_jump_sums_skip_empty_replicates_anywhere_in_a_block(monkeypatch, counts, blocks):
+    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", 6)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(kwargs["size"])
+        return sample_jump_sizes(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "sample_jump_sizes", counted)
+    box, f, measure = HyperBox(((0.0, 2.0), (1.0, 1.5))), AxisPower(1.0, axis=1), AlphaStable(1.5)
+    counts = np.asarray(counts)
+    got = _jump_sums(box, measure, f, len(counts), FixedCounts(counts, 4), 0.5, 2.0)
+    rng = np.random.default_rng(4)
+    expected, expected_blocks = per_replicate_sums(box, measure, f, counts, rng, 0.5, 6, 2.0)
+    assert drawn == expected_blocks == blocks
+    assert np.all(got[counts == 0] == 0.0)
+    assert got == pytest.approx(expected, rel=1e-14, abs=SUM_ABS_TOL)
 
 
 def cf_report(measure, seed, f=AxisPower(1.0), m=20_000):
@@ -142,6 +207,14 @@ def test_non_integrable_integrands_are_refused():
         isometry_report(AlphaStable(1.5), 1, f=AxisPower(-0.7))
 
 
+def test_integrand_that_overflows_at_the_nodes_is_refused_before_sampling(monkeypatch):
+    # x^-400 is integrable against variance-gamma noise but is inf at 17 of
+    # the 64 Gauss nodes of the unit interval.
+    monkeypatch.setattr(diagnostics, "_pairing_batch", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=r"^integrand is not finite at 17 of the 64 Gauss nodes"):
+        cf_report(VarianceGamma(1.0, 1.0), 1, f=AxisPower(-400.0))
+
+
 def test_batch_over_the_atom_budget_is_refused_before_sampling():
     measure = AlphaStable(1.5)
     rng = np.random.default_rng(0)
@@ -154,7 +227,7 @@ def test_batch_over_the_atom_budget_is_refused_before_sampling():
 def test_many_chunks_repeat_exactly_within_a_small_memory_bound(monkeypatch):
     # 20000 replicates of about 89 atoms: 1.8e6 atoms, 14 MB for their sizes
     # alone; drawn all at once, each check peaked at 72 MB under tracemalloc.
-    monkeypatch.setattr(diagnostics, "BATCH_ATOMS", 4096)
+    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", 4096)
     m = 20_000
     chunks = []
 
@@ -175,5 +248,5 @@ def test_many_chunks_repeat_exactly_within_a_small_memory_bound(monkeypatch):
         assert all(r.passed for r in reports)
         runs.append([r.to_dict() for r in reports])
     assert runs[0] == runs[1]
-    # Two runs of two batches, each of about 436 chunks of at most 4096 atoms.
+    # Two runs of two batches, each of about 436 blocks of at most 4096 atoms.
     assert len(chunks) >= 4 * 400 and max(chunks) <= 4096

@@ -246,18 +246,65 @@ class TestSamplers:
         expected = np.where(rng.random(1000) < 0.5, -1.0, 1.0) * mags
         assert np.array_equal(z, expected)
 
-    def test_unbounded_variance_gamma_keeps_the_tail_rejection_bit_for_bit(self):
-        # Replays the tail rejection: proposals eps + Exp(m), kept when U z < eps.
-        measure, eps, n = VarianceGamma(1.0, 2.0), 0.1, 500
-        z = sample_jump_sizes(measure, eps, np.random.default_rng(11), size=n)
+    @pytest.mark.parametrize("lo, hi", [(0.1, math.inf), (1e-6, 1.0), (0.7, 3.0)])
+    def test_variance_gamma_replays_the_two_piece_rejection_bit_for_bit(self, lo, hi):
+        # Replays the sampler: a piece per draw, weighted by E1 differences, then
+        # log-uniform proposals on (lo, c] kept when V < e^(-m(z-lo)) and
+        # truncated c + Exp(m) proposals on (c, hi] kept when V < c/z.
+        measure, n = VarianceGamma(1.0, 2.0), 500
+        z = sample_jump_sizes(measure, lo, np.random.default_rng(11), size=n, hi=hi)
         rng = np.random.default_rng(11)
-        rate = max(eps * 2.0 * math.exp(2.0 * eps) * special.exp1(2.0 * eps), 1e-3)
-        mags = []
-        while len(mags) < n:
-            batch = min(int((n - len(mags)) / rate) + 16, 10_000_000)
-            prop = eps + rng.exponential(scale=0.5, size=batch)
-            mags.extend(prop[rng.random(batch) * prop < eps][: n - len(mags)])
-        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * np.array(mags)
+        m = 2.0
+        c = min(max(lo, 1.0 / m), hi)
+        e_lo, e_c, e_hi = special.exp1(m * lo), special.exp1(m * c), special.exp1(m * hi)
+        below = rng.random(n) * (e_lo - e_hi) < e_lo - e_c
+
+        def replay(count, propose, keep):
+            kept = []
+            while len(kept) < count:
+                batch = 2 * (count - len(kept)) + 16
+                prop = propose(rng.random(batch))
+                kept.extend(prop[rng.random(batch) < keep(prop)][: count - len(kept)])
+            return kept
+
+        mags = np.empty(n)
+        mags[below] = replay(
+            int(below.sum()), lambda u: lo * np.exp(math.log(c / lo) * u), lambda t: np.exp(-m * (t - lo))
+        )
+        cut = -math.expm1(-m * (hi - c))
+        mags[~below] = replay(int((~below).sum()), lambda u: c - np.log1p(-cut * u) / m, lambda t: c / t)
+        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
+        assert np.array_equal(z, expected)
+        # Each piece draws exactly when it carries mass.
+        assert below.any() == (c > lo) and (~below).any() == (c < hi)
+
+    @pytest.mark.parametrize("hi", [math.inf, 1.0])
+    def test_variance_gamma_band_near_zero_ks(self, hi):
+        # At lo = 1e-6 a proposal lo + Exp(m) kept with probability lo/z is kept
+        # about once in 7e4 tries; the two-piece proposal keeps most.
+        c, m, lo = 1.0, 1.0, 1e-6
+        z = sample_jump_sizes(VarianceGamma(c, m), lo, np.random.default_rng(21), size=50_000, hi=hi)
+        assert np.all((np.abs(z) > lo) & (np.abs(z) <= hi))
+        band = special.exp1(m * lo) - special.exp1(m * hi)
+
+        def cdf(t):
+            return (special.exp1(m * lo) - special.exp1(m * t)) / band
+
+        assert kstest(np.abs(z), cdf).statistic < 0.012
+
+    @pytest.mark.parametrize("measure", [AlphaStable(0.7), AlphaStable(1.0), AlphaStable(1.5)])
+    def test_stable_band_keeps_the_old_sign_form_bit_for_bit(self, measure):
+        alpha = measure.alpha
+        z = sample_jump_sizes(measure, 0.01, np.random.default_rng(12), size=1000, hi=1.0)
+        rng = np.random.default_rng(12)
+        r = 0.01**alpha
+        mags = 0.01 * (r + (1.0 - r) * rng.random(1000)) ** (-1.0 / alpha)
+        expected = np.where(rng.random(1000) < 0.5, -1.0, 1.0) * mags
+        assert np.array_equal(z, expected)
+
+    def test_two_point_keeps_the_old_sign_form_bit_for_bit(self):
+        z = sample_jump_sizes(SymmetricTwoPoint(2.0, 0.8), 0.5, np.random.default_rng(13), size=1000)
+        expected = np.where(np.random.default_rng(13).random(1000) < 0.5, -1.0, 1.0) * np.full(1000, 0.8)
         assert np.array_equal(z, expected)
 
     def test_empty_support_errors(self):
@@ -313,6 +360,13 @@ class TestArrayExponent:
         trip = LevyTriplet(0.0, 1.0, AlphaStable(1.5))
         with pytest.raises(ValueError):
             characteristic_exponent(trip, np.array([0.0, np.nan]))
+
+    def test_non_finite_refusal_counts_instead_of_listing(self):
+        u = np.full(10_000, 1.5)
+        u[::100] = np.inf
+        with pytest.raises(ValueError) as info:
+            characteristic_exponent(LevyTriplet(0.0, 1.0, AlphaStable(1.5)), u)
+        assert str(info.value) == "u must be finite, got 100 non-finite of 10000 values"
 
 
 class TestValidation:
