@@ -1,8 +1,8 @@
 """The one CSV writer of the package.
 
 Numbers use 17 significant digits so files round-trip doubles exactly, and
-a cell holding a comma or a quote is quoted, so every row parses to the
-header's width.
+a cell holding a comma, a quote or a newline is quoted, as the csv module's
+minimal quoting does, so every row parses to the header's width.
 """
 
 from __future__ import annotations
@@ -20,13 +20,37 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _quoted(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(col) -> tuple[str, list]:
+    """(conversion, values) of a column for the row format: a column of only
+    floats or only ints keeps its numbers; any other column becomes cells."""
+    if isinstance(col, np.ndarray):
+        kind, values = col.dtype.kind, col.tolist()
+    else:
+        values = list(col)
+        types = set(map(type, values))
+        kind = "f" if types == {float} else "i" if types == {int} else "O"
+    if kind == "f":
+        return "%.17g", values
+    if kind in ("i", "u"):
+        return "%d", values
+    return "%s", [_quoted(_cell(v)) for v in values]
+
+
 def write_csv(path, header, columns) -> None:
-    """Write one header row and the rows zipped from equal-length ``columns``."""
-    cells = [
-        list(map(_cell, col.tolist() if isinstance(col, np.ndarray) else col))
-        for col in columns
-    ]
+    """Write one header row and the rows zipped from equal-length ``columns``.
+
+    Each row is formatted by one %-format built from the columns' types."""
+    specs = [_column(col) for col in columns]
+    values = [cells for _, cells in specs]
+    if len(specs) == 1 and specs[0][0] == "%s":
+        values = [[cell or '""' for cell in values[0]]]  # csv quotes an empty record
+    row = ",".join(conversion for conversion, _ in specs) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write("".join([row % cells for cells in zip(*values)]))

@@ -47,8 +47,9 @@ from .solver import (
 )
 
 
-# Largest solve grid in grid_points^d rows; solve checks it, so others run at high d.
-MAX_SOLVE_ROWS = 1 << 21
+# Largest tensor grid, in values, that solve writes or sweep continuity evaluates;
+# those commands check it, so the others run at high d.
+MAX_GRID_VALUES = 1 << 21
 
 
 def _sanitize(name: str) -> str:
@@ -130,8 +131,8 @@ def _cmd_sample_noise(cfg: RunConfig) -> int:
 def _cmd_solve(cfg: RunConfig, override: bool) -> int:
     seed = _need_seed(cfg)
     n, d = cfg.blocks["solve"]["grid_points"], cfg.box.dim
-    if n**d > MAX_SOLVE_ROWS:
-        raise ConfigError("solve.grid_points", f"{n}^{d} rows exceed the cap of {MAX_SOLVE_ROWS}")
+    if n**d > MAX_GRID_VALUES:
+        raise ConfigError("solve.grid_points", f"{n}^{d} rows exceed the cap of {MAX_GRID_VALUES}")
     system = _system(cfg)
     realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, seed)
     field = solve_mild(realization, cfg.gamma, system, override=override)
@@ -217,6 +218,10 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
         )
     else:
         block = cfg.blocks["continuity"]
+        finest, d = max(block["grid_levels"]), cfg.box.dim
+        if (2 ** min(finest, 32) + 1) ** d > MAX_GRID_VALUES:  # a level past 32 is over it anyway
+            message = f"the finest grid, (2^{finest} + 1)^{d} values, exceeds the cap of {MAX_GRID_VALUES}"
+            raise ConfigError("continuity.grid_levels", message)
         reports = [
             continuity_probe(
                 cfg.box,

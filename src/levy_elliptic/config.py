@@ -295,7 +295,10 @@ def _validate_blocks(blocks: dict) -> None:
 
     sob = blocks["sobolev"]
     as_list(sob["r_list"], "sobolev.r_list", 1, as_number)
-    as_list(sob["K_list"], "sobolev.K_list", 2, as_int)
+    k_list = as_list(sob["K_list"], "sobolev.K_list", 2, as_int)
+    ascending = all(a < b for a, b in zip(k_list, k_list[1:]))
+    require(ascending, "sobolev.K_list", "cutoffs must be strictly ascending")
+    require(k_list[-1] == 2 * k_list[-2], "sobolev.K_list", "the last two cutoffs must be a doubling")
     as_int(sob["replicates"], "sobolev.replicates")
     require(isinstance(sob["surrogate"], bool), "sobolev.surrogate", "expected a boolean")
     eps = as_number(sob["eps"], "sobolev.eps")
@@ -306,7 +309,10 @@ def _validate_blocks(blocks: dict) -> None:
     as_int(cont["replicates"], "continuity.replicates")
 
     sb = blocks["spectral_bound"]
-    as_list(sb["t_list"], "spectral_bound.t_list", 2, as_number)
+    t_list = as_list(sb["t_list"], "spectral_bound.t_list", 2, as_number)
+    require(t_list[0] > 0.0, "spectral_bound.t_list", "levels must be positive")
+    increasing = all(a < b for a, b in zip(t_list, t_list[1:]))
+    require(increasing, "spectral_bound.t_list", "levels must be strictly increasing")
     as_int(sb["x_count"], "spectral_bound.x_count")
 
     as_int(blocks["solve"]["grid_points"], "solve.grid_points", least=2)

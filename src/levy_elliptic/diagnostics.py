@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, eigen_matrix, enumerate_eigen, gauss_nodes, resolving_gauss_nodes
+from .domain import (
+    EigenSystem,
+    HyperBox,
+    eigen_matrix,
+    enumerate_eigen,
+    gauss_nodes,
+    resolving_gauss_rule,
+    tensor_rule,
+)
 from .functions import SpectralFunction, abs_power_integral, fourier_vector, integral
 from .integrability import rr_integrability
 from .measures import LevyTriplet, band_variance, characteristic_exponent, sample_jump_sizes
@@ -126,9 +134,9 @@ def _jump_sums(
     lam = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
     if not lam <= BATCH_ATOMS:
         raise ValueError(
-            f"eps={lo:g} gives {lam:.3g} expected atoms in each of the M={m} replicates; "
-            f"a chunk of whole replicates holds about BATCH_ATOMS={BATCH_ATOMS} atoms, "
-            "so raise eps"
+            f"eps={lo:g} gives {lam:.3g} expected atoms in each of the M={m} replicates, "
+            f"above the bound of BATCH_ATOMS={BATCH_ATOMS} expected atoms a replicate; "
+            "raise eps"
         )
     out = np.zeros(m)
     if lam == 0.0:
@@ -295,8 +303,9 @@ def weak_identity_test(
     numerical-integration error; threshold 1e-6 scaled by field magnitude.
     """
     u = solve_mild(realization, gamma, system, override=override)
-    pts, w = resolving_gauss_nodes(system)
-    uvals = u.evaluate(pts)
+    rule = resolving_gauss_rule(system)
+    pts, w = tensor_rule(rule)
+    uvals = eval_field_grid(u, [x for x, _ in rule]).ravel()
     lhs = float(np.dot(w, uvals * phi.evaluate(pts)))
     rhs = pair_with_function(realization, green_convolve(system, gamma, phi), system)
     scale = max(1.0, float(np.max(np.abs(uvals))))

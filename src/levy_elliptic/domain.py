@@ -10,10 +10,19 @@ and {e_k} is an orthonormal basis of L^2(D).  Enumeration is exact lattice
 enumeration below a threshold, sorted by eigenvalue with lexicographic
 tie-breaking on the index so orderings are reproducible across runs.
 
-Every value e_k(x) is a product of rows of per-axis sine tables.  On that one
-kernel, ``eigen_matrix`` gives the dense K x n matrix for small inputs, and
-``eigen_matvec`` (E @ w) and ``eigen_rmatvec`` (c @ E) work in blocks of about
-CHUNK_CELLS values that round as the unchunked products do (one BLAS thread).
+Every value e_k(x) is a product of rows of per-axis sine tables, and four
+kernels work on those tables.  For scattered points, ``eigen_matvec`` (E @ w)
+and ``eigen_rmatvec`` (c @ E) gather rows into blocks of the dense matrix E;
+``eigen_matrix`` returns the whole of E for small inputs.  On a tensor grid
+E factors axis by axis, so ``grid_rmatvec`` (c @ E) and its transpose
+``grid_matvec`` (E @ w) contract with one table per axis and never form E.
+
+CHUNK_CELLS bounds memory: the scattered kernels build the tables of all
+modes once when they hold at most that many values, and otherwise build
+them per block.  BLOCK_CELLS sizes the blocks when the tables are whole, so
+that a block stays in cache.  Blocks are whole multiples of BLAS's lane
+groups, so every blocked product rounds as the unblocked one would (one
+BLAS thread).
 """
 
 from __future__ import annotations
@@ -24,8 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-# Values (modes x points) per block in eigen_matvec and eigen_rmatvec: 16 MiB.
+# Values (modes x points) of sine tables the scattered kernels may hold: 16 MiB.
 CHUNK_CELLS = 1 << 21
+# Values per block of the scattered kernels when their tables are whole:
+# 512 KiB, so a block and the table rows it reads stay in a 2 MiB L2 cache.
+BLOCK_CELLS = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -245,13 +257,19 @@ def _sine_block(tables: list, indices: np.ndarray, on_boundary: np.ndarray) -> n
     return out
 
 
-def _spans(total: int, other: int, quantum: int):
-    """(start, stop) blocks of about CHUNK_CELLS / other rows or points.  Whole
+def _spans(total: int, other: int, quantum: int, cells: int = BLOCK_CELLS):
+    """(start, stop) blocks of about ``cells`` / other rows or points.  Whole
     multiples of ``quantum`` (of BLAS's 4-lane groups) round as one unchunked
     call would; a shorter tail, which BLAS rounds apart, joins the last block."""
-    step = max(quantum, CHUNK_CELLS // max(other, 1) // quantum * quantum)
+    step = max(quantum, cells // max(other, 1) // quantum * quantum)
     cuts = list(range(step, total - quantum + 1, step))
     return zip([0] + cuts, cuts + [total])
+
+
+def _whole_tables(box: HyperBox, indices: np.ndarray, unit: np.ndarray):
+    """Sine tables of every mode at every point if they fit in CHUNK_CELLS, else None."""
+    size = sum(int(k.max() - k.min()) + 1 for k in indices.T) * len(unit)
+    return sine_tables(box, indices, unit.T) if size <= CHUNK_CELLS else None
 
 
 def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
@@ -262,14 +280,15 @@ def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
 
 def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
     """E @ w: sum_i e_k(x_i) w_i for every mode, in blocks of modes against all
-    points, so each sum runs as in the unchunked product.  The sine tables are
-    built once if they fit in CHUNK_CELLS (d >= 2), else per block (d = 1)."""
+    points, so each sum runs as in the unchunked product.  With whole tables
+    the blocks are cache-sized; otherwise each block builds the tables of its
+    own modes, and blocks of CHUNK_CELLS keep those builds few."""
     box, idx = system.box, system.indices
     unit, on_boundary = _unit_points(box, points)
-    fits = sum(int(k.max() - k.min()) + 1 for k in idx.T) * len(unit) <= CHUNK_CELLS
-    whole = sine_tables(box, idx, unit.T) if fits else None
+    whole = _whole_tables(box, idx, unit)
+    cells = CHUNK_CELLS if whole is None else BLOCK_CELLS
     out = np.empty(len(system))
-    for start, stop in _spans(len(system), len(unit), 64):
+    for start, stop in _spans(len(system), len(unit), 64, cells):
         rows = idx[start:stop]
         block = _sine_block(whole or sine_tables(box, rows, unit.T), rows, on_boundary)
         out[start:stop] = block @ weights
@@ -277,15 +296,62 @@ def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
 
 
 def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
-    """c @ E: sum_k c_k e_k(x_i) at every point, in blocks of points against all
-    modes; blocks of 8 points keep a block near CHUNK_CELLS up to K = 2^18."""
+    """c @ E: sum_k c_k e_k(x_i) at every point, in cache-sized blocks of points
+    against all modes; a block holds at least 8 points.  The tables are built
+    once if they fit in CHUNK_CELLS, else per block of points."""
     box, idx = system.box, system.indices
     unit, on_boundary = _unit_points(box, points)
+    whole = _whole_tables(box, idx, unit)
     out = np.empty(len(unit))
-    for start, stop in _spans(len(unit), len(system), 8):
-        tables = sine_tables(box, idx, unit[start:stop].T)
+    for start, stop in _spans(len(unit), len(system), 8, BLOCK_CELLS):
+        if whole is None:
+            tables = sine_tables(box, idx, unit[start:stop].T)
+        else:
+            tables = [(lo, table[:, start:stop]) for lo, table in whole]
         out[start:stop] = coeffs @ _sine_block(tables, idx, on_boundary[start:stop])
     return out
+
+
+def _grid_tables(system: EigenSystem, axes) -> list:
+    """Sine tables of the system at each axis's coordinates, zero on the boundary."""
+    box = system.box
+    if len(axes) != box.dim:
+        raise ValueError("one coordinate array per axis required")
+    axes = [np.asarray(xs, dtype=float) for xs in axes]
+    units = []
+    for (a, b), length, xs in zip(box.intervals, box.lengths, axes):
+        if np.any(xs < a) or np.any(xs > b):
+            raise ValueError("grid coordinate outside the closed box")
+        units.append((xs - a) / length)
+    tables = sine_tables(box, system.indices, units)
+    for (a, b), xs, (_, table) in zip(box.intervals, axes, tables):
+        table[:, (xs == a) | (xs == b)] = 0.0
+    return tables
+
+
+def grid_rmatvec(system: EigenSystem, coeffs, axes) -> np.ndarray:
+    """c @ E on the tensor grid of the per-axis coordinate arrays ``axes``,
+    shape (len(axes[0]), ...): the coefficients scattered into a dense index
+    tensor, contracted with one sine table per axis, so the K x prod m_i
+    matrix is never formed."""
+    idx = system.indices
+    tables = _grid_tables(system, axes)
+    tensor = np.zeros(tuple(len(table) for _, table in tables))
+    tensor[tuple(k - lo for k, (lo, _) in zip(idx.T, tables))] = coeffs
+    for _, table in tables:
+        tensor = np.tensordot(tensor, table, axes=([0], [0]))
+    return tensor
+
+
+def grid_matvec(system: EigenSystem, axes, values) -> np.ndarray:
+    """E @ w for values w on the tensor grid of ``axes`` (the transpose of
+    ``grid_rmatvec``): each grid axis contracted with its sine table, then the
+    modes of the system gathered from the dense index tensor."""
+    tables = _grid_tables(system, axes)
+    tensor = np.asarray(values, dtype=float)
+    for _, table in tables:
+        tensor = np.tensordot(tensor, table, axes=([0], [1]))
+    return tensor[tuple(k - lo for k, (lo, _) in zip(system.indices.T, tables))]
 
 
 def constant_fourier(system: EigenSystem) -> np.ndarray:
@@ -307,26 +373,33 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_nodes(box: HyperBox, n_per_axis: int):
-    """Tensor Gauss-Legendre nodes and weights on the box; ((n^d, d), (n^d,))."""
-    axes, wts = [], []
-    for a, b in box.intervals:
-        x, w = _leggauss(int(n_per_axis))
-        axes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        wts.append(0.5 * (b - a) * w)
-    if box.dim == 1:
-        return axes[0][:, None], wts[0]
+def gauss_rule(box: HyperBox, n_per_axis: int) -> list:
+    """Gauss-Legendre nodes and weights on each side of the box: [(x_j, w_j), ...]."""
+    x, w = _leggauss(int(n_per_axis))
+    return [(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w) for a, b in box.intervals]
+
+
+def tensor_rule(rule: list):
+    """Points (n, d) and product weights (n,) of a per-axis rule, in the C order of its grid."""
+    axes = [x for x, _ in rule]
+    if len(axes) == 1:
+        return axes[0][:, None], rule[0][1]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    weight = wts[0]
-    for w in wts[1:]:
+    weight = rule[0][1]
+    for _, w in rule[1:]:
         weight = np.outer(weight, w).ravel()
     return pts, weight
 
 
-def resolving_gauss_nodes(system: EigenSystem):
-    """Tensor Gauss rule that integrates products with every mode of the system."""
-    return gauss_nodes(system.box, max(64, 2 * int(system.indices.max()) + 48))
+def gauss_nodes(box: HyperBox, n_per_axis: int):
+    """Tensor Gauss-Legendre nodes and weights on the box; ((n^d, d), (n^d,))."""
+    return tensor_rule(gauss_rule(box, n_per_axis))
+
+
+def resolving_gauss_rule(system: EigenSystem) -> list:
+    """Per-axis Gauss rule whose tensor product integrates products with every mode."""
+    return gauss_rule(system.box, max(64, 2 * int(system.indices.max()) + 48))
 
 
 def adaptive_tensor_quad(

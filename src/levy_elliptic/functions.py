@@ -22,10 +22,11 @@ from .domain import (
     box_integral,
     constant_fourier,
     eigen_matrix,
-    eigen_matvec,
     eigen_rmatvec,
-    resolving_gauss_nodes,
+    grid_matvec,
+    resolving_gauss_rule,
     single_mode,
+    tensor_rule,
 )
 
 
@@ -169,7 +170,8 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     """Coefficients <f, e_k> for every index of the system at once.
 
     Closed forms where the descriptor admits them; otherwise one shared
-    tensor Gauss rule sized to resolve the highest mode of the system.
+    tensor Gauss rule sized to resolve the highest mode of the system,
+    projected axis by axis.
     """
     box = system.box
     if isinstance(f, Constant):
@@ -195,8 +197,10 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
                 out[pos] = f.coeffs[pos_f]
         return out
 
-    pts, w = resolving_gauss_nodes(system)
-    return eigen_matvec(system, pts, w * f.evaluate(pts))
+    rule = resolving_gauss_rule(system)
+    pts, w = tensor_rule(rule)
+    values = (w * f.evaluate(pts)).reshape([len(x) for x, _ in rule])
+    return grid_matvec(system, [x for x, _ in rule], values)
 
 
 def integral(f, box: HyperBox, tol: float = 1e-8) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, sine_tables
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, grid_rmatvec
 from .functions import SpectralFunction, fourier_vector
 from .integrability import existence_verdict
 from .noise import NoiseRealization, pair_eigen
@@ -98,25 +98,9 @@ def solve_mild(
 
 
 def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarray:
-    """Evaluate on a tensor grid given per-axis coordinate arrays.
-
-    Uses per-axis sine tables and tensor contractions, which keeps the cost
-    at O(K * sum m_i) instead of O(K * prod m_i).
-    """
-    box = field.system.box
-    if len(axes) != box.dim:
-        raise ValueError("one coordinate array per axis required")
-    axes = [np.asarray(xs, dtype=float) for xs in axes]
-    idx = field.system.indices
-    tables = sine_tables(box, idx, [(xs - a) / L for xs, a, L in zip(axes, box.lower, box.lengths)])
-    tensor = np.zeros(tuple(len(table) for _, table in tables))
-    tensor[tuple(k - lo for k, (lo, _) in zip(idx.T, tables))] = field.coeffs
-    for (a, b), xs, (_, table) in zip(box.intervals, axes, tables):
-        if np.any(xs < a) or np.any(xs > b):
-            raise ValueError("grid coordinate outside the closed box")
-        table[:, (xs == a) | (xs == b)] = 0.0
-        tensor = np.tensordot(tensor, table, axes=([0], [0]))
-    return tensor
+    """Evaluate on the tensor grid of per-axis coordinate arrays, by contraction
+    with per-axis sine tables (``domain.grid_rmatvec``)."""
+    return grid_rmatvec(field.system, field.coeffs, axes)
 
 
 def torsion_solution(system: EigenSystem) -> SpectralFunction:

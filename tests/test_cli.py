@@ -95,6 +95,30 @@ def test_oversized_solve_grid_is_refused_before_solving(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("levels,d", [("4,5,6", 4), ("4,5,1000000000", 1)])
+def test_oversized_continuity_grid_is_refused_before_sampling(tmp_path, capsys, levels, d):
+    # (2^6 + 1)^4 = 1.8e7 values, over the cap of 2^21; a huge level is refused as fast.
+    outdir = tmp_path / "out"
+    argv = ["sweep", "continuity", "--set", f"d={d}", "--set", "gamma=3", "--set", f"grid_levels={levels}"]
+    assert run(argv + ["--seed", "5", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "continuity.grid_levels" in err and "exceeds the cap of 2097152" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "item,path",
+    [
+        ("K_list=1024,3000", "sobolev.K_list"),
+        ("t_list=300,100", "spectral_bound.t_list"),
+        ("grid_levels=0,1,2", "continuity.grid_levels[0]"),
+    ],
+)
+def test_config_value_out_of_range_exits_2_at_its_path(capsys, item, path):
+    assert run(["check", "--set", item]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [CF, ISOMETRY])
 def test_batch_over_the_atom_budget_is_refused(tmp_path, capsys, argv):
     # eps = 1e-6 gives 1e9 stable atoms a replicate, over BATCH_ATOMS = 2^20.
@@ -218,12 +242,29 @@ def test_cf_integrand_that_overflows_at_the_nodes_exits_2_in_one_line(tmp_path, 
     ]
 
 
+AXIS_POWER_F = 'cf.f={"kind":"axis_power","axis":0,"exponent":-0.3}'
+
+
 def test_variance_gamma_cf_at_a_tiny_eps_finishes(tmp_path):
     # At eps = 1e-6 the one-piece tail rejection kept about one proposal in 7e4.
     argv = ["verify", "cf", "--set", "measure=vgamma:1,1", "--set", "eps=1e-6", "--set", "M=1000", "--seed", "3"]
     start = time.monotonic()
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The quadrature fallback of <f, e_k> on 338^2 Gauss nodes took minutes on the dense kernel.
+        ["verify", "cf", "--set", "d=2", "--set", "K=16384", "--set", "M=2000", "--set", AXIS_POWER_F],
+        ["verify", "weak", "--set", "d=3", "--set", "K=512", "--set", "weak.replicates=1"],
+    ],
+)
+def test_quadrature_on_a_large_tensor_grid_finishes(tmp_path, argv):
+    start = time.monotonic()
+    assert run(argv + ["--seed", "3", "--out", str(tmp_path / "out")]) == 0
+    assert time.monotonic() - start < 5.0
 
 
 def check_payload(argv, capsys) -> dict:

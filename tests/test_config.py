@@ -162,6 +162,26 @@ class TestListEntries:
         assert cfg.blocks["spectral_bound"]["t_list"] == [100, 300.5]
 
 
+class TestValueRanges:
+    @pytest.mark.parametrize(
+        "item,path,message",
+        [
+            ("grid_levels=0,4,5", "continuity.grid_levels[0]", "integer >= 1"),
+            ("K_list=2048,1024,2048", "sobolev.K_list", "strictly ascending"),
+            ("K_list=1024,1024,2048", "sobolev.K_list", "strictly ascending"),
+            ("K_list=1024,3000", "sobolev.K_list", "doubling"),
+            ("t_list=0,100", "spectral_bound.t_list", "positive"),
+            ("t_list=-100,100", "spectral_bound.t_list", "positive"),
+            ("t_list=300,100", "spectral_bound.t_list", "strictly increasing"),
+            ("t_list=100,100", "spectral_bound.t_list", "strictly increasing"),
+        ],
+    )
+    def test_value_out_of_range_is_refused_at_its_path(self, item, path, message):
+        with pytest.raises(ConfigError, match=message) as exc:
+            load_config(None, [item])
+        assert exc.value.path == path
+
+
 class TestRemovedKeys:
     def test_psi_quadrature_override_is_refused(self):
         with pytest.raises(ConfigError, match="unknown override key"):

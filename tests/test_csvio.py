@@ -60,3 +60,43 @@ def test_text_cells_with_commas_and_quotes_read_back_unchanged(tmp_path_factory,
     assert back[0] == ["name", "value"]
     assert [r[0] for r in back[1:]] == names
     assert [float(r[1]) for r in back[1:]] == [v for _, v in rows]
+
+
+def reference_csv(path, header, columns) -> None:
+    """The cell-by-cell writer that the column formats replace."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    cells = [list(map(cell, col.tolist() if isinstance(col, np.ndarray) else col)) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+COLUMNS = [
+    lambda n, data: np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float),
+    lambda n, data: np.array(data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n)), dtype=np.int64),
+    lambda n, data: range(n),
+    lambda n, data: data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    lambda n, data: np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+    lambda n, data: data.draw(st.lists(TEXT, min_size=n, max_size=n)),
+    lambda n, data: tuple(data.draw(st.lists(st.one_of(FLOATS, st.integers()), min_size=n, max_size=n))),
+    lambda n, data: [np.float64(v) for v in data.draw(st.lists(FLOATS, min_size=n, max_size=n))],
+]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_bytes_match_the_cell_by_cell_writer(tmp_path_factory, data):
+    n = data.draw(st.integers(0, 6))
+    kinds = data.draw(st.lists(st.sampled_from(range(len(COLUMNS))), min_size=1, max_size=5))
+    columns = [COLUMNS[k](n, data) for k in kinds]
+    header = [f"c{i}" for i in range(len(columns))]
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "new.csv", header, columns)
+    reference_csv(folder / "old.csv", header, columns)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()

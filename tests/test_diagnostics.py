@@ -219,7 +219,8 @@ def test_batch_over_the_atom_budget_is_refused_before_sampling():
     measure = AlphaStable(1.5)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"eps=1e-06 .* M=5000 .*BATCH_ATOMS=1048576"):
+    bound = r"above the bound of BATCH_ATOMS=1048576 expected atoms a replicate; raise eps$"
+    with pytest.raises(ValueError, match=r"eps=1e-06 .* M=5000 replicates, " + bound):
         _jump_sums(UNIT, measure, Constant(1.0), 5000, rng, 1e-6)
     assert rng.bit_generator.state == state
 

@@ -18,10 +18,15 @@ from levy_elliptic.domain import (
     eigen_matvec,
     eigen_rmatvec,
     enumerate_eigen,
+    gauss_rule,
+    grid_matvec,
+    grid_rmatvec,
+    resolving_gauss_rule,
+    tensor_rule,
 )
 from levy_elliptic.measures import AlphaStable, LevyTriplet
 from levy_elliptic.noise import JumpAtomSet, NoiseRealization, pair_eigen
-from levy_elliptic.functions import SpectralFunction
+from levy_elliptic.functions import AxisPower, SpectralFunction, fourier_vector
 from levy_elliptic.solver import eval_field_grid
 
 
@@ -109,3 +114,66 @@ def test_pair_eigen_memory_is_bounded_by_the_block():
     assert peak < 64 * 2**20
     head = dense_reference(system.prefix(64), atoms.locations) @ atoms.sizes
     np.testing.assert_allclose(coeffs[:64], head, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,count,n", SHAPES)
+def test_cache_sized_blocks_of_whole_tables_match_dense_reference(monkeypatch, d, count, n):
+    monkeypatch.setattr(domain, "BLOCK_CELLS", 64 * 3)
+    system, pts, rng = case(d, count, n)
+    ref = dense_reference(system, pts)
+    w, c = rng.standard_normal(n), rng.standard_normal(count)
+    assert same_bits(eigen_matvec(system, pts, w), ref @ w)
+    assert same_bits(eigen_rmatvec(system, c, pts), c @ ref)
+
+
+# (d, K, grid points per axis); the grids include both ends of every side.
+GRIDS = [(1, 300, (41,)), (2, 500, (23, 17)), (3, 400, (9, 13, 11))]
+
+
+@pytest.mark.parametrize("d,count,sizes", GRIDS)
+def test_grid_evaluation_matches_the_scattered_kernel(d, count, sizes):
+    system, _, rng = case(d, count, 1)
+    box = system.box
+    axes = [np.linspace(a, b, m) for (a, b), m in zip(box.intervals, sizes)]
+    c = rng.standard_normal(count)
+    grid = grid_rmatvec(system, c, axes)
+    flat = eigen_rmatvec(system, c, tensor_rule([(x, np.ones(len(x))) for x in axes])[0])
+    assert grid.shape == sizes
+    assert np.max(np.abs(grid.ravel() - flat)) <= 1e-13 * np.max(np.abs(flat))
+    assert np.array_equal(grid_rmatvec(system, c, [list(x) for x in axes]), grid)
+
+
+@pytest.mark.parametrize("d,count,sizes", GRIDS)
+def test_grid_projection_matches_the_scattered_kernel_with_gauss_weights(d, count, sizes):
+    system, _, rng = case(d, count, 1)
+    rule = [gauss_rule(HyperBox((side,)), m)[0] for side, m in zip(system.box.intervals, sizes)]
+    pts, w = tensor_rule(rule)
+    values = w * rng.standard_normal(len(w))
+    coeffs = grid_matvec(system, [x for x, _ in rule], values.reshape(sizes))
+    flat = eigen_matvec(system, pts, values)
+    assert np.max(np.abs(coeffs - flat)) <= 1e-13 * np.max(np.abs(flat))
+
+
+def test_grid_kernels_refuse_coordinates_outside_the_box():
+    system = enumerate_eigen(HyperBox.unit(2), count=10)
+    with pytest.raises(ValueError, match="one coordinate array per axis"):
+        grid_rmatvec(system, np.ones(10), [np.linspace(0.0, 1.0, 5)])
+    with pytest.raises(ValueError, match="outside the closed box"):
+        grid_matvec(system, [np.linspace(0.0, 1.0, 5), np.array([0.5, 1.5])], np.ones((5, 2)))
+
+
+def test_d3_quadrature_projection_memory_is_bounded_by_the_grid():
+    # K=512 at d=3 resolves on 68^3 = 314432 Gauss nodes: their points and
+    # values take about 10 MiB, one 64-mode block of the dense kernel 153 MiB.
+    system = enumerate_eigen(HyperBox.unit(3), count=512)
+    f = AxisPower(-0.3, 1)
+    tracemalloc.start()
+    try:
+        coeffs = fourier_vector(system, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    pts, w = tensor_rule(resolving_gauss_rule(system))
+    head = dense_reference(system.prefix(8), pts) @ (w * f.evaluate(pts))
+    np.testing.assert_allclose(coeffs[:8], head, rtol=1e-12, atol=1e-14)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
@@ -263,3 +265,70 @@ class TestReproducibility:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="policy"):
             sample_noise(UNIT, LevyTriplet(0.0, 0.0, NullMeasure()), policy="other")
+
+
+class TestProperties:
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**32),
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(1, 10**9)] * d), min_size=1, max_size=40, unique=True)
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_keyed_normals_follow_a_permutation_of_their_indices(self, seed, purpose, rows, random):
+        idx = np.array(rows, dtype=np.int64)
+        order = np.array(random.sample(range(len(idx)), len(idx)))
+        draws = keyed_normals(seed, purpose, idx)
+        assert np.array_equal(keyed_normals(seed, purpose, idx[order]), draws[order])
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 40),
+        st.integers(0, 2**32),
+        st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0),
+    )
+    def test_pair_eigen_is_linear_in_the_atom_sizes(self, d, n, seed, a, b):
+        box = HyperBox.unit(d)
+        system = enumerate_eigen(box, count=150)
+        rng = np.random.default_rng(seed)
+        locations = rng.random((n, d))
+        z1, z2 = rng.standard_normal(n), 10.0 * rng.standard_normal(n)
+
+        def paired(sizes):
+            atoms = JumpAtomSet(box, 0.5, locations, sizes)
+            trip = LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
+            return pair_eigen(NoiseRealization(box, trip, 0.5, "drop", 0, atoms), system)
+
+        # Each coefficient sums n terms of at most sup|e_k| = 2^(d/2) times a size,
+        # so roundoff stays below a few n ulps of the sum of absolute terms.
+        scale = 2.0 ** (d / 2.0) * np.sum(np.abs(a * z1) + np.abs(b * z2))
+        combined = paired(a * z1 + b * z2)
+        assert np.max(np.abs(combined - (a * paired(z1) + b * paired(z2)))) <= 1e-13 * scale
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.integers(1, 2),
+        st.integers(0, 2**32),
+        st.floats(0.05, 0.95),
+        st.data(),
+    )
+    def test_pairing_is_additive_over_a_box_cut_in_two(self, d, seed, cut, data):
+        box = HyperBox.unit(d)
+        triplet = LevyTriplet(0.3, 0.8, SymmetricTwoPoint(40.0, 1.5))
+        real = sample_noise(box, triplet, eps=0.5, master_seed=seed)
+        system = enumerate_eigen(box, count=64)
+        axis = data.draw(st.integers(0, d - 1))
+        whole = [(0.0, 1.0)] * d
+        left, right = list(whole), list(whole)
+        left[axis], right[axis] = (0.0, cut), (cut, 1.0)
+        parts = [Indicator((HyperBox(tuple(sides)),)) for sides in (left, right)]
+        split = sum(pair_with_function(real, part, system) for part in parts)
+        union = Indicator(tuple(part.boxes[0] for part in parts))
+        assert pair_with_function(real, union, system) == split
+        # Roundoff of the atom sum, the 64 Gaussian terms and the drift.
+        scale = 1.5 * real.atoms.count + 0.8 * 64 * 4.0 + 0.3
+        assert abs(pair_with_function(real, Indicator((box,)), system) - split) <= 1e-12 * scale
