@@ -20,7 +20,6 @@ from .diagnostics import (
 from .domain import (
     EigenSystem,
     HyperBox,
-    QuadratureError,
     enumerate_eigen,
     weyl_count,
 )

@@ -4,8 +4,7 @@ Subcommands: check, sample-noise, solve, verify {cf,isometry,weak,
 spectral-bound}, sweep {sobolev,continuity}, green-oracle.  Configuration
 comes from one JSON file plus ``--set key=value`` overrides; stochastic
 subcommands require a seed.  Exit codes: 0 all good, 1 a non-inconclusive
-verification failed, 2 config error, refused regime or an integral that
-adaptive quadrature could not resolve.  Given one seed,
+verification failed, 2 config error or refused regime.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
 numpy picks its SIMD kernels (log, exp, pow, ...) at run time.
@@ -34,7 +33,7 @@ from .diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from .domain import QuadratureError, enumerate_eigen
+from .domain import enumerate_eigen
 from .integrability import existence_verdict, green_kernel_integrability
 from .noise import sample_noise
 from .solver import (
@@ -325,9 +324,6 @@ def run(argv: list[str]) -> int:
         return 2
     except RegimeRefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureError as exc:
-        print(f"unresolved integral: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

@@ -294,7 +294,8 @@ def _validate_blocks(blocks: dict) -> None:
     as_int(blocks["weak"]["replicates"], "weak.replicates")
 
     sob = blocks["sobolev"]
-    as_list(sob["r_list"], "sobolev.r_list", 1, as_number)
+    r_list = as_list(sob["r_list"], "sobolev.r_list", 1, as_number)
+    require(len(set(r_list)) == len(r_list), "sobolev.r_list", "orders must be distinct")
     k_list = as_list(sob["K_list"], "sobolev.K_list", 2, as_int)
     ascending = all(a < b for a, b in zip(k_list, k_list[1:]))
     require(ascending, "sobolev.K_list", "cutoffs must be strictly ascending")
@@ -305,7 +306,9 @@ def _validate_blocks(blocks: dict) -> None:
     require(0.0 < eps <= 1.0, "sobolev.eps", "eps must lie in (0, 1]")
 
     cont = blocks["continuity"]
-    as_list(cont["grid_levels"], "continuity.grid_levels", 3, as_int)
+    levels = as_list(cont["grid_levels"], "continuity.grid_levels", 3, as_int)
+    # Distinct, not sorted: the probe sorts the levels itself.
+    require(len(set(levels)) == len(levels), "continuity.grid_levels", "levels must be distinct")
     as_int(cont["replicates"], "continuity.replicates")
 
     sb = blocks["spectral_bound"]

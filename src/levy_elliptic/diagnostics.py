@@ -30,7 +30,7 @@ from .domain import (
     resolving_gauss_rule,
     tensor_rule,
 )
-from .functions import SpectralFunction, abs_power_integral, fourier_vector, integral
+from .functions import SpectralFunction, fourier_vector, integral, square_integral
 from .integrability import rr_integrability
 from .measures import LevyTriplet, band_variance, characteristic_exponent, sample_jump_sizes
 from .noise import pair_eigen, pair_with_function, sample_noise
@@ -252,7 +252,7 @@ def isometry_test(
     """
     if m < 1000:
         raise ValueError("m below 1000 has no statistical power; refused")
-    f_square = abs_power_integral(f, box, 2.0)
+    f_square = square_integral(f, box)
     if not math.isfinite(f_square):
         raise ValueError("integrand is not square-integrable; isometry test undefined")
     exact = f_square * band_variance(measure, eps, band_high)

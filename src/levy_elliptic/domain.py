@@ -40,10 +40,6 @@ CHUNK_CELLS = 1 << 21
 BLOCK_CELLS = 1 << 16
 
 
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature stalls above its tolerance."""
-
-
 @dataclass(frozen=True)
 class HyperBox:
     """Axis-aligned box given as a tuple of (lower, upper) interval pairs."""
@@ -400,45 +396,3 @@ def gauss_nodes(box: HyperBox, n_per_axis: int):
 def resolving_gauss_rule(system: EigenSystem) -> list:
     """Per-axis Gauss rule whose tensor product integrates products with every mode."""
     return gauss_rule(system.box, max(64, 2 * int(system.indices.max()) + 48))
-
-
-def adaptive_tensor_quad(
-    evaluate,
-    box: HyperBox,
-    tol: float = 1e-10,
-    n0: int = 32,
-    n_max: int = 4096,
-) -> float:
-    """Integrate evaluate(points) over the box, doubling nodes until stable.
-
-    Raises QuadratureError when doubling stalls above the tolerance before
-    reaching ``n_max`` nodes per axis.
-    """
-    n = int(n0)
-    pts, w = gauss_nodes(box, n)
-    prev = float(np.dot(w, evaluate(pts)))
-    while n < n_max:
-        n *= 2
-        pts, w = gauss_nodes(box, n)
-        cur = float(np.dot(w, evaluate(pts)))
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not converge to {tol} within {n_max} nodes per axis"
-    )
-
-
-def box_integral(evaluate, box: HyperBox, tol: float = 1e-8) -> float:
-    """Integrate over the box with a node budget that respects the dimension.
-
-    Adaptive refinement in d <= 2 (where tolerance claims apply); a fixed
-    tensor rule above that, where the node count would otherwise explode.
-    """
-    if box.dim == 1:
-        return adaptive_tensor_quad(evaluate, box, tol=tol, n0=32, n_max=4096)
-    if box.dim == 2:
-        return adaptive_tensor_quad(evaluate, box, tol=tol, n0=32, n_max=1024)
-    n = {3: 32, 4: 12, 5: 8}.get(box.dim, 6)
-    pts, w = gauss_nodes(box, n)
-    return float(np.dot(w, evaluate(pts)))

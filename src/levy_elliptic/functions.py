@@ -1,11 +1,13 @@
 """Function descriptors: the closed set of integrands the package accepts.
 
-Descriptors exist so that pairing and Fourier analysis can dispatch to
-closed forms when they exist and fall back to tensor Gauss quadrature
-otherwise, and so that ``lq_finite`` decides every L^q question
-analytically.  Config objects name the kinds that ``parse_function``
-builds, checked against the run's box; ``SpectralFunction`` and
-``RadialPower`` are built by the package itself.
+Descriptors exist so that integrals and Fourier analysis can dispatch to
+closed forms.  ``integral`` and ``square_integral`` are closed forms for
+every kind a config can name and for ``SpectralFunction``, and
+``lq_finite`` decides every L^q question analytically; tensor Gauss
+quadrature now serves only the Fourier coefficients that have no closed
+form.  Config objects name the kinds that ``parse_function`` builds,
+checked against the run's box; ``SpectralFunction`` and ``RadialPower``
+are built by the package itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import (
     EigenSystem,
     HyperBox,
-    box_integral,
     constant_fourier,
     eigen_matrix,
     eigen_rmatvec,
@@ -203,8 +204,8 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     return grid_matvec(system, [x for x, _ in rule], values)
 
 
-def integral(f, box: HyperBox, tol: float = 1e-8) -> float:
-    """int_D f dx with closed forms where available; math.inf if divergent."""
+def integral(f, box: HyperBox) -> float:
+    """int_D f dx in closed form; math.inf if divergent, ValueError if no closed form."""
     if isinstance(f, Constant):
         return f.value * box.volume
     if isinstance(f, Eigenfunction) and _same_box(f.box, box):
@@ -214,28 +215,32 @@ def integral(f, box: HyperBox, tol: float = 1e-8) -> float:
     if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
         return float(np.dot(f.coeffs, constant_fourier(f.system)))
     if isinstance(f, AxisPower):
-        return _axis_power_integral(f, box, 1.0, signed=True)
-    return box_integral(lambda p: f.evaluate(p), box, tol=tol)
+        return _axis_power_integral(f, box, 1.0)
+    if isinstance(f, Polynomial):
+        return _polynomial_integral(f.coeffs, f.axis, box)
+    raise ValueError(f"no closed-form integral of {type(f).__name__} over {box.intervals}")
 
 
-def abs_power_integral(f, box: HyperBox, q: float, tol: float = 1e-8) -> float:
-    """int_D |f|^q dx; math.inf when the analytic criterion says divergent."""
-    if not lq_finite(f, box, q):
+def square_integral(f, box: HyperBox) -> float:
+    """int_D f^2 dx in closed form; math.inf if f is not in L^2, ValueError if no closed form."""
+    if not lq_finite(f, box, 2.0):
         return math.inf
     if isinstance(f, Constant):
-        return abs(f.value) ** q * box.volume
+        return f.value**2 * box.volume
     if isinstance(f, Indicator):
         return float(sum(bx.volume for bx in f.boxes))
-    if isinstance(f, Eigenfunction) and q == 2.0 and _same_box(f.box, box):
+    if isinstance(f, Eigenfunction) and _same_box(f.box, box):
         return 1.0
-    if isinstance(f, SpectralFunction) and q == 2.0 and _same_box(f.system.box, box):
+    if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
         return float(np.dot(f.coeffs, f.coeffs))
     if isinstance(f, AxisPower):
-        return _axis_power_integral(f, box, q, signed=False)
-    return box_integral(lambda p: np.abs(f.evaluate(p)) ** q, box, tol=tol)
+        return _axis_power_integral(f, box, 2.0)
+    if isinstance(f, Polynomial):
+        return _polynomial_integral(np.polynomial.polynomial.polymul(f.coeffs, f.coeffs), f.axis, box)
+    raise ValueError(f"no closed-form square integral of {type(f).__name__} over {box.intervals}")
 
 
-def _axis_power_integral(f: AxisPower, box: HyperBox, q: float, signed: bool) -> float:
+def _axis_power_integral(f: AxisPower, box: HyperBox, q: float) -> float:
     a, b = box.intervals[f.axis]
     lo, hi = a - f.offset, b - f.offset
     if lo < 0.0:
@@ -249,6 +254,13 @@ def _axis_power_integral(f: AxisPower, box: HyperBox, q: float, signed: bool) ->
     else:
         val = (hi ** (e + 1.0) - lo ** (e + 1.0)) / (e + 1.0)
     return other * val
+
+
+def _polynomial_integral(coeffs, axis: int, box: HyperBox) -> float:
+    """|D| / L_axis * [P(b) - P(a)] with P the antiderivative of the coefficients."""
+    a, b = box.intervals[axis]
+    lo, hi = np.polynomial.polynomial.polyval([a, b], np.polynomial.polynomial.polyint(coeffs))
+    return box.volume / (b - a) * float(hi - lo)
 
 
 def lq_finite(f, box: HyperBox, q: float) -> bool:

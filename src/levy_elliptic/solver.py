@@ -60,17 +60,21 @@ def green_gamma_eval(system: EigenSystem, gamma: float, x, y) -> GreenValue:
     tail bound is infinite.
     """
     box = system.box
-    ex, ey = eigen_matrix(system, np.vstack([x, y])).T
-    value = float(np.sum(ex * ey * system.lams ** (-gamma)))
+    value = float(green_gamma_grid(system, gamma, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
     sup_sq = 2.0**box.dim / box.volume  # |e_k(x) e_k(y)| <= prod 2/L_i
     tail = sup_sq * series_tail_bound(box, gamma, float(system.lams[-1]))
     return GreenValue(value, tail)
 
 
 def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
-    """Truncated Green kernel on a product grid of points; shape (len(xs), len(ys))."""
-    ex, ey = eigen_matrix(system, xs), eigen_matrix(system, ys)
-    return (ex * system.lams[:, None] ** (-gamma)).T @ ey
+    """Truncated Green kernel on a product grid of points; shape (len(xs), len(ys)).
+
+    Each side carries lambda_k^(-gamma/2), so the kernel at (x, y) and at
+    (y, x) multiplies the same factors in the same order, and the two agree
+    exactly.
+    """
+    half = system.lams[:, None] ** (-gamma / 2.0)
+    return (eigen_matrix(system, xs) * half).T @ (eigen_matrix(system, ys) * half)
 
 
 def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> None:

@@ -174,12 +174,21 @@ class TestValueRanges:
             ("t_list=-100,100", "spectral_bound.t_list", "positive"),
             ("t_list=300,100", "spectral_bound.t_list", "strictly increasing"),
             ("t_list=100,100", "spectral_bound.t_list", "strictly increasing"),
+            ("grid_levels=5,5,5", "continuity.grid_levels", "distinct"),
+            ("grid_levels=6,4,6", "continuity.grid_levels", "distinct"),
+            ("r_list=1.0,1.0", "sobolev.r_list", "distinct"),
+            ("r_list=1.4,1,1.0", "sobolev.r_list", "distinct"),
         ],
     )
     def test_value_out_of_range_is_refused_at_its_path(self, item, path, message):
         with pytest.raises(ConfigError, match=message) as exc:
             load_config(None, [item])
         assert exc.value.path == path
+
+    def test_unsorted_distinct_levels_and_orders_load(self):
+        cfg = load_config(None, ["grid_levels=6,4,5", "r_list=1.6,1.0"])
+        assert cfg.blocks["continuity"]["grid_levels"] == [6, 4, 5]
+        assert cfg.blocks["sobolev"]["r_list"] == [1.6, 1.0]
 
 
 class TestRemovedKeys:

@@ -5,7 +5,6 @@ import pytest
 
 from levy_elliptic.domain import (
     HyperBox,
-    adaptive_tensor_quad,
     constant_fourier,
     eigen_matrix,
     eigenvalues_of,
@@ -174,10 +173,6 @@ class TestBoxAndQuadrature:
         box = HyperBox(((0.0, 2.0), (-1.0, 1.0)))
         _, w = gauss_nodes(box, 16)
         assert np.sum(w) == pytest.approx(box.volume, rel=1e-14)
-
-    def test_adaptive_quad_polynomial(self):
-        val = adaptive_tensor_quad(lambda p: p[:, 0] ** 4, UNIT, tol=1e-12)
-        assert val == pytest.approx(0.2, rel=1e-12)
 
     def test_eigenvalue_formula_vectorized(self):
         box = HyperBox(((0.0, 1.0), (0.0, 2.0)))

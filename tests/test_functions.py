@@ -14,11 +14,11 @@ from levy_elliptic.functions import (
     Polynomial,
     RadialPower,
     SpectralFunction,
-    abs_power_integral,
     fourier_vector,
     integral,
     lq_finite,
     parse_function,
+    square_integral,
 )
 
 UNIT = HyperBox.unit(1)
@@ -92,20 +92,48 @@ class TestIntegrals:
         assert integral(Constant(3.0), box) == pytest.approx(9.0, rel=1e-14)
         sub = HyperBox(((0.0, 1.0), (0.0, 1.0)))
         assert integral(Indicator((sub,)), box) == 1.0
+        assert square_integral(Constant(-3.0), box) == pytest.approx(27.0, rel=1e-14)
+        assert square_integral(Indicator((sub,)), box) == 1.0
 
     def test_axis_power_closed_forms(self):
         assert integral(AxisPower(-0.5), UNIT) == pytest.approx(2.0, rel=1e-14)
-        assert abs_power_integral(AxisPower(-0.5), UNIT, 1.0) == pytest.approx(2.0, rel=1e-14)
-        assert abs_power_integral(AxisPower(-1.0), UNIT, 2.0) == math.inf
-        assert abs_power_integral(AxisPower(-1.0), UNIT, 0.5) == pytest.approx(2.0, rel=1e-14)
+        assert square_integral(AxisPower(-0.25), UNIT) == pytest.approx(2.0, rel=1e-14)
+        assert square_integral(AxisPower(-0.5), UNIT) == math.inf
+        assert square_integral(AxisPower(-1.0), UNIT) == math.inf
 
     def test_eigenfunction_square_norm(self):
-        assert abs_power_integral(Eigenfunction(UNIT, (5,)), UNIT, 2.0) == 1.0
+        assert square_integral(Eigenfunction(UNIT, (5,)), UNIT) == 1.0
 
     def test_spectral_square_norm_parseval(self):
         system = enumerate_eigen(UNIT, count=3)
         f = SpectralFunction(system, np.array([3.0, 0.0, 4.0]))
-        assert abs_power_integral(f, UNIT, 2.0) == 25.0
+        assert square_integral(f, UNIT) == 25.0
+
+    def test_polynomial_closed_forms_vs_quad_oracle(self):
+        # A shifted box: the polynomial runs along axis 1, axis 0 contributes its length 3.
+        box = HyperBox(((-1.0, 2.0), (0.5, 1.5)))
+        f = Polynomial((1.0, -2.0, 3.0), axis=1)
+        p = lambda y: 1.0 - 2.0 * y + 3.0 * y**2
+        signed, _ = integrate.quad(p, 0.5, 1.5)
+        squared, _ = integrate.quad(lambda y: p(y) ** 2, 0.5, 1.5)
+        assert integral(f, box) == pytest.approx(3.0 * signed, rel=1e-14)
+        assert square_integral(f, box) == pytest.approx(3.0 * squared, rel=1e-14)
+
+    def test_polynomial_closed_forms_are_exact_on_the_unit_interval(self):
+        assert integral(Polynomial((1.0, -2.0, 3.0)), UNIT) == 1.0
+        assert square_integral(Polynomial((0.0, 1.0)), UNIT) == 1.0 / 3.0
+
+    def test_integrands_without_a_closed_form_are_refused(self):
+        other = HyperBox(((0.0, 2.0),))
+        foreign = (Eigenfunction(other, (1,)), SpectralFunction(enumerate_eigen(other, count=2), [1.0, 2.0]))
+        for f in (RadialPower(0.5, (0.5,)), *foreign):
+            name = type(f).__name__
+            with pytest.raises(ValueError, match=name):
+                integral(f, UNIT)
+            with pytest.raises(ValueError, match=name):
+                square_integral(f, UNIT)
+        # Outside L^2 the analytic criterion answers first.
+        assert square_integral(RadialPower(-0.5, (0.5,)), UNIT) == math.inf
 
     def test_lq_finite_analytics(self):
         assert lq_finite(AxisPower(-1.0), UNIT, 0.9) is True

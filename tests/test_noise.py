@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -291,6 +291,7 @@ class TestProperties:
         st.floats(-10.0, 10.0),
         st.floats(-10.0, 10.0),
     )
+    @example(1, 1, 0, 0.0, 5e-324)  # a subnormal size, once falsified on a fresh database
     def test_pair_eigen_is_linear_in_the_atom_sizes(self, d, n, seed, a, b):
         box = HyperBox.unit(d)
         system = enumerate_eigen(box, count=150)
@@ -305,9 +306,12 @@ class TestProperties:
 
         # Each coefficient sums n terms of at most sup|e_k| = 2^(d/2) times a size,
         # so roundoff stays below a few n ulps of the sum of absolute terms.
+        # With subnormal sizes one rounding is a whole subnormal unit, which the
+        # relative bound undercuts, so the bound has a floor of a few such units.
         scale = 2.0 ** (d / 2.0) * np.sum(np.abs(a * z1) + np.abs(b * z2))
+        floor = 4 * (n + 1) * np.finfo(float).smallest_subnormal
         combined = paired(a * z1 + b * z2)
-        assert np.max(np.abs(combined - (a * paired(z1) + b * paired(z2)))) <= 1e-13 * scale
+        assert np.max(np.abs(combined - (a * paired(z1) + b * paired(z2)))) <= max(1e-13 * scale, floor)
 
     @settings(deadline=None, max_examples=30)
     @given(
