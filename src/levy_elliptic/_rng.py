@@ -8,6 +8,13 @@ Two kinds of streams are used throughout the package:
   where a value must depend only on ``(seed, purpose, index)`` so that the
   query order and the worker count never matter.
 
+``stream`` gives numpy's PCG64, and two helpers rely on how its
+``Generator.random`` makes a double: it takes one raw 64-bit word w and
+returns (w >> 11) * 2^-53.  So ``random_signs`` reads the sign of V - 1/2
+from bit 63 of w, and ``skip_uniforms`` steps over n doubles with
+``advance(n)``; both consume exactly the words ``random(n)`` would.  They
+refuse any other bit generator with a TypeError.
+
 The keyed construction hashes the key material through splitmix64-style
 mixing rounds and maps the 53 high bits to a uniform in (0, 1), which the
 inverse normal CDF turns into a Gaussian.  The uniforms are fixed-point and
@@ -42,12 +49,40 @@ SMALL_JUMP_COEFF = 0x22
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def stream(seed: int, tag: int, *extra: int) -> np.random.Generator:
     """Generator for a named sampling stream derived from ``seed``."""
     ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(tag, *extra))
     return np.random.default_rng(ss)
+
+
+def _pcg64(rng) -> np.random.PCG64:
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"needs a PCG64 bit generator, got {type(bitgen).__name__}")
+    return bitgen
+
+
+def random_signs(mags: np.ndarray, rng) -> np.ndarray:
+    """Give each positive magnitude a sign, in place, from one word of ``rng`` each.
+
+    Bit for bit ``np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags``: a uniform
+    is below 1/2 exactly when bit 63 of its raw word is clear, and that
+    bit, inverted, is the sign bit ORed into the double.
+    """
+    words = _pcg64(rng).random_raw(mags.size)
+    np.invert(words, out=words)
+    words &= _SIGN_BIT
+    bits = mags.view(np.uint64)
+    bits |= words
+    return mags
+
+
+def skip_uniforms(rng, n: int) -> None:
+    """Advance ``rng`` past n uniforms, as ``rng.random(n)`` would, without making them."""
+    _pcg64(rng).advance(n)
 
 
 def replicate_seed(master_seed: int, replicate_id: int) -> int:

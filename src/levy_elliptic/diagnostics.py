@@ -30,7 +30,7 @@ from .domain import (
     resolving_gauss_rule,
     tensor_rule,
 )
-from .functions import SpectralFunction, fourier_vector, integral, square_integral
+from .functions import Constant, SpectralFunction, fourier_vector, integral, square_integral
 from .integrability import rr_integrability
 from .measures import LevyTriplet, band_variance, characteristic_exponent, sample_jump_sizes
 from .noise import pair_eigen, pair_with_function, sample_noise
@@ -112,10 +112,12 @@ def _pairing_batch(
     if triplet.b != 0.0:
         x += triplet.b * integral(f, system.box)
     small_var = measure.truncated_variance(eps) if policy == "gaussianize" else 0.0
-    coeffs = fourier_vector(system, f)
-    gauss_var = (triplet.sigma**2 + small_var) * float(np.dot(coeffs, coeffs))
-    if gauss_var > 0.0:
-        x += math.sqrt(gauss_var) * rng.standard_normal(m)
+    scale = triplet.sigma**2 + small_var
+    if scale > 0.0:
+        coeffs = fourier_vector(system, f)
+        gauss_var = scale * float(np.dot(coeffs, coeffs))
+        if gauss_var > 0.0:
+            x += math.sqrt(gauss_var) * rng.standard_normal(m)
     return x
 
 
@@ -130,6 +132,11 @@ def _jump_sums(
     locations from ``rng``, and ``np.add.reduceat`` sums each non-empty
     replicate's segment.  Memory is bounded by the block, and the result
     depends on BLOCK_ATOMS through the block boundaries of the draws.
+
+    A ``Constant`` f never reads the locations: ``_rng.skip_uniforms``
+    advances PCG64 past the n * d words they would take, and the sizes are
+    scaled by the constant, so the stream and the sums stay those of the
+    drawn locations bit for bit.  ``rng`` must run on PCG64.
     """
     lam = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
     if not lam <= BATCH_ATOMS:
@@ -150,10 +157,14 @@ def _jump_sums(
         n = int(ends[stop - 1]) - first
         if n:
             terms = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
-            locations = rng.random((n, box.dim))
-            locations *= box.lengths
-            locations += box.lower
-            terms *= f.evaluate(locations)
+            if isinstance(f, Constant):
+                _rng.skip_uniforms(rng, n * box.dim)
+                terms *= float(f.value)
+            else:
+                locations = rng.random((n, box.dim))
+                locations *= box.lengths
+                locations += box.lower
+                terms *= f.evaluate(locations)
             filled = start + np.flatnonzero(counts[start:stop])
             out[filled] = np.add.reduceat(terms, ends[filled] - counts[filled] - first)
         start = stop

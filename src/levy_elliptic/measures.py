@@ -31,6 +31,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from . import _rng
 from ._checks import ConfigError, as_number
 
 
@@ -98,12 +99,14 @@ class AlphaStable(LevyMeasure):
         return -_stable_cos_constant(self.alpha) * np.abs(u) ** self.alpha
 
     def band_magnitudes(self, lo, hi, rng, n):
-        # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf.
+        # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf,
+        # where the affine map below is the identity and is skipped.
         a = self.alpha
-        r = (lo / hi) ** a
         mags = rng.random(n)
-        mags *= 1.0 - r
-        mags += r
+        if hi != math.inf:
+            r = (lo / hi) ** a
+            mags *= 1.0 - r
+            mags += r
         mags **= -1.0 / a
         mags *= lo
         return mags
@@ -365,8 +368,11 @@ def sample_jump_sizes(
 ):
     """Draw jump sizes from nu restricted to {lo < |z| <= hi}, normalized.
 
-    Signs are symmetric by construction; magnitudes come from the family's
-    ``band_magnitudes``.  Raises when the range carries no mass or infinite
+    Magnitudes come from the family's ``band_magnitudes``; then one more
+    word of ``rng`` per jump gives its sign through ``_rng.random_signs``,
+    which reads bit 63 of PCG64's raw word, so the sizes equal
+    ``np.where(rng.random(n) < 0.5, -1, 1) * mags`` bit for bit.  ``rng``
+    must run on PCG64.  Raises when the range carries no mass or infinite
     mass.
     """
     if not 0.0 <= lo < hi:
@@ -377,11 +383,7 @@ def sample_jump_sizes(
         raise ValueError("no jumps above threshold")
     if not math.isfinite(mass):
         raise ValueError("infinite jump intensity above threshold; use eps > 0")
-    mags = measure.band_magnitudes(lo, hi, rng, n)
-    # Bit-identical to np.where(V < 0.5, -1.0, 1.0) * mags for V = rng.random(n).
-    half = rng.random(n)
-    half -= 0.5
-    out = np.copysign(mags, half, out=mags)
+    out = _rng.random_signs(measure.band_magnitudes(lo, hi, rng, n), rng)
     return out[0] if size is None else out
 
 

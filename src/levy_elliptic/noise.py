@@ -203,13 +203,13 @@ def pair_with_function(
     total = 0.0
     if trip.b != 0.0:
         total += trip.b * integral(f, realization.box)
-    coeffs = fourier_vector(system, f)
     spectral = np.zeros(len(system))
     if trip.sigma != 0.0:
         spectral += realization.gaussian_coefficients(system.indices)
     if realization.policy == "gaussianize":
         spectral += realization.small_jump_coefficients(system.indices)
-    total += float(np.dot(coeffs, spectral))
+    if spectral.any():
+        total += float(np.dot(fourier_vector(system, f), spectral))
     if realization.atoms.count:
         total += float(f.evaluate(realization.atoms.locations) @ realization.atoms.sizes)
     return total

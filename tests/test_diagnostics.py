@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levy_elliptic import diagnostics
+from levy_elliptic import _rng, diagnostics
 from levy_elliptic.diagnostics import (
     _jump_sums,
     continuity_probe,
@@ -13,7 +13,7 @@ from levy_elliptic.diagnostics import (
     weak_identity_test,
 )
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Eigenfunction
+from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Polynomial
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -150,6 +150,54 @@ def test_jump_sums_skip_empty_replicates_anywhere_in_a_block(monkeypatch, counts
     assert drawn == expected_blocks == blocks
     assert np.all(got[counts == 0] == 0.0)
     assert got == pytest.approx(expected, rel=1e-14, abs=SUM_ABS_TOL)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c", [1.0, 2.5, -1.5])
+def test_constant_integrand_steps_over_locations_bit_for_bit(monkeypatch, d, c):
+    # Polynomial((c,)) evaluates to c at drawn locations; Constant(c) skips them.
+    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", 64)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(kwargs["size"])
+        return sample_jump_sizes(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "sample_jump_sizes", counted)
+    box = HyperBox(tuple((0.5 * i, 1.0 + i) for i in range(d)))
+    sums, states = [], []
+    for f in (Constant(c), Polynomial((c,))):
+        rng = np.random.default_rng(21)
+        sums.append(_jump_sums(box, AlphaStable(1.5), f, 100, rng, 0.2))
+        states.append(rng.bit_generator.state)
+    assert sums[0].tobytes() == sums[1].tobytes()
+    assert states[0] == states[1]
+    assert len(drawn) >= 2 * 10
+
+
+def refuse(*args):
+    raise AssertionError("fourier_vector called")
+
+
+@pytest.mark.parametrize(
+    "measure, policy", [(SymmetricTwoPoint(5.0, 0.5), "gaussianize"), (AlphaStable(1.5), "drop")]
+)
+def test_pairing_batch_without_a_gaussian_part_skips_fourier_coefficients(monkeypatch, measure, policy):
+    system = enumerate_eigen(UNIT, count=64)
+    f, triplet = AxisPower(-0.3), LevyTriplet(0.0, 0.0, measure)
+    monkeypatch.setattr(diagnostics, "fourier_vector", refuse)
+    x = diagnostics._pairing_batch(triplet, f, system, 0.05, policy, 1000, 3)
+    rng = _rng.stream(3, _rng.BATCH_STREAM)
+    assert np.array_equal(x, _jump_sums(UNIT, measure, f, 1000, rng, 0.05))
+
+
+def test_pairing_batch_with_gaussianized_small_jumps_reads_fourier_coefficients(monkeypatch):
+    system = enumerate_eigen(UNIT, count=64)
+    monkeypatch.setattr(diagnostics, "fourier_vector", refuse)
+    with pytest.raises(AssertionError, match="fourier_vector called"):
+        diagnostics._pairing_batch(
+            LevyTriplet(0.0, 0.0, AlphaStable(1.5)), AxisPower(-0.3), system, 0.05, "gaussianize", 1000, 3
+        )
 
 
 def cf_report(measure, seed, f=AxisPower(1.0), m=20_000):

@@ -292,14 +292,34 @@ class TestSamplers:
 
         assert kstest(np.abs(z), cdf).statistic < 0.012
 
+    @pytest.mark.parametrize("size", [1000, None])
+    @pytest.mark.parametrize("hi", [1.0, np.inf])
     @pytest.mark.parametrize("measure", [AlphaStable(0.7), AlphaStable(1.0), AlphaStable(1.5)])
-    def test_stable_band_keeps_the_old_sign_form_bit_for_bit(self, measure):
+    def test_stable_band_keeps_the_old_sign_form_bit_for_bit(self, measure, hi, size):
         alpha = measure.alpha
-        z = sample_jump_sizes(measure, 0.01, np.random.default_rng(12), size=1000, hi=1.0)
+        z = sample_jump_sizes(measure, 0.01, np.random.default_rng(12), size=size, hi=hi)
         rng = np.random.default_rng(12)
-        r = 0.01**alpha
-        mags = 0.01 * (r + (1.0 - r) * rng.random(1000)) ** (-1.0 / alpha)
-        expected = np.where(rng.random(1000) < 0.5, -1.0, 1.0) * mags
+        n = 1 if size is None else size
+        r = (0.01 / hi) ** alpha
+        mags = 0.01 * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / alpha)
+        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
+        if size is None:
+            assert np.ndim(z) == 0
+            expected = expected[0]
+        assert np.array_equal(z, expected)
+
+    @pytest.mark.parametrize("size", [1000, None])
+    @pytest.mark.parametrize("hi", [1.0, np.inf])
+    def test_variance_gamma_keeps_the_old_sign_form_bit_for_bit(self, hi, size):
+        measure = VarianceGamma(1.0, 1.0)
+        z = sample_jump_sizes(measure, 0.01, np.random.default_rng(14), size=size, hi=hi)
+        rng = np.random.default_rng(14)
+        n = 1 if size is None else size
+        mags = measure.band_magnitudes(0.01, hi, rng, n)
+        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
+        if size is None:
+            assert np.ndim(z) == 0
+            expected = expected[0]
         assert np.array_equal(z, expected)
 
     def test_two_point_keeps_the_old_sign_form_bit_for_bit(self):

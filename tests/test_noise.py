@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from levy_elliptic import noise
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
 from levy_elliptic.diagnostics import _pairing_batch, run_replicates
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator
+from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator, integral
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -159,6 +160,21 @@ class TestPairWithFunction:
         lhs = pair_with_function(real, left, system) + pair_with_function(real, right, system)
         rhs = pair_with_function(real, union, system)
         assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "triplet, policy",
+        [
+            (LevyTriplet(0.5, 0.0, SymmetricTwoPoint(5.0, 0.7)), "gaussianize"),
+            (LevyTriplet(0.5, 0.0, AlphaStable(1.5)), "drop"),
+        ],
+    )
+    def test_no_spectral_part_skips_fourier_coefficients(self, monkeypatch, triplet, policy):
+        real = sample_noise(UNIT, triplet, eps=0.5, policy=policy, master_seed=18)
+        assert real.atoms.count > 0
+        f = AxisPower(-0.3)
+        expected = 0.5 * integral(f, UNIT) + float(f.evaluate(real.atoms.locations) @ real.atoms.sizes)
+        monkeypatch.setattr(noise, "fourier_vector", lambda *a: pytest.fail("fourier_vector called"))
+        assert pair_with_function(real, f, enumerate_eigen(UNIT, count=64)) == expected
 
     def test_batch_sampler_matches_direct_pairing_law(self):
         # The vectorized batch is a law-equivalent shortcut for repeated

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
 from levy_elliptic import _rng
@@ -85,3 +86,22 @@ def test_keyed_uniforms_stay_inside_the_open_interval():
     u = keyed_uniforms(2**64 - 1, _rng.SMALL_JUMP_COEFF, np.arange(1 << 12))
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.all(np.isfinite(_ndtri(u)))
+
+
+def test_sign_and_skip_helpers_refuse_bit_generators_other_than_pcg64():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="PCG64"):
+        _rng.random_signs(np.ones(4), rng)
+    with pytest.raises(TypeError, match="PCG64"):
+        _rng.skip_uniforms(rng, 4)
+
+
+def test_random_signs_and_skip_uniforms_match_the_uniforms_they_replace():
+    mags = np.random.default_rng(1).random(4096) + 0.5
+    got = _rng.random_signs(mags.copy(), _rng.stream(3, _rng.BATCH_STREAM))
+    uniforms = _rng.stream(3, _rng.BATCH_STREAM).random(4096)
+    assert np.array_equal(got, np.where(uniforms < 0.5, -1.0, 1.0) * mags)
+    skipped, drawn = _rng.stream(3, _rng.BATCH_STREAM), _rng.stream(3, _rng.BATCH_STREAM)
+    _rng.skip_uniforms(skipped, 1001)
+    drawn.random(1001)
+    assert np.array_equal(skipped.random(8), drawn.random(8))
