@@ -4,7 +4,9 @@ Subcommands: check, sample-noise, solve, verify {cf,isometry,weak,
 spectral-bound}, sweep {sobolev,continuity}, green-oracle.  Configuration
 comes from one JSON file plus ``--set key=value`` overrides; stochastic
 subcommands require a seed.  Exit codes: 0 all good, 1 a non-inconclusive
-verification failed, 2 config error or refused regime.  Given one seed,
+verification failed, 2 config error, refused regime or invalid request,
+such as a draw of the noise over its atom budget (see ``noise``) or an
+integrand the CF test cannot evaluate.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
 numpy picks its SIMD kernels (log, exp, pow, ...) at run time.

@@ -30,17 +30,11 @@ from .domain import (
     resolving_gauss_rule,
     tensor_rule,
 )
-from .functions import Constant, SpectralFunction, fourier_vector, integral, square_integral
+from .functions import SpectralFunction, square_integral
 from .integrability import rr_integrability
-from .measures import LevyTriplet, band_variance, characteristic_exponent, sample_jump_sizes
-from .noise import pair_eigen, pair_with_function, sample_noise
+from .measures import LevyTriplet, band_variance, characteristic_exponent
+from .noise import jump_sums, pair_eigen, pair_with_function, pairing_batch, sample_noise
 from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
-
-# Largest expected atom count a Monte Carlo replicate may have; more is refused.
-BATCH_ATOMS = 1 << 20
-# Atoms per block of whole replicates in a Monte Carlo batch: 128 KiB a column,
-# so a block's sizes, locations and weights stay within a 2 MiB L2 cache.
-BLOCK_ATOMS = 1 << 14
 
 CONVERGED_BAND = 0.01
 DIVERGENT_BAND = 0.05
@@ -89,88 +83,6 @@ def run_replicates(fn, n: int, workers: int = 1) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def _pairing_batch(
-    triplet: LevyTriplet,
-    f,
-    system: EigenSystem,
-    eps: float,
-    policy: str,
-    m: int,
-    seed: int,
-) -> np.ndarray:
-    """m i.i.d. samples of the noise paired with f, vectorized across replicates.
-
-    Law-equivalent to calling ``pair_with_function`` on m fresh realizations:
-    the Gaussian and gaussianized-small-jump parts act through the truncated
-    expansion of f, so their contribution is a centered normal whose variance
-    is (sigma^2 + small_variance) * sum_k <f, e_k>^2, and the jump part is the
-    direct atom sum.  Draw order is fixed, so one seed fixes the whole batch.
-    """
-    rng = _rng.stream(seed, _rng.BATCH_STREAM)
-    measure = triplet.measure
-    x = _jump_sums(system.box, measure, f, m, rng, eps)
-    if triplet.b != 0.0:
-        x += triplet.b * integral(f, system.box)
-    small_var = measure.truncated_variance(eps) if policy == "gaussianize" else 0.0
-    scale = triplet.sigma**2 + small_var
-    if scale > 0.0:
-        coeffs = fourier_vector(system, f)
-        gauss_var = scale * float(np.dot(coeffs, coeffs))
-        if gauss_var > 0.0:
-            x += math.sqrt(gauss_var) * rng.standard_normal(m)
-    return x
-
-
-def _jump_sums(
-    box: HyperBox, measure, f, m: int, rng, lo: float, hi: float = math.inf
-) -> np.ndarray:
-    """m replicate sums of f(y) z over the atoms of nu on {lo < |z| <= hi}.
-
-    The Poisson counts of all replicates come first.  Then consecutive
-    blocks of whole replicates, about BLOCK_ATOMS atoms each (a replicate
-    with more atoms is a block of its own), draw their sizes and uniform
-    locations from ``rng``, and ``np.add.reduceat`` sums each non-empty
-    replicate's segment.  Memory is bounded by the block, and the result
-    depends on BLOCK_ATOMS through the block boundaries of the draws.
-
-    A ``Constant`` f never reads the locations: ``_rng.skip_uniforms``
-    advances PCG64 past the n * d words they would take, and the sizes are
-    scaled by the constant, so the stream and the sums stay those of the
-    drawn locations bit for bit.  ``rng`` must run on PCG64.
-    """
-    lam = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
-    if not lam <= BATCH_ATOMS:
-        raise ValueError(
-            f"eps={lo:g} gives {lam:.3g} expected atoms in each of the M={m} replicates, "
-            f"above the bound of BATCH_ATOMS={BATCH_ATOMS} expected atoms a replicate; "
-            "raise eps"
-        )
-    out = np.zeros(m)
-    if lam == 0.0:
-        return out
-    counts = rng.poisson(lam, m)
-    ends = np.cumsum(counts)
-    start = 0
-    while start < m:
-        first = int(ends[start] - counts[start])
-        stop = max(start + 1, int(np.searchsorted(ends, first + BLOCK_ATOMS, side="right")))
-        n = int(ends[stop - 1]) - first
-        if n:
-            terms = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
-            if isinstance(f, Constant):
-                _rng.skip_uniforms(rng, n * box.dim)
-                terms *= float(f.value)
-            else:
-                locations = rng.random((n, box.dim))
-                locations *= box.lengths
-                locations += box.lower
-                terms *= f.evaluate(locations)
-            filled = start + np.flatnonzero(counts[start:stop])
-            out[filled] = np.add.reduceat(terms, ends[filled] - counts[filled] - first)
-        start = stop
-    return out
-
-
 def empirical_cf_test(
     triplet: LevyTriplet,
     f,
@@ -205,7 +117,7 @@ def empirical_cf_test(
             "CF test undefined"
         )
     u_grid = [float(u) for u in u_grid]
-    x = _pairing_batch(triplet, f, system, eps, policy, m, seed)
+    x = pairing_batch(triplet, f, system, eps, policy, m, seed)
     stats, detail_rows = [], []
     for u in u_grid:
         # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
@@ -279,7 +191,7 @@ def isometry_test(
             inconclusive=True,
         )
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
-    y = _jump_sums(box, measure, f, m, rng, eps, band_high)
+    y = jump_sums(box, measure, f, m, rng, eps, band_high)
     empirical = float(np.var(y))
     statistic = abs(empirical / exact - 1.0)
     return TestReport(
@@ -378,7 +290,8 @@ def sobolev_sweep(
     applied to the median of the per-replicate last-doubling statistics
     (relative increment and log-log slope), which concentrates much better
     than a ratio of pointwise medians under heavy-tailed coefficients.
-    The prediction under test: convergent iff r < 2 gamma - d/2.
+    The prediction under test: convergent iff r < r_max = 2 gamma - d/2,
+    read from the existence verdict.
 
     ``surrogate`` replaces the noise coefficients by the deterministic
     decay lambda_k^(-gamma), which turns the sweep into an exact check of
@@ -390,7 +303,7 @@ def sobolev_sweep(
         raise ValueError("k_list must be ascending with at least two entries")
     if k_list[-1] != 2 * k_list[-2]:
         raise ValueError("the last two cutoffs must be a doubling (bands assume it)")
-    refuse_outside_regime(d, gamma, triplet, override)
+    threshold_r = refuse_outside_regime(d, gamma, triplet, override).r_max
 
     system = enumerate_eigen(box, count=k_list[-1])
     lams = system.lams
@@ -412,7 +325,6 @@ def sobolev_sweep(
             return {r: np.cumsum(bases[r] * c2)[checkpoints] for r in r_list}
 
     rows = run_replicates(one, replicates, workers)
-    threshold_r = 2.0 * gamma - d / 2.0
     reports = []
     for r in r_list:
         stacked = np.stack([row[r] for row in rows])
@@ -475,13 +387,14 @@ def continuity_probe(
     decreases across the two finest levels, and supports blowup when the
     grid sup-norm increases across each of the last two refinements.  The
     probe reports the fraction of replicates supporting the predicted side
-    (continuous iff gamma > d/2) against the 0.8 consistency threshold.
+    (the existence verdict's continuity flag, gamma > d/2) against the 0.8
+    consistency threshold.
     """
     d = box.dim
     levels = sorted(int(l) for l in grid_levels)
     if len(levels) < 3:
         raise ValueError("need at least three grid levels")
-    refuse_outside_regime(d, gamma, triplet, override)
+    continuous = refuse_outside_regime(d, gamma, triplet, override).continuous
 
     l_min = float(np.min(box.lengths))
     lam_caps = [(math.pi * 2**l / l_min) ** 2 for l in levels]
@@ -521,7 +434,7 @@ def continuity_probe(
         classification = "blowup-consistent"
     else:
         classification = "inconclusive"
-    predicted = "continuous-consistent" if gamma > d / 2.0 else "blowup-consistent"
+    predicted = "continuous-consistent" if continuous else "blowup-consistent"
     statistic = frac_inc if predicted == "continuous-consistent" else frac_sup
     return TestReport(
         name=f"continuity[d={d},gamma={gamma}]",

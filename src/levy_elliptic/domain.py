@@ -97,7 +97,6 @@ class EigenSystem:
     box: HyperBox
     indices: np.ndarray
     lams: np.ndarray
-    cutoff: tuple[str, float]
     _positions: dict | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -115,7 +114,7 @@ class EigenSystem:
         """First ``count`` entries as a new system (shares the arrays)."""
         if not 1 <= count <= len(self):
             raise ValueError(f"count must lie in [1, {len(self)}]")
-        return EigenSystem(self.box, self.indices[:count], self.lams[:count], ("count", count))
+        return EigenSystem(self.box, self.indices[:count], self.lams[:count])
 
 
 def _lattice_below(lengths: np.ndarray, lam_max: float) -> np.ndarray:
@@ -193,7 +192,7 @@ def enumerate_eigen(
         while True:
             idx, lam = _sorted_entries(box, guess)
             if len(lam) >= count:
-                return EigenSystem(box, idx[:count].copy(), lam[:count].copy(), ("count", count))
+                return EigenSystem(box, idx[:count].copy(), lam[:count].copy())
             guess *= 1.7
     if lambda_max is None or lambda_max <= 0.0:
         raise ValueError("lambda_max must be positive")
@@ -202,7 +201,7 @@ def enumerate_eigen(
         raise ValueError(
             f"threshold {lambda_max} lies below the first eigenvalue; empty system"
         )
-    return EigenSystem(box, idx, lam, ("threshold", float(lambda_max)))
+    return EigenSystem(box, idx, lam)
 
 
 def weyl_count(box: HyperBox, t: float) -> int:
@@ -220,7 +219,7 @@ def single_mode(box: HyperBox, index) -> EigenSystem:
     idx = np.atleast_1d(np.asarray(index, dtype=np.int64))
     if idx.ndim != 1 or len(idx) != box.dim or np.any(idx < 1):
         raise ValueError(f"index {index} invalid for a dim-{box.dim} box")
-    return EigenSystem(box, idx[None, :], eigenvalues_of(box, idx[None, :]), ("count", 1))
+    return EigenSystem(box, idx[None, :], eigenvalues_of(box, idx[None, :]))
 
 
 def _unit_points(box: HyperBox, points) -> tuple[np.ndarray, np.ndarray]:

@@ -363,9 +363,9 @@ def sample_jump_sizes(
     measure: LevyMeasure,
     lo: float,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     hi: float = math.inf,
-):
+) -> np.ndarray:
     """Draw jump sizes from nu restricted to {lo < |z| <= hi}, normalized.
 
     Magnitudes come from the family's ``band_magnitudes``; then one more
@@ -373,23 +373,14 @@ def sample_jump_sizes(
     which reads bit 63 of PCG64's raw word, so the sizes equal
     ``np.where(rng.random(n) < 0.5, -1, 1) * mags`` bit for bit.  ``rng``
     must run on PCG64.  Raises when the range carries no mass or infinite
-    mass.
+    mass.  A draw of size 0 takes no words.
     """
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    n = 1 if size is None else int(size)
     mass = measure.tail_mass(lo) - measure.tail_mass(hi)
     if mass == 0.0:
         raise ValueError("no jumps above threshold")
     if not math.isfinite(mass):
         raise ValueError("infinite jump intensity above threshold; use eps > 0")
-    out = _rng.random_signs(measure.band_magnitudes(lo, hi, rng, n), rng)
-    return out[0] if size is None else out
+    return _rng.random_signs(measure.band_magnitudes(lo, hi, rng, int(size)), rng)
 
-
-def sample_band_jump_sizes(
-    measure: LevyMeasure, lo: float, hi: float, rng: np.random.Generator, size: int | None = None
-):
-    """``sample_jump_sizes(measure, lo, rng, size, hi)``.  Nothing in the package
-    calls it; it stays only while ``perfbench/tracer.py`` traces it by name."""
-    return sample_jump_sizes(measure, lo, rng, size, hi)

@@ -1,6 +1,7 @@
 """Sampling symmetric Levy white noise on a box and pairing it with functions.
 
-A realization consists of three independent pieces keyed to one master seed:
+This module is the one place that draws the noise.  A realization consists
+of three independent pieces keyed to one master seed:
 
 * the jump atoms above a truncation level eps, a compound-Poisson draw from
   the product intensity dy x nu(dz);
@@ -13,6 +14,10 @@ A realization consists of three independent pieces keyed to one master seed:
 
 Atoms in the band eps < |z| <= 1 are summed raw, without the compensator:
 every supported measure is symmetric, so the compensating term vanishes.
+
+Monte Carlo checks draw many replicates at once (``pairing_batch``).  A
+realization and a replicate share one atom budget: ``atom_rate`` refuses,
+before any draw, one that expects more than BATCH_ATOMS = 2^20 atoms.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from . import _rng
 from ._csvio import write_csv
 from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec
 from .functions import (
+    Constant,
     Eigenfunction,
     FunctionDescriptor,
     Indicator,
@@ -37,6 +43,34 @@ from .functions import (
 from .measures import LevyTriplet, sample_jump_sizes
 
 POLICIES = ("gaussianize", "drop")
+
+# Largest expected atom count of a realization or Monte Carlo replicate.
+BATCH_ATOMS = 1 << 20
+# Atoms per block of whole replicates in a Monte Carlo batch: 128 KiB a column,
+# so a block's sizes, locations and weights stay within a 2 MiB L2 cache.
+BLOCK_ATOMS = 1 << 14
+
+
+def atom_rate(box: HyperBox, measure, lo: float, hi: float = math.inf) -> float:
+    """|D| nu({lo < |z| <= hi}), the expected atom count of one draw; refused above BATCH_ATOMS."""
+    rate = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
+    if not rate <= BATCH_ATOMS:
+        count = f"{rate:.3g}" if math.isfinite(rate) else "infinitely many"
+        raise ValueError(
+            f"eps={lo:g} gives {count} expected atoms a draw, "
+            f"above the bound of BATCH_ATOMS={BATCH_ATOMS}; raise eps"
+        )
+    return rate
+
+
+def uniform_locations(box: HyperBox, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. uniform points of the box, shape (n, d), from n * d uniforms of rng."""
+    return box.lower + rng.random((n, box.dim)) * box.lengths
+
+
+def surrogate_variance(measure, eps: float, policy: str) -> float:
+    """Small-jump surrogate variance a coefficient: int_{|z| <= eps} z^2 nu(dz), or 0 under ``drop``."""
+    return measure.truncated_variance(eps) if policy == "gaussianize" else 0.0
 
 
 @dataclass
@@ -57,24 +91,18 @@ class JumpAtomSet:
         write_csv(path, header, [*self.locations.T, self.sizes])
 
 
-def sample_prm_large(
-    box: HyperBox, measure, eps: float, rng: np.random.Generator
-) -> JumpAtomSet:
+def sample_prm_large(box: HyperBox, measure, eps: float, rng: np.random.Generator) -> JumpAtomSet:
     """Compound-Poisson draw of all jumps with |z| > eps.
 
-    Atom count ~ Poisson(|D| * nu({|z| > eps})), locations i.i.d. uniform on
-    the box, sizes i.i.d. from the normalized restricted measure.
+    In draw order: the atom count ~ Poisson(``atom_rate``), the locations
+    i.i.d. uniform on the box, the sizes i.i.d. from the restricted measure.
     """
-    lam = measure.tail_mass(eps)
-    if not math.isfinite(lam):
-        raise ValueError("infinite jump intensity above eps; increase eps")
-    d = box.dim
-    if lam == 0.0:
-        return JumpAtomSet(box, eps, np.empty((0, d)), np.empty(0))
-    n = int(rng.poisson(box.volume * lam))
-    locations = box.lower + rng.random((n, d)) * box.lengths
-    sizes = np.atleast_1d(sample_jump_sizes(measure, eps, rng, size=n)) if n else np.empty(0)
-    return JumpAtomSet(box, eps, locations, sizes)
+    rate = atom_rate(box, measure, eps)
+    if rate == 0.0:
+        return JumpAtomSet(box, eps, np.empty((0, box.dim)), np.empty(0))
+    n = int(rng.poisson(rate))
+    locations = uniform_locations(box, n, rng)
+    return JumpAtomSet(box, eps, locations, sample_jump_sizes(measure, eps, rng, size=n))
 
 
 @dataclass
@@ -102,17 +130,14 @@ class NoiseRealization:
     def small_jump_coefficients(self, indices) -> np.ndarray:
         """Gaussian surrogate coefficients for the jumps below eps.
 
-        Variance int_{|z| <= eps} z^2 nu(dz) per index under the
-        ``gaussianize`` policy; identically zero under ``drop``.
+        Variance ``surrogate_variance`` per index; identically zero, and no
+        stream is consumed, when that variance is zero.
         """
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-        if self.policy == "drop":
-            return np.zeros(len(idx))
-        var = self.triplet.measure.truncated_variance(self.eps)
+        var = surrogate_variance(self.triplet.measure, self.eps, self.policy)
         if var == 0.0:
             return np.zeros(len(idx))
-        draws = _rng.keyed_normals(self.master_seed, _rng.SMALL_JUMP_COEFF, idx)
-        return math.sqrt(var) * draws
+        return math.sqrt(var) * _rng.keyed_normals(self.master_seed, _rng.SMALL_JUMP_COEFF, idx)
 
     def manifest(self) -> dict:
         return {
@@ -161,12 +186,10 @@ def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray
     c = np.zeros(len(system))
     if trip.b != 0.0:
         c += trip.b * constant_fourier(system)
-    if trip.sigma != 0.0:
-        c += realization.gaussian_coefficients(system.indices)
+    c += realization.gaussian_coefficients(system.indices)
     if realization.atoms.count:
         c += eigen_matvec(system, realization.atoms.locations, realization.atoms.sizes)
-    if realization.policy == "gaussianize":
-        c += realization.small_jump_coefficients(system.indices)
+    c += realization.small_jump_coefficients(system.indices)
     return c
 
 
@@ -203,13 +226,81 @@ def pair_with_function(
     total = 0.0
     if trip.b != 0.0:
         total += trip.b * integral(f, realization.box)
-    spectral = np.zeros(len(system))
-    if trip.sigma != 0.0:
-        spectral += realization.gaussian_coefficients(system.indices)
-    if realization.policy == "gaussianize":
-        spectral += realization.small_jump_coefficients(system.indices)
+    spectral = realization.gaussian_coefficients(system.indices)
+    spectral += realization.small_jump_coefficients(system.indices)
     if spectral.any():
         total += float(np.dot(fourier_vector(system, f), spectral))
     if realization.atoms.count:
         total += float(f.evaluate(realization.atoms.locations) @ realization.atoms.sizes)
     return total
+
+
+def pairing_batch(
+    triplet: LevyTriplet,
+    f,
+    system: EigenSystem,
+    eps: float,
+    policy: str,
+    m: int,
+    seed: int,
+) -> np.ndarray:
+    """m i.i.d. samples of the noise paired with f, vectorized across replicates.
+
+    Law-equivalent to calling ``pair_with_function`` on m fresh realizations:
+    the Gaussian and gaussianized-small-jump parts act through the truncated
+    expansion of f, so their contribution is a centered normal of variance
+    (sigma^2 + surrogate_variance) * sum_k <f, e_k>^2, and the jump part is
+    the direct atom sum.  Draw order is fixed, so one seed fixes the batch.
+    """
+    rng = _rng.stream(seed, _rng.BATCH_STREAM)
+    x = jump_sums(system.box, triplet.measure, f, m, rng, eps)
+    if triplet.b != 0.0:
+        x += triplet.b * integral(f, system.box)
+    scale = triplet.sigma**2 + surrogate_variance(triplet.measure, eps, policy)
+    if scale > 0.0:
+        coeffs = fourier_vector(system, f)
+        gauss_var = scale * float(np.dot(coeffs, coeffs))
+        if gauss_var > 0.0:
+            x += math.sqrt(gauss_var) * rng.standard_normal(m)
+    return x
+
+
+def jump_sums(box: HyperBox, measure, f, m: int, rng, lo: float, hi: float = math.inf) -> np.ndarray:
+    """m replicate sums of f(y) z over the atoms of nu on {lo < |z| <= hi}.
+
+    ``atom_rate`` refuses the batch before any draw when one replicate
+    expects more than BATCH_ATOMS atoms.  The Poisson counts of all
+    replicates come first.  Then consecutive blocks of whole replicates,
+    about BLOCK_ATOMS atoms each (a replicate with more atoms is a block of
+    its own), draw their sizes and uniform locations from ``rng``, and
+    ``np.add.reduceat`` sums each non-empty replicate's segment.  Memory is
+    bounded by the block, and the result depends on BLOCK_ATOMS through the
+    block boundaries of the draws.
+
+    A ``Constant`` f never reads the locations: ``_rng.skip_uniforms``
+    advances PCG64 past the n * d words they would take, and the sizes are
+    scaled by the constant, so the stream and the sums stay those of the
+    drawn locations bit for bit.  ``rng`` must run on PCG64.
+    """
+    rate = atom_rate(box, measure, lo, hi)
+    out = np.zeros(m)
+    if rate == 0.0:
+        return out
+    counts = rng.poisson(rate, m)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < m:
+        first = int(ends[start] - counts[start])
+        stop = max(start + 1, int(np.searchsorted(ends, first + BLOCK_ATOMS, side="right")))
+        n = int(ends[stop - 1]) - first
+        if n:
+            terms = sample_jump_sizes(measure, lo, rng, size=n, hi=hi)
+            if isinstance(f, Constant):
+                _rng.skip_uniforms(rng, n * box.dim)
+                terms *= float(f.value)
+            else:
+                terms *= f.evaluate(uniform_locations(box, n, rng))
+            filled = start + np.flatnonzero(counts[start:stop])
+            out[filled] = np.add.reduceat(terms, ends[filled] - counts[filled] - first)
+        start = stop
+    return out

@@ -21,7 +21,7 @@ import numpy as np
 from ._csvio import write_csv
 from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, grid_rmatvec
 from .functions import SpectralFunction, fourier_vector
-from .integrability import existence_verdict
+from .integrability import ExistenceVerdict, existence_verdict
 from .noise import NoiseRealization, pair_eigen
 
 
@@ -77,13 +77,16 @@ def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
     return (eigen_matrix(system, xs) * half).T @ (eigen_matrix(system, ys) * half)
 
 
-def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> None:
-    """Raise RegimeRefusalError where no mild solution exists, unless overridden."""
-    if not existence_verdict(d, gamma, triplet).exists and not override:
+def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> ExistenceVerdict:
+    """The regime's verdict; raises RegimeRefusalError where no mild solution
+    exists, unless overridden."""
+    verdict = existence_verdict(d, gamma, triplet)
+    if not verdict.exists and not override:
         raise RegimeRefusalError(
             f"no mild solution for d={d}, gamma={gamma}; "
             "pass override=True for divergence experiments"
         )
+    return verdict
 
 
 def solve_mild(

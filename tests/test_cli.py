@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from levy_elliptic import noise
 from levy_elliptic.cli import run
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
@@ -137,13 +138,33 @@ def test_unsorted_grid_levels_still_run(tmp_path):
     assert run(argv + ["--seed", "5", "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.fixture
+def no_atom_draws(monkeypatch):
+    """Fail at the first atom draw, so a budget that stops refusing fails the
+    test instead of allocating about 16 GB."""
+    for name in ("sample_jump_sizes", "uniform_locations"):
+        monkeypatch.setattr(noise, name, lambda *a, **k: pytest.fail("atoms drawn past the budget"))
+
+
 @pytest.mark.parametrize("argv", [CF, ISOMETRY])
-def test_batch_over_the_atom_budget_is_refused(tmp_path, capsys, argv):
+def test_batch_over_the_atom_budget_is_refused(tmp_path, capsys, no_atom_draws, argv):
     # eps = 1e-6 gives 1e9 stable atoms a replicate, over BATCH_ATOMS = 2^20.
     outdir = tmp_path / "out"
     assert run(argv + ["--set", "eps=1e-6", "--seed", "5", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
-    assert "eps=1e-06" in err and "M=2000" in err and "BATCH_ATOMS=1048576" in err
+    assert "eps=1e-06" in err and "BATCH_ATOMS=1048576" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sample-noise"], ["verify", "weak"], ["sweep", "continuity"]])
+def test_realization_over_the_atom_budget_is_refused(tmp_path, capsys, no_atom_draws, argv):
+    # One realization at eps = 1e-6 would hold about 1e9 atoms, some 16 GB.
+    outdir = tmp_path / "out"
+    start = time.monotonic()
+    assert run(argv + ["--set", "eps=1e-6", "--seed", "5", "--out", str(outdir)]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: eps=1e-06") and "BATCH_ATOMS=1048576" in err
     assert not outdir.exists()
 
 

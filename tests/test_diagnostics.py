@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levy_elliptic import _rng, diagnostics
+from levy_elliptic import _rng, diagnostics, noise
 from levy_elliptic.diagnostics import (
-    _jump_sums,
     continuity_probe,
     empirical_cf_test,
     isometry_test,
+    sobolev_sweep,
     spectral_bound_check,
     weak_identity_test,
 )
@@ -23,7 +23,7 @@ from levy_elliptic.measures import (
     characteristic_exponent,
     sample_jump_sizes,
 )
-from levy_elliptic.noise import sample_noise
+from levy_elliptic.noise import jump_sums, pairing_batch, sample_noise
 
 SQUARE = HyperBox.unit(2)
 UNIT = HyperBox.unit(1)
@@ -51,6 +51,22 @@ def test_continuity_probe_does_not_depend_on_workers(d):
     assert reports[0].passed and not reports[0].inconclusive
 
 
+@pytest.mark.parametrize("gamma, predicted", [(0.4, "blowup-consistent"), (0.6, "continuous-consistent")])
+def test_continuity_probe_predicts_the_side_of_d_over_2(gamma, predicted):
+    # At d=1 the solution exists above gamma = 1/4 and is continuous above 1/2.
+    triplet = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
+    report = continuity_probe(UNIT, gamma, triplet, [3, 4, 5], 2, 7, eps=0.5)
+    assert report.details["predicted"] == predicted
+
+
+def test_sobolev_sweep_predicts_from_the_ceiling():
+    # r_max = 2 gamma - d/2 = 1.5 at d=1, gamma=1.
+    triplet = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
+    reports = sobolev_sweep(UNIT, 1.0, triplet, [1.0, 1.4, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    assert [r.details["predicted"] for r in reports] == ["convergent", "convergent", "divergent"]
+    assert all(r.details["r_threshold"] == 1.5 for r in reports)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_spectral_bound_passes_on_interior_points(d):
     box = HyperBox.unit(d)
@@ -61,7 +77,7 @@ def test_spectral_bound_passes_on_interior_points(d):
 
 
 def per_replicate_sums(box, measure, f, counts, rng, lo, budget, hi=np.inf):
-    """The block walk of ``_jump_sums`` with each replicate summed in a plain loop.
+    """The block walk of ``jump_sums`` with each replicate summed in a plain loop.
 
     A block grows while its atom count stays within the budget; its sizes,
     then its locations, are drawn from ``rng``.  Returns the sums and the
@@ -93,13 +109,13 @@ def per_replicate_sums(box, measure, f, counts, rng, lo, budget, hi=np.inf):
 SUM_ABS_TOL = 1e-13
 
 
-@pytest.mark.parametrize("budget", [diagnostics.BLOCK_ATOMS, 4])
+@pytest.mark.parametrize("budget", [noise.BLOCK_ATOMS, 4])
 def test_jump_sums_give_each_replicate_its_own_atoms(monkeypatch, budget):
     # Poisson(3) counts: at a budget of 4 atoms, blocks hold one to a few
     # replicates, and a replicate above the budget makes a block of its own.
-    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", budget)
+    monkeypatch.setattr(noise, "BLOCK_ATOMS", budget)
     box, f, measure, m = HyperBox(((0.0, 2.0),)), AxisPower(1.0), SymmetricTwoPoint(1.5, 3.0), 50
-    got = _jump_sums(box, measure, f, m, np.random.default_rng(9), 0.5)
+    got = jump_sums(box, measure, f, m, np.random.default_rng(9), 0.5)
     rng = np.random.default_rng(9)
     counts = rng.poisson(3.0, m)
     expected, _ = per_replicate_sums(box, measure, f, counts, rng, 0.5, budget)
@@ -134,17 +150,17 @@ class FixedCounts:
     ],
 )
 def test_jump_sums_skip_empty_replicates_anywhere_in_a_block(monkeypatch, counts, blocks):
-    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", 6)
+    monkeypatch.setattr(noise, "BLOCK_ATOMS", 6)
     drawn = []
 
     def counted(*args, **kwargs):
         drawn.append(kwargs["size"])
         return sample_jump_sizes(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "sample_jump_sizes", counted)
+    monkeypatch.setattr(noise, "sample_jump_sizes", counted)
     box, f, measure = HyperBox(((0.0, 2.0), (1.0, 1.5))), AxisPower(1.0, axis=1), AlphaStable(1.5)
     counts = np.asarray(counts)
-    got = _jump_sums(box, measure, f, len(counts), FixedCounts(counts, 4), 0.5, 2.0)
+    got = jump_sums(box, measure, f, len(counts), FixedCounts(counts, 4), 0.5, 2.0)
     rng = np.random.default_rng(4)
     expected, expected_blocks = per_replicate_sums(box, measure, f, counts, rng, 0.5, 6, 2.0)
     assert drawn == expected_blocks == blocks
@@ -156,19 +172,19 @@ def test_jump_sums_skip_empty_replicates_anywhere_in_a_block(monkeypatch, counts
 @pytest.mark.parametrize("c", [1.0, 2.5, -1.5])
 def test_constant_integrand_steps_over_locations_bit_for_bit(monkeypatch, d, c):
     # Polynomial((c,)) evaluates to c at drawn locations; Constant(c) skips them.
-    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", 64)
+    monkeypatch.setattr(noise, "BLOCK_ATOMS", 64)
     drawn = []
 
     def counted(*args, **kwargs):
         drawn.append(kwargs["size"])
         return sample_jump_sizes(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "sample_jump_sizes", counted)
+    monkeypatch.setattr(noise, "sample_jump_sizes", counted)
     box = HyperBox(tuple((0.5 * i, 1.0 + i) for i in range(d)))
     sums, states = [], []
     for f in (Constant(c), Polynomial((c,))):
         rng = np.random.default_rng(21)
-        sums.append(_jump_sums(box, AlphaStable(1.5), f, 100, rng, 0.2))
+        sums.append(jump_sums(box, AlphaStable(1.5), f, 100, rng, 0.2))
         states.append(rng.bit_generator.state)
     assert sums[0].tobytes() == sums[1].tobytes()
     assert states[0] == states[1]
@@ -185,17 +201,17 @@ def refuse(*args):
 def test_pairing_batch_without_a_gaussian_part_skips_fourier_coefficients(monkeypatch, measure, policy):
     system = enumerate_eigen(UNIT, count=64)
     f, triplet = AxisPower(-0.3), LevyTriplet(0.0, 0.0, measure)
-    monkeypatch.setattr(diagnostics, "fourier_vector", refuse)
-    x = diagnostics._pairing_batch(triplet, f, system, 0.05, policy, 1000, 3)
+    monkeypatch.setattr(noise, "fourier_vector", refuse)
+    x = pairing_batch(triplet, f, system, 0.05, policy, 1000, 3)
     rng = _rng.stream(3, _rng.BATCH_STREAM)
-    assert np.array_equal(x, _jump_sums(UNIT, measure, f, 1000, rng, 0.05))
+    assert np.array_equal(x, jump_sums(UNIT, measure, f, 1000, rng, 0.05))
 
 
 def test_pairing_batch_with_gaussianized_small_jumps_reads_fourier_coefficients(monkeypatch):
     system = enumerate_eigen(UNIT, count=64)
-    monkeypatch.setattr(diagnostics, "fourier_vector", refuse)
+    monkeypatch.setattr(noise, "fourier_vector", refuse)
     with pytest.raises(AssertionError, match="fourier_vector called"):
-        diagnostics._pairing_batch(
+        pairing_batch(
             LevyTriplet(0.0, 0.0, AlphaStable(1.5)), AxisPower(-0.3), system, 0.05, "gaussianize", 1000, 3
         )
 
@@ -258,25 +274,27 @@ def test_non_integrable_integrands_are_refused():
 def test_integrand_that_overflows_at_the_nodes_is_refused_before_sampling(monkeypatch):
     # x^-400 is integrable against variance-gamma noise but is inf at 17 of
     # the 64 Gauss nodes of the unit interval.
-    monkeypatch.setattr(diagnostics, "_pairing_batch", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(diagnostics, "pairing_batch", lambda *a: pytest.fail("sampled"))
     with pytest.raises(ValueError, match=r"^integrand is not finite at 17 of the 64 Gauss nodes"):
         cf_report(VarianceGamma(1.0, 1.0), 1, f=AxisPower(-400.0))
 
 
-def test_batch_over_the_atom_budget_is_refused_before_sampling():
+def test_batch_over_the_atom_budget_is_refused_before_sampling(monkeypatch):
+    # Were the bound gone, the first block would draw 1e9 atoms; fail there instead.
+    monkeypatch.setattr(noise, "sample_jump_sizes", lambda *a, **k: pytest.fail("atoms drawn past the budget"))
     measure = AlphaStable(1.5)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    bound = r"above the bound of BATCH_ATOMS=1048576 expected atoms a replicate; raise eps$"
-    with pytest.raises(ValueError, match=r"eps=1e-06 .* M=5000 replicates, " + bound):
-        _jump_sums(UNIT, measure, Constant(1.0), 5000, rng, 1e-6)
+    bound = r"above the bound of BATCH_ATOMS=1048576; raise eps$"
+    with pytest.raises(ValueError, match=r"^eps=1e-06 gives 1e\+09 expected atoms a draw, " + bound):
+        jump_sums(UNIT, measure, Constant(1.0), 5000, rng, 1e-6)
     assert rng.bit_generator.state == state
 
 
 def test_many_chunks_repeat_exactly_within_a_small_memory_bound(monkeypatch):
     # 20000 replicates of about 89 atoms: 1.8e6 atoms, 14 MB for their sizes
     # alone; drawn all at once, each check peaked at 72 MB under tracemalloc.
-    monkeypatch.setattr(diagnostics, "BLOCK_ATOMS", 4096)
+    monkeypatch.setattr(noise, "BLOCK_ATOMS", 4096)
     m = 20_000
     chunks = []
 
@@ -284,7 +302,7 @@ def test_many_chunks_repeat_exactly_within_a_small_memory_bound(monkeypatch):
         chunks.append(kwargs["size"])
         return sample_jump_sizes(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "sample_jump_sizes", counted)
+    monkeypatch.setattr(noise, "sample_jump_sizes", counted)
     runs = []
     for _ in range(2):
         tracemalloc.start()

@@ -26,7 +26,6 @@ from levy_elliptic.measures import (
     characteristic_exponent,
     jump_exponent_quadrature,
     parse_measure,
-    sample_band_jump_sizes,
     sample_jump_sizes,
 )
 
@@ -229,14 +228,9 @@ class TestSamplers:
         with pytest.raises(ValueError, match="no jumps"):
             sample_jump_sizes(SymmetricTwoPoint(1.0, 0.8), 0.1, rng, size=10, hi=0.5)
 
-    def test_band_wrapper_draws_what_the_sampler_draws(self):
-        z = sample_band_jump_sizes(AlphaStable(1.5), 0.1, 1.0, np.random.default_rng(12), size=100)
-        ref = sample_jump_sizes(AlphaStable(1.5), 0.1, np.random.default_rng(12), size=100, hi=1.0)
-        assert np.array_equal(z, ref)
-
     def test_band_needs_lo_below_hi(self):
         with pytest.raises(ValueError, match="lo < hi"):
-            sample_jump_sizes(AlphaStable(1.0), 1.0, np.random.default_rng(0), hi=1.0)
+            sample_jump_sizes(AlphaStable(1.0), 1.0, np.random.default_rng(0), size=1, hi=1.0)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
     def test_unbounded_stable_draws_the_inverse_tail_bit_for_bit(self, alpha):
@@ -292,34 +286,26 @@ class TestSamplers:
 
         assert kstest(np.abs(z), cdf).statistic < 0.012
 
-    @pytest.mark.parametrize("size", [1000, None])
+    @pytest.mark.parametrize("size", [1000, 1])
     @pytest.mark.parametrize("hi", [1.0, np.inf])
     @pytest.mark.parametrize("measure", [AlphaStable(0.7), AlphaStable(1.0), AlphaStable(1.5)])
     def test_stable_band_keeps_the_old_sign_form_bit_for_bit(self, measure, hi, size):
         alpha = measure.alpha
         z = sample_jump_sizes(measure, 0.01, np.random.default_rng(12), size=size, hi=hi)
         rng = np.random.default_rng(12)
-        n = 1 if size is None else size
         r = (0.01 / hi) ** alpha
-        mags = 0.01 * (r + (1.0 - r) * rng.random(n)) ** (-1.0 / alpha)
-        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
-        if size is None:
-            assert np.ndim(z) == 0
-            expected = expected[0]
+        mags = 0.01 * (r + (1.0 - r) * rng.random(size)) ** (-1.0 / alpha)
+        expected = np.where(rng.random(size) < 0.5, -1.0, 1.0) * mags
         assert np.array_equal(z, expected)
 
-    @pytest.mark.parametrize("size", [1000, None])
+    @pytest.mark.parametrize("size", [1000, 1])
     @pytest.mark.parametrize("hi", [1.0, np.inf])
     def test_variance_gamma_keeps_the_old_sign_form_bit_for_bit(self, hi, size):
         measure = VarianceGamma(1.0, 1.0)
         z = sample_jump_sizes(measure, 0.01, np.random.default_rng(14), size=size, hi=hi)
         rng = np.random.default_rng(14)
-        n = 1 if size is None else size
-        mags = measure.band_magnitudes(0.01, hi, rng, n)
-        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
-        if size is None:
-            assert np.ndim(z) == 0
-            expected = expected[0]
+        mags = measure.band_magnitudes(0.01, hi, rng, size)
+        expected = np.where(rng.random(size) < 0.5, -1.0, 1.0) * mags
         assert np.array_equal(z, expected)
 
     def test_two_point_keeps_the_old_sign_form_bit_for_bit(self):
@@ -330,19 +316,23 @@ class TestSamplers:
     def test_empty_support_errors(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="no jumps"):
-            sample_jump_sizes(NullMeasure(), 0.5, rng)
+            sample_jump_sizes(NullMeasure(), 0.5, rng, size=1)
         with pytest.raises(ValueError, match="no jumps"):
-            sample_jump_sizes(SymmetricTwoPoint(1.0, 0.3), 0.5, rng)
+            sample_jump_sizes(SymmetricTwoPoint(1.0, 0.3), 0.5, rng, size=1)
 
     def test_infinite_intensity_errors(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            sample_jump_sizes(AlphaStable(1.0), 0.0, rng)
+            sample_jump_sizes(AlphaStable(1.0), 0.0, rng, size=1)
 
-    def test_scalar_draw(self):
+    @pytest.mark.parametrize("measure", [m for m in ALL_MEASURES if m.tail_mass(0.01) > 0.0])
+    @pytest.mark.parametrize("hi", [1.0, np.inf])
+    def test_empty_draw_takes_no_words(self, measure, hi):
         rng = np.random.default_rng(7)
-        z = sample_jump_sizes(SymmetricTwoPoint(1.0, 1.0), 0.5, rng)
-        assert z in (-1.0, 1.0)
+        state = rng.bit_generator.state
+        z = sample_jump_sizes(measure, 0.01, rng, size=0, hi=hi)
+        assert z.shape == (0,) and z.dtype == np.float64
+        assert rng.bit_generator.state == state
 
 
 def scalar_exponent(trip, u):

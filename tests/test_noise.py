@@ -9,7 +9,7 @@ from scipy import integrate
 
 from levy_elliptic import noise
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
-from levy_elliptic.diagnostics import _pairing_batch, run_replicates
+from levy_elliptic.diagnostics import run_replicates
 from levy_elliptic.domain import HyperBox, enumerate_eigen
 from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator, integral
 from levy_elliptic.measures import (
@@ -24,6 +24,7 @@ from levy_elliptic.noise import (
     NoiseRealization,
     pair_eigen,
     pair_with_function,
+    pairing_batch,
     sample_noise,
     sample_prm_large,
 )
@@ -68,6 +69,16 @@ class TestPrmSampling:
         rng = stream(4, 1)
         with pytest.raises(ValueError, match="infinite"):
             sample_prm_large(UNIT, AlphaStable(1.0), 0.0, rng)
+
+    def test_realization_over_the_atom_budget_is_refused(self, monkeypatch):
+        # The default eps = 0.01 gives 0.01^-1.5 = 1000 stable atoms on the unit interval.
+        monkeypatch.setattr(noise, "BATCH_ATOMS", 100)
+        triplet = LevyTriplet(0.0, 1.0, AlphaStable(1.5))
+        message = r"^eps=0.01 gives 1e\+03 expected atoms a draw, above the bound of BATCH_ATOMS=100; raise eps$"
+        with pytest.raises(ValueError, match=message):
+            sample_noise(UNIT, triplet, master_seed=1)
+        monkeypatch.setattr(noise, "BATCH_ATOMS", 2000)
+        assert 800 < sample_noise(UNIT, triplet, master_seed=1).atoms.count < 1200
 
     def test_atom_csv_round_trip(self, tmp_path):
         atoms = JumpAtomSet(UNIT, 0.5, np.array([[0.25], [0.75]]), np.array([1.5, -2.0]))
@@ -186,7 +197,7 @@ class TestPairWithFunction:
         for i in range(400):
             real = sample_noise(box, triplet, eps=0.5, master_seed=replicate_seed(13, i))
             direct.append(pair_with_function(real, f, system))
-        batch = _pairing_batch(triplet, f, system, 0.5, "gaussianize", 20_000, 14)
+        batch = pairing_batch(triplet, f, system, 0.5, "gaussianize", 20_000, 14)
         # Var of a compound Poisson sum with rate 2 and unit magnitudes is 2.
         assert np.var(batch) == pytest.approx(2.0, rel=0.05)
         assert np.var(direct) == pytest.approx(2.0, rel=0.35)
@@ -195,7 +206,7 @@ class TestPairWithFunction:
         # Unit-variance white noise paired with the unit constant: variance 1
         # up to the truncation deficit of the expansion (< 1% at 1000 modes).
         system = enumerate_eigen(UNIT, count=1000)
-        x = _pairing_batch(
+        x = pairing_batch(
             LevyTriplet(0.0, 1.0, NullMeasure()), Constant(1.0), system, 0.01, "gaussianize", 100_000, 15
         )
         assert 0.98 <= np.var(x) <= 1.02
@@ -205,7 +216,7 @@ class TestPairWithFunction:
     )
     def test_symmetry_odd_moments(self, measure):
         system = enumerate_eigen(UNIT, count=128)
-        x = _pairing_batch(
+        x = pairing_batch(
             LevyTriplet(0.0, 0.0, measure), Constant(1.0), system, 0.05, "gaussianize", 100_000, 16
         )
         m = len(x)
@@ -216,7 +227,7 @@ class TestPairWithFunction:
     def test_compensator_drop_zero_mean(self):
         # Raw band atoms have exactly zero mean for symmetric measures.
         system = enumerate_eigen(UNIT, count=16)
-        x = _pairing_batch(
+        x = pairing_batch(
             LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 0.8)),
             Constant(1.0),
             system,

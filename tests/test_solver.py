@@ -6,6 +6,7 @@ import pytest
 from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_nodes, eigen_matrix
 from levy_elliptic.functions import Constant, Eigenfunction, SpectralFunction
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
+from levy_elliptic.integrability import existence_verdict
 from levy_elliptic.noise import JumpAtomSet, NoiseRealization, pair_eigen, sample_noise
 from levy_elliptic.solver import (
     RegimeRefusalError,
@@ -15,6 +16,7 @@ from levy_elliptic.solver import (
     green_convolve,
     green_gamma_eval,
     green_gamma_grid,
+    refuse_outside_regime,
     series_tail_bound,
     solve_mild,
     torsion_solution,
@@ -108,6 +110,11 @@ class TestSolveMild:
             solve_mild(real, 0.2, system)
         field = solve_mild(real, 0.2, system, override=True)
         assert isinstance(field, SpectralFunction) and field.system is system
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.6, 1.0])
+    def test_regime_gate_returns_the_existence_verdict(self, gamma):
+        triplet = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
+        assert refuse_outside_regime(1, gamma, triplet, override=True) == existence_verdict(1, gamma, triplet)
 
     def test_operator_inversion_recovers_pairing(self):
         real = sample_noise(UNIT, LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 1.0)), master_seed=3)
