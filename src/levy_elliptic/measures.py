@@ -384,3 +384,11 @@ def sample_jump_sizes(
         raise ValueError("infinite jump intensity above threshold; use eps > 0")
     return _rng.random_signs(measure.band_magnitudes(lo, hi, rng, int(size)), rng)
 
+
+def sample_band_jump_sizes(
+    measure: LevyMeasure, lo: float, hi: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """``sample_jump_sizes(measure, lo, rng, size, hi)``.  Nothing in the package
+    calls it; it stays only while ``perfbench/tracer.py`` traces it by name."""
+    return sample_jump_sizes(measure, lo, rng, size, hi)
+

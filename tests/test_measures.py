@@ -26,6 +26,7 @@ from levy_elliptic.measures import (
     characteristic_exponent,
     jump_exponent_quadrature,
     parse_measure,
+    sample_band_jump_sizes,
     sample_jump_sizes,
 )
 
@@ -227,6 +228,11 @@ class TestSamplers:
         assert set(np.unique(z)) == {-0.8, 0.8}
         with pytest.raises(ValueError, match="no jumps"):
             sample_jump_sizes(SymmetricTwoPoint(1.0, 0.8), 0.1, rng, size=10, hi=0.5)
+
+    def test_band_wrapper_draws_what_the_sampler_draws(self):
+        z = sample_band_jump_sizes(AlphaStable(1.5), 0.1, 1.0, np.random.default_rng(12), size=100)
+        ref = sample_jump_sizes(AlphaStable(1.5), 0.1, np.random.default_rng(12), size=100, hi=1.0)
+        assert np.array_equal(z, ref)
 
     def test_band_needs_lo_below_hi(self):
         with pytest.raises(ValueError, match="lo < hi"):
