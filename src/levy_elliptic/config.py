@@ -62,7 +62,8 @@ DEFAULTS: dict = {
 }
 
 # Flat --set aliases mapping onto document paths.  A value may land on
-# several paths (M applies to every block that reads an M).
+# several paths (M applies to every block that reads an M, and eps to the run
+# and to the Sobolev sweep, which keeps its own default of 1).
 _ALIASES: dict[str, list[str]] = {
     "d": ["box.dim"],
     "intervals": ["box.intervals"],
@@ -70,7 +71,7 @@ _ALIASES: dict[str, list[str]] = {
     "sigma": ["triplet.sigma"],
     "measure": ["triplet.measure"],
     "gamma": ["gamma"],
-    "eps": ["eps"],
+    "eps": ["eps", "sobolev.eps"],
     "policy": ["small_jump_policy"],
     "small_jump_policy": ["small_jump_policy"],
     "K": ["cutoff.count"],

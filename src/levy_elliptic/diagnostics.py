@@ -306,28 +306,33 @@ def sobolev_sweep(
     threshold_r = refuse_outside_regime(d, gamma, triplet, override).r_max
 
     system = enumerate_eigen(box, count=k_list[-1])
-    lams = system.lams
-    bases = {r: lams ** (float(r) - 2.0 * gamma) for r in r_list}
-    checkpoints = np.asarray(k_list) - 1
+    bases = np.stack([system.lams ** (float(r) - 2.0 * gamma) for r in r_list])
+    cuts = [0, *k_list]
+
+    def partial_norms(c2: np.ndarray) -> np.ndarray:
+        # Row r: sum_{k < K} lambda_k^(r - 2 gamma) c_k^2 at each K of k_list,
+        # one product a segment between cutoffs, then a cumsum over segments.
+        segments = [bases[:, lo:hi] @ c2[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        return np.cumsum(segments, axis=0).T
 
     if surrogate:
         replicates = 1
 
-        def one(_rep: int) -> dict:
-            return {r: np.cumsum(bases[r])[checkpoints] for r in r_list}
+        def one(_rep: int) -> np.ndarray:
+            return partial_norms(np.ones(len(system)))
 
     else:
 
-        def one(rep: int) -> dict:
+        def one(rep: int) -> np.ndarray:
             rep_seed = _rng.replicate_seed(seed, rep)
             realization = sample_noise(box, triplet, eps=eps, policy=policy, master_seed=rep_seed)
-            c2 = pair_eigen(realization, system) ** 2
-            return {r: np.cumsum(bases[r] * c2)[checkpoints] for r in r_list}
+            c = pair_eigen(realization, system)
+            return partial_norms(np.square(c, out=c))
 
     rows = run_replicates(one, replicates, workers)
     reports = []
-    for r in r_list:
-        stacked = np.stack([row[r] for row in rows])
+    for i, r in enumerate(r_list):
+        stacked = np.stack([row[i] for row in rows])
         trajectory = np.median(stacked, axis=0)
         per_rep = [
             _increment_stats(float(s[-2]), float(s[-1]), k_list[-2], k_list[-1])
@@ -354,6 +359,7 @@ def sobolev_sweep(
                     "classification": classification,
                     "predicted": predicted,
                     "r": float(r),
+                    "eps": float(eps),
                     "r_threshold": threshold_r,
                     "rel_increment": rel_inc,
                     "loglog_slope": slope,

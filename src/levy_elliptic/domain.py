@@ -11,18 +11,22 @@ enumeration below a threshold, sorted by eigenvalue with lexicographic
 tie-breaking on the index so orderings are reproducible across runs.
 
 Every value e_k(x) is a product of rows of per-axis sine tables, and four
-kernels work on those tables.  For scattered points, ``eigen_matvec`` (E @ w)
-and ``eigen_rmatvec`` (c @ E) gather rows into blocks of the dense matrix E;
-``eigen_matrix`` returns the whole of E for small inputs.  On a tensor grid
-E factors axis by axis, so ``grid_rmatvec`` (c @ E) and its transpose
-``grid_matvec`` (E @ w) contract with one table per axis and never form E.
+kernels work on those tables.  ``sine_tables`` builds each table by angle
+addition from about sqrt(width) anchor rows and as many offset rows, so a
+point costs about 4 sqrt(width) calls of np.sin or np.cos, and each anchor
+row is np.sin's value bit for bit.  For scattered points, ``eigen_matvec``
+(E @ w) and ``eigen_rmatvec`` (c @ E) are the two directions of one kernel
+over chunks of points: the first d - 1 axes multiply into a dense prefix
+grid, the last axis, kept as its angle-addition factors, contracts with it
+in one BLAS product per chunk, and the listed modes are gathered from, or
+scattered into, a dense grid of indices.  ``eigen_matrix`` returns the whole of E for small inputs.  On a
+tensor grid E factors axis by axis, so ``grid_rmatvec`` (c @ E) and its
+transpose ``grid_matvec`` (E @ w) contract with one table per axis and
+never form E.
 
-CHUNK_CELLS bounds memory: the scattered kernels build the tables of all
-modes once when they hold at most that many values, and otherwise build
-them per block.  BLOCK_CELLS sizes the blocks when the tables are whole, so
-that a block stays in cache.  Blocks are whole multiples of BLAS's lane
-groups, so every blocked product rounds as the unblocked one would (one
-BLAS thread).
+CHUNK_CELLS bounds the memory of the scattered kernels: a chunk holds as
+many points as keep its tables and prefix grids within that many values.
+Points on the boundary evaluate to exactly 0 (Dirichlet).
 """
 
 from __future__ import annotations
@@ -33,11 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Values (modes x points) of sine tables the scattered kernels may hold: 16 MiB.
-CHUNK_CELLS = 1 << 21
-# Values per block of the scattered kernels when their tables are whole:
-# 512 KiB, so a block and the table rows it reads stay in a 2 MiB L2 cache.
-BLOCK_CELLS = 1 << 16
+# Values (modes x points) of tables, grids and factors a chunk of points may hold: 4 MiB.
+CHUNK_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -232,78 +233,177 @@ def _unit_points(box: HyperBox, points) -> tuple[np.ndarray, np.ndarray]:
     return (pts - box.lower) / box.lengths, np.any((pts == box.lower) | (pts == box.upper), axis=1)
 
 
+def _block_length(width: int) -> int:
+    """Rows B between the anchors of a sine table of ``width`` rows: ceil(sqrt(width))."""
+    return math.isqrt(width - 1) + 1
+
+
+def _sine_factors(lo: int, hi: int, step: int, u: np.ndarray, length: float):
+    """Factors of sqrt(2/L) sin(pi k u) for lo <= k <= hi by angle addition.
+
+    With anchors m0 = lo + m step and offsets j < step,
+    sin(pi (m0 + j) u) = sin(pi m0 u) cos(pi j u) + cos(pi m0 u) sin(pi j u).
+    Returns the scaled anchor sines and cosines, shape (anchors, points),
+    and the offset cosines and sines side by side, shape (step, 2 points).
+    """
+    anchor = np.pi * np.outer(np.arange(lo, hi + 1, step), u)
+    offset = np.pi * np.outer(np.arange(step), u)
+    scale = math.sqrt(2.0 / length)
+    cos_sin = np.empty((step, 2 * len(u)))
+    np.cos(offset, out=cos_sin[:, : len(u)])
+    np.sin(offset, out=cos_sin[:, len(u) :])
+    return scale * np.sin(anchor), scale * np.cos(anchor), cos_sin
+
+
+def _sine_table(lo: int, hi: int, u: np.ndarray, length: float) -> np.ndarray:
+    """T[k - lo, i] = sqrt(2/L) sin(pi k u_i) for lo <= k <= hi.
+
+    Built from ``_sine_factors`` with about sqrt(width) anchors and offsets,
+    so only about 4 sqrt(width) values per point call np.sin or np.cos.
+    Anchor rows are the np.sin values bit for bit, since cos(0) = 1 and
+    sin(0) = 0 exactly.
+    """
+    width = hi - lo + 1
+    step = _block_length(width)
+    sa, ca, cos_sin = _sine_factors(lo, hi, step, u, length)
+    co, so = cos_sin[:, : len(u)], cos_sin[:, len(u) :]
+    if len(u) >= step:
+        table = sa[:, None, :] * co
+        table += ca[:, None, :] * so
+        return table.reshape(-1, len(u))[:width]
+    # Fewer points than offsets: broadcast with the offsets innermost, so
+    # numpy's inner loops stay long, and return the transposed view.
+    table = sa.T[:, :, None] * co.T[:, None, :]
+    table += ca.T[:, :, None] * so.T[:, None, :]
+    return table.reshape(len(u), -1)[:, :width].T
+
+
 def sine_tables(box: HyperBox, indices: np.ndarray, units) -> list:
     """Per axis j, (lo, T) with T[k - lo, i] = sqrt(2/L_j) sin(pi k units[j][i])
     for k from the lowest to the highest k_j of ``indices``."""
     return [
-        (k.min(), math.sqrt(2.0 / L) * np.sin(np.pi * np.outer(np.arange(k.min(), k.max() + 1), u)))
+        (int(k.min()), _sine_table(int(k.min()), int(k.max()), np.asarray(u, dtype=float), L))
         for k, u, L in zip(indices.T, units, box.lengths)
     ]
 
 
-def _sine_block(tables: list, indices: np.ndarray, on_boundary: np.ndarray) -> np.ndarray:
-    """E[r, i] = e_{k_r}(x_i): table rows gathered and multiplied axis by axis.
-    Boundary columns are exactly zero (Dirichlet), bypassing sine roundoff."""
-    (lo, table), *rest = tables
-    out = table[indices[:, 0] - lo]
-    for (lo, table), k in zip(rest, indices.T[1:]):
+def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
+    """Dense E[j, i] = e_{k_j}(x_i), for small K x points: table rows gathered
+    and multiplied axis by axis.  Boundary columns are exactly zero."""
+    unit, on_boundary = _unit_points(system.box, points)
+    (lo, table), *rest = sine_tables(system.box, system.indices, unit.T)
+    out = table[system.indices[:, 0] - lo]
+    for (lo, table), k in zip(rest, system.indices.T[1:]):
         out *= table[k - lo]
     out[:, on_boundary] = 0.0
     return out
 
 
-def _spans(total: int, other: int, quantum: int, cells: int = BLOCK_CELLS):
-    """(start, stop) blocks of about ``cells`` / other rows or points.  Whole
-    multiples of ``quantum`` (of BLAS's 4-lane groups) round as one unchunked
-    call would; a shorter tail, which BLAS rounds apart, joins the last block."""
-    step = max(quantum, cells // max(other, 1) // quantum * quantum)
-    cuts = list(range(step, total - quantum + 1, step))
-    return zip([0] + cuts, cuts + [total])
+@dataclass(frozen=True)
+class _Kernel:
+    """Layout of the scattered kernels for one system.
+
+    Modes live in a dense grid whose first d - 1 axes run over the index
+    widths of those axes (``rows`` cells in all) and whose last axis runs
+    over ``anchors`` x ``step`` indices of the last axis.  The block length
+    ``step`` is about sqrt(rows x width), at most the width: that balances
+    the anchor products (rows x anchors a point) against the offset
+    factors (step a point).  So at d = 1 step and anchors are both about
+    sqrt(width), and at d >= 2 the step is usually the whole width, with
+    one anchor.
+    """
+
+    box: HyperBox
+    low: tuple
+    widths: tuple
+    modes: tuple  # each mode's place in the dense grid, one index array an axis
+    rows: int
+    step: int
+    anchors: int
+
+    @classmethod
+    def of(cls, system: EigenSystem) -> "_Kernel":
+        idx = system.indices
+        low = idx.min(axis=0)
+        widths = tuple(int(w) for w in idx.max(axis=0) - low + 1)
+        rows = math.prod(widths[:-1])
+        step = min(widths[-1], _block_length(rows * widths[-1]))
+        modes = tuple((idx - low).T)
+        return cls(system.box, tuple(int(k) for k in low), widths, modes, rows, step, -(-widths[-1] // step))
+
+    def grid(self) -> np.ndarray:
+        """A zero dense grid of modes, shaped (rows x anchors, step)."""
+        return np.zeros((self.rows * self.anchors, self.step))
+
+    def at_modes(self, grid: np.ndarray) -> np.ndarray:
+        """The view of ``grid`` that ``modes`` indexes."""
+        return grid.reshape(*self.widths[:-1], self.anchors * self.step)
+
+    def chunks(self, points):
+        """(slice, prefix tables, last-axis factors, boundary mask) per chunk
+        of points, a chunk holding at most about CHUNK_CELLS values."""
+        unit, on_boundary = _unit_points(self.box, points)
+        # A point's values: its prefix tables and grid, the anchor products
+        # and their partial sums, and the offset phases, cosines and sines.
+        cells = sum(self.widths[:-1]) + self.rows + 3 * self.rows * self.anchors + 3 * self.step
+        size = max(1, CHUNK_CELLS // cells)
+        bounds = [(lo, lo + w - 1, length) for lo, w, length in zip(self.low, self.widths, self.box.lengths)]
+        for start in range(0, len(unit), size):
+            part = slice(start, start + size)
+            u = unit[part].T
+            tables = [_sine_table(lo, hi, x, length) for (lo, hi, length), x in zip(bounds[:-1], u)]
+            lo, hi, length = bounds[-1]
+            yield part, tables, _sine_factors(lo, hi, self.step, u[-1], length), on_boundary[part]
 
 
-def _whole_tables(box: HyperBox, indices: np.ndarray, unit: np.ndarray):
-    """Sine tables of every mode at every point if they fit in CHUNK_CELLS, else None."""
-    size = sum(int(k.max() - k.min()) + 1 for k in indices.T) * len(unit)
-    return sine_tables(box, indices, unit.T) if size <= CHUNK_CELLS else None
-
-
-def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
-    """Dense E[j, i] = e_{k_j}(x_i), for small K x points; 0 on the boundary."""
-    unit, on_boundary = _unit_points(system.box, points)
-    return _sine_block(sine_tables(system.box, system.indices, unit.T), system.indices, on_boundary)
+def _prefix_grid(tables: list, weights: np.ndarray) -> np.ndarray:
+    """P[(k_1, ..., k_{d-1}), i] = w_i prod_{j < d} T_j[k_j, i], the first d - 1
+    axes of a chunk multiplied into a dense grid, rows in C order."""
+    grid = weights[None, :]
+    for table in tables:
+        grid = (grid[:, None, :] * table[None, :, :]).reshape(-1, len(weights))
+    return grid
 
 
 def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
-    """E @ w: sum_i e_k(x_i) w_i for every mode, in blocks of modes against all
-    points, so each sum runs as in the unchunked product.  With whole tables
-    the blocks are cache-sized; otherwise each block builds the tables of its
-    own modes, and blocks of CHUNK_CELLS keep those builds few."""
-    box, idx = system.box, system.indices
-    unit, on_boundary = _unit_points(box, points)
-    whole = _whole_tables(box, idx, unit)
-    cells = CHUNK_CELLS if whole is None else BLOCK_CELLS
-    out = np.empty(len(system))
-    for start, stop in _spans(len(system), len(unit), 64, cells):
-        rows = idx[start:stop]
-        block = _sine_block(whole or sine_tables(box, rows, unit.T), rows, on_boundary)
-        out[start:stop] = block @ weights
-    return out
+    """E @ w: sum_i e_k(x_i) w_i for every mode.
+
+    Per chunk of points, the weighted prefix grid times the anchor factors
+    of the last axis, against its offset factors, is one BLAS product that
+    adds to the dense grid of modes; the modes are gathered from it.
+    Boundary points carry weight 0.
+    """
+    kernel = _Kernel.of(system)
+    weights = np.asarray(weights, dtype=float)
+    dense = kernel.grid()
+    for part, tables, (sa, ca, cos_sin), on_boundary in kernel.chunks(points):
+        n = len(sa[0])
+        prefix = _prefix_grid(tables, np.where(on_boundary, 0.0, weights[part]))[:, None, :]
+        lhs = np.empty((kernel.rows, kernel.anchors, 2 * n))
+        np.multiply(prefix, sa, out=lhs[:, :, :n])
+        np.multiply(prefix, ca, out=lhs[:, :, n:])
+        dense += lhs.reshape(len(dense), 2 * n) @ cos_sin.T
+    return kernel.at_modes(dense)[kernel.modes]
 
 
 def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
-    """c @ E: sum_k c_k e_k(x_i) at every point, in cache-sized blocks of points
-    against all modes; a block holds at least 8 points.  The tables are built
-    once if they fit in CHUNK_CELLS, else per block of points."""
-    box, idx = system.box, system.indices
-    unit, on_boundary = _unit_points(box, points)
-    whole = _whole_tables(box, idx, unit)
-    out = np.empty(len(unit))
-    for start, stop in _spans(len(unit), len(system), 8, BLOCK_CELLS):
-        if whole is None:
-            tables = sine_tables(box, idx, unit[start:stop].T)
-        else:
-            tables = [(lo, table[:, start:stop]) for lo, table in whole]
-        out[start:stop] = coeffs @ _sine_block(tables, idx, on_boundary[start:stop])
+    """c @ E: sum_k c_k e_k(x_i) at every point.
+
+    The coefficients fill the dense grid of modes.  Per chunk of points it
+    meets the offset factors of the last axis in one BLAS product, then the
+    anchor factors and the prefix grid.  Boundary points read 0.
+    """
+    kernel = _Kernel.of(system)
+    dense = kernel.grid()
+    kernel.at_modes(dense)[kernel.modes] = coeffs
+    out = np.empty(len(np.atleast_2d(points)))
+    for part, tables, (sa, ca, cos_sin), on_boundary in kernel.chunks(points):
+        n = len(sa[0])
+        both = (dense @ cos_sin).reshape(kernel.rows, kernel.anchors, 2 * n)
+        partial = both[:, :, :n] * sa
+        partial += both[:, :, n:] * ca
+        values = partial.sum(axis=1) * _prefix_grid(tables, np.ones(n))
+        out[part] = np.where(on_boundary, 0.0, values.sum(axis=0))
     return out
 
 

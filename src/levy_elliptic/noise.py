@@ -116,28 +116,32 @@ class NoiseRealization:
     master_seed: int
     atoms: JumpAtomSet
 
-    def gaussian_coefficients(self, indices) -> np.ndarray:
+    def gaussian_coefficients(self, indices) -> np.ndarray | None:
         """sigma-scaled i.i.d. normal coefficients keyed by (seed, index).
 
-        Identically zero when sigma = 0: the Gaussian component is absent
-        and no stream is consumed.
+        None when sigma = 0: the Gaussian component is absent and no stream
+        is consumed.
         """
-        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
         if self.triplet.sigma == 0.0:
-            return np.zeros(len(idx))
-        return self.triplet.sigma * _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
+            return None
+        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+        draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
+        draws *= self.triplet.sigma
+        return draws
 
-    def small_jump_coefficients(self, indices) -> np.ndarray:
+    def small_jump_coefficients(self, indices) -> np.ndarray | None:
         """Gaussian surrogate coefficients for the jumps below eps.
 
-        Variance ``surrogate_variance`` per index; identically zero, and no
-        stream is consumed, when that variance is zero.
+        Variance ``surrogate_variance`` per index; None, and no stream is
+        consumed, when that variance is zero.
         """
-        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
         var = surrogate_variance(self.triplet.measure, self.eps, self.policy)
         if var == 0.0:
-            return np.zeros(len(idx))
-        return math.sqrt(var) * _rng.keyed_normals(self.master_seed, _rng.SMALL_JUMP_COEFF, idx)
+            return None
+        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+        draws = _rng.keyed_normals(self.master_seed, _rng.SMALL_JUMP_COEFF, idx)
+        draws *= math.sqrt(var)
+        return draws
 
     def manifest(self) -> dict:
         return {
@@ -177,20 +181,28 @@ def sample_noise(
 def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray:
     """Coefficients of the noise against every eigenfunction of the system.
 
-    c_k = b <1, e_k> + sigma g_k + sum_j e_k(y_j) z_j + small-jump surrogate.
-    Deterministic given the realization; the atom sum runs in atom order.
+    c_k = b <1, e_k> + sigma g_k + sum_j e_k(y_j) z_j + small-jump surrogate,
+    summed in that order over the parts present.  Deterministic given the
+    realization: the atom sum runs over fixed chunks of atoms in atom order.
     """
     if system.box.intervals != realization.box.intervals:
         raise ValueError("realization and system live on different boxes")
-    trip = realization.triplet
-    c = np.zeros(len(system))
-    if trip.b != 0.0:
-        c += trip.b * constant_fourier(system)
-    c += realization.gaussian_coefficients(system.indices)
-    if realization.atoms.count:
-        c += eigen_matvec(system, realization.atoms.locations, realization.atoms.sizes)
-    c += realization.small_jump_coefficients(system.indices)
-    return c
+    trip, atoms = realization.triplet, realization.atoms
+    c = _sum_present(
+        trip.b * constant_fourier(system) if trip.b != 0.0 else None,
+        realization.gaussian_coefficients(system.indices),
+        eigen_matvec(system, atoms.locations, atoms.sizes) if atoms.count else None,
+        realization.small_jump_coefficients(system.indices),
+    )
+    return np.zeros(len(system)) if c is None else c
+
+
+def _sum_present(*parts) -> np.ndarray | None:
+    """Sum, in order and into the first, of the parts that are not None; None if all are."""
+    present = [part for part in parts if part is not None]
+    for part in present[1:]:
+        present[0] += part
+    return present[0] if present else None
 
 
 def pair_with_function(
@@ -226,9 +238,11 @@ def pair_with_function(
     total = 0.0
     if trip.b != 0.0:
         total += trip.b * integral(f, realization.box)
-    spectral = realization.gaussian_coefficients(system.indices)
-    spectral += realization.small_jump_coefficients(system.indices)
-    if spectral.any():
+    spectral = _sum_present(
+        realization.gaussian_coefficients(system.indices),
+        realization.small_jump_coefficients(system.indices),
+    )
+    if spectral is not None:
         total += float(np.dot(fourier_vector(system, f), spectral))
     if realization.atoms.count:
         total += float(f.evaluate(realization.atoms.locations) @ realization.atoms.sizes)

@@ -156,7 +156,12 @@ def test_batch_over_the_atom_budget_is_refused(tmp_path, capsys, no_atom_draws, 
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["sample-noise"], ["verify", "weak"], ["sweep", "continuity"]])
+SMALL_SOBOLEV = ["sweep", "sobolev", "--set", "K_list=1024,2048", "--set", "replicates=2"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["sample-noise"], ["verify", "weak"], ["sweep", "continuity"], SMALL_SOBOLEV]
+)
 def test_realization_over_the_atom_budget_is_refused(tmp_path, capsys, no_atom_draws, argv):
     # One realization at eps = 1e-6 would hold about 1e9 atoms, some 16 GB.
     outdir = tmp_path / "out"
@@ -229,6 +234,13 @@ def test_removed_psi_quadrature_key_is_refused(tmp_path, capsys):
     config.write_text(json.dumps({"cf": {"psi_quadrature": True}}))
     assert run(CF + ["--config", str(config), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_eps_alias_reaches_the_sobolev_sweep(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run(SMALL_SOBOLEV + ["--set", "eps=0.5", "--seed", "5", "--out", str(outdir)]) in (0, 1)
+    with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
+        assert [json.loads(line)["details"]["eps"] for line in fh] == [0.5, 0.5, 0.5]
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])

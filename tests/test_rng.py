@@ -52,9 +52,53 @@ def test_edge_inputs_are_within_4_ulp_of_scipy():
 
 def test_blocks_do_not_change_values(monkeypatch):
     whole = _ndtri(UNIFORMS)
-    monkeypatch.setattr(_rng, "_NDTRI_BLOCK", 1000)
+    monkeypatch.setattr(_rng, "_BLOCK", 1000)
     assert np.array_equal(_ndtri(UNIFORMS), whole)
     assert _ndtri(UNIFORMS[:0]).shape == (0,)
+
+
+def reference_keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
+    """The keyed uniforms as one whole-array formula: splitmix64 rounds over
+    (seed, purpose, index columns), then the 53 high bits."""
+    m1, m2, gold = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB), np.uint64(0x9E3779B97F4A7C15)
+
+    def mix(h):
+        h = (h ^ (h >> np.uint64(30))) * m1
+        h = (h ^ (h >> np.uint64(27))) * m2
+        return h ^ (h >> np.uint64(31))
+
+    idx = np.asarray(indices, dtype=np.uint64)
+    if idx.ndim == 1:
+        idx = idx[:, None]
+    with np.errstate(over="ignore"):
+        h = np.full(idx.shape[0], np.uint64(int(seed) & (2**64 - 1)), dtype=np.uint64)
+        h = mix(h ^ (np.uint64(int(purpose) & (2**64 - 1)) * gold))
+        for j in range(idx.shape[1]):
+            h = mix(h ^ (idx[:, j] * gold + np.uint64(j + 1)))
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+@pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_blocked_keyed_draws_equal_the_whole_array_formula(n, d, seed):
+    idx = np.random.default_rng(n + d).integers(1, 2**40, size=(n, d))
+    want = reference_keyed_uniforms(seed, _rng.SMALL_JUMP_COEFF, idx)
+    got = keyed_uniforms(seed, _rng.SMALL_JUMP_COEFF, idx)
+    assert got.shape == (n,) and np.array_equal(got.view(np.int64), want.view(np.int64))
+    normals = _rng.keyed_normals(seed, _rng.SMALL_JUMP_COEFF, idx)
+    assert np.array_equal(normals.view(np.int64), _ndtri(want).view(np.int64))
+    if d == 1:
+        assert np.array_equal(keyed_uniforms(seed, _rng.SMALL_JUMP_COEFF, idx[:, 0]), want)
+
+
+def test_keyed_draws_do_not_depend_on_the_block(monkeypatch):
+    idx = np.arange(1, 5001)[:, None]
+    uniforms = keyed_uniforms(3, _rng.GAUSS_COEFF, idx)
+    normals = _rng.keyed_normals(3, _rng.GAUSS_COEFF, idx)
+    monkeypatch.setattr(_rng, "_BLOCK", 333)
+    assert np.array_equal(keyed_uniforms(3, _rng.GAUSS_COEFF, idx), uniforms)
+    assert np.array_equal(_rng.keyed_normals(3, _rng.GAUSS_COEFF, idx), normals)
 
 
 def test_bit_identical_to_scipy_with_avx512_log_off():
