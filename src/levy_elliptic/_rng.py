@@ -8,12 +8,18 @@ Two kinds of streams are used throughout the package:
   where a value must depend only on ``(seed, purpose, index)`` so that the
   query order and the worker count never matter.
 
-``stream`` gives numpy's PCG64, and two helpers rely on how its
-``Generator.random`` makes a double: it takes one raw 64-bit word w and
-returns (w >> 11) * 2^-53.  So ``random_signs`` reads the sign of V - 1/2
-from bit 63 of w, and ``skip_uniforms`` steps over n doubles with
-``advance(n)``; both consume exactly the words ``random(n)`` would.  They
-refuse any other bit generator with a TypeError.
+``stream`` gives numpy's PCG64, whose output is good in every bit (O'Neill
+2014, "PCG: a family of simple fast space-efficient statistically good
+algorithms"), and two helpers read its raw 64-bit words directly.
+``uniforms_and_signs`` makes one jump from one word w: bits 12-63 give the
+uniform ((w >> 12) + 1/2) 2^-52, the midpoint of one of 2^52 equal cells,
+which is exact in binary64 and so lies strictly inside (0, 1) (the 53-bit
+midpoint ((w >> 11) + 1/2) 2^-53 is not exact above 1/2 and rounds to 1.0
+at the top word); bit 0, moved to bit 63, is the jump's sign; bits 1-11
+are unused.
+``skip_uniforms`` steps over n doubles of ``Generator.random`` (one word
+each) with ``advance(n)``.  Both refuse any other bit generator with a
+TypeError.
 
 The keyed construction hashes the key material through splitmix64-style
 mixing rounds and maps the 53 high bits to a uniform in (0, 1), which the
@@ -54,8 +60,8 @@ SMALL_JUMP_COEFF = 0x22
 
 _M1_INT, _M2_INT, _GOLD_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15
 _M1, _M2, _GOLD = np.uint64(_M1_INT), np.uint64(_M2_INT), np.uint64(_GOLD_INT)
-_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
-_SIGN_BIT = np.uint64(1 << 63)
+_S11, _S12, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 12, 27, 30, 31, 63))
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent bits of 1.0
 
 # Values per block of the keyed draws and of _ndtri: 512 KiB an array, so a
 # block's work arrays stay near a 2 MiB L2 cache and are reused, not
@@ -78,19 +84,21 @@ def _pcg64(rng) -> np.random.PCG64:
     return bitgen
 
 
-def random_signs(mags: np.ndarray, rng) -> np.ndarray:
-    """Give each positive magnitude a sign, in place, from one word of ``rng`` each.
+def uniforms_and_signs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n uniforms in (0, 1) and n sign words from n raw words of ``rng``.
 
-    Bit for bit ``np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags``: a uniform
-    is below 1/2 exactly when bit 63 of its raw word is clear, and that
-    bit, inverted, is the sign bit ORed into the double.
+    Word w gives the uniform ((w >> 12) + 1/2) 2^-52 and the sign word
+    (w & 1) << 63, which ORed into a positive double makes it negative.
     """
-    words = _pcg64(rng).random_raw(mags.size)
-    np.invert(words, out=words)
-    words &= _SIGN_BIT
-    bits = mags.view(np.uint64)
-    bits |= words
-    return mags
+    words = _pcg64(rng).random_raw(n)
+    u = np.empty(n)
+    # 1 + (w >> 12) 2^-52 in [1, 2) by its bits, then minus 1 - 2^-53: exact.
+    bits = u.view(np.uint64)
+    np.right_shift(words, _S12, out=bits)
+    bits |= _ONE_BITS
+    u -= 1.0 - 2.0**-53
+    words <<= _S63
+    return u, words
 
 
 def skip_uniforms(rng, n: int) -> None:

@@ -15,7 +15,6 @@ not depend on the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +78,10 @@ def run_replicates(fn, n: int, workers: int = 1) -> list:
     """
     if workers <= 1:
         return [fn(i) for i in range(n)]
+    # Imported here: concurrent.futures also imports logging, 5-10 ms at
+    # every start of the CLI, and only a threaded run needs it.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 

@@ -60,8 +60,13 @@ class LevyMeasure:
         """int (cos(uz) - 1) nu(dz) in closed form, elementwise over an array u."""
         raise NotImplementedError
 
-    def band_magnitudes(self, lo: float, hi: float, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n magnitudes |z| from nu restricted to {lo < |z| <= hi}, normalized."""
+    def band_magnitudes(self, lo: float, hi: float, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Magnitudes |z| from nu restricted to {lo < |z| <= hi}, normalized, one per u.
+
+        ``u`` holds each jump's first uniform, in (0, 1); a family that needs
+        more draws takes them from ``rng``.  The result may be ``u`` itself,
+        overwritten.
+        """
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -98,18 +103,23 @@ class AlphaStable(LevyMeasure):
     def jump_exponent(self, u):
         return -_stable_cos_constant(self.alpha) * np.abs(u) ** self.alpha
 
-    def band_magnitudes(self, lo, hi, rng, n):
-        # Inverse of the band tail t^-alpha - hi^-alpha; r = 0 when hi = inf,
-        # where the affine map below is the identity and is skipped.
+    def band_magnitudes(self, lo, hi, u, rng):
+        # Inverse of the band tail t^-alpha - hi^-alpha, in place; r = 0 when
+        # hi = inf, where the affine map below is the identity and is skipped.
+        # v^(-1/alpha) as exp(log(v) (-1/alpha)): on a 2.1 GHz Xeon 0.06 ms a
+        # block of 2^14 against 0.08 ms for v ** (-1/alpha).  exp scales the
+        # rounding of its argument by |log v| / alpha <= 37 / alpha, so the
+        # largest magnitudes are within about 37 / alpha ulp (the power: 18).
         a = self.alpha
-        mags = rng.random(n)
         if hi != math.inf:
             r = (lo / hi) ** a
-            mags *= 1.0 - r
-            mags += r
-        mags **= -1.0 / a
-        mags *= lo
-        return mags
+            u *= 1.0 - r
+            u += r
+        np.log(u, out=u)
+        u *= -1.0 / a
+        np.exp(u, out=u)
+        u *= lo
+        return u
 
 
 @dataclass(frozen=True)
@@ -137,8 +147,9 @@ class SymmetricTwoPoint(LevyMeasure):
     def jump_exponent(self, u):
         return self.rate * (np.cos(u * self.magnitude) - 1.0)
 
-    def band_magnitudes(self, lo, hi, rng, n):
-        return np.full(n, self.magnitude)
+    def band_magnitudes(self, lo, hi, u, rng):
+        u.fill(self.magnitude)
+        return u
 
 
 @dataclass(frozen=True)
@@ -171,25 +182,25 @@ class VarianceGamma(LevyMeasure):
     def jump_exponent(self, u):
         return -self.c * np.log1p((u / self.m) ** 2)
 
-    def band_magnitudes(self, lo, hi, rng, n):
+    def band_magnitudes(self, lo, hi, u, rng):
         # The density z^-1 e^(-mz) on (lo, hi] splits at c = min(max(lo, 1/m), hi).
         # On (lo, c] log-uniform proposals are kept with probability
         # e^(-m(z-lo)) >= 1/e; on (c, hi] proposals c + Exp(m), truncated at hi,
         # are kept with probability c/z, which is at least 0.59 on average since
-        # mc >= 1.  Each draw's piece is fixed first, with the piece's E1 mass
-        # as its weight: picking the piece again after a rejection would bias
-        # the law.  So draws stay i.i.d. in draw order.
+        # mc >= 1.  Each draw's piece is fixed first, by u with the piece's E1
+        # mass as its weight: picking the piece again after a rejection would
+        # bias the law.  So draws stay i.i.d. in draw order.
         from scipy.special import exp1
 
         m = self.m
         c = min(max(lo, 1.0 / m), hi)
         e_lo, e_c, e_hi = exp1(m * lo), exp1(m * c), exp1(m * hi)
-        below = rng.random(n) * (e_lo - e_hi) < e_lo - e_c
+        below = u * (e_lo - e_hi) < e_lo - e_c
         n_below = int(np.count_nonzero(below))
         span, cut = math.log(c / lo), -math.expm1(-m * (hi - c))
-        out = np.empty(n)
-        out[below] = _rejection_draws(rng, n_below, lambda u: lo * np.exp(span * u), lambda z: np.exp(-m * (z - lo)))
-        out[~below] = _rejection_draws(rng, n - n_below, lambda u: c - np.log1p(-cut * u) / m, lambda z: c / z)
+        out = np.empty(len(u))
+        out[below] = _rejection_draws(rng, n_below, lambda v: lo * np.exp(span * v), lambda z: np.exp(-m * (z - lo)))
+        out[~below] = _rejection_draws(rng, len(u) - n_below, lambda v: c - np.log1p(-cut * v) / m, lambda z: c / z)
         return out
 
 
@@ -368,12 +379,12 @@ def sample_jump_sizes(
 ) -> np.ndarray:
     """Draw jump sizes from nu restricted to {lo < |z| <= hi}, normalized.
 
-    Magnitudes come from the family's ``band_magnitudes``; then one more
-    word of ``rng`` per jump gives its sign through ``_rng.random_signs``,
-    which reads bit 63 of PCG64's raw word, so the sizes equal
-    ``np.where(rng.random(n) < 0.5, -1, 1) * mags`` bit for bit.  ``rng``
-    must run on PCG64.  Raises when the range carries no mass or infinite
-    mass.  A draw of size 0 takes no words.
+    In draw order: one raw word of ``rng`` per jump gives its first uniform
+    and its sign (``_rng.uniforms_and_signs``); then the family's
+    ``band_magnitudes`` maps the uniforms to magnitudes and draws any
+    further words, as variance-gamma's rejection rounds do.  ``rng`` must
+    run on PCG64.  Raises when the range carries no mass or infinite mass.
+    A draw of size 0 takes no words.
     """
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
@@ -382,7 +393,11 @@ def sample_jump_sizes(
         raise ValueError("no jumps above threshold")
     if not math.isfinite(mass):
         raise ValueError("infinite jump intensity above threshold; use eps > 0")
-    return _rng.random_signs(measure.band_magnitudes(lo, hi, rng, int(size)), rng)
+    u, signs = _rng.uniforms_and_signs(rng, int(size))
+    mags = measure.band_magnitudes(lo, hi, u, rng)
+    bits = mags.view(np.uint64)
+    bits |= signs
+    return mags
 
 
 def sample_band_jump_sizes(

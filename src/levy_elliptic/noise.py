@@ -95,7 +95,9 @@ def sample_prm_large(box: HyperBox, measure, eps: float, rng: np.random.Generato
     """Compound-Poisson draw of all jumps with |z| > eps.
 
     In draw order: the atom count ~ Poisson(``atom_rate``), the locations
-    i.i.d. uniform on the box, the sizes i.i.d. from the restricted measure.
+    i.i.d. uniform on the box, the sizes i.i.d. from the restricted measure
+    (one raw word a size for its first uniform and its sign, then any words
+    its family draws further; see ``sample_jump_sizes``).
     """
     rate = atom_rate(box, measure, eps)
     if rate == 0.0:
@@ -286,7 +288,9 @@ def jump_sums(box: HyperBox, measure, f, m: int, rng, lo: float, hi: float = mat
     expects more than BATCH_ATOMS atoms.  The Poisson counts of all
     replicates come first.  Then consecutive blocks of whole replicates,
     about BLOCK_ATOMS atoms each (a replicate with more atoms is a block of
-    its own), draw their sizes and uniform locations from ``rng``, and
+    its own), draw from ``rng`` first their sizes (one raw word a size for
+    its first uniform and its sign, then any words its family draws further;
+    see ``sample_jump_sizes``) and then their uniform locations, and
     ``np.add.reduceat`` sums each non-empty replicate's segment.  Memory is
     bounded by the block, and the result depends on BLOCK_ATOMS through the
     block boundaries of the draws.

@@ -12,6 +12,7 @@ from scipy import integrate, special
 from scipy.stats import kstest
 
 import levy_elliptic
+from levy_elliptic import _rng
 from levy_elliptic.config import ConfigError
 
 from levy_elliptic.measures import (
@@ -167,6 +168,33 @@ class TestClosedForms:
         assert measure.small_jump_index == expected
 
 
+def raw_uniforms_and_signs(seed, n):
+    """A jump's uniform ((w >> 12) + 1/2) 2^-52 and sign (-1)^(w & 1) from each
+    of the first n raw words of default_rng(seed), and the generator after them."""
+    rng = np.random.default_rng(seed)
+    words = rng.bit_generator.random_raw(n)
+    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    return rng, u, np.where(words & np.uint64(1), -1.0, 1.0)
+
+
+class FixedWords(np.random.PCG64):
+    """PCG64 whose ``random_raw`` returns given words; other draws run as seed 0."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, size=None, output=True):
+        return self.words[:size].copy()
+
+
+def negative_share_by_quartile(z):
+    """Share of negative sizes in each quartile of |z|."""
+    mags = np.abs(z)
+    quartile = np.searchsorted(np.quantile(mags, [0.25, 0.5, 0.75]), mags)
+    return np.array([np.mean(z[quartile == q] < 0.0) for q in range(4)])
+
+
 class TestSamplers:
     def test_two_point_support(self):
         rng = np.random.default_rng(0)
@@ -241,23 +269,23 @@ class TestSamplers:
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
     def test_unbounded_stable_draws_the_inverse_tail_bit_for_bit(self, alpha):
         z = sample_jump_sizes(AlphaStable(alpha), 0.01, np.random.default_rng(10), size=1000)
-        rng = np.random.default_rng(10)
-        mags = 0.01 * rng.random(1000) ** (-1.0 / alpha)
-        expected = np.where(rng.random(1000) < 0.5, -1.0, 1.0) * mags
+        _, u, signs = raw_uniforms_and_signs(10, 1000)
+        expected = signs * (0.01 * np.exp(np.log(u) * (-1.0 / alpha)))
         assert np.array_equal(z, expected)
 
     @pytest.mark.parametrize("lo, hi", [(0.1, math.inf), (1e-6, 1.0), (0.7, 3.0)])
     def test_variance_gamma_replays_the_two_piece_rejection_bit_for_bit(self, lo, hi):
-        # Replays the sampler: a piece per draw, weighted by E1 differences, then
-        # log-uniform proposals on (lo, c] kept when V < e^(-m(z-lo)) and
-        # truncated c + Exp(m) proposals on (c, hi] kept when V < c/z.
+        # Replays the sampler: a piece per draw, picked by the jump's word and
+        # weighted by E1 differences, then log-uniform proposals on (lo, c]
+        # kept when V < e^(-m(z-lo)) and truncated c + Exp(m) proposals on
+        # (c, hi] kept when V < c/z, all from the words after the jumps'.
         measure, n = VarianceGamma(1.0, 2.0), 500
         z = sample_jump_sizes(measure, lo, np.random.default_rng(11), size=n, hi=hi)
-        rng = np.random.default_rng(11)
+        rng, u, signs = raw_uniforms_and_signs(11, n)
         m = 2.0
         c = min(max(lo, 1.0 / m), hi)
         e_lo, e_c, e_hi = special.exp1(m * lo), special.exp1(m * c), special.exp1(m * hi)
-        below = rng.random(n) * (e_lo - e_hi) < e_lo - e_c
+        below = u * (e_lo - e_hi) < e_lo - e_c
 
         def replay(count, propose, keep):
             kept = []
@@ -269,12 +297,11 @@ class TestSamplers:
 
         mags = np.empty(n)
         mags[below] = replay(
-            int(below.sum()), lambda u: lo * np.exp(math.log(c / lo) * u), lambda t: np.exp(-m * (t - lo))
+            int(below.sum()), lambda v: lo * np.exp(math.log(c / lo) * v), lambda t: np.exp(-m * (t - lo))
         )
         cut = -math.expm1(-m * (hi - c))
-        mags[~below] = replay(int((~below).sum()), lambda u: c - np.log1p(-cut * u) / m, lambda t: c / t)
-        expected = np.where(rng.random(n) < 0.5, -1.0, 1.0) * mags
-        assert np.array_equal(z, expected)
+        mags[~below] = replay(int((~below).sum()), lambda v: c - np.log1p(-cut * v) / m, lambda t: c / t)
+        assert np.array_equal(z, signs * mags)
         # Each piece draws exactly when it carries mass.
         assert below.any() == (c > lo) and (~below).any() == (c < hi)
 
@@ -295,29 +322,62 @@ class TestSamplers:
     @pytest.mark.parametrize("size", [1000, 1])
     @pytest.mark.parametrize("hi", [1.0, np.inf])
     @pytest.mark.parametrize("measure", [AlphaStable(0.7), AlphaStable(1.0), AlphaStable(1.5)])
-    def test_stable_band_keeps_the_old_sign_form_bit_for_bit(self, measure, hi, size):
+    def test_stable_band_draws_magnitude_and_sign_from_one_word_bit_for_bit(self, measure, hi, size):
         alpha = measure.alpha
         z = sample_jump_sizes(measure, 0.01, np.random.default_rng(12), size=size, hi=hi)
-        rng = np.random.default_rng(12)
+        _, u, signs = raw_uniforms_and_signs(12, size)
         r = (0.01 / hi) ** alpha
-        mags = 0.01 * (r + (1.0 - r) * rng.random(size)) ** (-1.0 / alpha)
-        expected = np.where(rng.random(size) < 0.5, -1.0, 1.0) * mags
+        expected = signs * (0.01 * np.exp(np.log(r + (1.0 - r) * u) * (-1.0 / alpha)))
         assert np.array_equal(z, expected)
 
     @pytest.mark.parametrize("size", [1000, 1])
     @pytest.mark.parametrize("hi", [1.0, np.inf])
-    def test_variance_gamma_keeps_the_old_sign_form_bit_for_bit(self, hi, size):
+    def test_variance_gamma_draws_magnitude_and_sign_from_one_word_bit_for_bit(self, hi, size):
         measure = VarianceGamma(1.0, 1.0)
         z = sample_jump_sizes(measure, 0.01, np.random.default_rng(14), size=size, hi=hi)
-        rng = np.random.default_rng(14)
-        mags = measure.band_magnitudes(0.01, hi, rng, size)
-        expected = np.where(rng.random(size) < 0.5, -1.0, 1.0) * mags
-        assert np.array_equal(z, expected)
+        rng, u, signs = raw_uniforms_and_signs(14, size)
+        assert np.array_equal(z, signs * measure.band_magnitudes(0.01, hi, u, rng))
 
-    def test_two_point_keeps_the_old_sign_form_bit_for_bit(self):
+    def test_two_point_draws_its_sign_from_one_word_bit_for_bit(self):
         z = sample_jump_sizes(SymmetricTwoPoint(2.0, 0.8), 0.5, np.random.default_rng(13), size=1000)
-        expected = np.where(np.random.default_rng(13).random(1000) < 0.5, -1.0, 1.0) * np.full(1000, 0.8)
-        assert np.array_equal(z, expected)
+        _, _, signs = raw_uniforms_and_signs(13, 1000)
+        assert np.array_equal(z, signs * 0.8)
+
+    @pytest.mark.parametrize(
+        "measure, lo, hi",
+        [
+            (AlphaStable(0.7), 0.01, math.inf),
+            (AlphaStable(1.5), 0.01, math.inf),
+            (AlphaStable(1.5), 0.01, 1.0),
+            (AlphaStable(1.9), 0.7, 3.0),
+            (VarianceGamma(1.0, 1.0), 0.01, math.inf),
+            (VarianceGamma(1.0, 2.0), 0.7, 3.0),
+            (SymmetricTwoPoint(2.0, 0.8), 0.5, 1.0),
+        ],
+    )
+    def test_extreme_words_give_finite_sizes_in_the_band(self, measure, lo, hi):
+        # Words whose top 53 bits are 0 made Generator.random return 0.0, and
+        # 0.0 ** (-1/alpha) an infinite stable jump.  The top word's uniform is
+        # 1 - 2^-53, whose exact stable magnitude lo (1 - 2^-53)^(-1/alpha)
+        # lies within half an ulp of lo for alpha >= 1 and so rounds to lo.
+        words = [0, 2**11 - 1, 2**64 - 1]
+        u, _ = _rng.uniforms_and_signs(np.random.Generator(FixedWords(words)), 3)
+        assert np.all((u > 0.0) & (u < 1.0))
+        z = sample_jump_sizes(measure, lo, np.random.Generator(FixedWords(words)), size=3, hi=hi)
+        assert np.array_equal(np.signbit(z), [False, True, True])
+        assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= hi)
+        assert np.all(np.abs(z[:2]) > lo) and abs(z[2]) >= lo
+
+    def test_sign_is_independent_of_the_magnitude(self):
+        n = 1 << 18
+        z = sample_jump_sizes(AlphaStable(1.5), 0.01, np.random.default_rng(30), size=n)
+        bound = 4.0 * math.sqrt(0.25 / (n // 4))
+        assert np.all(np.abs(negative_share_by_quartile(z) - 0.5) <= bound)
+        # A planted defect: the sign from bit 63 of the magnitude's own word,
+        # that is from u >= 1/2, makes every small jump negative.
+        words = np.random.default_rng(30).bit_generator.random_raw(n)
+        planted = np.where(words >> np.uint64(63), -1.0, 1.0) * np.abs(z)
+        assert not np.all(np.abs(negative_share_by_quartile(planted) - 0.5) <= bound)
 
     def test_empty_support_errors(self):
         rng = np.random.default_rng(5)

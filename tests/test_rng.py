@@ -135,16 +135,19 @@ def test_keyed_uniforms_stay_inside_the_open_interval():
 def test_sign_and_skip_helpers_refuse_bit_generators_other_than_pcg64():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(TypeError, match="PCG64"):
-        _rng.random_signs(np.ones(4), rng)
+        _rng.uniforms_and_signs(rng, 4)
     with pytest.raises(TypeError, match="PCG64"):
         _rng.skip_uniforms(rng, 4)
 
 
-def test_random_signs_and_skip_uniforms_match_the_uniforms_they_replace():
-    mags = np.random.default_rng(1).random(4096) + 0.5
-    got = _rng.random_signs(mags.copy(), _rng.stream(3, _rng.BATCH_STREAM))
-    uniforms = _rng.stream(3, _rng.BATCH_STREAM).random(4096)
-    assert np.array_equal(got, np.where(uniforms < 0.5, -1.0, 1.0) * mags)
+def test_uniforms_and_signs_and_skip_uniforms_match_the_words_they_replace():
+    rng = _rng.stream(3, _rng.BATCH_STREAM)
+    u, signs = _rng.uniforms_and_signs(rng, 4096)
+    ref = _rng.stream(3, _rng.BATCH_STREAM)
+    words = ref.bit_generator.random_raw(4096)
+    assert np.array_equal(u, ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
+    assert np.array_equal(signs, (words & np.uint64(1)) << np.uint64(63))
+    assert np.array_equal(rng.random(8), ref.random(8))
     skipped, drawn = _rng.stream(3, _rng.BATCH_STREAM), _rng.stream(3, _rng.BATCH_STREAM)
     _rng.skip_uniforms(skipped, 1001)
     drawn.random(1001)
