@@ -50,6 +50,7 @@ from .measures import (
 )
 from .noise import (
     JumpAtomSet,
+    NoiseLaw,
     NoiseRealization,
     pair_eigen,
     pair_with_function,

@@ -22,8 +22,10 @@ each) with ``advance(n)``.  Both refuse any other bit generator with a
 TypeError.
 
 The keyed construction hashes the key material through splitmix64-style
-mixing rounds and maps the 53 high bits to a uniform in (0, 1), which the
-inverse normal CDF turns into a Gaussian.  The uniforms are fixed-point and
+mixing rounds and maps the 53 high bits h to the uniform (h + 1/2) 2^-53,
+which the inverse normal CDF turns into a Gaussian.  At the top h that
+rounds to 1.0, so it is clamped to 1 - 2^-53, which no other h gives, and
+every uniform lies strictly inside (0, 1).  The uniforms are fixed-point and
 platform independent.  The constant (seed, purpose) prefix is hashed once,
 as a Python int; the index rounds then mix in place in two uint64 work
 arrays, and hash and inverse CDF run together per block of _BLOCK = 2^16
@@ -62,6 +64,7 @@ _M1_INT, _M2_INT, _GOLD_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B9
 _M1, _M2, _GOLD = np.uint64(_M1_INT), np.uint64(_M2_INT), np.uint64(_GOLD_INT)
 _S11, _S12, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 12, 27, 30, 31, 63))
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent bits of 1.0
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 # Values per block of the keyed draws and of _ndtri: 512 KiB an array, so a
 # block's work arrays stay near a 2 MiB L2 cache and are reused, not
@@ -71,9 +74,9 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent bits of 1.0
 _BLOCK = 1 << 16
 
 
-def stream(seed: int, tag: int, *extra: int) -> np.random.Generator:
+def stream(seed: int, tag: int) -> np.random.Generator:
     """Generator for a named sampling stream derived from ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(tag, *extra))
+    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(tag,))
     return np.random.default_rng(ss)
 
 
@@ -152,12 +155,14 @@ def _keyed_blocks(seed: int, purpose: int, indices):
             sb += np.uint64(j + 1)
             np.bitwise_xor(sb, hb if j else prefix, out=hb)
             _mix_into(hb, sb)
-        # (value + 0.5) * 2^-53 lands strictly inside (0, 1).
+        # (value + 0.5) * 2^-53 lies inside (0, 1) but rounds to 1.0 at the
+        # top value; that one is clamped to 1 - 2^-53, which no other value gives.
         hb >>= _S11
         u = sb.view(np.float64)
         np.copyto(u, hb, casting="unsafe")
         u += 0.5
         u *= 2.0**-53
+        np.minimum(u, _BELOW_ONE, out=u)
         yield start, u
 
 

@@ -3,10 +3,14 @@
 Subcommands: check, sample-noise, solve, verify {cf,isometry,weak,
 spectral-bound}, sweep {sobolev,continuity}, green-oracle.  Configuration
 comes from one JSON file plus ``--set key=value`` overrides; stochastic
-subcommands require a seed.  Exit codes: 0 all good, 1 a non-inconclusive
-verification failed, 2 config error, refused regime or invalid request,
-such as a draw of the noise over its atom budget (see ``noise``) or an
-integrand the CF test cannot evaluate.  Given one seed,
+subcommands require a seed.  The config's box, triplet, eps and
+small-jump policy make one ``noise.NoiseLaw``, which every stochastic
+subcommand draws from.  Exit codes: 0 all good, 1 a non-inconclusive
+verification failed, 2 config error, refused regime or invalid request.
+Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
+grid over MAX_GRID_VALUES in ``solve``, ``sweep continuity`` or
+``green-oracle``, a draw of the noise over its atom budget (see ``noise``)
+and an integrand the CF test cannot evaluate.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
 numpy picks its SIMD kernels (log, exp, pow, ...) at run time.
@@ -19,6 +23,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .diagnostics import (
 )
 from .domain import enumerate_eigen
 from .integrability import existence_verdict, green_kernel_integrability
-from .noise import sample_noise
+from .noise import replicate_noise, sample_noise
 from .solver import (
     RegimeRefusalError,
     dump_coeffs_csv,
@@ -48,8 +53,8 @@ from .solver import (
 )
 
 
-# Largest tensor grid, in values, that solve writes or sweep continuity evaluates;
-# those commands check it, so the others run at high d.
+# Largest tensor grid, in values, that solve writes, sweep continuity evaluates
+# or green-oracle tabulates; those commands check it, so the others run at high d.
 MAX_GRID_VALUES = 1 << 21
 
 
@@ -86,8 +91,8 @@ def emit_report(reports: list[TestReport], outdir: str) -> int:
 def _system(cfg: RunConfig):
     kind, value = cfg.cutoff
     if kind == "count":
-        return enumerate_eigen(cfg.box, count=int(value))
-    return enumerate_eigen(cfg.box, lambda_max=value)
+        return enumerate_eigen(cfg.noise.box, count=int(value))
+    return enumerate_eigen(cfg.noise.box, lambda_max=value)
 
 
 def _need_seed(cfg: RunConfig) -> int:
@@ -98,10 +103,11 @@ def _need_seed(cfg: RunConfig) -> int:
 
 def _cmd_check(cfg: RunConfig) -> int:
     """The gate's verdict, the untruncated kernel's integrability and the run's truncation."""
-    verdict = existence_verdict(cfg.box.dim, cfg.gamma, cfg.triplet)
-    kernel = green_kernel_integrability(cfg.box, cfg.gamma, cfg.triplet)
+    box, triplet = cfg.noise.box, cfg.noise.triplet
+    verdict = existence_verdict(box.dim, cfg.gamma, triplet)
+    kernel = green_kernel_integrability(box, cfg.gamma, triplet)
     system = _system(cfg)
-    center = 0.5 * (cfg.box.lower + cfg.box.upper)
+    center = 0.5 * (box.lower + box.upper)
     diagonal = green_gamma_eval(system, cfg.gamma, center, center)
     payload = {
         "existence": verdict.to_dict(),
@@ -121,7 +127,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _cmd_sample_noise(cfg: RunConfig) -> int:
     seed = _need_seed(cfg)
-    realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, seed)
+    realization = sample_noise(cfg.noise, seed)
     os.makedirs(cfg.outdir, exist_ok=True)
     realization.atoms.to_csv(os.path.join(cfg.outdir, "atoms.csv"))
     realization.write_manifest(os.path.join(cfg.outdir, "manifest.json"))
@@ -131,15 +137,15 @@ def _cmd_sample_noise(cfg: RunConfig) -> int:
 
 def _cmd_solve(cfg: RunConfig, override: bool) -> int:
     seed = _need_seed(cfg)
-    n, d = cfg.blocks["solve"]["grid_points"], cfg.box.dim
+    n, d = cfg.blocks["solve"]["grid_points"], cfg.noise.box.dim
     if n**d > MAX_GRID_VALUES:
         raise ConfigError("solve.grid_points", f"{n}^{d} rows exceed the cap of {MAX_GRID_VALUES}")
     system = _system(cfg)
-    realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, seed)
+    realization = sample_noise(cfg.noise, seed)
     field = solve_mild(realization, cfg.gamma, system, override=override)
     os.makedirs(cfg.outdir, exist_ok=True)
     dump_coeffs_csv(field, os.path.join(cfg.outdir, "coefficients.csv"))
-    axes = [np.linspace(a, b, n) for a, b in cfg.box.intervals]
+    axes = [np.linspace(a, b, n) for a, b in cfg.noise.box.intervals]
     dump_field_grid_csv(field, axes, os.path.join(cfg.outdir, "field.csv"))
     print(f"solved with {len(system)} modes; outputs in {cfg.outdir}")
     return 0
@@ -149,39 +155,18 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
     seed = _need_seed(cfg)
     if which == "cf":
         block = cfg.blocks["cf"]
-        system = _system(cfg)
         reports = [
-            empirical_cf_test(
-                cfg.triplet,
-                block["f"],
-                block["u_grid"],
-                block["M"],
-                seed,
-                system=system,
-                eps=cfg.eps,
-                policy=cfg.policy,
-            )
+            empirical_cf_test(cfg.noise, block["f"], block["u_grid"], block["M"], seed, system=_system(cfg))
         ]
     elif which == "isometry":
         block = cfg.blocks["isometry"]
-        reports = [
-            isometry_test(
-                cfg.triplet.measure,
-                cfg.eps,
-                block["f"],
-                block["M"],
-                seed,
-                box=cfg.box,
-                band_high=block["band_high"],
-            )
-        ]
+        reports = [isometry_test(cfg.noise, block["f"], block["M"], seed, band_high=block["band_high"])]
     elif which == "weak":
         block = cfg.blocks["weak"]
         system = _system(cfg)
 
         def one(i: int) -> TestReport:
-            rep_seed = _rng.replicate_seed(seed, i)
-            realization = sample_noise(cfg.box, cfg.triplet, cfg.eps, cfg.policy, rep_seed)
+            realization = replicate_noise(cfg.noise, seed, i)
             label = f"weak_identity[{i}]"
             return weak_identity_test(realization, block["phi"], cfg.gamma, system, override, label)
 
@@ -191,9 +176,10 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         rng = _rng.stream(seed, _rng.SAMPLE_STREAM)
         # Interior band: near the boundary the counting sum settles only at
         # depths ~ dist^-2, which would swamp the trend fit at desk-scale t.
-        unit = 0.25 + 0.5 * rng.random((block["x_count"], cfg.box.dim))
-        pts = cfg.box.lower + unit * cfg.box.lengths
-        reports = [spectral_bound_check(cfg.box, block["t_list"], pts)]
+        box = cfg.noise.box
+        unit = 0.25 + 0.5 * rng.random((block["x_count"], box.dim))
+        pts = box.lower + unit * box.lengths
+        reports = [spectral_bound_check(box, block["t_list"], pts)]
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(which)
     return emit_report(reports, cfg.outdir)
@@ -204,35 +190,29 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
     if which == "sobolev":
         block = cfg.blocks["sobolev"]
         reports = sobolev_sweep(
-            cfg.box,
+            replace(cfg.noise, eps=block["eps"]),
             cfg.gamma,
-            cfg.triplet,
             block["r_list"],
             block["K_list"],
             block["replicates"],
             seed,
-            eps=block["eps"],
-            policy=cfg.policy,
             workers=cfg.workers,
             surrogate=block["surrogate"],
             override=override,
         )
     else:
         block = cfg.blocks["continuity"]
-        finest, d = max(block["grid_levels"]), cfg.box.dim
+        finest, d = max(block["grid_levels"]), cfg.noise.box.dim
         if (2 ** min(finest, 32) + 1) ** d > MAX_GRID_VALUES:  # a level past 32 is over it anyway
             message = f"the finest grid, (2^{finest} + 1)^{d} values, exceeds the cap of {MAX_GRID_VALUES}"
             raise ConfigError("continuity.grid_levels", message)
         reports = [
             continuity_probe(
-                cfg.box,
+                cfg.noise,
                 cfg.gamma,
-                cfg.triplet,
                 block["grid_levels"],
                 block["replicates"],
                 seed,
-                eps=cfg.eps,
-                policy=cfg.policy,
                 workers=cfg.workers,
                 override=override,
             )
@@ -241,13 +221,15 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
 
 
 def _cmd_green_oracle(cfg: RunConfig) -> int:
-    if cfg.box.dim != 1 or cfg.gamma != 1.0:
+    if cfg.noise.box.dim != 1 or cfg.gamma != 1.0:
         raise ConfigError("green_oracle", "closed-form oracle needs dim=1 and gamma=1")
-    system = _system(cfg)
-    (a, b) = cfg.box.intervals[0]
-    length = b - a
     n = cfg.blocks["green_oracle"]["grid_points"]
+    if n * n > MAX_GRID_VALUES:
+        raise ConfigError("green_oracle.grid_points", f"{n}^2 pairs exceed the cap of {MAX_GRID_VALUES}")
     tol = cfg.blocks["green_oracle"]["tolerance"]
+    system = _system(cfg)
+    (a, b) = cfg.noise.box.intervals[0]
+    length = b - a
     # Two interleaved interior grids keep every pair off the diagonal.
     xs = a + (np.arange(1, n + 1) / (n + 1.5)) * length
     ys = a + ((np.arange(1, n + 1) + 0.5) / (n + 1.5)) * length

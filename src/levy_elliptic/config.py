@@ -17,7 +17,7 @@ from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import HyperBox
 from .functions import parse_function
 from .measures import LevyTriplet, parse_measure
-from .noise import POLICIES
+from .noise import POLICIES, NoiseLaw
 
 
 DEFAULTS: dict = {
@@ -96,11 +96,8 @@ _ALIASES: dict[str, list[str]] = {
 
 @dataclass
 class RunConfig:
-    box: HyperBox
-    triplet: LevyTriplet
+    noise: NoiseLaw
     gamma: float
-    eps: float
-    policy: str
     cutoff: tuple[str, float]
     seed: int | None
     outdir: str
@@ -270,11 +267,8 @@ def _validate(doc: dict) -> RunConfig:
         blocks[name][key] = parse_function(blocks[name][key], box, f"{name}.{key}")
 
     return RunConfig(
-        box=box,
-        triplet=triplet,
+        noise=NoiseLaw(box, triplet, eps, policy),
         gamma=gamma,
-        eps=eps,
-        policy=policy,
         cutoff=cutoff,
         seed=seed,
         outdir=outdir,

@@ -31,8 +31,8 @@ from .domain import (
 )
 from .functions import SpectralFunction, square_integral
 from .integrability import rr_integrability
-from .measures import LevyTriplet, band_variance, characteristic_exponent
-from .noise import jump_sums, pair_eigen, pair_with_function, pairing_batch, sample_noise
+from .measures import band_variance, characteristic_exponent
+from .noise import NoiseLaw, jump_sums, pair_eigen, pair_with_function, pairing_batch, replicate_noise
 from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
 CONVERGED_BAND = 0.01
@@ -86,17 +86,7 @@ def run_replicates(fn, n: int, workers: int = 1) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def empirical_cf_test(
-    triplet: LevyTriplet,
-    f,
-    u_grid,
-    m: int,
-    seed: int,
-    *,
-    system: EigenSystem,
-    eps: float = 0.01,
-    policy: str = "gaussianize",
-) -> TestReport:
+def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: EigenSystem) -> TestReport:
     """Empirical characteristic function of <noise, f> against its law.
 
     Target: exp(int_D Psi(u f(x)) dx) with the exponent in closed form.
@@ -105,7 +95,7 @@ def empirical_cf_test(
     """
     if m < 1000:
         raise ValueError("m below 1000 has no statistical power; refused")
-    box = system.box
+    box, triplet = law.box, law.triplet
     report = rr_integrability(f, triplet, box)
     if not report.verdict:
         raise ValueError("integrand is not noise-integrable; CF test undefined")
@@ -120,7 +110,7 @@ def empirical_cf_test(
             "CF test undefined"
         )
     u_grid = [float(u) for u in u_grid]
-    x = pairing_batch(triplet, f, system, eps, policy, m, seed)
+    x = pairing_batch(law, f, system, m, seed)
     stats, detail_rows = [], []
     for u in u_grid:
         # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
@@ -158,16 +148,7 @@ def _is_const(values: np.ndarray) -> bool:
     return bool(np.all(values == values[0]))
 
 
-def isometry_test(
-    measure,
-    eps: float,
-    f,
-    m: int,
-    seed: int,
-    *,
-    box: HyperBox,
-    band_high: float = 1.0,
-) -> TestReport:
+def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0) -> TestReport:
     """Variance identity for the compensated jump integral on a band.
 
     On {eps < |z| <= band_high} the integral of f z against the compensated
@@ -178,6 +159,7 @@ def isometry_test(
     """
     if m < 1000:
         raise ValueError("m below 1000 has no statistical power; refused")
+    box, measure, eps = law.box, law.triplet.measure, law.eps
     f_square = square_integral(f, box)
     if not math.isfinite(f_square):
         raise ValueError("integrand is not square-integrable; isometry test undefined")
@@ -271,16 +253,13 @@ def _classify(rel_inc: float, slope: float) -> str:
 
 
 def sobolev_sweep(
-    box: HyperBox,
+    law: NoiseLaw,
     gamma: float,
-    triplet: LevyTriplet,
     r_list,
     k_list,
     replicates: int,
     seed: int,
     *,
-    eps: float = 1.0,
-    policy: str = "gaussianize",
     workers: int = 1,
     surrogate: bool = False,
     override: bool = False,
@@ -300,15 +279,15 @@ def sobolev_sweep(
     decay lambda_k^(-gamma), which turns the sweep into an exact check of
     the analytic boundary.
     """
-    d = box.dim
+    d = law.box.dim
     k_list = [int(k) for k in k_list]
     if sorted(k_list) != k_list or len(k_list) < 2:
         raise ValueError("k_list must be ascending with at least two entries")
     if k_list[-1] != 2 * k_list[-2]:
         raise ValueError("the last two cutoffs must be a doubling (bands assume it)")
-    threshold_r = refuse_outside_regime(d, gamma, triplet, override).r_max
+    threshold_r = refuse_outside_regime(d, gamma, law.triplet, override).r_max
 
-    system = enumerate_eigen(box, count=k_list[-1])
+    system = enumerate_eigen(law.box, count=k_list[-1])
     bases = np.stack([system.lams ** (float(r) - 2.0 * gamma) for r in r_list])
     cuts = [0, *k_list]
 
@@ -327,9 +306,7 @@ def sobolev_sweep(
     else:
 
         def one(rep: int) -> np.ndarray:
-            rep_seed = _rng.replicate_seed(seed, rep)
-            realization = sample_noise(box, triplet, eps=eps, policy=policy, master_seed=rep_seed)
-            c = pair_eigen(realization, system)
+            c = pair_eigen(replicate_noise(law, seed, rep), system)
             return partial_norms(np.square(c, out=c))
 
     rows = run_replicates(one, replicates, workers)
@@ -362,7 +339,7 @@ def sobolev_sweep(
                     "classification": classification,
                     "predicted": predicted,
                     "r": float(r),
-                    "eps": float(eps),
+                    "eps": float(law.eps),
                     "r_threshold": threshold_r,
                     "rel_increment": rel_inc,
                     "loglog_slope": slope,
@@ -376,15 +353,12 @@ def sobolev_sweep(
 
 
 def continuity_probe(
-    box: HyperBox,
+    law: NoiseLaw,
     gamma: float,
-    triplet: LevyTriplet,
     grid_levels,
     replicates: int,
     seed: int,
     *,
-    eps: float = 0.01,
-    policy: str = "gaussianize",
     workers: int = 1,
     override: bool = False,
 ) -> TestReport:
@@ -396,14 +370,15 @@ def continuity_probe(
     decreases across the two finest levels, and supports blowup when the
     grid sup-norm increases across each of the last two refinements.  The
     probe reports the fraction of replicates supporting the predicted side
-    (the existence verdict's continuity flag, gamma > d/2) against the 0.8
-    consistency threshold.
+    (the existence verdict's continuity flag) against the 0.8 consistency
+    threshold.
     """
+    box = law.box
     d = box.dim
     levels = sorted(int(l) for l in grid_levels)
     if len(levels) < 3:
         raise ValueError("need at least three grid levels")
-    continuous = refuse_outside_regime(d, gamma, triplet, override).continuous
+    continuous = refuse_outside_regime(d, gamma, law.triplet, override).continuous
 
     l_min = float(np.min(box.lengths))
     lam_caps = [(math.pi * 2**l / l_min) ** 2 for l in levels]
@@ -414,9 +389,7 @@ def continuity_probe(
     ]
 
     def one(rep: int) -> tuple[bool, bool, np.ndarray, np.ndarray]:
-        rep_seed = _rng.replicate_seed(seed, rep)
-        realization = sample_noise(box, triplet, eps=eps, policy=policy, master_seed=rep_seed)
-        coeffs = solve_mild(realization, gamma, system, override=override).coeffs
+        coeffs = solve_mild(replicate_noise(law, seed, rep), gamma, system, override=override).coeffs
         incs, sups = [], []
         for n_modes, axes in zip(prefix_sizes, axes_per_level):
             fld = SpectralFunction(system.prefix(n_modes), coeffs[:n_modes])

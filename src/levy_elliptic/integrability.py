@@ -17,8 +17,13 @@
 
 * ``existence_verdict`` is the spectral threshold: a mild solution exists
   iff gamma > d/4 (all inequalities strict).  The verdict also carries the
-  regularity ceiling r_max = 2 gamma - d/2 and the continuity flag
-  gamma > d/2.  Every exponent the kernel rule asks for is at most 2, so
+  regularity ceiling r_max = 2 gamma - d/2 and the continuity flag.  For
+  noise with jumps that flag is gamma > d/2, the paper's sufficient
+  condition: an atom z at y adds z G_gamma(., y), which is unbounded at y
+  unless gamma > d/2.  Without jumps (nu = 0) the field is Gaussian with
+  E|u(x) - u(y)|^2 = O(|x - y|^min(4 gamma - d, 2)), so by
+  Kolmogorov-Chentsov it is continuous wherever it exists, and the flag is
+  existence itself.  Every exponent the kernel rule asks for is at most 2, so
   existence implies kernel integrability; for pure-jump noise the converse
   can fail, and the threshold stays the gate.
 """
@@ -95,11 +100,7 @@ def existence_verdict(d: int, gamma: float, triplet: LevyTriplet) -> ExistenceVe
     g = float(gamma)
     if g <= 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    summary = {
-        "b": triplet.b,
-        "sigma": triplet.sigma,
-        "measure": triplet.measure.to_dict(),
-    }
     exists = g > d / 4.0
-    continuous = g > d / 2.0
-    return ExistenceVerdict(d, g, summary, exists, 2.0 * g - d / 2.0, continuous and exists)
+    # Without jumps the field is Gaussian and continuous wherever it exists.
+    continuous = exists if triplet.measure.tail_mass(0.0) == 0.0 else g > d / 2.0
+    return ExistenceVerdict(d, g, triplet.to_dict(), exists, 2.0 * g - d / 2.0, continuous)

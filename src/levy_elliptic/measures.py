@@ -301,6 +301,9 @@ class LevyTriplet:
         if not math.isfinite(check):
             raise ValueError("measure violates the Levy integrability condition")
 
+    def to_dict(self) -> dict:
+        return {"b": self.b, "sigma": self.sigma, "measure": self.measure.to_dict()}
+
 
 def band_variance(measure: LevyMeasure, lo: float, hi: float = 1.0) -> float:
     """int_{lo < |z| <= hi} z^2 nu(dz)."""

@@ -1,21 +1,29 @@
 """Sampling symmetric Levy white noise on a box and pairing it with functions.
 
-This module is the one place that draws the noise.  A realization consists
-of three independent pieces keyed to one master seed:
+This module is the one place that draws the noise.  A ``NoiseLaw`` is the
+law that every draw samples: the paper's triplet (b, sigma, nu) on the box
+D, plus the two choices of the simulation, the truncation level eps in
+(0, 1] and the small-jump policy (``gaussianize``, the Gaussian
+approximation of Asmussen and Rosinski (2001), or ``drop``).  The law
+checks eps and the policy once, when it is made, and every sampler, Monte
+Carlo check and the run config take it whole.  A realization of the law
+consists of three independent pieces keyed to one master seed:
 
-* the jump atoms above a truncation level eps, a compound-Poisson draw from
+* the jump atoms above eps, a compound-Poisson draw from
   the product intensity dy x nu(dz);
 * the Gaussian component, represented through its coefficients against the
   Dirichlet eigenbasis: i.i.d. N(0, sigma^2) values, lazily extended and
   keyed per index so query order never matters;
 * the small jumps below eps, either dropped or replaced by an independent
   Gaussian surrogate with the matching variance int_{|z|<=eps} z^2 nu(dz)
-  per coefficient (the usual small-jump Gaussian approximation).
+  per coefficient.
 
 Atoms in the band eps < |z| <= 1 are summed raw, without the compensator:
 every supported measure is symmetric, so the compensating term vanishes.
 
-Monte Carlo checks draw many replicates at once (``pairing_batch``).  A
+Replicate i of a Monte Carlo run with master seed s is
+``replicate_noise(law, s, i)``; checks that need only <noise, f> draw many
+replicates at once (``pairing_batch``).  A
 realization and a replicate share one atom budget: ``atom_rate`` refuses,
 before any draw, one that expects more than BATCH_ATOMS = 2^20 atoms.
 """
@@ -68,9 +76,30 @@ def uniform_locations(box: HyperBox, n: int, rng: np.random.Generator) -> np.nda
     return box.lower + rng.random((n, box.dim)) * box.lengths
 
 
-def surrogate_variance(measure, eps: float, policy: str) -> float:
-    """Small-jump surrogate variance a coefficient: int_{|z| <= eps} z^2 nu(dz), or 0 under ``drop``."""
-    return measure.truncated_variance(eps) if policy == "gaussianize" else 0.0
+@dataclass(frozen=True)
+class NoiseLaw:
+    """The triplet on the box, truncated at eps, with its small jumps under ``policy``."""
+
+    box: HyperBox
+    triplet: LevyTriplet
+    eps: float = 0.01
+    policy: str = "gaussianize"
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if not (0.0 < self.eps <= 1.0):
+            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+
+    @property
+    def surrogate_variance(self) -> float:
+        """Small-jump surrogate variance a coefficient: int_{|z| <= eps} z^2 nu(dz), or 0 under ``drop``."""
+        return self.triplet.measure.truncated_variance(self.eps) if self.policy == "gaussianize" else 0.0
+
+
+def _check_box(box: HyperBox, system: EigenSystem) -> None:
+    if system.box.intervals != box.intervals:
+        raise ValueError("the noise and the system live on different boxes")
 
 
 @dataclass
@@ -109,12 +138,9 @@ def sample_prm_large(box: HyperBox, measure, eps: float, rng: np.random.Generato
 
 @dataclass
 class NoiseRealization:
-    """One frozen sample of the noise, reproducible from its master seed."""
+    """One frozen sample of the noise law, reproducible from its master seed."""
 
-    box: HyperBox
-    triplet: LevyTriplet
-    eps: float
-    policy: str
+    law: NoiseLaw
     master_seed: int
     atoms: JumpAtomSet
 
@@ -124,20 +150,21 @@ class NoiseRealization:
         None when sigma = 0: the Gaussian component is absent and no stream
         is consumed.
         """
-        if self.triplet.sigma == 0.0:
+        sigma = self.law.triplet.sigma
+        if sigma == 0.0:
             return None
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
         draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
-        draws *= self.triplet.sigma
+        draws *= sigma
         return draws
 
     def small_jump_coefficients(self, indices) -> np.ndarray | None:
         """Gaussian surrogate coefficients for the jumps below eps.
 
-        Variance ``surrogate_variance`` per index; None, and no stream is
-        consumed, when that variance is zero.
+        Variance ``NoiseLaw.surrogate_variance`` per index; None, and no
+        stream is consumed, when that variance is zero.
         """
-        var = surrogate_variance(self.triplet.measure, self.eps, self.policy)
+        var = self.law.surrogate_variance
         if var == 0.0:
             return None
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
@@ -147,13 +174,9 @@ class NoiseRealization:
 
     def manifest(self) -> dict:
         return {
-            "triplet": {
-                "b": self.triplet.b,
-                "sigma": self.triplet.sigma,
-                "measure": self.triplet.measure.to_dict(),
-            },
-            "eps": self.eps,
-            "small_jump_policy": self.policy,
+            "triplet": self.law.triplet.to_dict(),
+            "eps": self.law.eps,
+            "small_jump_policy": self.law.policy,
             "seed": self.master_seed,
         }
 
@@ -163,21 +186,16 @@ class NoiseRealization:
             fh.write("\n")
 
 
-def sample_noise(
-    box: HyperBox,
-    triplet: LevyTriplet,
-    eps: float = 0.01,
-    policy: str = "gaussianize",
-    master_seed: int = 0,
-) -> NoiseRealization:
+def sample_noise(law: NoiseLaw, master_seed: int = 0) -> NoiseRealization:
     """Draw a full noise realization from one 64-bit master seed."""
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     rng = _rng.stream(master_seed, _rng.ATOM_STREAM)
-    atoms = sample_prm_large(box, triplet.measure, eps, rng)
-    return NoiseRealization(box, triplet, eps, policy, int(master_seed), atoms)
+    atoms = sample_prm_large(law.box, law.triplet.measure, law.eps, rng)
+    return NoiseRealization(law, int(master_seed), atoms)
+
+
+def replicate_noise(law: NoiseLaw, seed: int, replicate_id: int) -> NoiseRealization:
+    """Realization of replicate ``replicate_id`` of a Monte Carlo run with master seed ``seed``."""
+    return sample_noise(law, _rng.replicate_seed(seed, replicate_id))
 
 
 def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray:
@@ -187,9 +205,8 @@ def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray
     summed in that order over the parts present.  Deterministic given the
     realization: the atom sum runs over fixed chunks of atoms in atom order.
     """
-    if system.box.intervals != realization.box.intervals:
-        raise ValueError("realization and system live on different boxes")
-    trip, atoms = realization.triplet, realization.atoms
+    _check_box(realization.law.box, system)
+    trip, atoms = realization.law.triplet, realization.atoms
     c = _sum_present(
         trip.b * constant_fourier(system) if trip.b != 0.0 else None,
         realization.gaussian_coefficients(system.indices),
@@ -218,9 +235,9 @@ def pair_with_function(
     drift term is b * int f.  Pairing an eigenfunction of the system
     reproduces the corresponding ``pair_eigen`` coefficient bit-for-bit.
     """
-    if system.box.intervals != realization.box.intervals:
-        raise ValueError("realization and system live on different boxes")
-    if realization.triplet.sigma != 0.0 and not lq_finite(f, realization.box, 2.0):
+    box, trip = realization.law.box, realization.law.triplet
+    _check_box(box, system)
+    if trip.sigma != 0.0 and not lq_finite(f, box, 2.0):
         raise ValueError("integrand is not square integrable for sigma > 0")
 
     if isinstance(f, Eigenfunction) and f.box.intervals == system.box.intervals:
@@ -236,10 +253,9 @@ def pair_with_function(
             sum(pair_with_function(realization, Indicator((bx,)), system) for bx in f.boxes)
         )
 
-    trip = realization.triplet
     total = 0.0
     if trip.b != 0.0:
-        total += trip.b * integral(f, realization.box)
+        total += trip.b * integral(f, box)
     spectral = _sum_present(
         realization.gaussian_coefficients(system.indices),
         realization.small_jump_coefficients(system.indices),
@@ -251,15 +267,7 @@ def pair_with_function(
     return total
 
 
-def pairing_batch(
-    triplet: LevyTriplet,
-    f,
-    system: EigenSystem,
-    eps: float,
-    policy: str,
-    m: int,
-    seed: int,
-) -> np.ndarray:
+def pairing_batch(law: NoiseLaw, f, system: EigenSystem, m: int, seed: int) -> np.ndarray:
     """m i.i.d. samples of the noise paired with f, vectorized across replicates.
 
     Law-equivalent to calling ``pair_with_function`` on m fresh realizations:
@@ -268,11 +276,13 @@ def pairing_batch(
     (sigma^2 + surrogate_variance) * sum_k <f, e_k>^2, and the jump part is
     the direct atom sum.  Draw order is fixed, so one seed fixes the batch.
     """
+    _check_box(law.box, system)
+    triplet = law.triplet
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
-    x = jump_sums(system.box, triplet.measure, f, m, rng, eps)
+    x = jump_sums(law.box, triplet.measure, f, m, rng, law.eps)
     if triplet.b != 0.0:
-        x += triplet.b * integral(f, system.box)
-    scale = triplet.sigma**2 + surrogate_variance(triplet.measure, eps, policy)
+        x += triplet.b * integral(f, law.box)
+    scale = triplet.sigma**2 + law.surrogate_variance
     if scale > 0.0:
         coeffs = fourier_vector(system, f)
         gauss_var = scale * float(np.dot(coeffs, coeffs))

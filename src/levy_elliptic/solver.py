@@ -100,7 +100,7 @@ def solve_mild(
     Refuses regimes where no mild solution exists unless ``override`` is
     set (divergence sweeps set it deliberately).
     """
-    refuse_outside_regime(system.box.dim, gamma, realization.triplet, override)
+    refuse_outside_regime(system.box.dim, gamma, realization.law.triplet, override)
     return SpectralFunction(system, pair_eigen(realization, system) / system.lams**gamma)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from levy_elliptic import noise
+from levy_elliptic import cli, noise
 from levy_elliptic.cli import run
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
@@ -92,6 +92,17 @@ def test_oversized_solve_grid_is_refused_before_solving(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run(["solve", "--set", "d=6", "--seed", "5", "--out", str(outdir)]) == 2
     assert "solve.grid_points" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_oversized_green_oracle_grid_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    # 1449^2 pairs are just over the cap of 2^21; the dense tables once took 1.1 GB there.
+    monkeypatch.setattr(cli, "enumerate_eigen", lambda *a, **k: pytest.fail("eigen system built"))
+    monkeypatch.setattr(cli, "green_gamma_grid", lambda *a, **k: pytest.fail("kernel tabulated"))
+    outdir = tmp_path / "out"
+    assert run(["green-oracle", "--set", "grid_points=1449", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "green_oracle.grid_points" in err and "exceed the cap of 2097152" in err
     assert not outdir.exists()
 
 
@@ -255,6 +266,20 @@ def test_gaussian_only_sobolev_sweep_classifies_both_sides(tmp_path, capsys, see
     with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
         details = [json.loads(line)["details"] for line in fh]
     assert [d["classification"] for d in details] == ["convergent", "divergent"]
+
+
+def test_noise_without_jumps_is_predicted_continuous_where_the_solution_exists(tmp_path, capsys):
+    # Gaussian noise at d=2, gamma=0.8: the solution exists (gamma > d/4) and is
+    # continuous, though gamma <= d/2; the probe once predicted blowup here.
+    outdir = tmp_path / "out"
+    argv = [
+        "sweep", "continuity", "--set", "d=2", "--set", "gamma=0.8", "--set", "sigma=1",
+        "--set", "measure=null", "--set", "grid_levels=4,5,6", "--workers", "2", "--seed", "7",
+    ]
+    assert run(argv + ["--out", str(outdir)]) == 0
+    with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
+        (report,) = [json.loads(line) for line in fh]
+    assert report["details"]["predicted"] == report["details"]["classification"] == "continuous-consistent"
 
 
 def test_cf_test_on_a_singular_integrand_runs_without_value_quadrature(tmp_path, capsys):

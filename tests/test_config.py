@@ -48,7 +48,7 @@ class TestCutoff:
 class TestReplacedObjects:
     def test_file_may_name_another_measure(self, tmp_path):
         doc = {"triplet": {"measure": {"kind": "two_point", "rate": 1.0, "magnitude": 1.0}}}
-        assert isinstance(load_config(config_file(tmp_path, doc), []).triplet.measure, SymmetricTwoPoint)
+        assert isinstance(load_config(config_file(tmp_path, doc), []).noise.triplet.measure, SymmetricTwoPoint)
 
     @pytest.mark.parametrize(
         "block,key,value,descriptor",
@@ -95,7 +95,7 @@ class TestMeasureOverride:
         ],
     )
     def test_json_object_or_shorthand(self, text, expected):
-        assert load_config(None, [f"measure={text}"]).triplet.measure == expected
+        assert load_config(None, [f"measure={text}"]).noise.triplet.measure == expected
 
     @pytest.mark.parametrize("text", ["1.5", "alpha", "cauchy:1"])
     def test_other_values_are_refused_at_the_key(self, text):

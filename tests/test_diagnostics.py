@@ -23,7 +23,7 @@ from levy_elliptic.measures import (
     characteristic_exponent,
     sample_jump_sizes,
 )
-from levy_elliptic.noise import jump_sums, pairing_batch, sample_noise
+from levy_elliptic.noise import NoiseLaw, jump_sums, pairing_batch, sample_noise
 
 SQUARE = HyperBox.unit(2)
 UNIT = HyperBox.unit(1)
@@ -36,7 +36,7 @@ SEEDS = [11, 12, 13]
 def test_weak_identity_holds_on_a_small_d2_realization(seed):
     system = enumerate_eigen(SQUARE, count=64)
     triplet = LevyTriplet(0.0, 0.3, AlphaStable(1.5))
-    realization = sample_noise(SQUARE, triplet, eps=0.05, master_seed=seed)
+    realization = sample_noise(NoiseLaw(SQUARE, triplet, eps=0.05), master_seed=seed)
     assert realization.atoms.count > 0
     report = weak_identity_test(realization, Eigenfunction(SQUARE, (1, 2)), 1.0, system)
     assert report.passed, report.to_dict()
@@ -46,7 +46,8 @@ def test_weak_identity_holds_on_a_small_d2_realization(seed):
 @pytest.mark.parametrize("d", [1, 2])
 def test_continuity_probe_does_not_depend_on_workers(d):
     box, triplet = HyperBox.unit(d), LevyTriplet(0.0, 0.0, AlphaStable(1.5))
-    reports = [continuity_probe(box, 1.5, triplet, [3, 4, 5], 8, 7, eps=0.05, workers=w) for w in (1, 2)]
+    law = NoiseLaw(box, triplet, eps=0.05)
+    reports = [continuity_probe(law, 1.5, [3, 4, 5], 8, 7, workers=w) for w in (1, 2)]
     assert reports[0].to_dict() == reports[1].to_dict()
     assert reports[0].passed and not reports[0].inconclusive
 
@@ -55,14 +56,15 @@ def test_continuity_probe_does_not_depend_on_workers(d):
 def test_continuity_probe_predicts_the_side_of_d_over_2(gamma, predicted):
     # At d=1 the solution exists above gamma = 1/4 and is continuous above 1/2.
     triplet = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
-    report = continuity_probe(UNIT, gamma, triplet, [3, 4, 5], 2, 7, eps=0.5)
+    report = continuity_probe(NoiseLaw(UNIT, triplet, eps=0.5), gamma, [3, 4, 5], 2, 7)
     assert report.details["predicted"] == predicted
 
 
 def test_sobolev_sweep_predicts_from_the_ceiling():
     # r_max = 2 gamma - d/2 = 1.5 at d=1, gamma=1.
     triplet = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
-    reports = sobolev_sweep(UNIT, 1.0, triplet, [1.0, 1.4, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    law = NoiseLaw(UNIT, triplet, eps=1.0)
+    reports = sobolev_sweep(law, 1.0, [1.0, 1.4, 1.6], [1024, 2048], 1, 7, surrogate=True)
     assert [r.details["predicted"] for r in reports] == ["convergent", "convergent", "divergent"]
     assert all(r.details["r_threshold"] == 1.5 for r in reports)
 
@@ -202,7 +204,7 @@ def test_pairing_batch_without_a_gaussian_part_skips_fourier_coefficients(monkey
     system = enumerate_eigen(UNIT, count=64)
     f, triplet = AxisPower(-0.3), LevyTriplet(0.0, 0.0, measure)
     monkeypatch.setattr(noise, "fourier_vector", refuse)
-    x = pairing_batch(triplet, f, system, 0.05, policy, 1000, 3)
+    x = pairing_batch(NoiseLaw(UNIT, triplet, 0.05, policy), f, system, 1000, 3)
     rng = _rng.stream(3, _rng.BATCH_STREAM)
     assert np.array_equal(x, jump_sums(UNIT, measure, f, 1000, rng, 0.05))
 
@@ -212,18 +214,18 @@ def test_pairing_batch_with_gaussianized_small_jumps_reads_fourier_coefficients(
     monkeypatch.setattr(noise, "fourier_vector", refuse)
     with pytest.raises(AssertionError, match="fourier_vector called"):
         pairing_batch(
-            LevyTriplet(0.0, 0.0, AlphaStable(1.5)), AxisPower(-0.3), system, 0.05, "gaussianize", 1000, 3
+            NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), 0.05, "gaussianize"), AxisPower(-0.3), system, 1000, 3
         )
 
 
 def cf_report(measure, seed, f=AxisPower(1.0), m=20_000):
     triplet = LevyTriplet(0.0, 0.0, measure)
     system = enumerate_eigen(UNIT, count=256)
-    return empirical_cf_test(triplet, f, [0.5, 1.0, 2.0], m, seed, system=system, eps=0.05)
+    return empirical_cf_test(NoiseLaw(UNIT, triplet, eps=0.05), f, [0.5, 1.0, 2.0], m, seed, system=system)
 
 
 def isometry_report(measure, seed, f=AxisPower(1.0), m=20_000):
-    return isometry_test(measure, 0.05, f, m, seed, box=UNIT)
+    return isometry_test(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, measure), eps=0.05), f, m, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

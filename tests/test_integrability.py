@@ -143,6 +143,23 @@ class TestExistenceVerdict:
         assert v.r_max == pytest.approx(0.5)
         assert v.continuous is False
 
+    @given(
+        d=st.integers(1, 6),
+        gamma=st.floats(min_value=1e-3, max_value=4.0),
+        sigma=st.sampled_from([0.0, 0.5]),
+        measure=st.one_of(
+            st.builds(AlphaStable, st.floats(min_value=0.01, max_value=1.99)),
+            st.just(SymmetricTwoPoint(1.0, 0.5)),
+            st.just(VarianceGamma(1.0, 1.0)),
+            st.just(NullMeasure()),
+        ),
+    )
+    def test_continuous_implies_exists(self, d, gamma, sigma, measure):
+        v = existence_verdict(d, gamma, LevyTriplet(0.0, sigma, measure))
+        assert v.exists or not v.continuous
+        # Without jumps the field is continuous wherever it exists; with them, above d/2.
+        assert v.continuous is (v.exists if isinstance(measure, NullMeasure) else gamma > d / 2.0)
+
     def test_continuity_only_in_dimension_one(self):
         assert existence_verdict(1, 1.0, stable_triplet(1.5)).continuous is True
         assert existence_verdict(2, 1.0, stable_triplet(1.5)).continuous is False

@@ -29,7 +29,7 @@ from levy_elliptic.domain import (
     tensor_rule,
 )
 from levy_elliptic.measures import AlphaStable, LevyTriplet
-from levy_elliptic.noise import JumpAtomSet, NoiseRealization, pair_eigen
+from levy_elliptic.noise import JumpAtomSet, NoiseLaw, NoiseRealization, pair_eigen
 from levy_elliptic.functions import AxisPower, SpectralFunction, fourier_vector
 from levy_elliptic.solver import eval_field_grid
 
@@ -155,7 +155,7 @@ def test_pair_eigen_memory_is_bounded_by_the_block(d, count, n):
     rng = np.random.default_rng(11)
     atoms = JumpAtomSet(box, 0.01, rng.random((n, d)), rng.standard_normal(n))
     realization = NoiseRealization(
-        box, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), 0.01, "drop", 0, atoms
+        NoiseLaw(box, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), 0.01, "drop"), 0, atoms
     )
     tracemalloc.start()
     try:

@@ -21,10 +21,12 @@ from levy_elliptic.measures import (
 )
 from levy_elliptic.noise import (
     JumpAtomSet,
+    NoiseLaw,
     NoiseRealization,
     pair_eigen,
     pair_with_function,
     pairing_batch,
+    replicate_noise,
     sample_noise,
     sample_prm_large,
 )
@@ -36,7 +38,7 @@ def atom_realization(locations, sizes, triplet=None, eps=0.5, policy="drop", see
     """Hand-built realization with prescribed atoms, for closed-form oracles."""
     triplet = triplet or LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
     atoms = JumpAtomSet(UNIT, eps, np.atleast_2d(locations), np.atleast_1d(sizes))
-    return NoiseRealization(UNIT, triplet, eps, policy, seed, atoms)
+    return NoiseRealization(NoiseLaw(UNIT, triplet, eps, policy), seed, atoms)
 
 
 class TestPrmSampling:
@@ -76,9 +78,9 @@ class TestPrmSampling:
         triplet = LevyTriplet(0.0, 1.0, AlphaStable(1.5))
         message = r"^eps=0.01 gives 1e\+03 expected atoms a draw, above the bound of BATCH_ATOMS=100; raise eps$"
         with pytest.raises(ValueError, match=message):
-            sample_noise(UNIT, triplet, master_seed=1)
+            sample_noise(NoiseLaw(UNIT, triplet), master_seed=1)
         monkeypatch.setattr(noise, "BATCH_ATOMS", 2000)
-        assert 800 < sample_noise(UNIT, triplet, master_seed=1).atoms.count < 1200
+        assert 800 < sample_noise(NoiseLaw(UNIT, triplet), master_seed=1).atoms.count < 1200
 
     def test_atom_csv_round_trip(self, tmp_path):
         atoms = JumpAtomSet(UNIT, 0.5, np.array([[0.25], [0.75]]), np.array([1.5, -2.0]))
@@ -93,7 +95,7 @@ class TestPrmSampling:
 
 class TestPairEigen:
     def test_zero_triplet_all_zero(self):
-        real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, NullMeasure()), master_seed=5)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, NullMeasure())), master_seed=5)
         system = enumerate_eigen(UNIT, count=12)
         assert np.all(pair_eigen(real, system) == 0.0)
 
@@ -105,7 +107,7 @@ class TestPairEigen:
         assert coeffs[1] == pytest.approx(0.0, abs=1e-13)
 
     def test_drift_term_closed_form(self):
-        real = sample_noise(UNIT, LevyTriplet(1.0, 0.0, NullMeasure()), master_seed=6)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(1.0, 0.0, NullMeasure())), master_seed=6)
         system = enumerate_eigen(UNIT, count=4)
         coeffs = pair_eigen(real, system)
         oracle, _ = integrate.quad(lambda x: math.sqrt(2.0) * math.sin(math.pi * x), 0, 1)
@@ -114,13 +116,13 @@ class TestPairEigen:
         assert coeffs[1] == 0.0
 
     def test_box_mismatch_rejected(self):
-        real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, NullMeasure()), master_seed=7)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, NullMeasure())), master_seed=7)
         other = enumerate_eigen(HyperBox(((0.0, 2.0),)), count=3)
         with pytest.raises(ValueError, match="different boxes"):
             pair_eigen(real, other)
 
     def test_sigma_zero_gaussian_map_identically_zero(self):
-        real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 1.0)), master_seed=8)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 1.0))), master_seed=8)
         system = enumerate_eigen(UNIT, count=50)
         assert real.gaussian_coefficients(system.indices) is None
 
@@ -128,14 +130,14 @@ class TestPairEigen:
         # gaussianize draws per-index N(0, truncated variance at eps).
         measure = AlphaStable(1.0)
         eps = 0.5
-        real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, measure), eps=eps, master_seed=9)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, measure), eps=eps), master_seed=9)
         idx = np.arange(1, 200_001)[:, None]
         draws = real.small_jump_coefficients(idx)
         assert np.var(draws) == pytest.approx(measure.truncated_variance(eps), rel=0.02)
 
     def test_drop_policy_adds_nothing(self):
         real = sample_noise(
-            UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.0)), eps=0.5, policy="drop", master_seed=10
+            NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.0)), eps=0.5, policy="drop"), master_seed=10
         )
         assert real.small_jump_coefficients(np.arange(1, 50)[:, None]) is None
 
@@ -148,7 +150,7 @@ class TestPairWithFunction:
 
     def test_eigenfunction_bit_for_bit(self):
         triplet = LevyTriplet(0.7, 1.3, SymmetricTwoPoint(2.0, 1.0))
-        real = sample_noise(UNIT, triplet, eps=0.4, master_seed=11)
+        real = sample_noise(NoiseLaw(UNIT, triplet, eps=0.4), master_seed=11)
         system = enumerate_eigen(UNIT, count=9)
         coeffs = pair_eigen(real, system)
         for pos, k in [(0, 1), (4, 5), (8, 9)]:
@@ -163,7 +165,7 @@ class TestPairWithFunction:
 
     def test_additivity_exact_over_disjoint_boxes(self):
         triplet = LevyTriplet(0.5, 0.7, SymmetricTwoPoint(3.0, 1.0))
-        real = sample_noise(UNIT, triplet, eps=0.4, master_seed=12)
+        real = sample_noise(NoiseLaw(UNIT, triplet, eps=0.4), master_seed=12)
         system = enumerate_eigen(UNIT, count=40)
         left = Indicator((HyperBox(((0.0, 0.5),)),))
         right = Indicator((HyperBox(((0.5, 1.0),)),))
@@ -180,7 +182,7 @@ class TestPairWithFunction:
         ],
     )
     def test_no_spectral_part_skips_fourier_coefficients(self, monkeypatch, triplet, policy):
-        real = sample_noise(UNIT, triplet, eps=0.5, policy=policy, master_seed=18)
+        real = sample_noise(NoiseLaw(UNIT, triplet, eps=0.5, policy=policy), master_seed=18)
         assert real.atoms.count > 0
         f = AxisPower(-0.3)
         expected = 0.5 * integral(f, UNIT) + float(f.evaluate(real.atoms.locations) @ real.atoms.sizes)
@@ -195,9 +197,9 @@ class TestPairWithFunction:
         f = Constant(1.0)
         direct = []
         for i in range(400):
-            real = sample_noise(box, triplet, eps=0.5, master_seed=replicate_seed(13, i))
+            real = sample_noise(NoiseLaw(box, triplet, eps=0.5), master_seed=replicate_seed(13, i))
             direct.append(pair_with_function(real, f, system))
-        batch = pairing_batch(triplet, f, system, 0.5, "gaussianize", 20_000, 14)
+        batch = pairing_batch(NoiseLaw(box, triplet, 0.5, "gaussianize"), f, system, 20_000, 14)
         # Var of a compound Poisson sum with rate 2 and unit magnitudes is 2.
         assert np.var(batch) == pytest.approx(2.0, rel=0.05)
         assert np.var(direct) == pytest.approx(2.0, rel=0.35)
@@ -207,7 +209,7 @@ class TestPairWithFunction:
         # up to the truncation deficit of the expansion (< 1% at 1000 modes).
         system = enumerate_eigen(UNIT, count=1000)
         x = pairing_batch(
-            LevyTriplet(0.0, 1.0, NullMeasure()), Constant(1.0), system, 0.01, "gaussianize", 100_000, 15
+            NoiseLaw(UNIT, LevyTriplet(0.0, 1.0, NullMeasure()), 0.01, "gaussianize"), Constant(1.0), system, 100_000, 15
         )
         assert 0.98 <= np.var(x) <= 1.02
 
@@ -217,7 +219,7 @@ class TestPairWithFunction:
     def test_symmetry_odd_moments(self, measure):
         system = enumerate_eigen(UNIT, count=128)
         x = pairing_batch(
-            LevyTriplet(0.0, 0.0, measure), Constant(1.0), system, 0.05, "gaussianize", 100_000, 16
+            NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, measure), 0.05, "gaussianize"), Constant(1.0), system, 100_000, 16
         )
         m = len(x)
         assert abs(np.mean(x)) <= 3.0 * np.std(x) / math.sqrt(m)
@@ -228,11 +230,9 @@ class TestPairWithFunction:
         # Raw band atoms have exactly zero mean for symmetric measures.
         system = enumerate_eigen(UNIT, count=16)
         x = pairing_batch(
-            LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 0.8)),
+            NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 0.8)), 0.5, "drop"),
             Constant(1.0),
             system,
-            0.5,
-            "drop",
             100_000,
             17,
         )
@@ -242,8 +242,8 @@ class TestPairWithFunction:
 class TestReproducibility:
     def test_same_seed_same_realization(self):
         triplet = LevyTriplet(0.2, 0.9, AlphaStable(1.4))
-        a = sample_noise(UNIT, triplet, eps=0.2, master_seed=99)
-        b = sample_noise(UNIT, triplet, eps=0.2, master_seed=99)
+        a = sample_noise(NoiseLaw(UNIT, triplet, eps=0.2), master_seed=99)
+        b = sample_noise(NoiseLaw(UNIT, triplet, eps=0.2), master_seed=99)
         assert np.array_equal(a.atoms.locations, b.atoms.locations)
         assert np.array_equal(a.atoms.sizes, b.atoms.sizes)
         system = enumerate_eigen(UNIT, count=30)
@@ -268,7 +268,7 @@ class TestReproducibility:
         system = enumerate_eigen(UNIT, count=20)
 
         def one(i):
-            real = sample_noise(UNIT, triplet, eps=0.5, master_seed=replicate_seed(5, i))
+            real = sample_noise(NoiseLaw(UNIT, triplet, eps=0.5), master_seed=replicate_seed(5, i))
             return pair_eigen(real, system)
 
         serial = run_replicates(one, 12, workers=1)
@@ -278,7 +278,7 @@ class TestReproducibility:
 
     def test_manifest_round_trip(self, tmp_path):
         triplet = LevyTriplet(0.1, 0.2, VarianceGamma(1.0, 2.0))
-        real = sample_noise(UNIT, triplet, eps=0.3, policy="drop", master_seed=77)
+        real = sample_noise(NoiseLaw(UNIT, triplet, eps=0.3, policy="drop"), master_seed=77)
         path = tmp_path / "manifest.json"
         real.write_manifest(path)
         data = json.loads(path.read_text())
@@ -291,7 +291,39 @@ class TestReproducibility:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="policy"):
-            sample_noise(UNIT, LevyTriplet(0.0, 0.0, NullMeasure()), policy="other")
+            NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, NullMeasure()), policy="other")
+
+    def test_replicate_noise_is_the_realization_at_the_replicate_seed(self):
+        law = NoiseLaw(UNIT, LevyTriplet(0.2, 0.9, AlphaStable(1.4)), eps=0.2)
+        for i in (0, 3):
+            a, b = replicate_noise(law, 21, i), sample_noise(law, replicate_seed(21, i))
+            assert a.law is law and a.master_seed == b.master_seed
+            assert np.array_equal(a.atoms.locations, b.atoms.locations)
+            assert np.array_equal(a.atoms.sizes, b.atoms.sizes)
+
+
+class TestNoiseLaw:
+    TRIPLET = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
+
+    def test_misspelled_policy_is_refused(self):
+        # Once, a CF check given this spelling dropped the small jumps and failed.
+        with pytest.raises(ValueError, match=r"policy must be one of .* got 'gaussianise'"):
+            NoiseLaw(UNIT, self.TRIPLET, 0.5, "gaussianise")
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_eps_outside_the_unit_interval_is_refused(self, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            NoiseLaw(UNIT, self.TRIPLET, eps)
+
+    def test_pairing_batch_refuses_a_system_on_another_box(self):
+        system = enumerate_eigen(HyperBox(((0.0, 2.0),)), count=8)
+        with pytest.raises(ValueError, match="different boxes"):
+            pairing_batch(NoiseLaw(UNIT, self.TRIPLET, 0.5), Constant(1.0), system, 1000, 1)
+
+    def test_surrogate_variance_follows_the_policy(self):
+        law = NoiseLaw(UNIT, self.TRIPLET, 0.5)
+        assert law.surrogate_variance == AlphaStable(1.5).truncated_variance(0.5) > 0.0
+        assert NoiseLaw(UNIT, self.TRIPLET, 0.5, "drop").surrogate_variance == 0.0
 
 
 class TestProperties:
@@ -329,7 +361,7 @@ class TestProperties:
         def paired(sizes):
             atoms = JumpAtomSet(box, 0.5, locations, sizes)
             trip = LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
-            return pair_eigen(NoiseRealization(box, trip, 0.5, "drop", 0, atoms), system)
+            return pair_eigen(NoiseRealization(NoiseLaw(box, trip, 0.5, "drop"), 0, atoms), system)
 
         # Each coefficient sums n terms of at most sup|e_k| = 2^(d/2) times a size,
         # so roundoff stays below a few n ulps of the sum of absolute terms.
@@ -350,7 +382,7 @@ class TestProperties:
     def test_pairing_is_additive_over_a_box_cut_in_two(self, d, seed, cut, data):
         box = HyperBox.unit(d)
         triplet = LevyTriplet(0.3, 0.8, SymmetricTwoPoint(40.0, 1.5))
-        real = sample_noise(box, triplet, eps=0.5, master_seed=seed)
+        real = sample_noise(NoiseLaw(box, triplet, eps=0.5), master_seed=seed)
         system = enumerate_eigen(box, count=64)
         axis = data.draw(st.integers(0, d - 1))
         whole = [(0.0, 1.0)] * d

@@ -132,6 +132,18 @@ def test_keyed_uniforms_stay_inside_the_open_interval():
     assert np.all(np.isfinite(_ndtri(u)))
 
 
+def test_the_all_ones_hash_word_gives_a_finite_normal(monkeypatch):
+    # (2^53 - 1 + 1/2) 2^-53 rounds to 1.0, where _ndtri is nan; it is clamped below 1.
+    def plant(h, scratch):
+        h.fill(np.uint64(2**64 - 1))
+
+    monkeypatch.setattr(_rng, "_mix_into", plant)
+    idx = np.arange(1, 4)[:, None]
+    assert np.array_equal(keyed_uniforms(5, _rng.GAUSS_COEFF, idx), np.full(3, 1.0 - 2.0**-53))
+    normals = _rng.keyed_normals(5, _rng.GAUSS_COEFF, idx)
+    assert np.all(np.isfinite(normals)) and np.all(normals > 8.0)
+
+
 def test_sign_and_skip_helpers_refuse_bit_generators_other_than_pcg64():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(TypeError, match="PCG64"):

@@ -7,7 +7,7 @@ from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_nodes, eigen_m
 from levy_elliptic.functions import Constant, Eigenfunction, SpectralFunction
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
 from levy_elliptic.integrability import existence_verdict
-from levy_elliptic.noise import JumpAtomSet, NoiseRealization, pair_eigen, sample_noise
+from levy_elliptic.noise import JumpAtomSet, NoiseLaw, NoiseRealization, pair_eigen, sample_noise
 from levy_elliptic.solver import (
     RegimeRefusalError,
     dump_coeffs_csv,
@@ -34,7 +34,7 @@ def interval_green(x, y, a=0.0, b=1.0):
 def one_atom_realization(y, z):
     atoms = JumpAtomSet(UNIT, 0.5, np.array([[y]]), np.array([z]))
     triplet = LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
-    return NoiseRealization(UNIT, triplet, 0.5, "drop", 0, atoms)
+    return NoiseRealization(NoiseLaw(UNIT, triplet, 0.5, "drop"), 0, atoms)
 
 
 class TestGreenKernel:
@@ -90,7 +90,7 @@ class TestGreenKernel:
 
 class TestSolveMild:
     def test_zero_noise_zero_field(self):
-        real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, NullMeasure()), master_seed=1)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, NullMeasure())), master_seed=1)
         system = enumerate_eigen(UNIT, count=20)
         field = solve_mild(real, 1.0, system)
         assert np.all(field.coeffs == 0.0)
@@ -104,7 +104,7 @@ class TestSolveMild:
         assert got == pytest.approx(0.25, abs=1e-4)
 
     def test_refusal_below_existence_threshold(self):
-        real = sample_noise(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), master_seed=2)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.5))), master_seed=2)
         system = enumerate_eigen(UNIT, count=10)
         with pytest.raises(RegimeRefusalError):
             solve_mild(real, 0.2, system)
@@ -117,7 +117,7 @@ class TestSolveMild:
         assert refuse_outside_regime(1, gamma, triplet, override=True) == existence_verdict(1, gamma, triplet)
 
     def test_operator_inversion_recovers_pairing(self):
-        real = sample_noise(UNIT, LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 1.0)), master_seed=3)
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 1.0))), master_seed=3)
         system = enumerate_eigen(UNIT, count=64)
         field = solve_mild(real, 1.5, system)
         recovered = field.coeffs * system.lams**1.5
