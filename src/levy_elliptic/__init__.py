@@ -55,7 +55,6 @@ from .noise import (
     pair_eigen,
     pair_with_function,
     sample_noise,
-    sample_prm_large,
 )
 from .solver import (
     RegimeRefusalError,

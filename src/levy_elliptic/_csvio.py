@@ -2,7 +2,9 @@
 
 Numbers use 17 significant digits so files round-trip doubles exactly, and
 a cell holding a comma, a quote or a newline is quoted, as the csv module's
-minimal quoting does, so every row parses to the header's width.
+minimal quoting does, so every row parses to the header's width.  Rows are
+formatted and written BLOCK_ROWS at a time, so the text of a file is never
+held whole and an array column is listed one block's slice at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+
+# Rows formatted and written at a time; the bytes do not depend on it.
+BLOCK_ROWS = 1 << 12
 
 
 def _cell(value) -> str:
@@ -26,11 +31,14 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _column(col) -> tuple[str, list]:
+def _column(col) -> tuple[str, object]:
     """(conversion, values) of a column for the row format: a column of only
-    floats or only ints keeps its numbers; any other column becomes cells."""
+    floats or only ints keeps its numbers, a numeric array stays an array;
+    any other column becomes cells."""
     if isinstance(col, np.ndarray):
-        kind, values = col.dtype.kind, col.tolist()
+        kind, values = col.dtype.kind, col
+        if kind not in ("f", "i", "u"):
+            values = col.tolist()
     else:
         values = list(col)
         types = set(map(type, values))
@@ -53,4 +61,7 @@ def write_csv(path, header, columns) -> None:
     row = ",".join(conversion for conversion, _ in specs) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write("".join([row % cells for cells in zip(*values)]))
+        for start in range(0, min(map(len, values), default=0), BLOCK_ROWS):
+            block = [v[start : start + BLOCK_ROWS] for v in values]
+            block = [v.tolist() if isinstance(v, np.ndarray) else v for v in block]
+            fh.write("".join([row % cells for cells in zip(*block)]))

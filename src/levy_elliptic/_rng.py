@@ -4,7 +4,8 @@ Two kinds of streams are used throughout the package:
 
 * ordinary numpy generators derived from ``(seed, stream tag)`` for sampling
   that happens once per realization (atom counts, locations, sizes), and
-* stateless keyed draws for lazily extended per-index coefficient maps,
+* stateless keyed draws for the one lazily extended per-index map, the
+  Gaussian part of the noise's coefficients (purpose ``GAUSS_COEFF``),
   where a value must depend only on ``(seed, purpose, index)`` so that the
   query order and the worker count never matter.
 
@@ -56,9 +57,8 @@ BATCH_STREAM = 0x42
 SAMPLE_STREAM = 0x43
 REPLICATE_STREAM = 0x52
 
-# Purposes for keyed per-index draws.
-GAUSS_COEFF = 0x11
-SMALL_JUMP_COEFF = 0x22
+# The one purpose of keyed draws; 0x22, the old small-jump tag, keeps sigma = 0 runs.
+GAUSS_COEFF = 0x22
 
 _M1_INT, _M2_INT, _GOLD_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15
 _M1, _M2, _GOLD = np.uint64(_M1_INT), np.uint64(_M2_INT), np.uint64(_GOLD_INT)

@@ -9,8 +9,10 @@ subcommand draws from.  Exit codes: 0 all good, 1 a non-inconclusive
 verification failed, 2 config error, refused regime or invalid request.
 Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
 grid over MAX_GRID_VALUES in ``solve``, ``sweep continuity`` or
-``green-oracle``, a draw of the noise over its atom budget (see ``noise``)
-and an integrand the CF test cannot evaluate.  Given one seed,
+``green-oracle``, a draw of the noise over its atom budget (see ``noise``),
+a truncation over the mode budget ``domain.MAX_MODES`` (a count above it or
+a threshold whose Weyl term lies above it) and an integrand the CF test
+cannot evaluate.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
 numpy picks its SIMD kernels (log, exp, pow, ...) at run time.

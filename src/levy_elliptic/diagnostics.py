@@ -159,11 +159,11 @@ def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0
     """
     if m < 1000:
         raise ValueError("m below 1000 has no statistical power; refused")
-    box, measure, eps = law.box, law.triplet.measure, law.eps
+    box, eps = law.box, law.eps
     f_square = square_integral(f, box)
     if not math.isfinite(f_square):
         raise ValueError("integrand is not square-integrable; isometry test undefined")
-    exact = f_square * band_variance(measure, eps, band_high)
+    exact = f_square * band_variance(law.triplet.measure, eps, band_high)
     if exact == 0.0:
         return TestReport(
             name="isometry_band",
@@ -176,7 +176,7 @@ def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0
             inconclusive=True,
         )
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
-    y = jump_sums(box, measure, f, m, rng, eps, band_high)
+    y = jump_sums(law, f, m, rng, band_high)
     empirical = float(np.var(y))
     statistic = abs(empirical / exact - 1.0)
     return TestReport(

@@ -39,6 +39,8 @@ import numpy as np
 
 # Values (modes x points) of tables, grids and factors a chunk of points may hold: 4 MiB.
 CHUNK_CELLS = 1 << 19
+# Largest listing ``enumerate_eigen`` makes: ``check`` at 2^22 modes peaks at 259 MB at d = 1, 931 MB at d = 3.
+MAX_MODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -177,14 +179,19 @@ def enumerate_eigen(
     """Complete sorted eigen listing below a count or eigenvalue threshold.
 
     Count mode returns exactly ``count`` entries; ties at the last admitted
-    eigenvalue are resolved by the lexicographic order, not widened.
+    eigenvalue are resolved by the lexicographic order, not widened.  Both
+    modes refuse, before enumerating, a listing over MAX_MODES: a count
+    above it, or a threshold t whose Weyl term |D| t^(d/2) / ((4 pi)^(d/2)
+    Gamma(d/2 + 1)), an upper bound on N(t) on a box, lies above it.
     """
     if (count is None) == (lambda_max is None):
         raise ValueError("specify exactly one of count, lambda_max")
+    d, vol = box.dim, box.volume
     if count is not None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        d, vol = box.dim, box.volume
+        if count > MAX_MODES:
+            raise ValueError(f"count={count} modes is above the mode budget MAX_MODES={MAX_MODES}")
         lam1 = float(eigenvalues_of(box, np.ones((1, d), dtype=np.int64))[0])
         # Weyl-law guess for the K-th eigenvalue, then grow until covered.
         guess = lam1 + 4.0 * math.pi * (
@@ -197,6 +204,13 @@ def enumerate_eigen(
             guess *= 1.7
     if lambda_max is None or lambda_max <= 0.0:
         raise ValueError("lambda_max must be positive")
+    # The Weyl term in logs, where no threshold overflows it.
+    log_weyl = math.log(vol) + d / 2.0 * math.log(lambda_max / (4.0 * math.pi)) - math.lgamma(d / 2.0 + 1.0)
+    if log_weyl > math.log(MAX_MODES):
+        raise ValueError(
+            f"lambda_max={lambda_max:g} may admit more modes than the mode budget MAX_MODES={MAX_MODES}: "
+            "its Weyl term, an upper bound on their count, lies above it"
+        )
     idx, lam = _sorted_entries(box, float(lambda_max))
     if len(lam) == 0:
         raise ValueError(

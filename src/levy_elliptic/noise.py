@@ -6,17 +6,16 @@ D, plus the two choices of the simulation, the truncation level eps in
 (0, 1] and the small-jump policy (``gaussianize``, the Gaussian
 approximation of Asmussen and Rosinski (2001), or ``drop``).  The law
 checks eps and the policy once, when it is made, and every sampler, Monte
-Carlo check and the run config take it whole.  A realization of the law
-consists of three independent pieces keyed to one master seed:
+Carlo check and the run config take it whole.  Besides the drift, a
+realization consists of two independent pieces keyed to one master seed:
 
 * the jump atoms above eps, a compound-Poisson draw from
   the product intensity dy x nu(dz);
-* the Gaussian component, represented through its coefficients against the
-  Dirichlet eigenbasis: i.i.d. N(0, sigma^2) values, lazily extended and
-  keyed per index so query order never matters;
-* the small jumps below eps, either dropped or replaced by an independent
-  Gaussian surrogate with the matching variance int_{|z|<=eps} z^2 nu(dz)
-  per coefficient.
+* one Gaussian part of the coefficients against the Dirichlet eigenbasis,
+  i.i.d. N(0, sigma^2 + v) values keyed per index so query order never
+  matters: sigma W and the surrogate of the jumps below eps, of variance
+  v = int_{|z|<=eps} z^2 nu(dz) under ``gaussianize`` and 0 under ``drop``,
+  are independent centered white noises, so they sum to one such value.
 
 Atoms in the band eps < |z| <= 1 are summed raw, without the compensator:
 every supported measure is symmetric, so the compensating term vanishes.
@@ -59,13 +58,14 @@ BATCH_ATOMS = 1 << 20
 BLOCK_ATOMS = 1 << 14
 
 
-def atom_rate(box: HyperBox, measure, lo: float, hi: float = math.inf) -> float:
-    """|D| nu({lo < |z| <= hi}), the expected atom count of one draw; refused above BATCH_ATOMS."""
-    rate = box.volume * (measure.tail_mass(lo) - measure.tail_mass(hi))
+def atom_rate(law: NoiseLaw, hi: float = math.inf) -> float:
+    """|D| nu({eps < |z| <= hi}), the expected atom count of one draw; refused above BATCH_ATOMS."""
+    measure = law.triplet.measure
+    rate = law.box.volume * (measure.tail_mass(law.eps) - measure.tail_mass(hi))
     if not rate <= BATCH_ATOMS:
         count = f"{rate:.3g}" if math.isfinite(rate) else "infinitely many"
         raise ValueError(
-            f"eps={lo:g} gives {count} expected atoms a draw, "
+            f"eps={law.eps:g} gives {count} expected atoms a draw, "
             f"above the bound of BATCH_ATOMS={BATCH_ATOMS}; raise eps"
         )
     return rate
@@ -96,6 +96,11 @@ class NoiseLaw:
         """Small-jump surrogate variance a coefficient: int_{|z| <= eps} z^2 nu(dz), or 0 under ``drop``."""
         return self.triplet.measure.truncated_variance(self.eps) if self.policy == "gaussianize" else 0.0
 
+    @property
+    def gaussian_variance(self) -> float:
+        """Variance of the Gaussian part of a coefficient: sigma^2 + ``surrogate_variance``."""
+        return self.triplet.sigma**2 + self.surrogate_variance
+
 
 def _check_box(box: HyperBox, system: EigenSystem) -> None:
     if system.box.intervals != box.intervals:
@@ -106,8 +111,6 @@ def _check_box(box: HyperBox, system: EigenSystem) -> None:
 class JumpAtomSet:
     """Atoms (location, size) of the jump measure above the level eps."""
 
-    box: HyperBox
-    eps: float
     locations: np.ndarray  # (n, d)
     sizes: np.ndarray  # (n,)
 
@@ -116,24 +119,8 @@ class JumpAtomSet:
         return len(self.sizes)
 
     def to_csv(self, path) -> None:
-        header = [*(f"y_{i+1}" for i in range(self.box.dim)), "z"]
+        header = [*(f"y_{i+1}" for i in range(self.locations.shape[1])), "z"]
         write_csv(path, header, [*self.locations.T, self.sizes])
-
-
-def sample_prm_large(box: HyperBox, measure, eps: float, rng: np.random.Generator) -> JumpAtomSet:
-    """Compound-Poisson draw of all jumps with |z| > eps.
-
-    In draw order: the atom count ~ Poisson(``atom_rate``), the locations
-    i.i.d. uniform on the box, the sizes i.i.d. from the restricted measure
-    (one raw word a size for its first uniform and its sign, then any words
-    its family draws further; see ``sample_jump_sizes``).
-    """
-    rate = atom_rate(box, measure, eps)
-    if rate == 0.0:
-        return JumpAtomSet(box, eps, np.empty((0, box.dim)), np.empty(0))
-    n = int(rng.poisson(rate))
-    locations = uniform_locations(box, n, rng)
-    return JumpAtomSet(box, eps, locations, sample_jump_sizes(measure, eps, rng, size=n))
 
 
 @dataclass
@@ -145,30 +132,15 @@ class NoiseRealization:
     atoms: JumpAtomSet
 
     def gaussian_coefficients(self, indices) -> np.ndarray | None:
-        """sigma-scaled i.i.d. normal coefficients keyed by (seed, index).
+        """N(0, ``NoiseLaw.gaussian_variance``) coefficients keyed by (seed, index).
 
-        None when sigma = 0: the Gaussian component is absent and no stream
-        is consumed.
+        None, and no stream is consumed, when that variance is 0.
         """
-        sigma = self.law.triplet.sigma
-        if sigma == 0.0:
-            return None
-        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-        draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
-        draws *= sigma
-        return draws
-
-    def small_jump_coefficients(self, indices) -> np.ndarray | None:
-        """Gaussian surrogate coefficients for the jumps below eps.
-
-        Variance ``NoiseLaw.surrogate_variance`` per index; None, and no
-        stream is consumed, when that variance is zero.
-        """
-        var = self.law.surrogate_variance
+        var = self.law.gaussian_variance
         if var == 0.0:
             return None
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-        draws = _rng.keyed_normals(self.master_seed, _rng.SMALL_JUMP_COEFF, idx)
+        draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
         draws *= math.sqrt(var)
         return draws
 
@@ -187,9 +159,19 @@ class NoiseRealization:
 
 
 def sample_noise(law: NoiseLaw, master_seed: int = 0) -> NoiseRealization:
-    """Draw a full noise realization from one 64-bit master seed."""
-    rng = _rng.stream(master_seed, _rng.ATOM_STREAM)
-    atoms = sample_prm_large(law.box, law.triplet.measure, law.eps, rng)
+    """Draw a full noise realization from one 64-bit master seed.
+
+    Its atoms come from one ATOM_STREAM generator, in draw order: the count
+    ~ Poisson(``atom_rate``), the locations i.i.d. uniform on the box, the
+    sizes i.i.d. from nu restricted to |z| > eps (see ``sample_jump_sizes``).
+    """
+    box, rate = law.box, atom_rate(law)
+    atoms = JumpAtomSet(np.empty((0, box.dim)), np.empty(0))
+    if rate > 0.0:
+        rng = _rng.stream(master_seed, _rng.ATOM_STREAM)
+        n = int(rng.poisson(rate))
+        locations = uniform_locations(box, n, rng)
+        atoms = JumpAtomSet(locations, sample_jump_sizes(law.triplet.measure, law.eps, rng, size=n))
     return NoiseRealization(law, int(master_seed), atoms)
 
 
@@ -201,27 +183,22 @@ def replicate_noise(law: NoiseLaw, seed: int, replicate_id: int) -> NoiseRealiza
 def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray:
     """Coefficients of the noise against every eigenfunction of the system.
 
-    c_k = b <1, e_k> + sigma g_k + sum_j e_k(y_j) z_j + small-jump surrogate,
-    summed in that order over the parts present.  Deterministic given the
-    realization: the atom sum runs over fixed chunks of atoms in atom order.
+    c_k = b <1, e_k> + sum_j e_k(y_j) z_j + sqrt(sigma^2 + v) g_k, summed in
+    that order, into the first, over the parts present; the Gaussian part is
+    drawn after the atom kernel has freed its work arrays.  Deterministic given
+    the realization: the atom sum runs over fixed chunks of atoms in atom order.
     """
     _check_box(realization.law.box, system)
     trip, atoms = realization.law.triplet, realization.atoms
-    c = _sum_present(
+    parts = [
         trip.b * constant_fourier(system) if trip.b != 0.0 else None,
-        realization.gaussian_coefficients(system.indices),
         eigen_matvec(system, atoms.locations, atoms.sizes) if atoms.count else None,
-        realization.small_jump_coefficients(system.indices),
-    )
-    return np.zeros(len(system)) if c is None else c
-
-
-def _sum_present(*parts) -> np.ndarray | None:
-    """Sum, in order and into the first, of the parts that are not None; None if all are."""
-    present = [part for part in parts if part is not None]
-    for part in present[1:]:
-        present[0] += part
-    return present[0] if present else None
+        realization.gaussian_coefficients(system.indices),
+    ]
+    parts = [part for part in parts if part is not None] or [np.zeros(len(system))]
+    for part in parts[1:]:
+        parts[0] += part
+    return parts[0]
 
 
 def pair_with_function(
@@ -229,11 +206,11 @@ def pair_with_function(
 ) -> float:
     """Sample of the noise paired with a general integrand.
 
-    The Gaussian and small-jump components act through the truncated
-    eigen-expansion of f (exact on basis functions, Parseval-deficit
-    controlled otherwise); jumps are summed directly at the atoms; the
-    drift term is b * int f.  Pairing an eigenfunction of the system
-    reproduces the corresponding ``pair_eigen`` coefficient bit-for-bit.
+    The Gaussian part acts through the truncated eigen-expansion of f
+    (exact on basis functions, Parseval-deficit controlled otherwise); jumps
+    are summed directly at the atoms; the drift term is b * int f.  Pairing
+    an eigenfunction of the system reproduces the corresponding
+    ``pair_eigen`` coefficient bit-for-bit.
     """
     box, trip = realization.law.box, realization.law.triplet
     _check_box(box, system)
@@ -256,10 +233,7 @@ def pair_with_function(
     total = 0.0
     if trip.b != 0.0:
         total += trip.b * integral(f, box)
-    spectral = _sum_present(
-        realization.gaussian_coefficients(system.indices),
-        realization.small_jump_coefficients(system.indices),
-    )
+    spectral = realization.gaussian_coefficients(system.indices)
     if spectral is not None:
         total += float(np.dot(fourier_vector(system, f), spectral))
     if realization.atoms.count:
@@ -271,28 +245,26 @@ def pairing_batch(law: NoiseLaw, f, system: EigenSystem, m: int, seed: int) -> n
     """m i.i.d. samples of the noise paired with f, vectorized across replicates.
 
     Law-equivalent to calling ``pair_with_function`` on m fresh realizations:
-    the Gaussian and gaussianized-small-jump parts act through the truncated
-    expansion of f, so their contribution is a centered normal of variance
-    (sigma^2 + surrogate_variance) * sum_k <f, e_k>^2, and the jump part is
-    the direct atom sum.  Draw order is fixed, so one seed fixes the batch.
+    the Gaussian part acts through the truncated expansion of f, so it adds a
+    centered normal of variance ``gaussian_variance`` * sum_k <f, e_k>^2, and
+    the jump part is the direct atom sum.  Draw order is fixed, so one seed fixes the batch.
     """
     _check_box(law.box, system)
     triplet = law.triplet
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
-    x = jump_sums(law.box, triplet.measure, f, m, rng, law.eps)
+    x = jump_sums(law, f, m, rng)
     if triplet.b != 0.0:
         x += triplet.b * integral(f, law.box)
-    scale = triplet.sigma**2 + law.surrogate_variance
-    if scale > 0.0:
+    if law.gaussian_variance > 0.0:
         coeffs = fourier_vector(system, f)
-        gauss_var = scale * float(np.dot(coeffs, coeffs))
+        gauss_var = law.gaussian_variance * float(np.dot(coeffs, coeffs))
         if gauss_var > 0.0:
             x += math.sqrt(gauss_var) * rng.standard_normal(m)
     return x
 
 
-def jump_sums(box: HyperBox, measure, f, m: int, rng, lo: float, hi: float = math.inf) -> np.ndarray:
-    """m replicate sums of f(y) z over the atoms of nu on {lo < |z| <= hi}.
+def jump_sums(law: NoiseLaw, f, m: int, rng, hi: float = math.inf) -> np.ndarray:
+    """m replicate sums of f(y) z over the atoms of the law's nu on {eps < |z| <= hi}.
 
     ``atom_rate`` refuses the batch before any draw when one replicate
     expects more than BATCH_ATOMS atoms.  The Poisson counts of all
@@ -310,7 +282,8 @@ def jump_sums(box: HyperBox, measure, f, m: int, rng, lo: float, hi: float = mat
     scaled by the constant, so the stream and the sums stay those of the
     drawn locations bit for bit.  ``rng`` must run on PCG64.
     """
-    rate = atom_rate(box, measure, lo, hi)
+    box, measure, lo = law.box, law.triplet.measure, law.eps
+    rate = atom_rate(law, hi)
     out = np.zeros(m)
     if rate == 0.0:
         return out

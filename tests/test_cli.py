@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from levy_elliptic import cli, noise
+from levy_elliptic import cli, domain, noise
 from levy_elliptic.cli import run
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
@@ -366,6 +366,14 @@ def test_check_decides_a_large_truncation_quickly(capsys):
     payload = check_payload(["--set", "d=3", "--set", "K=131072"], capsys)
     assert time.perf_counter() - start < 5.0
     assert payload["truncation"]["modes"] == 131072 and payload["kernel_integrability"]["verdict"] is True
+
+
+@pytest.mark.parametrize("cutoff", ["K=4194305", "lambda_max=1e15"])
+def test_a_truncation_over_the_mode_budget_exits_2_before_enumerating(capsys, monkeypatch, cutoff):
+    monkeypatch.setattr(domain, "_lattice_below", lambda *a: pytest.fail("enumerated past the mode budget"))
+    assert run(["check", "--set", cutoff]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: ") and "mode budget MAX_MODES=4194304" in err
 
 
 def test_removed_mode_key_is_refused(tmp_path, capsys):

@@ -5,9 +5,11 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levy_elliptic import _csvio
 from levy_elliptic._csvio import write_csv
 
 
@@ -92,11 +94,31 @@ COLUMNS = [
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_bytes_match_the_cell_by_cell_writer(tmp_path_factory, data):
-    n = data.draw(st.integers(0, 6))
+    n = data.draw(st.integers(0, 7))
     kinds = data.draw(st.lists(st.sampled_from(range(len(COLUMNS))), min_size=1, max_size=5))
     columns = [COLUMNS[k](n, data) for k in kinds]
+    block = data.draw(st.sampled_from([1, 2, 3, _csvio.BLOCK_ROWS]))
+    assert_bytes_match(tmp_path_factory.mktemp("csv"), columns, block)
+
+
+def assert_bytes_match(folder, columns, block):
     header = [f"c{i}" for i in range(len(columns))]
-    folder = tmp_path_factory.mktemp("csv")
-    write_csv(folder / "new.csv", header, columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_csvio, "BLOCK_ROWS", block)
+        write_csv(folder / "new.csv", header, columns)
     reference_csv(folder / "old.csv", header, columns)
     assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_rows_on_and_just_past_a_block_edge(tmp_path, block, blocks, extra):
+    # Whole blocks, then one row more; every other text cell is empty, which
+    # a single text column writes as "" (csv quotes an empty record).
+    n = blocks * block + extra
+    floats = np.linspace(-1.0, 1.0, n) / 3.0
+    text = ["" if i % 2 else f"r{i}," for i in range(n)]
+    for j, columns in enumerate([[floats, np.arange(n), text], [text], [floats]]):
+        folder = tmp_path / str(j)
+        folder.mkdir()
+        assert_bytes_match(folder, columns, block)

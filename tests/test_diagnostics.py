@@ -78,6 +78,10 @@ def test_spectral_bound_passes_on_interior_points(d):
     assert report.replicates == 4
 
 
+def jump_law(box, measure, eps):
+    return NoiseLaw(box, LevyTriplet(0.0, 0.0, measure), eps)
+
+
 def per_replicate_sums(box, measure, f, counts, rng, lo, budget, hi=np.inf):
     """The block walk of ``jump_sums`` with each replicate summed in a plain loop.
 
@@ -117,7 +121,7 @@ def test_jump_sums_give_each_replicate_its_own_atoms(monkeypatch, budget):
     # replicates, and a replicate above the budget makes a block of its own.
     monkeypatch.setattr(noise, "BLOCK_ATOMS", budget)
     box, f, measure, m = HyperBox(((0.0, 2.0),)), AxisPower(1.0), SymmetricTwoPoint(1.5, 3.0), 50
-    got = jump_sums(box, measure, f, m, np.random.default_rng(9), 0.5)
+    got = jump_sums(jump_law(box, measure, 0.5), f, m, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     counts = rng.poisson(3.0, m)
     expected, _ = per_replicate_sums(box, measure, f, counts, rng, 0.5, budget)
@@ -162,7 +166,7 @@ def test_jump_sums_skip_empty_replicates_anywhere_in_a_block(monkeypatch, counts
     monkeypatch.setattr(noise, "sample_jump_sizes", counted)
     box, f, measure = HyperBox(((0.0, 2.0), (1.0, 1.5))), AxisPower(1.0, axis=1), AlphaStable(1.5)
     counts = np.asarray(counts)
-    got = jump_sums(box, measure, f, len(counts), FixedCounts(counts, 4), 0.5, 2.0)
+    got = jump_sums(jump_law(box, measure, 0.5), f, len(counts), FixedCounts(counts, 4), 2.0)
     rng = np.random.default_rng(4)
     expected, expected_blocks = per_replicate_sums(box, measure, f, counts, rng, 0.5, 6, 2.0)
     assert drawn == expected_blocks == blocks
@@ -186,7 +190,7 @@ def test_constant_integrand_steps_over_locations_bit_for_bit(monkeypatch, d, c):
     sums, states = [], []
     for f in (Constant(c), Polynomial((c,))):
         rng = np.random.default_rng(21)
-        sums.append(jump_sums(box, AlphaStable(1.5), f, 100, rng, 0.2))
+        sums.append(jump_sums(jump_law(box, AlphaStable(1.5), 0.2), f, 100, rng))
         states.append(rng.bit_generator.state)
     assert sums[0].tobytes() == sums[1].tobytes()
     assert states[0] == states[1]
@@ -206,7 +210,7 @@ def test_pairing_batch_without_a_gaussian_part_skips_fourier_coefficients(monkey
     monkeypatch.setattr(noise, "fourier_vector", refuse)
     x = pairing_batch(NoiseLaw(UNIT, triplet, 0.05, policy), f, system, 1000, 3)
     rng = _rng.stream(3, _rng.BATCH_STREAM)
-    assert np.array_equal(x, jump_sums(UNIT, measure, f, 1000, rng, 0.05))
+    assert np.array_equal(x, jump_sums(jump_law(UNIT, measure, 0.05), f, 1000, rng))
 
 
 def test_pairing_batch_with_gaussianized_small_jumps_reads_fourier_coefficients(monkeypatch):
@@ -289,7 +293,7 @@ def test_batch_over_the_atom_budget_is_refused_before_sampling(monkeypatch):
     state = rng.bit_generator.state
     bound = r"above the bound of BATCH_ATOMS=1048576; raise eps$"
     with pytest.raises(ValueError, match=r"^eps=1e-06 gives 1e\+09 expected atoms a draw, " + bound):
-        jump_sums(UNIT, measure, Constant(1.0), 5000, rng, 1e-6)
+        jump_sums(jump_law(UNIT, measure, 1e-6), Constant(1.0), 5000, rng)
     assert rng.bit_generator.state == state
 
 

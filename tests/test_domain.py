@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levy_elliptic import domain
 from levy_elliptic.domain import (
     HyperBox,
     constant_fourier,
@@ -72,6 +73,41 @@ class TestEnumeration:
         # lambda for (1,2) and (2,1) tie; count=2 keeps the lexicographic first.
         system = enumerate_eigen(SQUARE, count=2)
         assert [tuple(r) for r in system.indices] == [(1, 1), (1, 2)]
+
+
+def weyl_threshold(box: HyperBox, modes: float) -> float:
+    """The t at which the Weyl term |D| t^(d/2) / ((4 pi)^(d/2) Gamma(d/2 + 1)) is ``modes``."""
+    d = box.dim
+    return 4.0 * math.pi * (modes * math.gamma(d / 2.0 + 1.0) / box.volume) ** (2.0 / d)
+
+
+def skewed_box(d: int) -> HyperBox:
+    return HyperBox(tuple((0.0, 1.0 + 0.5 * i) for i in range(d)))
+
+
+class TestModeBudget:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_listing_over_the_budget_is_refused_before_enumerating(self, monkeypatch, d):
+        monkeypatch.setattr(domain, "_lattice_below", lambda *a: pytest.fail("enumerated past the mode budget"))
+        box = skewed_box(d)
+        with pytest.raises(ValueError, match=r"^count=4194305 modes is above the mode budget MAX_MODES=4194304$"):
+            enumerate_eigen(box, count=domain.MAX_MODES + 1)
+        # 1e300 would overflow the Weyl term t^(d/2) outside logs.
+        for t in (weyl_threshold(box, 1.01 * domain.MAX_MODES), 1e300):
+            with pytest.raises(ValueError, match=r"may admit more modes than the mode budget MAX_MODES=4194304"):
+                enumerate_eigen(box, lambda_max=t)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_listings_within_the_budget_are_made(self, monkeypatch, d):
+        monkeypatch.setattr(domain, "MAX_MODES", 300)
+        box = skewed_box(d)
+        assert len(enumerate_eigen(box, count=300)) == 300
+        system = enumerate_eigen(box, lambda_max=weyl_threshold(box, 0.99 * 300))
+        assert len(system) == weyl_count(box, float(system.lams[-1])) <= 300
+        with pytest.raises(ValueError, match="MAX_MODES=300"):
+            enumerate_eigen(box, count=301)
+        with pytest.raises(ValueError, match="MAX_MODES=300"):
+            enumerate_eigen(box, lambda_max=weyl_threshold(box, 1.01 * 300))
 
 
 class TestWeylCount:

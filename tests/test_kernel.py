@@ -153,7 +153,7 @@ def test_pair_eigen_memory_is_bounded_by_the_block(d, count, n):
     box = HyperBox.unit(d)
     system = enumerate_eigen(box, count=count)
     rng = np.random.default_rng(11)
-    atoms = JumpAtomSet(box, 0.01, rng.random((n, d)), rng.standard_normal(n))
+    atoms = JumpAtomSet(rng.random((n, d)), rng.standard_normal(n))
     realization = NoiseRealization(
         NoiseLaw(box, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), 0.01, "drop"), 0, atoms
     )

@@ -7,17 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from levy_elliptic import noise
+from levy_elliptic import _rng, noise
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
 from levy_elliptic.diagnostics import run_replicates
-from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator, integral
+from levy_elliptic.domain import HyperBox, eigen_matvec, enumerate_eigen
+from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator, fourier_vector, integral
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
     NullMeasure,
     SymmetricTwoPoint,
     VarianceGamma,
+    band_variance,
+    sample_jump_sizes,
 )
 from levy_elliptic.noise import (
     JumpAtomSet,
@@ -28,7 +30,7 @@ from levy_elliptic.noise import (
     pairing_batch,
     replicate_noise,
     sample_noise,
-    sample_prm_large,
+    uniform_locations,
 )
 
 UNIT = HyperBox.unit(1)
@@ -37,40 +39,49 @@ UNIT = HyperBox.unit(1)
 def atom_realization(locations, sizes, triplet=None, eps=0.5, policy="drop", seed=0):
     """Hand-built realization with prescribed atoms, for closed-form oracles."""
     triplet = triplet or LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
-    atoms = JumpAtomSet(UNIT, eps, np.atleast_2d(locations), np.atleast_1d(sizes))
+    atoms = JumpAtomSet(np.atleast_2d(locations), np.atleast_1d(sizes))
     return NoiseRealization(NoiseLaw(UNIT, triplet, eps, policy), seed, atoms)
+
+
+def jump_law(measure, eps):
+    return NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, measure), eps)
 
 
 class TestPrmSampling:
     def test_null_measure_empty(self):
-        rng = stream(0, 1)
-        atoms = sample_prm_large(UNIT, NullMeasure(), 0.5, rng)
+        atoms = sample_noise(jump_law(NullMeasure(), 0.5), master_seed=0).atoms
         assert atoms.count == 0
 
     def test_stable_mean_count(self):
         # tail mass at eps=1 is exactly 1, so counts are Poisson(1).
-        rng = stream(1, 1)
-        counts = [sample_prm_large(UNIT, AlphaStable(1.0), 1.0, rng).count for _ in range(10_000)]
+        law = jump_law(AlphaStable(1.0), 1.0)
+        counts = [sample_noise(law, master_seed=seed).atoms.count for seed in range(10_000)]
         assert abs(np.mean(counts) - 1.0) <= 0.03
 
     def test_two_point_poisson_rate(self):
-        rng = stream(2, 1)
-        counts = np.array(
-            [sample_prm_large(UNIT, SymmetricTwoPoint(2.0, 1.0), 0.5, rng).count for _ in range(6000)]
-        )
+        law = jump_law(SymmetricTwoPoint(2.0, 1.0), 0.5)
+        counts = np.array([sample_noise(law, master_seed=seed).atoms.count for seed in range(6000)])
         assert abs(np.mean(counts) - 2.0) <= 3.0 * math.sqrt(2.0 / 6000)
         assert abs(np.var(counts) / 2.0 - 1.0) <= 0.1
 
     def test_atoms_respect_threshold_and_box(self):
-        rng = stream(3, 1)
-        atoms = sample_prm_large(UNIT, AlphaStable(1.2), 0.3, rng)
+        atoms = sample_noise(jump_law(AlphaStable(1.2), 0.3), master_seed=3).atoms
         assert np.all(np.abs(atoms.sizes) > 0.3)
         assert np.all((atoms.locations >= 0.0) & (atoms.locations <= 1.0))
 
-    def test_infinite_intensity_rejected(self):
-        rng = stream(4, 1)
-        with pytest.raises(ValueError, match="infinite"):
-            sample_prm_large(UNIT, AlphaStable(1.0), 0.0, rng)
+    @pytest.mark.parametrize("measure", [AlphaStable(1.2), VarianceGamma(1.0, 1.0), SymmetricTwoPoint(3.0, 0.7)])
+    def test_atoms_are_one_stream_in_draw_order(self, measure):
+        # Count, then locations, then sizes, all from the ATOM_STREAM generator.
+        box = HyperBox(((0.0, 2.0), (-1.0, 1.0)))
+        law = NoiseLaw(box, LevyTriplet(0.0, 0.0, measure), 0.3)
+        rng = stream(21, _rng.ATOM_STREAM)
+        n = int(rng.poisson(box.volume * measure.tail_mass(0.3)))
+        locations = uniform_locations(box, n, rng)
+        sizes = sample_jump_sizes(measure, 0.3, rng, size=n)
+        atoms = sample_noise(law, master_seed=21).atoms
+        assert n > 0 and atoms.locations.shape == (n, 2)
+        assert np.array_equal(atoms.locations.view(np.int64), locations.view(np.int64))
+        assert np.array_equal(atoms.sizes.view(np.int64), sizes.view(np.int64))
 
     def test_realization_over_the_atom_budget_is_refused(self, monkeypatch):
         # The default eps = 0.01 gives 0.01^-1.5 = 1000 stable atoms on the unit interval.
@@ -83,7 +94,7 @@ class TestPrmSampling:
         assert 800 < sample_noise(NoiseLaw(UNIT, triplet), master_seed=1).atoms.count < 1200
 
     def test_atom_csv_round_trip(self, tmp_path):
-        atoms = JumpAtomSet(UNIT, 0.5, np.array([[0.25], [0.75]]), np.array([1.5, -2.0]))
+        atoms = JumpAtomSet(np.array([[0.25], [0.75]]), np.array([1.5, -2.0]))
         path = tmp_path / "atoms.csv"
         atoms.to_csv(path)
         lines = path.read_text().strip().split("\n")
@@ -126,20 +137,31 @@ class TestPairEigen:
         system = enumerate_eigen(UNIT, count=50)
         assert real.gaussian_coefficients(system.indices) is None
 
-    def test_small_jump_surrogate_variance(self):
-        # gaussianize draws per-index N(0, truncated variance at eps).
-        measure = AlphaStable(1.0)
-        eps = 0.5
-        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, measure), eps=eps), master_seed=9)
-        idx = np.arange(1, 200_001)[:, None]
-        draws = real.small_jump_coefficients(idx)
-        assert np.var(draws) == pytest.approx(measure.truncated_variance(eps), rel=0.02)
+    @pytest.mark.parametrize("policy, small_jumps", [("gaussianize", True), ("drop", False)])
+    def test_gaussian_part_variance(self, policy, small_jumps):
+        # One keyed N(0, sigma^2 + v) draw an index, v the truncated variance
+        # at eps under gaussianize and 0 under drop.
+        measure, eps = AlphaStable(1.0), 0.5
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.6, measure), eps, policy), master_seed=9)
+        draws = real.gaussian_coefficients(np.arange(1, 200_001)[:, None])
+        want = 0.36 + (measure.truncated_variance(eps) if small_jumps else 0.0)
+        assert np.var(draws) == pytest.approx(want, rel=0.02)
 
-    def test_drop_policy_adds_nothing(self):
+    def test_drop_policy_without_sigma_adds_nothing(self):
         real = sample_noise(
             NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.0)), eps=0.5, policy="drop"), master_seed=10
         )
-        assert real.small_jump_coefficients(np.arange(1, 50)[:, None]) is None
+        assert real.gaussian_coefficients(np.arange(1, 50)[:, None]) is None
+
+    def test_surrogate_keeps_its_keyed_stream_without_sigma(self):
+        # At sigma = 0 the Gaussian part is the surrogate, drawn under purpose 0x22.
+        law = NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.2)), eps=0.3)
+        real = sample_noise(law, master_seed=12)
+        system = enumerate_eigen(UNIT, count=300)
+        want = eigen_matvec(system, real.atoms.locations, real.atoms.sizes)
+        want += keyed_normals(12, 0x22, system.indices) * math.sqrt(law.surrogate_variance)
+        assert real.atoms.count > 0
+        assert np.array_equal(pair_eigen(real, system).view(np.int64), want.view(np.int64))
 
 
 class TestPairWithFunction:
@@ -189,20 +211,28 @@ class TestPairWithFunction:
         monkeypatch.setattr(noise, "fourier_vector", lambda *a: pytest.fail("fourier_vector called"))
         assert pair_with_function(real, f, enumerate_eigen(UNIT, count=64)) == expected
 
-    def test_batch_sampler_matches_direct_pairing_law(self):
+    @pytest.mark.parametrize(
+        "triplet",
+        [LevyTriplet(0.0, 0.0, SymmetricTwoPoint(2.0, 1.0)), LevyTriplet(0.0, 0.6, VarianceGamma(1.0, 1.0))],
+    )
+    def test_batch_sampler_matches_direct_pairing_law(self, triplet):
         # The vectorized batch is a law-equivalent shortcut for repeated
         # pair_with_function calls; compare moments at modest sample sizes.
         box, system = UNIT, enumerate_eigen(UNIT, count=64)
-        triplet = LevyTriplet(0.0, 0.0, SymmetricTwoPoint(2.0, 1.0))
+        law = NoiseLaw(box, triplet, 0.5, "gaussianize")
         f = Constant(1.0)
         direct = []
         for i in range(400):
-            real = sample_noise(NoiseLaw(box, triplet, eps=0.5), master_seed=replicate_seed(13, i))
+            real = sample_noise(law, master_seed=replicate_seed(13, i))
             direct.append(pair_with_function(real, f, system))
-        batch = pairing_batch(NoiseLaw(box, triplet, 0.5, "gaussianize"), f, system, 20_000, 14)
-        # Var of a compound Poisson sum with rate 2 and unit magnitudes is 2.
-        assert np.var(batch) == pytest.approx(2.0, rel=0.05)
-        assert np.var(direct) == pytest.approx(2.0, rel=0.35)
+        batch = pairing_batch(law, f, system, 20_000, 14)
+        # The atoms above eps give their band variance (2 for rate 2 and unit
+        # magnitudes; variance-gamma puts e^-50 of it above 50), the Gaussian
+        # part its variance times the Parseval sum.
+        coeffs = fourier_vector(system, f)
+        want = band_variance(triplet.measure, 0.5, 50.0) + law.gaussian_variance * float(coeffs @ coeffs)
+        assert np.var(batch) == pytest.approx(want, rel=0.05)
+        assert np.var(direct) == pytest.approx(want, rel=0.35)
 
     def test_gaussian_pairing_variance_window(self):
         # Unit-variance white noise paired with the unit constant: variance 1
@@ -359,7 +389,7 @@ class TestProperties:
         z1, z2 = rng.standard_normal(n), 10.0 * rng.standard_normal(n)
 
         def paired(sizes):
-            atoms = JumpAtomSet(box, 0.5, locations, sizes)
+            atoms = JumpAtomSet(locations, sizes)
             trip = LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
             return pair_eigen(NoiseRealization(NoiseLaw(box, trip, 0.5, "drop"), 0, atoms), system)
 

@@ -83,13 +83,13 @@ def reference_keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
 @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
 def test_blocked_keyed_draws_equal_the_whole_array_formula(n, d, seed):
     idx = np.random.default_rng(n + d).integers(1, 2**40, size=(n, d))
-    want = reference_keyed_uniforms(seed, _rng.SMALL_JUMP_COEFF, idx)
-    got = keyed_uniforms(seed, _rng.SMALL_JUMP_COEFF, idx)
+    want = reference_keyed_uniforms(seed, _rng.GAUSS_COEFF, idx)
+    got = keyed_uniforms(seed, _rng.GAUSS_COEFF, idx)
     assert got.shape == (n,) and np.array_equal(got.view(np.int64), want.view(np.int64))
-    normals = _rng.keyed_normals(seed, _rng.SMALL_JUMP_COEFF, idx)
+    normals = _rng.keyed_normals(seed, _rng.GAUSS_COEFF, idx)
     assert np.array_equal(normals.view(np.int64), _ndtri(want).view(np.int64))
     if d == 1:
-        assert np.array_equal(keyed_uniforms(seed, _rng.SMALL_JUMP_COEFF, idx[:, 0]), want)
+        assert np.array_equal(keyed_uniforms(seed, _rng.GAUSS_COEFF, idx[:, 0]), want)
 
 
 def test_keyed_draws_do_not_depend_on_the_block(monkeypatch):
@@ -127,7 +127,7 @@ def test_bit_identical_to_scipy_with_avx512_log_off():
 
 def test_keyed_uniforms_stay_inside_the_open_interval():
     # _ndtri reads (0, 1) only; at 0 or 1 it would return nan.
-    u = keyed_uniforms(2**64 - 1, _rng.SMALL_JUMP_COEFF, np.arange(1 << 12))
+    u = keyed_uniforms(2**64 - 1, _rng.GAUSS_COEFF, np.arange(1 << 12))
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.all(np.isfinite(_ndtri(u)))
 

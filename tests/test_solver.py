@@ -32,7 +32,7 @@ def interval_green(x, y, a=0.0, b=1.0):
 
 
 def one_atom_realization(y, z):
-    atoms = JumpAtomSet(UNIT, 0.5, np.array([[y]]), np.array([z]))
+    atoms = JumpAtomSet(np.array([[y]]), np.array([z]))
     triplet = LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 2.0))
     return NoiseRealization(NoiseLaw(UNIT, triplet, 0.5, "drop"), 0, atoms)
 
