@@ -6,9 +6,17 @@ explicit: for a multi-index k with integer components >= 1,
     lambda_k = sum_i (pi k_i / L_i)^2,
     e_k(x)   = prod_i sqrt(2 / L_i) sin(pi k_i (x_i - a_i) / L_i),
 
-and {e_k} is an orthonormal basis of L^2(D).  Enumeration is exact lattice
-enumeration below a threshold, sorted by eigenvalue with lexicographic
-tie-breaking on the index so orderings are reproducible across runs.
+and {e_k} is an orthonormal basis of L^2(D).
+
+``enumerate_eigen`` lists the lattice below a threshold t in one pass that
+goes axis by axis.  Axis j extends each prefix (k_1, ..., k_{j-1}) with
+np.repeat by the k_j that leave room (pi / L_i)^2 for every later axis i,
+the least that axis can add, so no prefix is built that cannot end at or
+below t, whatever the order of the sides.  The partial eigenvalues add in
+``eigenvalues_of``'s order and the last axis filters on the eigenvalue
+itself, so the listing is exact in floating point.  The prefixes stay in
+lexicographic order, so one stable sort on the eigenvalue breaks ties
+lexicographically on the index, and orderings are reproducible across runs.
 
 Every value e_k(x) is a product of rows of per-axis sine tables, and four
 kernels work on those tables.  ``sine_tables`` builds each table by angle
@@ -39,7 +47,7 @@ import numpy as np
 
 # Values (modes x points) of tables, grids and factors a chunk of points may hold: 4 MiB.
 CHUNK_CELLS = 1 << 19
-# Largest listing ``enumerate_eigen`` makes: ``check`` at 2^22 modes peaks at 259 MB at d = 1, 931 MB at d = 3.
+# Largest listing ``enumerate_eigen`` makes: ``check`` at 2^22 modes peaks at 255 MB at d = 1, 354 MB at d = 3.
 MAX_MODES = 1 << 22
 
 
@@ -120,36 +128,31 @@ class EigenSystem:
         return EigenSystem(self.box, self.indices[:count], self.lams[:count])
 
 
-def _lattice_below(lengths: np.ndarray, lam_max: float) -> np.ndarray:
-    """All multi-indices (>= 1 each axis) with eigenvalue <= lam_max.
-
-    Enumerates with a small relative slack and filters on the canonical
-    eigenvalue formula afterwards, so threshold comparisons are exact in
-    the same floating-point sense callers use.
-    """
-    slack = lam_max * (1.0 + 1e-12)
-    d = len(lengths)
-    if lam_max <= 0.0:
-        return np.empty((0, d), dtype=np.int64)
-    if d == 1:
-        bound = int(math.floor(lengths[0] * math.sqrt(slack) / math.pi)) + 1
-        k = np.arange(1, bound + 1, dtype=np.int64)[:, None]
-        ok = (math.pi * k[:, 0] / lengths[0]) ** 2 <= slack
-        return k[ok]
-    bound = int(math.floor(lengths[0] * math.sqrt(slack) / math.pi)) + 1
-    blocks = []
-    for k1 in range(1, bound + 1):
-        head = (math.pi * k1 / lengths[0]) ** 2
-        if head > slack:
-            break
-        rest = _lattice_below(lengths[1:], slack - head)
-        if rest.size == 0:
-            continue
-        col = np.full((len(rest), 1), k1, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    if not blocks:
-        return np.empty((0, d), dtype=np.int64)
-    return np.vstack(blocks)
+def _lattice_below(lengths: np.ndarray, t: float):
+    """Every multi-index (>= 1 each axis) with eigenvalue <= t, one int64
+    column an axis, in lexicographic order, and its eigenvalues, bit for bit
+    those of ``eigenvalues_of``.  The room each axis leaves for the later
+    ones has a relative slack of 1e-12 against rounding."""
+    slack = t * (1.0 + 1e-12)
+    least = (math.pi / lengths) ** 2
+    columns, lam = [], np.zeros(1)
+    for j, length in enumerate(lengths):
+        room = slack - least[j + 1 :].sum()
+        # The largest k_j any prefix may take (1 when no prefix is left).
+        top = math.floor(length * math.sqrt(max(room - lam.min(initial=room), 0.0)) / math.pi) + 1
+        terms = (math.pi * np.arange(1, top + 1) / length) ** 2
+        counts = np.searchsorted(terms, room - lam, side="right")
+        if j == len(lengths) - 1:
+            # lam + terms[k] <= t is monotone in k: the slack admits at most a prefix's top k.
+            while np.any(over := (counts > 0) & (lam + terms[counts - 1] > t)):
+                counts -= over
+        parent = np.repeat(np.arange(len(lam)), counts)
+        k = np.arange(len(parent))
+        k -= np.repeat(np.cumsum(counts) - counts, counts)
+        lam = lam[parent]
+        lam += terms[k]
+        columns = [c[parent] for c in columns] + [k + 1]
+    return columns, lam
 
 
 def eigenvalues_of(box: HyperBox, indices: np.ndarray) -> np.ndarray:
@@ -162,27 +165,19 @@ def eigenvalues_of(box: HyperBox, indices: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _sorted_entries(box: HyperBox, lam_max: float):
-    idx = _lattice_below(box.lengths, lam_max)
-    if idx.size == 0:
-        return idx, np.empty(0)
-    lam = eigenvalues_of(box, idx)
-    keep = lam <= lam_max
-    idx, lam = idx[keep], lam[keep]
-    order = np.lexsort(tuple(idx[:, j] for j in reversed(range(box.dim))) + (lam,))
-    return idx[order], lam[order]
-
-
 def enumerate_eigen(
     box: HyperBox, count: int | None = None, lambda_max: float | None = None
 ) -> EigenSystem:
     """Complete sorted eigen listing below a count or eigenvalue threshold.
 
-    Count mode returns exactly ``count`` entries; ties at the last admitted
-    eigenvalue are resolved by the lexicographic order, not widened.  Both
-    modes refuse, before enumerating, a listing over MAX_MODES: a count
-    above it, or a threshold t whose Weyl term |D| t^(d/2) / ((4 pi)^(d/2)
-    Gamma(d/2 + 1)), an upper bound on N(t) on a box, lies above it.
+    Count mode lists every mode below a Weyl-law guess for the ``count``-th
+    eigenvalue, raising a guess that admits n < count modes by the factor
+    1.01 (count / n)^(2/d), and keeps the first ``count`` of the sorted
+    listing; ties at the last admitted eigenvalue are resolved by the
+    lexicographic order, not widened.  Both modes refuse, before
+    enumerating, a listing over MAX_MODES: a count above it, or a threshold
+    t whose Weyl term |D| t^(d/2) / ((4 pi)^(d/2) Gamma(d/2 + 1)), an upper
+    bound on N(t) on a box, lies above it.
     """
     if (count is None) == (lambda_max is None):
         raise ValueError("specify exactly one of count, lambda_max")
@@ -193,40 +188,40 @@ def enumerate_eigen(
         if count > MAX_MODES:
             raise ValueError(f"count={count} modes is above the mode budget MAX_MODES={MAX_MODES}")
         lam1 = float(eigenvalues_of(box, np.ones((1, d), dtype=np.int64))[0])
-        # Weyl-law guess for the K-th eigenvalue, then grow until covered.
-        guess = lam1 + 4.0 * math.pi * (
-            (count + 1) * math.gamma(d / 2.0 + 1.0) / vol
-        ) ** (2.0 / d)
-        while True:
-            idx, lam = _sorted_entries(box, guess)
-            if len(lam) >= count:
-                return EigenSystem(box, idx[:count].copy(), lam[:count].copy())
-            guess *= 1.7
-    if lambda_max is None or lambda_max <= 0.0:
-        raise ValueError("lambda_max must be positive")
-    # The Weyl term in logs, where no threshold overflows it.
-    log_weyl = math.log(vol) + d / 2.0 * math.log(lambda_max / (4.0 * math.pi)) - math.lgamma(d / 2.0 + 1.0)
-    if log_weyl > math.log(MAX_MODES):
-        raise ValueError(
-            f"lambda_max={lambda_max:g} may admit more modes than the mode budget MAX_MODES={MAX_MODES}: "
-            "its Weyl term, an upper bound on their count, lies above it"
-        )
-    idx, lam = _sorted_entries(box, float(lambda_max))
-    if len(lam) == 0:
-        raise ValueError(
-            f"threshold {lambda_max} lies below the first eigenvalue; empty system"
-        )
-    return EigenSystem(box, idx, lam)
+        t = lam1 + 4.0 * math.pi * ((count + 1) * math.gamma(d / 2.0 + 1.0) / vol) ** (2.0 / d)
+        columns, lam = _lattice_below(box.lengths, t)
+        while len(lam) < count:
+            t *= 1.01 * (count / len(lam)) ** (2.0 / d)
+            columns, lam = _lattice_below(box.lengths, t)
+    else:
+        if not lambda_max > 0.0:
+            raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+        # The Weyl term in logs, where no threshold overflows it.
+        log_weyl = math.log(vol) + d / 2.0 * math.log(lambda_max / (4.0 * math.pi)) - math.lgamma(d / 2.0 + 1.0)
+        if log_weyl > math.log(MAX_MODES):
+            raise ValueError(
+                f"lambda_max={lambda_max:g} may admit more modes than the mode budget MAX_MODES={MAX_MODES}: "
+                "its Weyl term, an upper bound on their count, lies above it"
+            )
+        columns, lam = _lattice_below(box.lengths, float(lambda_max))
+        if len(lam) == 0:
+            raise ValueError(
+                f"threshold {lambda_max} lies below the first eigenvalue; empty system"
+            )
+    order = np.argsort(lam, kind="stable")[:count]
+    # Sorted eigenvalues first, so glibc reuses the unsorted ones' memory for the indices.
+    lam = lam[order]
+    indices = np.empty((len(order), d), dtype=np.int64)
+    for j, column in enumerate(columns):
+        indices[:, j] = column[order]
+    return EigenSystem(box, indices, lam)
 
 
 def weyl_count(box: HyperBox, t: float) -> int:
     """N(t): number of eigenvalues <= t, by exact lattice enumeration."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    idx = _lattice_below(box.lengths, t)
-    if idx.size == 0:
-        return 0
-    return int(np.count_nonzero(eigenvalues_of(box, idx) <= t))
+    return len(_lattice_below(box.lengths, t)[1])
 
 
 def single_mode(box: HyperBox, index) -> EigenSystem:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levy_elliptic import domain
 from levy_elliptic.domain import (
@@ -73,6 +75,84 @@ class TestEnumeration:
         # lambda for (1,2) and (2,1) tie; count=2 keeps the lexicographic first.
         system = enumerate_eigen(SQUARE, count=2)
         assert [tuple(r) for r in system.indices] == [(1, 1), (1, 2)]
+
+    def test_nan_thresholds_are_refused(self):
+        with pytest.raises(ValueError, match=r"^lambda_max must be positive, got nan$"):
+            enumerate_eigen(UNIT, lambda_max=math.nan)
+        with pytest.raises(ValueError, match=r"^t must be > 0, got nan$"):
+            weyl_count(UNIT, math.nan)
+
+
+def oracle_listing(box: HyperBox, t: float):
+    """Every index of the cube k_j <= floor(L_j sqrt(t) / pi) + 1 with eigenvalue
+    <= t, sorted by (eigenvalue, index); the cube is walked one k_1 at a time."""
+    axes = [np.arange(1, math.floor(L * math.sqrt(t) / math.pi) + 2) for L in box.lengths]
+    rows = []
+    for k1 in axes[0]:
+        cube = np.stack(np.meshgrid([k1], *axes[1:], indexing="ij"), axis=-1).reshape(-1, box.dim)
+        lam = eigenvalues_of(box, cube)
+        rows += zip(lam[lam <= t].tolist(), map(tuple, cube[lam <= t].tolist()))
+    rows.sort()
+    return np.array([k for _, k in rows], dtype=np.int64).reshape(-1, box.dim), np.array([lam for lam, _ in rows])
+
+
+ORACLE_BOXES = [
+    HyperBox(((0.0, 1.0),)),
+    HyperBox(((-3.5, 9.25),)),
+    HyperBox(((0.0, 1.0), (0.0, 1.0))),
+    HyperBox(((2.0, 3.0), (-1.0, 6.5))),
+    HyperBox(((1.0, 3.0), (1.0, 3.0), (1.0, 3.0))),
+    HyperBox(((0.0, 1.0), (0.0, 2.5), (-4.0, 3.0))),
+    HyperBox.unit(4),
+    HyperBox(((0.0, 10.0), (0.0, 10.0), (0.0, 10.0), (0.0, 0.05))),
+]
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("box", ORACLE_BOXES, ids=lambda box: str(box.intervals))
+    def test_both_modes_and_weyl_count_match_the_cube(self, box):
+        # The count guess's threshold: the ground state plus the Weyl t for 300 modes.
+        t = float(eigenvalues_of(box, np.ones((1, box.dim)))[0]) + weyl_threshold(box, 300)
+        idx, lam = oracle_listing(box, t)
+        # One ulp below an eigenvalue, that eigenvalue lies within the enumeration's slack.
+        for cut in (t, float(np.nextafter(lam[len(lam) // 2], -np.inf))):
+            n = int(np.searchsorted(lam, cut, side="right"))
+            system = enumerate_eigen(box, lambda_max=cut)
+            assert np.array_equal(system.indices, idx[:n]) and system.lams.tobytes() == lam[:n].tobytes()
+            assert weyl_count(box, cut) == n
+        ties = [c for c in range(1, len(lam)) if lam[c - 1] == lam[c]]
+        if box.dim > 1 and len(set(box.lengths)) == 1:
+            assert ties, "a cube box has tied eigenvalues"
+        for count in ties[:5] + [1, len(lam) // 2, len(lam)]:
+            system = enumerate_eigen(box, count=count)
+            assert np.array_equal(system.indices, idx[:count])
+            assert system.lams.tobytes() == lam[:count].tobytes()
+
+
+@st.composite
+def random_boxes(draw):
+    d = draw(st.integers(1, 4))
+    sides = draw(st.lists(st.floats(0.05, 20.0), min_size=d, max_size=d))
+    lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    return HyperBox(tuple((a, a + L) for a, L in zip(lows, sides)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=random_boxes(), count=st.integers(1, 400))
+def test_listings_agree_on_random_boxes(box, count):
+    system = enumerate_eigen(box, count=count)
+    t = float(system.lams[-1])
+    # A thin box's Weyl term can lie above the budget while its listing is small.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domain, "MAX_MODES", 1 << 62)
+        full = enumerate_eigen(box, lambda_max=t)
+    assert np.array_equal(full.indices[:count], system.indices)
+    assert full.lams[:count].tobytes() == system.lams.tobytes()
+    assert weyl_count(box, t) == len(full)
+    for listing in (system, full):
+        assert listing.lams.tobytes() == eigenvalues_of(box, listing.indices).tobytes()
+        rows = list(zip(listing.lams.tolist(), map(tuple, listing.indices.tolist())))
+        assert rows == sorted(rows)
 
 
 def weyl_threshold(box: HyperBox, modes: float) -> float:
