@@ -11,8 +11,10 @@ Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
 grid over MAX_GRID_VALUES in ``solve``, ``sweep continuity`` or
 ``green-oracle``, a draw of the noise over its atom budget (see ``noise``),
 a truncation over the mode budget ``domain.MAX_MODES`` (a count above it or
-a threshold whose Weyl term lies above it) and an integrand the CF test
-cannot evaluate.  Given one seed,
+a threshold whose Weyl term lies above it), a dense eigen block over
+``domain.MAX_MATRIX_VALUES`` (``green-oracle`` at a large K), a Gauss rule
+over ``domain.MAX_GAUSS_NODES`` nodes an axis (``verify weak`` at d = 1 past
+K = 8168) and an integrand the CF test cannot evaluate.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
 numpy picks its SIMD kernels (log, exp, pow, ...) at run time.

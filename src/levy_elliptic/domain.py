@@ -18,23 +18,36 @@ itself, so the listing is exact in floating point.  The prefixes stay in
 lexicographic order, so one stable sort on the eigenvalue breaks ties
 lexicographically on the index, and orderings are reproducible across runs.
 
-Every value e_k(x) is a product of rows of per-axis sine tables, and four
-kernels work on those tables.  ``sine_tables`` builds each table by angle
-addition from about sqrt(width) anchor rows and as many offset rows, so a
-point costs about 4 sqrt(width) calls of np.sin or np.cos, and each anchor
-row is np.sin's value bit for bit.  For scattered points, ``eigen_matvec``
-(E @ w) and ``eigen_rmatvec`` (c @ E) are the two directions of one kernel
-over chunks of points: the first d - 1 axes multiply into a dense prefix
-grid, the last axis, kept as its angle-addition factors, contracts with it
-in one BLAS product per chunk, and the listed modes are gathered from, or
-scattered into, a dense grid of indices.  ``eigen_matrix`` returns the whole of E for small inputs.  On a
-tensor grid E factors axis by axis, so ``grid_rmatvec`` (c @ E) and its
-transpose ``grid_matvec`` (E @ w) contract with one table per axis and
-never form E.
+Every value e_k(x) is a product of per-axis sines, and one layout,
+``_Kernel``, serves every evaluation.  The listed modes live in a dense
+grid: the first d - 1 axes over their index widths, the last axis as
+anchors x offsets.  A front axis's sine table is built by angle addition
+from about sqrt(width) anchor rows and as many offset rows, so a point
+costs about 4 sqrt(width) calls of np.sin or np.cos, and each anchor row is
+np.sin's value bit for bit.  The last axis stays as its angle-addition
+factors, and its sum is one BLAS product per chunk of points, in two
+directions: ``_Kernel.rmatvec`` (grid rows times the sines at the points)
+and ``_Kernel.matvec`` (its transpose).  Two front ends feed it rows:
 
-CHUNK_CELLS bounds the memory of the scattered kernels: a chunk holds as
-many points as keep its tables and prefix grids within that many values.
-Points on the boundary evaluate to exactly 0 (Dirichlet).
+- scattered points: ``eigen_rmatvec`` (c @ E) and ``eigen_matvec`` (E @ w)
+  multiply the front tables of a chunk into a dense prefix grid, one row a
+  front index and a column a point;
+- tensor grids: ``grid_rmatvec`` (c @ E) and ``grid_matvec`` (E @ w)
+  contract the front axes of the mode grid with those axes' tables at the
+  grid coordinates, one row a front grid point, and chunk the last axis's
+  coordinates.  At d = 1 a grid is just points, and both front ends give
+  the same bits.
+
+``eigen_matrix`` gathers the whole of E from the same tables, for blocks
+up to MAX_MATRIX_VALUES values.
+
+CHUNK_CELLS bounds the memory of a chunk: it holds as many points (of the
+last axis, on a grid) as keep its tables, rows and factors within that
+many values.  Out of that bound are the mode grid itself, and on a tensor
+grid the whole front tables (width x coordinates an axis) and the front
+grid rows (one a front grid point and mode of the last axis): a thin box
+whose wide side is a front axis has long front tables.  Points on the
+boundary evaluate to exactly 0 (Dirichlet).
 """
 
 from __future__ import annotations
@@ -47,8 +60,12 @@ import numpy as np
 
 # Values (modes x points) of tables, grids and factors a chunk of points may hold: 4 MiB.
 CHUNK_CELLS = 1 << 19
+# Largest dense K x points block ``eigen_matrix`` returns, 128 MiB; ``check`` at MAX_MODES asks for 2^22.
+MAX_MATRIX_VALUES = 1 << 24
 # Largest listing ``enumerate_eigen`` makes: ``check`` at 2^22 modes peaks at 255 MB at d = 1, 354 MB at d = 3.
 MAX_MODES = 1 << 22
+# Most nodes ``gauss_rule`` makes: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
+MAX_GAUSS_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -165,6 +182,19 @@ def eigenvalues_of(box: HyperBox, indices: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _refuse_over_budget(box: HyperBox, t: float, name: str) -> None:
+    """Refuse a threshold t whose Weyl term |D| t^(d/2) / ((4 pi)^(d/2)
+    Gamma(d/2 + 1)), an upper bound on N(t) on a box, lies above MAX_MODES."""
+    d = box.dim
+    # The Weyl term in logs, where no threshold overflows it.
+    log_weyl = math.log(box.volume) + d / 2.0 * math.log(t / (4.0 * math.pi)) - math.lgamma(d / 2.0 + 1.0)
+    if log_weyl > math.log(MAX_MODES):
+        raise ValueError(
+            f"{name}={t:g} may admit more modes than the mode budget MAX_MODES={MAX_MODES}: "
+            "its Weyl term, an upper bound on their count, lies above it"
+        )
+
+
 def enumerate_eigen(
     box: HyperBox, count: int | None = None, lambda_max: float | None = None
 ) -> EigenSystem:
@@ -181,14 +211,14 @@ def enumerate_eigen(
     """
     if (count is None) == (lambda_max is None):
         raise ValueError("specify exactly one of count, lambda_max")
-    d, vol = box.dim, box.volume
+    d = box.dim
     if count is not None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if count > MAX_MODES:
             raise ValueError(f"count={count} modes is above the mode budget MAX_MODES={MAX_MODES}")
         lam1 = float(eigenvalues_of(box, np.ones((1, d), dtype=np.int64))[0])
-        t = lam1 + 4.0 * math.pi * ((count + 1) * math.gamma(d / 2.0 + 1.0) / vol) ** (2.0 / d)
+        t = lam1 + 4.0 * math.pi * ((count + 1) * math.gamma(d / 2.0 + 1.0) / box.volume) ** (2.0 / d)
         columns, lam = _lattice_below(box.lengths, t)
         while len(lam) < count:
             t *= 1.01 * (count / len(lam)) ** (2.0 / d)
@@ -196,13 +226,7 @@ def enumerate_eigen(
     else:
         if not lambda_max > 0.0:
             raise ValueError(f"lambda_max must be positive, got {lambda_max}")
-        # The Weyl term in logs, where no threshold overflows it.
-        log_weyl = math.log(vol) + d / 2.0 * math.log(lambda_max / (4.0 * math.pi)) - math.lgamma(d / 2.0 + 1.0)
-        if log_weyl > math.log(MAX_MODES):
-            raise ValueError(
-                f"lambda_max={lambda_max:g} may admit more modes than the mode budget MAX_MODES={MAX_MODES}: "
-                "its Weyl term, an upper bound on their count, lies above it"
-            )
+        _refuse_over_budget(box, lambda_max, "lambda_max")
         columns, lam = _lattice_below(box.lengths, float(lambda_max))
         if len(lam) == 0:
             raise ValueError(
@@ -218,9 +242,11 @@ def enumerate_eigen(
 
 
 def weyl_count(box: HyperBox, t: float) -> int:
-    """N(t): number of eigenvalues <= t, by exact lattice enumeration."""
+    """N(t): number of eigenvalues <= t, by exact lattice enumeration; refuses,
+    as ``enumerate_eigen`` does, a t whose Weyl term lies above MAX_MODES."""
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
+    _refuse_over_budget(box, t, "t")
     return len(_lattice_below(box.lengths, t)[1])
 
 
@@ -287,30 +313,9 @@ def _sine_table(lo: int, hi: int, u: np.ndarray, length: float) -> np.ndarray:
     return table.reshape(len(u), -1)[:, :width].T
 
 
-def sine_tables(box: HyperBox, indices: np.ndarray, units) -> list:
-    """Per axis j, (lo, T) with T[k - lo, i] = sqrt(2/L_j) sin(pi k units[j][i])
-    for k from the lowest to the highest k_j of ``indices``."""
-    return [
-        (int(k.min()), _sine_table(int(k.min()), int(k.max()), np.asarray(u, dtype=float), L))
-        for k, u, L in zip(indices.T, units, box.lengths)
-    ]
-
-
-def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
-    """Dense E[j, i] = e_{k_j}(x_i), for small K x points: table rows gathered
-    and multiplied axis by axis.  Boundary columns are exactly zero."""
-    unit, on_boundary = _unit_points(system.box, points)
-    (lo, table), *rest = sine_tables(system.box, system.indices, unit.T)
-    out = table[system.indices[:, 0] - lo]
-    for (lo, table), k in zip(rest, system.indices.T[1:]):
-        out *= table[k - lo]
-    out[:, on_boundary] = 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class _Kernel:
-    """Layout of the scattered kernels for one system.
+    """Layout of the sine kernels for one system.
 
     Modes live in a dense grid whose first d - 1 axes run over the index
     widths of those axes (``rows`` cells in all) and whose last axis runs
@@ -348,21 +353,63 @@ class _Kernel:
         """The view of ``grid`` that ``modes`` indexes."""
         return grid.reshape(*self.widths[:-1], self.anchors * self.step)
 
-    def chunks(self, points):
-        """(slice, prefix tables, last-axis factors, boundary mask) per chunk
-        of points, a chunk holding at most about CHUNK_CELLS values."""
-        unit, on_boundary = _unit_points(self.box, points)
-        # A point's values: its prefix tables and grid, the anchor products
+    def tables(self, unit) -> list:
+        """T_j[k - low_j, i] = sqrt(2/L_j) sin(pi k unit[j][i]) over axis j's
+        index width, for the leading axes that ``unit`` has a row of fractions for."""
+        return [
+            _sine_table(lo, lo + w - 1, u, length)
+            for lo, w, length, u in zip(self.low, self.widths, self.box.lengths, unit)
+        ]
+
+    def chunks(self, unit: np.ndarray, rows: int):
+        """(slice, last-axis factors) per chunk of the last axis's fractions
+        ``unit``, a chunk holding at most about CHUNK_CELLS values for
+        ``rows`` grid rows a point."""
+        # A point's values: its front tables and rows, the anchor products
         # and their partial sums, and the offset phases, cosines and sines.
-        cells = sum(self.widths[:-1]) + self.rows + 3 * self.rows * self.anchors + 3 * self.step
+        cells = sum(self.widths[:-1]) + rows + 3 * rows * self.anchors + 3 * self.step
         size = max(1, CHUNK_CELLS // cells)
-        bounds = [(lo, lo + w - 1, length) for lo, w, length in zip(self.low, self.widths, self.box.lengths)]
+        lo, hi, length = self.low[-1], self.low[-1] + self.widths[-1] - 1, self.box.lengths[-1]
         for start in range(0, len(unit), size):
             part = slice(start, start + size)
-            u = unit[part].T
-            tables = [_sine_table(lo, hi, x, length) for (lo, hi, length), x in zip(bounds[:-1], u)]
-            lo, hi, length = bounds[-1]
-            yield part, tables, _sine_factors(lo, hi, self.step, u[-1], length), on_boundary[part]
+            yield part, _sine_factors(lo, hi, self.step, unit[part], length)
+
+    def rmatvec(self, dense: np.ndarray, sa, ca, cos_sin) -> np.ndarray:
+        """R[r, i] = sum_k G[r, k] sqrt(2/L) sin(pi k u_i) over the last axis,
+        for a grid G shaped (r x anchors, step) as ``grid`` is: one BLAS
+        product with the offset factors, then the anchor factors."""
+        n = len(sa[0])
+        both = (dense @ cos_sin).reshape(-1, self.anchors, 2 * n)
+        partial = both[:, :, :n] * sa
+        partial += both[:, :, n:] * ca
+        return partial.sum(axis=1)
+
+    def matvec(self, front: np.ndarray, sa, ca, cos_sin) -> np.ndarray:
+        """The transpose: G[r, k] = sum_i F[r, i] sqrt(2/L) sin(pi k u_i) for
+        rows F of point weights, shaped (r x anchors, step): the weighted
+        anchor factors, then one BLAS product with the offset factors."""
+        n = len(sa[0])
+        lhs = np.empty((len(front), self.anchors, 2 * n))
+        np.multiply(front[:, None, :], sa, out=lhs[:, :, :n])
+        np.multiply(front[:, None, :], ca, out=lhs[:, :, n:])
+        return lhs.reshape(-1, 2 * n) @ cos_sin.T
+
+
+def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
+    """Dense E[j, i] = e_{k_j}(x_i), for small K x points: rows of the kernel's
+    sine tables gathered and multiplied axis by axis.  Boundary columns are
+    exactly zero.  A block over MAX_MATRIX_VALUES is refused."""
+    unit, on_boundary = _unit_points(system.box, points)
+    if len(system) * len(unit) > MAX_MATRIX_VALUES:
+        raise ValueError(
+            f"a dense {len(system)} x {len(unit)} eigen matrix is above the cap MAX_MATRIX_VALUES={MAX_MATRIX_VALUES}"
+        )
+    kernel = _Kernel.of(system)
+    out = np.ones((len(system), len(unit)))
+    for table, k in zip(kernel.tables(unit.T), kernel.modes):
+        out *= table[k]
+    out[:, on_boundary] = 0.0
+    return out
 
 
 def _prefix_grid(tables: list, weights: np.ndarray) -> np.ndarray:
@@ -377,85 +424,98 @@ def _prefix_grid(tables: list, weights: np.ndarray) -> np.ndarray:
 def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
     """E @ w: sum_i e_k(x_i) w_i for every mode.
 
-    Per chunk of points, the weighted prefix grid times the anchor factors
-    of the last axis, against its offset factors, is one BLAS product that
-    adds to the dense grid of modes; the modes are gathered from it.
-    Boundary points carry weight 0.
+    Per chunk of points, the weighted prefix grid goes through the last
+    axis's product, which adds to the dense grid of modes; the modes are
+    gathered from it.  Boundary points carry weight 0.
     """
     kernel = _Kernel.of(system)
-    weights = np.asarray(weights, dtype=float)
+    unit, on_boundary = _unit_points(system.box, points)
+    weights = np.where(on_boundary, 0.0, np.asarray(weights, dtype=float))
     dense = kernel.grid()
-    for part, tables, (sa, ca, cos_sin), on_boundary in kernel.chunks(points):
-        n = len(sa[0])
-        prefix = _prefix_grid(tables, np.where(on_boundary, 0.0, weights[part]))[:, None, :]
-        lhs = np.empty((kernel.rows, kernel.anchors, 2 * n))
-        np.multiply(prefix, sa, out=lhs[:, :, :n])
-        np.multiply(prefix, ca, out=lhs[:, :, n:])
-        dense += lhs.reshape(len(dense), 2 * n) @ cos_sin.T
+    for part, factors in kernel.chunks(unit[:, -1], kernel.rows):
+        dense += kernel.matvec(_prefix_grid(kernel.tables(unit[part, :-1].T), weights[part]), *factors)
     return kernel.at_modes(dense)[kernel.modes]
 
 
 def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
     """c @ E: sum_k c_k e_k(x_i) at every point.
 
-    The coefficients fill the dense grid of modes.  Per chunk of points it
-    meets the offset factors of the last axis in one BLAS product, then the
-    anchor factors and the prefix grid.  Boundary points read 0.
+    The coefficients fill the dense grid of modes.  Per chunk of points the
+    last axis's product leaves one value a prefix row and point, which the
+    prefix grid weights and sums.  Boundary points read 0.
     """
     kernel = _Kernel.of(system)
     dense = kernel.grid()
     kernel.at_modes(dense)[kernel.modes] = coeffs
-    out = np.empty(len(np.atleast_2d(points)))
-    for part, tables, (sa, ca, cos_sin), on_boundary in kernel.chunks(points):
-        n = len(sa[0])
-        both = (dense @ cos_sin).reshape(kernel.rows, kernel.anchors, 2 * n)
-        partial = both[:, :, :n] * sa
-        partial += both[:, :, n:] * ca
-        values = partial.sum(axis=1) * _prefix_grid(tables, np.ones(n))
-        out[part] = np.where(on_boundary, 0.0, values.sum(axis=0))
+    unit, on_boundary = _unit_points(system.box, points)
+    out = np.empty(len(unit))
+    for part, factors in kernel.chunks(unit[:, -1], kernel.rows):
+        u = unit[part]
+        values = kernel.rmatvec(dense, *factors) * _prefix_grid(kernel.tables(u[:, :-1].T), np.ones(len(u)))
+        out[part] = np.where(on_boundary[part], 0.0, values.sum(axis=0))
     return out
 
 
-def _grid_tables(system: EigenSystem, axes) -> list:
-    """Sine tables of the system at each axis's coordinates, zero on the boundary."""
+def _grid_kernel(system: EigenSystem, axes):
+    """The system's kernel, the sine tables of its first d - 1 axes at their
+    grid coordinates (zero on the boundary), and the last axis's fractions
+    and boundary mask."""
     box = system.box
     if len(axes) != box.dim:
         raise ValueError("one coordinate array per axis required")
-    axes = [np.asarray(xs, dtype=float) for xs in axes]
-    units = []
-    for (a, b), length, xs in zip(box.intervals, box.lengths, axes):
-        if np.any(xs < a) or np.any(xs > b):
-            raise ValueError("grid coordinate outside the closed box")
-        units.append((xs - a) / length)
-    tables = sine_tables(box, system.indices, units)
-    for (a, b), xs, (_, table) in zip(box.intervals, axes, tables):
-        table[:, (xs == a) | (xs == b)] = 0.0
-    return tables
+    sides = [_unit_points(HyperBox((side,)), np.reshape(xs, (-1, 1))) for side, xs in zip(box.intervals, axes)]
+    kernel = _Kernel.of(system)
+    tables = kernel.tables([unit[:, 0] for unit, _ in sides[:-1]])
+    for table, (_, on_boundary) in zip(tables, sides):
+        table[:, on_boundary] = 0.0
+    unit, on_boundary = sides[-1]
+    return kernel, tables, unit[:, 0], on_boundary
+
+
+def _contract_front(tensor: np.ndarray, tables: list) -> np.ndarray:
+    """Contract the first len(tables) axes of ``tensor``, each with the first
+    axis of its table, which the table's second axis replaces in place."""
+    for table in reversed(tables):
+        tensor = np.tensordot(table, tensor, axes=([0], [len(tables) - 1]))
+    return tensor
 
 
 def grid_rmatvec(system: EigenSystem, coeffs, axes) -> np.ndarray:
     """c @ E on the tensor grid of the per-axis coordinate arrays ``axes``,
-    shape (len(axes[0]), ...): the coefficients scattered into a dense index
-    tensor, contracted with one sine table per axis, so the K x prod m_i
-    matrix is never formed."""
-    idx = system.indices
-    tables = _grid_tables(system, axes)
-    tensor = np.zeros(tuple(len(table) for _, table in tables))
-    tensor[tuple(k - lo for k, (lo, _) in zip(idx.T, tables))] = coeffs
-    for _, table in tables:
-        tensor = np.tensordot(tensor, table, axes=([0], [0]))
-    return tensor
+    shape (len(axes[0]), ...), never forming the K x prod m_i matrix.
+
+    The coefficients fill the dense grid of modes, whose first d - 1 axes
+    contract with those axes' sine tables into front grid rows; per chunk
+    of last-axis coordinates, the last axis's product turns them into values.
+    """
+    kernel, tables, unit, on_boundary = _grid_kernel(system, axes)
+    dense = kernel.grid()
+    kernel.at_modes(dense)[kernel.modes] = coeffs
+    front = _contract_front(kernel.at_modes(dense), tables)
+    shape = front.shape[:-1]
+    rows = math.prod(shape)
+    front = front.reshape(rows * kernel.anchors, kernel.step)
+    out = np.empty((rows, len(unit)))
+    for part, factors in kernel.chunks(unit, rows):
+        out[:, part] = kernel.rmatvec(front, *factors)
+    out[:, on_boundary] = 0.0
+    return out.reshape(*shape, len(unit))
 
 
 def grid_matvec(system: EigenSystem, axes, values) -> np.ndarray:
     """E @ w for values w on the tensor grid of ``axes`` (the transpose of
-    ``grid_rmatvec``): each grid axis contracted with its sine table, then the
-    modes of the system gathered from the dense index tensor."""
-    tables = _grid_tables(system, axes)
-    tensor = np.asarray(values, dtype=float)
-    for _, table in tables:
-        tensor = np.tensordot(tensor, table, axes=([0], [1]))
-    return tensor[tuple(k - lo for k, (lo, _) in zip(system.indices.T, tables))]
+    ``grid_rmatvec``): per chunk of last-axis coordinates, the last axis's
+    product of the front grid rows of w; the first d - 1 axes then contract
+    with their sine tables and the modes are gathered."""
+    kernel, tables, unit, on_boundary = _grid_kernel(system, axes)
+    shape = tuple(table.shape[1] for table in tables)
+    rows = math.prod(shape)
+    values = np.asarray(values, dtype=float).reshape(rows, len(unit))
+    dense = np.zeros((rows * kernel.anchors, kernel.step))
+    for part, factors in kernel.chunks(unit, rows):
+        dense += kernel.matvec(np.where(on_boundary[part], 0.0, values[:, part]), *factors)
+    tensor = _contract_front(dense.reshape(*shape, -1), [table.T for table in tables])
+    return tensor[kernel.modes]
 
 
 def constant_fourier(system: EigenSystem) -> np.ndarray:
@@ -478,8 +538,12 @@ def _leggauss(n: int):
 
 
 def gauss_rule(box: HyperBox, n_per_axis: int) -> list:
-    """Gauss-Legendre nodes and weights on each side of the box: [(x_j, w_j), ...]."""
-    x, w = _leggauss(int(n_per_axis))
+    """Gauss-Legendre nodes and weights on each side of the box: [(x_j, w_j), ...].
+    More than MAX_GAUSS_NODES nodes an axis are refused."""
+    n = int(n_per_axis)
+    if n > MAX_GAUSS_NODES:
+        raise ValueError(f"{n} Gauss nodes an axis are above the cap MAX_GAUSS_NODES={MAX_GAUSS_NODES}")
+    x, w = _leggauss(n)
     return [(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w) for a, b in box.intervals]
 
 

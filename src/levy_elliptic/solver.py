@@ -105,8 +105,11 @@ def solve_mild(
 
 
 def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarray:
-    """Evaluate on the tensor grid of per-axis coordinate arrays, by contraction
-    with per-axis sine tables (``domain.grid_rmatvec``)."""
+    """Evaluate on the tensor grid of per-axis coordinate arrays
+    (``domain.grid_rmatvec``): the first d - 1 axes contract with their sine
+    tables, and the last axis runs through the chunked kernel of the
+    scattered points, so at d = 1 memory stays within a chunk whatever the
+    number of modes and points."""
     return grid_rmatvec(field.system, field.coeffs, axes)
 
 

@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levy_elliptic import cli, domain, noise
@@ -103,6 +104,27 @@ def test_oversized_green_oracle_grid_is_refused_before_allocating(tmp_path, caps
     assert run(["green-oracle", "--set", "grid_points=1449", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert "green_oracle.grid_points" in err and "exceed the cap of 2097152" in err
+    assert not outdir.exists()
+
+
+def test_oversized_green_oracle_block_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    # 2^18 modes against 1448 points: two dense K x points blocks of 3 GB each.
+    monkeypatch.setattr(domain, "_sine_table", lambda *a: pytest.fail("sine table built"))
+    outdir = tmp_path / "out"
+    assert run(["green-oracle", "--set", "K=262144", "--set", "grid_points=1448", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: ") and "262144 x 1448" in err and "MAX_MATRIX_VALUES=16777216" in err
+    assert not outdir.exists()
+
+
+def test_oversized_gauss_rule_is_refused_before_leggauss(tmp_path, capsys, monkeypatch):
+    # K=16384 at d=1 resolves on 32816 nodes; leggauss would take 8 GiB for them.
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail(f"leggauss({n}) called"))
+    outdir = tmp_path / "out"
+    argv = ["verify", "weak", "--set", "d=1", "--set", "K=16384", "--set", "weak.replicates=1", "--seed", "1"]
+    assert run(argv + ["--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: ") and "32816 Gauss nodes" in err and "MAX_GAUSS_NODES=16384" in err
     assert not outdir.exists()
 
 

@@ -13,6 +13,7 @@ from levy_elliptic.domain import (
     eigenvalues_of,
     enumerate_eigen,
     gauss_nodes,
+    gauss_rule,
     single_mode,
     weyl_count,
 )
@@ -142,13 +143,14 @@ def random_boxes(draw):
 def test_listings_agree_on_random_boxes(box, count):
     system = enumerate_eigen(box, count=count)
     t = float(system.lams[-1])
-    # A thin box's Weyl term can lie above the budget while its listing is small.
+    # A thin box's Weyl term can lie above the budget while its listing is small;
+    # weyl_count refuses such a t as enumerate_eigen does.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(domain, "MAX_MODES", 1 << 62)
         full = enumerate_eigen(box, lambda_max=t)
+        assert weyl_count(box, t) == len(full)
     assert np.array_equal(full.indices[:count], system.indices)
     assert full.lams[:count].tobytes() == system.lams.tobytes()
-    assert weyl_count(box, t) == len(full)
     for listing in (system, full):
         assert listing.lams.tobytes() == eigenvalues_of(box, listing.indices).tobytes()
         rows = list(zip(listing.lams.tolist(), map(tuple, listing.indices.tolist())))
@@ -218,6 +220,13 @@ class TestWeylCount:
         t = 777.0
         assert weyl_count(SQUARE, t) == len(enumerate_eigen(SQUARE, lambda_max=t))
 
+    @pytest.mark.parametrize("box", [UNIT, SQUARE, skewed_box(3)], ids=["d1", "d2", "d3"])
+    def test_a_threshold_over_the_budget_is_refused_before_enumerating(self, monkeypatch, box):
+        monkeypatch.setattr(domain, "_lattice_below", lambda *a: pytest.fail("enumerated past the mode budget"))
+        for t in (math.inf, weyl_threshold(box, 1.01 * domain.MAX_MODES)):
+            with pytest.raises(ValueError, match=r"^t=\S+ may admit more modes than the mode budget MAX_MODES=4194304"):
+                weyl_count(box, t)
+
 
 def eigenfunction_value(box, index, x) -> float:
     return float(eigen_matrix(single_mode(box, index), np.atleast_2d(x))[0, 0])
@@ -245,6 +254,14 @@ class TestEigenfunctions:
             eigenfunction_value(UNIT, (0,), (0.5,))
         with pytest.raises(ValueError):
             eigenfunction_value(SQUARE, (1,), (0.5, 0.5))
+
+    def test_a_dense_block_over_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(domain, "MAX_MATRIX_VALUES", 300)
+        system = enumerate_eigen(SQUARE, count=30)
+        assert eigen_matrix(system, np.full((10, 2), 0.5)).shape == (30, 10)
+        monkeypatch.setattr(domain, "_sine_table", lambda *a: pytest.fail("sine table built"))
+        with pytest.raises(ValueError, match=r"^a dense 30 x 11 eigen matrix is above the cap MAX_MATRIX_VALUES=300$"):
+            eigen_matrix(system, np.full((11, 2), 0.5))
 
     def test_orthonormality_gram_matrix(self):
         system = enumerate_eigen(UNIT, count=20)
@@ -284,6 +301,12 @@ class TestBoxAndQuadrature:
         assert box.volume == 4.0
         mask = box.contains(np.array([[1.0, 0.0], [3.0, 0.0]]))
         assert mask.tolist() == [True, False]
+
+    def test_a_gauss_rule_over_the_cap_is_refused_before_leggauss(self, monkeypatch):
+        assert len(gauss_rule(UNIT, 64)[0][0]) == 64
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail(f"leggauss({n}) called"))
+        with pytest.raises(ValueError, match=r"^16385 Gauss nodes an axis are above the cap MAX_GAUSS_NODES=16384$"):
+            gauss_rule(UNIT, domain.MAX_GAUSS_NODES + 1)
 
     def test_gauss_weights_sum_to_volume(self):
         box = HyperBox(((0.0, 2.0), (-1.0, 1.0)))

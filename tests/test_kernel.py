@@ -25,7 +25,6 @@ from levy_elliptic.domain import (
     grid_matvec,
     grid_rmatvec,
     resolving_gauss_rule,
-    sine_tables,
     tensor_rule,
 )
 from levy_elliptic.measures import AlphaStable, LevyTriplet
@@ -95,17 +94,25 @@ def kernel_cases(draw):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         j = draw(st.integers(0, d - 1))
         pts[i, j] = draw(st.sampled_from([box.lower[j], box.upper[j]]))
+    # A tensor grid of a few coordinates an axis, some on an end of their side.
+    sizes = draw(st.lists(st.integers(1, 8), min_size=d, max_size=d))
+    axes = [a + rng.random(m) * (b - a) for (a, b), m in zip(box.intervals, sizes)]
+    for x, (a, b) in zip(axes, box.intervals):
+        x[0] = draw(st.sampled_from([x[0], a, b]))
     cells = draw(st.sampled_from([1, 50, 700, domain.CHUNK_CELLS]))
-    return system, pts, rng, cells
+    return system, pts, axes, rng, cells
 
 
 @settings(max_examples=80, deadline=None)
 @given(kernel_cases())
 def test_kernels_are_as_accurate_as_the_dense_product(args):
-    system, pts, rng, cells = args
+    system, pts, axes, rng, cells = args
     exact = dense_reference(system, pts, np.longdouble)
     dense = dense_reference(system, pts)
     w, c = rng.standard_normal(len(pts)), rng.standard_normal(len(system))
+    nodes = tensor_rule([(x, x) for x in axes])[0]
+    exact_grid = dense_reference(system, nodes, np.longdouble)
+    v = rng.standard_normal(len(nodes))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(domain, "CHUNK_CELLS", cells)
         matrix = eigen_matrix(system, pts)
@@ -115,21 +122,29 @@ def test_kernels_are_as_accurate_as_the_dense_product(args):
         # A boundary point carries weight 0, whatever its weight was.
         moved = np.where(on_face, w + 1.0, w)
         assert np.array_equal(eigen_matvec(system, pts, moved), matvec)
+        grid_values = grid_rmatvec(system, c, axes)
+        grid_coeffs = grid_matvec(system, axes, v.reshape(grid_values.shape))
+        on_grid_face = np.any((nodes == system.box.lower) | (nodes == system.box.upper), axis=1)
+        moved = np.where(on_grid_face, v + 1.0, v).reshape(grid_values.shape)
+        assert np.array_equal(grid_matvec(system, axes, moved), grid_coeffs)
     err = entry_error(exact, dense)
     assert gap(matrix, exact) <= 4 * err
     assert gap(matvec, exact @ w) <= 4 * err * np.sum(np.abs(w))
     assert gap(rmatvec, c @ exact) <= 4 * err * np.sum(np.abs(c))
+    grid_err = entry_error(exact_grid, dense_reference(system, nodes))
+    assert gap(grid_values.ravel(), c @ exact_grid) <= 4 * grid_err * np.sum(np.abs(c))
+    assert gap(grid_coeffs, exact_grid @ v) <= 4 * grid_err * np.sum(np.abs(v))
     assert np.all(matrix[:, on_face] == 0.0) and np.all(rmatvec[on_face] == 0.0)
+    assert np.all(grid_values.ravel()[on_grid_face] == 0.0)
 
 
 @given(st.integers(1, 300), st.integers(1, 2000), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
 def test_anchor_rows_of_the_sine_tables_are_np_sin(lo, width, unit):
-    box = HyperBox(((0.0, 1.7),))
     u = np.array(unit)
-    [(first, table)] = sine_tables(box, np.array([[lo], [lo + width - 1]]), [u])
+    table = domain._sine_table(lo, lo + width - 1, u, 1.7)
     anchors = np.arange(lo, lo + width, domain._block_length(width))
     direct = math.sqrt(2.0 / 1.7) * np.sin(np.pi * np.outer(anchors, u))
-    assert first == lo and table.shape == (width, len(u))
+    assert table.shape == (width, len(u))
     assert np.array_equal(table[anchors - lo], direct)
 
 
@@ -194,6 +209,37 @@ def test_grid_projection_matches_the_scattered_kernel_with_gauss_weights(d, coun
     coeffs = grid_matvec(system, [x for x, _ in rule], values.reshape(sizes))
     flat = eigen_matvec(system, pts, values)
     assert np.max(np.abs(coeffs - flat)) <= 1e-13 * np.max(np.abs(flat))
+
+
+@pytest.mark.parametrize("cells", [1, 50, 700, domain.CHUNK_CELLS])
+def test_grid_kernels_are_the_scattered_kernels_bit_for_bit_at_d1(monkeypatch, cells):
+    system, pts, rng = case(1, 300, 200)
+    x = np.sort(pts[:, 0])  # both ends of the side included
+    c, w = rng.standard_normal(300), rng.standard_normal(200)
+    monkeypatch.setattr(domain, "CHUNK_CELLS", cells)
+    assert np.array_equal(grid_rmatvec(system, c, [x]), eigen_rmatvec(system, c, x[:, None]))
+    assert np.array_equal(grid_matvec(system, [x], w), eigen_matvec(system, x[:, None], w))
+
+
+def test_d1_grid_kernels_memory_is_bounded_by_the_chunk():
+    # K=16384 on 16385 points: one dense sine table of the modes takes 2 GiB.
+    system = enumerate_eigen(HyperBox.unit(1), count=16384)
+    x = np.linspace(0.0, 1.0, 16385)
+    c = np.random.default_rng(5).standard_normal(16384)
+    tracemalloc.start()
+    try:
+        values = grid_rmatvec(system, c, [x])
+        coeffs = grid_matvec(system, [x], values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    exact = dense_reference(system, x[::1024, None], np.longdouble)
+    err = entry_error(exact, dense_reference(system, x[::1024, None]))
+    assert gap(values[::1024], c @ exact) <= 4 * err * np.sum(np.abs(c))
+    head = dense_reference(system.prefix(4), x[:, None], np.longdouble)
+    err = entry_error(head, dense_reference(system.prefix(4), x[:, None]))
+    assert gap(coeffs[:4], head @ values) <= 4 * err * np.sum(np.abs(values))
 
 
 def test_grid_kernels_refuse_coordinates_outside_the_box():
