@@ -26,7 +26,6 @@ from .domain import (
 from .functions import (
     AxisPower,
     Constant,
-    Eigenfunction,
     Indicator,
     Polynomial,
     RadialPower,

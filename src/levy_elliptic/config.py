@@ -250,7 +250,8 @@ def _validate(doc: dict) -> RunConfig:
 
     seed = doc["seed"]
     if seed is not None:
-        as_int(seed, "seed", least=0)
+        # The streams key on 64 bits, so a larger seed would alias a smaller one.
+        require(as_int(seed, "seed", least=0) < 1 << 64, "seed", "expected an integer below 2^64")
 
     workers = as_int(doc["workers"], "workers")
 

@@ -173,12 +173,14 @@ def _lattice_below(lengths: np.ndarray, t: float):
 
 
 def eigenvalues_of(box: HyperBox, indices: np.ndarray) -> np.ndarray:
-    """Canonical eigenvalue formula, accumulated axis by axis."""
+    """Canonical eigenvalue formula, accumulated axis by axis; an eigenvalue
+    past the double range is inf, without a warning."""
     idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
     lengths = box.lengths
     lam = np.zeros(len(idx))
-    for j in range(box.dim):
-        lam += (math.pi * idx[:, j] / lengths[j]) ** 2
+    with np.errstate(over="ignore"):
+        for j in range(box.dim):
+            lam += (math.pi * idx[:, j] / lengths[j]) ** 2
     return lam
 
 
@@ -193,6 +195,12 @@ def _refuse_over_budget(box: HyperBox, t: float, name: str) -> None:
             f"{name}={t:g} may admit more modes than the mode budget MAX_MODES={MAX_MODES}: "
             "its Weyl term, an upper bound on their count, lies above it"
         )
+
+
+def _refuse_out_of_range(box: HyperBox, value: float, name: str) -> None:
+    """Refuse a box whose eigenvalue ``value`` underflows to 0 or overflows the doubles."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"the {name} of the box {box.intervals} is {value:g}, outside the double range")
 
 
 def enumerate_eigen(
@@ -212,13 +220,18 @@ def enumerate_eigen(
     if (count is None) == (lambda_max is None):
         raise ValueError("specify exactly one of count, lambda_max")
     d = box.dim
+    lam1 = float(eigenvalues_of(box, np.ones((1, d), dtype=np.int64))[0])
+    _refuse_out_of_range(box, lam1, "first eigenvalue")
     if count is not None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if count > MAX_MODES:
             raise ValueError(f"count={count} modes is above the mode budget MAX_MODES={MAX_MODES}")
-        lam1 = float(eigenvalues_of(box, np.ones((1, d), dtype=np.int64))[0])
-        t = lam1 + 4.0 * math.pi * ((count + 1) * math.gamma(d / 2.0 + 1.0) / box.volume) ** (2.0 / d)
+        try:
+            t = lam1 + 4.0 * math.pi * ((count + 1) * math.gamma(d / 2.0 + 1.0) / box.volume) ** (2.0 / d)
+        except (OverflowError, ZeroDivisionError):  # the guess or 1 / |D| leaves the doubles
+            t = math.inf
+        _refuse_out_of_range(box, t, "count-mode eigenvalue guess")
         columns, lam = _lattice_below(box.lengths, t)
         while len(lam) < count:
             t *= 1.01 * (count / len(lam)) ** (2.0 / d)
@@ -301,16 +314,9 @@ def _sine_table(lo: int, hi: int, u: np.ndarray, length: float) -> np.ndarray:
     width = hi - lo + 1
     step = _block_length(width)
     sa, ca, cos_sin = _sine_factors(lo, hi, step, u, length)
-    co, so = cos_sin[:, : len(u)], cos_sin[:, len(u) :]
-    if len(u) >= step:
-        table = sa[:, None, :] * co
-        table += ca[:, None, :] * so
-        return table.reshape(-1, len(u))[:width]
-    # Fewer points than offsets: broadcast with the offsets innermost, so
-    # numpy's inner loops stay long, and return the transposed view.
-    table = sa.T[:, :, None] * co.T[:, None, :]
-    table += ca.T[:, :, None] * so.T[:, None, :]
-    return table.reshape(len(u), -1)[:, :width].T
+    table = sa[:, None, :] * cos_sin[:, : len(u)]
+    table += ca[:, None, :] * cos_sin[:, len(u) :]
+    return table.reshape(-1, len(u))[:width]
 
 
 @dataclass(frozen=True)

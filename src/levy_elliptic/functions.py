@@ -6,8 +6,9 @@ every kind a config can name and for ``SpectralFunction``, and
 ``lq_finite`` decides every L^q question analytically; tensor Gauss
 quadrature now serves only the Fourier coefficients that have no closed
 form.  Config objects name the kinds that ``parse_function`` builds,
-checked against the run's box; ``SpectralFunction`` and ``RadialPower``
-are built by the package itself.
+checked against the run's box, and the ``eigenfunction`` kind e_k is the
+one-mode ``SpectralFunction`` with coefficient 1; the package itself
+builds other ``SpectralFunction`` values and ``RadialPower``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .domain import (
     EigenSystem,
     HyperBox,
     constant_fourier,
-    eigen_matrix,
     eigen_rmatvec,
     grid_matvec,
     resolving_gauss_rule,
@@ -37,21 +37,6 @@ class Constant:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.full(len(np.atleast_2d(points)), float(self.value))
-
-
-@dataclass(frozen=True)
-class Eigenfunction:
-    """One Dirichlet eigenfunction of the box, as a reusable integrand."""
-
-    box: HyperBox
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(int(k) for k in np.atleast_1d(self.index)))
-        single_mode(self.box, self.index)  # validates the index
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return eigen_matrix(single_mode(self.box, self.index), points)[0]
 
 
 @dataclass(frozen=True)
@@ -139,7 +124,7 @@ class SpectralFunction:
         return eigen_rmatvec(self.system, self.coeffs, points)
 
 
-FunctionDescriptor = Constant | Eigenfunction | Indicator | AxisPower | Polynomial | RadialPower | SpectralFunction
+FunctionDescriptor = Constant | Indicator | AxisPower | Polynomial | RadialPower | SpectralFunction
 
 
 def _same_box(a: HyperBox, b: HyperBox) -> bool:
@@ -177,12 +162,6 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     box = system.box
     if isinstance(f, Constant):
         return f.value * constant_fourier(system)
-    if isinstance(f, Eigenfunction) and _same_box(f.box, box):
-        out = np.zeros(len(system))
-        pos = system.position(f.index)
-        if pos is not None:
-            out[pos] = 1.0
-        return out
     if isinstance(f, Indicator):
         return indicator_fourier_vector(system, f)
     if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
@@ -208,8 +187,6 @@ def integral(f, box: HyperBox) -> float:
     """int_D f dx in closed form; math.inf if divergent, ValueError if no closed form."""
     if isinstance(f, Constant):
         return f.value * box.volume
-    if isinstance(f, Eigenfunction) and _same_box(f.box, box):
-        return float(constant_fourier(single_mode(box, f.index))[0])
     if isinstance(f, Indicator):
         return float(sum(bx.volume for bx in f.boxes))
     if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
@@ -229,8 +206,6 @@ def square_integral(f, box: HyperBox) -> float:
         return f.value**2 * box.volume
     if isinstance(f, Indicator):
         return float(sum(bx.volume for bx in f.boxes))
-    if isinstance(f, Eigenfunction) and _same_box(f.box, box):
-        return 1.0
     if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
         return float(np.dot(f.coeffs, f.coeffs))
     if isinstance(f, AxisPower):
@@ -301,7 +276,7 @@ def parse_function(data: dict, box: HyperBox, path: str = "f"):
         if kind == "eigenfunction":
             index = as_list(data["index"], f"{path}.index", 1, as_int)
             # One entry applies to every axis, as one box.intervals pair does.
-            return Eigenfunction(box, tuple(index * box.dim if len(index) == 1 else index))
+            return SpectralFunction(single_mode(box, tuple(index * box.dim if len(index) == 1 else index)), [1.0])
         if kind == "indicator":
             members = tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"])
             for i, member in enumerate(members):

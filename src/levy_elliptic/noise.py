@@ -40,9 +40,9 @@ from ._csvio import write_csv
 from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec
 from .functions import (
     Constant,
-    Eigenfunction,
     FunctionDescriptor,
     Indicator,
+    SpectralFunction,
     fourier_vector,
     integral,
     lq_finite,
@@ -209,18 +209,19 @@ def pair_with_function(
     The Gaussian part acts through the truncated eigen-expansion of f
     (exact on basis functions, Parseval-deficit controlled otherwise); jumps
     are summed directly at the atoms; the drift term is b * int f.  Pairing
-    an eigenfunction of the system reproduces the corresponding
-    ``pair_eigen`` coefficient bit-for-bit.
+    a one-mode expansion c e_k whose mode the system lists returns c times
+    the ``pair_eigen`` coefficient of e_k, bit for bit that coefficient at
+    c = 1.
     """
     box, trip = realization.law.box, realization.law.triplet
     _check_box(box, system)
     if trip.sigma != 0.0 and not lq_finite(f, box, 2.0):
         raise ValueError("integrand is not square integrable for sigma > 0")
 
-    if isinstance(f, Eigenfunction) and f.box.intervals == system.box.intervals:
-        pos = system.position(f.index)
+    if isinstance(f, SpectralFunction) and len(f.coeffs) == 1 and f.system.box.intervals == system.box.intervals:
+        pos = system.position(f.system.indices[0])
         if pos is not None:
-            return float(pair_eigen(realization, system)[pos])
+            return float(f.coeffs[0] * pair_eigen(realization, system)[pos])
 
     if isinstance(f, Indicator) and len(f.boxes) > 1:
         # Pairing is additive over a disjoint union by definition of the

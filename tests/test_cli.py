@@ -139,6 +139,21 @@ def test_oversized_continuity_grid_is_refused_before_sampling(tmp_path, capsys, 
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("side", ["1e200", "1e-200"])
+def test_box_with_eigenvalues_outside_the_doubles_exits_2_in_one_line(capsys, side):
+    # [0, 1e200] once looped forever and [0, 1e-200] died with an OverflowError.
+    assert run(["check", "--set", f"intervals=[[0,{side}]]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: the first eigenvalue of the box") and err.count("\n") == 1
+
+
+def test_seed_above_64_bits_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run(["sample-noise", "--seed", str((1 << 64) + 5), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == "config error at seed: expected an integer below 2^64\n"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "item,path",
     [

@@ -4,7 +4,7 @@ import pytest
 
 from levy_elliptic.config import ConfigError, load_config
 from levy_elliptic.domain import HyperBox
-from levy_elliptic.functions import Constant, Eigenfunction, Indicator, Polynomial
+from levy_elliptic.functions import Constant, Indicator, Polynomial, SpectralFunction
 from levy_elliptic.measures import AlphaStable, NullMeasure, SymmetricTwoPoint
 
 
@@ -64,11 +64,26 @@ class TestReplacedObjects:
 
     def test_other_keys_still_merge(self, tmp_path):
         cfg = load_config(config_file(tmp_path, {"weak": {"replicates": 3}}), [])
-        assert cfg.blocks["weak"] == {"phi": Eigenfunction(HyperBox.unit(1), (1,)), "replicates": 3}
+        weak = cfg.blocks["weak"]
+        assert set(weak) == {"phi", "replicates"} and weak["replicates"] == 3
+        # Dataclass == cannot compare arrays: the default phi e_1 by its indices and coefficients.
+        assert isinstance(weak["phi"], SpectralFunction)
+        assert weak["phi"].system.indices.tolist() == [[1]] and weak["phi"].coeffs.tolist() == [1.0]
 
     def test_unknown_key_beside_a_replaced_object_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="weak.phj"):
             load_config(config_file(tmp_path, {"weak": {"phj": {"kind": "constant"}}}), [])
+
+
+class TestSeed:
+    # The streams key on 64 bits: 2^64 + 5 once drew the atoms of seed 5.
+    def test_seed_above_64_bits_is_refused_from_the_flag_and_a_file(self, tmp_path):
+        top = (1 << 64) - 1
+        assert load_config(None, [], seed=top).seed == top
+        with pytest.raises(ConfigError, match="^config error at seed: expected an integer below 2"):
+            load_config(None, [], seed=top + 6)
+        with pytest.raises(ConfigError, match="^config error at seed: expected an integer below 2"):
+            load_config(config_file(tmp_path, {"seed": top + 1}), [])
 
 
 class TestWorkers:

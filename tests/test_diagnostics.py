@@ -13,7 +13,7 @@ from levy_elliptic.diagnostics import (
     weak_identity_test,
 )
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Polynomial
+from levy_elliptic.functions import AxisPower, Constant, Polynomial, parse_function
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -38,7 +38,7 @@ def test_weak_identity_holds_on_a_small_d2_realization(seed):
     triplet = LevyTriplet(0.0, 0.3, AlphaStable(1.5))
     realization = sample_noise(NoiseLaw(SQUARE, triplet, eps=0.05), master_seed=seed)
     assert realization.atoms.count > 0
-    report = weak_identity_test(realization, Eigenfunction(SQUARE, (1, 2)), 1.0, system)
+    report = weak_identity_test(realization, parse_function({"kind": "eigenfunction", "index": [1, 2]}, SQUARE), 1.0, system)
     assert report.passed, report.to_dict()
     assert report.seed == seed
 

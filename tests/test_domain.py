@@ -192,6 +192,30 @@ class TestModeBudget:
             enumerate_eigen(box, lambda_max=weyl_threshold(box, 1.01 * 300))
 
 
+class TestBoxesOutsideTheDoubleRange:
+    # On [0, 1e200] lambda_1 = (pi / 1e200)^2 underflows to 0, so a count-mode
+    # guess stays 0 and once grew forever; on [0, 1e-200] it overflows.
+    @pytest.mark.parametrize("side,value", [(1e200, "0"), (1e-200, "inf")])
+    def test_a_first_eigenvalue_outside_the_doubles_is_refused(self, monkeypatch, side, value):
+        monkeypatch.setattr(domain, "_lattice_below", lambda *a: pytest.fail("enumerated"))
+        box = HyperBox(((0.0, side),))
+        for cutoff in ({"count": 256}, {"lambda_max": 1.0}):
+            with pytest.raises(ValueError, match=rf"^the first eigenvalue of the box .* is {value}, outside"):
+                enumerate_eigen(box, **cutoff)
+
+    @pytest.mark.parametrize("box", [((0.0, 1e-152),), ((0.0, 1e-80),) * 4, ((0.0, 1e-81),) * 4])
+    def test_a_count_guess_outside_the_doubles_is_refused(self, monkeypatch, box):
+        # lambda_1 is finite, but the Weyl guess for the 256th eigenvalue, or 1 / |D|, is not.
+        monkeypatch.setattr(domain, "_lattice_below", lambda *a: pytest.fail("enumerated"))
+        with pytest.raises(ValueError, match=r"^the count-mode eigenvalue guess of the box .* is inf, outside"):
+            enumerate_eigen(HyperBox(box), count=256)
+
+    @pytest.mark.parametrize("side", [1e150, 1e-150, 1e100, 1e-100])
+    def test_extreme_boxes_inside_the_doubles_still_list(self, side):
+        system = enumerate_eigen(HyperBox(((0.0, side),)), count=256)
+        assert system.indices[:, 0].tolist() == list(range(1, 257))
+
+
 class TestWeylCount:
     def test_interval_t_100(self):
         # Oracle: pi^2 k^2 <= 100 iff k <= 3.18.

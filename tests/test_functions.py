@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from levy_elliptic.config import ConfigError
-from levy_elliptic.domain import HyperBox, enumerate_eigen, single_mode
+from levy_elliptic.domain import HyperBox, constant_fourier, eigen_matrix, enumerate_eigen, single_mode
 from levy_elliptic.functions import (
     AxisPower,
     Constant,
-    Eigenfunction,
     Indicator,
     Polynomial,
     RadialPower,
@@ -22,6 +23,42 @@ from levy_elliptic.functions import (
 )
 
 UNIT = HyperBox.unit(1)
+
+
+def eigenfunction(box: HyperBox, *index: int) -> SpectralFunction:
+    """e_k as a config builds it: the one-mode expansion with coefficient 1."""
+    return parse_function({"kind": "eigenfunction", "index": list(index)}, box)
+
+
+@st.composite
+def mode_on_a_box(draw):
+    """A box of d = 1-4, a listed mode of it, and points, about a quarter on a face."""
+    d = draw(st.integers(1, 4))
+    lower = draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))
+    sides = draw(st.lists(st.floats(0.05, 20.0), min_size=d, max_size=d))
+    box = HyperBox(tuple((a, a + L) for a, L in zip(lower, sides)))
+    system = enumerate_eigen(box, count=draw(st.integers(1, 60)))
+    index = system.indices[draw(st.integers(0, len(system) - 1))].tolist()
+    n = draw(st.integers(1, 40))
+    unit = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))).reshape(n, d)
+    points = np.minimum(box.lower + unit * box.lengths, box.upper)
+    faces = np.array(draw(st.lists(st.integers(0, 7), min_size=n * d, max_size=n * d))).reshape(n, d)
+    points = np.where(faces == 0, box.lower, np.where(faces == 1, box.upper, points))
+    return box, system, index, points
+
+
+@settings(deadline=None, max_examples=60)
+@given(mode_on_a_box())
+def test_config_eigenfunction_is_the_one_mode_expansion_bit_for_bit(case):
+    box, system, index, points = case
+    f = parse_function({"kind": "eigenfunction", "index": index}, box)
+    mode = single_mode(box, index)
+    assert np.array_equal(f.evaluate(points), eigen_matrix(mode, points)[0])
+    unit = np.zeros(len(system))
+    unit[system.position(index)] = 1.0
+    assert np.array_equal(fourier_vector(system, f), unit)
+    assert integral(f, box) == float(constant_fourier(mode)[0])
+    assert square_integral(f, box) == 1.0
 
 
 class TestFourierVector:
@@ -68,7 +105,7 @@ class TestFourierVector:
 
     def test_eigenfunction_unit_vector(self):
         system = enumerate_eigen(UNIT, count=5)
-        vec = fourier_vector(system, Eigenfunction(UNIT, (4,)))
+        vec = fourier_vector(system, eigenfunction(UNIT, 4))
         expected = np.zeros(5)
         expected[3] = 1.0
         assert np.array_equal(vec, expected)
@@ -102,7 +139,7 @@ class TestIntegrals:
         assert square_integral(AxisPower(-1.0), UNIT) == math.inf
 
     def test_eigenfunction_square_norm(self):
-        assert square_integral(Eigenfunction(UNIT, (5,)), UNIT) == 1.0
+        assert square_integral(eigenfunction(UNIT, 5), UNIT) == 1.0
 
     def test_spectral_square_norm_parseval(self):
         system = enumerate_eigen(UNIT, count=3)
@@ -125,7 +162,7 @@ class TestIntegrals:
 
     def test_integrands_without_a_closed_form_are_refused(self):
         other = HyperBox(((0.0, 2.0),))
-        foreign = (Eigenfunction(other, (1,)), SpectralFunction(enumerate_eigen(other, count=2), [1.0, 2.0]))
+        foreign = (eigenfunction(other, 1), SpectralFunction(enumerate_eigen(other, count=2), [1.0, 2.0]))
         for f in (RadialPower(0.5, (0.5,)), *foreign):
             name = type(f).__name__
             with pytest.raises(ValueError, match=name):
@@ -182,7 +219,8 @@ class TestDescriptors:
 
     def test_parse_function_round_trip(self):
         f = parse_function({"kind": "eigenfunction", "index": [2]}, UNIT)
-        assert isinstance(f, Eigenfunction) and f.index == (2,)
+        assert isinstance(f, SpectralFunction) and f.system.indices.tolist() == [[2]]
+        assert f.coeffs.tolist() == [1.0]
         g = parse_function({"kind": "constant", "value": 3.5}, UNIT)
         assert isinstance(g, Constant) and g.value == 3.5
         with pytest.raises(ValueError):
@@ -190,7 +228,7 @@ class TestDescriptors:
 
     def test_one_entry_eigenfunction_index_applies_to_every_axis(self):
         f = parse_function({"kind": "eigenfunction", "index": [2]}, HyperBox.unit(3))
-        assert f.index == (2, 2, 2)
+        assert f.system.indices.tolist() == [[2, 2, 2]]
 
     @pytest.mark.parametrize(
         "data,path",

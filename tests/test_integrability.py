@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Polynomial, SpectralFunction
+from levy_elliptic.functions import AxisPower, Constant, Polynomial, SpectralFunction, parse_function
 from levy_elliptic.integrability import (
     ExistenceVerdict,
     existence_verdict,
@@ -76,7 +76,8 @@ class TestRRIntegrability:
         for make, triplet in cases:
             for c in (1.0, 0.8, 0.5, 0.1, 0.01):
                 assert rr_integrability(make(c), triplet, UNIT).verdict is True
-        assert rr_integrability(Eigenfunction(UNIT, (3,)), cases[1][1], UNIT).verdict is True
+        e3 = parse_function({"kind": "eigenfunction", "index": [3]}, UNIT)
+        assert rr_integrability(e3, cases[1][1], UNIT).verdict is True
 
     def test_report_serializable(self):
         rep = rr_integrability(Constant(1.0), stable_triplet(1.0), UNIT)

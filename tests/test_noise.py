@@ -10,8 +10,16 @@ from scipy import integrate
 from levy_elliptic import _rng, noise
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
 from levy_elliptic.diagnostics import run_replicates
-from levy_elliptic.domain import HyperBox, eigen_matvec, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Eigenfunction, Indicator, fourier_vector, integral
+from levy_elliptic.domain import HyperBox, eigen_matvec, enumerate_eigen, single_mode
+from levy_elliptic.functions import (
+    AxisPower,
+    Constant,
+    Indicator,
+    SpectralFunction,
+    fourier_vector,
+    integral,
+    parse_function,
+)
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -176,8 +184,10 @@ class TestPairWithFunction:
         system = enumerate_eigen(UNIT, count=9)
         coeffs = pair_eigen(real, system)
         for pos, k in [(0, 1), (4, 5), (8, 9)]:
-            val = pair_with_function(real, Eigenfunction(UNIT, (k,)), system)
+            val = pair_with_function(real, parse_function({"kind": "eigenfunction", "index": [k]}, UNIT), system)
             assert val == coeffs[pos]
+        # Any one-mode expansion the system lists scales that coefficient.
+        assert pair_with_function(real, SpectralFunction(single_mode(UNIT, (5,)), [2.5]), system) == 2.5 * coeffs[4]
 
     def test_integrand_outside_l2_refused_with_a_gaussian_part(self):
         real = atom_realization([[0.5]], [2.0], triplet=LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 2.0)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_nodes, eigen_matrix
-from levy_elliptic.functions import Constant, Eigenfunction, SpectralFunction
+from levy_elliptic.functions import Constant, SpectralFunction, parse_function
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
 from levy_elliptic.integrability import existence_verdict
 from levy_elliptic.noise import JumpAtomSet, NoiseLaw, NoiseRealization, pair_eigen, sample_noise
@@ -56,15 +56,19 @@ class TestGreenKernel:
         assert a == b
 
     def test_large_power_dominated_by_ground_state(self):
+        # At gamma = 50 the higher modes are below one ulp of the ground term,
+        # so the 50-mode kernel is the one-mode kernel bit for bit; that in turn
+        # is the product formula up to the rounding of a few operations, 2 ulp.
         system = enumerate_eigen(UNIT, count=50)
-        x, y = 0.3, 0.4
-        lead = (
-            math.sqrt(2.0) * math.sin(math.pi * x)
-            * math.sqrt(2.0) * math.sin(math.pi * y)
-            / system.lams[0] ** 50
-        )
-        got = green_gamma_eval(system, 50.0, [x], [y]).value
-        assert abs(got - lead) <= 1e-30 * abs(lead)
+        for x, y in [(0.3, 0.4), (0.1, 0.9), (0.5, 0.5), (0.77, 0.21)]:
+            got = green_gamma_eval(system, 50.0, [x], [y]).value
+            assert got == green_gamma_eval(system.prefix(1), 50.0, [x], [y]).value
+            lead = (
+                math.sqrt(2.0) * math.sin(math.pi * x)
+                * math.sqrt(2.0) * math.sin(math.pi * y)
+                / system.lams[0] ** 50
+            )
+            assert abs(got - lead) <= 2 * math.ulp(lead), (x, y)
 
     def test_tail_bound_tracks_true_tail(self):
         # d=1, gamma=1: true tail sum_{k>K} (pi k)^-2 ~ 1/(pi^2 K).
@@ -175,7 +179,7 @@ class TestTorsion:
 class TestGreenConvolve:
     def test_diagonal_action_on_eigenfunction(self):
         system = enumerate_eigen(UNIT, count=5)
-        out = green_convolve(system, 1.0, Eigenfunction(UNIT, (1,)))
+        out = green_convolve(system, 1.0, parse_function({"kind": "eigenfunction", "index": [1]}, UNIT))
         assert out.coeffs[0] == pytest.approx(1.0 / system.lams[0], rel=1e-15)
         assert np.all(out.coeffs[1:] == 0.0)
 
@@ -186,7 +190,7 @@ class TestGreenConvolve:
 
     def test_power_two_on_second_mode(self):
         system = enumerate_eigen(UNIT, count=5)
-        out = green_convolve(system, 2.0, Eigenfunction(UNIT, (2,)))
+        out = green_convolve(system, 2.0, parse_function({"kind": "eigenfunction", "index": [2]}, UNIT))
         assert out.coeffs[1] == pytest.approx((4.0 * math.pi**2) ** -2, rel=1e-14)
 
 
