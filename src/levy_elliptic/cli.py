@@ -8,6 +8,8 @@ small-jump policy make one ``noise.NoiseLaw``, which every stochastic
 subcommand draws from.  Exit codes: 0 all good, 1 a non-inconclusive
 verification failed, 2 config error, refused regime or invalid request.
 Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
+box whose volume underflows to 0 or overflows the doubles, an indicator
+``weak.phi`` (the weak test's Gauss rule cannot resolve its jump), a
 grid over MAX_GRID_VALUES in ``solve``, ``sweep continuity`` or
 ``green-oracle``, a draw of the noise over its atom budget (see ``noise``),
 a truncation over the mode budget ``domain.MAX_MODES`` (a count above it or
@@ -44,7 +46,7 @@ from .diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from .domain import enumerate_eigen
+from .domain import enumerate_eigen, tensor_points
 from .integrability import existence_verdict, green_kernel_integrability
 from .noise import replicate_noise, sample_noise
 from .solver import (
@@ -245,7 +247,7 @@ def _cmd_green_oracle(cfg: RunConfig) -> int:
     write_csv(
         os.path.join(cfg.outdir, "green_oracle.csv"),
         ["x", "y", "spectral", "exact", "abs_error"],
-        [np.repeat(xs, n), np.tile(ys, n), spectral.ravel(), exact.ravel(), err.ravel()],
+        [*tensor_points([xs, ys]).T, spectral.ravel(), exact.ravel(), err.ravel()],
     )
     max_err = float(err.max())
     print(f"max abs error {max_err:.3e} over {n}x{n} pairs (tolerance {tol:g})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import HyperBox
-from .functions import parse_function
+from .functions import Indicator, parse_function
 from .measures import LevyTriplet, parse_measure
 from .noise import POLICIES, NoiseLaw
 
@@ -266,6 +266,9 @@ def _validate(doc: dict) -> RunConfig:
     # Parsed at load against the run's box, so every subcommand refuses a bad descriptor.
     for name, key in (("cf", "f"), ("isometry", "f"), ("weak", "phi")):
         blocks[name][key] = parse_function(blocks[name][key], box, f"{name}.{key}")
+    # The weak test's Gauss rule cannot resolve the jump of an indicator at its faces.
+    continuous = not isinstance(blocks["weak"]["phi"], Indicator)
+    require(continuous, "weak.phi", "phi must be continuous on the box, not an indicator")
 
     return RunConfig(
         noise=NoiseLaw(box, triplet, eps, policy),

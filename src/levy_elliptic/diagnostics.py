@@ -25,9 +25,9 @@ from .domain import (
     HyperBox,
     eigen_matrix,
     enumerate_eigen,
-    gauss_nodes,
+    gauss_rule,
     resolving_gauss_rule,
-    tensor_rule,
+    tensor_points,
 )
 from .functions import SpectralFunction, square_integral
 from .integrability import rr_integrability
@@ -100,9 +100,9 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
     if not report.verdict:
         raise ValueError("integrand is not noise-integrable; CF test undefined")
 
-    pts, w = gauss_nodes(box, 64 if box.dim <= 2 else 16)
+    axes, w = gauss_rule(box, 64 if box.dim <= 2 else 16)
     with np.errstate(over="ignore", invalid="ignore"):
-        fvals = f.evaluate(pts)
+        fvals = f.evaluate(tensor_points(axes))
     non_finite = int(np.count_nonzero(~np.isfinite(fvals)))
     if non_finite:
         raise ValueError(
@@ -209,12 +209,13 @@ def weak_identity_test(
     paired against the kernel-smoothed test function.  The identity is
     exact in the spectral representation, so the statistic isolates the
     numerical-integration error; threshold 1e-6 scaled by field magnitude.
+    phi must be continuous on the box: the resolving Gauss rule cannot
+    resolve a jump, such as an indicator's at its faces.
     """
     u = solve_mild(realization, gamma, system, override=override)
-    rule = resolving_gauss_rule(system)
-    pts, w = tensor_rule(rule)
-    uvals = eval_field_grid(u, [x for x, _ in rule]).ravel()
-    lhs = float(np.dot(w, uvals * phi.evaluate(pts)))
+    axes, w = resolving_gauss_rule(system)
+    uvals = eval_field_grid(u, axes).ravel()
+    lhs = float(np.dot(w, uvals * phi.evaluate(tensor_points(axes))))
     rhs = pair_with_function(realization, green_convolve(system, gamma, phi), system)
     scale = max(1.0, float(np.max(np.abs(uvals))))
     statistic = abs(lhs - rhs)

@@ -70,7 +70,8 @@ MAX_GAUSS_NODES = 1 << 14
 
 @dataclass(frozen=True)
 class HyperBox:
-    """Axis-aligned box given as a tuple of (lower, upper) interval pairs."""
+    """Axis-aligned box given as a tuple of (lower, upper) interval pairs;
+    a box whose volume underflows to 0 or overflows the doubles is refused."""
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -82,6 +83,8 @@ class HyperBox:
         for a, b in ivs:
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ValueError(f"degenerate interval ({a}, {b})")
+        with np.errstate(over="ignore"):
+            _refuse_out_of_range(self, self.volume, "volume")
 
     @property
     def dim(self) -> int:
@@ -198,7 +201,7 @@ def _refuse_over_budget(box: HyperBox, t: float, name: str) -> None:
 
 
 def _refuse_out_of_range(box: HyperBox, value: float, name: str) -> None:
-    """Refuse a box whose eigenvalue ``value`` underflows to 0 or overflows the doubles."""
+    """Refuse a box whose ``value``, its volume or an eigenvalue, underflows to 0 or overflows the doubles."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"the {name} of the box {box.intervals} is {value:g}, outside the double range")
 
@@ -543,34 +546,27 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_rule(box: HyperBox, n_per_axis: int) -> list:
-    """Gauss-Legendre nodes and weights on each side of the box: [(x_j, w_j), ...].
-    More than MAX_GAUSS_NODES nodes an axis are refused."""
+def tensor_points(axes) -> np.ndarray:
+    """Points (n, d), in C order, of the tensor grid of one coordinate array per axis."""
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+
+
+def gauss_rule(box: HyperBox, n_per_axis: int):
+    """Gauss-Legendre nodes on each side of the box, and the product weights
+    (n^d,) of the tensor grid's points in C order.  More than MAX_GAUSS_NODES
+    nodes an axis are refused."""
     n = int(n_per_axis)
     if n > MAX_GAUSS_NODES:
         raise ValueError(f"{n} Gauss nodes an axis are above the cap MAX_GAUSS_NODES={MAX_GAUSS_NODES}")
     x, w = _leggauss(n)
-    return [(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w) for a, b in box.intervals]
+    axes, weights = [], np.ones(1)
+    for a, b in box.intervals:
+        axes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+        weights = np.outer(weights, 0.5 * (b - a) * w).ravel()
+    return axes, weights
 
 
-def tensor_rule(rule: list):
-    """Points (n, d) and product weights (n,) of a per-axis rule, in the C order of its grid."""
-    axes = [x for x, _ in rule]
-    if len(axes) == 1:
-        return axes[0][:, None], rule[0][1]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    weight = rule[0][1]
-    for _, w in rule[1:]:
-        weight = np.outer(weight, w).ravel()
-    return pts, weight
-
-
-def gauss_nodes(box: HyperBox, n_per_axis: int):
-    """Tensor Gauss-Legendre nodes and weights on the box; ((n^d, d), (n^d,))."""
-    return tensor_rule(gauss_rule(box, n_per_axis))
-
-
-def resolving_gauss_rule(system: EigenSystem) -> list:
-    """Per-axis Gauss rule whose tensor product integrates products with every mode."""
+def resolving_gauss_rule(system: EigenSystem):
+    """Gauss rule, as ``gauss_rule`` returns it, whose tensor product
+    integrates products with every mode."""
     return gauss_rule(system.box, max(64, 2 * int(system.indices.max()) + 48))

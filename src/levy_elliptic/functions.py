@@ -27,7 +27,7 @@ from .domain import (
     grid_matvec,
     resolving_gauss_rule,
     single_mode,
-    tensor_rule,
+    tensor_points,
 )
 
 
@@ -127,10 +127,6 @@ class SpectralFunction:
 FunctionDescriptor = Constant | Indicator | AxisPower | Polynomial | RadialPower | SpectralFunction
 
 
-def _same_box(a: HyperBox, b: HyperBox) -> bool:
-    return a.intervals == b.intervals
-
-
 def indicator_fourier_vector(system: EigenSystem, f: Indicator) -> np.ndarray:
     """<f, e_k>: per axis sqrt(2/L) L/(pi k) [cos(pi k (alpha-a)/L) - cos(pi k (beta-a)/L)]."""
     box = system.box
@@ -164,7 +160,7 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
         return f.value * constant_fourier(system)
     if isinstance(f, Indicator):
         return indicator_fourier_vector(system, f)
-    if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
+    if isinstance(f, SpectralFunction) and f.system.box == box:
         out = np.zeros(len(system))
         limit = min(len(out), len(f.coeffs))
         # Both systems are sorted the same way, so a shared prefix aligns.
@@ -177,10 +173,8 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
                 out[pos] = f.coeffs[pos_f]
         return out
 
-    rule = resolving_gauss_rule(system)
-    pts, w = tensor_rule(rule)
-    values = (w * f.evaluate(pts)).reshape([len(x) for x, _ in rule])
-    return grid_matvec(system, [x for x, _ in rule], values)
+    axes, w = resolving_gauss_rule(system)
+    return grid_matvec(system, axes, w * f.evaluate(tensor_points(axes)))
 
 
 def integral(f, box: HyperBox) -> float:
@@ -189,7 +183,7 @@ def integral(f, box: HyperBox) -> float:
         return f.value * box.volume
     if isinstance(f, Indicator):
         return float(sum(bx.volume for bx in f.boxes))
-    if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
+    if isinstance(f, SpectralFunction) and f.system.box == box:
         return float(np.dot(f.coeffs, constant_fourier(f.system)))
     if isinstance(f, AxisPower):
         return _axis_power_integral(f, box, 1.0)
@@ -206,7 +200,7 @@ def square_integral(f, box: HyperBox) -> float:
         return f.value**2 * box.volume
     if isinstance(f, Indicator):
         return float(sum(bx.volume for bx in f.boxes))
-    if isinstance(f, SpectralFunction) and _same_box(f.system.box, box):
+    if isinstance(f, SpectralFunction) and f.system.box == box:
         return float(np.dot(f.coeffs, f.coeffs))
     if isinstance(f, AxisPower):
         return _axis_power_integral(f, box, 2.0)

@@ -103,7 +103,7 @@ class NoiseLaw:
 
 
 def _check_box(box: HyperBox, system: EigenSystem) -> None:
-    if system.box.intervals != box.intervals:
+    if system.box != box:
         raise ValueError("the noise and the system live on different boxes")
 
 
@@ -218,7 +218,7 @@ def pair_with_function(
     if trip.sigma != 0.0 and not lq_finite(f, box, 2.0):
         raise ValueError("integrand is not square integrable for sigma > 0")
 
-    if isinstance(f, SpectralFunction) and len(f.coeffs) == 1 and f.system.box.intervals == system.box.intervals:
+    if isinstance(f, SpectralFunction) and len(f.coeffs) == 1 and f.system.box == system.box:
         pos = system.position(f.system.indices[0])
         if pos is not None:
             return float(f.coeffs[0] * pair_eigen(realization, system)[pos])

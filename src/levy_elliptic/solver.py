@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, grid_rmatvec
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, grid_rmatvec, tensor_points
 from .functions import SpectralFunction, fourier_vector
 from .integrability import ExistenceVerdict, existence_verdict
 from .noise import NoiseRealization, pair_eigen
@@ -144,5 +144,4 @@ def dump_field_grid_csv(field: SpectralFunction, axes: list[np.ndarray], path) -
     """Field dump on a tensor grid: (x_1..x_d, value) rows."""
     values = eval_field_grid(field, axes)
     header = [*(f"x_{i+1}" for i in range(len(axes))), "value"]
-    grids = np.meshgrid(*axes, indexing="ij")
-    write_csv(path, header, [*(g.ravel() for g in grids), values.ravel()])
+    write_csv(path, header, [*tensor_points(axes).T, values.ravel()])

@@ -147,6 +147,18 @@ def test_box_with_eigenvalues_outside_the_doubles_exits_2_in_one_line(capsys, si
     assert err.startswith("invalid request: the first eigenvalue of the box") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("side,value", [("1e80", "inf"), ("1e-81", "0")])
+def test_box_with_a_volume_outside_the_doubles_exits_2_in_one_line(capsys, side, value):
+    # (1e80)^4 once ran past numpy's overflow warning; (1e-81)^4 died in a math domain error.
+    argv = ["check", "--set", "d=4", "--set", f"intervals=[[0,{side}]]", "--set", "lambda_max=1e170"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: the volume of the box") and f" is {value}, outside" in err
+    assert err.count("\n") == 1
+
+
 def test_seed_above_64_bits_exits_2(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run(["sample-noise", "--seed", str((1 << 64) + 5), "--out", str(outdir)]) == 2
@@ -436,6 +448,34 @@ def test_function_descriptors_are_checked_against_the_box_at_load(tmp_path, caps
     # check never uses these descriptors, so a refusal there comes from loading.
     assert run(["check", "--set", value, "--out", str(tmp_path / "out")]) == 2
     assert f"config error at {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d,boxes", [(1, "[[[0.1,0.37]]]"), (2, "[[[0,0.5],[0,0.5]]]"), (2, "[[[0,0.5],[0,1]],[[0.5,1],[0,1]]]")]
+)
+def test_an_indicator_weak_phi_is_refused_at_load(tmp_path, capsys, monkeypatch, d, boxes):
+    # The Gauss rule cannot resolve its jump: the test once failed on a correct solver.
+    monkeypatch.setattr(cli, "enumerate_eigen", lambda *a, **k: pytest.fail("eigen system built"))
+    outdir = tmp_path / "out"
+    argv = ["verify", "weak", "--set", f"d={d}", "--set", f'weak.phi={{"kind":"indicator","boxes":{boxes}}}']
+    assert run(argv + ["--seed", "1", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error at weak.phi: phi must be continuous on the box, not an indicator\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("measure", ["null", "twopoint:1,2"])
+def test_isometry_without_jumps_on_the_band_is_one_skipped_inconclusive_row(tmp_path, measure):
+    # No jump of nu lies in (eps, band_high]: the exact variance is 0 and nothing is sampled.
+    outdir = tmp_path / "out"
+    assert run(["verify", "isometry", "--set", f"measure={measure}", "--seed", "1", "--out", str(outdir)]) == 0
+    (report,) = [json.loads(line) for line in (outdir / "reports.jsonl").read_text().splitlines()]
+    assert report["name"] == "isometry_band" and report["inconclusive"] is True
+    assert report["statistic"] == 0.0 and report["replicates"] == 0
+    assert report["details"]["skipped"] == "zero exact variance on the band"
+    with open(outdir / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["inconclusive"] == "true" and float(rows[0]["statistic"]) == 0.0
 
 
 def test_default_weak_phi_loads_at_every_dimension(tmp_path, capsys):

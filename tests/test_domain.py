@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from levy_elliptic.domain import (
     eigen_matrix,
     eigenvalues_of,
     enumerate_eigen,
-    gauss_nodes,
     gauss_rule,
     single_mode,
+    tensor_points,
     weyl_count,
 )
 
@@ -203,12 +204,22 @@ class TestBoxesOutsideTheDoubleRange:
             with pytest.raises(ValueError, match=rf"^the first eigenvalue of the box .* is {value}, outside"):
                 enumerate_eigen(box, **cutoff)
 
-    @pytest.mark.parametrize("box", [((0.0, 1e-152),), ((0.0, 1e-80),) * 4, ((0.0, 1e-81),) * 4])
+    @pytest.mark.parametrize("box", [((0.0, 1e-152),), ((0.0, 1e-80),) * 4])
     def test_a_count_guess_outside_the_doubles_is_refused(self, monkeypatch, box):
         # lambda_1 is finite, but the Weyl guess for the 256th eigenvalue, or 1 / |D|, is not.
         monkeypatch.setattr(domain, "_lattice_below", lambda *a: pytest.fail("enumerated"))
         with pytest.raises(ValueError, match=r"^the count-mode eigenvalue guess of the box .* is inf, outside"):
             enumerate_eigen(HyperBox(box), count=256)
+
+    # (1e-81)^4 underflows to 0, where log |D| once raised a math domain error,
+    # and (1e80)^4 overflows, which once slipped past every refusal.  (1e-80)^4
+    # = 1e-320 is still made, and refused by the count guess above.
+    @pytest.mark.parametrize("box,value", [(((0.0, 1e-81),) * 4, "0"), (((0.0, 1e80),) * 4, "inf")])
+    def test_a_volume_outside_the_doubles_is_refused_when_the_box_is_made(self, box, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^the volume of the box .* is {value}, outside the double range$"):
+                HyperBox(box)
 
     @pytest.mark.parametrize("side", [1e150, 1e-150, 1e100, 1e-100])
     def test_extreme_boxes_inside_the_doubles_still_list(self, side):
@@ -289,15 +300,15 @@ class TestEigenfunctions:
 
     def test_orthonormality_gram_matrix(self):
         system = enumerate_eigen(UNIT, count=20)
-        pts, w = gauss_nodes(UNIT, 128)
-        e = eigen_matrix(system, pts)
+        axes, w = gauss_rule(UNIT, 128)
+        e = eigen_matrix(system, tensor_points(axes))
         gram = (e * w) @ e.T
         assert np.max(np.abs(gram - np.eye(20))) < 1e-8
 
     def test_orthonormality_gram_matrix_2d(self):
         system = enumerate_eigen(SQUARE, count=20)
-        pts, w = gauss_nodes(SQUARE, 48)
-        e = eigen_matrix(system, pts)
+        axes, w = gauss_rule(SQUARE, 48)
+        e = eigen_matrix(system, tensor_points(axes))
         gram = (e * w) @ e.T
         assert np.max(np.abs(gram - np.eye(20))) < 1e-8
 
@@ -332,9 +343,29 @@ class TestBoxAndQuadrature:
         with pytest.raises(ValueError, match=r"^16385 Gauss nodes an axis are above the cap MAX_GAUSS_NODES=16384$"):
             gauss_rule(UNIT, domain.MAX_GAUSS_NODES + 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    def test_tensor_points_are_the_grid_in_c_order(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        axes = [rng.standard_normal(m) for m in sizes]
+        points = tensor_points(axes)
+        expected = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert points.shape == (math.prod(sizes), len(sizes))
+        assert np.array_equal(points, expected)
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_gauss_weights_are_the_product_of_the_sides_in_c_order(self, n):
+        box = HyperBox(((0.0, 2.0), (-1.0, 0.3), (0.5, 0.75)))
+        axes, w = gauss_rule(box, n)
+        x, v = np.polynomial.legendre.leggauss(n)
+        sides = [0.5 * (b - a) * v for a, b in box.intervals]
+        assert all(np.array_equal(xs, 0.5 * (b - a) * x + 0.5 * (a + b)) for xs, (a, b) in zip(axes, box.intervals))
+        assert np.array_equal(w, np.outer(np.outer(sides[0], sides[1]).ravel(), sides[2]).ravel())
+        assert np.array_equal(gauss_rule(UNIT, n)[1], 0.5 * v)
+
     def test_gauss_weights_sum_to_volume(self):
         box = HyperBox(((0.0, 2.0), (-1.0, 1.0)))
-        _, w = gauss_nodes(box, 16)
+        _, w = gauss_rule(box, 16)
         assert np.sum(w) == pytest.approx(box.volume, rel=1e-14)
 
     def test_eigenvalue_formula_vectorized(self):

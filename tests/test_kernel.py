@@ -25,7 +25,7 @@ from levy_elliptic.domain import (
     grid_matvec,
     grid_rmatvec,
     resolving_gauss_rule,
-    tensor_rule,
+    tensor_points,
 )
 from levy_elliptic.measures import AlphaStable, LevyTriplet
 from levy_elliptic.noise import JumpAtomSet, NoiseLaw, NoiseRealization, pair_eigen
@@ -110,7 +110,7 @@ def test_kernels_are_as_accurate_as_the_dense_product(args):
     exact = dense_reference(system, pts, np.longdouble)
     dense = dense_reference(system, pts)
     w, c = rng.standard_normal(len(pts)), rng.standard_normal(len(system))
-    nodes = tensor_rule([(x, x) for x in axes])[0]
+    nodes = tensor_points(axes)
     exact_grid = dense_reference(system, nodes, np.longdouble)
     v = rng.standard_normal(len(nodes))
     with pytest.MonkeyPatch.context() as mp:
@@ -154,8 +154,7 @@ def test_grid_contraction_matches_dense_reference():
     coeffs = np.random.default_rng(3).standard_normal(40)
     axes = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)]
     grid = eval_field_grid(SpectralFunction(system, coeffs), axes)
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    flat = coeffs @ dense_reference(system, pts)
+    flat = coeffs @ dense_reference(system, tensor_points(axes))
     assert np.max(np.abs(grid.ravel() - flat)) < 1e-12
     assert np.all(grid[0, :] == 0.0) and np.all(grid[:, -1] == 0.0)
 
@@ -194,7 +193,7 @@ def test_grid_evaluation_matches_the_scattered_kernel(d, count, sizes):
     axes = [np.linspace(a, b, m) for (a, b), m in zip(box.intervals, sizes)]
     c = rng.standard_normal(count)
     grid = grid_rmatvec(system, c, axes)
-    flat = eigen_rmatvec(system, c, tensor_rule([(x, np.ones(len(x))) for x in axes])[0])
+    flat = eigen_rmatvec(system, c, tensor_points(axes))
     assert grid.shape == sizes
     assert np.max(np.abs(grid.ravel() - flat)) <= 1e-13 * np.max(np.abs(flat))
     assert np.array_equal(grid_rmatvec(system, c, [list(x) for x in axes]), grid)
@@ -203,11 +202,14 @@ def test_grid_evaluation_matches_the_scattered_kernel(d, count, sizes):
 @pytest.mark.parametrize("d,count,sizes", GRIDS)
 def test_grid_projection_matches_the_scattered_kernel_with_gauss_weights(d, count, sizes):
     system, _, rng = case(d, count, 1)
-    rule = [gauss_rule(HyperBox((side,)), m)[0] for side, m in zip(system.box.intervals, sizes)]
-    pts, w = tensor_rule(rule)
+    rules = [gauss_rule(HyperBox((side,)), m) for side, m in zip(system.box.intervals, sizes)]
+    axes = [x for (x,), _ in rules]
+    w = np.ones(1)
+    for _, side_weights in rules:
+        w = np.outer(w, side_weights).ravel()
     values = w * rng.standard_normal(len(w))
-    coeffs = grid_matvec(system, [x for x, _ in rule], values.reshape(sizes))
-    flat = eigen_matvec(system, pts, values)
+    coeffs = grid_matvec(system, axes, values.reshape(sizes))
+    flat = eigen_matvec(system, tensor_points(axes), values)
     assert np.max(np.abs(coeffs - flat)) <= 1e-13 * np.max(np.abs(flat))
 
 
@@ -262,6 +264,7 @@ def test_d3_quadrature_projection_memory_is_bounded_by_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    pts, w = tensor_rule(resolving_gauss_rule(system))
+    axes, w = resolving_gauss_rule(system)
+    pts = tensor_points(axes)
     head = dense_reference(system.prefix(8), pts) @ (w * f.evaluate(pts))
     np.testing.assert_allclose(coeffs[:8], head, rtol=1e-12, atol=1e-14)

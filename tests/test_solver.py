@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_nodes, eigen_matrix
+from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_rule, eigen_matrix, tensor_points
 from levy_elliptic.functions import Constant, SpectralFunction, parse_function
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
 from levy_elliptic.integrability import existence_verdict
@@ -200,8 +200,8 @@ class TestParseval:
         x = 0.37
         ex = eigen_matrix(system, np.array([[x]]))[:, 0]
         coeff_sum = float(np.sum(ex**2 * system.lams ** (-4.0)))
-        pts, w = gauss_nodes(UNIT, 512)
-        kernel_vals = (ex * system.lams ** (-2.0)) @ eigen_matrix(system, pts)
+        axes, w = gauss_rule(UNIT, 512)
+        kernel_vals = (ex * system.lams ** (-2.0)) @ eigen_matrix(system, tensor_points(axes))
         quad_val = float(np.dot(w, kernel_vals**2))
         assert abs(quad_val - coeff_sum) < 1e-6
 
