@@ -29,7 +29,7 @@ from .domain import (
     resolving_gauss_rule,
     tensor_points,
 )
-from .functions import SpectralFunction, square_integral
+from .functions import Constant, Indicator, SpectralFunction, integral, square_integral
 from .integrability import rr_integrability
 from .measures import band_variance, characteristic_exponent
 from .noise import NoiseLaw, jump_sums, pair_eigen, pair_with_function, pairing_batch, replicate_noise
@@ -89,7 +89,8 @@ def run_replicates(fn, n: int, workers: int = 1) -> list:
 def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: EigenSystem) -> TestReport:
     """Empirical characteristic function of <noise, f> against its law.
 
-    Target: exp(int_D Psi(u f(x)) dx) with the exponent in closed form.
+    Target: exp(int_D Psi(u f(x)) dx), in closed form for a constant or an
+    indicator, else by a tensor Gauss rule at whose nodes f must be finite.
     Statistic: max_u |empirical CF - target|; threshold 4/sqrt(m), the
     conservative envelope for bounded complex averages.
     """
@@ -100,23 +101,25 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
     if not report.verdict:
         raise ValueError("integrand is not noise-integrable; CF test undefined")
 
-    axes, w = gauss_rule(box, 64 if box.dim <= 2 else 16)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fvals = f.evaluate(tensor_points(axes))
-    non_finite = int(np.count_nonzero(~np.isfinite(fvals)))
-    if non_finite:
-        raise ValueError(
-            f"integrand is not finite at {non_finite} of the {fvals.size} Gauss nodes of the CF test; "
-            "CF test undefined"
-        )
+    if not isinstance(f, Constant | Indicator):
+        axes, w = gauss_rule(box, 64 if box.dim <= 2 else 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fvals = f.evaluate(tensor_points(axes))
+        if non_finite := int(np.count_nonzero(~np.isfinite(fvals))):
+            raise ValueError(
+                f"integrand is not finite at {non_finite} of the {fvals.size} Gauss nodes of the CF test; "
+                "CF test undefined"
+            )
     u_grid = [float(u) for u in u_grid]
     x = pairing_batch(law, f, system, m, seed)
     stats, detail_rows = [], []
     for u in u_grid:
-        # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
-        if _is_const(fvals):
-            exponent = complex(characteristic_exponent(triplet, u * float(fvals[0]))) * box.volume
+        if isinstance(f, Constant | Indicator):
+            # f is one value on a set and 0 off it, where Psi(0) = 0: the set's measure times Psi(u value).
+            value, measure = (float(f.value), box.volume) if isinstance(f, Constant) else (1.0, integral(f, box))
+            exponent = complex(characteristic_exponent(triplet, u * value)) * measure
         else:
+            # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
             vals = characteristic_exponent(triplet, u * fvals)
             exponent = complex(np.dot(w, vals.real), np.dot(w, vals.imag))
         target = np.exp(exponent)
@@ -142,10 +145,6 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
         seed=seed,
         details={"direction": "le", "grid": detail_rows},
     )
-
-
-def _is_const(values: np.ndarray) -> bool:
-    return bool(np.all(values == values[0]))
 
 
 def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0) -> TestReport:

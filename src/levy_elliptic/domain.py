@@ -39,7 +39,8 @@ and ``_Kernel.matvec`` (its transpose).  Two front ends feed it rows:
   the same bits.
 
 ``eigen_matrix`` gathers the whole of E from the same tables, for blocks
-up to MAX_MATRIX_VALUES values.
+up to MAX_MATRIX_VALUES values, and ``positions`` finds where multi-indices
+sit in a listing by reading the same grid of modes.
 
 CHUNK_CELLS bounds the memory of a chunk: it holds as many points (of the
 last axis, on a grid) as keep its tables, rows and factors within that
@@ -53,7 +54,7 @@ boundary evaluate to exactly 0 (Dirichlet).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -116,7 +117,7 @@ class HyperBox:
         return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSystem:
     """A sorted finite slice of the Dirichlet spectrum on a box.
 
@@ -128,18 +129,9 @@ class EigenSystem:
     box: HyperBox
     indices: np.ndarray
     lams: np.ndarray
-    _positions: dict | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.lams)
-
-    def position(self, index) -> int | None:
-        """Ordinal of a multi-index in the listing, or None if absent."""
-        if self._positions is None:
-            self._positions = {
-                tuple(int(c) for c in row): i for i, row in enumerate(self.indices)
-            }
-        return self._positions.get(tuple(int(c) for c in np.atleast_1d(index)))
 
     def prefix(self, count: int) -> "EigenSystem":
         """First ``count`` entries as a new system (shares the arrays)."""
@@ -402,6 +394,20 @@ class _Kernel:
         np.multiply(front[:, None, :], sa, out=lhs[:, :, :n])
         np.multiply(front[:, None, :], ca, out=lhs[:, :, n:])
         return lhs.reshape(-1, 2 * n) @ cos_sin.T
+
+
+def positions(system: EigenSystem, indices) -> np.ndarray:
+    """Listing position of each row (n, d) of ``indices`` in the system, or -1: one comparison
+    for a prefix of the listing, else a gather from the kernel's grid of modes numbered in place."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1, system.box.dim)
+    if len(idx) <= len(system) and np.array_equal(idx, system.indices[: len(idx)]):
+        return np.arange(len(idx))
+    kernel = _Kernel.of(system)
+    grid = np.full(kernel.widths, -1)
+    grid[kernel.modes] = np.arange(len(system))
+    cells = idx - kernel.low
+    inside = np.all((cells >= 0) & (cells < kernel.widths), axis=1)
+    return np.where(inside, grid[tuple(np.clip(cells, 0, np.array(kernel.widths) - 1).T)], -1)
 
 
 def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:

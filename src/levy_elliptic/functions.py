@@ -25,6 +25,7 @@ from .domain import (
     constant_fourier,
     eigen_rmatvec,
     grid_matvec,
+    positions,
     resolving_gauss_rule,
     single_mode,
     tensor_points,
@@ -151,9 +152,9 @@ def indicator_fourier_vector(system: EigenSystem, f: Indicator) -> np.ndarray:
 def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     """Coefficients <f, e_k> for every index of the system at once.
 
-    Closed forms where the descriptor admits them; otherwise one shared
-    tensor Gauss rule sized to resolve the highest mode of the system,
-    projected axis by axis.
+    Closed forms where the descriptor admits them, a copy to ``positions`` for
+    an expansion on the same box, otherwise one shared tensor Gauss rule sized
+    to resolve the highest mode of the system, projected axis by axis.
     """
     box = system.box
     if isinstance(f, Constant):
@@ -161,17 +162,10 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     if isinstance(f, Indicator):
         return indicator_fourier_vector(system, f)
     if isinstance(f, SpectralFunction) and f.system.box == box:
-        out = np.zeros(len(system))
-        limit = min(len(out), len(f.coeffs))
-        # Both systems are sorted the same way, so a shared prefix aligns.
-        if limit and np.array_equal(system.indices[:limit], f.system.indices[:limit]):
-            out[:limit] = f.coeffs[:limit]
-            return out
-        for pos_f, row in enumerate(f.system.indices):
-            pos = system.position(row)
-            if pos is not None:
-                out[pos] = f.coeffs[pos_f]
-        return out
+        # A mode the system lacks has position -1, a spare last entry that is dropped.
+        out = np.zeros(len(system) + 1)
+        out[positions(system, f.system.indices)] = f.coeffs
+        return out[:-1]
 
     axes, w = resolving_gauss_rule(system)
     return grid_matvec(system, axes, w * f.evaluate(tensor_points(axes)))

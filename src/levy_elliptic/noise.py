@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _rng
 from ._csvio import write_csv
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec, positions
 from .functions import (
     Constant,
     FunctionDescriptor,
@@ -219,8 +219,8 @@ def pair_with_function(
         raise ValueError("integrand is not square integrable for sigma > 0")
 
     if isinstance(f, SpectralFunction) and len(f.coeffs) == 1 and f.system.box == system.box:
-        pos = system.position(f.system.indices[0])
-        if pos is not None:
+        pos = positions(system, f.system.indices)[0]
+        if pos >= 0:
             return float(f.coeffs[0] * pair_eigen(realization, system)[pos])
 
     if isinstance(f, Indicator) and len(f.boxes) > 1:

@@ -13,7 +13,7 @@ from levy_elliptic.diagnostics import (
     weak_identity_test,
 )
 from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Polynomial, parse_function
+from levy_elliptic.functions import AxisPower, Constant, Indicator, Polynomial, parse_function
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -260,6 +260,35 @@ def test_isometry_fails_against_a_wrong_band_variance(monkeypatch, measure):
     monkeypatch.setattr(diagnostics, "band_variance", lambda *a: 1.2 * band_variance(*a))
     report = isometry_report(measure, SEEDS[0])
     assert not report.passed and report.statistic > 0.1
+
+
+@pytest.mark.parametrize(
+    "box, f, measure",
+    [
+        (UNIT, Indicator((HyperBox(((0.0, 0.3),)),)), 0.3),
+        (SQUARE, Indicator((HyperBox(((0.0, 0.3), (0.0, 0.5))), HyperBox(((0.5, 1.0), (0.2, 0.9))))), 0.5),
+    ],
+)
+def test_empirical_cf_target_of_an_indicator_is_its_measure_times_psi(box, f, measure):
+    # Psi(0) = 0, so exp(int Psi(u 1_A)) = exp(|A| Psi(u)); a Gauss rule over
+    # the jump at A's faces was off by up to 1.2e-2 on the unit interval.
+    triplet = LevyTriplet(0.4, 0.5, AlphaStable(1.5))
+    u_grid = [0.5, 1.0, 2.0]
+    law, system = NoiseLaw(box, triplet, eps=0.05), enumerate_eigen(box, count=16)
+    report = empirical_cf_test(law, f, u_grid, 1000, 1, system=system)
+    for row, u in zip(report.details["grid"], u_grid):
+        exact = np.exp(measure * complex(characteristic_exponent(triplet, u)))
+        assert abs(complex(*row["target"]) - exact) <= 1e-12
+
+
+def test_empirical_cf_target_of_a_constant_is_volume_times_psi_bit_for_bit():
+    box = HyperBox(((0.0, 1.0), (0.0, 2.0)))
+    triplet = LevyTriplet(0.4, 0.5, SymmetricTwoPoint(2.0, 0.5))
+    law, system = NoiseLaw(box, triplet, eps=0.05), enumerate_eigen(box, count=16)
+    report = empirical_cf_test(law, Constant(2.5), [0.5, 1.0], 1000, 1, system=system)
+    for row, u in zip(report.details["grid"], [0.5, 1.0]):
+        target = np.exp(complex(characteristic_exponent(triplet, u * 2.5)) * 2.0)
+        assert row["target"] == [target.real, target.imag]
 
 
 def test_too_few_replicates_are_refused():

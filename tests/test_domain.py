@@ -14,6 +14,7 @@ from levy_elliptic.domain import (
     eigenvalues_of,
     enumerate_eigen,
     gauss_rule,
+    positions,
     single_mode,
     tensor_points,
     weyl_count,
@@ -156,6 +157,57 @@ def test_listings_agree_on_random_boxes(box, count):
         assert listing.lams.tobytes() == eigenvalues_of(box, listing.indices).tobytes()
         rows = list(zip(listing.lams.tolist(), map(tuple, listing.indices.tolist())))
         assert rows == sorted(rows)
+
+
+@st.composite
+def listing_and_queries(draw):
+    """A listing of a random box in count or threshold mode, and queries mixing
+    its rows with lattice cells of its bounding box widened by two each side,
+    some absent from the listing and some outside the box (down to index -1)."""
+    box = draw(random_boxes())
+    system = enumerate_eigen(box, count=draw(st.integers(1, 300)))
+    if draw(st.booleans()):
+        with pytest.MonkeyPatch.context() as patch:
+            # A thin box's Weyl term can lie above the budget while its listing is small.
+            patch.setattr(domain, "MAX_MODES", 1 << 62)
+            system = enumerate_eigen(box, lambda_max=float(system.lams[-1]))
+    low, high = system.indices.min(axis=0), system.indices.max(axis=0)
+    cell = st.tuples(*(st.integers(int(a) - 2, int(b) + 2) for a, b in zip(low, high)))
+    cells = np.array(draw(st.lists(cell, max_size=40)), dtype=np.int64).reshape(-1, box.dim)
+    rows = system.indices[draw(st.lists(st.integers(0, len(system) - 1), max_size=40))]
+    queries = np.concatenate([cells, rows])
+    return system, queries[draw(st.permutations(range(len(queries))))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(listing_and_queries())
+def test_lookup_agrees_with_a_dict_of_the_listing(case):
+    system, queries = case
+    where = {tuple(row): i for i, row in enumerate(system.indices.tolist())}
+    expected = [where.get(tuple(row), -1) for row in queries.tolist()]
+    assert positions(system, queries).tolist() == expected
+
+
+class TestPositions:
+    SYSTEM = enumerate_eigen(HyperBox(((0.0, 1.0), (0.0, 2.5))), count=200)
+
+    def test_prefix_and_full_listing(self):
+        assert positions(self.SYSTEM, self.SYSTEM.indices[:17]).tolist() == list(range(17))
+        assert positions(self.SYSTEM, self.SYSTEM.indices).tolist() == list(range(200))
+        assert positions(self.SYSTEM, np.empty((0, 2), dtype=np.int64)).tolist() == []
+
+    def test_full_listing_out_of_order_reads_the_inverse_order(self):
+        order = np.random.default_rng(3).permutation(200)
+        assert np.array_equal(positions(self.SYSTEM, self.SYSTEM.indices[order]), order)
+
+    def test_a_listing_sharing_no_mode_reads_minus_one(self):
+        far = single_mode(self.SYSTEM.box, (40, 3))
+        assert positions(far, self.SYSTEM.indices).tolist() == [-1] * 200
+        assert positions(self.SYSTEM, far.indices).tolist() == [-1]
+
+    def test_a_single_row_queried_as_a_list(self):
+        row = self.SYSTEM.indices[123].tolist()
+        assert positions(self.SYSTEM, [row]).tolist() == [123]
 
 
 def weyl_threshold(box: HyperBox, modes: float) -> float:

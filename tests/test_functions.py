@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from levy_elliptic.config import ConfigError
-from levy_elliptic.domain import HyperBox, constant_fourier, eigen_matrix, enumerate_eigen, single_mode
+from levy_elliptic.domain import (
+    EigenSystem,
+    HyperBox,
+    constant_fourier,
+    eigen_matrix,
+    enumerate_eigen,
+    positions,
+    single_mode,
+)
 from levy_elliptic.functions import (
     AxisPower,
     Constant,
@@ -55,7 +63,7 @@ def test_config_eigenfunction_is_the_one_mode_expansion_bit_for_bit(case):
     mode = single_mode(box, index)
     assert np.array_equal(f.evaluate(points), eigen_matrix(mode, points)[0])
     unit = np.zeros(len(system))
-    unit[system.position(index)] = 1.0
+    unit[positions(system, [index])[0]] = 1.0
     assert np.array_equal(fourier_vector(system, f), unit)
     assert integral(f, box) == float(constant_fourier(mode)[0])
     assert square_integral(f, box) == 1.0
@@ -121,6 +129,41 @@ class TestFourierVector:
             for k in range(1, 7)
         ]
         assert vec == pytest.approx(oracle, abs=1e-10)
+
+
+def per_row_transfer(system, f: SpectralFunction) -> np.ndarray:
+    """fourier_vector's spectral branch one row at a time, through a dict of the listing."""
+    where = {tuple(row): i for i, row in enumerate(system.indices.tolist())}
+    out = np.zeros(len(system))
+    for row, c in zip(f.system.indices.tolist(), f.coeffs):
+        if tuple(row) in where:
+            out[where[tuple(row)]] = c
+    return out
+
+
+BOX_2D = HyperBox(((0.0, 1.0), (-1.0, 0.5)))
+LISTING = enumerate_eigen(BOX_2D, count=300)
+
+
+@pytest.mark.parametrize(
+    "system, source",
+    [
+        (LISTING, LISTING.prefix(40)),  # a prefix of the target
+        (LISTING.prefix(40), LISTING),  # longer than the target
+        # longer, reaching past the target's last eigenvalue
+        (LISTING, enumerate_eigen(BOX_2D, lambda_max=float(LISTING.lams[-1]) * 1.3)),
+        (LISTING, single_mode(BOX_2D, (3, 2))),  # one non-leading mode
+        (LISTING, single_mode(BOX_2D, (90, 1))),  # one mode the target lacks
+        (LISTING, EigenSystem(BOX_2D, LISTING.indices[150:60:-1], LISTING.lams[150:60:-1])),  # shorter, reversed
+        (LISTING.prefix(100), EigenSystem(BOX_2D, LISTING.indices[::-3], LISTING.lams[::-3])),  # partly outside
+    ],
+)
+def test_spectral_transfer_matches_a_per_row_reference_bit_for_bit(system, source):
+    coeffs = np.random.default_rng(len(source)).standard_normal(len(source))
+    f = SpectralFunction(source, coeffs)
+    got = fourier_vector(system, f)
+    assert got.shape == (len(system),)
+    assert got.tobytes() == per_row_transfer(system, f).tobytes()
 
 
 class TestIntegrals:

@@ -189,6 +189,15 @@ class TestPairWithFunction:
         # Any one-mode expansion the system lists scales that coefficient.
         assert pair_with_function(real, SpectralFunction(single_mode(UNIT, (5,)), [2.5]), system) == 2.5 * coeffs[4]
 
+    @pytest.mark.parametrize("index", [(1, 1), (2, 1), (3, 4)])
+    def test_eigenfunction_on_a_rectangle_is_the_pair_eigen_coefficient_bit_for_bit(self, index):
+        box = HyperBox(((0.0, 1.0), (0.0, 1.7)))
+        real = sample_noise(NoiseLaw(box, LevyTriplet(0.3, 0.9, SymmetricTwoPoint(2.0, 1.0)), eps=0.4), master_seed=5)
+        system = enumerate_eigen(box, count=64)
+        pos = system.indices.tolist().index(list(index))
+        val = pair_with_function(real, parse_function({"kind": "eigenfunction", "index": list(index)}, box), system)
+        assert val == pair_eigen(real, system)[pos]
+
     def test_integrand_outside_l2_refused_with_a_gaussian_part(self):
         real = atom_realization([[0.5]], [2.0], triplet=LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 2.0)))
         system = enumerate_eigen(UNIT, count=4)
