@@ -5,7 +5,10 @@ spectral-bound}, sweep {sobolev,continuity}, green-oracle.  Configuration
 comes from one JSON file plus ``--set key=value`` overrides; stochastic
 subcommands require a seed.  The config's box, triplet, eps and
 small-jump policy make one ``noise.NoiseLaw``, which every stochastic
-subcommand draws from.  Exit codes: 0 all good, 1 a non-inconclusive
+subcommand draws from.  Every file is written here, not in ``noise``:
+``sample-noise``'s manifest.json holds the law and seed under the
+config's keys, so ``--config manifest.json`` redraws its atoms.csv.
+Exit codes: 0 all good, 1 a non-inconclusive
 verification failed, 2 config error, refused regime or invalid request.
 Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
 box whose volume underflows to 0 or overflows the doubles, an indicator
@@ -133,11 +136,13 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _cmd_sample_noise(cfg: RunConfig) -> int:
     seed = _need_seed(cfg)
-    realization = sample_noise(cfg.noise, seed)
+    atoms = sample_noise(cfg.noise, seed).atoms
     os.makedirs(cfg.outdir, exist_ok=True)
-    realization.atoms.to_csv(os.path.join(cfg.outdir, "atoms.csv"))
-    realization.write_manifest(os.path.join(cfg.outdir, "manifest.json"))
-    print(f"wrote {realization.atoms.count} atoms to {cfg.outdir}")
+    header = [*(f"y_{i+1}" for i in range(cfg.noise.box.dim)), "z"]
+    write_csv(os.path.join(cfg.outdir, "atoms.csv"), header, [*atoms.locations.T, atoms.sizes])
+    with open(os.path.join(cfg.outdir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps({**cfg.noise.to_dict(), "seed": seed}, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {atoms.count} atoms to {cfg.outdir}")
     return 0
 
 

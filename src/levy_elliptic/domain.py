@@ -266,14 +266,18 @@ def single_mode(box: HyperBox, index) -> EigenSystem:
     return EigenSystem(box, idx[None, :], eigenvalues_of(box, idx[None, :]))
 
 
-def _unit_points(box: HyperBox, points) -> tuple[np.ndarray, np.ndarray]:
-    """Points as fractions (x - a) / L of each side, and their boundary mask."""
+def _unit_points(intervals, points) -> tuple[np.ndarray, np.ndarray]:
+    """Points of the closed box of ``intervals`` as fractions (x - a) / L of each
+    side, and their boundary mask, read off x - a and b - x: in IEEE arithmetic
+    each is >= 0 iff its order holds and 0 iff its sides are equal; NaN, +-inf fail."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != box.dim:
-        raise ValueError(f"points have dim {pts.shape[1]}, box has {box.dim}")
-    if not np.all(box.contains(pts)):
+    lower, upper = np.array(intervals).T
+    if pts.shape[1] != len(lower):
+        raise ValueError(f"points have dim {pts.shape[1]}, box has {len(lower)}")
+    below, above = pts - lower, upper - pts
+    if not np.all((below >= 0.0) & (above >= 0.0)):
         raise ValueError("point outside the closed box")
-    return (pts - box.lower) / box.lengths, np.any((pts == box.lower) | (pts == box.upper), axis=1)
+    return below / (upper - lower), np.any((below == 0.0) | (above == 0.0), axis=1)
 
 
 def _block_length(width: int) -> int:
@@ -414,7 +418,7 @@ def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
     """Dense E[j, i] = e_{k_j}(x_i), for small K x points: rows of the kernel's
     sine tables gathered and multiplied axis by axis.  Boundary columns are
     exactly zero.  A block over MAX_MATRIX_VALUES is refused."""
-    unit, on_boundary = _unit_points(system.box, points)
+    unit, on_boundary = _unit_points(system.box.intervals, points)
     if len(system) * len(unit) > MAX_MATRIX_VALUES:
         raise ValueError(
             f"a dense {len(system)} x {len(unit)} eigen matrix is above the cap MAX_MATRIX_VALUES={MAX_MATRIX_VALUES}"
@@ -444,7 +448,7 @@ def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
     gathered from it.  Boundary points carry weight 0.
     """
     kernel = _Kernel.of(system)
-    unit, on_boundary = _unit_points(system.box, points)
+    unit, on_boundary = _unit_points(system.box.intervals, points)
     weights = np.where(on_boundary, 0.0, np.asarray(weights, dtype=float))
     dense = kernel.grid()
     for part, factors in kernel.chunks(unit[:, -1], kernel.rows):
@@ -462,7 +466,7 @@ def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
     kernel = _Kernel.of(system)
     dense = kernel.grid()
     kernel.at_modes(dense)[kernel.modes] = coeffs
-    unit, on_boundary = _unit_points(system.box, points)
+    unit, on_boundary = _unit_points(system.box.intervals, points)
     out = np.empty(len(unit))
     for part, factors in kernel.chunks(unit[:, -1], kernel.rows):
         u = unit[part]
@@ -478,7 +482,7 @@ def _grid_kernel(system: EigenSystem, axes):
     box = system.box
     if len(axes) != box.dim:
         raise ValueError("one coordinate array per axis required")
-    sides = [_unit_points(HyperBox((side,)), np.reshape(xs, (-1, 1))) for side, xs in zip(box.intervals, axes)]
+    sides = [_unit_points((side,), np.reshape(xs, (-1, 1))) for side, xs in zip(box.intervals, axes)]
     kernel = _Kernel.of(system)
     tables = kernel.tables([unit[:, 0] for unit, _ in sides[:-1]])
     for table, (_, on_boundary) in zip(tables, sides):

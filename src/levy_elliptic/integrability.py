@@ -55,7 +55,7 @@ class ExistenceVerdict:
 
     d: int
     gamma: float
-    triplet_summary: dict
+    triplet: LevyTriplet
     exists: bool
     r_max: float
     continuous: bool
@@ -68,7 +68,7 @@ class ExistenceVerdict:
         return {
             "d": self.d,
             "gamma": self.gamma,
-            "triplet": self.triplet_summary,
+            "triplet": self.triplet.to_dict(),
             "exists": self.exists,
             "r_max": self.r_max,
             "continuous": self.continuous,
@@ -103,4 +103,4 @@ def existence_verdict(d: int, gamma: float, triplet: LevyTriplet) -> ExistenceVe
     exists = g > d / 4.0
     # Without jumps the field is Gaussian and continuous wherever it exists.
     continuous = exists if triplet.measure.tail_mass(0.0) == 0.0 else g > d / 2.0
-    return ExistenceVerdict(d, g, triplet.to_dict(), exists, 2.0 * g - d / 2.0, continuous)
+    return ExistenceVerdict(d, g, triplet, exists, 2.0 * g - d / 2.0, continuous)

@@ -25,18 +25,18 @@ Replicate i of a Monte Carlo run with master seed s is
 replicates at once (``pairing_batch``).  A
 realization and a replicate share one atom budget: ``atom_rate`` refuses,
 before any draw, one that expects more than BATCH_ATOMS = 2^20 atoms.
+The module writes no files; ``NoiseLaw.to_dict`` is the law's one
+serialized form, under the run config's keys.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rng
-from ._csvio import write_csv
 from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec, positions
 from .functions import (
     Constant,
@@ -101,6 +101,11 @@ class NoiseLaw:
         """Variance of the Gaussian part of a coefficient: sigma^2 + ``surrogate_variance``."""
         return self.triplet.sigma**2 + self.surrogate_variance
 
+    def to_dict(self) -> dict:
+        """The law under the run config's own keys: a config file of it draws this law."""
+        box = {"dim": self.box.dim, "intervals": [list(pair) for pair in self.box.intervals]}
+        return {"box": box, "triplet": self.triplet.to_dict(), "eps": self.eps, "small_jump_policy": self.policy}
+
 
 def _check_box(box: HyperBox, system: EigenSystem) -> None:
     if system.box != box:
@@ -117,10 +122,6 @@ class JumpAtomSet:
     @property
     def count(self) -> int:
         return len(self.sizes)
-
-    def to_csv(self, path) -> None:
-        header = [*(f"y_{i+1}" for i in range(self.locations.shape[1])), "z"]
-        write_csv(path, header, [*self.locations.T, self.sizes])
 
 
 @dataclass
@@ -143,19 +144,6 @@ class NoiseRealization:
         draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
         draws *= math.sqrt(var)
         return draws
-
-    def manifest(self) -> dict:
-        return {
-            "triplet": self.law.triplet.to_dict(),
-            "eps": self.law.eps,
-            "small_jump_policy": self.law.policy,
-            "seed": self.master_seed,
-        }
-
-    def write_manifest(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def sample_noise(law: NoiseLaw, master_seed: int = 0) -> NoiseRealization:

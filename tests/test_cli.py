@@ -15,6 +15,8 @@ import pytest
 
 from levy_elliptic import cli, domain, noise
 from levy_elliptic.cli import run
+from levy_elliptic.config import load_config
+from levy_elliptic.noise import sample_noise
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
 WEAK = [
@@ -58,6 +60,53 @@ def test_outputs_repeat_byte_for_byte_across_runs_and_workers(tmp_path, capsys, 
         runs.append(outputs(outdir))
     assert set(runs[0]) == files
     assert runs[0] == runs[1] == runs[2]
+
+
+BOX_D2 = ["--set", "d=2", "--set", "intervals=[[0,2],[0,0.5]]"]
+
+
+def test_sample_noise_writes_the_realization_atoms(tmp_path, capsys):
+    # 17 significant digits: every location and size parses back to its double.
+    items = ["d=2", "intervals=[[0,2],[0,0.5]]", "measure=twopoint:5,0.5"]
+    assert run(["sample-noise", *(f"--set={item}" for item in items), "--seed", "3", "--out", str(tmp_path)]) == 0
+    atoms = sample_noise(load_config(None, items).noise, 3).atoms
+    with open(tmp_path / "atoms.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["y_1", "y_2", "z"] and atoms.count > 0
+    back = np.array([[float(v) for v in row] for row in rows[1:]])
+    assert np.array_equal(back, np.column_stack([atoms.locations, atoms.sizes]))
+    assert capsys.readouterr().out == f"wrote {atoms.count} atoms to {tmp_path}\n"
+
+
+def test_sample_noise_manifest_is_the_law_and_seed_in_config_keys(tmp_path, capsys):
+    argv = ["--set", "b=0.1", "--set", "sigma=0.2", "--set", "measure=vgamma:1,2", "--set", "eps=0.3"]
+    assert run(["sample-noise", *argv, "--set", "policy=drop", "--seed", "77", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "manifest.json").read_text()
+    assert text.startswith('{\n  "box": {\n    "dim": 1,') and text.endswith("}\n")
+    assert json.loads(text) == {
+        "box": {"dim": 1, "intervals": [[0.0, 1.0]]},
+        "triplet": {"b": 0.1, "sigma": 0.2, "measure": {"kind": "variance_gamma", "c": 1.0, "m": 2.0}},
+        "eps": 0.3,
+        "small_jump_policy": "drop",
+        "seed": 77,
+    }
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        BOX_D2,
+        ["--set", "measure=alpha:1.5"],
+        ["--set", "measure=vgamma:1,1", "--set", "sigma=0.5", "--set", "policy=drop"],
+        ["--set", "measure=twopoint:5,0.5", "--set", "b=-0.25", "--set", "eps=0.2"],
+        ["--set", "measure=null", "--set", "d=3"],
+    ],
+)
+def test_sample_noise_manifest_redraws_its_files_as_config(tmp_path, capsys, law):
+    assert run(["sample-noise", *law, "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+    redraw = ["sample-noise", "--config", str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "b")]
+    assert run(redraw) == 0
+    assert outputs(tmp_path / "a") == outputs(tmp_path / "b")
 
 
 def test_other_seed_changes_the_solution(tmp_path, capsys):

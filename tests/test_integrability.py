@@ -183,7 +183,7 @@ class TestExistenceVerdict:
 
     def test_consistency_guard(self):
         with pytest.raises(ValueError, match="continuity implies existence"):
-            ExistenceVerdict(1, 0.2, {}, False, -0.1, True)
+            ExistenceVerdict(1, 0.2, stable_triplet(1.0), False, -0.1, True)
 
     def test_verdict_serializable(self):
         import json

@@ -252,6 +252,73 @@ def test_grid_kernels_refuse_coordinates_outside_the_box():
         grid_matvec(system, [np.linspace(0.0, 1.0, 5), np.array([0.5, 1.5])], np.ones((5, 2)))
 
 
+def two_pass_unit_points(box, points):
+    """The point check as it was: ``HyperBox.contains``, then the fractions and
+    the boundary mask from a second pass over the box's arrays."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = bool(np.all(box.contains(pts)))
+    return inside, (pts - box.lower) / box.lengths, np.any((pts == box.lower) | (pts == box.upper), axis=1)
+
+
+CHECK_BOXES = [
+    HyperBox(((0.0, 1.0),)),
+    HyperBox(((0.0, 2.0), (-1.0, 0.5))),
+    HyperBox(((-3.0, 1e-3), (0.1, 0.7), (1e5, 1e5 + 1.0))),
+]
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("box", CHECK_BOXES)
+def test_point_check_is_the_two_pass_check_bit_for_bit(box):
+    lower, upper = box.lower, box.upper
+    inner = lower + np.random.default_rng(7).random((40, box.dim)) * box.lengths
+    rows = [inner]
+    for j in range(box.dim):
+        for face in (lower[j], upper[j], np.nextafter(lower[j], np.inf), np.nextafter(upper[j], -np.inf)):
+            row = inner[:1].copy()
+            row[0, j] = face
+            rows.append(row)
+    pts = np.vstack(rows)
+    inside, unit, on_boundary = two_pass_unit_points(box, pts)
+    assert inside
+    new_unit, new_boundary = domain._unit_points(box.intervals, pts)
+    assert_same_bits(new_unit, unit)
+    assert np.array_equal(new_boundary, on_boundary)
+    assert on_boundary.sum() == 2 * box.dim
+
+
+@pytest.mark.parametrize("box", CHECK_BOXES)
+@pytest.mark.parametrize("bad", ["below", "above", "nan", "inf", "-inf"])
+def test_point_check_refuses_what_the_two_pass_check_refuses(box, bad):
+    for j in range(box.dim):
+        pts = 0.5 * (box.lower + box.upper)[None, :].repeat(3, axis=0)
+        pts[1, j] = {
+            "below": np.nextafter(box.lower[j], -np.inf),
+            "above": np.nextafter(box.upper[j], np.inf),
+            "nan": np.nan,
+            "inf": np.inf,
+            "-inf": -np.inf,
+        }[bad]
+        assert not two_pass_unit_points(box, pts)[0]
+        with pytest.raises(ValueError, match="^point outside the closed box$"):
+            domain._unit_points(box.intervals, pts)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad", [np.nextafter(0.0, -1.0), np.nextafter(2.0, 3.0), np.nan, np.inf, -np.inf])
+def test_grid_kernels_refuse_an_axis_outside_the_box(axis, bad):
+    system = enumerate_eigen(HyperBox(((0.0, 2.0), (0.0, 2.0))), count=10)
+    axes = [np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 4)]
+    axes[axis] = np.append(axes[axis], bad)
+    with pytest.raises(ValueError, match="^point outside the closed box$"):
+        grid_rmatvec(system, np.ones(10), axes)
+    with pytest.raises(ValueError, match="^point outside the closed box$"):
+        grid_matvec(system, axes, np.ones((len(axes[0]), len(axes[1]))))
+
+
 def test_d3_quadrature_projection_memory_is_bounded_by_the_grid():
     # K=512 at d=3 resolves on 68^3 = 314432 Gauss nodes: their points and
     # values take about 10 MiB, one 64-mode block of the dense kernel 153 MiB.

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -100,16 +99,6 @@ class TestPrmSampling:
             sample_noise(NoiseLaw(UNIT, triplet), master_seed=1)
         monkeypatch.setattr(noise, "BATCH_ATOMS", 2000)
         assert 800 < sample_noise(NoiseLaw(UNIT, triplet), master_seed=1).atoms.count < 1200
-
-    def test_atom_csv_round_trip(self, tmp_path):
-        atoms = JumpAtomSet(np.array([[0.25], [0.75]]), np.array([1.5, -2.0]))
-        path = tmp_path / "atoms.csv"
-        atoms.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "y_1,z"
-        back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(back[:, 0], atoms.locations[:, 0])
-        assert np.array_equal(back[:, 1], atoms.sizes)
 
 
 class TestPairEigen:
@@ -324,19 +313,6 @@ class TestReproducibility:
         threaded = run_replicates(one, 12, workers=4)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
-
-    def test_manifest_round_trip(self, tmp_path):
-        triplet = LevyTriplet(0.1, 0.2, VarianceGamma(1.0, 2.0))
-        real = sample_noise(NoiseLaw(UNIT, triplet, eps=0.3, policy="drop"), master_seed=77)
-        path = tmp_path / "manifest.json"
-        real.write_manifest(path)
-        data = json.loads(path.read_text())
-        assert data == {
-            "triplet": {"b": 0.1, "sigma": 0.2, "measure": {"kind": "variance_gamma", "c": 1.0, "m": 2.0}},
-            "eps": 0.3,
-            "small_jump_policy": "drop",
-            "seed": 77,
-        }
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="policy"):
