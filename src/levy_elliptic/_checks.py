@@ -19,6 +19,16 @@ def require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def reported_at(path: str, owner, *args, **kwargs):
+    """``owner(*args, **kwargs)``, a ValueError it raises reported as a ConfigError at ``path``."""
+    try:
+        return owner(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def as_number(value, path: str) -> float:
     require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
     # False for nan, inf and integers too large for a float.
@@ -32,7 +42,7 @@ def as_int(value, path: str, least: int = 1) -> int:
     return value
 
 
-def as_list(value, path: str, least: int, entry) -> list:
-    """A list of at least ``least`` entries, each checked by ``entry(value, path)``."""
-    require(isinstance(value, list) and len(value) >= least, path, f"expected a list of at least {least} entries")
+def as_list(value, path: str, entry) -> list:
+    """A non-empty list, each entry checked by ``entry(value, path)``."""
+    require(isinstance(value, list) and value, path, "expected a non-empty list")
     return [entry(v, f"{path}[{i}]") for i, v in enumerate(value)]

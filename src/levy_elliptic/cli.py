@@ -32,7 +32,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -201,7 +200,7 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
     if which == "sobolev":
         block = cfg.blocks["sobolev"]
         reports = sobolev_sweep(
-            replace(cfg.noise, eps=block["eps"]),
+            block["law"],
             cfg.gamma,
             block["r_list"],
             block["K_list"],

@@ -5,19 +5,27 @@ compose runs textually.  ``--set key=value`` overrides accept dotted paths
 into the document plus a handful of flat aliases (d, K, M, measure, ...)
 for the values that change most often.  Unknown keys anywhere are rejected
 with the offending path.
+
+This module checks shape, types and keys, and asks each value's owner for
+its range: the box, triplet and noise law check themselves when they are
+made, ``existence_verdict`` checks gamma, and each sweep list goes through
+the validator beside its check in ``diagnostics``.  An owner's ValueError
+is reported as a ConfigError at the value's key path.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ._checks import ConfigError, as_int, as_list, as_number, require
+from ._checks import ConfigError, as_int, as_list, as_number, reported_at, require
+from .diagnostics import check_grid_levels, check_k_list, check_r_list, check_t_list
 from .domain import HyperBox
 from .functions import Indicator, parse_function
+from .integrability import existence_verdict
 from .measures import LevyTriplet, parse_measure
-from .noise import POLICIES, NoiseLaw
+from .noise import NoiseLaw
 
 
 DEFAULTS: dict = {
@@ -214,29 +222,22 @@ def _validate(doc: dict) -> RunConfig:
     require(len(intervals) == dim, "box.intervals", f"need {dim} interval pairs")
     pairs = []
     for i, pair in enumerate(intervals):
-        require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"box.intervals[{i}]",
-            "expected [lower, upper]",
-        )
-        lo = as_number(pair[0], f"box.intervals[{i}][0]")
-        hi = as_number(pair[1], f"box.intervals[{i}][1]")
-        require(lo < hi, f"box.intervals[{i}]", "lower must be below upper")
-        pairs.append((lo, hi))
+        path = f"box.intervals[{i}]"
+        require(isinstance(pair, (list, tuple)) and len(pair) == 2, path, "expected [lower, upper]")
+        ends = (as_number(pair[0], f"{path}[0]"), as_number(pair[1], f"{path}[1]"))
+        pairs.append(reported_at(path, HyperBox, (ends,)).intervals[0])
     box = HyperBox(tuple(pairs))
 
     trip = doc["triplet"]
     b = as_number(trip["b"], "triplet.b")
     sigma = as_number(trip["sigma"], "triplet.sigma")
-    require(sigma >= 0.0, "triplet.sigma", "sigma must be >= 0")
-    triplet = LevyTriplet(b, sigma, parse_measure(trip["measure"], "triplet.measure"))
+    # Every parsed measure meets the Levy integrability condition, so sigma is all the triplet can refuse here.
+    triplet = reported_at("triplet.sigma", LevyTriplet, b, sigma, parse_measure(trip["measure"], "triplet.measure"))
 
     gamma = as_number(doc["gamma"], "gamma")
-    require(gamma > 0.0, "gamma", "gamma must be > 0")
-    eps = as_number(doc["eps"], "eps")
-    require(0.0 < eps <= 1.0, "eps", "eps must lie in (0, 1]")
-    policy = doc["small_jump_policy"]
-    require(policy in POLICIES, "small_jump_policy", f"must be one of {POLICIES}")
+    reported_at("gamma", existence_verdict, box.dim, gamma, triplet)
+    noise = reported_at("eps", NoiseLaw, box, triplet, as_number(doc["eps"], "eps"))
+    noise = reported_at("small_jump_policy", replace, noise, policy=doc["small_jump_policy"])
 
     cut = doc["cutoff"]
     require(isinstance(cut, dict), "cutoff", "expected an object")
@@ -262,7 +263,7 @@ def _validate(doc: dict) -> RunConfig:
         name: copy.deepcopy(doc[name])
         for name in ("cf", "isometry", "weak", "sobolev", "continuity", "spectral_bound", "solve", "green_oracle")
     }
-    _validate_blocks(blocks)
+    _validate_blocks(blocks, noise)
     # Parsed at load against the run's box, so every subcommand refuses a bad descriptor.
     for name, key in (("cf", "f"), ("isometry", "f"), ("weak", "phi")):
         blocks[name][key] = parse_function(blocks[name][key], box, f"{name}.{key}")
@@ -271,7 +272,7 @@ def _validate(doc: dict) -> RunConfig:
     require(continuous, "weak.phi", "phi must be continuous on the box, not an indicator")
 
     return RunConfig(
-        noise=NoiseLaw(box, triplet, eps, policy),
+        noise=noise,
         gamma=gamma,
         cutoff=cutoff,
         seed=seed,
@@ -281,10 +282,10 @@ def _validate(doc: dict) -> RunConfig:
     )
 
 
-def _validate_blocks(blocks: dict) -> None:
+def _validate_blocks(blocks: dict, noise: NoiseLaw) -> None:
     cf = blocks["cf"]
     as_int(cf["M"], "cf.M")
-    as_list(cf["u_grid"], "cf.u_grid", 1, as_number)
+    as_list(cf["u_grid"], "cf.u_grid", as_number)
 
     iso = blocks["isometry"]
     as_int(iso["M"], "isometry.M")
@@ -293,28 +294,20 @@ def _validate_blocks(blocks: dict) -> None:
     as_int(blocks["weak"]["replicates"], "weak.replicates")
 
     sob = blocks["sobolev"]
-    r_list = as_list(sob["r_list"], "sobolev.r_list", 1, as_number)
-    require(len(set(r_list)) == len(r_list), "sobolev.r_list", "orders must be distinct")
-    k_list = as_list(sob["K_list"], "sobolev.K_list", 2, as_int)
-    ascending = all(a < b for a, b in zip(k_list, k_list[1:]))
-    require(ascending, "sobolev.K_list", "cutoffs must be strictly ascending")
-    require(k_list[-1] == 2 * k_list[-2], "sobolev.K_list", "the last two cutoffs must be a doubling")
+    reported_at("sobolev.r_list", check_r_list, as_list(sob["r_list"], "sobolev.r_list", as_number))
+    reported_at("sobolev.K_list", check_k_list, as_list(sob["K_list"], "sobolev.K_list", as_int))
     as_int(sob["replicates"], "sobolev.replicates")
     require(isinstance(sob["surrogate"], bool), "sobolev.surrogate", "expected a boolean")
-    eps = as_number(sob["eps"], "sobolev.eps")
-    require(0.0 < eps <= 1.0, "sobolev.eps", "eps must lie in (0, 1]")
+    # The sweep's own law: the run's with the sweep's eps in place of the run's.
+    sob["law"] = reported_at("sobolev.eps", replace, noise, eps=as_number(sob.pop("eps"), "sobolev.eps"))
 
     cont = blocks["continuity"]
-    levels = as_list(cont["grid_levels"], "continuity.grid_levels", 3, as_int)
-    # Distinct, not sorted: the probe sorts the levels itself.
-    require(len(set(levels)) == len(levels), "continuity.grid_levels", "levels must be distinct")
+    levels = as_list(cont["grid_levels"], "continuity.grid_levels", as_int)
+    reported_at("continuity.grid_levels", check_grid_levels, levels)
     as_int(cont["replicates"], "continuity.replicates")
 
     sb = blocks["spectral_bound"]
-    t_list = as_list(sb["t_list"], "spectral_bound.t_list", 2, as_number)
-    require(t_list[0] > 0.0, "spectral_bound.t_list", "levels must be positive")
-    increasing = all(a < b for a, b in zip(t_list, t_list[1:]))
-    require(increasing, "spectral_bound.t_list", "levels must be strictly increasing")
+    reported_at("spectral_bound.t_list", check_t_list, as_list(sb["t_list"], "spectral_bound.t_list", as_number))
     as_int(sb["x_count"], "spectral_bound.x_count")
 
     as_int(blocks["solve"]["grid_points"], "solve.grid_points", least=2)

@@ -252,6 +252,24 @@ def _classify(rel_inc: float, slope: float) -> str:
     return "inconclusive"
 
 
+def check_k_list(k_list) -> list[int]:
+    """The sweep's cutoffs as integers: at least 2, strictly ascending, the last two a doubling."""
+    k_list = [int(k) for k in k_list]
+    if len(k_list) < 2:
+        raise ValueError("need at least 2 cutoffs")
+    if not all(a < b for a, b in zip(k_list, k_list[1:])):
+        raise ValueError("cutoffs must be strictly ascending")
+    if k_list[-1] != 2 * k_list[-2]:
+        raise ValueError("the last two cutoffs must be a doubling")
+    return k_list
+
+
+def check_r_list(r_list) -> None:
+    """The sweep's Sobolev orders, in any order, must be distinct."""
+    if len(set(r_list)) != len(r_list):
+        raise ValueError("orders must be distinct")
+
+
 def sobolev_sweep(
     law: NoiseLaw,
     gamma: float,
@@ -280,11 +298,8 @@ def sobolev_sweep(
     the analytic boundary.
     """
     d = law.box.dim
-    k_list = [int(k) for k in k_list]
-    if sorted(k_list) != k_list or len(k_list) < 2:
-        raise ValueError("k_list must be ascending with at least two entries")
-    if k_list[-1] != 2 * k_list[-2]:
-        raise ValueError("the last two cutoffs must be a doubling (bands assume it)")
+    k_list = check_k_list(k_list)
+    check_r_list(r_list)
     threshold_r = refuse_outside_regime(d, gamma, law.triplet, override).r_max
 
     system = enumerate_eigen(law.box, count=k_list[-1])
@@ -352,6 +367,16 @@ def sobolev_sweep(
     return reports
 
 
+def check_grid_levels(grid_levels) -> list[int]:
+    """The probe's dyadic levels as sorted integers: at least 3, distinct."""
+    levels = sorted(int(l) for l in grid_levels)
+    if len(levels) < 3:
+        raise ValueError("need at least 3 grid levels")
+    if len(set(levels)) != len(levels):
+        raise ValueError("levels must be distinct")
+    return levels
+
+
 def continuity_probe(
     law: NoiseLaw,
     gamma: float,
@@ -375,9 +400,7 @@ def continuity_probe(
     """
     box = law.box
     d = box.dim
-    levels = sorted(int(l) for l in grid_levels)
-    if len(levels) < 3:
-        raise ValueError("need at least three grid levels")
+    levels = check_grid_levels(grid_levels)
     continuous = refuse_outside_regime(d, gamma, law.triplet, override).continuous
 
     l_min = float(np.min(box.lengths))
@@ -439,6 +462,18 @@ def continuity_probe(
     )
 
 
+def check_t_list(t_list) -> list[float]:
+    """The check's counting levels as floats: at least 2, positive, strictly increasing."""
+    t_list = [float(t) for t in t_list]
+    if len(t_list) < 2:
+        raise ValueError("need at least 2 levels")
+    if not t_list[0] > 0.0:
+        raise ValueError("levels must be positive")
+    if not all(a < b for a, b in zip(t_list, t_list[1:])):
+        raise ValueError("levels must be strictly increasing")
+    return t_list
+
+
 def spectral_bound_check(box: HyperBox, t_list, x_sample) -> TestReport:
     """Pointwise counting-sum growth check.
 
@@ -446,9 +481,7 @@ def spectral_bound_check(box: HyperBox, t_list, x_sample) -> TestReport:
     check fits the log-log slope of V(t, x) / t^(d/2) per sample point and
     passes when every fitted slope stays within +/- 0.1 (no trend).
     """
-    t_list = [float(t) for t in t_list]
-    if sorted(t_list) != t_list or len(t_list) < 2:
-        raise ValueError("t_list must be increasing with at least two entries")
+    t_list = check_t_list(t_list)
     pts = np.atleast_2d(np.asarray(x_sample, dtype=float))
     d = box.dim
     system = enumerate_eigen(box, lambda_max=t_list[-1])

@@ -83,7 +83,7 @@ class HyperBox:
             raise ValueError("box needs at least one interval")
         for a, b in ivs:
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise ValueError(f"degenerate interval ({a}, {b})")
+                raise ValueError(f"lower must be below upper, both finite, got ({a}, {b})")
         with np.errstate(over="ignore"):
             _refuse_out_of_range(self, self.volume, "volume")
 
@@ -110,11 +110,6 @@ class HyperBox:
     @classmethod
     def unit(cls, dim: int) -> "HyperBox":
         return cls(tuple((0.0, 1.0) for _ in range(dim)))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points lying in the closed box; shape (m, d) input."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from ._checks import ConfigError, as_int, as_list, as_number, require
 from .domain import (
     EigenSystem,
     HyperBox,
+    _unit_points,
     constant_fourier,
     eigen_rmatvec,
     grid_matvec,
@@ -262,14 +263,16 @@ def parse_function(data: dict, box: HyperBox, path: str = "f"):
         if kind == "constant":
             return Constant(as_number(data.get("value", 1.0), f"{path}.value"))
         if kind == "eigenfunction":
-            index = as_list(data["index"], f"{path}.index", 1, as_int)
+            index = as_list(data["index"], f"{path}.index", as_int)
             # One entry applies to every axis, as one box.intervals pair does.
             return SpectralFunction(single_mode(box, tuple(index * box.dim if len(index) == 1 else index)), [1.0])
         if kind == "indicator":
             members = tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"])
             for i, member in enumerate(members):
-                inside = member.dim == box.dim and box.contains(np.stack([member.lower, member.upper])).all()
-                require(bool(inside), f"{path}.boxes[{i}]", f"member must be a {box.dim}-d box inside the run's box")
+                try:  # both corners in the run's closed box, in the run's dimension
+                    _unit_points(box.intervals, np.stack([member.lower, member.upper]))
+                except ValueError:
+                    raise ConfigError(f"{path}.boxes[{i}]", f"member must be a {box.dim}-d box inside the run's box")
             return Indicator(members)
         axis = as_int(data.get("axis", 0), f"{path}.axis", least=0)
         require(axis < box.dim, f"{path}.axis", f"axis must lie in [0, {box.dim})")
@@ -279,7 +282,7 @@ def parse_function(data: dict, box: HyperBox, path: str = "f"):
             below = offset <= box.intervals[axis][0]
             require(below, f"{path}.offset", "offset must sit at or below the box on its axis")
             return AxisPower(exponent, axis, offset)
-        return Polynomial(tuple(as_list(data["coeffs"], f"{path}.coeffs", 1, as_number)), axis)
+        return Polynomial(tuple(as_list(data["coeffs"], f"{path}.coeffs", as_number)), axis)
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}", f"missing key of {kind}")
     except ConfigError:

@@ -32,7 +32,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import _rng
-from ._checks import ConfigError, as_number
+from ._checks import ConfigError, as_number, reported_at
 
 
 class LevyMeasure:
@@ -274,11 +274,7 @@ def parse_measure(spec: dict | str, path: str = "measure") -> LevyMeasure:
     for name in names:
         if name not in spec:
             raise ConfigError(f"{path}.{name}", f"missing parameter of {cls.kind}")
-    values = [as_number(spec[name], f"{path}.{name}") for name in names]
-    try:
-        return cls(*values)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    return reported_at(path, cls, *(as_number(spec[name], f"{path}.{name}") for name in names))
 
 
 @dataclass(frozen=True)

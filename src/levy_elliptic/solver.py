@@ -101,7 +101,14 @@ def solve_mild(
     set (divergence sweeps set it deliberately).
     """
     refuse_outside_regime(system.box.dim, gamma, realization.law.triplet, override)
-    return SpectralFunction(system, pair_eigen(realization, system) / system.lams**gamma)
+    return _apply_inverse(system, gamma, pair_eigen(realization, system))
+
+
+def _apply_inverse(system: EigenSystem, gamma: float, values: np.ndarray) -> SpectralFunction:
+    """The expansion with coefficients values_k / lambda_k^gamma.  A power past
+    the doubles reads inf, so its mode is exactly 0, without a warning."""
+    with np.errstate(over="ignore"):
+        return SpectralFunction(system, values / system.lams**gamma)
 
 
 def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarray:
@@ -129,8 +136,7 @@ def green_convolve(system: EigenSystem, gamma: float, phi) -> SpectralFunction:
     Coefficients <phi, e_k> / lambda_k^gamma; evaluable like any spectral
     function and pairable with a noise realization.
     """
-    coeffs = fourier_vector(system, phi) / system.lams**gamma
-    return SpectralFunction(system, coeffs)
+    return _apply_inverse(system, gamma, fourier_vector(system, phi))
 
 
 def dump_coeffs_csv(field: SpectralFunction, path) -> None:

@@ -16,7 +16,11 @@ import pytest
 from levy_elliptic import cli, domain, noise
 from levy_elliptic.cli import run
 from levy_elliptic.config import load_config
-from levy_elliptic.noise import sample_noise
+from levy_elliptic.diagnostics import check_grid_levels, check_k_list, check_r_list, check_t_list
+from levy_elliptic.domain import HyperBox
+from levy_elliptic.integrability import existence_verdict
+from levy_elliptic.measures import AlphaStable, LevyTriplet
+from levy_elliptic.noise import NoiseLaw, sample_noise
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
 WEAK = [
@@ -560,3 +564,49 @@ def test_variance_gamma_solve_imports_scipy_special_lazily(tmp_path):
     loaded = scipy_after(f"from levy_elliptic.cli import run\nassert run({argv!r}) == 0")
     assert "scipy.special" in loaded
     assert (tmp_path / "out" / "coefficients.csv").exists()
+
+
+OWNER_TRIPLET = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
+
+
+@pytest.mark.parametrize(
+    "item,path,owner",
+    [
+        ("intervals=[[1,0]]", "box.intervals[0]", lambda: HyperBox(((1.0, 0.0),))),
+        ("sigma=-1", "triplet.sigma", lambda: LevyTriplet(0.0, -1.0, AlphaStable(1.5))),
+        ("gamma=-1", "gamma", lambda: existence_verdict(1, -1.0, OWNER_TRIPLET)),
+        ("gamma=0", "gamma", lambda: existence_verdict(1, 0.0, OWNER_TRIPLET)),
+        ("eps=1.5", "eps", lambda: NoiseLaw(HyperBox.unit(1), OWNER_TRIPLET, 1.5)),
+        ("sobolev.eps=0", "sobolev.eps", lambda: NoiseLaw(HyperBox.unit(1), OWNER_TRIPLET, 0.0)),
+        ("policy=gaussianise", "small_jump_policy", lambda: NoiseLaw(HyperBox.unit(1), OWNER_TRIPLET, policy="gaussianise")),
+        ("K_list=[1024]", "sobolev.K_list", lambda: check_k_list([1024])),
+        ("K_list=1024,1024,2048", "sobolev.K_list", lambda: check_k_list([1024, 1024, 2048])),
+        ("K_list=1024,3000", "sobolev.K_list", lambda: check_k_list([1024, 3000])),
+        ("r_list=1.0,1.0", "sobolev.r_list", lambda: check_r_list([1.0, 1.0])),
+        ("grid_levels=4,5", "continuity.grid_levels", lambda: check_grid_levels([4, 5])),
+        ("grid_levels=6,4,6", "continuity.grid_levels", lambda: check_grid_levels([6, 4, 6])),
+        ("t_list=[100]", "spectral_bound.t_list", lambda: check_t_list([100.0])),
+        ("t_list=0,100", "spectral_bound.t_list", lambda: check_t_list([0.0, 100.0])),
+        ("t_list=300,100", "spectral_bound.t_list", lambda: check_t_list([300.0, 100.0])),
+    ],
+)
+def test_the_cli_refuses_with_the_owners_message(capsys, item, path, owner):
+    with pytest.raises(ValueError) as exc:
+        owner()
+    assert run(["check", "--set", item]) == 2
+    assert capsys.readouterr().err == f"config error at {path}: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--set", "grid_points=9"],
+        ["verify", "weak", "--set", "weak.replicates=1"],
+        ["sweep", "continuity", "--set", "grid_levels=3,4,5", "--set", "replicates=2"],
+    ],
+)
+def test_a_gamma_whose_powers_leave_the_doubles_runs_without_a_warning(tmp_path, argv):
+    # At gamma = 300, lambda_k^gamma is inf from the second mode of the unit interval on.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--set", "gamma=300", "--seed", "1", "--out", str(tmp_path / "out")]) == 0

@@ -352,3 +352,26 @@ def test_many_chunks_repeat_exactly_within_a_small_memory_bound(monkeypatch):
     assert runs[0] == runs[1]
     # Two runs of two batches, each of about 436 blocks of at most 4096 atoms.
     assert len(chunks) >= 4 * 400 and max(chunks) <= 4096
+
+
+DRIFT_LAW = NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.5)))
+DRIFT_POINTS = np.array([[0.3], [0.6]])
+
+
+@pytest.mark.parametrize(
+    "check,message",
+    [
+        (lambda: continuity_probe(DRIFT_LAW, 1.5, [4, 4, 5], 2, 7), "levels must be distinct"),
+        (lambda: spectral_bound_check(UNIT, [0, 100, 300], DRIFT_POINTS), "levels must be positive"),
+        (lambda: spectral_bound_check(UNIT, [-5, 100], DRIFT_POINTS), "levels must be positive"),
+        (lambda: spectral_bound_check(UNIT, [100, 100, 300], DRIFT_POINTS), "levels must be strictly increasing"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 1024, 2048], 2, 7), "cutoffs must be strictly ascending"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0, 1.0], [1024, 2048], 2, 7), "orders must be distinct"),
+    ],
+    ids=["levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "r-repeated"],
+)
+def test_checks_refuse_what_the_config_refuses(monkeypatch, check, message):
+    # Refused before any mode is listed: the rule is checked first, not met by chance later.
+    monkeypatch.setattr(diagnostics, "enumerate_eigen", lambda *a, **k: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check()

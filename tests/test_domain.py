@@ -383,11 +383,13 @@ class TestBoxAndQuadrature:
         with pytest.raises(ValueError):
             HyperBox(((2.0, 1.0),))
 
-    def test_volume_and_contains(self):
+    def test_volume_and_point_check(self):
         box = HyperBox(((0.0, 2.0), (-1.0, 1.0)))
         assert box.volume == 4.0
-        mask = box.contains(np.array([[1.0, 0.0], [3.0, 0.0]]))
-        assert mask.tolist() == [True, False]
+        unit, on_boundary = domain._unit_points(box.intervals, np.array([[1.0, 0.0], [2.0, -1.0]]))
+        assert unit.tolist() == [[0.5, 0.5], [1.0, 0.0]] and on_boundary.tolist() == [False, True]
+        with pytest.raises(ValueError, match="^point outside the closed box$"):
+            domain._unit_points(box.intervals, np.array([[1.0, 0.0], [3.0, 0.0]]))
 
     def test_a_gauss_rule_over_the_cap_is_refused_before_leggauss(self, monkeypatch):
         assert len(gauss_rule(UNIT, 64)[0][0]) == 64

@@ -253,10 +253,10 @@ def test_grid_kernels_refuse_coordinates_outside_the_box():
 
 
 def two_pass_unit_points(box, points):
-    """The point check as it was: ``HyperBox.contains``, then the fractions and
+    """The point check as it was: a closed-box test, then the fractions and
     the boundary mask from a second pass over the box's arrays."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = bool(np.all(box.contains(pts)))
+    inside = bool(np.all((pts >= box.lower) & (pts <= box.upper)))
     return inside, (pts - box.lower) / box.lengths, np.any((pts == box.lower) | (pts == box.upper), axis=1)
 
 

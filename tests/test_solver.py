@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,3 +228,20 @@ class TestDumps:
         assert lines[0] == "x_1,value"
         assert len(lines) == 6
         assert float(lines[1].split(",")[1]) == 0.0  # boundary row
+
+
+def test_a_power_past_the_doubles_reads_a_zero_mode_and_keeps_the_finite_bits():
+    system = enumerate_eigen(UNIT, count=256)
+    realization = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.3, AlphaStable(1.5)), eps=0.05), 3)
+    with np.errstate(over="ignore"):
+        powers = system.lams**300.0
+    finite = np.isfinite(powers)
+    assert 0 < finite.sum() < len(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = solve_mild(realization, 300.0, system)
+        smoothed = green_convolve(system, 300.0, Constant(1.0))
+    coeffs = pair_eigen(realization, system)
+    assert np.array_equal(field.coeffs[finite], coeffs[finite] / powers[finite])
+    assert np.all(field.coeffs[~finite] == 0.0) and np.all(smoothed.coeffs[~finite] == 0.0)
+    assert np.all(np.isfinite(smoothed.coeffs))
