@@ -36,9 +36,10 @@ def as_number(value, path: str) -> float:
     return float(value)
 
 
-def as_int(value, path: str, least: int = 1) -> int:
-    ok = isinstance(value, int) and not isinstance(value, bool) and value >= least
-    require(ok, path, f"expected an integer >= {least}")
+def as_int(value, path: str, least: int | None = 1) -> int:
+    """An integer, at least ``least`` unless that is None (its owner checks the range)."""
+    ok = isinstance(value, int) and not isinstance(value, bool) and (least is None or value >= least)
+    require(ok, path, "expected an integer" if least is None else f"expected an integer >= {least}")
     return value
 
 

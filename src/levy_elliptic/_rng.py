@@ -46,6 +46,8 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -74,9 +76,18 @@ _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 _BLOCK = 1 << 16
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int, refused unless it lies in [0, 2^64): every stream
+    keys on 64 bits, so a negative or larger seed would alias another."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+    return seed
+
+
 def stream(seed: int, tag: int) -> np.random.Generator:
     """Generator for a named sampling stream derived from ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(tag,))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=(tag,))
     return np.random.default_rng(ss)
 
 
@@ -112,7 +123,7 @@ def skip_uniforms(rng, n: int) -> None:
 def replicate_seed(master_seed: int, replicate_id: int) -> int:
     """Derived 64-bit seed for one replicate of a Monte Carlo run."""
     ss = np.random.SeedSequence(
-        entropy=int(master_seed) & _MASK64,
+        entropy=check_seed(master_seed),
         spawn_key=(REPLICATE_STREAM, int(replicate_id)),
     )
     return int(ss.generate_state(1, np.uint64)[0])
@@ -143,7 +154,7 @@ def _keyed_blocks(seed: int, purpose: int, indices):
     idx = np.asarray(indices)
     if idx.ndim == 1:
         idx = idx[:, None]
-    prefix = np.uint64(_mix_int((int(seed) & _MASK64) ^ ((int(purpose) * _GOLD_INT) & _MASK64)))
+    prefix = np.uint64(_mix_int(check_seed(seed) ^ ((int(purpose) * _GOLD_INT) & _MASK64)))
     h = np.empty(min(len(idx), _BLOCK), dtype=np.uint64)
     scratch = np.empty_like(h)
     for start in range(0, len(idx), _BLOCK):
@@ -267,9 +278,9 @@ def _ndtri_block(y0: np.ndarray, res: np.ndarray, work: _NdtriWork) -> None:
     yt, x, x0, x1 = work.y[:m], work.y2[:m], work.tail[:m], work.acc[:m]
     np.take(y0, tail, out=yt)
     upper = yt > 1.0 - _EXP_M2
-    # x = sqrt(-2 log y) of the nearer end's distance y.
+    # x = sqrt(-2 log y) of the nearer end's distance y, min(1 - y, y).
     np.subtract(1.0, yt, out=x)
-    np.copyto(x, yt, where=~upper)
+    np.minimum(x, yt, out=x)
     np.log(x, out=x)
     x *= -2.0
     np.sqrt(x, out=x)
@@ -284,7 +295,10 @@ def _ndtri_block(y0: np.ndarray, res: np.ndarray, work: _NdtriWork) -> None:
     if far.any():
         zf = z[far]
         x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2, monic=True)
-    lower = np.subtract(x1, x0, out=z)
+    # x0 - x1 on the upper tail, its exact negation x1 - x0 on the lower one;
+    # a tail quantile lies above 1.1 in magnitude, so no signed zero arises.
+    sign = np.multiply(upper, 2.0, out=z)
+    sign -= 1.0
     np.subtract(x0, x1, out=x0)
-    np.copyto(x0, lower, where=~upper)
+    x0 *= sign
     res[tail] = x0

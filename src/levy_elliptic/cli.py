@@ -13,10 +13,12 @@ verification failed, 2 config error, refused regime or invalid request.
 Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
 box whose volume underflows to 0 or overflows the doubles, an indicator
 ``weak.phi`` (the weak test's Gauss rule cannot resolve its jump), a
-grid over MAX_GRID_VALUES in ``solve``, ``sweep continuity`` or
-``green-oracle``, a draw of the noise over its atom budget (see ``noise``),
-a truncation over the mode budget ``domain.MAX_MODES`` (a count above it or
-a threshold whose Weyl term lies above it), a dense eigen block over
+grid over ``solver.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
+``green-oracle``, an ``isometry.band_high`` at or below eps in ``verify
+isometry`` (only there, so other subcommands run at eps = 1), a draw of
+the noise over its atom budget (see ``noise``), a truncation over the
+mode budget ``domain.MAX_MODES`` (a count above it or a threshold whose
+Weyl term lies above it), a dense eigen block over
 ``domain.MAX_MATRIX_VALUES`` (``green-oracle`` at a large K), a Gauss rule
 over ``domain.MAX_GAUSS_NODES`` nodes an axis (``verify weak`` at d = 1 past
 K = 8168) and an integrand the CF test cannot evaluate.  Given one seed,
@@ -37,9 +39,11 @@ import numpy as np
 
 from . import _rng
 from ._csvio import write_csv
+from ._checks import reported_at
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     TestReport,
+    check_grid_levels,
     continuity_probe,
     empirical_cf_test,
     isometry_test,
@@ -50,20 +54,17 @@ from .diagnostics import (
 )
 from .domain import enumerate_eigen, tensor_points
 from .integrability import existence_verdict, green_kernel_integrability
+from .measures import check_band
 from .noise import replicate_noise, sample_noise
 from .solver import (
     RegimeRefusalError,
+    check_grid,
     dump_coeffs_csv,
     dump_field_grid_csv,
     green_gamma_eval,
     green_gamma_grid,
     solve_mild,
 )
-
-
-# Largest tensor grid, in values, that solve writes, sweep continuity evaluates
-# or green-oracle tabulates; those commands check it, so the others run at high d.
-MAX_GRID_VALUES = 1 << 21
 
 
 def _sanitize(name: str) -> str:
@@ -148,8 +149,7 @@ def _cmd_sample_noise(cfg: RunConfig) -> int:
 def _cmd_solve(cfg: RunConfig, override: bool) -> int:
     seed = _need_seed(cfg)
     n, d = cfg.blocks["solve"]["grid_points"], cfg.noise.box.dim
-    if n**d > MAX_GRID_VALUES:
-        raise ConfigError("solve.grid_points", f"{n}^{d} rows exceed the cap of {MAX_GRID_VALUES}")
+    reported_at("solve.grid_points", check_grid, [n] * d)
     system = _system(cfg)
     realization = sample_noise(cfg.noise, seed)
     field = solve_mild(realization, cfg.gamma, system, override=override)
@@ -170,6 +170,7 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
         ]
     elif which == "isometry":
         block = cfg.blocks["isometry"]
+        reported_at("isometry.band_high", check_band, cfg.noise.eps, block["band_high"])
         reports = [isometry_test(cfg.noise, block["f"], block["M"], seed, band_high=block["band_high"])]
     elif which == "weak":
         block = cfg.blocks["weak"]
@@ -212,10 +213,7 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
         )
     else:
         block = cfg.blocks["continuity"]
-        finest, d = max(block["grid_levels"]), cfg.noise.box.dim
-        if (2 ** min(finest, 32) + 1) ** d > MAX_GRID_VALUES:  # a level past 32 is over it anyway
-            message = f"the finest grid, (2^{finest} + 1)^{d} values, exceeds the cap of {MAX_GRID_VALUES}"
-            raise ConfigError("continuity.grid_levels", message)
+        reported_at("continuity.grid_levels", check_grid_levels, block["grid_levels"], cfg.noise.box.dim)
         reports = [
             continuity_probe(
                 cfg.noise,
@@ -234,8 +232,7 @@ def _cmd_green_oracle(cfg: RunConfig) -> int:
     if cfg.noise.box.dim != 1 or cfg.gamma != 1.0:
         raise ConfigError("green_oracle", "closed-form oracle needs dim=1 and gamma=1")
     n = cfg.blocks["green_oracle"]["grid_points"]
-    if n * n > MAX_GRID_VALUES:
-        raise ConfigError("green_oracle.grid_points", f"{n}^2 pairs exceed the cap of {MAX_GRID_VALUES}")
+    reported_at("green_oracle.grid_points", check_grid, [n, n])
     tol = cfg.blocks["green_oracle"]["tolerance"]
     system = _system(cfg)
     (a, b) = cfg.noise.box.intervals[0]

@@ -8,9 +8,13 @@ with the offending path.
 
 This module checks shape, types and keys, and asks each value's owner for
 its range: the box, triplet and noise law check themselves when they are
-made, ``existence_verdict`` checks gamma, and each sweep list goes through
-the validator beside its check in ``diagnostics``.  An owner's ValueError
-is reported as a ConfigError at the value's key path.
+made, ``existence_verdict`` checks gamma, ``_rng.check_seed`` the seed,
+``domain.check_cutoff`` the cutoff, and the Monte Carlo sizes, the weak
+test's phi and each sweep list go through the validator beside their check
+in ``diagnostics``.  An owner's ValueError is reported as a ConfigError at
+the value's key path.  Rules that would refuse a valid run of another
+subcommand are checked by the subcommand that needs them, in ``cli``: the
+grid caps, and the isometry band (eps, band_high], empty at eps = 1.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import json
 from dataclasses import dataclass, replace
 
 from ._checks import ConfigError, as_int, as_list, as_number, reported_at, require
-from .diagnostics import check_grid_levels, check_k_list, check_r_list, check_t_list
-from .domain import HyperBox
-from .functions import Indicator, parse_function
+from ._rng import check_seed
+from .diagnostics import check_grid_levels, check_k_list, check_m, check_r_list, check_t_list, check_weak_phi
+from .domain import HyperBox, check_cutoff
+from .functions import parse_function
 from .integrability import existence_verdict
 from .measures import LevyTriplet, parse_measure
 from .noise import NoiseLaw
@@ -244,15 +249,16 @@ def _validate(doc: dict) -> RunConfig:
     require(len(cut) == 1 and set(cut) <= {"count", "threshold"}, "cutoff", "give exactly one of count or threshold")
     if "threshold" in cut:
         thr = as_number(cut["threshold"], "cutoff.threshold")
-        require(thr > 0.0, "cutoff.threshold", "threshold must be > 0")
+        reported_at("cutoff.threshold", check_cutoff, lambda_max=thr)
         cutoff = ("threshold", thr)
     else:
-        cutoff = ("count", float(as_int(cut["count"], "cutoff.count")))
+        count = as_int(cut["count"], "cutoff.count", least=None)
+        reported_at("cutoff.count", check_cutoff, count=count)
+        cutoff = ("count", float(count))
 
     seed = doc["seed"]
     if seed is not None:
-        # The streams key on 64 bits, so a larger seed would alias a smaller one.
-        require(as_int(seed, "seed", least=0) < 1 << 64, "seed", "expected an integer below 2^64")
+        reported_at("seed", check_seed, as_int(seed, "seed", least=None))
 
     workers = as_int(doc["workers"], "workers")
 
@@ -267,9 +273,7 @@ def _validate(doc: dict) -> RunConfig:
     # Parsed at load against the run's box, so every subcommand refuses a bad descriptor.
     for name, key in (("cf", "f"), ("isometry", "f"), ("weak", "phi")):
         blocks[name][key] = parse_function(blocks[name][key], box, f"{name}.{key}")
-    # The weak test's Gauss rule cannot resolve the jump of an indicator at its faces.
-    continuous = not isinstance(blocks["weak"]["phi"], Indicator)
-    require(continuous, "weak.phi", "phi must be continuous on the box, not an indicator")
+    reported_at("weak.phi", check_weak_phi, blocks["weak"]["phi"])
 
     return RunConfig(
         noise=noise,
@@ -284,11 +288,11 @@ def _validate(doc: dict) -> RunConfig:
 
 def _validate_blocks(blocks: dict, noise: NoiseLaw) -> None:
     cf = blocks["cf"]
-    as_int(cf["M"], "cf.M")
+    reported_at("cf.M", check_m, as_int(cf["M"], "cf.M", least=None))
     as_list(cf["u_grid"], "cf.u_grid", as_number)
 
     iso = blocks["isometry"]
-    as_int(iso["M"], "isometry.M")
+    reported_at("isometry.M", check_m, as_int(iso["M"], "isometry.M", least=None))
     as_number(iso["band_high"], "isometry.band_high")
 
     as_int(blocks["weak"]["replicates"], "weak.replicates")

@@ -33,7 +33,7 @@ from .functions import Constant, Indicator, SpectralFunction, integral, square_i
 from .integrability import rr_integrability
 from .measures import band_variance, characteristic_exponent
 from .noise import NoiseLaw, jump_sums, pair_eigen, pair_with_function, pairing_batch, replicate_noise
-from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
+from .solver import check_grid, eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
 CONVERGED_BAND = 0.01
 DIVERGENT_BAND = 0.05
@@ -86,6 +86,12 @@ def run_replicates(fn, n: int, workers: int = 1) -> list:
         return list(pool.map(fn, range(n)))
 
 
+def check_m(m: int) -> None:
+    """A Monte Carlo batch of m replicates needs m >= 1000."""
+    if m < 1000:
+        raise ValueError(f"m below 1000 has no statistical power, got {m}")
+
+
 def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: EigenSystem) -> TestReport:
     """Empirical characteristic function of <noise, f> against its law.
 
@@ -94,8 +100,7 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
     Statistic: max_u |empirical CF - target|; threshold 4/sqrt(m), the
     conservative envelope for bounded complex averages.
     """
-    if m < 1000:
-        raise ValueError("m below 1000 has no statistical power; refused")
+    check_m(m)
     box, triplet = law.box, law.triplet
     report = rr_integrability(f, triplet, box)
     if not report.verdict:
@@ -156,8 +161,7 @@ def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0
     simulable equivalent.  Statistic: |empirical/exact - 1|, threshold 0.05
     sized for m = 1e5.
     """
-    if m < 1000:
-        raise ValueError("m below 1000 has no statistical power; refused")
+    check_m(m)
     box, eps = law.box, law.eps
     f_square = square_integral(f, box)
     if not math.isfinite(f_square):
@@ -194,6 +198,12 @@ def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0
     )
 
 
+def check_weak_phi(phi) -> None:
+    """Refuse an indicator phi: the weak test's Gauss rule cannot resolve its jump at the faces."""
+    if isinstance(phi, Indicator):
+        raise ValueError("phi must be continuous on the box, not an indicator")
+
+
 def weak_identity_test(
     realization,
     phi,
@@ -211,6 +221,7 @@ def weak_identity_test(
     phi must be continuous on the box: the resolving Gauss rule cannot
     resolve a jump, such as an indicator's at its faces.
     """
+    check_weak_phi(phi)
     u = solve_mild(realization, gamma, system, override=override)
     axes, w = resolving_gauss_rule(system)
     uvals = eval_field_grid(u, axes).ravel()
@@ -367,13 +378,16 @@ def sobolev_sweep(
     return reports
 
 
-def check_grid_levels(grid_levels) -> list[int]:
-    """The probe's dyadic levels as sorted integers: at least 3, distinct."""
+def check_grid_levels(grid_levels, dim: int | None = None) -> list[int]:
+    """The probe's dyadic levels as sorted integers: at least 3, distinct,
+    and, given the dimension, the finest grid within ``check_grid``'s cap."""
     levels = sorted(int(l) for l in grid_levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 grid levels")
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
+    if dim is not None:
+        check_grid([2 ** min(levels[-1], 32) + 1] * dim)  # a level past 32 is over the cap anyway
     return levels
 
 
@@ -400,7 +414,7 @@ def continuity_probe(
     """
     box = law.box
     d = box.dim
-    levels = check_grid_levels(grid_levels)
+    levels = check_grid_levels(grid_levels, d)
     continuous = refuse_outside_regime(d, gamma, law.triplet, override).continuous
 
     l_min = float(np.min(box.lengths))

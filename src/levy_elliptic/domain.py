@@ -193,6 +193,16 @@ def _refuse_out_of_range(box: HyperBox, value: float, name: str) -> None:
         raise ValueError(f"the {name} of the box {box.intervals} is {value:g}, outside the double range")
 
 
+def check_cutoff(count: int | None = None, lambda_max: float | None = None) -> None:
+    """A listing's one criterion: a mode count >= 1 or an eigenvalue threshold > 0."""
+    if (count is None) == (lambda_max is None):
+        raise ValueError("specify exactly one of count, lambda_max")
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if lambda_max is not None and not lambda_max > 0.0:
+        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+
+
 def enumerate_eigen(
     box: HyperBox, count: int | None = None, lambda_max: float | None = None
 ) -> EigenSystem:
@@ -207,14 +217,11 @@ def enumerate_eigen(
     t whose Weyl term |D| t^(d/2) / ((4 pi)^(d/2) Gamma(d/2 + 1)), an upper
     bound on N(t) on a box, lies above it.
     """
-    if (count is None) == (lambda_max is None):
-        raise ValueError("specify exactly one of count, lambda_max")
+    check_cutoff(count, lambda_max)
     d = box.dim
     lam1 = float(eigenvalues_of(box, np.ones((1, d), dtype=np.int64))[0])
     _refuse_out_of_range(box, lam1, "first eigenvalue")
     if count is not None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
         if count > MAX_MODES:
             raise ValueError(f"count={count} modes is above the mode budget MAX_MODES={MAX_MODES}")
         try:
@@ -227,8 +234,6 @@ def enumerate_eigen(
             t *= 1.01 * (count / len(lam)) ** (2.0 / d)
             columns, lam = _lattice_below(box.lengths, t)
     else:
-        if not lambda_max > 0.0:
-            raise ValueError(f"lambda_max must be positive, got {lambda_max}")
         _refuse_over_budget(box, lambda_max, "lambda_max")
         columns, lam = _lattice_below(box.lengths, float(lambda_max))
         if len(lam) == 0:
@@ -439,15 +444,23 @@ def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
     """E @ w: sum_i e_k(x_i) w_i for every mode.
 
     Per chunk of points, the weighted prefix grid goes through the last
-    axis's product, which adds to the dense grid of modes; the modes are
-    gathered from it.  Boundary points carry weight 0.
+    axis's product; the first chunk's block is the dense grid of modes, the
+    later ones add to it, and the modes are gathered from it.  A zero grid
+    is made only when there are no points.  Boundary points carry weight 0.
     """
     kernel = _Kernel.of(system)
     unit, on_boundary = _unit_points(system.box.intervals, points)
     weights = np.where(on_boundary, 0.0, np.asarray(weights, dtype=float))
-    dense = kernel.grid()
+    dense = None
     for part, factors in kernel.chunks(unit[:, -1], kernel.rows):
-        dense += kernel.matvec(_prefix_grid(kernel.tables(unit[part, :-1].T), weights[part]), *factors)
+        block = kernel.matvec(_prefix_grid(kernel.tables(unit[part, :-1].T), weights[part]), *factors)
+        if dense is None:
+            dense = block
+            dense += 0.0  # as a zero grid plus the block: a -0.0 reads +0.0
+        else:
+            dense += block
+    if dense is None:
+        dense = kernel.grid()
     return kernel.at_modes(dense)[kernel.modes]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import ConfigError, as_int, as_list, as_number, require
+from ._checks import ConfigError, as_int, as_list, as_number, reported_at, require
 from .domain import (
     EigenSystem,
     HyperBox,
@@ -204,11 +204,17 @@ def square_integral(f, box: HyperBox) -> float:
     raise ValueError(f"no closed-form square integral of {type(f).__name__} over {box.intervals}")
 
 
+def check_offset(f: AxisPower, box: HyperBox) -> None:
+    """An axis power's offset sits at or below the box on its axis, where its power is real."""
+    a = box.intervals[f.axis][0]
+    if f.offset > a:
+        raise ValueError(f"axis-power offset must sit at or below the box on its axis, got {f.offset} above {a}")
+
+
 def _axis_power_integral(f: AxisPower, box: HyperBox, q: float) -> float:
+    check_offset(f, box)
     a, b = box.intervals[f.axis]
     lo, hi = a - f.offset, b - f.offset
-    if lo < 0.0:
-        raise ValueError("axis-power offset must sit at or below the box on its axis")
     other = box.volume / (b - a)
     e = q * f.exponent
     if lo == 0.0 and e <= -1.0:
@@ -234,8 +240,8 @@ def lq_finite(f, box: HyperBox, q: float) -> bool:
     codimension: 1 for an axis power, d for a radial one.
     """
     if isinstance(f, AxisPower):
-        a, _ = box.intervals[f.axis]
-        return a - f.offset > 0.0 or q * f.exponent > -1.0
+        check_offset(f, box)
+        return box.intervals[f.axis][0] - f.offset > 0.0 or q * f.exponent > -1.0
     if isinstance(f, RadialPower):
         return q * f.exponent > -box.dim
     return True
@@ -278,10 +284,9 @@ def parse_function(data: dict, box: HyperBox, path: str = "f"):
         require(axis < box.dim, f"{path}.axis", f"axis must lie in [0, {box.dim})")
         if kind == "axis_power":
             exponent = as_number(data["exponent"], f"{path}.exponent")
-            offset = as_number(data.get("offset", 0.0), f"{path}.offset")
-            below = offset <= box.intervals[axis][0]
-            require(below, f"{path}.offset", "offset must sit at or below the box on its axis")
-            return AxisPower(exponent, axis, offset)
+            f = AxisPower(exponent, axis, as_number(data.get("offset", 0.0), f"{path}.offset"))
+            reported_at(f"{path}.offset", check_offset, f, box)
+            return f
         return Polynomial(tuple(as_list(data["coeffs"], f"{path}.coeffs", as_number)), axis)
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}", f"missing key of {kind}")

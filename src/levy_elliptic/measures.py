@@ -301,10 +301,15 @@ class LevyTriplet:
         return {"b": self.b, "sigma": self.sigma, "measure": self.measure.to_dict()}
 
 
-def band_variance(measure: LevyMeasure, lo: float, hi: float = 1.0) -> float:
-    """int_{lo < |z| <= hi} z^2 nu(dz)."""
+def check_band(lo: float, hi: float) -> None:
+    """A band lo < |z| <= hi of jump sizes needs 0 <= lo < hi."""
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+
+
+def band_variance(measure: LevyMeasure, lo: float, hi: float = 1.0) -> float:
+    """int_{lo < |z| <= hi} z^2 nu(dz)."""
+    check_band(lo, hi)
     return measure.truncated_variance(hi) - measure.truncated_variance(lo)
 
 
@@ -385,8 +390,7 @@ def sample_jump_sizes(
     run on PCG64.  Raises when the range carries no mass or infinite mass.
     A draw of size 0 takes no words.
     """
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+    check_band(lo, hi)
     mass = measure.tail_mass(lo) - measure.tail_mass(hi)
     if mass == 0.0:
         raise ValueError("no jumps above threshold")

@@ -152,15 +152,16 @@ def sample_noise(law: NoiseLaw, master_seed: int = 0) -> NoiseRealization:
     Its atoms come from one ATOM_STREAM generator, in draw order: the count
     ~ Poisson(``atom_rate``), the locations i.i.d. uniform on the box, the
     sizes i.i.d. from nu restricted to |z| > eps (see ``sample_jump_sizes``).
+    A seed outside [0, 2^64) is refused (``_rng.check_seed``).
     """
-    box, rate = law.box, atom_rate(law)
+    seed, box, rate = _rng.check_seed(master_seed), law.box, atom_rate(law)
     atoms = JumpAtomSet(np.empty((0, box.dim)), np.empty(0))
     if rate > 0.0:
-        rng = _rng.stream(master_seed, _rng.ATOM_STREAM)
+        rng = _rng.stream(seed, _rng.ATOM_STREAM)
         n = int(rng.poisson(rate))
         locations = uniform_locations(box, n, rng)
         atoms = JumpAtomSet(locations, sample_jump_sizes(law.triplet.measure, law.eps, rng, size=n))
-    return NoiseRealization(law, int(master_seed), atoms)
+    return NoiseRealization(law, seed, atoms)
 
 
 def replicate_noise(law: NoiseLaw, seed: int, replicate_id: int) -> NoiseRealization:

@@ -25,6 +25,18 @@ from .integrability import ExistenceVerdict, existence_verdict
 from .noise import NoiseRealization, pair_eigen
 
 
+# Largest tensor grid, in values, that ``eval_field_grid`` evaluates or
+# ``green_gamma_grid`` tabulates; the CLI checks the grids of solve, sweep
+# continuity and green-oracle before any work, so other commands run at high d.
+MAX_GRID_VALUES = 1 << 21
+
+
+def check_grid(sizes) -> None:
+    """Refuse a tensor grid of more than MAX_GRID_VALUES values, given its points an axis."""
+    if math.prod(sizes) > MAX_GRID_VALUES:
+        raise ValueError(f"a grid of {' x '.join(map(str, sizes))} points exceeds the cap of {MAX_GRID_VALUES} values")
+
+
 class RegimeRefusalError(RuntimeError):
     """Raised when solving is requested outside the existence regime."""
 
@@ -71,8 +83,9 @@ def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
 
     Each side carries lambda_k^(-gamma/2), so the kernel at (x, y) and at
     (y, x) multiplies the same factors in the same order, and the two agree
-    exactly.
+    exactly.  A grid over MAX_GRID_VALUES is refused.
     """
+    check_grid([len(xs), len(ys)])
     half = system.lams[:, None] ** (-gamma / 2.0)
     return (eigen_matrix(system, xs) * half).T @ (eigen_matrix(system, ys) * half)
 
@@ -116,7 +129,8 @@ def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarr
     (``domain.grid_rmatvec``): the first d - 1 axes contract with their sine
     tables, and the last axis runs through the chunked kernel of the
     scattered points, so at d = 1 memory stays within a chunk whatever the
-    number of modes and points."""
+    number of modes and points.  A grid over MAX_GRID_VALUES is refused."""
+    check_grid([len(a) for a in axes])
     return grid_rmatvec(field.system, field.coeffs, axes)
 
 

@@ -13,14 +13,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levy_elliptic import cli, domain, noise
+from levy_elliptic import _rng, cli, domain, noise
 from levy_elliptic.cli import run
 from levy_elliptic.config import load_config
-from levy_elliptic.diagnostics import check_grid_levels, check_k_list, check_r_list, check_t_list
-from levy_elliptic.domain import HyperBox
+from levy_elliptic.diagnostics import (
+    check_grid_levels,
+    check_k_list,
+    check_m,
+    check_r_list,
+    check_t_list,
+    check_weak_phi,
+)
+from levy_elliptic.domain import HyperBox, check_cutoff
+from levy_elliptic.functions import AxisPower, Indicator, integral
 from levy_elliptic.integrability import existence_verdict
-from levy_elliptic.measures import AlphaStable, LevyTriplet
+from levy_elliptic.measures import AlphaStable, LevyTriplet, check_band
 from levy_elliptic.noise import NoiseLaw, sample_noise
+from levy_elliptic.solver import check_grid
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
 WEAK = [
@@ -156,7 +165,7 @@ def test_oversized_green_oracle_grid_is_refused_before_allocating(tmp_path, caps
     outdir = tmp_path / "out"
     assert run(["green-oracle", "--set", "grid_points=1449", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
-    assert "green_oracle.grid_points" in err and "exceed the cap of 2097152" in err
+    assert "green_oracle.grid_points" in err and "exceeds the cap of 2097152" in err
     assert not outdir.exists()
 
 
@@ -215,7 +224,7 @@ def test_box_with_a_volume_outside_the_doubles_exits_2_in_one_line(capsys, side,
 def test_seed_above_64_bits_exits_2(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run(["sample-noise", "--seed", str((1 << 64) + 5), "--out", str(outdir)]) == 2
-    assert capsys.readouterr().err == "config error at seed: expected an integer below 2^64\n"
+    assert capsys.readouterr().err == f"config error at seed: seed must be an integer in [0, 2^64), got {(1 << 64) + 5}\n"
     assert not outdir.exists()
 
 
@@ -588,13 +597,50 @@ OWNER_TRIPLET = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
         ("t_list=[100]", "spectral_bound.t_list", lambda: check_t_list([100.0])),
         ("t_list=0,100", "spectral_bound.t_list", lambda: check_t_list([0.0, 100.0])),
         ("t_list=300,100", "spectral_bound.t_list", lambda: check_t_list([300.0, 100.0])),
+        ("M=999", "cf.M", lambda: check_m(999)),
+        ("isometry.M=0", "isometry.M", lambda: check_m(0)),
+        (["verify", "isometry", "--set", "band_high=0.005", "--seed", "1"], "isometry.band_high",
+         lambda: check_band(0.01, 0.005)),
+        (
+            'cf.f={"kind":"axis_power","exponent":-0.3,"offset":0.5}',
+            "cf.f.offset",
+            lambda: integral(AxisPower(-0.3, 0, 0.5), HyperBox.unit(1)),
+        ),
+        (
+            'weak.phi={"kind":"indicator","boxes":[[[0,0.5]]]}',
+            "weak.phi",
+            lambda: check_weak_phi(Indicator((HyperBox(((0.0, 0.5),)),))),
+        ),
+        ("seed=-1", "seed", lambda: _rng.stream(-1, _rng.ATOM_STREAM)),
+        (f"seed={2**64 + 5}", "seed", lambda: sample_noise(NoiseLaw(HyperBox.unit(1), OWNER_TRIPLET), 2**64 + 5)),
+        ("K=0", "cutoff.count", lambda: check_cutoff(count=0)),
+        ("lambda_max=0", "cutoff.threshold", lambda: domain.enumerate_eigen(HyperBox.unit(1), lambda_max=0.0)),
+        (["solve", "--set", "d=2", "--set", "grid_points=1449", "--seed", "1"], "solve.grid_points",
+         lambda: check_grid([1449, 1449])),
+        (["sweep", "continuity", "--set", "d=2", "--set", "grid_levels=4,5,11", "--seed", "1"],
+         "continuity.grid_levels", lambda: check_grid_levels([4, 5, 11], 2)),
+        (["green-oracle", "--set", "grid_points=1449"], "green_oracle.grid_points", lambda: check_grid([1449, 1449])),
     ],
 )
-def test_the_cli_refuses_with_the_owners_message(capsys, item, path, owner):
+def test_the_cli_refuses_with_the_owners_message(tmp_path, capsys, item, path, owner):
+    # A string is a --set item for check, which refuses at load; a list is a whole
+    # command line, for the rules that only the command that needs them checks.
     with pytest.raises(ValueError) as exc:
         owner()
-    assert run(["check", "--set", item]) == 2
+    argv = ["check", "--set", item] if isinstance(item, str) else item
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error at {path}: {exc.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eps_1_empties_only_the_isometry_band(tmp_path, capsys):
+    # The default band (eps, 1] is empty at eps = 1: verify isometry refuses it, the others run.
+    assert run(["check", "--set", "eps=1"]) == 0
+    assert run(["solve", "--set", "eps=1", "--seed", "1", "--out", str(tmp_path / "solve")]) == 0
+    capsys.readouterr()
+    assert run(["verify", "isometry", "--set", "eps=1", "--seed", "1", "--out", str(tmp_path / "iso")]) == 2
+    assert capsys.readouterr().err == "config error at isometry.band_high: need 0 <= lo < hi, got lo=1.0, hi=1.0\n"
+    assert not (tmp_path / "iso").exists()
 
 
 @pytest.mark.parametrize(

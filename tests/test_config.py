@@ -80,9 +80,9 @@ class TestSeed:
     def test_seed_above_64_bits_is_refused_from_the_flag_and_a_file(self, tmp_path):
         top = (1 << 64) - 1
         assert load_config(None, [], seed=top).seed == top
-        with pytest.raises(ConfigError, match="^config error at seed: expected an integer below 2"):
+        with pytest.raises(ConfigError, match=r"^config error at seed: seed must be an integer in \[0, 2\^64\)"):
             load_config(None, [], seed=top + 6)
-        with pytest.raises(ConfigError, match="^config error at seed: expected an integer below 2"):
+        with pytest.raises(ConfigError, match=r"^config error at seed: seed must be an integer in \[0, 2\^64\)"):
             load_config(config_file(tmp_path, {"seed": top + 1}), [])
 
 

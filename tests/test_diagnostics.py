@@ -1,9 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from levy_elliptic import _rng, diagnostics, noise
+from levy_elliptic import _rng, diagnostics, noise, solver
 from levy_elliptic.diagnostics import (
     continuity_probe,
     empirical_cf_test,
@@ -12,8 +13,8 @@ from levy_elliptic.diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from levy_elliptic.domain import HyperBox, enumerate_eigen
-from levy_elliptic.functions import AxisPower, Constant, Indicator, Polynomial, parse_function
+from levy_elliptic.domain import HyperBox, enumerate_eigen, single_mode
+from levy_elliptic.functions import AxisPower, Constant, Indicator, Polynomial, SpectralFunction, integral, parse_function
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
@@ -24,6 +25,7 @@ from levy_elliptic.measures import (
     sample_jump_sizes,
 )
 from levy_elliptic.noise import NoiseLaw, jump_sums, pairing_batch, sample_noise
+from levy_elliptic.solver import eval_field_grid, green_gamma_grid
 
 SQUARE = HyperBox.unit(2)
 UNIT = HyperBox.unit(1)
@@ -356,6 +358,11 @@ def test_many_chunks_repeat_exactly_within_a_small_memory_bound(monkeypatch):
 
 DRIFT_LAW = NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.5)))
 DRIFT_POINTS = np.array([[0.3], [0.6]])
+HALF = Indicator((HyperBox(((0.0, 0.5),)),))
+SEED_TEXT = "seed must be an integer in [0, 2^64), got {}"
+# 1449^2 values, just over the grid cap of 2^21.
+BIG_AXES = [np.linspace(0.0, 1.0, 1449)] * 2
+GRID_TEXT = "a grid of 1449 x 1449 points exceeds the cap of 2097152 values"
 
 
 @pytest.mark.parametrize(
@@ -367,11 +374,41 @@ DRIFT_POINTS = np.array([[0.3], [0.6]])
         (lambda: spectral_bound_check(UNIT, [100, 100, 300], DRIFT_POINTS), "levels must be strictly increasing"),
         (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 1024, 2048], 2, 7), "cutoffs must be strictly ascending"),
         (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0, 1.0], [1024, 2048], 2, 7), "orders must be distinct"),
+        (lambda: _rng.stream(-1, _rng.ATOM_STREAM), SEED_TEXT.format(-1)),
+        (lambda: _rng.stream(2**64 + 5, _rng.ATOM_STREAM), SEED_TEXT.format(2**64 + 5)),
+        (lambda: sample_noise(DRIFT_LAW, -1), SEED_TEXT.format(-1)),
+        (lambda: sample_noise(DRIFT_LAW, 2**64 + 5), SEED_TEXT.format(2**64 + 5)),
+        (lambda: weak_identity_test(sample_noise(DRIFT_LAW, 7), HALF, 1.0, enumerate_eigen(UNIT, count=16)),
+         "phi must be continuous on the box, not an indicator"),
+        (lambda: eval_field_grid(SpectralFunction(single_mode(SQUARE, (1, 1)), [1.0]), BIG_AXES), GRID_TEXT),
+        (lambda: green_gamma_grid(enumerate_eigen(UNIT, count=4), 1.0, BIG_AXES[0][:, None], BIG_AXES[0][:, None]),
+         GRID_TEXT),
+        (lambda: continuity_probe(NoiseLaw(SQUARE, DRIFT_LAW.triplet), 1.5, [4, 5, 11], 2, 7),
+         "a grid of 2049 x 2049 points exceeds the cap of 2097152 values"),
+        (lambda: sample_jump_sizes(AlphaStable(1.5), 1.0, _rng.stream(7, _rng.ATOM_STREAM), 10, 0.5),
+         "need 0 <= lo < hi, got lo=1.0, hi=0.5"),
+        (lambda: isometry_test(DRIFT_LAW, Constant(1.0), 1000, 7, band_high=0.005),
+         "need 0 <= lo < hi, got lo=0.01, hi=0.005"),
+        (lambda: isometry_test(DRIFT_LAW, Constant(1.0), 999, 7), "m below 1000 has no statistical power, got 999"),
+        (lambda: integral(AxisPower(-0.3, 0, 0.5), UNIT),
+         "axis-power offset must sit at or below the box on its axis, got 0.5 above 0.0"),
+        (lambda: isometry_test(DRIFT_LAW, AxisPower(-2.0, 0, 0.5), 1000, 7),
+         "axis-power offset must sit at or below the box on its axis, got 0.5 above 0.0"),
+        (lambda: enumerate_eigen(UNIT, count=0), "count must be >= 1, got 0"),
     ],
-    ids=["levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "r-repeated"],
+    ids=[
+        "levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "r-repeated",
+        "stream-seed-negative", "stream-seed-above-64-bits", "noise-seed-negative", "noise-seed-above-64-bits",
+        "weak-indicator", "field-grid", "green-grid", "continuity-grid", "band-reversed", "isometry-band",
+        "isometry-m", "axis-power-offset", "isometry-axis-power-offset", "count-0",
+    ],
 )
 def test_checks_refuse_what_the_config_refuses(monkeypatch, check, message):
-    # Refused before any mode is listed: the rule is checked first, not met by chance later.
+    # Refused before any mode is listed or any field solved or tabulated: the rule
+    # is checked first, not met by chance later.
     monkeypatch.setattr(diagnostics, "enumerate_eigen", lambda *a, **k: pytest.fail("enumerated"))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    monkeypatch.setattr(diagnostics, "solve_mild", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(solver, "grid_rmatvec", lambda *a, **k: pytest.fail("field evaluated"))
+    monkeypatch.setattr(solver, "eigen_matrix", lambda *a, **k: pytest.fail("kernel tabulated"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check()
