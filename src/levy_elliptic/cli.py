@@ -10,17 +10,20 @@ subcommand draws from.  Every file is written here, not in ``noise``:
 config's keys, so ``--config manifest.json`` redraws its atoms.csv.
 Exit codes: 0 all good, 1 a non-inconclusive
 verification failed, 2 config error, refused regime or invalid request.
-Exit 2 covers an eps outside (0, 1] or an unknown small-jump policy, a
-box whose volume underflows to 0 or overflows the doubles, an indicator
-``weak.phi`` (the weak test's Gauss rule cannot resolve its jump), a
-grid over ``solver.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
+Exit 2 covers a key the config does not hold (in the file or ``--set``) or a
+non-object where it holds an object, a sweep whose law has nothing random
+(no Gaussian part and no jumps above its eps; a surrogate Sobolev sweep
+draws nothing and runs), an eps outside (0, 1] or an unknown small-jump
+policy, a box whose volume underflows to 0 or overflows the doubles, an
+indicator ``weak.phi`` (the weak test's Gauss rule cannot resolve its jump),
+a grid over ``solver.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
 ``green-oracle``, an ``isometry.band_high`` at or below eps in ``verify
-isometry`` (only there, so other subcommands run at eps = 1), a draw of
-the noise over its atom budget (see ``noise``), a truncation over the
-mode budget ``domain.MAX_MODES`` (a count above it or a threshold whose
-Weyl term lies above it), a dense eigen block over
-``domain.MAX_MATRIX_VALUES`` (``green-oracle`` at a large K), a Gauss rule
-over ``domain.MAX_GAUSS_NODES`` nodes an axis (``verify weak`` at d = 1 past
+isometry`` (only there, so other subcommands run at eps = 1), a draw of the
+noise over its atom budget (see ``noise``), a truncation over the mode
+budget ``domain.MAX_MODES`` (a count above it or a threshold whose Weyl term
+lies above it), a dense eigen block over ``domain.MAX_MATRIX_VALUES``
+(``green-oracle`` at a large K), a Gauss rule over
+``domain.MAX_GAUSS_NODES`` nodes an axis (``verify weak`` at d = 1 past
 K = 8168) and an integrand the CF test cannot evaluate.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
@@ -44,6 +47,7 @@ from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     TestReport,
     check_grid_levels,
+    check_random_part,
     continuity_probe,
     empirical_cf_test,
     isometry_test,
@@ -98,10 +102,7 @@ def emit_report(reports: list[TestReport], outdir: str) -> int:
 
 
 def _system(cfg: RunConfig):
-    kind, value = cfg.cutoff
-    if kind == "count":
-        return enumerate_eigen(cfg.noise.box, count=int(value))
-    return enumerate_eigen(cfg.noise.box, lambda_max=value)
+    return enumerate_eigen(cfg.noise.box, **cfg.cutoff)
 
 
 def _need_seed(cfg: RunConfig) -> int:
@@ -200,6 +201,8 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
     seed = _need_seed(cfg)
     if which == "sobolev":
         block = cfg.blocks["sobolev"]
+        if not block["surrogate"]:
+            reported_at("sobolev.eps", check_random_part, block["law"])
         reports = sobolev_sweep(
             block["law"],
             cfg.gamma,
@@ -214,6 +217,7 @@ def _cmd_sweep(cfg: RunConfig, which: str, override: bool) -> int:
     else:
         block = cfg.blocks["continuity"]
         reported_at("continuity.grid_levels", check_grid_levels, block["grid_levels"], cfg.noise.box.dim)
+        reported_at("eps", check_random_part, cfg.noise)
         reports = [
             continuity_probe(
                 cfg.noise,

@@ -3,8 +3,12 @@
 The tool is driven by a single structured config file so sweep scripts can
 compose runs textually.  ``--set key=value`` overrides accept dotted paths
 into the document plus a handful of flat aliases (d, K, M, measure, ...)
-for the values that change most often.  Unknown keys anywhere are rejected
-with the offending path.
+for the values that change most often.  Input enters the document by one
+rule, ``_merge``, applied to the defaults in layers: the file, then the
+document the ``--set`` items build, then the ``--seed``, ``--workers`` and
+``--out`` flags, the last layer.  Every layer replaces the ``_REPLACED``
+objects whole and merges the other objects key by key; an unknown key, or
+a non-object where the defaults hold an object, is refused at its path.
 
 This module checks shape, types and keys, and asks each value's owner for
 its range: the box, triplet and noise law check themselves when they are
@@ -74,24 +78,20 @@ DEFAULTS: dict = {
     "green_oracle": {"grid_points": 20, "tolerance": 1e-3},
 }
 
-# Flat --set aliases mapping onto document paths.  A value may land on
-# several paths (M applies to every block that reads an M, and eps to the run
-# and to the Sobolev sweep, which keeps its own default of 1).
+# Flat --set aliases mapping onto document paths; any other key is its own
+# path.  A value may land on several paths (M applies to every block that
+# reads an M, and eps to the run and to the Sobolev sweep, which keeps its
+# own default of 1).
 _ALIASES: dict[str, list[str]] = {
     "d": ["box.dim"],
     "intervals": ["box.intervals"],
     "b": ["triplet.b"],
     "sigma": ["triplet.sigma"],
     "measure": ["triplet.measure"],
-    "gamma": ["gamma"],
     "eps": ["eps", "sobolev.eps"],
     "policy": ["small_jump_policy"],
-    "small_jump_policy": ["small_jump_policy"],
     "K": ["cutoff.count"],
     "lambda_max": ["cutoff.threshold"],
-    "seed": ["seed"],
-    "outdir": ["outdir"],
-    "workers": ["workers"],
     "M": ["cf.M", "isometry.M"],
     "u_grid": ["cf.u_grid"],
     "band_high": ["isometry.band_high"],
@@ -111,7 +111,7 @@ _ALIASES: dict[str, list[str]] = {
 class RunConfig:
     noise: NoiseLaw
     gamma: float
-    cutoff: tuple[str, float]
+    cutoff: dict  # enumerate_eigen's keyword: {"count": n} or {"lambda_max": t}
     seed: int | None
     outdir: str
     workers: int
@@ -134,17 +134,8 @@ def _parse_set_value(text: str):
     return text
 
 
-def _assign(doc: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = doc
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
-
-
-def _apply_override(doc: dict, item: str) -> None:
+def _assign(doc: dict, item: str) -> None:
+    """Write one ``--set key=value`` item into ``doc``, the nested document of every item."""
     if "=" not in item:
         raise ConfigError(item, "override must look like key=value")
     key, _, raw = item.partition("=")
@@ -159,24 +150,28 @@ def _apply_override(doc: dict, item: str) -> None:
             value = parse_measure(value if isinstance(value, str) else raw, key).to_dict()
     else:
         value = _parse_set_value(raw)
-    targets = _ALIASES.get(key, [key] if "." in key else None)
-    if targets is None:
-        raise ConfigError(key, "unknown override key")
-    for dotted in targets:
-        _assign(doc, dotted, copy.deepcopy(value))
+    for dotted in _ALIASES.get(key, [key]):
+        *parents, last = dotted.split(".")
+        node = doc
+        for part in parents:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[last] = copy.deepcopy(value)
 
 
-# Objects that a config file replaces whole instead of merging key by key: a
+# Objects that every source replaces whole instead of merging key by key: a
 # cutoff names one criterion, and a measure or function names its own kind.
 _REPLACED = ("cutoff", "triplet.measure", "cf.f", "isometry.f", "weak.phi")
 
 
 def _merge(base: dict, extra: dict, path: str = "") -> None:
+    """Merge one source into ``base`` by the one rule the module docstring gives."""
     for key, value in extra.items():
         here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(here, "unknown key")
-        if isinstance(base[key], dict) and isinstance(value, dict) and here not in _REPLACED:
+        require(key in base, here, "unknown key")
+        if isinstance(base[key], dict) and here not in _REPLACED:
+            require(isinstance(value, dict), here, "expected an object")
             _merge(base[key], value, here)
         else:
             base[key] = value
@@ -190,8 +185,10 @@ def load_config(
     workers: int | None = None,
     outdir: str | None = None,
 ) -> RunConfig:
-    """Defaults <- file <- --set overrides <- dedicated flags, then validate."""
+    """Defaults <- file <- the ``--set`` items' document <- the flags given, each
+    merged by ``_merge`` so a later source wins, then validate."""
     doc = copy.deepcopy(DEFAULTS)
+    loaded: dict = {}
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -203,17 +200,12 @@ def load_config(
                 f"{config_path}:{exc.lineno}:{exc.colno}", f"invalid JSON ({exc.msg})"
             )
         require(isinstance(loaded, dict), config_path, "top level must be an object")
-        _merge(doc, loaded)
-    given_cutoff = doc.pop("cutoff")  # a --set cutoff replaces it, never merges into it
+    sets: dict = {}
     for item in overrides:
-        _apply_override(doc, item)
-    doc.setdefault("cutoff", given_cutoff)
-    if seed is not None:
-        doc["seed"] = seed
-    if workers is not None:
-        doc["workers"] = workers
-    if outdir is not None:
-        doc["outdir"] = outdir
+        _assign(sets, item)
+    flags = {"seed": seed, "workers": workers, "outdir": outdir}
+    for layer in (loaded, sets, {key: value for key, value in flags.items() if value is not None}):
+        _merge(doc, layer)
     return _validate(doc)
 
 
@@ -248,13 +240,11 @@ def _validate(doc: dict) -> RunConfig:
     require(isinstance(cut, dict), "cutoff", "expected an object")
     require(len(cut) == 1 and set(cut) <= {"count", "threshold"}, "cutoff", "give exactly one of count or threshold")
     if "threshold" in cut:
-        thr = as_number(cut["threshold"], "cutoff.threshold")
-        reported_at("cutoff.threshold", check_cutoff, lambda_max=thr)
-        cutoff = ("threshold", thr)
+        cutoff = {"lambda_max": as_number(cut["threshold"], "cutoff.threshold")}
     else:
-        count = as_int(cut["count"], "cutoff.count", least=None)
-        reported_at("cutoff.count", check_cutoff, count=count)
-        cutoff = ("count", float(count))
+        cutoff = {"count": as_int(cut["count"], "cutoff.count", least=None)}
+    (key,) = cut
+    reported_at(f"cutoff.{key}", check_cutoff, **cutoff)
 
     seed = doc["seed"]
     if seed is not None:

@@ -275,6 +275,12 @@ def check_k_list(k_list) -> list[int]:
     return k_list
 
 
+def check_random_part(law: NoiseLaw) -> None:
+    """A sweep's law must draw something random: a Gaussian part or jumps above eps."""
+    if law.gaussian_variance == 0.0 and law.triplet.measure.tail_mass(law.eps) == 0.0:
+        raise ValueError(f"the law has nothing random: no Gaussian part and no jumps above eps={law.eps}")
+
+
 def check_r_list(r_list) -> None:
     """The sweep's Sobolev orders, in any order, must be distinct."""
     if len(set(r_list)) != len(r_list):
@@ -311,6 +317,8 @@ def sobolev_sweep(
     d = law.box.dim
     k_list = check_k_list(k_list)
     check_r_list(r_list)
+    if not surrogate:
+        check_random_part(law)
     threshold_r = refuse_outside_regime(d, gamma, law.triplet, override).r_max
 
     system = enumerate_eigen(law.box, count=k_list[-1])
@@ -415,6 +423,7 @@ def continuity_probe(
     box = law.box
     d = box.dim
     levels = check_grid_levels(grid_levels, d)
+    check_random_part(law)
     continuous = refuse_outside_regime(d, gamma, law.triplet, override).continuous
 
     l_min = float(np.min(box.lengths))

@@ -97,7 +97,7 @@ def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> Exis
     if not verdict.exists and not override:
         raise RegimeRefusalError(
             f"no mild solution for d={d}, gamma={gamma}; "
-            "pass override=True for divergence experiments"
+            "pass --override (override=True) for divergence experiments"
         )
     return verdict
 

@@ -21,13 +21,14 @@ from levy_elliptic.diagnostics import (
     check_k_list,
     check_m,
     check_r_list,
+    check_random_part,
     check_t_list,
     check_weak_phi,
 )
 from levy_elliptic.domain import HyperBox, check_cutoff
 from levy_elliptic.functions import AxisPower, Indicator, integral
 from levy_elliptic.integrability import existence_verdict
-from levy_elliptic.measures import AlphaStable, LevyTriplet, check_band
+from levy_elliptic.measures import AlphaStable, LevyTriplet, SymmetricTwoPoint, check_band
 from levy_elliptic.noise import NoiseLaw, sample_noise
 from levy_elliptic.solver import check_grid
 
@@ -148,6 +149,61 @@ def test_refused_regime_exits_2(tmp_path, capsys, argv, d, gamma):
     err = capsys.readouterr().err
     assert "refused" in err and f"d={d}, gamma={gamma}" in err
     assert not outdir.exists()
+
+
+OVERRIDDEN = ["--set", "gamma=0.2", "--seed", "1"]  # at d = 1 no mild solution exists for gamma <= 1/4
+
+
+def test_solve_runs_where_no_solution_exists_only_under_override(tmp_path, capsys):
+    assert run(["solve", *OVERRIDDEN, "--out", str(tmp_path / "refused")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: no mild solution for d=1, gamma=0.2; pass --override") and err.count("\n") == 1
+    assert not (tmp_path / "refused").exists()
+    assert run(["solve", *OVERRIDDEN, "--override", "--out", str(tmp_path / "out")]) == 0
+    assert set(outputs(tmp_path / "out")) == {"coefficients.csv", "field.csv"}
+
+
+def test_overridden_surrogate_sweep_reads_every_order_divergent(tmp_path, capsys):
+    # r_max = 2 gamma - d/2 = -0.1; the surrogate draws nothing, so no seed matters.
+    outdir = tmp_path / "out"
+    assert run(["sweep", "sobolev", "--override", "--set", "surrogate=true", *OVERRIDDEN, "--out", str(outdir)]) == 0
+    with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
+        details = [json.loads(line)["details"] for line in fh]
+    assert [(d["predicted"], d["classification"]) for d in details] == [("divergent", "divergent")] * 3
+
+
+def test_overridden_weak_identity_passes(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run(["verify", "weak", "--override", "--set", "weak.replicates=1", *OVERRIDDEN, "--out", str(outdir)]) == 0
+    with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
+        (report,) = [json.loads(line) for line in fh]
+    assert report["pass"] and not report["inconclusive"]
+
+
+@pytest.mark.parametrize(
+    "text,argv,err",
+    [
+        (None, ["check", "--set", "sobolev.K_lst=1,2"], "config error at sobolev.K_lst: unknown key"),
+        (None, ["check", "--set", "foo.bar=1"], "config error at foo: unknown key"),
+        (None, ["check", "--set", "K"], "config error at K: override must look like key=value"),
+        (None, ["check", "--set", "cf=3"], "config error at cf: expected an object"),
+        ('{"cf": 3}', ["check", "--config", "{config}"], "config error at cf: expected an object"),
+        ('{"weak": null}', ["check", "--config", "{config}"], "config error at weak: expected an object"),
+        ('{"gamma": 1', ["check", "--config", "{config}"],
+         "config error at {config}:1:12: invalid JSON (Expecting ',' delimiter)"),
+        (None, ["check", "--config", "{config}"], "config error at {config}: config file not found"),
+        (None, ["green-oracle", "--set", "d=2"], "config error at green_oracle: closed-form oracle needs dim=1 and gamma=1"),
+        (None, ["green-oracle", "--set", "gamma=0.5"],
+         "config error at green_oracle: closed-form oracle needs dim=1 and gamma=1"),
+    ],
+)
+def test_bad_config_input_exits_2_in_one_line(tmp_path, capsys, text, argv, err):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    assert run([arg.format(config=config) for arg in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err.format(config=config) + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_oversized_solve_grid_is_refused_before_solving(tmp_path, capsys):
@@ -576,6 +632,9 @@ def test_variance_gamma_solve_imports_scipy_special_lazily(tmp_path):
 
 
 OWNER_TRIPLET = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
+# Two-point jumps of size 0.5 dropped below eps = 1 (the Sobolev sweep's own eps): nothing random.
+NOTHING_RANDOM = ["--set", "measure=twopoint:5,0.5", "--set", "policy=drop"]
+NOTHING_LAW = NoiseLaw(HyperBox.unit(1), LevyTriplet(0.0, 0.0, SymmetricTwoPoint(5.0, 0.5)), 1.0, "drop")
 
 
 @pytest.mark.parametrize(
@@ -620,6 +679,9 @@ OWNER_TRIPLET = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
         (["sweep", "continuity", "--set", "d=2", "--set", "grid_levels=4,5,11", "--seed", "1"],
          "continuity.grid_levels", lambda: check_grid_levels([4, 5, 11], 2)),
         (["green-oracle", "--set", "grid_points=1449"], "green_oracle.grid_points", lambda: check_grid([1449, 1449])),
+        (["sweep", "sobolev", *NOTHING_RANDOM, "--seed", "1"], "sobolev.eps", lambda: check_random_part(NOTHING_LAW)),
+        (["sweep", "continuity", *NOTHING_RANDOM, "--set", "eps=1", "--set", "gamma=0.4", "--seed", "1"], "eps",
+         lambda: check_random_part(NOTHING_LAW)),
     ],
 )
 def test_the_cli_refuses_with_the_owners_message(tmp_path, capsys, item, path, owner):

@@ -16,14 +16,14 @@ def config_file(tmp_path, doc):
 
 class TestCutoff:
     def test_default_is_a_count(self):
-        assert load_config(None, []).cutoff == ("count", 256.0)
+        assert load_config(None, []).cutoff == {"count": 256}
 
     def test_file_may_set_a_threshold(self, tmp_path):
         path = config_file(tmp_path, {"cutoff": {"threshold": 100}})
-        assert load_config(path, []).cutoff == ("threshold", 100.0)
+        assert load_config(path, []).cutoff == {"lambda_max": 100.0}
 
     def test_threshold_override_alone_replaces_the_default_count(self):
-        assert load_config(None, ["lambda_max=100"]).cutoff == ("threshold", 100.0)
+        assert load_config(None, ["lambda_max=100"]).cutoff == {"lambda_max": 100.0}
 
     @pytest.mark.parametrize("count", [256, 64])
     def test_count_and_threshold_overrides_together_are_refused(self, count):
@@ -37,8 +37,8 @@ class TestCutoff:
 
     def test_override_replaces_the_file_cutoff(self, tmp_path):
         path = config_file(tmp_path, {"cutoff": {"threshold": 100}})
-        assert load_config(path, ["K=64"]).cutoff == ("count", 64.0)
-        assert load_config(path, ["K=64", "K=32"]).cutoff == ("count", 32.0)
+        assert load_config(path, ["K=64"]).cutoff == {"count": 64}
+        assert load_config(path, ["K=64", "K=32"]).cutoff == {"count": 32}
 
     def test_unknown_cutoff_key_is_refused(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -69,6 +69,19 @@ class TestReplacedObjects:
         # Dataclass == cannot compare arrays: the default phi e_1 by its indices and coefficients.
         assert isinstance(weak["phi"], SpectralFunction)
         assert weak["phi"].system.indices.tolist() == [[1]] and weak["phi"].coeffs.tolist() == [1.0]
+
+    def test_override_replaces_an_object_whole_as_a_file_does(self):
+        cfg = load_config(None, ["measure=alpha:1.5", "triplet.measure.alpha=1.2"])
+        assert cfg.noise.triplet.measure == AlphaStable(1.2)
+        with pytest.raises(ConfigError, match="^config error at triplet.measure.kind: unknown measure kind"):
+            load_config(None, ["triplet.measure.alpha=1.2"])
+        with pytest.raises(ConfigError, match="^config error at cf.f: expected an object whose kind"):
+            load_config(None, ["cf.f.value=2"])
+
+    def test_non_object_block_is_refused_from_every_source(self, tmp_path):
+        for path, items in ((config_file(tmp_path, {"triplet": 3}), []), (None, ["box=null"])):
+            with pytest.raises(ConfigError, match="^config error at (triplet|box): expected an object$"):
+                load_config(path, items)
 
     def test_unknown_key_beside_a_replaced_object_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="weak.phj"):
@@ -208,5 +221,5 @@ class TestValueRanges:
 
 class TestRemovedKeys:
     def test_psi_quadrature_override_is_refused(self):
-        with pytest.raises(ConfigError, match="unknown override key"):
+        with pytest.raises(ConfigError, match="^config error at psi_quadrature: unknown key$"):
             load_config(None, ["psi_quadrature=true"])

@@ -363,6 +363,9 @@ SEED_TEXT = "seed must be an integer in [0, 2^64), got {}"
 # 1449^2 values, just over the grid cap of 2^21.
 BIG_AXES = [np.linspace(0.0, 1.0, 1449)] * 2
 GRID_TEXT = "a grid of 1449 x 1449 points exceeds the cap of 2097152 values"
+# No Gaussian part, and the two-point jumps of size 0.5 lie below eps = 1.
+NOTHING_RANDOM = NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, SymmetricTwoPoint(5.0, 0.5)), eps=1.0, policy="drop")
+NOTHING_TEXT = "the law has nothing random: no Gaussian part and no jumps above eps=1.0"
 
 
 @pytest.mark.parametrize(
@@ -395,12 +398,15 @@ GRID_TEXT = "a grid of 1449 x 1449 points exceeds the cap of 2097152 values"
         (lambda: isometry_test(DRIFT_LAW, AxisPower(-2.0, 0, 0.5), 1000, 7),
          "axis-power offset must sit at or below the box on its axis, got 0.5 above 0.0"),
         (lambda: enumerate_eigen(UNIT, count=0), "count must be >= 1, got 0"),
+        (lambda: sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0], [1024, 2048], 2, 7), NOTHING_TEXT),
+        (lambda: continuity_probe(NOTHING_RANDOM, 0.4, [3, 4, 5], 2, 7), NOTHING_TEXT),
     ],
     ids=[
         "levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "r-repeated",
         "stream-seed-negative", "stream-seed-above-64-bits", "noise-seed-negative", "noise-seed-above-64-bits",
         "weak-indicator", "field-grid", "green-grid", "continuity-grid", "band-reversed", "isometry-band",
         "isometry-m", "axis-power-offset", "isometry-axis-power-offset", "count-0",
+        "sobolev-nothing-random", "continuity-nothing-random",
     ],
 )
 def test_checks_refuse_what_the_config_refuses(monkeypatch, check, message):
@@ -412,3 +418,9 @@ def test_checks_refuse_what_the_config_refuses(monkeypatch, check, message):
     monkeypatch.setattr(solver, "eigen_matrix", lambda *a, **k: pytest.fail("kernel tabulated"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check()
+
+
+def test_a_surrogate_sweep_runs_on_a_law_with_nothing_random():
+    # The surrogate draws no noise, so the law's random part does not matter.
+    reports = sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    assert [r.details["classification"] for r in reports] == ["convergent", "divergent"]

@@ -63,6 +63,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_eigen(UNIT, count=0)
 
+    @pytest.mark.parametrize("count", [0, 41])
+    def test_prefix_out_of_range_is_refused(self, count):
+        with pytest.raises(ValueError, match=r"^count must lie in \[1, 40\]$"):
+            enumerate_eigen(SQUARE, count=40).prefix(count)
+
     @pytest.mark.parametrize("box", [UNIT, SQUARE, HyperBox(((0.0, 1.0), (0.0, 2.5)))])
     def test_prefix_consistency(self, box):
         big = enumerate_eigen(box, count=41)

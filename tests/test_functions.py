@@ -105,6 +105,11 @@ class TestFourierVector:
         assert np.array_equal(vec[:4], f.coeffs)
         assert np.all(vec[4:] == 0.0)
 
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0, 3.0], [1.0] * 5])
+    def test_spectral_coefficients_must_match_the_system(self, coeffs):
+        with pytest.raises(ValueError, match="^coefficient length must match the system$"):
+            SpectralFunction(enumerate_eigen(UNIT, count=4), coeffs)
+
     def test_spectral_projection_onto_smaller_system(self):
         big = enumerate_eigen(UNIT, count=10)
         small = enumerate_eigen(UNIT, count=4)

@@ -457,6 +457,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             SymmetricTwoPoint(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "c,m,message",
+        [
+            (0.0, 1.0, "c must be > 0, got 0.0"),
+            (-1.0, 1.0, "c must be > 0, got -1.0"),
+            (1.0, 0.0, "m must be > 0, got 0.0"),
+            (1.0, -2.0, "m must be > 0, got -2.0"),
+        ],
+    )
+    def test_variance_gamma_params(self, c, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VarianceGamma(c, m)
+
     def test_triplet_sigma(self):
         with pytest.raises(ValueError):
             LevyTriplet(0.0, -0.1, NullMeasure())
