@@ -15,7 +15,7 @@ not depend on the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,13 +26,14 @@ from .domain import (
     eigen_matrix,
     enumerate_eigen,
     gauss_rule,
+    listing_blocks,
     resolving_gauss_rule,
     tensor_points,
 )
 from .functions import Constant, Indicator, SpectralFunction, integral, square_integral
 from .integrability import rr_integrability
 from .measures import band_variance, characteristic_exponent
-from .noise import NoiseLaw, jump_sums, pair_eigen, pair_with_function, pairing_batch, replicate_noise
+from .noise import NoiseLaw, jump_sums, pair_eigen_blocks, pair_with_function, pairing_batch, replicate_noise
 from .solver import check_grid, eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
 CONVERGED_BAND = 0.01
@@ -310,38 +311,61 @@ def sobolev_sweep(
     The prediction under test: convergent iff r < r_max = 2 gamma - d/2,
     read from the existence verdict.
 
+    The weights lambda_k^(r - 2 gamma) are one (orders, K) array, shared by
+    the replicates.  A replicate walks the listing one block of
+    ``domain.listing_blocks`` (about BLOCK_MODES modes) at a time, so it
+    holds one block of coefficients plus its atoms' factors: the offset
+    factors of a sorted listing at d = 1 whose atoms fit one chunk of
+    points, else the dense grid of modes that its atoms sum into, about K
+    values.  Each block is squared in place and adds one product with the
+    weights into the sum of every segment between cutoffs that it overlaps,
+    so a segment's sum is added block by block.
+
     ``surrogate`` replaces the noise coefficients by the deterministic
     decay lambda_k^(-gamma), which turns the sweep into an exact check of
-    the analytic boundary.
+    the analytic boundary.  Those are the coefficients of unit white noise
+    in the mean, so it reads the ceiling of the law with a unit Gaussian
+    part, which is white noise's, even where the law has no random part.
     """
     d = law.box.dim
     k_list = check_k_list(k_list)
     check_r_list(r_list)
     if not surrogate:
         check_random_part(law)
-    threshold_r = refuse_outside_regime(d, gamma, law.triplet, override).r_max
+    triplet = replace(law.triplet, sigma=1.0) if surrogate else law.triplet
+    threshold_r = refuse_outside_regime(d, gamma, triplet, override).r_max
 
     system = enumerate_eigen(law.box, count=k_list[-1])
-    bases = np.stack([system.lams ** (float(r) - 2.0 * gamma) for r in r_list])
+    weights = np.empty((len(r_list), len(system)))
+    for row, r in zip(weights, r_list):
+        np.power(system.lams, float(r) - 2.0 * gamma, out=row)
     cuts = [0, *k_list]
+    segments = list(zip(cuts, cuts[1:]))
+    blocks = listing_blocks(system)  # builds the kernel layout here, once, for every worker to share
 
-    def partial_norms(c2: np.ndarray) -> np.ndarray:
+    def partial_norms(coefficients) -> np.ndarray:
         # Row r: sum_{k < K} lambda_k^(r - 2 gamma) c_k^2 at each K of k_list,
-        # one product a segment between cutoffs, then a cumsum over segments.
-        segments = [bases[:, lo:hi] @ c2[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        return np.cumsum(segments, axis=0).T
+        # summed per segment between cutoffs, then a cumsum over the segments.
+        sums = np.zeros((len(segments), len(r_list)))
+        for part, c in coefficients:
+            np.square(c, out=c)
+            for sums_of, (lo, hi) in zip(sums, segments):
+                lo, hi = max(lo, part.start), min(hi, part.stop)
+                if lo < hi:
+                    sums_of += weights[:, lo:hi] @ c[lo - part.start : hi - part.start]
+            del c  # hold no block while the next one is made
+        return np.cumsum(sums, axis=0).T
 
     if surrogate:
         replicates = 1
 
         def one(_rep: int) -> np.ndarray:
-            return partial_norms(np.ones(len(system)))
+            return partial_norms((part, np.ones(part.stop - part.start)) for part in blocks)
 
     else:
 
         def one(rep: int) -> np.ndarray:
-            c = pair_eigen(replicate_noise(law, seed, rep), system)
-            return partial_norms(np.square(c, out=c))
+            return partial_norms(pair_eigen_blocks(replicate_noise(law, seed, rep), system))
 
     rows = run_replicates(one, replicates, workers)
     reports = []
@@ -429,7 +453,8 @@ def continuity_probe(
     l_min = float(np.min(box.lengths))
     lam_caps = [(math.pi * 2**l / l_min) ** 2 for l in levels]
     system = enumerate_eigen(box, lambda_max=lam_caps[-1])
-    prefix_sizes = [int(np.searchsorted(system.lams, cap, side="right")) for cap in lam_caps]
+    # One system a level, so every replicate shares its kernel layout.
+    prefixes = [system.prefix(int(np.searchsorted(system.lams, cap, side="right"))) for cap in lam_caps]
     axes_per_level = [
         [np.linspace(a, b, 2**l + 1) for a, b in box.intervals] for l in levels
     ]
@@ -437,8 +462,8 @@ def continuity_probe(
     def one(rep: int) -> tuple[bool, bool, np.ndarray, np.ndarray]:
         coeffs = solve_mild(replicate_noise(law, seed, rep), gamma, system, override=override).coeffs
         incs, sups = [], []
-        for n_modes, axes in zip(prefix_sizes, axes_per_level):
-            fld = SpectralFunction(system.prefix(n_modes), coeffs[:n_modes])
+        for prefix, axes in zip(prefixes, axes_per_level):
+            fld = SpectralFunction(prefix, coeffs[: len(prefix)])
             values = eval_field_grid(fld, axes)
             max_inc = 0.0
             for axis in range(d):

@@ -40,7 +40,15 @@ and ``_Kernel.matvec`` (its transpose).  Two front ends feed it rows:
 
 ``eigen_matrix`` gathers the whole of E from the same tables, for blocks
 up to MAX_MATRIX_VALUES values, and ``positions`` finds where multi-indices
-sit in a listing by reading the same grid of modes.
+sit in a listing by reading the same grid of modes.  The layout is built
+once per system, at its first use, and every later evaluation on that
+system shares it.
+
+``eigen_matvec_blocks`` gives E @ w one block of the listing at a time
+(``listing_blocks``, about BLOCK_MODES modes each).  At d = 1 a block of
+the sorted listing is a run of anchor rows of the grid, so points that fit
+one chunk need memory for one block; otherwise the dense grid is summed
+first and each block gathered from it.
 
 CHUNK_CELLS bounds the memory of a chunk: it holds as many points (of the
 last axis, on a grid) as keep its tables, rows and factors within that
@@ -55,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,6 +75,10 @@ MAX_MATRIX_VALUES = 1 << 24
 MAX_MODES = 1 << 22
 # Most nodes ``gauss_rule`` makes: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
 MAX_GAUSS_NODES = 1 << 14
+# Modes of a block of the listing (``listing_blocks``), rounded down to whole anchor rows: 512 KiB a
+# value array.  A default Sobolev sweep on 2 workers took 0.41 s at 2^16, 0.42 s at 2^17, 0.53 s at
+# 2^15 and 0.87 s at 2^14 (in-process medians of 5, 2-core Xeon, one BLAS thread).
+BLOCK_MODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,11 @@ class EigenSystem:
         if not 1 <= count <= len(self):
             raise ValueError(f"count must lie in [1, {len(self)}]")
         return EigenSystem(self.box, self.indices[:count], self.lams[:count])
+
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        """The sine kernels' layout, built at the first use and shared by every later one."""
+        return _Kernel.of(self)
 
 
 def _lattice_below(lengths: np.ndarray, t: float):
@@ -293,13 +310,23 @@ def _sine_factors(lo: int, hi: int, step: int, u: np.ndarray, length: float):
     Returns the scaled anchor sines and cosines, shape (anchors, points),
     and the offset cosines and sines side by side, shape (step, 2 points).
     """
-    anchor = np.pi * np.outer(np.arange(lo, hi + 1, step), u)
-    offset = np.pi * np.outer(np.arange(step), u)
+    return (*_anchor_factors(np.arange(lo, hi + 1, step), u, length), _offset_factors(step, u))
+
+
+def _anchor_factors(anchors: np.ndarray, u: np.ndarray, length: float):
+    """sqrt(2/L) sin(pi m u) and sqrt(2/L) cos(pi m u), one row an anchor m and a column a point."""
+    anchor = np.pi * np.outer(anchors, u)
     scale = math.sqrt(2.0 / length)
+    return scale * np.sin(anchor), scale * np.cos(anchor)
+
+
+def _offset_factors(step: int, u: np.ndarray) -> np.ndarray:
+    """cos(pi j u) and sin(pi j u) side by side, one row an offset j < step."""
+    offset = np.pi * np.outer(np.arange(step), u)
     cos_sin = np.empty((step, 2 * len(u)))
     np.cos(offset, out=cos_sin[:, : len(u)])
     np.sin(offset, out=cos_sin[:, len(u) :])
-    return scale * np.sin(anchor), scale * np.cos(anchor), cos_sin
+    return cos_sin
 
 
 def _sine_table(lo: int, hi: int, u: np.ndarray, length: float) -> np.ndarray:
@@ -329,16 +356,18 @@ class _Kernel:
     the anchor products (rows x anchors a point) against the offset
     factors (step a point).  So at d = 1 step and anchors are both about
     sqrt(width), and at d >= 2 the step is usually the whole width, with
-    one anchor.
+    one anchor.  ``in_grid_order`` says that the listing is the grid's one
+    row, mode after mode, as a sorted listing at d = 1 is.
     """
 
     box: HyperBox
+    indices: np.ndarray  # the system's listing, shared
     low: tuple
     widths: tuple
-    modes: tuple  # each mode's place in the dense grid, one index array an axis
     rows: int
     step: int
     anchors: int
+    in_grid_order: bool
 
     @classmethod
     def of(cls, system: EigenSystem) -> "_Kernel":
@@ -347,8 +376,15 @@ class _Kernel:
         widths = tuple(int(w) for w in idx.max(axis=0) - low + 1)
         rows = math.prod(widths[:-1])
         step = min(widths[-1], _block_length(rows * widths[-1]))
-        modes = tuple((idx - low).T)
-        return cls(system.box, tuple(int(k) for k in low), widths, modes, rows, step, -(-widths[-1] // step))
+        # One row as wide as the listing, strictly ascending along it: the modes low, low + 1, ... in order.
+        in_grid_order = rows == 1 and widths[-1] == len(idx) and bool(np.all(idx[1:, -1] > idx[:-1, -1]))
+        low = tuple(int(k) for k in low)
+        return cls(system.box, idx, low, widths, rows, step, -(-widths[-1] // step), in_grid_order)
+
+    @cached_property
+    def modes(self) -> tuple:
+        """Each mode's place in the dense grid, one index array an axis; made at the first use."""
+        return tuple((self.indices - np.array(self.low)).T)
 
     def grid(self) -> np.ndarray:
         """A zero dense grid of modes, shaped (rows x anchors, step)."""
@@ -366,14 +402,17 @@ class _Kernel:
             for lo, w, length, u in zip(self.low, self.widths, self.box.lengths, unit)
         ]
 
-    def chunks(self, unit: np.ndarray, rows: int):
-        """(slice, last-axis factors) per chunk of the last axis's fractions
-        ``unit``, a chunk holding at most about CHUNK_CELLS values for
-        ``rows`` grid rows a point."""
+    def chunk_points(self, rows: int) -> int:
+        """Points of the last axis a chunk holds: about CHUNK_CELLS values for ``rows`` grid rows a point."""
         # A point's values: its front tables and rows, the anchor products
         # and their partial sums, and the offset phases, cosines and sines.
         cells = sum(self.widths[:-1]) + rows + 3 * rows * self.anchors + 3 * self.step
-        size = max(1, CHUNK_CELLS // cells)
+        return max(1, CHUNK_CELLS // cells)
+
+    def chunks(self, unit: np.ndarray, rows: int):
+        """(slice, last-axis factors) per chunk of the last axis's fractions
+        ``unit``, ``chunk_points(rows)`` points a chunk."""
+        size = self.chunk_points(rows)
         lo, hi, length = self.low[-1], self.low[-1] + self.widths[-1] - 1, self.box.lengths[-1]
         for start in range(0, len(unit), size):
             part = slice(start, start + size)
@@ -391,13 +430,22 @@ class _Kernel:
 
     def matvec(self, front: np.ndarray, sa, ca, cos_sin) -> np.ndarray:
         """The transpose: G[r, k] = sum_i F[r, i] sqrt(2/L) sin(pi k u_i) for
-        rows F of point weights, shaped (r x anchors, step): the weighted
-        anchor factors, then one BLAS product with the offset factors."""
+        rows F of point weights, shaped (r x anchors, step), over the anchors
+        that ``sa`` and ``ca`` hold: the weighted anchor factors, then one
+        BLAS product with the offset factors."""
         n = len(sa[0])
-        lhs = np.empty((len(front), self.anchors, 2 * n))
+        lhs = np.empty((len(front), len(sa), 2 * n))
         np.multiply(front[:, None, :], sa, out=lhs[:, :, :n])
         np.multiply(front[:, None, :], ca, out=lhs[:, :, n:])
         return lhs.reshape(-1, 2 * n) @ cos_sin.T
+
+
+def listing_blocks(system: EigenSystem) -> list[slice]:
+    """The listing cut into consecutive blocks of BLOCK_MODES modes rounded down to whole anchor
+    rows of the kernel (at least one), the last block shorter."""
+    step = system._kernel.step
+    size = step * max(1, BLOCK_MODES // step)
+    return [slice(start, min(start + size, len(system))) for start in range(0, len(system), size)]
 
 
 def positions(system: EigenSystem, indices) -> np.ndarray:
@@ -406,7 +454,7 @@ def positions(system: EigenSystem, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, system.box.dim)
     if len(idx) <= len(system) and np.array_equal(idx, system.indices[: len(idx)]):
         return np.arange(len(idx))
-    kernel = _Kernel.of(system)
+    kernel = system._kernel
     grid = np.full(kernel.widths, -1)
     grid[kernel.modes] = np.arange(len(system))
     cells = idx - kernel.low
@@ -423,7 +471,7 @@ def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"a dense {len(system)} x {len(unit)} eigen matrix is above the cap MAX_MATRIX_VALUES={MAX_MATRIX_VALUES}"
         )
-    kernel = _Kernel.of(system)
+    kernel = system._kernel
     out = np.ones((len(system), len(unit)))
     for table, k in zip(kernel.tables(unit.T), kernel.modes):
         out *= table[k]
@@ -441,19 +489,45 @@ def _prefix_grid(tables: list, weights: np.ndarray) -> np.ndarray:
 
 
 def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
-    """E @ w: sum_i e_k(x_i) w_i for every mode.
+    """E @ w: sum_i e_k(x_i) w_i for every mode, the blocks of ``eigen_matvec_blocks`` in one array."""
+    out = np.empty(len(system))
+    for part, values in zip(listing_blocks(system), eigen_matvec_blocks(system, points, weights)):
+        out[part] = values
+    return out
 
-    Per chunk of points, the weighted prefix grid goes through the last
-    axis's product; the first chunk's block is the dense grid of modes, the
-    later ones add to it, and the modes are gathered from it.  A zero grid
-    is made only when there are no points.  Boundary points carry weight 0.
+
+def eigen_matvec_blocks(system: EigenSystem, points, weights):
+    """E @ w one block of ``listing_blocks`` at a time: the values of each block, in order.
+
+    A listing in grid order (``_Kernel.in_grid_order``, a sorted listing at
+    d = 1) with points that fit one chunk builds the points' offset factors
+    once and, for each block, the anchor rows that block covers, their
+    weighted anchor factors and one BLAS product with the offset factors.
+    Otherwise, per chunk of points, the weighted prefix grid goes through
+    the last axis's product; the first chunk's block is the dense grid of
+    modes, the later ones add to it, and each block of modes is gathered
+    from it; with no points it is a zero grid.  Boundary points carry
+    weight 0, and a -0.0 reads +0.0, as on a zero grid plus the products.
     """
-    kernel = _Kernel.of(system)
+    kernel = system._kernel
     unit, on_boundary = _unit_points(system.box.intervals, points)
     weights = np.where(on_boundary, 0.0, np.asarray(weights, dtype=float))
+    blocks = listing_blocks(system)
+    if kernel.in_grid_order and 0 < len(unit) <= kernel.chunk_points(kernel.rows):
+        front = _prefix_grid(kernel.tables(unit[:, :-1].T), weights)
+        u, length = unit[:, -1], system.box.lengths[-1]
+        cos_sin = _offset_factors(kernel.step, u)
+        anchors = np.arange(kernel.low[-1], kernel.low[-1] + kernel.widths[-1], kernel.step)
+        for part in blocks:
+            rows = anchors[part.start // kernel.step : -(-part.stop // kernel.step)]
+            values = kernel.matvec(front, *_anchor_factors(rows, u, length), cos_sin).ravel()
+            values += 0.0
+            yield values[: part.stop - part.start]
+            del values  # hold no block while the next one is made
+        return
     dense = None
-    for part, factors in kernel.chunks(unit[:, -1], kernel.rows):
-        block = kernel.matvec(_prefix_grid(kernel.tables(unit[part, :-1].T), weights[part]), *factors)
+    for chunk, factors in kernel.chunks(unit[:, -1], kernel.rows):
+        block = kernel.matvec(_prefix_grid(kernel.tables(unit[chunk, :-1].T), weights[chunk]), *factors)
         if dense is None:
             dense = block
             dense += 0.0  # as a zero grid plus the block: a -0.0 reads +0.0
@@ -461,7 +535,8 @@ def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
             dense += block
     if dense is None:
         dense = kernel.grid()
-    return kernel.at_modes(dense)[kernel.modes]
+    for part in blocks:
+        yield kernel.at_modes(dense)[tuple(m[part] for m in kernel.modes)]
 
 
 def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
@@ -471,7 +546,7 @@ def eigen_rmatvec(system: EigenSystem, coeffs, points) -> np.ndarray:
     last axis's product leaves one value a prefix row and point, which the
     prefix grid weights and sums.  Boundary points read 0.
     """
-    kernel = _Kernel.of(system)
+    kernel = system._kernel
     dense = kernel.grid()
     kernel.at_modes(dense)[kernel.modes] = coeffs
     unit, on_boundary = _unit_points(system.box.intervals, points)
@@ -491,7 +566,7 @@ def _grid_kernel(system: EigenSystem, axes):
     if len(axes) != box.dim:
         raise ValueError("one coordinate array per axis required")
     sides = [_unit_points((side,), np.reshape(xs, (-1, 1))) for side, xs in zip(box.intervals, axes)]
-    kernel = _Kernel.of(system)
+    kernel = system._kernel
     tables = kernel.tables([unit[:, 0] for unit, _ in sides[:-1]])
     for table, (_, on_boundary) in zip(tables, sides):
         table[:, on_boundary] = 0.0

@@ -25,7 +25,14 @@
   Kolmogorov-Chentsov it is continuous wherever it exists, and the flag is
   existence itself.  Every exponent the kernel rule asks for is at most 2, so
   existence implies kernel integrability; for pure-jump noise the converse
-  can fail, and the threshold stays the gate.
+  can fail, and the threshold stays the gate.  A triplet with no random part
+  (sigma = 0, nu = 0) is not white noise: its solution is the deterministic
+  u = b (-Laplace)^(-gamma) 1.  The Dirichlet coefficients of 1 on a box
+  decay like prod 1/k_i, so 1 lies in H^s for every s < 1/2 at every d, and
+  u exists for every gamma > 0 with r_max = 2 gamma + 1/2.  It is
+  continuous too: (-Laplace)^(-gamma) 1 is (1 / Gamma(gamma)) int_0^inf
+  t^(gamma - 1) e^(t Laplace) 1 dt, a uniformly convergent integral of
+  continuous functions bounded by 1.
 """
 
 from __future__ import annotations
@@ -100,7 +107,11 @@ def existence_verdict(d: int, gamma: float, triplet: LevyTriplet) -> ExistenceVe
     g = float(gamma)
     if g <= 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    no_jumps = triplet.measure.tail_mass(0.0) == 0.0
+    if no_jumps and triplet.sigma == 0.0:
+        # No random part: u = b (-Laplace)^(-gamma) 1, in H^r for r < 2 gamma + 1/2.
+        return ExistenceVerdict(d, g, triplet, True, 2.0 * g + 0.5, True)
     exists = g > d / 4.0
     # Without jumps the field is Gaussian and continuous wherever it exists.
-    continuous = exists if triplet.measure.tail_mass(0.0) == 0.0 else g > d / 2.0
+    continuous = exists if no_jumps else g > d / 2.0
     return ExistenceVerdict(d, g, triplet, exists, 2.0 * g - d / 2.0, continuous)

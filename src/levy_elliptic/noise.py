@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec, positions
+from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec_blocks, listing_blocks, positions
 from .functions import (
     Constant,
     FunctionDescriptor,
@@ -170,24 +170,45 @@ def replicate_noise(law: NoiseLaw, seed: int, replicate_id: int) -> NoiseRealiza
 
 
 def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray:
-    """Coefficients of the noise against every eigenfunction of the system.
+    """Coefficients of the noise against every eigenfunction of the system:
+    the blocks of ``pair_eigen_blocks`` in one array."""
+    out = np.empty(len(system))
+    for part, coeffs in pair_eigen_blocks(realization, system):
+        out[part] = coeffs
+    return out
+
+
+def pair_eigen_blocks(realization: NoiseRealization, system: EigenSystem):
+    """The coefficients one block of ``domain.listing_blocks`` at a time: (slice, coefficients) per block.
 
     c_k = b <1, e_k> + sum_j e_k(y_j) z_j + sqrt(sigma^2 + v) g_k, summed in
-    that order, into the first, over the parts present; the Gaussian part is
-    drawn after the atom kernel has freed its work arrays.  Deterministic given
-    the realization: the atom sum runs over fixed chunks of atoms in atom order.
+    that order, into the first, over the parts present; a block's Gaussian
+    part is drawn after its atom sum.  Deterministic given the realization
+    and the system: the Gaussian part is keyed by index, and the atom sum
+    runs over fixed chunks of atoms in atom order and over the fixed blocks
+    (``domain.eigen_matvec_blocks``).  Each block's array is its own, free
+    to overwrite.
     """
     _check_box(realization.law.box, system)
-    trip, atoms = realization.law.triplet, realization.atoms
-    parts = [
-        trip.b * constant_fourier(system) if trip.b != 0.0 else None,
-        eigen_matvec(system, atoms.locations, atoms.sizes) if atoms.count else None,
-        realization.gaussian_coefficients(system.indices),
+    atoms = realization.atoms
+    jumps = eigen_matvec_blocks(system, atoms.locations, atoms.sizes) if atoms.count else None
+    for part in listing_blocks(system):
+        block = EigenSystem(system.box, system.indices[part], system.lams[part])
+        yield part, _block_coefficients(realization, block, next(jumps) if jumps else None)
+
+
+def _block_coefficients(realization: NoiseRealization, block: EigenSystem, atom_sums) -> np.ndarray:
+    """One block's b <1, e_k>, atom sums and Gaussian part, summed in that order into the first present."""
+    trip = realization.law.triplet
+    terms = [
+        trip.b * constant_fourier(block) if trip.b != 0.0 else None,
+        atom_sums,
+        realization.gaussian_coefficients(block.indices),
     ]
-    parts = [part for part in parts if part is not None] or [np.zeros(len(system))]
-    for part in parts[1:]:
-        parts[0] += part
-    return parts[0]
+    terms = [term for term in terms if term is not None] or [np.zeros(len(block))]
+    for term in terms[1:]:
+        terms[0] += term
+    return terms[0]
 
 
 def pair_with_function(

@@ -25,10 +25,10 @@ from levy_elliptic.diagnostics import (
     check_t_list,
     check_weak_phi,
 )
-from levy_elliptic.domain import HyperBox, check_cutoff
+from levy_elliptic.domain import HyperBox, check_cutoff, constant_fourier, enumerate_eigen
 from levy_elliptic.functions import AxisPower, Indicator, integral
 from levy_elliptic.integrability import existence_verdict
-from levy_elliptic.measures import AlphaStable, LevyTriplet, SymmetricTwoPoint, check_band
+from levy_elliptic.measures import AlphaStable, LevyTriplet, NullMeasure, SymmetricTwoPoint, check_band
 from levy_elliptic.noise import NoiseLaw, sample_noise
 from levy_elliptic.solver import check_grid
 
@@ -170,6 +170,40 @@ def test_overridden_surrogate_sweep_reads_every_order_divergent(tmp_path, capsys
     with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
         details = [json.loads(line)["details"] for line in fh]
     assert [(d["predicted"], d["classification"]) for d in details] == [("divergent", "divergent")] * 3
+
+
+def test_d2_sobolev_sweep_repeats_byte_for_byte_across_workers(tmp_path, capsys, monkeypatch):
+    # Blocks of a few hundred modes, so each replicate walks several of its dense grid.
+    monkeypatch.setattr(domain, "BLOCK_MODES", 256)
+    runs = []
+    for workers in ("1", "2", "3"):
+        outdir = tmp_path / workers
+        assert run(SOBOLEV + D2 + ["--seed", "5", "--workers", workers, "--out", str(outdir)]) == 0
+        runs.append(outputs(outdir))
+    assert "sweep_sobolev_d=2_gamma=1.0_r=1.6_.csv" in runs[0]
+    assert runs[0] == runs[1] == runs[2]
+
+
+# sigma = 0 and nu = 0: no random part, and gamma = 0.2 lies below the white-noise threshold d/4.
+DETERMINISTIC = ["--set", "measure=null", "--set", "gamma=0.2"]
+
+
+def test_check_reads_a_law_without_a_random_part_as_solvable(capsys):
+    assert run(["check", *DETERMINISTIC, "--set", "b=1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["existence"]["exists"] is True and payload["existence"]["continuous"] is True
+    assert payload["existence"]["r_max"] == 2 * 0.2 + 0.5
+    assert payload["gate_stricter"] is False
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_solve_without_a_random_part_is_the_drift_through_the_inverse(tmp_path, capsys, b):
+    # u = b (-Laplace)^(-gamma) 1, coefficient by coefficient.
+    assert run(["solve", *DETERMINISTIC, "--set", f"b={b}", "--seed", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "coefficients.csv", newline="") as fh:
+        a_k = np.array([float(row["a_k"]) for row in csv.DictReader(fh)])
+    system = enumerate_eigen(HyperBox.unit(1), count=len(a_k))
+    assert np.array_equal(a_k, b * constant_fourier(system) / system.lams**0.2)
 
 
 def test_overridden_weak_identity_passes(tmp_path, capsys):
@@ -680,6 +714,8 @@ NOTHING_LAW = NoiseLaw(HyperBox.unit(1), LevyTriplet(0.0, 0.0, SymmetricTwoPoint
          "continuity.grid_levels", lambda: check_grid_levels([4, 5, 11], 2)),
         (["green-oracle", "--set", "grid_points=1449"], "green_oracle.grid_points", lambda: check_grid([1449, 1449])),
         (["sweep", "sobolev", *NOTHING_RANDOM, "--seed", "1"], "sobolev.eps", lambda: check_random_part(NOTHING_LAW)),
+        (["sweep", "sobolev", "--set", "measure=null", "--seed", "1"], "sobolev.eps",
+         lambda: check_random_part(NoiseLaw(HyperBox.unit(1), LevyTriplet(0.0, 0.0, NullMeasure()), 1.0))),
         (["sweep", "continuity", *NOTHING_RANDOM, "--set", "eps=1", "--set", "gamma=0.4", "--seed", "1"], "eps",
          lambda: check_random_part(NOTHING_LAW)),
     ],

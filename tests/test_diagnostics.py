@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levy_elliptic import _rng, diagnostics, noise, solver
+from levy_elliptic import _rng, diagnostics, domain, noise, solver
 from levy_elliptic.diagnostics import (
     continuity_probe,
     empirical_cf_test,
@@ -13,18 +13,19 @@ from levy_elliptic.diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from levy_elliptic.domain import HyperBox, enumerate_eigen, single_mode
+from levy_elliptic.domain import HyperBox, constant_fourier, eigen_matrix, enumerate_eigen, listing_blocks, single_mode
 from levy_elliptic.functions import AxisPower, Constant, Indicator, Polynomial, SpectralFunction, integral, parse_function
 from levy_elliptic.measures import (
     AlphaStable,
     LevyTriplet,
+    NullMeasure,
     SymmetricTwoPoint,
     VarianceGamma,
     band_variance,
     characteristic_exponent,
     sample_jump_sizes,
 )
-from levy_elliptic.noise import NoiseLaw, jump_sums, pairing_batch, sample_noise
+from levy_elliptic.noise import NoiseLaw, jump_sums, pairing_batch, replicate_noise, sample_noise
 from levy_elliptic.solver import eval_field_grid, green_gamma_grid
 
 SQUARE = HyperBox.unit(2)
@@ -69,6 +70,78 @@ def test_sobolev_sweep_predicts_from_the_ceiling():
     reports = sobolev_sweep(law, 1.0, [1.0, 1.4, 1.6], [1024, 2048], 1, 7, surrogate=True)
     assert [r.details["predicted"] for r in reports] == ["convergent", "convergent", "divergent"]
     assert all(r.details["r_threshold"] == 1.5 for r in reports)
+
+
+def direct_partial_norms(law, gamma, r_list, k_list, rep, seed, surrogate=False):
+    """One replicate's partial norms (orders x cutoffs) from its whole coefficient
+    vector: the drift, the dense E @ z of the atoms and the keyed Gaussian part."""
+    system = enumerate_eigen(law.box, count=k_list[-1])
+    c = np.ones(len(system))
+    if not surrogate:
+        realization = replicate_noise(law, seed, rep)
+        c = law.triplet.b * constant_fourier(system)
+        if realization.atoms.count:
+            c += eigen_matrix(system, realization.atoms.locations) @ realization.atoms.sizes
+        c += realization.gaussian_coefficients(system.indices)
+    terms = system.lams ** (np.array(r_list)[:, None] - 2.0 * gamma) * c**2
+    return np.cumsum(terms, axis=1)[:, np.array(k_list) - 1]
+
+
+SWEEP_CASES = {
+    # Drift, Gaussian part and at most one atom: replicates 1 and 4 of seed 7 draw none.
+    "d1-few-atoms": (NoiseLaw(UNIT, LevyTriplet(0.3, 0.5, AlphaStable(1.5)), eps=1.0), domain.CHUNK_CELLS, False),
+    # About 90 atoms a replicate, a few a chunk: summed into the dense grid, chunk by chunk.
+    "d1-atoms-in-chunks": (NoiseLaw(UNIT, LevyTriplet(0.3, 0.5, AlphaStable(1.5)), eps=0.05), 2000, False),
+    "d2-few-atoms": (NoiseLaw(SQUARE, LevyTriplet(0.3, 0.5, AlphaStable(1.5)), eps=1.0), domain.CHUNK_CELLS, False),
+    "d2-atoms-in-chunks": (NoiseLaw(SQUARE, LevyTriplet(0.3, 0.5, AlphaStable(1.5)), eps=0.05), 2000, False),
+    "d1-surrogate": (NoiseLaw(UNIT, LevyTriplet(0.3, 0.5, AlphaStable(1.5)), eps=1.0), domain.CHUNK_CELLS, True),
+}
+
+
+@pytest.mark.parametrize("law,cells,surrogate", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_blocked_sweep_is_the_whole_vector_computation(monkeypatch, law, cells, surrogate):
+    # Blocks of a few dozen modes split every segment between cutoffs.
+    monkeypatch.setattr(domain, "BLOCK_MODES", 64)
+    monkeypatch.setattr(domain, "CHUNK_CELLS", cells)
+    r_list, k_list, replicates = [1.0, 1.4, 1.6], [512, 1024, 2048], 5
+    system = enumerate_eigen(law.box, count=k_list[-1])
+    assert len(listing_blocks(system)) > 3 * len(k_list)
+    reports = sobolev_sweep(law, 1.0, r_list, k_list, replicates, 7, surrogate=surrogate)
+    reps = 1 if surrogate else replicates
+    direct = np.stack([direct_partial_norms(law, 1.0, r_list, k_list, rep, 7, surrogate) for rep in range(reps)])
+    for i, report in enumerate(reports):
+        got = [s for _, s in report.details["trajectory"]]
+        np.testing.assert_allclose(got, np.median(direct[:, i], axis=0), rtol=1e-12, atol=0.0)
+    counts = [replicate_noise(law, 7, rep).atoms.count for rep in range(replicates)]
+    chunk = system._kernel.chunk_points(system._kernel.rows)
+    if law.eps == 1.0:
+        assert 0 in counts and 0 < max(counts) <= chunk
+    else:
+        assert min(counts) > chunk
+
+
+def test_a_replicate_holds_a_block_and_its_atoms_factors_not_the_listing():
+    # The traced peak of a one-replicate sweep grows from K = 2^16 to 2^18 by the
+    # listing and the weights alone, and by the atoms' offset factors, which grow
+    # like sqrt(K): each K-long array a replicate held would add 1.5 MiB more.
+    law = NoiseLaw(UNIT, LevyTriplet(0.2, 0.5, AlphaStable(1.5)), eps=0.5)
+    r_list = [1.0, 1.4, 1.6]
+    atoms = replicate_noise(law, 3, 0).atoms.count
+    assert atoms > 0
+    peaks = []
+    for top in (1 << 16, 1 << 18):
+        tracemalloc.start()
+        try:
+            sobolev_sweep(law, 1.0, r_list, [top // 4, top // 2, top], 1, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # A mode's index and eigenvalue, and its weight at each order.
+    grown = ((1 << 18) - (1 << 16)) * 8 * (2 + len(r_list))
+    # cos and sin of each offset at each atom, and the anchor indices.
+    step = domain._block_length(1 << 18)
+    factors = 8 * step * (2 * atoms + 1)
+    assert peaks[1] - peaks[0] <= grown + factors
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -424,3 +497,12 @@ def test_a_surrogate_sweep_runs_on_a_law_with_nothing_random():
     # The surrogate draws no noise, so the law's random part does not matter.
     reports = sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0, 1.6], [1024, 2048], 1, 7, surrogate=True)
     assert [r.details["classification"] for r in reports] == ["convergent", "divergent"]
+
+
+def test_a_surrogate_sweep_reads_the_white_noise_ceiling_on_a_law_without_a_random_part():
+    # The law's own ceiling is 2 gamma + 1/2 = 2.5; the surrogate's coefficients are white noise's.
+    law = NoiseLaw(UNIT, LevyTriplet(1.0, 0.0, NullMeasure()), eps=1.0)
+    reports = sobolev_sweep(law, 1.0, [1.0, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    assert [r.details["r_threshold"] for r in reports] == [1.5, 1.5]
+    assert [r.details["predicted"] for r in reports] == ["convergent", "divergent"]
+    assert all(r.passed for r in reports)

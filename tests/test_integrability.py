@@ -161,6 +161,22 @@ class TestExistenceVerdict:
         # Without jumps the field is continuous wherever it exists; with them, above d/2.
         assert v.continuous is (v.exists if isinstance(measure, NullMeasure) else gamma > d / 2.0)
 
+    @given(
+        d=st.integers(1, 6),
+        gamma=st.floats(min_value=1e-3, max_value=4.0),
+        b=st.sampled_from([0.0, 1.0, -0.5]),
+    )
+    def test_a_triplet_without_a_random_part_has_a_solution_at_every_gamma(self, d, gamma, b):
+        # u = b (-Laplace)^(-gamma) 1, and 1 lies in H^s for every s < 1/2.
+        v = existence_verdict(d, gamma, LevyTriplet(b, 0.0, NullMeasure()))
+        assert v.exists is True and v.continuous is True
+        assert v.r_max == 2.0 * gamma + 0.5
+
+    def test_a_random_part_keeps_the_white_noise_threshold(self):
+        for triplet in (LevyTriplet(1.0, 0.5, NullMeasure()), LevyTriplet(1.0, 0.0, SymmetricTwoPoint(1.0, 0.5))):
+            assert existence_verdict(2, 0.5, triplet).exists is False
+            assert existence_verdict(2, 0.6, triplet).r_max == pytest.approx(0.2)
+
     def test_continuity_only_in_dimension_one(self):
         assert existence_verdict(1, 1.0, stable_triplet(1.5)).continuous is True
         assert existence_verdict(2, 1.0, stable_triplet(1.5)).continuous is False

@@ -16,14 +16,18 @@ from hypothesis import strategies as st
 
 from levy_elliptic import domain
 from levy_elliptic.domain import (
+    EigenSystem,
     HyperBox,
     eigen_matrix,
     eigen_matvec,
+    eigen_matvec_blocks,
     eigen_rmatvec,
     enumerate_eigen,
     gauss_rule,
     grid_matvec,
     grid_rmatvec,
+    listing_blocks,
+    positions,
     resolving_gauss_rule,
     tensor_points,
 )
@@ -100,13 +104,14 @@ def kernel_cases(draw):
     for x, (a, b) in zip(axes, box.intervals):
         x[0] = draw(st.sampled_from([x[0], a, b]))
     cells = draw(st.sampled_from([1, 50, 700, domain.CHUNK_CELLS]))
-    return system, pts, axes, rng, cells
+    blocks = draw(st.sampled_from([1, 30, domain.BLOCK_MODES]))
+    return system, pts, axes, rng, cells, blocks
 
 
 @settings(max_examples=80, deadline=None)
 @given(kernel_cases())
 def test_kernels_are_as_accurate_as_the_dense_product(args):
-    system, pts, axes, rng, cells = args
+    system, pts, axes, rng, cells, blocks = args
     exact = dense_reference(system, pts, np.longdouble)
     dense = dense_reference(system, pts)
     w, c = rng.standard_normal(len(pts)), rng.standard_normal(len(system))
@@ -115,6 +120,7 @@ def test_kernels_are_as_accurate_as_the_dense_product(args):
     v = rng.standard_normal(len(nodes))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(domain, "CHUNK_CELLS", cells)
+        mp.setattr(domain, "BLOCK_MODES", blocks)
         matrix = eigen_matrix(system, pts)
         matvec = eigen_matvec(system, pts, w)
         rmatvec = eigen_rmatvec(system, c, pts)
@@ -157,6 +163,60 @@ def test_grid_contraction_matches_dense_reference():
     flat = coeffs @ dense_reference(system, tensor_points(axes))
     assert np.max(np.abs(grid.ravel() - flat)) < 1e-12
     assert np.all(grid[0, :] == 0.0) and np.all(grid[:, -1] == 0.0)
+
+
+def test_the_kernel_layout_is_built_once_per_system(monkeypatch):
+    built = []
+    of = domain._Kernel.of.__func__
+    monkeypatch.setattr(domain._Kernel, "of", classmethod(lambda cls, system: built.append(system) or of(cls, system)))
+    system, pts, rng = case(2, 300, 20)
+    axes = [np.linspace(a, b, 5) for a, b in system.box.intervals]
+    eigen_matvec(system, pts, rng.standard_normal(20))
+    eigen_rmatvec(system, rng.standard_normal(300), pts)
+    eigen_matrix(system, pts)
+    positions(system, system.indices[::-1])
+    grid_rmatvec(system, rng.standard_normal(300), axes)
+    grid_matvec(system, axes, rng.standard_normal((5, 5)))
+    assert built == [system]
+
+
+def test_only_a_sorted_listing_at_d1_is_in_grid_order():
+    system = enumerate_eigen(HyperBox.unit(1), count=500)
+    assert system._kernel.in_grid_order and system.prefix(37)._kernel.in_grid_order
+    assert not enumerate_eigen(HyperBox.unit(2), count=500)._kernel.in_grid_order
+    reversed_listing = EigenSystem(system.box, system.indices[::-1], system.lams[::-1])
+    assert not reversed_listing._kernel.in_grid_order
+    gapped = EigenSystem(system.box, system.indices[::2], system.lams[::2])
+    assert not gapped._kernel.in_grid_order
+
+
+# (d, modes, points): at d = 1, anchor rows a block where the points fit one
+# chunk and one dense grid where they do not; at d = 2, one dense grid.
+BLOCK_CASES = [(1, 5000, 3), (1, 5000, 400), (1, 1, 2), (2, 3000, 5), (2, 3000, 400)]
+
+
+@pytest.mark.parametrize("cells", [50, domain.CHUNK_CELLS])
+@pytest.mark.parametrize("d,count,n", BLOCK_CASES)
+def test_matvec_blocks_cut_the_listing_in_whole_anchor_rows(monkeypatch, cells, d, count, n):
+    monkeypatch.setattr(domain, "BLOCK_MODES", 100)
+    monkeypatch.setattr(domain, "CHUNK_CELLS", cells)
+    system, pts, rng = case(d, count, n)
+    w = rng.standard_normal(n)
+    blocks = listing_blocks(system)
+    assert blocks[0].start == 0 and blocks[-1].stop == count
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert all((b.stop - b.start) % system._kernel.step == 0 for b in blocks[:-1])
+    values = list(eigen_matvec_blocks(system, pts, w))
+    assert [len(v) for v in values] == [b.stop - b.start for b in blocks]
+    exact = dense_reference(system, pts, np.longdouble)
+    err = entry_error(exact, dense_reference(system, pts))
+    assert gap(np.concatenate(values), exact @ w) <= 4 * err * np.sum(np.abs(w))
+    no_points = eigen_matvec(system, pts[:0], w[:0])
+    assert not np.any(no_points) and not np.any(np.signbit(no_points))
+    # The same modes listed backwards: gathered from the dense grid, block by block.
+    order = np.arange(count)[::-1]
+    backwards = EigenSystem(system.box, system.indices[order], system.lams[order])
+    assert gap(eigen_matvec(backwards, pts, w), exact[order] @ w) <= 4 * err * np.sum(np.abs(w))
 
 
 # d=2, K=65536, 1000 atoms: the dense K x atoms matrix alone is 500 MiB.
