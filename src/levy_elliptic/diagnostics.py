@@ -30,7 +30,7 @@ from .domain import (
     resolving_gauss_rule,
     tensor_points,
 )
-from .functions import Constant, Indicator, SpectralFunction, integral, square_integral
+from .functions import Constant, Indicator, SpectralFunction, integral
 from .integrability import rr_integrability
 from .measures import band_variance, characteristic_exponent
 from .noise import NoiseLaw, jump_sums, pair_eigen_blocks, pair_with_function, pairing_batch, replicate_noise
@@ -164,7 +164,7 @@ def isometry_test(law: NoiseLaw, f, m: int, seed: int, *, band_high: float = 1.0
     """
     check_m(m)
     box, eps = law.box, law.eps
-    f_square = square_integral(f, box)
+    f_square = integral(f, box, 2)
     if not math.isfinite(f_square):
         raise ValueError("integrand is not square-integrable; isometry test undefined")
     exact = f_square * band_variance(law.triplet.measure, eps, band_high)

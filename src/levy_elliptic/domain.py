@@ -6,7 +6,8 @@ explicit: for a multi-index k with integer components >= 1,
     lambda_k = sum_i (pi k_i / L_i)^2,
     e_k(x)   = prod_i sqrt(2 / L_i) sin(pi k_i (x_i - a_i) / L_i),
 
-and {e_k} is an orthonormal basis of L^2(D).
+and {e_k} is an orthonormal basis of L^2(D).  ``box_fourier`` is the closed
+form of <1_A, e_k> for D and every box A inside it, one interval form an axis.
 
 ``enumerate_eigen`` lists the lattice below a threshold t in one pass that
 goes axis by axis.  Axis j extends each prefix (k_1, ..., k_{j-1}) with
@@ -71,7 +72,7 @@ import numpy as np
 CHUNK_CELLS = 1 << 19
 # Largest dense K x points block ``eigen_matrix`` returns, 128 MiB; ``check`` at MAX_MODES asks for 2^22.
 MAX_MATRIX_VALUES = 1 << 24
-# Largest listing ``enumerate_eigen`` makes: ``check`` at 2^22 modes peaks at 255 MB at d = 1, 354 MB at d = 3.
+# Largest listing ``enumerate_eigen`` makes: ``check`` at 2^22 modes peaks at 256 MB at d = 1, 366 MB at d = 3.
 MAX_MODES = 1 << 22
 # Most nodes ``gauss_rule`` makes: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
 MAX_GAUSS_NODES = 1 << 14
@@ -152,19 +153,24 @@ class EigenSystem:
         return _Kernel.of(self)
 
 
+def _axis_eigenvalues(k, length):
+    """(pi k / L)^2, the term of index k on a side of length L in every eigenvalue."""
+    return (math.pi * k / length) ** 2
+
+
 def _lattice_below(lengths: np.ndarray, t: float):
     """Every multi-index (>= 1 each axis) with eigenvalue <= t, one int64
     column an axis, in lexicographic order, and its eigenvalues, bit for bit
-    those of ``eigenvalues_of``.  The room each axis leaves for the later
-    ones has a relative slack of 1e-12 against rounding."""
+    those of ``eigenvalues_of``, which adds the same ``_axis_eigenvalues``.
+    The room each axis leaves for the later ones has a relative slack of 1e-12."""
     slack = t * (1.0 + 1e-12)
-    least = (math.pi / lengths) ** 2
+    least = _axis_eigenvalues(1, lengths)
     columns, lam = [], np.zeros(1)
     for j, length in enumerate(lengths):
         room = slack - least[j + 1 :].sum()
         # The largest k_j any prefix may take (1 when no prefix is left).
         top = math.floor(length * math.sqrt(max(room - lam.min(initial=room), 0.0)) / math.pi) + 1
-        terms = (math.pi * np.arange(1, top + 1) / length) ** 2
+        terms = _axis_eigenvalues(np.arange(1, top + 1), length)
         counts = np.searchsorted(terms, room - lam, side="right")
         if j == len(lengths) - 1:
             # lam + terms[k] <= t is monotone in k: the slack admits at most a prefix's top k.
@@ -187,7 +193,7 @@ def eigenvalues_of(box: HyperBox, indices: np.ndarray) -> np.ndarray:
     lam = np.zeros(len(idx))
     with np.errstate(over="ignore"):
         for j in range(box.dim):
-            lam += (math.pi * idx[:, j] / lengths[j]) ** 2
+            lam += _axis_eigenvalues(idx[:, j], lengths[j])
     return lam
 
 
@@ -442,7 +448,9 @@ class _Kernel:
 
 def listing_blocks(system: EigenSystem) -> list[slice]:
     """The listing cut into consecutive blocks of BLOCK_MODES modes rounded down to whole anchor
-    rows of the kernel (at least one), the last block shorter."""
+    rows of the kernel (at least one), the last block shorter.  At d = 1 the atom sums of
+    ``eigen_matvec_blocks`` move with BLOCK_MODES in their last bits (3.4e-14 at most, seen at K =
+    70000 and 524288): OpenBLAS may round the rows at a block's edge otherwise than inside a grid."""
     step = system._kernel.step
     size = step * max(1, BLOCK_MODES // step)
     return [slice(start, min(start + size, len(system))) for start in range(0, len(system), size)]
@@ -620,17 +628,29 @@ def grid_matvec(system: EigenSystem, axes, values) -> np.ndarray:
     return tensor[kernel.modes]
 
 
-def constant_fourier(system: EigenSystem) -> np.ndarray:
-    """Coefficients <1, e_k> for every index of the system (closed form).
+def check_sub_box(box: HyperBox, sub: HyperBox) -> np.ndarray:
+    """The corners of ``sub`` as fractions (x - a) / L of the sides of ``box``, shape (2, d);
+    a ValueError unless ``sub`` is a box of ``box``'s dimension inside its closed box."""
+    try:
+        return _unit_points(box.intervals, np.stack([sub.lower, sub.upper]))[0]
+    except ValueError:
+        raise ValueError(f"a member must be a {box.dim}-d box inside {box.intervals}, got {sub.intervals}") from None
 
-    Per axis: int_a^b sqrt(2/L) sin(pi k (x-a)/L) dx = sqrt(2 L) (1-(-1)^k)/(pi k).
+
+def box_fourier(system: EigenSystem, sub: HyperBox | None = None) -> np.ndarray:
+    """Coefficients <1_A, e_k> for every index of the system (closed form),
+    A the box ``sub`` inside the system's box, or the whole box.
+
+    Per axis, with s = (x - a)/L at A's sides: int sqrt(2/L) sin(pi k s) dx =
+    sqrt(2 L) (cos(pi k s_lo) - cos(pi k s_hi)) / (pi k).  On the whole box
+    s = 0 and 1, where the cosines are exactly +-1: sqrt(2 L) (1 - (-1)^k) / (pi k).
     """
-    lengths = system.box.lengths
+    lo, hi = check_sub_box(system.box, system.box if sub is None else sub)
     out = np.ones(len(system))
-    for j in range(system.box.dim):
+    for j, length in enumerate(system.box.lengths):
         k = system.indices[:, j].astype(float)
-        parity = 1.0 - np.where(system.indices[:, j] % 2 == 0, 1.0, -1.0)
-        out *= math.sqrt(2.0 * lengths[j]) * parity / (math.pi * k)
+        ends = np.cos(math.pi * k * lo[j]) - np.cos(math.pi * k * hi[j])
+        out *= math.sqrt(2.0 * length) * ends / (math.pi * k)
     return out
 
 

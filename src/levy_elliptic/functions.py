@@ -1,9 +1,9 @@
 """Function descriptors: the closed set of integrands the package accepts.
 
 Descriptors exist so that integrals and Fourier analysis can dispatch to
-closed forms.  ``integral`` and ``square_integral`` are closed forms for
-every kind a config can name and for ``SpectralFunction``, and
-``lq_finite`` decides every L^q question analytically; tensor Gauss
+closed forms.  ``integral(f, box, q)`` is the closed form of int f^q for
+q = 1 and 2, for every kind a config can name and for ``SpectralFunction``,
+and ``lq_finite`` decides every L^q question analytically; tensor Gauss
 quadrature now serves only the Fourier coefficients that have no closed
 form.  Config objects name the kinds that ``parse_function`` builds,
 checked against the run's box, and the ``eigenfunction`` kind e_k is the
@@ -22,8 +22,8 @@ from ._checks import ConfigError, as_int, as_list, as_number, reported_at, requi
 from .domain import (
     EigenSystem,
     HyperBox,
-    _unit_points,
-    constant_fourier,
+    box_fourier,
+    check_sub_box,
     eigen_rmatvec,
     grid_matvec,
     positions,
@@ -129,27 +129,6 @@ class SpectralFunction:
 FunctionDescriptor = Constant | Indicator | AxisPower | Polynomial | RadialPower | SpectralFunction
 
 
-def indicator_fourier_vector(system: EigenSystem, f: Indicator) -> np.ndarray:
-    """<f, e_k>: per axis sqrt(2/L) L/(pi k) [cos(pi k (alpha-a)/L) - cos(pi k (beta-a)/L)]."""
-    box = system.box
-    total = np.zeros(len(system))
-    for sub in f.boxes:
-        out = np.ones(len(system))
-        for j in range(box.dim):
-            a, _ = box.intervals[j]
-            L = box.lengths[j]
-            alpha, beta = sub.intervals[j]
-            k = system.indices[:, j].astype(float)
-            out *= (
-                math.sqrt(2.0 / L)
-                * L
-                / (math.pi * k)
-                * (np.cos(math.pi * k * (alpha - a) / L) - np.cos(math.pi * k * (beta - a) / L))
-            )
-        total += out
-    return total
-
-
 def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     """Coefficients <f, e_k> for every index of the system at once.
 
@@ -159,9 +138,9 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     """
     box = system.box
     if isinstance(f, Constant):
-        return f.value * constant_fourier(system)
+        return f.value * box_fourier(system)
     if isinstance(f, Indicator):
-        return indicator_fourier_vector(system, f)
+        return sum(box_fourier(system, member) for member in f.boxes)
     if isinstance(f, SpectralFunction) and f.system.box == box:
         # A mode the system lacks has position -1, a spare last entry that is dropped.
         out = np.zeros(len(system) + 1)
@@ -172,36 +151,32 @@ def fourier_vector(system: EigenSystem, f) -> np.ndarray:
     return grid_matvec(system, axes, w * f.evaluate(tensor_points(axes)))
 
 
-def integral(f, box: HyperBox) -> float:
-    """int_D f dx in closed form; math.inf if divergent, ValueError if no closed form."""
-    if isinstance(f, Constant):
-        return f.value * box.volume
-    if isinstance(f, Indicator):
-        return float(sum(bx.volume for bx in f.boxes))
-    if isinstance(f, SpectralFunction) and f.system.box == box:
-        return float(np.dot(f.coeffs, constant_fourier(f.system)))
-    if isinstance(f, AxisPower):
-        return _axis_power_integral(f, box, 1.0)
-    if isinstance(f, Polynomial):
-        return _polynomial_integral(f.coeffs, f.axis, box)
-    raise ValueError(f"no closed-form integral of {type(f).__name__} over {box.intervals}")
-
-
-def square_integral(f, box: HyperBox) -> float:
-    """int_D f^2 dx in closed form; math.inf if f is not in L^2, ValueError if no closed form."""
-    if not lq_finite(f, box, 2.0):
+def integral(f, box: HyperBox, q: int = 1) -> float:
+    """int_D f^q dx in closed form for q = 1 or 2; math.inf if f is not in
+    L^q (``lq_finite``), ValueError if no closed form."""
+    if q not in (1, 2):
+        raise ValueError(f"q must be 1 or 2, got {q}")
+    if not lq_finite(f, box, q):
         return math.inf
     if isinstance(f, Constant):
-        return f.value**2 * box.volume
+        return f.value**q * box.volume
     if isinstance(f, Indicator):
+        for member in f.boxes:
+            check_sub_box(box, member)
         return float(sum(bx.volume for bx in f.boxes))
     if isinstance(f, SpectralFunction) and f.system.box == box:
-        return float(np.dot(f.coeffs, f.coeffs))
-    if isinstance(f, AxisPower):
-        return _axis_power_integral(f, box, 2.0)
-    if isinstance(f, Polynomial):
-        return _polynomial_integral(np.polynomial.polynomial.polymul(f.coeffs, f.coeffs), f.axis, box)
-    raise ValueError(f"no closed-form square integral of {type(f).__name__} over {box.intervals}")
+        return float(np.dot(f.coeffs, box_fourier(f.system) if q == 1 else f.coeffs))
+    if isinstance(f, AxisPower | Polynomial):
+        a, b = box.intervals[f.axis]
+        if isinstance(f, Polynomial):  # P(b) - P(a), P the antiderivative of f^q
+            poly = np.polynomial.polynomial
+            lo, hi = poly.polyval([a, b], poly.polyint(poly.polypow(f.coeffs, q)))
+            value = hi - lo
+        else:  # int t^e dt over the side less the offset, finite as f is in L^q
+            e, lo, hi = q * f.exponent, a - f.offset, b - f.offset
+            value = math.log(hi / lo) if e == -1.0 else (hi ** (e + 1.0) - lo ** (e + 1.0)) / (e + 1.0)
+        return box.volume / (b - a) * float(value)
+    raise ValueError(f"no closed-form integral of {type(f).__name__} to the power {q} over {box.intervals}")
 
 
 def check_offset(f: AxisPower, box: HyperBox) -> None:
@@ -209,28 +184,6 @@ def check_offset(f: AxisPower, box: HyperBox) -> None:
     a = box.intervals[f.axis][0]
     if f.offset > a:
         raise ValueError(f"axis-power offset must sit at or below the box on its axis, got {f.offset} above {a}")
-
-
-def _axis_power_integral(f: AxisPower, box: HyperBox, q: float) -> float:
-    check_offset(f, box)
-    a, b = box.intervals[f.axis]
-    lo, hi = a - f.offset, b - f.offset
-    other = box.volume / (b - a)
-    e = q * f.exponent
-    if lo == 0.0 and e <= -1.0:
-        return math.inf
-    if e == -1.0:
-        val = math.log(hi / lo)
-    else:
-        val = (hi ** (e + 1.0) - lo ** (e + 1.0)) / (e + 1.0)
-    return other * val
-
-
-def _polynomial_integral(coeffs, axis: int, box: HyperBox) -> float:
-    """|D| / L_axis * [P(b) - P(a)] with P the antiderivative of the coefficients."""
-    a, b = box.intervals[axis]
-    lo, hi = np.polynomial.polynomial.polyval([a, b], np.polynomial.polynomial.polyint(coeffs))
-    return box.volume / (b - a) * float(hi - lo)
 
 
 def lq_finite(f, box: HyperBox, q: float) -> bool:
@@ -275,10 +228,7 @@ def parse_function(data: dict, box: HyperBox, path: str = "f"):
         if kind == "indicator":
             members = tuple(HyperBox(tuple(tuple(p) for p in ivs)) for ivs in data["boxes"])
             for i, member in enumerate(members):
-                try:  # both corners in the run's closed box, in the run's dimension
-                    _unit_points(box.intervals, np.stack([member.lower, member.upper]))
-                except ValueError:
-                    raise ConfigError(f"{path}.boxes[{i}]", f"member must be a {box.dim}-d box inside the run's box")
+                reported_at(f"{path}.boxes[{i}]", check_sub_box, box, member)
             return Indicator(members)
         axis = as_int(data.get("axis", 0), f"{path}.axis", least=0)
         require(axis < box.dim, f"{path}.axis", f"axis must lie in [0, {box.dim})")

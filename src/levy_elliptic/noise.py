@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matvec_blocks, listing_blocks, positions
+from .domain import EigenSystem, HyperBox, box_fourier, eigen_matvec_blocks, listing_blocks, positions
 from .functions import (
     Constant,
     FunctionDescriptor,
@@ -201,7 +201,7 @@ def _block_coefficients(realization: NoiseRealization, block: EigenSystem, atom_
     """One block's b <1, e_k>, atom sums and Gaussian part, summed in that order into the first present."""
     trip = realization.law.triplet
     terms = [
-        trip.b * constant_fourier(block) if trip.b != 0.0 else None,
+        trip.b * box_fourier(block) if trip.b != 0.0 else None,
         atom_sums,
         realization.gaussian_coefficients(block.indices),
     ]

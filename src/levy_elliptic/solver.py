@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .domain import EigenSystem, HyperBox, constant_fourier, eigen_matrix, grid_rmatvec, tensor_points
+from .domain import EigenSystem, HyperBox, box_fourier, eigen_matrix, grid_rmatvec, tensor_points
 from .functions import SpectralFunction, fourier_vector
 from .integrability import ExistenceVerdict, existence_verdict
 from .noise import NoiseRealization, pair_eigen
@@ -72,7 +72,8 @@ def green_gamma_eval(system: EigenSystem, gamma: float, x, y) -> GreenValue:
     tail bound is infinite.
     """
     box = system.box
-    value = float(green_gamma_grid(system, gamma, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
+    xs = np.atleast_2d(x)
+    value = float(green_gamma_grid(system, gamma, xs, xs if y is x else np.atleast_2d(y))[0, 0])
     sup_sq = 2.0**box.dim / box.volume  # |e_k(x) e_k(y)| <= prod 2/L_i
     tail = sup_sq * series_tail_bound(box, gamma, float(system.lams[-1]))
     return GreenValue(value, tail)
@@ -83,11 +84,13 @@ def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
 
     Each side carries lambda_k^(-gamma/2), so the kernel at (x, y) and at
     (y, x) multiplies the same factors in the same order, and the two agree
-    exactly.  A grid over MAX_GRID_VALUES is refused.
+    exactly.  The same array on both sides builds its factor once.  A grid
+    over MAX_GRID_VALUES is refused.
     """
     check_grid([len(xs), len(ys)])
     half = system.lams[:, None] ** (-gamma / 2.0)
-    return (eigen_matrix(system, xs) * half).T @ (eigen_matrix(system, ys) * half)
+    left = eigen_matrix(system, xs) * half
+    return left.T @ (left if ys is xs else eigen_matrix(system, ys) * half)
 
 
 def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> ExistenceVerdict:
@@ -141,7 +144,7 @@ def torsion_solution(system: EigenSystem) -> SpectralFunction:
     exact solution is (x - a)(b - x)/2, which makes this a convenient
     closed-form oracle target.
     """
-    return SpectralFunction(system, constant_fourier(system) / system.lams)
+    return SpectralFunction(system, box_fourier(system) / system.lams)
 
 
 def green_convolve(system: EigenSystem, gamma: float, phi) -> SpectralFunction:

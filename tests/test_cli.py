@@ -25,7 +25,7 @@ from levy_elliptic.diagnostics import (
     check_t_list,
     check_weak_phi,
 )
-from levy_elliptic.domain import HyperBox, check_cutoff, constant_fourier, enumerate_eigen
+from levy_elliptic.domain import HyperBox, box_fourier, check_cutoff, enumerate_eigen
 from levy_elliptic.functions import AxisPower, Indicator, integral
 from levy_elliptic.integrability import existence_verdict
 from levy_elliptic.measures import AlphaStable, LevyTriplet, NullMeasure, SymmetricTwoPoint, check_band
@@ -203,7 +203,7 @@ def test_solve_without_a_random_part_is_the_drift_through_the_inverse(tmp_path, 
     with open(tmp_path / "coefficients.csv", newline="") as fh:
         a_k = np.array([float(row["a_k"]) for row in csv.DictReader(fh)])
     system = enumerate_eigen(HyperBox.unit(1), count=len(a_k))
-    assert np.array_equal(a_k, b * constant_fourier(system) / system.lams**0.2)
+    assert np.array_equal(a_k, b * box_fourier(system) / system.lams**0.2)
 
 
 def test_overridden_weak_identity_passes(tmp_path, capsys):

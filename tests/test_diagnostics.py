@@ -13,7 +13,7 @@ from levy_elliptic.diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from levy_elliptic.domain import HyperBox, constant_fourier, eigen_matrix, enumerate_eigen, listing_blocks, single_mode
+from levy_elliptic.domain import HyperBox, box_fourier, eigen_matrix, enumerate_eigen, listing_blocks, single_mode
 from levy_elliptic.functions import AxisPower, Constant, Indicator, Polynomial, SpectralFunction, integral, parse_function
 from levy_elliptic.measures import (
     AlphaStable,
@@ -79,7 +79,7 @@ def direct_partial_norms(law, gamma, r_list, k_list, rep, seed, surrogate=False)
     c = np.ones(len(system))
     if not surrogate:
         realization = replicate_noise(law, seed, rep)
-        c = law.triplet.b * constant_fourier(system)
+        c = law.triplet.b * box_fourier(system)
         if realization.atoms.count:
             c += eigen_matrix(system, realization.atoms.locations) @ realization.atoms.sizes
         c += realization.gaussian_coefficients(system.indices)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from levy_elliptic import domain
 from levy_elliptic.domain import (
+    EigenSystem,
     HyperBox,
-    constant_fourier,
+    box_fourier,
     eigen_matrix,
     eigenvalues_of,
     enumerate_eigen,
@@ -369,14 +371,101 @@ class TestEigenfunctions:
         gram = (e * w) @ e.T
         assert np.max(np.abs(gram - np.eye(20))) < 1e-8
 
-    def test_constant_fourier_closed_form(self):
+    def test_whole_box_fourier_closed_form(self):
         # Odd modes carry 2 sqrt(2 L) / (pi k); even modes vanish.
         box = HyperBox(((0.0, 2.0),))
         system = enumerate_eigen(box, count=6)
-        coeffs = constant_fourier(system)
+        coeffs = box_fourier(system)
         ks = np.arange(1, 7)
         expected = np.where(ks % 2 == 1, 2.0 * math.sqrt(4.0) / (np.pi * ks), 0.0)
         assert coeffs == pytest.approx(expected, rel=1e-14)
+
+
+def parity_fourier(system):
+    """<1, e_k> by the parity form sqrt(2 L) (1 - (-1)^k) / (pi k), axis by axis."""
+    out = np.ones(len(system))
+    for j, length in enumerate(system.box.lengths):
+        k = system.indices[:, j]
+        out *= math.sqrt(2.0 * length) * (1.0 - np.where(k % 2 == 0, 1.0, -1.0)) / (math.pi * k.astype(float))
+    return out
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        UNIT,
+        HyperBox(((-0.3, 2.7),)),
+        SQUARE,
+        HyperBox(((0.0, 2.0), (0.1, 0.6))),
+        HyperBox.unit(3),
+        HyperBox(((-1.0, 1.5), (0.0, 1.0), (3.0, 3.25))),
+    ],
+)
+def test_whole_box_fourier_is_the_parity_form_bit_for_bit(box):
+    # At s = 0 and 1 the cosines are exactly +-1, up to these indices (2^16 at d = 1).
+    system = enumerate_eigen(box, count=1 << 16 if box.dim == 1 else 1 << 14)
+    assert box_fourier(system).tobytes() == parity_fourier(system).tobytes()
+    assert box_fourier(system, box).tobytes() == parity_fourier(system).tobytes()
+
+
+def axis_quad(k, lo, hi, a, length):
+    """int_lo^hi sqrt(2/L) sin(pi k (x - a)/L) dx by adaptive quadrature."""
+    value, _ = integrate.quad(
+        lambda x: math.sqrt(2.0 / length) * math.sin(math.pi * k * (x - a) / length),
+        lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200,
+    )
+    return value
+
+
+@st.composite
+def sub_box_and_modes(draw):
+    """A box of d = 1-3, a box inside it and modes with every k_i <= 40."""
+    d = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    sides = draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d))
+    box = HyperBox(tuple((a, a + L) for a, L in zip(lower, sides)))
+    starts = draw(st.lists(st.floats(0.0, 0.95), min_size=d, max_size=d))
+    ends = [draw(st.floats(s + 0.01, 1.0)) for s in starts]
+    sub = HyperBox(tuple((a + s * L, a + t * L) for a, L, s, t in zip(lower, sides, starts, ends)))
+    n = draw(st.integers(1, 6))
+    indices = np.array(draw(st.lists(st.integers(1, 40), min_size=n * d, max_size=n * d))).reshape(n, d)
+    return box, sub, EigenSystem(box, indices, eigenvalues_of(box, indices))
+
+
+@settings(deadline=None, max_examples=40)
+@given(sub_box_and_modes())
+def test_sub_box_fourier_matches_per_axis_quadrature(case):
+    box, sub, system = case
+    expected = [
+        math.prod(axis_quad(k, *sub.intervals[j], box.intervals[j][0], box.lengths[j]) for j, k in enumerate(index))
+        for index in system.indices
+    ]
+    assert box_fourier(system, sub) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("box", [UNIT, HyperBox(((-0.3, 2.7), (1.0, 1.5)))])
+def test_box_fourier_adds_over_a_box_split_in_two(box):
+    system = enumerate_eigen(box, count=2000)
+    (a, b), rest = box.intervals[0], box.intervals[1:]
+    cut = a + 0.37 * (b - a)
+    left, right = HyperBox(((a, cut), *rest)), HyperBox(((cut, b), *rest))
+    halves = box_fourier(system, left) + box_fourier(system, right)
+    scale = np.max(np.abs(box_fourier(system)))
+    assert np.max(np.abs(halves - box_fourier(system))) <= 8 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize(
+    "box,sub",
+    [
+        (UNIT, HyperBox(((0.0, 2.0),))),  # past the upper side: read all zeros
+        (UNIT, HyperBox(((-1.0, 0.5),))),  # below the lower side: read -0.45016 at k = 1
+        (UNIT, HyperBox(((0.0, 0.5), (0.0, 0.5)))),  # another dimension: truncated by the per-axis loop
+        (SQUARE, HyperBox(((0.0, 0.5),))),
+    ],
+)
+def test_a_member_outside_the_box_is_refused(box, sub):
+    with pytest.raises(ValueError, match="a member must be a .-d box inside"):
+        box_fourier(enumerate_eigen(box, count=8), sub)
 
 
 class TestBoxAndQuadrature:

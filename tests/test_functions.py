@@ -10,11 +10,13 @@ from levy_elliptic.config import ConfigError
 from levy_elliptic.domain import (
     EigenSystem,
     HyperBox,
-    constant_fourier,
+    box_fourier,
     eigen_matrix,
     enumerate_eigen,
+    gauss_rule,
     positions,
     single_mode,
+    tensor_points,
 )
 from levy_elliptic.functions import (
     AxisPower,
@@ -27,7 +29,6 @@ from levy_elliptic.functions import (
     integral,
     lq_finite,
     parse_function,
-    square_integral,
 )
 
 UNIT = HyperBox.unit(1)
@@ -65,8 +66,8 @@ def test_config_eigenfunction_is_the_one_mode_expansion_bit_for_bit(case):
     unit = np.zeros(len(system))
     unit[positions(system, [index])[0]] = 1.0
     assert np.array_equal(fourier_vector(system, f), unit)
-    assert integral(f, box) == float(constant_fourier(mode)[0])
-    assert square_integral(f, box) == 1.0
+    assert integral(f, box) == float(box_fourier(mode)[0])
+    assert integral(f, box, 2) == 1.0
 
 
 class TestFourierVector:
@@ -177,22 +178,22 @@ class TestIntegrals:
         assert integral(Constant(3.0), box) == pytest.approx(9.0, rel=1e-14)
         sub = HyperBox(((0.0, 1.0), (0.0, 1.0)))
         assert integral(Indicator((sub,)), box) == 1.0
-        assert square_integral(Constant(-3.0), box) == pytest.approx(27.0, rel=1e-14)
-        assert square_integral(Indicator((sub,)), box) == 1.0
+        assert integral(Constant(-3.0), box, 2) == pytest.approx(27.0, rel=1e-14)
+        assert integral(Indicator((sub,)), box, 2) == 1.0
 
     def test_axis_power_closed_forms(self):
         assert integral(AxisPower(-0.5), UNIT) == pytest.approx(2.0, rel=1e-14)
-        assert square_integral(AxisPower(-0.25), UNIT) == pytest.approx(2.0, rel=1e-14)
-        assert square_integral(AxisPower(-0.5), UNIT) == math.inf
-        assert square_integral(AxisPower(-1.0), UNIT) == math.inf
+        assert integral(AxisPower(-0.25), UNIT, 2) == pytest.approx(2.0, rel=1e-14)
+        assert integral(AxisPower(-0.5), UNIT, 2) == math.inf
+        assert integral(AxisPower(-1.0), UNIT, 2) == math.inf
 
     def test_eigenfunction_square_norm(self):
-        assert square_integral(eigenfunction(UNIT, 5), UNIT) == 1.0
+        assert integral(eigenfunction(UNIT, 5), UNIT, 2) == 1.0
 
     def test_spectral_square_norm_parseval(self):
         system = enumerate_eigen(UNIT, count=3)
         f = SpectralFunction(system, np.array([3.0, 0.0, 4.0]))
-        assert square_integral(f, UNIT) == 25.0
+        assert integral(f, UNIT, 2) == 25.0
 
     def test_polynomial_closed_forms_vs_quad_oracle(self):
         # A shifted box: the polynomial runs along axis 1, axis 0 contributes its length 3.
@@ -202,11 +203,11 @@ class TestIntegrals:
         signed, _ = integrate.quad(p, 0.5, 1.5)
         squared, _ = integrate.quad(lambda y: p(y) ** 2, 0.5, 1.5)
         assert integral(f, box) == pytest.approx(3.0 * signed, rel=1e-14)
-        assert square_integral(f, box) == pytest.approx(3.0 * squared, rel=1e-14)
+        assert integral(f, box, 2) == pytest.approx(3.0 * squared, rel=1e-14)
 
     def test_polynomial_closed_forms_are_exact_on_the_unit_interval(self):
         assert integral(Polynomial((1.0, -2.0, 3.0)), UNIT) == 1.0
-        assert square_integral(Polynomial((0.0, 1.0)), UNIT) == 1.0 / 3.0
+        assert integral(Polynomial((0.0, 1.0)), UNIT, 2) == 1.0 / 3.0
 
     def test_integrands_without_a_closed_form_are_refused(self):
         other = HyperBox(((0.0, 2.0),))
@@ -216,9 +217,60 @@ class TestIntegrals:
             with pytest.raises(ValueError, match=name):
                 integral(f, UNIT)
             with pytest.raises(ValueError, match=name):
-                square_integral(f, UNIT)
+                integral(f, UNIT, 2)
         # Outside L^2 the analytic criterion answers first.
-        assert square_integral(RadialPower(-0.5, (0.5,)), UNIT) == math.inf
+        assert integral(RadialPower(-0.5, (0.5,)), UNIT, 2) == math.inf
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Polynomial((1.0, -2.0, 3.0), axis=1),
+            Polynomial((0.5, 0.0, 0.0, -1.25)),
+            AxisPower(1.7, axis=1, offset=-0.5),
+            AxisPower(-0.5, axis=0, offset=-1.5),  # q = 2 takes the logarithm
+            AxisPower(-2.3, axis=1, offset=0.25),
+        ],
+    )
+    def test_integral_matches_a_tensor_gauss_rule(self, f, q):
+        box = HyperBox(((-1.0, 2.0), (0.5, 1.5)))
+        axes, w = gauss_rule(box, 48)
+        expected = float(w @ f.evaluate(tensor_points(axes)) ** q)
+        assert integral(f, box, q) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("exponent", [-2.5, -1.0, -0.75, -0.5, -0.3, 0.4])
+    def test_integral_is_inf_exactly_where_f_is_not_in_lq(self, exponent, q):
+        box = HyperBox.unit(2)
+        for f in (AxisPower(exponent, axis=1), RadialPower(2.0 * exponent, (0.5, 0.0))):
+            if lq_finite(f, box, q):
+                assert isinstance(f, RadialPower) or math.isfinite(integral(f, box, q))
+            else:
+                assert integral(f, box, q) == math.inf
+
+    def test_only_the_first_and_second_powers_are_integrated(self):
+        with pytest.raises(ValueError, match="q must be 1 or 2, got 3"):
+            integral(Constant(1.0), UNIT, 3)
+
+    @pytest.mark.parametrize(
+        "member",
+        [
+            HyperBox(((0.0, 2.0),)),  # read 0 Fourier coefficients and int f = int f^2 = 2
+            HyperBox(((-1.0, 0.5),)),  # read -0.45016 at k = 1
+            HyperBox(((0.0, 0.5), (0.0, 0.5))),
+        ],
+    )
+    def test_an_indicator_member_outside_the_box_is_refused(self, member):
+        f = Indicator((member,))
+        match = r"a member must be a 1-d box inside \(\(0.0, 1.0\),\)"
+        with pytest.raises(ValueError, match=match):
+            fourier_vector(enumerate_eigen(UNIT, count=8), f)
+        for q in (1, 2):
+            with pytest.raises(ValueError, match=match):
+                integral(f, UNIT, q)
+        data = {"kind": "indicator", "boxes": [[[0.0, 0.5]], [list(iv) for iv in member.intervals]]}
+        with pytest.raises(ConfigError, match=r"^config error at f.boxes\[1\]: " + match):
+            parse_function(data, UNIT)
 
     def test_lq_finite_analytics(self):
         assert lq_finite(AxisPower(-1.0), UNIT, 0.9) is True

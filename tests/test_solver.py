@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from levy_elliptic import solver
 from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_rule, eigen_matrix, tensor_points
 from levy_elliptic.functions import Constant, SpectralFunction, parse_function
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
@@ -55,6 +56,17 @@ class TestGreenKernel:
         a = green_gamma_eval(system, 1.3, [0.21], [0.66]).value
         b = green_gamma_eval(system, 1.3, [0.66], [0.21]).value
         assert a == b
+
+    @pytest.mark.parametrize("same,calls", [(True, 1), (False, 2)])
+    def test_one_point_on_both_sides_builds_its_factor_once(self, monkeypatch, same, calls):
+        system = enumerate_eigen(HyperBox.unit(2), count=400)
+        x = np.array([0.31, 0.62])
+        y = x if same else x.copy()
+        expected = green_gamma_eval(system, 1.2, x, x.copy()).value  # two factors
+        built = []
+        monkeypatch.setattr(solver, "eigen_matrix", lambda *a: built.append(1) or eigen_matrix(*a))
+        assert green_gamma_eval(system, 1.2, x, y).value == expected
+        assert len(built) == calls
 
     def test_large_power_dominated_by_ground_state(self):
         # At gamma = 50 the higher modes are below one ulp of the ground term,
