@@ -457,11 +457,9 @@ def listing_blocks(system: EigenSystem) -> list[slice]:
 
 
 def positions(system: EigenSystem, indices) -> np.ndarray:
-    """Listing position of each row (n, d) of ``indices`` in the system, or -1: one comparison
-    for a prefix of the listing, else a gather from the kernel's grid of modes numbered in place."""
+    """Listing position of each row (n, d) of ``indices`` in the system, or -1: a gather
+    from the kernel's grid of modes numbered in place."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, system.box.dim)
-    if len(idx) <= len(system) and np.array_equal(idx, system.indices[: len(idx)]):
-        return np.arange(len(idx))
     kernel = system._kernel
     grid = np.full(kernel.widths, -1)
     grid[kernel.modes] = np.arange(len(system))

@@ -37,16 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, box_fourier, eigen_matvec_blocks, listing_blocks, positions
-from .functions import (
-    Constant,
-    FunctionDescriptor,
-    Indicator,
-    SpectralFunction,
-    fourier_vector,
-    integral,
-    lq_finite,
-)
+from .domain import EigenSystem, HyperBox, box_fourier, eigen_matvec_blocks, listing_blocks
+from .functions import Constant, FunctionDescriptor, fourier_vector, integral, lq_finite
 from .measures import LevyTriplet, sample_jump_sizes
 
 POLICIES = ("gaussianize", "drop")
@@ -214,32 +206,18 @@ def _block_coefficients(realization: NoiseRealization, block: EigenSystem, atom_
 def pair_with_function(
     realization: NoiseRealization, f: FunctionDescriptor, system: EigenSystem
 ) -> float:
-    """Sample of the noise paired with a general integrand.
+    """Sample of the noise paired with a general integrand, exact up to rounding.
 
-    The Gaussian part acts through the truncated eigen-expansion of f
-    (exact on basis functions, Parseval-deficit controlled otherwise); jumps
-    are summed directly at the atoms; the drift term is b * int f.  Pairing
-    a one-mode expansion c e_k whose mode the system lists returns c times
-    the ``pair_eigen`` coefficient of e_k, bit for bit that coefficient at
-    c = 1.
+    The drift term is b * int f; the Gaussian part acts through the truncated
+    eigen-expansion of f (exact on basis functions, Parseval-deficit
+    controlled otherwise); jumps are summed directly at the atoms.  An f
+    outside L^2 is refused when the Gaussian part has positive variance
+    (``NoiseLaw.gaussian_variance``): its expansion does not converge in K.
     """
     box, trip = realization.law.box, realization.law.triplet
     _check_box(box, system)
-    if trip.sigma != 0.0 and not lq_finite(f, box, 2.0):
-        raise ValueError("integrand is not square integrable for sigma > 0")
-
-    if isinstance(f, SpectralFunction) and len(f.coeffs) == 1 and f.system.box == system.box:
-        pos = positions(system, f.system.indices)[0]
-        if pos >= 0:
-            return float(f.coeffs[0] * pair_eigen(realization, system)[pos])
-
-    if isinstance(f, Indicator) and len(f.boxes) > 1:
-        # Pairing is additive over a disjoint union by definition of the
-        # underlying random measure; computing it that way keeps the
-        # identity exact, not merely up to summation roundoff.
-        return float(
-            sum(pair_with_function(realization, Indicator((bx,)), system) for bx in f.boxes)
-        )
+    if realization.law.gaussian_variance > 0.0 and not lq_finite(f, box, 2.0):
+        raise ValueError("integrand is not square integrable and the law has a Gaussian part")
 
     total = 0.0
     if trip.b != 0.0:

@@ -473,13 +473,18 @@ NOTHING_TEXT = "the law has nothing random: no Gaussian part and no jumps above 
         (lambda: enumerate_eigen(UNIT, count=0), "count must be >= 1, got 0"),
         (lambda: sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0], [1024, 2048], 2, 7), NOTHING_TEXT),
         (lambda: continuity_probe(NOTHING_RANDOM, 0.4, [3, 4, 5], 2, 7), NOTHING_TEXT),
+        (lambda: continuity_probe(DRIFT_LAW, 1.5, [0, 1, 2], 2, 7), "levels must be >= 1, got 0"),
+        (lambda: continuity_probe(DRIFT_LAW, 1.5, [-1, 1, 2], 2, 7), "levels must be >= 1, got -1"),
+        (lambda: continuity_probe(DRIFT_LAW, 1.5, [4, 5, 6], 0, 7), "need at least one replicate, got 0"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 2048], 0, 7), "need at least one replicate, got 0"),
     ],
     ids=[
         "levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "r-repeated",
         "stream-seed-negative", "stream-seed-above-64-bits", "noise-seed-negative", "noise-seed-above-64-bits",
         "weak-indicator", "field-grid", "green-grid", "continuity-grid", "band-reversed", "isometry-band",
         "isometry-m", "axis-power-offset", "isometry-axis-power-offset", "count-0",
-        "sobolev-nothing-random", "continuity-nothing-random",
+        "sobolev-nothing-random", "continuity-nothing-random", "levels-0-1-2", "levels-from-negative",
+        "continuity-replicates-0", "sobolev-replicates-0",
     ],
 )
 def test_checks_refuse_what_the_config_refuses(monkeypatch, check, message):
