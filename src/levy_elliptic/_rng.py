@@ -31,7 +31,8 @@ platform independent.  The constant (seed, purpose) prefix is hashed once,
 as a Python int; the index rounds then mix in place in two uint64 work
 arrays, and hash and inverse CDF run together per block of _BLOCK = 2^16
 values, so the temporaries are reused from block to block and stay near
-the cache.  Every value is the one the whole-array formula gives.
+the cache; a ``KeyedWork`` passed from call to call reuses them across
+calls too.  Every value is the one the whole-array formula gives.
 
 The inverse CDF is a numpy port of Moshier's Cephes ``ndtri`` ("Methods
 and Programs for Mathematical Functions", 1989), the algorithm scipy runs.
@@ -148,15 +149,18 @@ def _mix_into(h: np.ndarray, scratch: np.ndarray) -> None:
     h ^= scratch
 
 
-def _keyed_blocks(seed: int, purpose: int, indices):
+def _keyed_blocks(seed: int, purpose: int, indices, hashes: np.ndarray | None = None):
     """Uniforms of ``keyed_uniforms`` in blocks of _BLOCK: (start, values) per
-    block.  The values live in a work array that the next block overwrites."""
+    block.  The values live in a work array that the next block overwrites:
+    the second row of ``hashes``, two uint64 rows of at least one block's
+    length, made here if not given."""
     idx = np.asarray(indices)
     if idx.ndim == 1:
         idx = idx[:, None]
     prefix = np.uint64(_mix_int(check_seed(seed) ^ ((int(purpose) * _GOLD_INT) & _MASK64)))
-    h = np.empty(min(len(idx), _BLOCK), dtype=np.uint64)
-    scratch = np.empty_like(h)
+    if hashes is None:
+        hashes = np.empty((2, min(len(idx), _BLOCK)), dtype=np.uint64)
+    h, scratch = hashes
     for start in range(0, len(idx), _BLOCK):
         rows = idx[start : start + _BLOCK]
         hb, sb = h[: len(rows)], scratch[: len(rows)]
@@ -190,12 +194,26 @@ def keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
     return out
 
 
-def keyed_normals(seed: int, purpose: int, indices) -> np.ndarray:
-    """Standard normal values keyed by (seed, purpose, multi-index)."""
+class KeyedWork:
+    """The work arrays of ``keyed_normals`` for calls of up to n indices: two
+    uint64 rows for the hash rounds and the four of ``_ndtri_block``, at most
+    _BLOCK values each.  A caller that draws block after block passes one to
+    every call, so they are allocated once rather than once a call."""
+
+    def __init__(self, n: int):
+        n = min(n, _BLOCK)
+        self.hashes = np.empty((2, n), dtype=np.uint64)
+        self.ndtri = _NdtriWork(n)
+
+
+def keyed_normals(seed: int, purpose: int, indices, work: KeyedWork | None = None) -> np.ndarray:
+    """Standard normal values keyed by (seed, purpose, multi-index), with
+    temporaries in ``work`` (made for this call if not given)."""
     out = np.empty(len(np.atleast_1d(indices)))
-    work = _NdtriWork(min(len(out), _BLOCK))
-    for start, u in _keyed_blocks(seed, purpose, indices):
-        _ndtri_block(u, out[start : start + len(u)], work)
+    if work is None:
+        work = KeyedWork(len(out))
+    for start, u in _keyed_blocks(seed, purpose, indices, work.hashes):
+        _ndtri_block(u, out[start : start + len(u)], work.ndtri)
     return out
 
 

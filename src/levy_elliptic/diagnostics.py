@@ -308,15 +308,15 @@ def sobolev_sweep(
     The prediction under test: convergent iff r < r_max = 2 gamma - d/2,
     read from the existence verdict.
 
-    The weights lambda_k^(r - 2 gamma) are one (orders, K) array, shared by
-    the replicates.  A replicate walks the listing one block of
-    ``domain.listing_blocks`` (about BLOCK_MODES modes) at a time, so it
-    holds one block of coefficients plus its atoms' factors: the offset
-    factors of a sorted listing at d = 1 whose atoms fit one chunk of
-    points, else the dense grid of modes that its atoms sum into, about K
-    values.  Each block is squared in place and adds one product with the
-    weights into the sum of every segment between cutoffs that it overlaps,
-    so a segment's sum is added block by block.
+    The listing is the one K-sized array the sweep holds.  A replicate
+    walks it one block of ``domain.listing_blocks`` (about BLOCK_MODES
+    modes) at a time, so it holds one block of coefficients and of weights
+    lambda_k^(r - 2 gamma), one row an order, plus its atoms' factors: the
+    offset factors of a sorted listing at d = 1 whose atoms fit one chunk
+    of points, else the dense grid of modes that its atoms sum into, about
+    K values.  Each block is squared in place and adds one product with its
+    weights into the sum of every segment between cutoffs that it
+    overlaps, so a segment's sum is added block by block.
 
     ``surrogate`` replaces the noise coefficients by the deterministic
     decay lambda_k^(-gamma), which turns the sweep into an exact check of
@@ -334,9 +334,7 @@ def sobolev_sweep(
     threshold_r = refuse_outside_regime(d, gamma, triplet, override).r_max
 
     system = enumerate_eigen(law.box, count=k_list[-1])
-    weights = np.empty((len(r_list), len(system)))
-    for row, r in zip(weights, r_list):
-        np.power(system.lams, float(r) - 2.0 * gamma, out=row)
+    exponents = [float(r) - 2.0 * gamma for r in r_list]
     cuts = [0, *k_list]
     segments = list(zip(cuts, cuts[1:]))
     blocks = listing_blocks(system)  # builds the kernel layout here, once, for every worker to share
@@ -345,12 +343,16 @@ def sobolev_sweep(
         # Row r: sum_{k < K} lambda_k^(r - 2 gamma) c_k^2 at each K of k_list,
         # summed per segment between cutoffs, then a cumsum over the segments.
         sums = np.zeros((len(segments), len(r_list)))
+        # One block's weights lambda_k^(r - 2 gamma), a row an order, refilled block by block.
+        weights = np.empty((len(exponents), max(part.stop - part.start for part in blocks)))
         for part, c in coefficients:
             np.square(c, out=c)
+            for i, exponent in enumerate(exponents):
+                np.power(system.lams[part], exponent, out=weights[i, : len(c)])
             for sums_of, (lo, hi) in zip(sums, segments):
-                lo, hi = max(lo, part.start), min(hi, part.stop)
+                lo, hi = max(lo, part.start) - part.start, min(hi, part.stop) - part.start
                 if lo < hi:
-                    sums_of += weights[:, lo:hi] @ c[lo - part.start : hi - part.start]
+                    sums_of += weights[:, lo:hi] @ c[lo:hi]
             del c  # hold no block while the next one is made
         return np.cumsum(sums, axis=0).T
 

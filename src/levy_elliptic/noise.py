@@ -104,6 +104,15 @@ def _check_box(box: HyperBox, system: EigenSystem) -> None:
         raise ValueError("the noise and the system live on different boxes")
 
 
+def _check_pairable(law: NoiseLaw, f: FunctionDescriptor, system: EigenSystem) -> None:
+    """Refuse a system on another box, and an f outside L^2 when the Gaussian
+    part has positive variance (``NoiseLaw.gaussian_variance``): that part
+    pairs through the truncated expansion of f, which does not converge in K."""
+    _check_box(law.box, system)
+    if law.gaussian_variance > 0.0 and not lq_finite(f, law.box, 2.0):
+        raise ValueError("integrand is not square integrable and the law has a Gaussian part")
+
+
 @dataclass
 class JumpAtomSet:
     """Atoms (location, size) of the jump measure above the level eps."""
@@ -124,8 +133,9 @@ class NoiseRealization:
     master_seed: int
     atoms: JumpAtomSet
 
-    def gaussian_coefficients(self, indices) -> np.ndarray | None:
-        """N(0, ``NoiseLaw.gaussian_variance``) coefficients keyed by (seed, index).
+    def gaussian_coefficients(self, indices, work: _rng.KeyedWork | None = None) -> np.ndarray | None:
+        """N(0, ``NoiseLaw.gaussian_variance``) coefficients keyed by (seed, index),
+        drawn with ``work`` (see ``_rng.keyed_normals``).
 
         None, and no stream is consumed, when that variance is 0.
         """
@@ -133,7 +143,7 @@ class NoiseRealization:
         if var == 0.0:
             return None
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-        draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx)
+        draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx, work)
         draws *= math.sqrt(var)
         return draws
 
@@ -179,23 +189,30 @@ def pair_eigen_blocks(realization: NoiseRealization, system: EigenSystem):
     and the system: the Gaussian part is keyed by index, and the atom sum
     runs over fixed chunks of atoms in atom order and over the fixed blocks
     (``domain.eigen_matvec_blocks``).  Each block's array is its own, free
-    to overwrite.
+    to overwrite; the work arrays of the Gaussian draws are made once, for
+    every block.
     """
     _check_box(realization.law.box, system)
     atoms = realization.atoms
     jumps = eigen_matvec_blocks(system, atoms.locations, atoms.sizes) if atoms.count else None
-    for part in listing_blocks(system):
+    blocks = listing_blocks(system)
+    work = None
+    if realization.law.gaussian_variance > 0.0:
+        work = _rng.KeyedWork(max(part.stop - part.start for part in blocks))
+    for part in blocks:
         block = EigenSystem(system.box, system.indices[part], system.lams[part])
-        yield part, _block_coefficients(realization, block, next(jumps) if jumps else None)
+        yield part, _block_coefficients(realization, block, next(jumps) if jumps else None, work)
 
 
-def _block_coefficients(realization: NoiseRealization, block: EigenSystem, atom_sums) -> np.ndarray:
+def _block_coefficients(
+    realization: NoiseRealization, block: EigenSystem, atom_sums, work: _rng.KeyedWork | None
+) -> np.ndarray:
     """One block's b <1, e_k>, atom sums and Gaussian part, summed in that order into the first present."""
     trip = realization.law.triplet
     terms = [
         trip.b * box_fourier(block) if trip.b != 0.0 else None,
         atom_sums,
-        realization.gaussian_coefficients(block.indices),
+        realization.gaussian_coefficients(block.indices, work),
     ]
     terms = [term for term in terms if term is not None] or [np.zeros(len(block))]
     for term in terms[1:]:
@@ -212,12 +229,10 @@ def pair_with_function(
     eigen-expansion of f (exact on basis functions, Parseval-deficit
     controlled otherwise); jumps are summed directly at the atoms.  An f
     outside L^2 is refused when the Gaussian part has positive variance
-    (``NoiseLaw.gaussian_variance``): its expansion does not converge in K.
+    (``_check_pairable``).
     """
     box, trip = realization.law.box, realization.law.triplet
-    _check_box(box, system)
-    if realization.law.gaussian_variance > 0.0 and not lq_finite(f, box, 2.0):
-        raise ValueError("integrand is not square integrable and the law has a Gaussian part")
+    _check_pairable(realization.law, f, system)
 
     total = 0.0
     if trip.b != 0.0:
@@ -236,9 +251,11 @@ def pairing_batch(law: NoiseLaw, f, system: EigenSystem, m: int, seed: int) -> n
     Law-equivalent to calling ``pair_with_function`` on m fresh realizations:
     the Gaussian part acts through the truncated expansion of f, so it adds a
     centered normal of variance ``gaussian_variance`` * sum_k <f, e_k>^2, and
-    the jump part is the direct atom sum.  Draw order is fixed, so one seed fixes the batch.
+    the jump part is the direct atom sum.  Draw order is fixed, so one seed
+    fixes the batch.  It refuses what ``pair_with_function`` refuses
+    (``_check_pairable``).
     """
-    _check_box(law.box, system)
+    _check_pairable(law, f, system)
     triplet = law.triplet
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
     x = jump_sums(law, f, m, rng)

@@ -368,6 +368,18 @@ def test_batch_over_the_atom_budget_is_refused(tmp_path, capsys, no_atom_draws, 
     assert not outdir.exists()
 
 
+def test_cf_check_of_an_integrand_outside_l2_with_a_gaussian_part_exits_2(tmp_path, capsys):
+    # sigma = 0, but the gaussianized small jumps give the law a Gaussian part,
+    # whose pairing with x^-0.6 has a variance growing with K.
+    argv = ["verify", "cf", "--set", "sigma=0", "--set", "measure=alpha:1.5", "--set", "eps=0.1", "--set", "K=64"]
+    argv += ["--set", "M=2000", "--set", 'cf.f={"kind":"axis_power","axis":0,"exponent":-0.6}']
+    outdir = tmp_path / "out"
+    assert run(argv + ["--seed", "3", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid request: integrand is not square integrable and the law has a Gaussian part\n"
+    assert not outdir.exists()
+
+
 SMALL_SOBOLEV = ["sweep", "sobolev", "--set", "K_list=1024,2048", "--set", "replicates=2"]
 
 
@@ -486,9 +498,12 @@ def test_noise_without_jumps_is_predicted_continuous_where_the_solution_exists(t
 def test_cf_test_on_a_singular_integrand_runs_without_value_quadrature(tmp_path, capsys):
     # The integrability check once integrated the variance-gamma jump term of
     # x^-0.5 on the d=2 box and stalled; the verdict now needs no integral.
+    # The small jumps are dropped, below an eps at which the law hardly moves:
+    # gaussianized, they would give the law a Gaussian part, which refuses an
+    # integrand outside L^2.
     argv = [
-        "verify", "cf", "--set", "d=2", "--set", "eps=0.5", "--set", "M=1000", "--set", "measure=vgamma:1,1",
-        "--set", 'cf.f={"kind":"axis_power","exponent":-0.5}', "--seed", "5",
+        "verify", "cf", "--set", "d=2", "--set", "eps=0.05", "--set", "M=1000", "--set", "measure=vgamma:1,1",
+        "--set", "policy=drop", "--set", 'cf.f={"kind":"axis_power","exponent":-0.5}', "--seed", "5",
     ]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
 

@@ -122,8 +122,8 @@ def test_blocked_sweep_is_the_whole_vector_computation(monkeypatch, law, cells, 
 
 def test_a_replicate_holds_a_block_and_its_atoms_factors_not_the_listing():
     # The traced peak of a one-replicate sweep grows from K = 2^16 to 2^18 by the
-    # listing and the weights alone, and by the atoms' offset factors, which grow
-    # like sqrt(K): each K-long array a replicate held would add 1.5 MiB more.
+    # listing alone, and by the atoms' offset factors, which grow like sqrt(K):
+    # each K-long array the sweep or a replicate held would add 1.5 MiB more.
     law = NoiseLaw(UNIT, LevyTriplet(0.2, 0.5, AlphaStable(1.5)), eps=0.5)
     r_list = [1.0, 1.4, 1.6]
     atoms = replicate_noise(law, 3, 0).atoms.count
@@ -136,8 +136,8 @@ def test_a_replicate_holds_a_block_and_its_atoms_factors_not_the_listing():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # A mode's index and eigenvalue, and its weight at each order.
-    grown = ((1 << 18) - (1 << 16)) * 8 * (2 + len(r_list))
+    # A mode's index and eigenvalue.
+    grown = ((1 << 18) - (1 << 16)) * 8 * 2
     # cos and sin of each offset at each atom, and the anchor indices.
     step = domain._block_length(1 << 18)
     factors = 8 * step * (2 * atoms + 1)

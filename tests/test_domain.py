@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -164,6 +165,53 @@ def test_listings_agree_on_random_boxes(box, count):
         assert listing.lams.tobytes() == eigenvalues_of(box, listing.indices).tobytes()
         rows = list(zip(listing.lams.tolist(), map(tuple, listing.indices.tolist())))
         assert rows == sorted(rows)
+
+
+def argsort_listing(box: HyperBox, t: float, count: int | None = None):
+    """The listing by one stable argsort of the lexicographic lattice below t,
+    read off the cube k_j <= floor(L_j sqrt(t) / pi) + 1, first ``count`` rows."""
+    widths = [math.floor(L * math.sqrt(t) / math.pi) + 1 for L in box.lengths]
+    cube = np.indices(widths).reshape(box.dim, -1).T + 1
+    lam = eigenvalues_of(box, cube)
+    cube, lam = cube[lam <= t], lam[lam <= t]
+    order = np.argsort(lam, kind="stable")[:count]
+    return cube[order], lam[order]
+
+
+LARGE_BOXES = [
+    (HyperBox.unit(1), 1 << 16),
+    (HyperBox(((-3.5, 9.25),)), 1 << 16),
+    (SQUARE, 1 << 14),
+    (HyperBox(((2.0, 3.0), (-1.0, 6.5))), 1 << 14),
+    (HyperBox.unit(3), 1 << 13),
+    (HyperBox(((0.0, 1.0), (0.0, 2.5), (-4.0, 3.0))), 1 << 13),
+]
+
+
+@pytest.mark.parametrize("box, count", LARGE_BOXES, ids=lambda v: str(getattr(v, "intervals", v)))
+def test_both_modes_are_the_argsort_of_the_lattice_bit_for_bit(box, count):
+    system = enumerate_eigen(box, count=count)
+    idx, lam = argsort_listing(box, float(system.lams[-1]), count)
+    assert system.indices.tobytes() == idx.tobytes() and system.lams.tobytes() == lam.tobytes()
+    t = float(system.lams[count // 2])
+    system = enumerate_eigen(box, lambda_max=t)
+    idx, lam = argsort_listing(box, t)
+    assert system.indices.tobytes() == idx.tobytes() and system.lams.tobytes() == lam.tobytes()
+    assert system.indices.shape == (len(system), box.dim) and system.indices.flags.c_contiguous
+
+
+@pytest.mark.parametrize("cutoff", [{"count": 1 << 18}, {"lambda_max": (math.pi * (1 << 18)) ** 2}])
+def test_a_listing_at_d1_peaks_near_its_own_size(cutoff):
+    # The lattice of one axis is sorted, so no permutation is made: its k and
+    # eigenvalues are the listing, beside one temporary while they are made.
+    tracemalloc.start()
+    try:
+        system = enumerate_eigen(UNIT, **cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(system) == 1 << 18
+    assert peak <= 1.3 * (system.indices.nbytes + system.lams.nbytes)
 
 
 @st.composite

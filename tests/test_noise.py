@@ -211,6 +211,9 @@ class TestPairWithFunction:
         system = enumerate_eigen(UNIT, count=4)
         with pytest.raises(ValueError, match="not square integrable"):
             pair_with_function(real, AxisPower(-0.5), system)
+        # The batch pairs the same law, so it refuses the same integrand.
+        with pytest.raises(ValueError, match="not square integrable"):
+            pairing_batch(real.law, AxisPower(-0.5), system, 1000, 1)
 
     def test_integrand_outside_l2_paired_without_a_gaussian_part(self):
         real = atom_realization([[0.25], [0.5]], [2.0, -1.5], LevyTriplet(0.0, 0.0, AlphaStable(1.5)), eps=0.1)

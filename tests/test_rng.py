@@ -101,6 +101,15 @@ def test_keyed_draws_do_not_depend_on_the_block(monkeypatch):
     assert np.array_equal(_rng.keyed_normals(3, _rng.GAUSS_COEFF, idx), normals)
 
 
+def test_one_work_serves_calls_of_every_size_as_fresh_temporaries_do():
+    # Each call overwrites what the last one left in the work arrays.
+    work = _rng.KeyedWork(3 * (1 << 16) + 5)
+    for n, d in [(3 * (1 << 16) + 5, 2), (7, 1), (1 << 16, 3), (0, 2), (70_000, 1)]:
+        idx = np.random.default_rng(n + d).integers(1, 2**40, size=(n, d))
+        want = _rng.keyed_normals(5, _rng.GAUSS_COEFF, idx)
+        assert np.array_equal(_rng.keyed_normals(5, _rng.GAUSS_COEFF, idx, work).view(np.int64), want.view(np.int64))
+
+
 def test_bit_identical_to_scipy_with_avx512_log_off():
     # Disable every dispatched AVX-512 target the CPU has; with none present
     # this is the plain comparison.  numpy's log then runs libm, as scipy does.
