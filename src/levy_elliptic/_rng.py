@@ -27,12 +27,13 @@ mixing rounds and maps the 53 high bits h to the uniform (h + 1/2) 2^-53,
 which the inverse normal CDF turns into a Gaussian.  At the top h that
 rounds to 1.0, so it is clamped to 1 - 2^-53, which no other h gives, and
 every uniform lies strictly inside (0, 1).  The uniforms are fixed-point and
-platform independent.  The constant (seed, purpose) prefix is hashed once,
-as a Python int; the index rounds then mix in place in two uint64 work
-arrays, and hash and inverse CDF run together per block of _BLOCK = 2^16
-values, so the temporaries are reused from block to block and stay near
-the cache; a ``KeyedWork`` passed from call to call reuses them across
-calls too.  Every value is the one the whole-array formula gives.
+platform independent.  The constant (seed, purpose) prefix is hashed once
+a call; the index rounds then mix in place in two uint64 work arrays, and
+the inverse CDF runs in four float ones, all as long as the call's
+indices.  A caller that draws a long listing passes one block of
+``domain.listing_blocks`` a call, so the work arrays stay near the cache,
+and one ``KeyedWork`` from call to call reuses them.  Every value is the
+one the whole-array formula gives, however the indices are grouped.
 
 The inverse CDF is a numpy port of Moshier's Cephes ``ndtri`` ("Methods
 and Programs for Mathematical Functions", 1989), the algorithm scipy runs.
@@ -63,18 +64,11 @@ REPLICATE_STREAM = 0x52
 # The one purpose of keyed draws; 0x22, the old small-jump tag, keeps sigma = 0 runs.
 GAUSS_COEFF = 0x22
 
-_M1_INT, _M2_INT, _GOLD_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15
-_M1, _M2, _GOLD = np.uint64(_M1_INT), np.uint64(_M2_INT), np.uint64(_GOLD_INT)
+_GOLD_INT = 0x9E3779B97F4A7C15
+_M1, _M2, _GOLD = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB), np.uint64(_GOLD_INT)
 _S11, _S12, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 12, 27, 30, 31, 63))
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent bits of 1.0
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
-
-# Values per block of the keyed draws and of _ndtri: 512 KiB an array, so a
-# block's work arrays stay near a 2 MiB L2 cache and are reused, not
-# allocated afresh, from block to block.  Twenty draws of 524288 normals on
-# a 2-core Xeon took 0.45 s serially and 0.23 s on two threads at 2^16,
-# 0.55 and 0.43 s at 2^14 (more GIL handoffs), 0.58 and 0.27 s at 2^18.
-_BLOCK = 1 << 16
 
 
 def check_seed(seed) -> int:
@@ -130,13 +124,6 @@ def replicate_seed(master_seed: int, replicate_id: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _mix_int(h: int) -> int:
-    """splitmix64's finalizer on a Python int below 2^64."""
-    h = ((h ^ (h >> 30)) * _M1_INT) & _MASK64
-    h = ((h ^ (h >> 27)) * _M2_INT) & _MASK64
-    return h ^ (h >> 31)
-
-
 def _mix_into(h: np.ndarray, scratch: np.ndarray) -> None:
     """splitmix64's finalizer on a uint64 array, in place; ``scratch`` is as long."""
     np.right_shift(h, _S30, out=scratch)
@@ -149,36 +136,31 @@ def _mix_into(h: np.ndarray, scratch: np.ndarray) -> None:
     h ^= scratch
 
 
-def _keyed_blocks(seed: int, purpose: int, indices, hashes: np.ndarray | None = None):
-    """Uniforms of ``keyed_uniforms`` in blocks of _BLOCK: (start, values) per
-    block.  The values live in a work array that the next block overwrites:
-    the second row of ``hashes``, two uint64 rows of at least one block's
-    length, made here if not given."""
+def _keyed_into(seed: int, purpose: int, indices, hashes: np.ndarray) -> np.ndarray:
+    """Uniforms of ``keyed_uniforms`` in a work array: the second row of
+    ``hashes``, two uint64 rows at least as long as ``indices``, viewed as
+    doubles."""
     idx = np.asarray(indices)
     if idx.ndim == 1:
         idx = idx[:, None]
-    prefix = np.uint64(_mix_int(check_seed(seed) ^ ((int(purpose) * _GOLD_INT) & _MASK64)))
-    if hashes is None:
-        hashes = np.empty((2, min(len(idx), _BLOCK)), dtype=np.uint64)
-    h, scratch = hashes
-    for start in range(0, len(idx), _BLOCK):
-        rows = idx[start : start + _BLOCK]
-        hb, sb = h[: len(rows)], scratch[: len(rows)]
-        for j in range(idx.shape[1]):
-            # Signed indices wrap to uint64 as astype would, block by block.
-            np.multiply(rows[:, j], _GOLD, out=sb, dtype=np.uint64, casting="unsafe")
-            sb += np.uint64(j + 1)
-            np.bitwise_xor(sb, hb if j else prefix, out=hb)
-            _mix_into(hb, sb)
-        # (value + 0.5) * 2^-53 lies inside (0, 1) but rounds to 1.0 at the
-        # top value; that one is clamped to 1 - 2^-53, which no other value gives.
-        hb >>= _S11
-        u = sb.view(np.float64)
-        np.copyto(u, hb, casting="unsafe")
-        u += 0.5
-        u *= 2.0**-53
-        np.minimum(u, _BELOW_ONE, out=u)
-        yield start, u
+    prefix = np.array([check_seed(seed) ^ ((int(purpose) * _GOLD_INT) & _MASK64)], dtype=np.uint64)
+    _mix_into(prefix, np.empty_like(prefix))
+    h, scratch = hashes[:, : len(idx)]
+    for j in range(idx.shape[1]):
+        # Signed indices wrap to uint64 as astype would.
+        np.multiply(idx[:, j], _GOLD, out=scratch, dtype=np.uint64, casting="unsafe")
+        scratch += np.uint64(j + 1)
+        np.bitwise_xor(scratch, h if j else prefix, out=h)
+        _mix_into(h, scratch)
+    # (value + 0.5) * 2^-53 lies inside (0, 1) but rounds to 1.0 at the
+    # top value; that one is clamped to 1 - 2^-53, which no other value gives.
+    h >>= _S11
+    u = scratch.view(np.float64)
+    np.copyto(u, h, casting="unsafe")
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u
 
 
 def keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
@@ -188,22 +170,19 @@ def keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
     as a single column).  The result depends only on the key material, not
     on the order or grouping of queries.
     """
-    out = np.empty(len(np.atleast_1d(indices)))
-    for start, u in _keyed_blocks(seed, purpose, indices):
-        out[start : start + len(u)] = u
-    return out
+    hashes = np.empty((2, len(np.atleast_1d(indices))), dtype=np.uint64)
+    return _keyed_into(seed, purpose, indices, hashes).copy()
 
 
 class KeyedWork:
     """The work arrays of ``keyed_normals`` for calls of up to n indices: two
-    uint64 rows for the hash rounds and the four of ``_ndtri_block``, at most
-    _BLOCK values each.  A caller that draws block after block passes one to
-    every call, so they are allocated once rather than once a call."""
+    uint64 rows for the hash rounds and the four float rows of ``_ndtri``.
+    A caller that draws block after block passes one to every call, so they
+    are allocated once rather than once a call."""
 
     def __init__(self, n: int):
-        n = min(n, _BLOCK)
         self.hashes = np.empty((2, n), dtype=np.uint64)
-        self.ndtri = _NdtriWork(n)
+        self.y, self.y2, self.acc, self.tail = np.empty((4, n))
 
 
 def keyed_normals(seed: int, purpose: int, indices, work: KeyedWork | None = None) -> np.ndarray:
@@ -212,9 +191,7 @@ def keyed_normals(seed: int, purpose: int, indices, work: KeyedWork | None = Non
     out = np.empty(len(np.atleast_1d(indices)))
     if work is None:
         work = KeyedWork(len(out))
-    for start, u in _keyed_blocks(seed, purpose, indices, work.hashes):
-        _ndtri_block(u, out[start : start + len(u)], work.ndtri)
-    return out
+    return _ndtri(_keyed_into(seed, purpose, indices, work.hashes), out, work)
 
 
 # Cephes ndtri coefficient tables, highest power first.  The Q tables omit
@@ -243,13 +220,6 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242  # sqrt(2 pi)
 
 
-class _NdtriWork:
-    """Four float work arrays of one block length for ``_ndtri_block``."""
-
-    def __init__(self, n: int):
-        self.y, self.y2, self.acc, self.tail = np.empty((4, n))
-
-
 def _polevl(x: np.ndarray, coef, monic: bool = False, out=None) -> np.ndarray:
     # Horner's rule in Cephes' order; monic prepends the implicit leading 1.
     acc = np.empty_like(x) if out is None else out
@@ -264,24 +234,18 @@ def _polevl(x: np.ndarray, coef, monic: bool = False, out=None) -> np.ndarray:
     return acc
 
 
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of a float array with values in (0, 1).
+def _ndtri(y0: np.ndarray, res: np.ndarray | None = None, work: KeyedWork | None = None) -> np.ndarray:
+    """Inverse standard normal CDF of a float array with values in (0, 1),
+    into ``res`` with temporaries in ``work`` (each made here if not given).
 
     Cephes' operation order is kept, so each value is the one scipy's
     ``ndtri`` gives with the same ``log``.
     """
-    out = np.empty_like(p)
-    work = _NdtriWork(min(p.size, _BLOCK))
-    for start in range(0, p.size, _BLOCK):
-        _ndtri_block(p[start : start + _BLOCK], out[start : start + _BLOCK], work)
-    return out
-
-
-def _ndtri_block(y0: np.ndarray, res: np.ndarray, work: _NdtriWork) -> None:
-    """``_ndtri`` of one block into ``res``, with temporaries in ``work``."""
+    res = np.empty_like(y0) if res is None else res
+    work = KeyedWork(len(y0)) if work is None else work
     n = len(y0)
     y, y2, acc = work.y[:n], work.y2[:n], work.acc[:n]
-    # Central branch on the whole block; the tails overwrite their share.
+    # Central branch on every value; the tails overwrite their share.
     np.subtract(y0, 0.5, out=y)
     np.multiply(y, y, out=y2)
     np.multiply(_polevl(y2, _P0, out=acc), y2, out=res)
@@ -291,7 +255,7 @@ def _ndtri_block(y0: np.ndarray, res: np.ndarray, work: _NdtriWork) -> None:
     res *= _S2PI
     tail = np.flatnonzero((y0 <= _EXP_M2) | (y0 > 1.0 - _EXP_M2))
     if tail.size == 0:
-        return
+        return res
     m = tail.size
     yt, x, x0, x1 = work.y[:m], work.y2[:m], work.tail[:m], work.acc[:m]
     np.take(y0, tail, out=yt)
@@ -320,3 +284,4 @@ def _ndtri_block(y0: np.ndarray, res: np.ndarray, work: _NdtriWork) -> None:
     np.subtract(x0, x1, out=x0)
     x0 *= sign
     res[tail] = x0
+    return res

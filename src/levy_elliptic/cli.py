@@ -17,7 +17,9 @@ draws nothing and runs), an eps outside (0, 1] or an unknown small-jump
 policy, a box whose volume underflows to 0 or overflows the doubles, an
 indicator ``weak.phi`` (the weak test's Gauss rule cannot resolve its jump),
 a grid over ``solver.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
-``green-oracle``, an ``isometry.band_high`` at or below eps in ``verify
+``green-oracle`` or as the Gauss rule of ``verify cf`` (an eigen-expansion
+at d = 4), an eigen-expansion with a mode past K paired under a Gaussian
+part, an ``isometry.band_high`` at or below eps in ``verify
 isometry`` (only there, so other subcommands run at eps = 1), a draw of the
 noise over its atom budget (see ``noise``), a truncation over the mode
 budget ``domain.MAX_MODES`` (a count above it or a threshold whose Weyl term

@@ -28,6 +28,7 @@ from .domain import (
     gauss_rule,
     listing_blocks,
     resolving_gauss_rule,
+    resolving_nodes,
     tensor_points,
 )
 from .functions import Constant, Indicator, SpectralFunction, integral
@@ -101,9 +102,12 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
     """Empirical characteristic function of <noise, f> against its law.
 
     Target: exp(int_D Psi(u f(x)) dx), in closed form for a constant or an
-    indicator, else by a tensor Gauss rule at whose nodes f must be finite.
-    Statistic: max_u |empirical CF - target|; threshold 4/sqrt(m), the
-    conservative envelope for bounded complex averages.
+    indicator, else by a tensor Gauss rule at whose nodes f must be finite:
+    for an eigen-expansion on D the rule that resolves its own highest mode
+    (``resolving_nodes`` an axis), for other kinds 64 nodes an axis, 16 at
+    d >= 3.  A rule of more than ``solver.MAX_GRID_VALUES`` nodes is refused
+    before it is built.  Statistic: max_u |empirical CF - target|; threshold
+    4/sqrt(m), the conservative envelope for bounded complex averages.
     """
     check_m(m)
     box, triplet = law.box, law.triplet
@@ -112,7 +116,10 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
         raise ValueError("integrand is not noise-integrable; CF test undefined")
 
     if not isinstance(f, Constant | Indicator):
-        axes, w = gauss_rule(box, 64 if box.dim <= 2 else 16)
+        spectral = isinstance(f, SpectralFunction) and f.system.box == box
+        nodes = resolving_nodes(f.system) if spectral else 64 if box.dim <= 2 else 16
+        check_grid([nodes] * box.dim)
+        axes, w = gauss_rule(box, nodes)
         with np.errstate(over="ignore", invalid="ignore"):
             fvals = f.evaluate(tensor_points(axes))
         if non_finite := int(np.count_nonzero(~np.isfinite(fvals))):

@@ -81,7 +81,10 @@ MAX_MODES = 1 << 22
 MAX_GAUSS_NODES = 1 << 14
 # Modes of a block of the listing (``listing_blocks``), rounded down to whole anchor rows: 512 KiB a
 # value array.  A default Sobolev sweep on 2 workers took 0.41 s at 2^16, 0.42 s at 2^17, 0.53 s at
-# 2^15 and 0.87 s at 2^14 (in-process medians of 5, 2-core Xeon, one BLAS thread).
+# 2^15 and 0.87 s at 2^14 (in-process medians of 5, 2-core Xeon, one BLAS thread).  It also sizes the
+# keyed Gaussian draws of a block, whose work arrays stay near a 2 MiB L2 cache: twenty draws of
+# 524288 normals took 0.45 s serially and 0.23 s on two threads in blocks of 2^16, 0.55 and 0.43 s
+# at 2^14 (more GIL handoffs), 0.58 and 0.27 s at 2^18.
 BLOCK_MODES = 1 << 16
 
 
@@ -714,7 +717,11 @@ def gauss_rule(box: HyperBox, n_per_axis: int):
     return axes, weights
 
 
+def resolving_nodes(system: EigenSystem) -> int:
+    """Gauss nodes an axis whose tensor rule integrates products with every mode."""
+    return max(64, 2 * int(system.indices.max()) + 48)
+
+
 def resolving_gauss_rule(system: EigenSystem):
-    """Gauss rule, as ``gauss_rule`` returns it, whose tensor product
-    integrates products with every mode."""
-    return gauss_rule(system.box, max(64, 2 * int(system.indices.max()) + 48))
+    """Gauss rule, as ``gauss_rule`` returns it, of ``resolving_nodes`` nodes an axis."""
+    return gauss_rule(system.box, resolving_nodes(system))

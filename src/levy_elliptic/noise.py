@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, box_fourier, eigen_matvec_blocks, listing_blocks
-from .functions import Constant, FunctionDescriptor, fourier_vector, integral, lq_finite
+from .domain import EigenSystem, HyperBox, box_fourier, eigen_matvec_blocks, listing_blocks, positions
+from .functions import Constant, FunctionDescriptor, SpectralFunction, fourier_vector, integral, lq_finite
 from .measures import LevyTriplet, sample_jump_sizes
 
 POLICIES = ("gaussianize", "drop")
@@ -105,12 +105,23 @@ def _check_box(box: HyperBox, system: EigenSystem) -> None:
 
 
 def _check_pairable(law: NoiseLaw, f: FunctionDescriptor, system: EigenSystem) -> None:
-    """Refuse a system on another box, and an f outside L^2 when the Gaussian
-    part has positive variance (``NoiseLaw.gaussian_variance``): that part
-    pairs through the truncated expansion of f, which does not converge in K."""
+    """Refuse a system on another box and, when the Gaussian part has positive
+    variance (``NoiseLaw.gaussian_variance``), an f that its truncated
+    expansion misses: one outside L^2, where it does not converge in K, and an
+    eigen-expansion on the box with a nonzero coefficient at a mode the
+    listing lacks, which it would drop."""
     _check_box(law.box, system)
-    if law.gaussian_variance > 0.0 and not lq_finite(f, law.box, 2.0):
+    if law.gaussian_variance == 0.0:
+        return
+    if not lq_finite(f, law.box, 2.0):
         raise ValueError("integrand is not square integrable and the law has a Gaussian part")
+    if isinstance(f, SpectralFunction) and f.system.box == law.box:
+        missing = np.count_nonzero(f.coeffs[positions(system, f.system.indices) < 0])
+        if missing:
+            raise ValueError(
+                f"integrand has {missing} nonzero coefficients at modes outside the listing of "
+                f"K={len(system)} modes, which the Gaussian part would drop; raise K"
+            )
 
 
 @dataclass
@@ -133,19 +144,26 @@ class NoiseRealization:
     master_seed: int
     atoms: JumpAtomSet
 
-    def gaussian_coefficients(self, indices, work: _rng.KeyedWork | None = None) -> np.ndarray | None:
-        """N(0, ``NoiseLaw.gaussian_variance``) coefficients keyed by (seed, index),
-        drawn with ``work`` (see ``_rng.keyed_normals``).
+    def gaussian_blocks(self, system: EigenSystem):
+        """The N(0, ``NoiseLaw.gaussian_variance``) coefficients of the system's
+        modes, keyed by (seed, index), one block of ``domain.listing_blocks``
+        at a time: (slice, draws) per block, drawn into one ``_rng.KeyedWork``
+        for every block.
 
-        None, and no stream is consumed, when that variance is 0.
+        The draws are None, and no stream is consumed, when that variance is 0.
         """
-        var = self.law.gaussian_variance
+        var, blocks = self.law.gaussian_variance, listing_blocks(system)
         if var == 0.0:
-            return None
-        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-        draws = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, idx, work)
-        draws *= math.sqrt(var)
-        return draws
+            return ((part, None) for part in blocks)
+        work = _rng.KeyedWork(blocks[0].stop)  # the first block is the longest
+
+        def draws(part: slice) -> np.ndarray:
+            out = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, system.indices[part], work)
+            out *= math.sqrt(var)
+            return out
+
+        # Each block is drawn when it is asked for and not held here after.
+        return ((part, draws(part)) for part in blocks)
 
 
 def sample_noise(law: NoiseLaw, master_seed: int = 0) -> NoiseRealization:
@@ -185,35 +203,27 @@ def pair_eigen_blocks(realization: NoiseRealization, system: EigenSystem):
 
     c_k = b <1, e_k> + sum_j e_k(y_j) z_j + sqrt(sigma^2 + v) g_k, summed in
     that order, into the first, over the parts present; a block's Gaussian
-    part is drawn after its atom sum.  Deterministic given the realization
-    and the system: the Gaussian part is keyed by index, and the atom sum
-    runs over fixed chunks of atoms in atom order and over the fixed blocks
-    (``domain.eigen_matvec_blocks``).  Each block's array is its own, free
-    to overwrite; the work arrays of the Gaussian draws are made once, for
-    every block.
+    part comes from ``NoiseRealization.gaussian_blocks``, drawn after the
+    block's atom sum, once the atom sum's temporaries are freed.  Deterministic
+    given the realization and the system: the Gaussian part is keyed by
+    index, and the atom sum runs over fixed chunks of atoms in atom order
+    and over the fixed blocks (``domain.eigen_matvec_blocks``).  Each
+    block's array is its own, free to overwrite.
     """
     _check_box(realization.law.box, system)
     atoms = realization.atoms
     jumps = eigen_matvec_blocks(system, atoms.locations, atoms.sizes) if atoms.count else None
-    blocks = listing_blocks(system)
-    work = None
-    if realization.law.gaussian_variance > 0.0:
-        work = _rng.KeyedWork(max(part.stop - part.start for part in blocks))
-    for part in blocks:
+    gaussian = realization.gaussian_blocks(system)
+    for part in listing_blocks(system):
         block = EigenSystem(system.box, system.indices[part], system.lams[part])
-        yield part, _block_coefficients(realization, block, next(jumps) if jumps else None, work)
+        # Drawn inline, the atom sums first, so no block is held here while the caller works.
+        yield part, _block_coefficients(realization, block, next(jumps) if jumps else None, next(gaussian)[1])
 
 
-def _block_coefficients(
-    realization: NoiseRealization, block: EigenSystem, atom_sums, work: _rng.KeyedWork | None
-) -> np.ndarray:
+def _block_coefficients(realization: NoiseRealization, block: EigenSystem, atom_sums, gaussian) -> np.ndarray:
     """One block's b <1, e_k>, atom sums and Gaussian part, summed in that order into the first present."""
     trip = realization.law.triplet
-    terms = [
-        trip.b * box_fourier(block) if trip.b != 0.0 else None,
-        atom_sums,
-        realization.gaussian_coefficients(block.indices, work),
-    ]
+    terms = [trip.b * box_fourier(block) if trip.b != 0.0 else None, atom_sums, gaussian]
     terms = [term for term in terms if term is not None] or [np.zeros(len(block))]
     for term in terms[1:]:
         terms[0] += term
@@ -227,8 +237,10 @@ def pair_with_function(
 
     The drift term is b * int f; the Gaussian part acts through the truncated
     eigen-expansion of f (exact on basis functions, Parseval-deficit
-    controlled otherwise); jumps are summed directly at the atoms.  An f
-    outside L^2 is refused when the Gaussian part has positive variance
+    controlled otherwise), one dot product of <f, e_k> with the K draws,
+    filled block by block from ``NoiseRealization.gaussian_blocks``; jumps
+    are summed directly at the atoms.  When the Gaussian part has positive
+    variance, an f that the truncated expansion misses is refused
     (``_check_pairable``).
     """
     box, trip = realization.law.box, realization.law.triplet
@@ -237,8 +249,10 @@ def pair_with_function(
     total = 0.0
     if trip.b != 0.0:
         total += trip.b * integral(f, box)
-    spectral = realization.gaussian_coefficients(system.indices)
-    if spectral is not None:
+    if realization.law.gaussian_variance > 0.0:
+        spectral = np.empty(len(system))
+        for part, draws in realization.gaussian_blocks(system):
+            spectral[part] = draws
         total += float(np.dot(fourier_vector(system, f), spectral))
     if realization.atoms.count:
         total += float(f.evaluate(realization.atoms.locations) @ realization.atoms.sizes)

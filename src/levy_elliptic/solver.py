@@ -25,9 +25,10 @@ from .integrability import ExistenceVerdict, existence_verdict
 from .noise import NoiseRealization, pair_eigen
 
 
-# Largest tensor grid, in values, that ``eval_field_grid`` evaluates or
-# ``green_gamma_grid`` tabulates; the CLI checks the grids of solve, sweep
-# continuity and green-oracle before any work, so other commands run at high d.
+# Largest tensor grid, in values, that ``eval_field_grid`` evaluates,
+# ``green_gamma_grid`` tabulates or the CF test's Gauss rule holds; the CLI
+# checks the grids of solve, sweep continuity and green-oracle before any
+# work, so other commands run at high d.
 MAX_GRID_VALUES = 1 << 21
 
 

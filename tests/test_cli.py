@@ -380,6 +380,26 @@ def test_cf_check_of_an_integrand_outside_l2_with_a_gaussian_part_exits_2(tmp_pa
     assert not outdir.exists()
 
 
+E_300 = 'cf.f={"kind":"eigenfunction","index":[300]}'
+
+
+def test_cf_check_of_an_eigenfunction_outside_the_listing_with_a_gaussian_part_exits_2(tmp_path, capsys):
+    # The gaussianized small jumps pair e_300 through the K = 256 listing, which lacks it.
+    outdir = tmp_path / "out"
+    assert run(["verify", "cf", "--set", E_300, "--seed", "1", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "invalid request: integrand has 1 nonzero coefficients at modes outside the listing of K=256 modes, "
+        "which the Gaussian part would drop; raise K\n"
+    )
+    assert not outdir.exists()
+
+
+def test_cf_check_of_an_eigenfunction_outside_the_listing_without_a_gaussian_part_runs(tmp_path):
+    argv = ["verify", "cf", "--set", "policy=drop", "--set", E_300, "--set", "M=1000", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
 SMALL_SOBOLEV = ["sweep", "sobolev", "--set", "K_list=1024,2048", "--set", "replicates=2"]
 
 

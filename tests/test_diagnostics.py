@@ -82,7 +82,7 @@ def direct_partial_norms(law, gamma, r_list, k_list, rep, seed, surrogate=False)
         c = law.triplet.b * box_fourier(system)
         if realization.atoms.count:
             c += eigen_matrix(system, realization.atoms.locations) @ realization.atoms.sizes
-        c += realization.gaussian_coefficients(system.indices)
+        c += _rng.keyed_normals(realization.master_seed, _rng.GAUSS_COEFF, system.indices) * np.sqrt(law.gaussian_variance)
     terms = system.lams ** (np.array(r_list)[:, None] - 2.0 * gamma) * c**2
     return np.cumsum(terms, axis=1)[:, np.array(k_list) - 1]
 
@@ -354,6 +354,29 @@ def test_empirical_cf_target_of_an_indicator_is_its_measure_times_psi(box, f, me
     for row, u in zip(report.details["grid"], u_grid):
         exact = np.exp(measure * complex(characteristic_exponent(triplet, u)))
         assert abs(complex(*row["target"]) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("box", [UNIT, SQUARE], ids=["d1", "d2"])
+def test_empirical_cf_target_of_an_eigenfunction_does_not_depend_on_its_index(box):
+    # int_D Psi(u e_k) is the same for every k: each axis's sine covers whole
+    # half-periods and Psi is even.  A fixed 64-node rule read e_40 3.9e-2 off.
+    law = NoiseLaw(box, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), eps=0.05)
+    u_grid = [0.5, 1.0, 2.0]
+    targets = []
+    for k in (1, 40):
+        f = parse_function({"kind": "eigenfunction", "index": [k]}, box)
+        report = empirical_cf_test(law, f, u_grid, 1000, 1, system=f.system)
+        targets.append([complex(*row["target"]) for row in report.details["grid"]])
+    assert max(abs(a - b) for a, b in zip(*targets)) <= 5e-3
+
+
+def test_empirical_cf_rule_over_the_grid_cap_is_refused_before_it_is_built(monkeypatch):
+    # At d = 4 the rule resolving e_1 has 64^4 nodes, above MAX_GRID_VALUES.
+    box = HyperBox.unit(4)
+    f = parse_function({"kind": "eigenfunction", "index": [1]}, box)
+    monkeypatch.setattr(diagnostics, "gauss_rule", lambda *a: pytest.fail("gauss_rule called"))
+    with pytest.raises(ValueError, match=r"^a grid of 64 x 64 x 64 x 64 points exceeds the cap"):
+        empirical_cf_test(NoiseLaw(box, LevyTriplet(0.0, 1.0, NullMeasure())), f, [1.0], 1000, 1, system=f.system)
 
 
 def test_empirical_cf_target_of_a_constant_is_volume_times_psi_bit_for_bit():

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from levy_elliptic import _rng, noise
+from levy_elliptic import _rng, domain, noise
 from levy_elliptic._rng import keyed_normals, replicate_seed, stream
 from levy_elliptic.diagnostics import run_replicates
-from levy_elliptic.domain import HyperBox, eigen_matvec, enumerate_eigen, single_mode
+from levy_elliptic.domain import HyperBox, eigen_matvec, enumerate_eigen, listing_blocks, single_mode
 from levy_elliptic.functions import (
     AxisPower,
     Constant,
@@ -140,7 +140,7 @@ class TestPairEigen:
     def test_sigma_zero_gaussian_map_identically_zero(self):
         real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, SymmetricTwoPoint(1.0, 1.0))), master_seed=8)
         system = enumerate_eigen(UNIT, count=50)
-        assert real.gaussian_coefficients(system.indices) is None
+        assert [draws for _, draws in real.gaussian_blocks(system)] == [None]
 
     @pytest.mark.parametrize("policy, small_jumps", [("gaussianize", True), ("drop", False)])
     def test_gaussian_part_variance(self, policy, small_jumps):
@@ -148,7 +148,7 @@ class TestPairEigen:
         # at eps under gaussianize and 0 under drop.
         measure, eps = AlphaStable(1.0), 0.5
         real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.6, measure), eps, policy), master_seed=9)
-        draws = real.gaussian_coefficients(np.arange(1, 200_001)[:, None])
+        draws = np.concatenate([draws for _, draws in real.gaussian_blocks(enumerate_eigen(UNIT, count=200_000))])
         want = 0.36 + (measure.truncated_variance(eps) if small_jumps else 0.0)
         assert np.var(draws) == pytest.approx(want, rel=0.02)
 
@@ -156,7 +156,7 @@ class TestPairEigen:
         real = sample_noise(
             NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.0)), eps=0.5, policy="drop"), master_seed=10
         )
-        assert real.gaussian_coefficients(np.arange(1, 50)[:, None]) is None
+        assert [draws for _, draws in real.gaussian_blocks(enumerate_eigen(UNIT, count=49))] == [None]
 
     def test_surrogate_keeps_its_keyed_stream_without_sigma(self):
         # At sigma = 0 the Gaussian part is the surrogate, drawn under purpose 0x22.
@@ -218,6 +218,48 @@ class TestPairWithFunction:
     def test_integrand_outside_l2_paired_without_a_gaussian_part(self):
         real = atom_realization([[0.25], [0.5]], [2.0, -1.5], LevyTriplet(0.0, 0.0, AlphaStable(1.5)), eps=0.1)
         assert pair_with_function(real, AxisPower(-0.5), enumerate_eigen(UNIT, count=4)) == 2.0 * 2.0 - 1.5 * 0.5**-0.5
+
+    def test_expansion_outside_the_listing_refused_with_a_gaussian_part(self):
+        # The Gaussian part pairs f through the listing, which lacks e_300 at K = 256.
+        real = atom_realization([[0.5]], [2.0], LevyTriplet(0.0, 0.0, AlphaStable(1.5)), eps=0.1, policy="gaussianize")
+        system = enumerate_eigen(UNIT, count=256)
+        f = parse_function({"kind": "eigenfunction", "index": [300]}, UNIT)
+        message = r"^integrand has 1 nonzero coefficients at modes outside the listing of K=256 modes, .*; raise K$"
+        with pytest.raises(ValueError, match=message):
+            pair_with_function(real, f, system)
+        with pytest.raises(ValueError, match=message):
+            pairing_batch(real.law, f, system, 1000, 1)
+        # A zero coefficient there drops nothing.
+        padded = SpectralFunction(enumerate_eigen(UNIT, count=300), np.eye(300)[0])
+        e_1 = parse_function({"kind": "eigenfunction", "index": [1]}, UNIT)
+        assert pair_with_function(real, padded, system) == pair_with_function(real, e_1, system)
+
+    def test_expansion_outside_the_listing_paired_without_a_gaussian_part(self):
+        real = atom_realization([[0.5]], [2.0])
+        f = parse_function({"kind": "eigenfunction", "index": [300]}, UNIT)
+        assert pair_with_function(real, f, enumerate_eigen(UNIT, count=256)) == float(f.evaluate([[0.5]])[0] * 2.0)
+
+    def test_gaussian_part_filled_block_by_block_is_the_whole_draw(self, monkeypatch):
+        # The K-long Gaussian vector is filled one listing block at a time, with
+        # one KeyedWork for the walk, and dotted with <f, e_k> once.
+        real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.4, 0.7, SymmetricTwoPoint(2.0, 1.0)), eps=0.4), master_seed=14)
+        system, f = enumerate_eigen(UNIT, count=1000), AxisPower(1.0)
+        draws = keyed_normals(14, _rng.GAUSS_COEFF, system.indices) * math.sqrt(real.law.gaussian_variance)
+        want = 0.4 * integral(f, UNIT)
+        want += float(np.dot(fourier_vector(system, f), draws))
+        want += float(f.evaluate(real.atoms.locations) @ real.atoms.sizes)
+        monkeypatch.setattr(domain, "BLOCK_MODES", 64)
+        built = []
+
+        class CountedWork(_rng.KeyedWork):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(_rng, "KeyedWork", CountedWork)
+        assert real.atoms.count > 0 and len(listing_blocks(system)) > 3
+        assert pair_with_function(real, f, system) == want
+        assert len(built) == 1
 
     def test_additivity_over_disjoint_boxes_to_rounding(self):
         triplet = LevyTriplet(0.5, 0.7, SymmetricTwoPoint(3.0, 1.0))

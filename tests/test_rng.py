@@ -50,13 +50,6 @@ def test_edge_inputs_are_within_4_ulp_of_scipy():
     assert np.array_equal(_ndtri(u[central]), ndtri(u[central]))
 
 
-def test_blocks_do_not_change_values(monkeypatch):
-    whole = _ndtri(UNIFORMS)
-    monkeypatch.setattr(_rng, "_BLOCK", 1000)
-    assert np.array_equal(_ndtri(UNIFORMS), whole)
-    assert _ndtri(UNIFORMS[:0]).shape == (0,)
-
-
 def reference_keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
     """The keyed uniforms as one whole-array formula: splitmix64 rounds over
     (seed, purpose, index columns), then the 53 high bits."""
@@ -90,15 +83,6 @@ def test_blocked_keyed_draws_equal_the_whole_array_formula(n, d, seed):
     assert np.array_equal(normals.view(np.int64), _ndtri(want).view(np.int64))
     if d == 1:
         assert np.array_equal(keyed_uniforms(seed, _rng.GAUSS_COEFF, idx[:, 0]), want)
-
-
-def test_keyed_draws_do_not_depend_on_the_block(monkeypatch):
-    idx = np.arange(1, 5001)[:, None]
-    uniforms = keyed_uniforms(3, _rng.GAUSS_COEFF, idx)
-    normals = _rng.keyed_normals(3, _rng.GAUSS_COEFF, idx)
-    monkeypatch.setattr(_rng, "_BLOCK", 333)
-    assert np.array_equal(keyed_uniforms(3, _rng.GAUSS_COEFF, idx), uniforms)
-    assert np.array_equal(_rng.keyed_normals(3, _rng.GAUSS_COEFF, idx), normals)
 
 
 def test_one_work_serves_calls_of_every_size_as_fresh_temporaries_do():
