@@ -137,9 +137,14 @@ def _mix_into(h: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _keyed_into(seed: int, purpose: int, indices, hashes: np.ndarray) -> np.ndarray:
-    """Uniforms of ``keyed_uniforms`` in a work array: the second row of
-    ``hashes``, two uint64 rows at least as long as ``indices``, viewed as
-    doubles."""
+    """Uniform(0,1) values keyed by (seed, purpose, multi-index), in a work
+    array: the second row of ``hashes``, two uint64 rows at least as long as
+    ``indices``, viewed as doubles.
+
+    ``indices`` is an integer array of shape (n, d) (a 1-d array is treated
+    as a single column).  The values depend only on the key material, not
+    on the order or grouping of queries.
+    """
     idx = np.asarray(indices)
     if idx.ndim == 1:
         idx = idx[:, None]
@@ -161,17 +166,6 @@ def _keyed_into(seed: int, purpose: int, indices, hashes: np.ndarray) -> np.ndar
     u *= 2.0**-53
     np.minimum(u, _BELOW_ONE, out=u)
     return u
-
-
-def keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
-    """Uniform(0,1) values keyed by (seed, purpose, multi-index).
-
-    ``indices`` is an integer array of shape (n, d) (a 1-d array is treated
-    as a single column).  The result depends only on the key material, not
-    on the order or grouping of queries.
-    """
-    hashes = np.empty((2, len(np.atleast_1d(indices))), dtype=np.uint64)
-    return _keyed_into(seed, purpose, indices, hashes).copy()
 
 
 class KeyedWork:

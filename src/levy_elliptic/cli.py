@@ -16,17 +16,19 @@ non-object where it holds an object, a sweep whose law has nothing random
 draws nothing and runs), an eps outside (0, 1] or an unknown small-jump
 policy, a box whose volume underflows to 0 or overflows the doubles, an
 indicator ``weak.phi`` (the weak test's Gauss rule cannot resolve its jump),
-a grid over ``solver.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
-``green-oracle`` or as the Gauss rule of ``verify cf`` (an eigen-expansion
-at d = 4), an eigen-expansion with a mode past K paired under a Gaussian
-part, an ``isometry.band_high`` at or below eps in ``verify
-isometry`` (only there, so other subcommands run at eps = 1), a draw of the
-noise over its atom budget (see ``noise``), a truncation over the mode
-budget ``domain.MAX_MODES`` (a count above it or a threshold whose Weyl term
-lies above it), a dense eigen block over ``domain.MAX_MATRIX_VALUES``
-(``green-oracle`` at a large K), a Gauss rule over
+a grid over ``domain.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
+``green-oracle`` or as a tensor Gauss rule (``verify cf`` with an
+eigen-expansion at d = 4, ``verify weak`` at d = 3 and a large K), an
+``isometry.band_high`` at or below eps in ``verify isometry`` (only there,
+so other subcommands run at eps = 1), a draw of the noise over its atom
+budget (see ``noise``), a truncation over the mode budget
+``domain.MAX_MODES`` (a count above it or a threshold whose Weyl term lies
+above it), a dense eigen block over ``domain.MAX_MATRIX_VALUES``
+(``green-oracle`` at a large K and grid), a Gauss rule over
 ``domain.MAX_GAUSS_NODES`` nodes an axis (``verify weak`` at d = 1 past
-K = 8168) and an integrand the CF test cannot evaluate.  Given one seed,
+K = 8168), a ``verify cf`` integrand outside L^2 under a Gaussian part and
+one the CF test cannot evaluate.  ``verify cf`` lists no eigen modes, so
+its K is unused.  Given one seed,
 outputs are byte-identical across runs and worker counts on one machine and
 numpy build; another CPU or build may round some values differently, since
 numpy picks its SIMD kernels (log, exp, pow, ...) at run time.
@@ -58,13 +60,12 @@ from .diagnostics import (
     spectral_bound_check,
     weak_identity_test,
 )
-from .domain import enumerate_eigen, tensor_points
+from .domain import check_grid, enumerate_eigen, tensor_points
 from .integrability import existence_verdict, green_kernel_integrability
 from .measures import check_band
 from .noise import replicate_noise, sample_noise
 from .solver import (
     RegimeRefusalError,
-    check_grid,
     dump_coeffs_csv,
     dump_field_grid_csv,
     green_gamma_eval,
@@ -168,9 +169,7 @@ def _cmd_verify(cfg: RunConfig, which: str, override: bool) -> int:
     seed = _need_seed(cfg)
     if which == "cf":
         block = cfg.blocks["cf"]
-        reports = [
-            empirical_cf_test(cfg.noise, block["f"], block["u_grid"], block["M"], seed, system=_system(cfg))
-        ]
+        reports = [empirical_cf_test(cfg.noise, block["f"], block["u_grid"], block["M"], seed)]
     elif which == "isometry":
         block = cfg.blocks["isometry"]
         reported_at("isometry.band_high", check_band, cfg.noise.eps, block["band_high"])

@@ -23,6 +23,7 @@ from . import _rng
 from .domain import (
     EigenSystem,
     HyperBox,
+    check_grid,
     eigen_matrix,
     enumerate_eigen,
     gauss_rule,
@@ -35,7 +36,7 @@ from .functions import Constant, Indicator, SpectralFunction, integral
 from .integrability import rr_integrability
 from .measures import band_variance, characteristic_exponent
 from .noise import NoiseLaw, jump_sums, pair_eigen_blocks, pair_with_function, pairing_batch, replicate_noise
-from .solver import check_grid, eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
+from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
 
 CONVERGED_BAND = 0.01
 DIVERGENT_BAND = 0.05
@@ -98,16 +99,19 @@ def check_m(m: int) -> None:
         raise ValueError(f"m below 1000 has no statistical power, got {m}")
 
 
-def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: EigenSystem) -> TestReport:
+def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int) -> TestReport:
     """Empirical characteristic function of <noise, f> against its law.
 
-    Target: exp(int_D Psi(u f(x)) dx), in closed form for a constant or an
-    indicator, else by a tensor Gauss rule at whose nodes f must be finite:
-    for an eigen-expansion on D the rule that resolves its own highest mode
-    (``resolving_nodes`` an axis), for other kinds 64 nodes an axis, 16 at
-    d >= 3.  A rule of more than ``solver.MAX_GRID_VALUES`` nodes is refused
-    before it is built.  Statistic: max_u |empirical CF - target|; threshold
-    4/sqrt(m), the conservative envelope for bounded complex averages.
+    Samples: ``noise.pairing_batch``, which reads the Gaussian part's
+    variance from int f^2 in closed form, so no eigen listing enters the
+    check.  Target: exp(int_D Psi(u f(x)) dx), in closed form for a constant
+    or an indicator, else by a tensor Gauss rule at whose nodes f must be
+    finite: for an eigen-expansion on D the rule that resolves its own
+    highest mode (``resolving_nodes`` an axis), for other kinds 64 nodes an
+    axis, 16 at d >= 3.  ``gauss_rule`` refuses a rule of more than
+    ``domain.MAX_GRID_VALUES`` nodes before it is built.  Statistic:
+    max_u |empirical CF - target|; threshold 4/sqrt(m), the conservative
+    envelope for bounded complex averages.
     """
     check_m(m)
     box, triplet = law.box, law.triplet
@@ -118,7 +122,6 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
     if not isinstance(f, Constant | Indicator):
         spectral = isinstance(f, SpectralFunction) and f.system.box == box
         nodes = resolving_nodes(f.system) if spectral else 64 if box.dim <= 2 else 16
-        check_grid([nodes] * box.dim)
         axes, w = gauss_rule(box, nodes)
         with np.errstate(over="ignore", invalid="ignore"):
             fvals = f.evaluate(tensor_points(axes))
@@ -128,7 +131,7 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int, *, system: Ei
                 "CF test undefined"
             )
     u_grid = [float(u) for u in u_grid]
-    x = pairing_batch(law, f, system, m, seed)
+    x = pairing_batch(law, f, m, seed)
     stats, detail_rows = [], []
     for u in u_grid:
         if isinstance(f, Constant | Indicator):

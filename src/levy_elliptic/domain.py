@@ -31,9 +31,9 @@ factors, and its sum is one BLAS product per chunk of points, in two
 directions: ``_Kernel.rmatvec`` (grid rows times the sines at the points)
 and ``_Kernel.matvec`` (its transpose).  Two front ends feed it rows:
 
-- scattered points: ``eigen_rmatvec`` (c @ E) and ``eigen_matvec`` (E @ w)
-  multiply the front tables of a chunk into a dense prefix grid, one row a
-  front index and a column a point;
+- scattered points: ``eigen_rmatvec`` (c @ E) and ``eigen_matvec_blocks``
+  (E @ w) multiply the front tables of a chunk into a dense prefix grid, one
+  row a front index and a column a point;
 - tensor grids: ``grid_rmatvec`` (c @ E) and ``grid_matvec`` (E @ w)
   contract the front axes of the mode grid with those axes' tables at the
   grid coordinates, one row a front grid point, and chunk the last axis's
@@ -71,14 +71,18 @@ import numpy as np
 
 # Values (modes x points) of tables, grids and factors a chunk of points may hold: 4 MiB.
 CHUNK_CELLS = 1 << 19
-# Largest dense K x points block ``eigen_matrix`` returns, 128 MiB; ``check`` at MAX_MODES asks for 2^22.
+# Largest dense K x points block ``eigen_matrix`` returns, 128 MiB.
 MAX_MATRIX_VALUES = 1 << 24
 # Largest listing ``enumerate_eigen`` makes, 64 MiB at d = 1: its traced peak is 71 MB there and 2x the
-# listing at d >= 2 (68 MB for 34 at d = 3, 2^20 modes).  ``check`` at 2^22 modes peaks at 259 MB RSS at
-# d = 1, 366 MB at d = 3, most of it in the Green kernel's evaluation.
+# listing at d >= 2 (68 MB for 34 at d = 3, 2^20 modes).  ``check`` at 2^22 modes peaks at 100 MB RSS at
+# d = 1, 304 MB at d = 3, most of it the enumeration: its Green diagonal walks ``listing_blocks``.
 MAX_MODES = 1 << 22
-# Most nodes ``gauss_rule`` makes: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
+# Most nodes ``gauss_rule`` makes an axis: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
 MAX_GAUSS_NODES = 1 << 14
+# Largest tensor grid, in values, that ``gauss_rule`` builds, ``solver.eval_field_grid`` evaluates or
+# ``solver.green_gamma_grid`` tabulates; the CLI checks the grids of solve, sweep continuity and
+# green-oracle before any work, so other commands run at high d.
+MAX_GRID_VALUES = 1 << 21
 # Modes of a block of the listing (``listing_blocks``), rounded down to whole anchor rows: 512 KiB a
 # value array.  A default Sobolev sweep on 2 workers took 0.41 s at 2^16, 0.42 s at 2^17, 0.53 s at
 # 2^15 and 0.87 s at 2^14 (in-process medians of 5, 2-core Xeon, one BLAS thread).  It also sizes the
@@ -525,16 +529,9 @@ def _prefix_grid(tables: list, weights: np.ndarray) -> np.ndarray:
     return grid
 
 
-def eigen_matvec(system: EigenSystem, points, weights) -> np.ndarray:
-    """E @ w: sum_i e_k(x_i) w_i for every mode, the blocks of ``eigen_matvec_blocks`` in one array."""
-    out = np.empty(len(system))
-    for part, values in zip(listing_blocks(system), eigen_matvec_blocks(system, points, weights)):
-        out[part] = values
-    return out
-
-
 def eigen_matvec_blocks(system: EigenSystem, points, weights):
-    """E @ w one block of ``listing_blocks`` at a time: the values of each block, in order.
+    """E @ w, sum_i e_k(x_i) w_i for every mode, one block of ``listing_blocks`` at a
+    time: the values of each block, in order.
 
     A listing in grid order (``_Kernel.in_grid_order``, a sorted listing at
     d = 1) with points that fit one chunk builds the points' offset factors
@@ -697,6 +694,12 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def check_grid(sizes) -> None:
+    """Refuse a tensor grid of more than MAX_GRID_VALUES values, given its points an axis."""
+    if math.prod(sizes) > MAX_GRID_VALUES:
+        raise ValueError(f"a grid of {' x '.join(map(str, sizes))} points exceeds the cap of {MAX_GRID_VALUES} values")
+
+
 def tensor_points(axes) -> np.ndarray:
     """Points (n, d), in C order, of the tensor grid of one coordinate array per axis."""
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
@@ -705,10 +708,11 @@ def tensor_points(axes) -> np.ndarray:
 def gauss_rule(box: HyperBox, n_per_axis: int):
     """Gauss-Legendre nodes on each side of the box, and the product weights
     (n^d,) of the tensor grid's points in C order.  More than MAX_GAUSS_NODES
-    nodes an axis are refused."""
+    nodes an axis, or a grid over MAX_GRID_VALUES, are refused before the rule is built."""
     n = int(n_per_axis)
     if n > MAX_GAUSS_NODES:
         raise ValueError(f"{n} Gauss nodes an axis are above the cap MAX_GAUSS_NODES={MAX_GAUSS_NODES}")
+    check_grid([n] * box.dim)
     x, w = _leggauss(n)
     axes, weights = [], np.ones(1)
     for a, b in box.intervals:

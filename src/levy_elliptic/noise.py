@@ -104,17 +104,23 @@ def _check_box(box: HyperBox, system: EigenSystem) -> None:
         raise ValueError("the noise and the system live on different boxes")
 
 
+def _check_square_integrable(law: NoiseLaw, f: FunctionDescriptor) -> None:
+    """Refuse an f outside L^2 when the Gaussian part has positive variance
+    (``NoiseLaw.gaussian_variance``): its pairing with white noise is undefined."""
+    if law.gaussian_variance > 0.0 and not lq_finite(f, law.box, 2.0):
+        raise ValueError("integrand is not square integrable and the law has a Gaussian part")
+
+
 def _check_pairable(law: NoiseLaw, f: FunctionDescriptor, system: EigenSystem) -> None:
     """Refuse a system on another box and, when the Gaussian part has positive
-    variance (``NoiseLaw.gaussian_variance``), an f that its truncated
-    expansion misses: one outside L^2, where it does not converge in K, and an
+    variance, an f that its truncated expansion misses: one outside L^2
+    (``_check_square_integrable``), where it does not converge in K, and an
     eigen-expansion on the box with a nonzero coefficient at a mode the
     listing lacks, which it would drop."""
     _check_box(law.box, system)
+    _check_square_integrable(law, f)
     if law.gaussian_variance == 0.0:
         return
-    if not lq_finite(f, law.box, 2.0):
-        raise ValueError("integrand is not square integrable and the law has a Gaussian part")
     if isinstance(f, SpectralFunction) and f.system.box == law.box:
         missing = np.count_nonzero(f.coeffs[positions(system, f.system.indices) < 0])
         if missing:
@@ -259,25 +265,25 @@ def pair_with_function(
     return total
 
 
-def pairing_batch(law: NoiseLaw, f, system: EigenSystem, m: int, seed: int) -> np.ndarray:
+def pairing_batch(law: NoiseLaw, f, m: int, seed: int) -> np.ndarray:
     """m i.i.d. samples of the noise paired with f, vectorized across replicates.
 
-    Law-equivalent to calling ``pair_with_function`` on m fresh realizations:
-    the Gaussian part acts through the truncated expansion of f, so it adds a
-    centered normal of variance ``gaussian_variance`` * sum_k <f, e_k>^2, and
-    the jump part is the direct atom sum.  Draw order is fixed, so one seed
-    fixes the batch.  It refuses what ``pair_with_function`` refuses
-    (``_check_pairable``).
+    Each sample has the law of <noise, f> itself, with no eigen listing: the
+    jump part is the direct atom sum (``jump_sums``), the drift adds
+    b int f, and the Gaussian part a centered normal of variance
+    ``gaussian_variance`` * int f^2, both integrals in closed form
+    (``functions.integral``).  Draw order is fixed, so one seed fixes the
+    batch.  Under a Gaussian part an f outside L^2 is refused before any
+    draw (``_check_square_integrable``).
     """
-    _check_pairable(law, f, system)
+    _check_square_integrable(law, f)
     triplet = law.triplet
     rng = _rng.stream(seed, _rng.BATCH_STREAM)
     x = jump_sums(law, f, m, rng)
     if triplet.b != 0.0:
         x += triplet.b * integral(f, law.box)
     if law.gaussian_variance > 0.0:
-        coeffs = fourier_vector(system, f)
-        gauss_var = law.gaussian_variance * float(np.dot(coeffs, coeffs))
+        gauss_var = law.gaussian_variance * integral(f, law.box, 2)
         if gauss_var > 0.0:
             x += math.sqrt(gauss_var) * rng.standard_normal(m)
     return x

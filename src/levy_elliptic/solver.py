@@ -19,23 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .domain import EigenSystem, HyperBox, box_fourier, eigen_matrix, grid_rmatvec, tensor_points
+from .domain import (
+    EigenSystem, HyperBox, box_fourier, check_grid, eigen_matrix, grid_rmatvec, listing_blocks, tensor_points
+)
 from .functions import SpectralFunction, fourier_vector
 from .integrability import ExistenceVerdict, existence_verdict
 from .noise import NoiseRealization, pair_eigen
-
-
-# Largest tensor grid, in values, that ``eval_field_grid`` evaluates,
-# ``green_gamma_grid`` tabulates or the CF test's Gauss rule holds; the CLI
-# checks the grids of solve, sweep continuity and green-oracle before any
-# work, so other commands run at high d.
-MAX_GRID_VALUES = 1 << 21
-
-
-def check_grid(sizes) -> None:
-    """Refuse a tensor grid of more than MAX_GRID_VALUES values, given its points an axis."""
-    if math.prod(sizes) > MAX_GRID_VALUES:
-        raise ValueError(f"a grid of {' x '.join(map(str, sizes))} points exceeds the cap of {MAX_GRID_VALUES} values")
 
 
 class RegimeRefusalError(RuntimeError):
@@ -83,15 +72,25 @@ def green_gamma_eval(system: EigenSystem, gamma: float, x, y) -> GreenValue:
 def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
     """Truncated Green kernel on a product grid of points; shape (len(xs), len(ys)).
 
-    Each side carries lambda_k^(-gamma/2), so the kernel at (x, y) and at
-    (y, x) multiplies the same factors in the same order, and the two agree
-    exactly.  The same array on both sides builds its factor once.  A grid
-    over MAX_GRID_VALUES is refused.
+    The sum over modes walks ``domain.listing_blocks``: each block's dense
+    ``eigen_matrix`` on each side, weighted by lambda_k^(-gamma/2), adds one
+    product into the result, so memory holds one block, not K rows.  Each
+    side carries the same factors, so the kernel at (x, y) and at (y, x)
+    multiplies them in the same order, and the two agree exactly.  The same
+    array on both sides builds its factor once.  A grid over
+    ``domain.MAX_GRID_VALUES`` is refused, and so is a block over
+    ``domain.MAX_MATRIX_VALUES``, before its sine tables are built.  A
+    listing of one block (at d = 1 up to 65536 modes) gives the bits of one
+    whole product; past it, the blocks' tables and partial sums move the last bits.
     """
     check_grid([len(xs), len(ys)])
-    half = system.lams[:, None] ** (-gamma / 2.0)
-    left = eigen_matrix(system, xs) * half
-    return left.T @ (left if ys is xs else eigen_matrix(system, ys) * half)
+    out = np.zeros((len(xs), len(ys)))
+    for part in listing_blocks(system):
+        block = EigenSystem(system.box, system.indices[part], system.lams[part])
+        half = block.lams[:, None] ** (-gamma / 2.0)
+        left = eigen_matrix(block, xs) * half
+        out += left.T @ (left if ys is xs else eigen_matrix(block, ys) * half)
+    return out
 
 
 def refuse_outside_regime(d: int, gamma: float, triplet, override: bool) -> ExistenceVerdict:
@@ -133,7 +132,7 @@ def eval_field_grid(field: SpectralFunction, axes: list[np.ndarray]) -> np.ndarr
     (``domain.grid_rmatvec``): the first d - 1 axes contract with their sine
     tables, and the last axis runs through the chunked kernel of the
     scattered points, so at d = 1 memory stays within a chunk whatever the
-    number of modes and points.  A grid over MAX_GRID_VALUES is refused."""
+    number of modes and points.  A grid over ``domain.MAX_GRID_VALUES`` is refused."""
     check_grid([len(a) for a in axes])
     return grid_rmatvec(field.system, field.coeffs, axes)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levy_elliptic import _rng, cli, domain, noise
+from levy_elliptic import _rng, cli, domain, functions, noise
 from levy_elliptic.cli import run
 from levy_elliptic.config import load_config
 from levy_elliptic.diagnostics import (
@@ -25,12 +25,11 @@ from levy_elliptic.diagnostics import (
     check_t_list,
     check_weak_phi,
 )
-from levy_elliptic.domain import HyperBox, box_fourier, check_cutoff, enumerate_eigen
+from levy_elliptic.domain import HyperBox, box_fourier, check_cutoff, check_grid, enumerate_eigen
 from levy_elliptic.functions import AxisPower, Indicator, integral
 from levy_elliptic.integrability import existence_verdict
 from levy_elliptic.measures import AlphaStable, LevyTriplet, NullMeasure, SymmetricTwoPoint, check_band
 from levy_elliptic.noise import NoiseLaw, sample_noise
-from levy_elliptic.solver import check_grid
 
 SOLVE = ["solve", "--set", "d=2", "--set", "eps=0.05", "--set", "K=200", "--set", "grid_points=9"]
 WEAK = [
@@ -260,12 +259,13 @@ def test_oversized_green_oracle_grid_is_refused_before_allocating(tmp_path, caps
 
 
 def test_oversized_green_oracle_block_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
-    # 2^18 modes against 1448 points: two dense K x points blocks of 3 GB each.
+    # 2^18 modes against 1448 points: the first block of the listing, 2^16 modes,
+    # makes two dense block x points matrices of 760 MB each.
     monkeypatch.setattr(domain, "_sine_table", lambda *a: pytest.fail("sine table built"))
     outdir = tmp_path / "out"
     assert run(["green-oracle", "--set", "K=262144", "--set", "grid_points=1448", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid request: ") and "262144 x 1448" in err and "MAX_MATRIX_VALUES=16777216" in err
+    assert err.startswith("invalid request: ") and "65536 x 1448" in err and "MAX_MATRIX_VALUES=16777216" in err
     assert not outdir.exists()
 
 
@@ -383,16 +383,35 @@ def test_cf_check_of_an_integrand_outside_l2_with_a_gaussian_part_exits_2(tmp_pa
 E_300 = 'cf.f={"kind":"eigenfunction","index":[300]}'
 
 
-def test_cf_check_of_an_eigenfunction_outside_the_listing_with_a_gaussian_part_exits_2(tmp_path, capsys):
-    # The gaussianized small jumps pair e_300 through the K = 256 listing, which lacks it.
-    outdir = tmp_path / "out"
-    assert run(["verify", "cf", "--set", E_300, "--seed", "1", "--out", str(outdir)]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        "invalid request: integrand has 1 nonzero coefficients at modes outside the listing of K=256 modes, "
-        "which the Gaussian part would drop; raise K\n"
-    )
-    assert not outdir.exists()
+def test_cf_check_of_an_eigenfunction_outside_the_listing_with_a_gaussian_part_runs(tmp_path):
+    # The gaussianized small jumps give the law a Gaussian part, whose variance
+    # reads int e_300^2 = 1, not the K = 256 listing, which lacks e_300.
+    argv = ["verify", "cf", "--set", E_300, "--set", "M=20000", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def test_cf_reports_do_not_depend_on_k(tmp_path):
+    # The Gaussian part's variance (sigma and the gaussianized small jumps)
+    # reads int f^2 in closed form; a 16-mode Parseval sum of the constant misses 2.5 %.
+    reports = []
+    for k in (16, 4096):
+        outdir = tmp_path / f"k{k}"
+        argv = ["verify", "cf", "--set", "sigma=1", "--set", "M=2000", "--set", f"K={k}", "--seed", "3"]
+        assert run(argv + ["--out", str(outdir)]) == 0
+        reports.append(outputs(outdir))
+    assert reports[0] == reports[1]
+
+
+def test_cf_check_lists_no_modes(tmp_path, monkeypatch):
+    # Every module's binding of the two names fails if called.
+    for name, owner in (("enumerate_eigen", domain), ("fourier_vector", functions)):
+        target = getattr(owner, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("levy_elliptic")]:
+            if getattr(module, name, None) is target:
+                monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    for f in (E_300, 'cf.f={"kind":"polynomial","coeffs":[1,-2,3]}'):
+        argv = ["verify", "cf", "--set", "sigma=1", "--set", f, "--set", "M=2000", "--seed", "1"]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 def test_cf_check_of_an_eigenfunction_outside_the_listing_without_a_gaussian_part_runs(tmp_path):
@@ -540,7 +559,7 @@ def test_cf_integrand_that_overflows_at_the_nodes_exits_2_in_one_line(tmp_path, 
     ]
 
 
-AXIS_POWER_F = 'cf.f={"kind":"axis_power","axis":0,"exponent":-0.3}'
+AXIS_POWER_PHI = 'weak.phi={"kind":"axis_power","axis":0,"exponent":-0.3}'
 
 
 def test_variance_gamma_cf_at_a_tiny_eps_finishes(tmp_path):
@@ -555,7 +574,7 @@ def test_variance_gamma_cf_at_a_tiny_eps_finishes(tmp_path):
     "argv",
     [
         # The quadrature fallback of <f, e_k> on 338^2 Gauss nodes took minutes on the dense kernel.
-        ["verify", "cf", "--set", "d=2", "--set", "K=16384", "--set", "M=2000", "--set", AXIS_POWER_F],
+        ["verify", "weak", "--set", "d=2", "--set", "K=16384", "--set", AXIS_POWER_PHI, "--set", "weak.replicates=1"],
         ["verify", "weak", "--set", "d=3", "--set", "K=512", "--set", "weak.replicates=1"],
     ],
 )

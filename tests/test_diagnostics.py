@@ -280,27 +280,15 @@ def refuse(*args):
     "measure, policy", [(SymmetricTwoPoint(5.0, 0.5), "gaussianize"), (AlphaStable(1.5), "drop")]
 )
 def test_pairing_batch_without_a_gaussian_part_skips_fourier_coefficients(monkeypatch, measure, policy):
-    system = enumerate_eigen(UNIT, count=64)
     f, triplet = AxisPower(-0.3), LevyTriplet(0.0, 0.0, measure)
     monkeypatch.setattr(noise, "fourier_vector", refuse)
-    x = pairing_batch(NoiseLaw(UNIT, triplet, 0.05, policy), f, system, 1000, 3)
+    x = pairing_batch(NoiseLaw(UNIT, triplet, 0.05, policy), f, 1000, 3)
     rng = _rng.stream(3, _rng.BATCH_STREAM)
     assert np.array_equal(x, jump_sums(jump_law(UNIT, measure, 0.05), f, 1000, rng))
 
 
-def test_pairing_batch_with_gaussianized_small_jumps_reads_fourier_coefficients(monkeypatch):
-    system = enumerate_eigen(UNIT, count=64)
-    monkeypatch.setattr(noise, "fourier_vector", refuse)
-    with pytest.raises(AssertionError, match="fourier_vector called"):
-        pairing_batch(
-            NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.5)), 0.05, "gaussianize"), AxisPower(-0.3), system, 1000, 3
-        )
-
-
 def cf_report(measure, seed, f=AxisPower(1.0), m=20_000):
-    triplet = LevyTriplet(0.0, 0.0, measure)
-    system = enumerate_eigen(UNIT, count=256)
-    return empirical_cf_test(NoiseLaw(UNIT, triplet, eps=0.05), f, [0.5, 1.0, 2.0], m, seed, system=system)
+    return empirical_cf_test(NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, measure), eps=0.05), f, [0.5, 1.0, 2.0], m, seed)
 
 
 def isometry_report(measure, seed, f=AxisPower(1.0), m=20_000):
@@ -349,8 +337,7 @@ def test_empirical_cf_target_of_an_indicator_is_its_measure_times_psi(box, f, me
     # the jump at A's faces was off by up to 1.2e-2 on the unit interval.
     triplet = LevyTriplet(0.4, 0.5, AlphaStable(1.5))
     u_grid = [0.5, 1.0, 2.0]
-    law, system = NoiseLaw(box, triplet, eps=0.05), enumerate_eigen(box, count=16)
-    report = empirical_cf_test(law, f, u_grid, 1000, 1, system=system)
+    report = empirical_cf_test(NoiseLaw(box, triplet, eps=0.05), f, u_grid, 1000, 1)
     for row, u in zip(report.details["grid"], u_grid):
         exact = np.exp(measure * complex(characteristic_exponent(triplet, u)))
         assert abs(complex(*row["target"]) - exact) <= 1e-12
@@ -365,7 +352,7 @@ def test_empirical_cf_target_of_an_eigenfunction_does_not_depend_on_its_index(bo
     targets = []
     for k in (1, 40):
         f = parse_function({"kind": "eigenfunction", "index": [k]}, box)
-        report = empirical_cf_test(law, f, u_grid, 1000, 1, system=f.system)
+        report = empirical_cf_test(law, f, u_grid, 1000, 1)
         targets.append([complex(*row["target"]) for row in report.details["grid"]])
     assert max(abs(a - b) for a, b in zip(*targets)) <= 5e-3
 
@@ -374,16 +361,15 @@ def test_empirical_cf_rule_over_the_grid_cap_is_refused_before_it_is_built(monke
     # At d = 4 the rule resolving e_1 has 64^4 nodes, above MAX_GRID_VALUES.
     box = HyperBox.unit(4)
     f = parse_function({"kind": "eigenfunction", "index": [1]}, box)
-    monkeypatch.setattr(diagnostics, "gauss_rule", lambda *a: pytest.fail("gauss_rule called"))
+    monkeypatch.setattr(domain, "_leggauss", lambda n: pytest.fail("leggauss called"))
     with pytest.raises(ValueError, match=r"^a grid of 64 x 64 x 64 x 64 points exceeds the cap"):
-        empirical_cf_test(NoiseLaw(box, LevyTriplet(0.0, 1.0, NullMeasure())), f, [1.0], 1000, 1, system=f.system)
+        empirical_cf_test(NoiseLaw(box, LevyTriplet(0.0, 1.0, NullMeasure())), f, [1.0], 1000, 1)
 
 
 def test_empirical_cf_target_of_a_constant_is_volume_times_psi_bit_for_bit():
     box = HyperBox(((0.0, 1.0), (0.0, 2.0)))
     triplet = LevyTriplet(0.4, 0.5, SymmetricTwoPoint(2.0, 0.5))
-    law, system = NoiseLaw(box, triplet, eps=0.05), enumerate_eigen(box, count=16)
-    report = empirical_cf_test(law, Constant(2.5), [0.5, 1.0], 1000, 1, system=system)
+    report = empirical_cf_test(NoiseLaw(box, triplet, eps=0.05), Constant(2.5), [0.5, 1.0], 1000, 1)
     for row, u in zip(report.details["grid"], [0.5, 1.0]):
         target = np.exp(complex(characteristic_exponent(triplet, u * 2.5)) * 2.0)
         assert row["target"] == [target.real, target.imag]

@@ -10,7 +10,13 @@ import pytest
 from scipy.special import ndtri
 
 from levy_elliptic import _rng
-from levy_elliptic._rng import _EXP_M2, _ndtri, keyed_uniforms
+from levy_elliptic._rng import _EXP_M2, _ndtri
+
+
+def keyed_uniforms(seed: int, purpose: int, indices) -> np.ndarray:
+    """The keyed uniforms of ``_rng._keyed_into``, copied out of a fresh work array."""
+    hashes = np.empty((2, len(np.atleast_1d(indices))), dtype=np.uint64)
+    return _rng._keyed_into(seed, purpose, indices, hashes).copy()
 
 
 def ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,7 +112,7 @@ def test_bit_identical_to_scipy_with_avx512_log_off():
         "from levy_elliptic import _rng\n"
         "off = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
         "assert not any(f[k] for k in off), off\n"
-        "u = _rng.keyed_uniforms(7, _rng.GAUSS_COEFF, np.arange(1 << 20))\n"
+        "u = _rng._keyed_into(7, _rng.GAUSS_COEFF, np.arange(1 << 20), np.empty((2, 1 << 20), np.uint64))\n"
         "print(np.count_nonzero(_rng._ndtri(u).view(np.int64) != ndtri(u).view(np.int64)))\n"
     )
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from levy_elliptic import solver
-from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_rule, eigen_matrix, tensor_points
+from levy_elliptic import domain, solver
+from levy_elliptic.domain import HyperBox, enumerate_eigen, gauss_rule, eigen_matrix, listing_blocks, tensor_points
 from levy_elliptic.functions import Constant, SpectralFunction, parse_function
 from levy_elliptic.measures import LevyTriplet, NullMeasure, SymmetricTwoPoint, AlphaStable
 from levy_elliptic.integrability import existence_verdict
@@ -93,6 +93,21 @@ class TestGreenKernel:
     def test_tail_bound_infinite_at_singular_powers(self):
         assert series_tail_bound(UNIT, 0.5, 1e4) == math.inf
         assert series_tail_bound(HyperBox.unit(2), 1.0, 1e4) == math.inf
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_of_the_listing_add_up_to_the_whole_product(self, monkeypatch, d):
+        system = enumerate_eigen(HyperBox.unit(d), count=1000)
+        rng = np.random.default_rng(d)
+        xs, ys = rng.random((7, d)), rng.random((5, d))
+        half = system.lams[:, None] ** -0.65
+        left, right = eigen_matrix(system, xs) * half, eigen_matrix(system, ys) * half
+        # One block: the whole product bit for bit.
+        assert np.array_equal(green_gamma_grid(system, 1.3, xs, ys), left.T @ right)
+        monkeypatch.setattr(domain, "BLOCK_MODES", 64)
+        assert len(listing_blocks(system)) > 10
+        blocked = green_gamma_grid(system, 1.3, xs, ys)
+        assert np.all(np.abs(blocked - left.T @ right) <= 1e-12 * (np.abs(left).T @ np.abs(right)))
+        assert np.array_equal(green_gamma_grid(system, 1.3, ys, xs), blocked.T)
 
     def test_grid_matches_pointwise(self):
         system = enumerate_eigen(UNIT, count=200)
