@@ -18,7 +18,9 @@ policy, a box whose volume underflows to 0 or overflows the doubles, an
 indicator ``weak.phi`` (the weak test's Gauss rule cannot resolve its jump),
 a grid over ``domain.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
 ``green-oracle`` or as a tensor Gauss rule (``verify cf`` with an
-eigen-expansion at d = 4, ``verify weak`` at d = 3 and a large K), an
+eigen-expansion at d = 4, ``verify weak`` at d = 3 and a large K; ``verify
+weak`` builds its rule before the solve, so a run outside the regime whose
+rule is over a cap is refused with the cap's message), an
 ``isometry.band_high`` at or below eps in ``verify isometry`` (only there,
 so other subcommands run at eps = 1), a draw of the noise over its atom
 budget (see ``noise``), a truncation over the mode budget

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _rng
 from .domain import (
+    CHUNK_CELLS,
     EigenSystem,
     HyperBox,
     check_grid,
@@ -99,19 +100,57 @@ def check_m(m: int) -> None:
         raise ValueError(f"m below 1000 has no statistical power, got {m}")
 
 
+def _cf_exponents(triplet, f, box: HyperBox, u_grid) -> list[complex]:
+    """int_D Psi(u f(x)) dx at each u: in closed form for a constant or an
+    indicator, else in one walk over a tensor Gauss rule that refuses an f
+    not finite at one of its nodes.  A chunk of at most ``CHUNK_CELLS``
+    values holds its nodes' points, f there and one u's Psi; each chunk
+    adds w . Re Psi and w . Im Psi for each u, so a rule of one chunk
+    reads the whole rule's dot products bit for bit."""
+    if isinstance(f, Constant | Indicator):
+        # f is one value on a set and 0 off it, where Psi(0) = 0: the set's measure times Psi(u value).
+        value, measure = (float(f.value), box.volume) if isinstance(f, Constant) else (1.0, integral(f, box))
+        return [complex(characteristic_exponent(triplet, u * value)) * measure for u in u_grid]
+    spectral = isinstance(f, SpectralFunction) and f.system.box == box
+    axes, w = gauss_rule(box, resolving_nodes(f.system) if spectral else 64 if box.dim <= 2 else 16)
+    shape = [len(a) for a in axes]
+    step = CHUNK_CELLS // (box.dim + 4)  # a node's coordinates, f, u f and Psi's two parts
+    sums, non_finite = None, 0
+    for lo in range(0, w.size, step):
+        hi = min(lo + step, w.size)
+        points = np.stack([a[i] for a, i in zip(axes, np.unravel_index(np.arange(lo, hi), shape))], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fvals = f.evaluate(points)
+        non_finite += int(np.count_nonzero(~np.isfinite(fvals)))
+        if non_finite:
+            continue  # the rule is refused below; count the rest of its nodes
+        part = np.empty((len(u_grid), 2))
+        for row, u in zip(part, u_grid):
+            vals = characteristic_exponent(triplet, u * fvals)
+            row[:] = np.dot(w[lo:hi], vals.real), np.dot(w[lo:hi], vals.imag)
+        sums = part if sums is None else sums + part
+    if non_finite:
+        raise ValueError(
+            f"integrand is not finite at {non_finite} of the {w.size} Gauss nodes of the CF test; CF test undefined"
+        )
+    return [complex(re, im) for re, im in sums]
+
+
 def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int) -> TestReport:
     """Empirical characteristic function of <noise, f> against its law.
 
-    Samples: ``noise.pairing_batch``, which reads the Gaussian part's
+    Target: exp(int_D Psi(u f(x)) dx), computed for every u before any
+    draw: in closed form for a constant or an indicator, else by a tensor
+    Gauss rule at whose nodes f must be finite: for an eigen-expansion on
+    D the rule that resolves its own highest mode (``resolving_nodes`` an
+    axis), for other kinds 64 nodes an axis, 16 at d >= 3.  ``gauss_rule``
+    refuses a rule of more than ``domain.MAX_GRID_VALUES`` nodes before it
+    is built, and the rule is walked in chunks of at most
+    ``domain.CHUNK_CELLS`` values, so the check's memory does not grow with
+    it.  Samples: ``noise.pairing_batch``, which reads the Gaussian part's
     variance from int f^2 in closed form, so no eigen listing enters the
-    check.  Target: exp(int_D Psi(u f(x)) dx), in closed form for a constant
-    or an indicator, else by a tensor Gauss rule at whose nodes f must be
-    finite: for an eigen-expansion on D the rule that resolves its own
-    highest mode (``resolving_nodes`` an axis), for other kinds 64 nodes an
-    axis, 16 at d >= 3.  ``gauss_rule`` refuses a rule of more than
-    ``domain.MAX_GRID_VALUES`` nodes before it is built.  Statistic:
-    max_u |empirical CF - target|; threshold 4/sqrt(m), the conservative
-    envelope for bounded complex averages.
+    check.  Statistic: max_u |empirical CF - target|; threshold 4/sqrt(m),
+    the conservative envelope for bounded complex averages.
     """
     check_m(m)
     box, triplet = law.box, law.triplet
@@ -119,29 +158,11 @@ def empirical_cf_test(law: NoiseLaw, f, u_grid, m: int, seed: int) -> TestReport
     if not report.verdict:
         raise ValueError("integrand is not noise-integrable; CF test undefined")
 
-    if not isinstance(f, Constant | Indicator):
-        spectral = isinstance(f, SpectralFunction) and f.system.box == box
-        nodes = resolving_nodes(f.system) if spectral else 64 if box.dim <= 2 else 16
-        axes, w = gauss_rule(box, nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals = f.evaluate(tensor_points(axes))
-        if non_finite := int(np.count_nonzero(~np.isfinite(fvals))):
-            raise ValueError(
-                f"integrand is not finite at {non_finite} of the {fvals.size} Gauss nodes of the CF test; "
-                "CF test undefined"
-            )
     u_grid = [float(u) for u in u_grid]
+    exponents = _cf_exponents(triplet, f, box, u_grid)
     x = pairing_batch(law, f, m, seed)
     stats, detail_rows = [], []
-    for u in u_grid:
-        if isinstance(f, Constant | Indicator):
-            # f is one value on a set and 0 off it, where Psi(0) = 0: the set's measure times Psi(u value).
-            value, measure = (float(f.value), box.volume) if isinstance(f, Constant) else (1.0, integral(f, box))
-            exponent = complex(characteristic_exponent(triplet, u * value)) * measure
-        else:
-            # x-quadrature of Psi(u f(x)), one vectorized call over the nodes.
-            vals = characteristic_exponent(triplet, u * fvals)
-            exponent = complex(np.dot(w, vals.real), np.dot(w, vals.imag))
+    for u, exponent in zip(u_grid, exponents):
         target = np.exp(exponent)
         empirical = complex(np.mean(np.exp(1j * u * x)))
         err = abs(empirical - target)
@@ -221,11 +242,13 @@ def weak_identity_test(
     exact in the spectral representation, so the statistic isolates the
     numerical-integration error; threshold 1e-6 scaled by field magnitude.
     phi must be continuous on the box: the resolving Gauss rule cannot
-    resolve a jump, such as an indicator's at its faces.
+    resolve a jump, such as an indicator's at its faces.  The rule is built
+    before the solve, so a rule over ``gauss_rule``'s caps is refused before
+    any mode is paired, and ahead of the regime gate when both refuse.
     """
     check_weak_phi(phi)
-    u = solve_mild(realization, gamma, system, override=override)
     axes, w = resolving_gauss_rule(system)
+    u = solve_mild(realization, gamma, system, override=override)
     uvals = eval_field_grid(u, axes).ravel()
     lhs = float(np.dot(w, uvals * phi.evaluate(tensor_points(axes))))
     rhs = pair_with_function(realization, green_convolve(system, gamma, phi), system)
@@ -377,14 +400,13 @@ def sobolev_sweep(
         def one(rep: int) -> np.ndarray:
             return partial_norms(pair_eigen_blocks(replicate_noise(law, seed, rep), system))
 
-    rows = run_replicates(one, replicates, workers)
+    norms = np.stack(run_replicates(one, replicates, workers))  # (replicates x orders x cutoffs)
+    trajectories = np.median(norms, axis=0)
     reports = []
     for i, r in enumerate(r_list):
-        stacked = np.stack([row[i] for row in rows])
-        trajectory = np.median(stacked, axis=0)
         per_rep = [
             _increment_stats(float(s[-2]), float(s[-1]), k_list[-2], k_list[-1])
-            for s in stacked
+            for s in norms[:, i]
         ]
         rel_inc = float(np.median([p[0] for p in per_rep]))
         slope = float(np.median([p[1] for p in per_rep]))
@@ -412,7 +434,7 @@ def sobolev_sweep(
                     "rel_increment": rel_inc,
                     "loglog_slope": slope,
                     "surrogate": surrogate,
-                    "trajectory": [[int(k), float(s)] for k, s in zip(k_list, trajectory)],
+                    "trajectory": [[int(k), float(s)] for k, s in zip(k_list, trajectories[i])],
                 },
                 inconclusive=classification == "inconclusive",
             )
@@ -473,27 +495,22 @@ def continuity_probe(
         [np.linspace(a, b, 2**l + 1) for a, b in box.intervals] for l in levels
     ]
 
-    def one(rep: int) -> tuple[bool, bool, np.ndarray, np.ndarray]:
+    def one(rep: int) -> np.ndarray:
+        # The replicate's two ladders, one value a level: the max adjacent increment and the sup.
         coeffs = solve_mild(replicate_noise(law, seed, rep), gamma, system, override=override).coeffs
-        incs, sups = [], []
-        for prefix, axes in zip(prefixes, axes_per_level):
-            fld = SpectralFunction(prefix, coeffs[: len(prefix)])
-            values = eval_field_grid(fld, axes)
-            max_inc = 0.0
-            for axis in range(d):
-                max_inc = max(max_inc, float(np.max(np.abs(np.diff(values, axis=axis)))))
-            incs.append(max_inc)
-            sups.append(float(np.max(np.abs(values))))
-        # A dead-flat field (zero noise) counts as continuous, not as a tie.
-        inc_dec = incs[-1] < incs[-2] or incs[-1] == 0.0
-        sup_inc = sups[-1] > sups[-2] > sups[-3]
-        return inc_dec, sup_inc, np.asarray(incs), np.asarray(sups)
+        ladders = np.empty((2, len(levels)))
+        for level, prefix, axes in zip(ladders.T, prefixes, axes_per_level):
+            values = eval_field_grid(SpectralFunction(prefix, coeffs[: len(prefix)]), axes)
+            max_inc = max(float(np.max(np.abs(np.diff(values, axis=axis)))) for axis in range(d))
+            level[:] = max_inc, np.max(np.abs(values))
+        return ladders
 
-    rows = run_replicates(one, replicates, workers)
-    frac_inc = float(np.mean([row[0] for row in rows]))
-    frac_sup = float(np.mean([row[1] for row in rows]))
-    med_incs = np.median(np.stack([row[2] for row in rows]), axis=0)
-    med_sups = np.median(np.stack([row[3] for row in rows]), axis=0)
+    # (replicates x levels) each.
+    incs, sups = np.stack(run_replicates(one, replicates, workers), axis=1)
+    # A dead-flat field (zero noise) counts as continuous, not as a tie.
+    frac_inc = float(np.mean((incs[:, -1] < incs[:, -2]) | (incs[:, -1] == 0.0)))
+    frac_sup = float(np.mean((sups[:, -1] > sups[:, -2]) & (sups[:, -2] > sups[:, -3])))
+    med_incs, med_sups = np.median(incs, axis=0), np.median(sups, axis=0)
 
     if frac_inc >= 0.8:
         classification = "continuous-consistent"

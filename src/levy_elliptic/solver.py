@@ -160,7 +160,7 @@ def dump_coeffs_csv(field: SpectralFunction, path) -> None:
     """Coefficient dump: (ordinal, k_1..k_d, lambda, a_k) rows."""
     system = field.system
     header = ["ordinal", *(f"k_{i+1}" for i in range(system.box.dim)), "lambda", "a_k"]
-    write_csv(path, header, [range(len(system)), *system.indices.T, system.lams, field.coeffs])
+    write_csv(path, header, [np.arange(len(system)), *system.indices.T, system.lams, field.coeffs])
 
 
 def dump_field_grid_csv(field: SpectralFunction, axes: list[np.ndarray], path) -> None:

@@ -375,6 +375,33 @@ def test_empirical_cf_target_of_a_constant_is_volume_times_psi_bit_for_bit():
         assert row["target"] == [target.real, target.imag]
 
 
+def test_empirical_cf_walks_its_gauss_rule_in_chunks():
+    # The rule resolving e_(20,20,20) has 88^3 nodes; evaluated whole, its
+    # points, f and Psi took a traced peak of 72 MiB.
+    box = HyperBox.unit(3)
+    f = parse_function({"kind": "eigenfunction", "index": [20, 20, 20]}, box)
+    law = NoiseLaw(box, LevyTriplet(0.0, 0.5, AlphaStable(1.5)), eps=0.05)
+    tracemalloc.start()
+    try:
+        report = empirical_cf_test(law, f, [0.5, 1.0, 2.0], 1000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
+    assert report.passed, report.to_dict()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5], ids=["in-regime", "outside-regime"])
+def test_weak_rule_over_the_grid_cap_is_refused_before_the_solve(monkeypatch, gamma):
+    # The rule resolving e_(200,1,1) has 448^3 nodes.  Outside the regime
+    # (gamma <= d/4) the cap still speaks first.
+    monkeypatch.setattr(diagnostics, "solve_mild", lambda *a, **k: pytest.fail("solved"))
+    box = HyperBox.unit(3)
+    realization = sample_noise(NoiseLaw(box, LevyTriplet(0.0, 1.0, AlphaStable(1.5)), eps=0.5), 7)
+    with pytest.raises(ValueError, match=r"^a grid of 448 x 448 x 448 points exceeds the cap of 2097152 values$"):
+        weak_identity_test(realization, Constant(1.0), gamma, single_mode(box, (200, 1, 1)))
+
+
 def test_too_few_replicates_are_refused():
     with pytest.raises(ValueError, match="m below 1000"):
         cf_report(AlphaStable(1.5), 1, m=999)
