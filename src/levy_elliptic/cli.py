@@ -11,11 +11,14 @@ config's keys, so ``--config manifest.json`` redraws its atoms.csv.
 Exit codes: 0 all good, 1 a non-inconclusive
 verification failed, 2 config error, refused regime or invalid request.
 Exit 2 covers a key the config does not hold (in the file or ``--set``) or a
-non-object where it holds an object, a sweep whose law has nothing random
-(no Gaussian part and no jumps above its eps; a surrogate Sobolev sweep
-draws nothing and runs), an eps outside (0, 1] or an unknown small-jump
-policy, a box whose volume underflows to 0 or overflows the doubles, an
-indicator ``weak.phi`` (the weak test's Gauss rule cannot resolve its jump),
+non-object where it holds an object, a Sobolev ``K_list`` of fewer than
+three cutoffs or with a cutoff that is not twice the one before (so two
+cutoffs are refused: the sweep fits a slope over the doublings), a sweep
+whose law has nothing random (no Gaussian part and no jumps above its eps;
+a surrogate Sobolev sweep draws nothing and runs), an eps outside (0, 1]
+or an unknown small-jump policy, a box whose volume underflows to 0 or
+overflows the doubles, an indicator ``weak.phi`` (the weak test's Gauss
+rule cannot resolve its jump),
 a grid over ``domain.MAX_GRID_VALUES`` in ``solve``, ``sweep continuity`` or
 ``green-oracle`` or as a tensor Gauss rule (``verify cf`` with an
 eigen-expansion at d = 4, ``verify weak`` at d = 3 and a large K; ``verify

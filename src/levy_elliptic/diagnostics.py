@@ -3,9 +3,10 @@
 Every check produces a ``TestReport`` that is reproducible bit-for-bit from
 its name, seed and parameters.  Divergence can never be proven by a finite
 computation, so trajectory-based checks classify into three honest
-outcomes: convergent (relative increment over the last cutoff doubling
-below 0.01), divergent (log-log slope of the trajectory at least 0.05), or
-inconclusive in between.  Inconclusive reports are flagged, not failed.
+outcomes: convergent, divergent, or inconclusive when the replicates do
+not settle it (for the Sobolev sweep, a 95 % interval of the median
+growth exponent that holds 0).  Inconclusive reports are flagged, not
+failed.
 
 Replicate-level parallelism derives one seed per replicate from the master
 seed, and reductions run in a fixed order after collection, so results do
@@ -38,10 +39,6 @@ from .integrability import rr_integrability
 from .measures import band_variance, characteristic_exponent
 from .noise import NoiseLaw, jump_sums, pair_eigen_blocks, pair_with_function, pairing_batch, replicate_noise
 from .solver import eval_field_grid, green_convolve, refuse_outside_regime, solve_mild
-
-CONVERGED_BAND = 0.01
-DIVERGENT_BAND = 0.05
-
 
 @dataclass
 class TestReport:
@@ -272,31 +269,52 @@ def weak_identity_test(
     )
 
 
-def _increment_stats(s_prev: float, s_last: float, k_prev: int, k_last: int):
+def _increment_stats(s_prev: float, s_last: float):
+    """Relative increment and log2 slope of a trajectory over its last doubling."""
     if s_last <= 0.0:
         return 0.0, 0.0
     rel_inc = (s_last - s_prev) / s_last
-    slope = math.log(s_last / s_prev) / math.log(k_last / k_prev) if s_prev > 0.0 else math.inf
+    slope = math.log2(s_last / s_prev) if s_prev > 0.0 else math.inf
     return rel_inc, slope
 
 
-def _classify(rel_inc: float, slope: float) -> str:
-    if rel_inc < CONVERGED_BAND:
-        return "convergent"
-    if slope >= DIVERGENT_BAND:
-        return "divergent"
-    return "inconclusive"
+def median_rank(n: int) -> int:
+    """The rank j of the distribution-free interval [X_(j), X_(n+1-j)] of the
+    median of n samples at 95 % coverage: the largest j whose coverage
+    1 - 2 P(Bin(n, 1/2) < j) is at least 0.95, else 1 ([min, max], up to 8
+    samples).  It is 6 at n = 20."""
+    # Rank j + 1 covers at least 95 % iff 2 P(Bin(n, 1/2) <= j) <= 0.05: 40 tail <= 2^n in integers.
+    j, tail = 1, 1 + n
+    while 2 * j < n and 40 * tail <= 2**n:
+        j += 1
+        tail += math.comb(n, j)
+    return j
+
+
+def doubling_slopes(norms: np.ndarray, k_list) -> np.ndarray:
+    """Least-squares slope of log(increment over each doubling) against log K,
+    along the last axis of the partial sums ``norms`` at the cutoffs ``k_list``.
+    A trajectory that never grows (all increments 0) reads -inf."""
+    x = np.log(np.asarray(k_list[:-1], dtype=float))
+    x -= x.mean()
+    increments = np.diff(norms, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.log(increments) @ (x / (x @ x))
+    slopes[np.all(increments == 0.0, axis=-1)] = -math.inf
+    return slopes
 
 
 def check_k_list(k_list) -> list[int]:
-    """The sweep's cutoffs as integers: at least 2, strictly ascending, the last two a doubling."""
+    """The sweep's cutoffs as integers: at least 3, the first at least 1, each
+    twice the one before, since the slope of the increments over doublings is
+    fit on equal ratios of K."""
     k_list = [int(k) for k in k_list]
-    if len(k_list) < 2:
-        raise ValueError("need at least 2 cutoffs")
-    if not all(a < b for a, b in zip(k_list, k_list[1:])):
-        raise ValueError("cutoffs must be strictly ascending")
-    if k_list[-1] != 2 * k_list[-2]:
-        raise ValueError("the last two cutoffs must be a doubling")
+    if len(k_list) < 3:
+        raise ValueError("need at least 3 cutoffs")
+    if k_list[0] < 1:
+        raise ValueError(f"cutoffs must be at least 1, got {k_list[0]}")
+    if any(b != 2 * a for a, b in zip(k_list, k_list[1:])):
+        raise ValueError("each cutoff must be twice the one before")
     return k_list
 
 
@@ -333,13 +351,19 @@ def sobolev_sweep(
     """Norm-trajectory classification against the regularity ceiling.
 
     For each order r, builds per-replicate trajectories K -> partial
-    squared norm and summarizes them by medians: the pointwise-median
-    trajectory is reported for plotting, and the classification bands are
-    applied to the median of the per-replicate last-doubling statistics
-    (relative increment and log-log slope), which concentrates much better
-    than a ratio of pointwise medians under heavy-tailed coefficients.
-    The prediction under test: convergent iff r < r_max = 2 gamma - d/2,
-    read from the existence verdict.
+    squared norm at the cutoffs of ``k_list``, each twice the one before
+    (``check_k_list``).  The increment over a doubling K -> 2K scales like
+    K^s with s = (2/d)(r - r_max), so each replicate fits s as the slope of
+    log(increment) against log K (``doubling_slopes``).  The statistic is
+    the median s against the threshold 0, and its distribution-free
+    order-statistic interval at 95 % coverage (``median_rank``: [min, max]
+    up to 8 replicates, the 6th to 15th of 20) decides: convergent when it
+    lies below 0, divergent when it lies above 0, inconclusive otherwise.
+    The details hold that interval, r_max_hat = r - (d/2) s, the
+    pointwise-median trajectory for plotting, and the medians of the
+    last doubling's relative increment and log2 slope.  The prediction
+    under test: convergent iff r < r_max = 2 gamma - d/2, read from the
+    existence verdict.
 
     The listing is the one K-sized array the sweep holds.  A replicate
     walks it one block of ``domain.listing_blocks`` (about BLOCK_MODES
@@ -402,39 +426,35 @@ def sobolev_sweep(
 
     norms = np.stack(run_replicates(one, replicates, workers))  # (replicates x orders x cutoffs)
     trajectories = np.median(norms, axis=0)
+    slopes = np.sort(doubling_slopes(norms, k_list), axis=0)  # (replicates x orders), each column sorted
+    rank = median_rank(replicates)
     reports = []
     for i, r in enumerate(r_list):
-        per_rep = [
-            _increment_stats(float(s[-2]), float(s[-1]), k_list[-2], k_list[-1])
-            for s in norms[:, i]
-        ]
-        rel_inc = float(np.median([p[0] for p in per_rep]))
-        slope = float(np.median([p[1] for p in per_rep]))
-        classification = _classify(rel_inc, slope)
+        s, lo, hi = float(np.median(slopes[:, i])), float(slopes[rank - 1, i]), float(slopes[-rank, i])
+        classification = "convergent" if hi < 0.0 else "divergent" if lo > 0.0 else "inconclusive"
         predicted = "convergent" if float(r) < threshold_r else "divergent"
-        if predicted == "convergent":
-            statistic, threshold, direction = rel_inc, CONVERGED_BAND, "lt"
-        else:
-            statistic, threshold, direction = slope, DIVERGENT_BAND, "ge"
+        last = [_increment_stats(float(n[-2]), float(n[-1])) for n in norms[:, i]]
         reports.append(
             TestReport(
                 name=f"sobolev[d={d},gamma={gamma},r={r}]",
-                statistic=float(statistic),
-                threshold=threshold,
+                statistic=s,
+                threshold=0.0,
                 passed=classification == predicted,
                 replicates=replicates,
                 seed=seed,
                 details={
-                    "direction": direction,
+                    "direction": "lt" if predicted == "convergent" else "gt",
                     "classification": classification,
                     "predicted": predicted,
                     "r": float(r),
                     "eps": float(law.eps),
                     "r_threshold": threshold_r,
-                    "rel_increment": rel_inc,
-                    "loglog_slope": slope,
+                    "interval": [lo, hi],
+                    "r_max_hat": float(r) - 0.5 * d * s,
+                    "rel_increment": float(np.median([p[0] for p in last])),
+                    "loglog_slope": float(np.median([p[1] for p in last])),
                     "surrogate": surrogate,
-                    "trajectory": [[int(k), float(s)] for k, s in zip(k_list, trajectories[i])],
+                    "trajectory": [[int(k), float(t)] for k, t in zip(k_list, trajectories[i])],
                 },
                 inconclusive=classification == "inconclusive",
             )

@@ -84,11 +84,9 @@ MAX_GAUSS_NODES = 1 << 14
 # green-oracle before any work, so other commands run at high d.
 MAX_GRID_VALUES = 1 << 21
 # Modes of a block of the listing (``listing_blocks``), rounded down to whole anchor rows: 512 KiB a
-# value array.  A default Sobolev sweep on 2 workers took 0.41 s at 2^16, 0.42 s at 2^17, 0.53 s at
-# 2^15 and 0.87 s at 2^14 (in-process medians of 5, 2-core Xeon, one BLAS thread).  It also sizes the
-# keyed Gaussian draws of a block, whose work arrays stay near a 2 MiB L2 cache: twenty draws of
-# 524288 normals took 0.45 s serially and 0.23 s on two threads in blocks of 2^16, 0.55 and 0.43 s
-# at 2^14 (more GIL handoffs), 0.58 and 0.27 s at 2^18.
+# value array.  A default Sobolev sweep took 0.19-0.23 s on 2 workers and 0.31-0.34 s on 1 at every
+# size from 2^14 to 2^18 (in-process medians of 5, 2-core Xeon, one BLAS thread), so the size bounds
+# a replicate's memory and costs no time.
 BLOCK_MODES = 1 << 16
 
 

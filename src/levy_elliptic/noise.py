@@ -12,8 +12,9 @@ realization consists of two independent pieces keyed to one master seed:
 * the jump atoms above eps, a compound-Poisson draw from
   the product intensity dy x nu(dz);
 * one Gaussian part of the coefficients against the Dirichlet eigenbasis,
-  i.i.d. N(0, sigma^2 + v) values keyed per index so query order never
-  matters: sigma W and the surrogate of the jumps below eps, of variance
+  i.i.d. N(0, sigma^2 + v) values drawn from one stream in listing order,
+  so the k-th mode of every listing takes the k-th draw: sigma W and the
+  surrogate of the jumps below eps, of variance
   v = int_{|z|<=eps} z^2 nu(dz) under ``gaussianize`` and 0 under ``drop``,
   are independent centered white noises, so they sum to one such value.
 
@@ -152,19 +153,21 @@ class NoiseRealization:
 
     def gaussian_blocks(self, system: EigenSystem):
         """The N(0, ``NoiseLaw.gaussian_variance``) coefficients of the system's
-        modes, keyed by (seed, index), one block of ``domain.listing_blocks``
-        at a time: (slice, draws) per block, drawn into one ``_rng.KeyedWork``
-        for every block.
+        modes, one block of ``domain.listing_blocks`` at a time: (slice, draws)
+        per block, drawn in listing order from one GAUSS_COEFF generator of the
+        master seed (``_rng.keyed_normals``).  The k-th mode of a listing takes
+        the k-th draw, so a listing's draws are the first ones of any listing
+        it is a prefix of.
 
-        The draws are None, and no stream is consumed, when that variance is 0.
+        The draws are None, and no stream is made, when that variance is 0.
         """
         var, blocks = self.law.gaussian_variance, listing_blocks(system)
         if var == 0.0:
             return ((part, None) for part in blocks)
-        work = _rng.KeyedWork(blocks[0].stop)  # the first block is the longest
+        rng = _rng.stream(self.master_seed, _rng.GAUSS_COEFF)
 
         def draws(part: slice) -> np.ndarray:
-            out = _rng.keyed_normals(self.master_seed, _rng.GAUSS_COEFF, system.indices[part], work)
+            out = _rng.keyed_normals(rng, part.stop - part.start)
             out *= math.sqrt(var)
             return out
 
@@ -211,9 +214,9 @@ def pair_eigen_blocks(realization: NoiseRealization, system: EigenSystem):
     that order, into the first, over the parts present; a block's Gaussian
     part comes from ``NoiseRealization.gaussian_blocks``, drawn after the
     block's atom sum, once the atom sum's temporaries are freed.  Deterministic
-    given the realization and the system: the Gaussian part is keyed by
-    index, and the atom sum runs over fixed chunks of atoms in atom order
-    and over the fixed blocks (``domain.eigen_matvec_blocks``).  Each
+    given the realization and the system: the Gaussian part is drawn in
+    listing order, and the atom sum runs over fixed chunks of atoms in atom
+    order and over the fixed blocks (``domain.eigen_matvec_blocks``).  Each
     block's array is its own, free to overwrite.
     """
     _check_box(realization.law.box, system)

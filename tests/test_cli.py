@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levy_elliptic import _rng, cli, domain, functions, noise
+from levy_elliptic import _rng, cli, diagnostics, domain, functions, noise
 from levy_elliptic.cli import run
 from levy_elliptic.config import load_config
 from levy_elliptic.diagnostics import (
@@ -419,7 +419,7 @@ def test_cf_check_of_an_eigenfunction_outside_the_listing_without_a_gaussian_par
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
-SMALL_SOBOLEV = ["sweep", "sobolev", "--set", "K_list=1024,2048", "--set", "replicates=2"]
+SMALL_SOBOLEV = ["sweep", "sobolev", "--set", "K_list=512,1024,2048", "--set", "replicates=2"]
 
 
 @pytest.mark.parametrize(
@@ -450,10 +450,42 @@ def test_sweep_summary_rows_parse_to_the_header_width(tmp_path, capsys):
     assert header == ["name", "statistic", "threshold", "pass", "inconclusive"]
     assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
     by_name = {row[0]: dict(zip(header, row)) for row in rows}
-    # r = 1.4 sits just below r_max = 1.5: its last-doubling increment misses the band.
-    assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["inconclusive"] == "true"
-    assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["pass"] == "false"
+    # r = 1.4 sits just below r_max = 1.5, and the slope over every doubling still reads it convergent.
+    assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["inconclusive"] == "false"
+    assert by_name["sobolev[d=1,gamma=1.0,r=1.4]"]["pass"] == "true"
     assert by_name["sobolev[d=1,gamma=1.0,r=1.0]"]["inconclusive"] == "false"
+
+
+def sobolev_details(outdir: Path) -> list[dict]:
+    with open(outdir / "reports.jsonl", encoding="utf-8") as fh:
+        return [json.loads(line)["details"] for line in fh]
+
+
+@pytest.mark.parametrize("seed", ["7", "101"])
+def test_small_sobolev_sweep_passes_at_more_seeds_than_its_golden(tmp_path, capsys, seed):
+    # The last-doubling bands once read r = 1.4 divergent here (relative increment 0.038 at seed 7).
+    assert run(SOBOLEV + ["--seed", seed, "--out", str(tmp_path / "out")]) == 0
+    assert [d["classification"] for d in sobolev_details(tmp_path / "out")] == ["convergent", "convergent", "divergent"]
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_default_sobolev_sweep_reads_every_order_on_its_side(tmp_path, capsys, seed):
+    # r = 1.4, just under r_max = 1.5, was inconclusive on every seed under the last-doubling bands.
+    assert run(["sweep", "sobolev", "--workers", "2", "--seed", seed, "--out", str(tmp_path / "out")]) == 0
+    details = sobolev_details(tmp_path / "out")
+    assert [d["classification"] for d in details] == ["convergent", "convergent", "divergent"]
+    for d in details:
+        lo, hi = d["interval"]
+        assert lo <= 2.0 * (d["r"] - 1.5) <= hi and abs(d["r_max_hat"] - 1.5) < 0.01
+
+
+def test_a_sobolev_prediction_from_a_wrong_gamma_fails(tmp_path, capsys, monkeypatch):
+    # Planted defect: predicting with gamma + 0.1 moves r_max to 1.7, so r = 1.6 is predicted convergent.
+    gate = diagnostics.refuse_outside_regime
+    monkeypatch.setattr(diagnostics, "refuse_outside_regime", lambda d, gamma, *a: gate(d, gamma + 0.1, *a))
+    assert run(["sweep", "sobolev", "--workers", "2", "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    last = sobolev_details(tmp_path / "out")[-1]
+    assert (last["r"], last["predicted"], last["classification"]) == (1.6, "convergent", "divergent")
 
 
 def test_failed_check_exits_1(tmp_path, capsys):
@@ -738,6 +770,10 @@ NOTHING_LAW = NoiseLaw(HyperBox.unit(1), LevyTriplet(0.0, 0.0, SymmetricTwoPoint
         ("K_list=[1024]", "sobolev.K_list", lambda: check_k_list([1024])),
         ("K_list=1024,1024,2048", "sobolev.K_list", lambda: check_k_list([1024, 1024, 2048])),
         ("K_list=1024,3000", "sobolev.K_list", lambda: check_k_list([1024, 3000])),
+        ("K_list=1024,2048", "sobolev.K_list", lambda: check_k_list([1024, 2048])),
+        ("K_list=1024,2048,3000", "sobolev.K_list", lambda: check_k_list([1024, 2048, 3000])),
+        (["sweep", "sobolev", "--set", "K_list=1024,2048", "--seed", "1"], "sobolev.K_list",
+         lambda: check_k_list([1024, 2048])),
         ("r_list=1.0,1.0", "sobolev.r_list", lambda: check_r_list([1.0, 1.0])),
         ("grid_levels=4,5", "continuity.grid_levels", lambda: check_grid_levels([4, 5])),
         ("grid_levels=6,4,6", "continuity.grid_levels", lambda: check_grid_levels([6, 4, 6])),

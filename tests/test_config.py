@@ -185,8 +185,8 @@ class TestListEntries:
         assert exc.value.path == "sobolev.r_list[1]"
 
     def test_good_entries_load(self):
-        cfg = load_config(None, ["K_list=1024,2048", "grid_levels=3,4,5", "r_list=1,1.5", "t_list=100,300.5"])
-        assert cfg.blocks["sobolev"]["K_list"] == [1024, 2048]
+        cfg = load_config(None, ["K_list=1024,2048,4096", "grid_levels=3,4,5", "r_list=1,1.5", "t_list=100,300.5"])
+        assert cfg.blocks["sobolev"]["K_list"] == [1024, 2048, 4096]
         assert cfg.blocks["spectral_bound"]["t_list"] == [100, 300.5]
 
 
@@ -195,9 +195,10 @@ class TestValueRanges:
         "item,path,message",
         [
             ("grid_levels=0,4,5", "continuity.grid_levels[0]", "integer >= 1"),
-            ("K_list=2048,1024,2048", "sobolev.K_list", "strictly ascending"),
-            ("K_list=1024,1024,2048", "sobolev.K_list", "strictly ascending"),
-            ("K_list=1024,3000", "sobolev.K_list", "doubling"),
+            ("K_list=2048,1024,2048", "sobolev.K_list", "twice the one before"),
+            ("K_list=1024,1024,2048", "sobolev.K_list", "twice the one before"),
+            ("K_list=1024,2048,3000", "sobolev.K_list", "twice the one before"),
+            ("K_list=1024,2048", "sobolev.K_list", "at least 3 cutoffs"),
             ("t_list=0,100", "spectral_bound.t_list", "positive"),
             ("t_list=-100,100", "spectral_bound.t_list", "positive"),
             ("t_list=300,100", "spectral_bound.t_list", "strictly increasing"),

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -67,14 +68,55 @@ def test_sobolev_sweep_predicts_from_the_ceiling():
     # r_max = 2 gamma - d/2 = 1.5 at d=1, gamma=1.
     triplet = LevyTriplet(0.0, 0.0, AlphaStable(1.5))
     law = NoiseLaw(UNIT, triplet, eps=1.0)
-    reports = sobolev_sweep(law, 1.0, [1.0, 1.4, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    reports = sobolev_sweep(law, 1.0, [1.0, 1.4, 1.6], [512, 1024, 2048], 1, 7, surrogate=True)
     assert [r.details["predicted"] for r in reports] == ["convergent", "convergent", "divergent"]
     assert all(r.details["r_threshold"] == 1.5 for r in reports)
 
 
+DEFAULT_K_LIST = [16384 << i for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "d, r_list",
+    # At d = 2 the slope of the surrogate is off by the boundary term of Weyl's law,
+    # about 2e-3 (2 gamma - r) over these cutoffs, and exact where the weights are
+    # flat (r = 2 gamma); r = 1.0 = r_max is the endpoint, where the slope is 0.
+    [(1, [1.0, 1.4, 1.6]), (2, [1.6, 2.0, 2.4])],
+)
+def test_surrogate_sweep_reads_the_ceiling_to_three_digits(d, r_list):
+    law = NoiseLaw(HyperBox.unit(d), LevyTriplet(0.0, 0.0, AlphaStable(1.5)), eps=1.0)
+    reports = sobolev_sweep(law, 1.0, r_list, DEFAULT_K_LIST, 1, 7, surrogate=True)
+    r_max = 2.0 - d / 2.0
+    for r, report in zip(r_list, reports):
+        s = report.statistic
+        assert report.details["interval"] == [s, s] and report.threshold == 0.0
+        assert abs(report.details["r_max_hat"] - r_max) < 1e-3
+        assert report.passed and not report.inconclusive
+        assert report.details["classification"] == ("convergent" if r < r_max else "divergent")
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (2, 1), (5, 1), (8, 1), (9, 2), (10, 2), (20, 6), (100, 40)])
+def test_median_rank_is_the_widest_95_percent_order_statistic_interval(n, rank):
+    def coverage(j):
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(j)) / 2**n
+
+    assert diagnostics.median_rank(n) == rank
+    assert rank == 1 or coverage(rank) >= 0.95
+    assert 2 * rank >= n or coverage(rank + 1) < 0.95
+
+
+def test_doubling_slopes_read_a_power_law_and_a_flat_trajectory():
+    k_list = [100, 200, 400, 800]
+    # Increments over the doublings of 3 K^0.4 and of 0 everywhere.
+    norms = np.cumsum([[5.0] + [3.0 * k**0.4 for k in k_list[:-1]], [0.0] * 4], axis=1)
+    slopes = diagnostics.doubling_slopes(norms, k_list)
+    assert slopes[0] == pytest.approx(0.4, rel=1e-12) and slopes[1] == -math.inf
+
+
 def direct_partial_norms(law, gamma, r_list, k_list, rep, seed, surrogate=False):
     """One replicate's partial norms (orders x cutoffs) from its whole coefficient
-    vector: the drift, the dense E @ z of the atoms and the keyed Gaussian part."""
+    vector: the drift, the dense E @ z of the atoms and the Gaussian part, drawn
+    in one ``standard_normal`` call over the whole listing."""
     system = enumerate_eigen(law.box, count=k_list[-1])
     c = np.ones(len(system))
     if not surrogate:
@@ -82,7 +124,8 @@ def direct_partial_norms(law, gamma, r_list, k_list, rep, seed, surrogate=False)
         c = law.triplet.b * box_fourier(system)
         if realization.atoms.count:
             c += eigen_matrix(system, realization.atoms.locations) @ realization.atoms.sizes
-        c += _rng.keyed_normals(realization.master_seed, _rng.GAUSS_COEFF, system.indices) * np.sqrt(law.gaussian_variance)
+        gaussian = _rng.stream(realization.master_seed, _rng.GAUSS_COEFF).standard_normal(len(system))
+        c += gaussian * np.sqrt(law.gaussian_variance)
     terms = system.lams ** (np.array(r_list)[:, None] - 2.0 * gamma) * c**2
     return np.cumsum(terms, axis=1)[:, np.array(k_list) - 1]
 
@@ -484,8 +527,10 @@ NOTHING_TEXT = "the law has nothing random: no Gaussian part and no jumps above 
         (lambda: spectral_bound_check(UNIT, [0, 100, 300], DRIFT_POINTS), "levels must be positive"),
         (lambda: spectral_bound_check(UNIT, [-5, 100], DRIFT_POINTS), "levels must be positive"),
         (lambda: spectral_bound_check(UNIT, [100, 100, 300], DRIFT_POINTS), "levels must be strictly increasing"),
-        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 1024, 2048], 2, 7), "cutoffs must be strictly ascending"),
-        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0, 1.0], [1024, 2048], 2, 7), "orders must be distinct"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 1024, 2048], 2, 7), "each cutoff must be twice the one before"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 2048], 2, 7), "need at least 3 cutoffs"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [0, 0, 0], 2, 7), "cutoffs must be at least 1, got 0"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0, 1.0], [512, 1024, 2048], 2, 7), "orders must be distinct"),
         (lambda: _rng.stream(-1, _rng.ATOM_STREAM), SEED_TEXT.format(-1)),
         (lambda: _rng.stream(2**64 + 5, _rng.ATOM_STREAM), SEED_TEXT.format(2**64 + 5)),
         (lambda: sample_noise(DRIFT_LAW, -1), SEED_TEXT.format(-1)),
@@ -507,15 +552,16 @@ NOTHING_TEXT = "the law has nothing random: no Gaussian part and no jumps above 
         (lambda: isometry_test(DRIFT_LAW, AxisPower(-2.0, 0, 0.5), 1000, 7),
          "axis-power offset must sit at or below the box on its axis, got 0.5 above 0.0"),
         (lambda: enumerate_eigen(UNIT, count=0), "count must be >= 1, got 0"),
-        (lambda: sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0], [1024, 2048], 2, 7), NOTHING_TEXT),
+        (lambda: sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0], [512, 1024, 2048], 2, 7), NOTHING_TEXT),
         (lambda: continuity_probe(NOTHING_RANDOM, 0.4, [3, 4, 5], 2, 7), NOTHING_TEXT),
         (lambda: continuity_probe(DRIFT_LAW, 1.5, [0, 1, 2], 2, 7), "levels must be >= 1, got 0"),
         (lambda: continuity_probe(DRIFT_LAW, 1.5, [-1, 1, 2], 2, 7), "levels must be >= 1, got -1"),
         (lambda: continuity_probe(DRIFT_LAW, 1.5, [4, 5, 6], 0, 7), "need at least one replicate, got 0"),
-        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [1024, 2048], 0, 7), "need at least one replicate, got 0"),
+        (lambda: sobolev_sweep(DRIFT_LAW, 1.0, [1.0], [512, 1024, 2048], 0, 7), "need at least one replicate, got 0"),
     ],
     ids=[
-        "levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "r-repeated",
+        "levels-4-4-5", "t-from-0", "t-from-negative", "t-repeated", "K-repeated", "K-two-cutoffs", "K-from-0",
+        "r-repeated",
         "stream-seed-negative", "stream-seed-above-64-bits", "noise-seed-negative", "noise-seed-above-64-bits",
         "weak-indicator", "field-grid", "green-grid", "continuity-grid", "band-reversed", "isometry-band",
         "isometry-m", "axis-power-offset", "isometry-axis-power-offset", "count-0",
@@ -536,14 +582,14 @@ def test_checks_refuse_what_the_config_refuses(monkeypatch, check, message):
 
 def test_a_surrogate_sweep_runs_on_a_law_with_nothing_random():
     # The surrogate draws no noise, so the law's random part does not matter.
-    reports = sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    reports = sobolev_sweep(NOTHING_RANDOM, 1.0, [1.0, 1.6], [512, 1024, 2048], 1, 7, surrogate=True)
     assert [r.details["classification"] for r in reports] == ["convergent", "divergent"]
 
 
 def test_a_surrogate_sweep_reads_the_white_noise_ceiling_on_a_law_without_a_random_part():
     # The law's own ceiling is 2 gamma + 1/2 = 2.5; the surrogate's coefficients are white noise's.
     law = NoiseLaw(UNIT, LevyTriplet(1.0, 0.0, NullMeasure()), eps=1.0)
-    reports = sobolev_sweep(law, 1.0, [1.0, 1.6], [1024, 2048], 1, 7, surrogate=True)
+    reports = sobolev_sweep(law, 1.0, [1.0, 1.6], [512, 1024, 2048], 1, 7, surrogate=True)
     assert [r.details["r_threshold"] for r in reports] == [1.5, 1.5]
     assert [r.details["predicted"] for r in reports] == ["convergent", "divergent"]
     assert all(r.passed for r in reports)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from levy_elliptic import _rng, domain, noise
-from levy_elliptic._rng import keyed_normals, replicate_seed, stream
+from levy_elliptic._rng import replicate_seed, stream
 from levy_elliptic.diagnostics import run_replicates
 from levy_elliptic.domain import HyperBox, eigen_matvec_blocks, enumerate_eigen, listing_blocks, single_mode
 from levy_elliptic.functions import (
@@ -149,7 +149,7 @@ class TestPairEigen:
 
     @pytest.mark.parametrize("policy, small_jumps", [("gaussianize", True), ("drop", False)])
     def test_gaussian_part_variance(self, policy, small_jumps):
-        # One keyed N(0, sigma^2 + v) draw an index, v the truncated variance
+        # One N(0, sigma^2 + v) draw a mode, v the truncated variance
         # at eps under gaussianize and 0 under drop.
         measure, eps = AlphaStable(1.0), 0.5
         real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.0, 0.6, measure), eps, policy), master_seed=9)
@@ -163,15 +163,46 @@ class TestPairEigen:
         )
         assert [draws for _, draws in real.gaussian_blocks(enumerate_eigen(UNIT, count=49))] == [None]
 
-    def test_surrogate_keeps_its_keyed_stream_without_sigma(self):
-        # At sigma = 0 the Gaussian part is the surrogate, drawn under purpose 0x22.
+    def test_surrogate_draws_the_gaussian_stream_without_sigma(self):
+        # At sigma = 0 the Gaussian part is the surrogate, drawn from the GAUSS_COEFF stream.
         law = NoiseLaw(UNIT, LevyTriplet(0.0, 0.0, AlphaStable(1.2)), eps=0.3)
         real = sample_noise(law, master_seed=12)
         system = enumerate_eigen(UNIT, count=300)
         want = eigen_matvec(system, real.atoms.locations, real.atoms.sizes)
-        want += keyed_normals(12, 0x22, system.indices) * math.sqrt(law.surrogate_variance)
+        want += stream(12, _rng.GAUSS_COEFF).standard_normal(len(system)) * math.sqrt(law.surrogate_variance)
         assert real.atoms.count > 0
         assert np.array_equal(pair_eigen(real, system).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "box, short, long",
+        [
+            (UNIT, {"count": 4096}, {"count": 8192}),
+            (HyperBox.unit(2), {"count": 4096}, {"count": 8192}),
+            (HyperBox(((0.0, 1.0), (0.0, 1.7))), {"count": 3000}, {"count": 6000}),
+            (HyperBox.unit(3), {"count": 2048}, {"count": 4096}),
+            (HyperBox.unit(2), {"lambda_max": 2000.0}, {"count": 4096}),
+        ],
+    )
+    def test_a_listing_draws_the_first_gaussians_of_a_longer_one(self, monkeypatch, box, short, long):
+        # The k-th mode takes the k-th draw, so a listing that is a prefix of a
+        # longer one reads a prefix of its Gaussian part, whatever the blocks.
+        monkeypatch.setattr(domain, "BLOCK_MODES", 1000)
+        real = sample_noise(NoiseLaw(box, LevyTriplet(0.0, 1.0, NullMeasure())), master_seed=31)
+        small, large = enumerate_eigen(box, **short), enumerate_eigen(box, **long)
+        k = len(small)
+        assert 0 < k < len(large) and np.array_equal(small.indices, large.indices[:k])
+        assert np.array_equal(pair_eigen(real, small), pair_eigen(real, large)[:k])
+
+    def test_gaussian_part_without_atoms_is_centered_at_the_law_variance(self):
+        # No atoms above eps = 1 for the two-point law at 0.5: the coefficients are
+        # the Gaussian part alone, sigma^2 + v with v the surrogate variance.
+        law = NoiseLaw(UNIT, LevyTriplet(0.0, 0.8, SymmetricTwoPoint(5.0, 0.5)), eps=1.0)
+        real = sample_noise(law, master_seed=3)
+        coeffs = pair_eigen(real, enumerate_eigen(UNIT, count=200_000))
+        var, n = law.gaussian_variance, len(coeffs)
+        assert real.atoms.count == 0 and var == 0.64 + law.surrogate_variance > 0.64
+        assert abs(coeffs.mean()) < 4.0 * math.sqrt(var / n)
+        assert abs(coeffs.var() - var) < 4.0 * var * math.sqrt(2.0 / n)
 
 
 class TestPairWithFunction:
@@ -243,26 +274,25 @@ class TestPairWithFunction:
         assert pair_with_function(real, f, enumerate_eigen(UNIT, count=256)) == float(f.evaluate([[0.5]])[0] * 2.0)
 
     def test_gaussian_part_filled_block_by_block_is_the_whole_draw(self, monkeypatch):
-        # The K-long Gaussian vector is filled one listing block at a time, with
-        # one KeyedWork for the walk, and dotted with <f, e_k> once.
+        # The K-long Gaussian vector is filled one listing block at a time, from
+        # one generator for the walk, and dotted with <f, e_k> once.
         real = sample_noise(NoiseLaw(UNIT, LevyTriplet(0.4, 0.7, SymmetricTwoPoint(2.0, 1.0)), eps=0.4), master_seed=14)
         system, f = enumerate_eigen(UNIT, count=1000), AxisPower(1.0)
-        draws = keyed_normals(14, _rng.GAUSS_COEFF, system.indices) * math.sqrt(real.law.gaussian_variance)
+        draws = stream(14, _rng.GAUSS_COEFF).standard_normal(len(system)) * math.sqrt(real.law.gaussian_variance)
         want = 0.4 * integral(f, UNIT)
         want += float(np.dot(fourier_vector(system, f), draws))
         want += float(f.evaluate(real.atoms.locations) @ real.atoms.sizes)
         monkeypatch.setattr(domain, "BLOCK_MODES", 64)
         built = []
 
-        class CountedWork(_rng.KeyedWork):
-            def __init__(self, n):
-                built.append(n)
-                super().__init__(n)
+        def counted(seed, tag):
+            built.append(tag)
+            return stream(seed, tag)
 
-        monkeypatch.setattr(_rng, "KeyedWork", CountedWork)
+        monkeypatch.setattr(_rng, "stream", counted)
         assert real.atoms.count > 0 and len(listing_blocks(system)) > 3
         assert pair_with_function(real, f, system) == want
-        assert len(built) == 1
+        assert built == [_rng.GAUSS_COEFF]
 
     def test_additivity_over_disjoint_boxes_to_rounding(self):
         triplet = LevyTriplet(0.5, 0.7, SymmetricTwoPoint(3.0, 1.0))
@@ -358,20 +388,6 @@ class TestReproducibility:
         system = enumerate_eigen(UNIT, count=30)
         assert np.array_equal(pair_eigen(a, system), pair_eigen(b, system))
 
-    def test_keyed_normals_order_independent(self):
-        idx = np.arange(1, 101)[:, None]
-        full = keyed_normals(42, 7, idx)
-        shuffled = np.random.default_rng(0).permutation(100)
-        again = keyed_normals(42, 7, idx[shuffled])
-        assert np.array_equal(full[shuffled], again)
-        single = keyed_normals(42, 7, idx[17:18])
-        assert single[0] == full[17]
-
-    def test_keyed_normals_distribution(self):
-        draws = keyed_normals(3, 1, np.arange(1, 200_001)[:, None])
-        assert abs(np.mean(draws)) < 0.01
-        assert np.var(draws) == pytest.approx(1.0, rel=0.02)
-
     def test_thread_count_does_not_change_results(self):
         triplet = LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 1.0))
         system = enumerate_eigen(UNIT, count=20)
@@ -418,21 +434,6 @@ class TestNoiseLaw:
 
 
 class TestProperties:
-    @settings(deadline=None, max_examples=50)
-    @given(
-        st.integers(0, 2**64 - 1),
-        st.integers(0, 2**32),
-        st.integers(1, 4).flatmap(
-            lambda d: st.lists(st.tuples(*[st.integers(1, 10**9)] * d), min_size=1, max_size=40, unique=True)
-        ),
-        st.randoms(use_true_random=False),
-    )
-    def test_keyed_normals_follow_a_permutation_of_their_indices(self, seed, purpose, rows, random):
-        idx = np.array(rows, dtype=np.int64)
-        order = np.array(random.sample(range(len(idx)), len(idx)))
-        draws = keyed_normals(seed, purpose, idx)
-        assert np.array_equal(keyed_normals(seed, purpose, idx[order]), draws[order])
-
     @settings(deadline=None, max_examples=50)
     @given(
         st.integers(1, 2),
