@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,75 @@ def test_doubling_slopes_read_a_power_law_and_a_flat_trajectory():
     norms = np.cumsum([[5.0] + [3.0 * k**0.4 for k in k_list[:-1]], [0.0] * 4], axis=1)
     slopes = diagnostics.doubling_slopes(norms, k_list)
     assert slopes[0] == pytest.approx(0.4, rel=1e-12) and slopes[1] == -math.inf
+
+
+def test_median_rank_is_the_largest_rank_of_95_percent_coverage_up_to_60_samples():
+    # Exact coverage 1 - 2 P(Bin(n, 1/2) < j) in rationals, over every rank of the
+    # interval [X_(j), X_(n+1-j)]; rank 1 when none reaches 95 %.
+    for n in range(1, 61):
+        def coverage(j):
+            return 1 - Fraction(2 * sum(math.comb(n, i) for i in range(j)), 2**n)
+
+        covering = [j for j in range(1, (n + 1) // 2 + 1) if coverage(j) >= Fraction(19, 20)]
+        assert diagnostics.median_rank(n) == max(covering, default=1), n
+
+
+@pytest.mark.parametrize("cutoffs", [3, 4, 6])
+@pytest.mark.parametrize("s", [-2.0, -0.5, 0.0, 0.4, 1.5])
+def test_doubling_slopes_recover_the_exponent_of_a_power_law(s, cutoffs):
+    # Increments 0.7 K^s over each doubling K -> 2K, from every cutoff count the
+    # config allows: the least-squares slope is s.
+    k_list = [64 << i for i in range(cutoffs)]
+    norms = np.cumsum([0.0] + [0.7 * k**s for k in k_list[:-1]])
+    assert diagnostics.doubling_slopes(norms[None], k_list)[0] == pytest.approx(s, abs=1e-10)
+
+
+def test_doubling_slopes_read_each_replicate_and_order_alone():
+    # (replicates x orders x cutoffs) -> (replicates x orders); a constant offset
+    # and a positive scale of a trajectory leave its slope.
+    k_list = [128, 256, 512, 1024]
+    norms = np.cumsum(np.random.default_rng(0).random((5, 3, 4)) + 0.1, axis=-1)
+    slopes = diagnostics.doubling_slopes(norms, k_list)
+    assert slopes.shape == (5, 3)
+    assert np.allclose(diagnostics.doubling_slopes(3.0 * norms + 10.0, k_list), slopes, rtol=0.0, atol=1e-12)
+    assert diagnostics.doubling_slopes(norms[2:3, 1:2], k_list)[0, 0] == pytest.approx(slopes[2, 1], rel=1e-14)
+
+
+PLANTED_SLOPES = {
+    "one-below": ([-0.2], "convergent"),
+    "five-below": ([-0.3, -0.2, -0.25, -0.1, -0.01], "convergent"),
+    "five-one-above": ([-0.3, -0.2, -0.25, -0.1, 0.01], "inconclusive"),
+    "five-above": ([0.3, 0.2, 0.25, 0.1, 0.01], "divergent"),
+    "three-at-zero": ([0.0, 0.0, 0.0], "inconclusive"),
+    # At 20 replicates the interval runs from the 6th to the 15th order statistic.
+    "twenty-five-above": ([-0.1] * 15 + [0.5] * 5, "convergent"),
+    "twenty-six-above": ([-0.1] * 14 + [0.5] * 6, "inconclusive"),
+    "twenty-five-below": ([-0.5] * 5 + [0.1] * 15, "divergent"),
+}
+
+
+@pytest.mark.parametrize("slopes, verdict", PLANTED_SLOPES.values(), ids=PLANTED_SLOPES.keys())
+def test_sweep_verdict_reads_the_order_statistic_interval_of_the_median_slope(monkeypatch, slopes, verdict):
+    n = len(slopes)
+    planted = np.random.default_rng(0).permutation(slopes)[:, None]  # unsorted: the sweep sorts them
+    monkeypatch.setattr(diagnostics, "doubling_slopes", lambda norms, k_list: planted.copy())
+    law = NoiseLaw(UNIT, LevyTriplet(0.0, 1.0, NullMeasure()), eps=1.0)
+    (report,) = sobolev_sweep(law, 1.0, [1.2], [512, 1024, 2048], n, 7)
+    rank, ordered, s = diagnostics.median_rank(n), sorted(slopes), float(np.median(slopes))
+    assert report.details["classification"] == verdict
+    assert report.inconclusive == (verdict == "inconclusive")
+    assert report.passed == (verdict == "convergent")  # r = 1.2 lies below r_max = 1.5
+    assert report.statistic == s and report.threshold == 0.0 and report.replicates == n
+    assert report.details["interval"] == [ordered[rank - 1], ordered[-rank]]
+    assert report.details["r_max_hat"] == 1.2 - 0.5 * s
+
+
+@pytest.mark.parametrize(
+    "k_list", [[1, 2, 4], np.array([256, 512, 1024, 2048]), DEFAULT_K_LIST], ids=["from-1", "numpy", "default"]
+)
+def test_check_k_list_gives_doublings_back_as_ints(k_list):
+    checked = diagnostics.check_k_list(k_list)
+    assert checked == [int(k) for k in k_list] and all(type(k) is int for k in checked)
 
 
 def direct_partial_norms(law, gamma, r_list, k_list, rep, seed, surrogate=False):

@@ -204,6 +204,34 @@ class TestPairEigen:
         assert abs(coeffs.mean()) < 4.0 * math.sqrt(var / n)
         assert abs(coeffs.var() - var) < 4.0 * var * math.sqrt(2.0 / n)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_blocks_are_one_scaled_standard_normal_call(self, monkeypatch, d, seed):
+        # Blocks of about 1000 modes cut the listing; end to end, the draws are the
+        # first K normals of the seed's GAUSS_COEFF generator, at the extreme seeds too.
+        monkeypatch.setattr(domain, "BLOCK_MODES", 1000)
+        box = HyperBox.unit(d)
+        law = NoiseLaw(box, LevyTriplet(0.0, 0.8, AlphaStable(1.5)), eps=0.3)
+        real, system = sample_noise(law, master_seed=seed), enumerate_eigen(box, count=5000)
+        parts = list(real.gaussian_blocks(system))
+        assert len(parts) > 2 and [part.stop for part, _ in parts][-1] == len(system)
+        want = stream(seed, _rng.GAUSS_COEFF).standard_normal(len(system)) * math.sqrt(law.gaussian_variance)
+        assert np.array_equal(np.concatenate([draws for _, draws in parts]), want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gaussian_part_does_not_depend_on_the_jumps(self, d):
+        # The atoms come from a stream of their own: under drop, laws that share
+        # sigma and the seed share the Gaussian part, whatever their jumps.
+        box = HyperBox.unit(d)
+        system = enumerate_eigen(box, count=3000)
+        counts, parts = [], []
+        for measure, eps in [(NullMeasure(), 1.0), (AlphaStable(1.5), 0.05), (SymmetricTwoPoint(2.0, 0.5), 0.3)]:
+            real = sample_noise(NoiseLaw(box, LevyTriplet(0.0, 0.7, measure), eps, "drop"), master_seed=17)
+            counts.append(real.atoms.count)
+            parts.append(np.concatenate([draws for _, draws in real.gaussian_blocks(system)]))
+        assert counts[0] == 0 and counts[1] > 0
+        assert all(np.array_equal(part, parts[0]) for part in parts[1:])
+
 
 class TestPairWithFunction:
     def test_zero_function(self):
@@ -387,6 +415,11 @@ class TestReproducibility:
         assert np.array_equal(a.atoms.sizes, b.atoms.sizes)
         system = enumerate_eigen(UNIT, count=30)
         assert np.array_equal(pair_eigen(a, system), pair_eigen(b, system))
+
+    def test_keyed_normals_distribution(self):
+        draws = _rng.keyed_normals(stream(3, _rng.GAUSS_COEFF), 200_000)
+        assert abs(np.mean(draws)) < 0.01
+        assert np.var(draws) == pytest.approx(1.0, rel=0.02)
 
     def test_thread_count_does_not_change_results(self):
         triplet = LevyTriplet(0.0, 1.0, SymmetricTwoPoint(1.0, 1.0))
