@@ -99,8 +99,9 @@ def replicate_seed(master_seed: int, replicate_id: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def keyed_normals(rng, n: int) -> np.ndarray:
-    """The next n standard normals of ``rng``: the one draw of a realization's
-    Gaussian part.  The name is kept, a plain ``standard_normal`` call, because
-    the benchmark's tracer wraps ``_rng.keyed_normals`` by name."""
-    return rng.standard_normal(n)
+def keyed_normals(rng, n: int, out=None) -> np.ndarray:
+    """The next n standard normals of ``rng``, into ``out`` when given: the one
+    draw of a realization's Gaussian part.  The name is kept, a plain
+    ``standard_normal`` call, because the benchmark's tracer wraps
+    ``_rng.keyed_normals`` by name."""
+    return rng.standard_normal(n, out=out)

@@ -134,7 +134,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         "gate_stricter": kernel.verdict and not verdict.exists,
         "truncation": {
             "modes": len(system),
-            "lambda_max": float(system.lams[-1]),
+            "lambda_max": system.lambda_max,
             "diagonal": diagonal.value,
             "diagonal_tail_bound": diagonal.tail_bound,
         },

@@ -16,6 +16,7 @@ not depend on the worker count.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from .domain import (
     CHUNK_CELLS,
     EigenSystem,
     HyperBox,
+    block_cells,
     check_grid,
     eigen_matrix,
     enumerate_eigen,
@@ -365,15 +367,21 @@ def sobolev_sweep(
     under test: convergent iff r < r_max = 2 gamma - d/2, read from the
     existence verdict.
 
-    The listing is the one K-sized array the sweep holds.  A replicate
-    walks it one block of ``domain.listing_blocks`` (about BLOCK_MODES
-    modes) at a time, so it holds one block of coefficients and of weights
-    lambda_k^(r - 2 gamma), one row an order, plus its atoms' factors: the
-    offset factors of a sorted listing at d = 1 whose atoms fit one chunk
-    of points, else the dense grid of modes that its atoms sum into, about
-    K values.  Each block is squared in place and adds one product with its
-    weights into the sum of every segment between cutoffs that it
-    overlaps, so a segment's sum is added block by block.
+    A replicate walks the listing one block of ``domain.listing_blocks``
+    (about BLOCK_MODES modes) at a time, and each worker holds one block's
+    arrays, made at its first replicate and reused by every later one: the
+    coefficients and one term of ``noise.pair_eigen_blocks``, the
+    eigenvalues (``EigenSystem.block``) and the weights lambda_k^(r - 2
+    gamma), one row an order.  Besides them a replicate holds its atoms'
+    factors: the offset factors of a sorted listing at d = 1 whose atoms fit
+    one chunk of points, else the dense grid of modes that its atoms sum
+    into, about K values.  At d = 1 the listing is held as K alone
+    (``domain.enumerate_eigen``), so with atoms that fit one chunk nothing
+    the sweep holds grows with K but those factors, about sqrt(K) values an
+    atom; at d >= 2 the listing is two K-sized arrays.  Each block is
+    squared in place and adds one product with its weights into the sum of
+    every segment between cutoffs that it overlaps, so a segment's sum is
+    added block by block.
 
     ``surrogate`` replaces the noise coefficients by the deterministic
     decay lambda_k^(-gamma), which turns the sweep into an exact check of
@@ -395,17 +403,25 @@ def sobolev_sweep(
     cuts = [0, *k_list]
     segments = list(zip(cuts, cuts[1:]))
     blocks = listing_blocks(system)  # builds the kernel layout here, once, for every worker to share
+    local = threading.local()
 
-    def partial_norms(coefficients) -> np.ndarray:
+    def work() -> np.ndarray:
+        # A worker's block arrays, made at its first replicate and reused by every later one: the
+        # two rows of ``pair_eigen_blocks``, the block's eigenvalues, and its weights, a row an order.
+        if not hasattr(local, "work"):
+            local.work = np.empty((3 + len(exponents), block_cells(system)))
+        return local.work
+
+    def partial_norms(coefficients, buffers: np.ndarray) -> np.ndarray:
         # Row r: sum_{k < K} lambda_k^(r - 2 gamma) c_k^2 at each K of k_list,
         # summed per segment between cutoffs, then a cumsum over the segments.
         sums = np.zeros((len(segments), len(r_list)))
-        # One block's weights lambda_k^(r - 2 gamma), a row an order, refilled block by block.
-        weights = np.empty((len(exponents), max(part.stop - part.start for part in blocks)))
+        lams, weights = buffers[0], buffers[1:]
         for part, c in coefficients:
             np.square(c, out=c)
+            system.block(part).eigenvalues(lams[: len(c)])
             for i, exponent in enumerate(exponents):
-                np.power(system.lams[part], exponent, out=weights[i, : len(c)])
+                np.power(lams[: len(c)], exponent, out=weights[i, : len(c)])
             for sums_of, (lo, hi) in zip(sums, segments):
                 lo, hi = max(lo, part.start) - part.start, min(hi, part.stop) - part.start
                 if lo < hi:
@@ -417,12 +433,13 @@ def sobolev_sweep(
         replicates = 1
 
         def one(_rep: int) -> np.ndarray:
-            return partial_norms((part, np.ones(part.stop - part.start)) for part in blocks)
+            return partial_norms(((part, np.ones(part.stop - part.start)) for part in blocks), work()[2:])
 
     else:
 
         def one(rep: int) -> np.ndarray:
-            return partial_norms(pair_eigen_blocks(replicate_noise(law, seed, rep), system))
+            buffers = work()
+            return partial_norms(pair_eigen_blocks(replicate_noise(law, seed, rep), system, buffers[:2]), buffers[2:])
 
     norms = np.stack(run_replicates(one, replicates, workers))  # (replicates x orders x cutoffs)
     trajectories = np.median(norms, axis=0)

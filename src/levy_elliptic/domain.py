@@ -18,7 +18,10 @@ below t, whatever the order of the sides.  The partial eigenvalues add in
 itself, so the listing is exact in floating point.  The prefixes stay in
 lexicographic order, so one stable sort on the eigenvalue breaks ties
 lexicographically on the index, and orderings are reproducible across runs.
-A lattice already in that order, as every one at d = 1 is, is not sorted.
+A lattice already in that order is not sorted.  At d = 1 no lattice is
+made: every listing is k = 1, ..., K, held as K alone, and its indices and
+eigenvalues are built by the same formula when they are read, whole or one
+block at a time (``EigenSystem.block``).
 
 Every value e_k(x) is a product of per-axis sines, and one layout,
 ``_Kernel``, serves every evaluation.  The listed modes live in a dense
@@ -73,9 +76,10 @@ import numpy as np
 CHUNK_CELLS = 1 << 19
 # Largest dense K x points block ``eigen_matrix`` returns, 128 MiB.
 MAX_MATRIX_VALUES = 1 << 24
-# Largest listing ``enumerate_eigen`` makes, 64 MiB at d = 1: its traced peak is 71 MB there and 2x the
-# listing at d >= 2 (68 MB for 34 at d = 3, 2^20 modes).  ``check`` at 2^22 modes peaks at 100 MB RSS at
-# d = 1, 304 MB at d = 3, most of it the enumeration: its Green diagonal walks ``listing_blocks``.
+# Largest listing ``enumerate_eigen`` makes.  At d >= 2 its traced peak is 2x the listing (68 MB for 34
+# at d = 3, 2^20 modes); at d = 1 it holds K alone, and the 64 MiB of indices and eigenvalues are built
+# only when read whole.  ``check`` at 2^22 modes peaks at 34 MB RSS at d = 1, which reads them one block
+# at a time (its Green diagonal walks ``listing_blocks``), and at 304 MB at d = 3, most of it the enumeration.
 MAX_MODES = 1 << 22
 # Most nodes ``gauss_rule`` makes an axis: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
 MAX_GAUSS_NODES = 1 << 14
@@ -133,32 +137,79 @@ class HyperBox:
         return cls(tuple((0.0, 1.0) for _ in range(dim)))
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """A sorted finite slice of the Dirichlet spectrum on a box.
 
     ``indices`` has shape (K, d), ``lams`` shape (K,), ascending, with ties
     broken lexicographically.  The listing is complete: every index with
-    eigenvalue <= max(lams) that the cutoff admits is present.
+    eigenvalue <= max(lams) that the cutoff admits is present.  A walk over
+    the listing takes each slice through ``block``, which a listing held in
+    closed form (``_Run``, every one at d = 1) builds from its k alone.
     """
 
-    box: HyperBox
-    indices: np.ndarray
-    lams: np.ndarray
+    def __init__(self, box: HyperBox, indices: np.ndarray, lams: np.ndarray):
+        self.box, self.indices, self.lams = box, indices, lams
 
     def __len__(self) -> int:
         return len(self.lams)
 
+    def block(self, part: slice) -> "EigenSystem":
+        """The entries of the slice ``part`` as a new system (shares the arrays)."""
+        return EigenSystem(self.box, self.indices[part], self.lams[part])
+
     def prefix(self, count: int) -> "EigenSystem":
-        """First ``count`` entries as a new system (shares the arrays)."""
+        """First ``count`` entries as a new system, as ``block`` makes it."""
         if not 1 <= count <= len(self):
             raise ValueError(f"count must lie in [1, {len(self)}]")
-        return EigenSystem(self.box, self.indices[:count], self.lams[:count])
+        return self.block(slice(0, count))
+
+    def eigenvalues(self, out: np.ndarray) -> np.ndarray:
+        """``lams`` written into ``out``, which is returned."""
+        np.copyto(out, self.lams)
+        return out
+
+    @property
+    def lambda_max(self) -> float:
+        """The last eigenvalue, the largest."""
+        return float(self.block(slice(len(self) - 1, len(self))).lams[0])
 
     @cached_property
     def _kernel(self) -> "_Kernel":
         """The sine kernels' layout, built at the first use and shared by every later one."""
         return _Kernel.of(self)
+
+
+class _Run(EigenSystem):
+    """The listing k = first, ..., first + count - 1 of a one-axis box, held
+    as first and count: every listing ``enumerate_eigen`` makes at d = 1 is
+    the run from k = 1.  ``indices`` and ``lams`` are built at their first
+    read, the eigenvalues by ``_lattice_below``'s formula and so bit for bit
+    its own, and a block or prefix is the run of its own k, so a walk over
+    the blocks holds one block's arrays at a time."""
+
+    def __init__(self, box: HyperBox, first: int, count: int):
+        self.box, self.first, self.count = box, first, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def block(self, part: slice) -> "_Run":
+        start, stop, _ = part.indices(self.count)
+        return _Run(self.box, self.first + start, stop - start)
+
+    def eigenvalues(self, out: np.ndarray) -> np.ndarray:
+        # ``_axis_eigenvalues`` in place: its int64 k convert to these doubles, exact below 2^53.
+        np.multiply(np.arange(self.first, self.first + self.count, dtype=float), math.pi, out=out)
+        out /= self.box.lengths[0]
+        return np.square(out, out=out)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return np.arange(self.first, self.first + self.count)[:, None]
+
+    @cached_property
+    def lams(self) -> np.ndarray:
+        return self.eigenvalues(np.empty(self.count))
 
 
 def _axis_eigenvalues(k, length):
@@ -209,6 +260,21 @@ def _lattice_below(lengths: np.ndarray, t: float):
         lam = step
         k += 1
     return lattice, lam
+
+
+def _run_length(length, t: float) -> int:
+    """The count of k >= 1 with (pi k / L)^2 <= t, as ``_lattice_below`` admits
+    them on one axis: its terms grow with k, so the count is the last k that
+    passes, found from floor(L sqrt(t) / pi) with no array of the k."""
+    def term(k: int) -> float:
+        return float(_axis_eigenvalues(np.array([k]), length)[0])
+
+    k = math.floor(length * math.sqrt(t) / math.pi)
+    while term(k + 1) <= t:
+        k += 1
+    while k and term(k) > t:
+        k -= 1
+    return k
 
 
 def eigenvalues_of(box: HyperBox, indices: np.ndarray) -> np.ndarray:
@@ -266,11 +332,12 @@ def enumerate_eigen(
     t whose Weyl term |D| t^(d/2) / ((4 pi)^(d/2) Gamma(d/2 + 1)), an upper
     bound on N(t) on a box, lies above it.
 
-    A lattice already sorted is the listing itself, with no permutation:
-    at d = 1 the traced peak is 1.06x the listing (2^22 modes: 71 MB for
-    67 MB).  Otherwise the permutation and the sorted copy are made beside
-    the lattice, about 2x the listing (2^20 modes: 51 MB for 25 MB at d = 2,
-    68 MB for 34 MB at d = 3).
+    At d = 1 the listing is k = 1, ..., K in both modes, a threshold's K
+    counted from the closed form's eigenvalues, so no lattice is made and
+    nothing K-sized is traced.  Otherwise a lattice already sorted is the
+    listing itself, with no permutation, and any other has its permutation
+    and sorted copy made beside it, about 2x the listing (2^20 modes: 51 MB
+    for 25 MB at d = 2, 68 MB for 34 MB at d = 3).
     """
     check_cutoff(count, lambda_max)
     d = box.dim
@@ -284,6 +351,8 @@ def enumerate_eigen(
         except (OverflowError, ZeroDivisionError):  # the guess or 1 / |D| leaves the doubles
             t = math.inf
         _refuse_out_of_range(box, t, "count-mode eigenvalue guess")
+        if d == 1:
+            return _Run(box, 1, count)
         lattice, lam = _lattice_below(box.lengths, t)
         while len(lam) < count:
             t *= 1.01 * (count / len(lam)) ** (2.0 / d)
@@ -291,13 +360,14 @@ def enumerate_eigen(
             lattice, lam = _lattice_below(box.lengths, t)
     else:
         _refuse_over_budget(box, lambda_max, "lambda_max")
+        # Every eigenvalue is at least the first, summed from larger terms in the same order.
+        if lambda_max < lam1:
+            raise ValueError(f"threshold {lambda_max} lies below the first eigenvalue; empty system")
+        if d == 1:
+            return _Run(box, 1, _run_length(box.lengths[0], float(lambda_max)))
         lattice, lam = _lattice_below(box.lengths, float(lambda_max))
-        if len(lam) == 0:
-            raise ValueError(
-                f"threshold {lambda_max} lies below the first eigenvalue; empty system"
-            )
     if np.all(lam[1:] >= lam[:-1]):
-        # Already sorted, as the lattice always is at d = 1: a stable sort would not move it.
+        # Already sorted: a stable sort would not move it.
         return EigenSystem(box, lattice[:count], lam[:count])
     order = np.argsort(lam, kind="stable")[:count]
     # Sorted eigenvalues first, so glibc reuses the unsorted ones' memory for the indices.
@@ -348,19 +418,25 @@ def _sine_factors(lo: int, hi: int, step: int, u: np.ndarray, length: float):
     sin(pi (m0 + j) u) = sin(pi m0 u) cos(pi j u) + cos(pi m0 u) sin(pi j u).
     Returns the scaled anchor sines and cosines, shape (anchors, points),
     and the offset cosines and sines side by side, shape (step, 2 points).
+    At step 1 the one offset is 0, whose (1, 0) leaves the anchor sines as
+    they are, so the cosines are None, never made.
     """
-    return (*_anchor_factors(np.arange(lo, hi + 1, step), u, length), _offset_factors(step, u))
+    return (*_anchor_factors(np.arange(lo, hi + 1, step), u, length, step > 1), _offset_factors(step, u))
 
 
-def _anchor_factors(anchors: np.ndarray, u: np.ndarray, length: float):
-    """sqrt(2/L) sin(pi m u) and sqrt(2/L) cos(pi m u), one row an anchor m and a column a point."""
+def _anchor_factors(anchors: np.ndarray, u: np.ndarray, length: float, cosines: bool):
+    """sqrt(2/L) sin(pi m u) and sqrt(2/L) cos(pi m u) (None unless ``cosines``),
+    one row an anchor m and a column a point."""
     anchor = np.pi * np.outer(anchors, u)
     scale = math.sqrt(2.0 / length)
-    return scale * np.sin(anchor), scale * np.cos(anchor)
+    return scale * np.sin(anchor), scale * np.cos(anchor) if cosines else None
 
 
 def _offset_factors(step: int, u: np.ndarray) -> np.ndarray:
-    """cos(pi j u) and sin(pi j u) side by side, one row an offset j < step."""
+    """cos(pi j u) and sin(pi j u) side by side, one row an offset j < step; at
+    step 1 the one row is the exact (1, 0) that np.cos and np.sin give at 0."""
+    if step == 1:
+        return np.repeat([1.0, 0.0], len(u))[None, :]
     offset = np.pi * np.outer(np.arange(step), u)
     cos_sin = np.empty((step, 2 * len(u)))
     np.cos(offset, out=cos_sin[:, : len(u)])
@@ -379,6 +455,8 @@ def _sine_table(lo: int, hi: int, u: np.ndarray, length: float) -> np.ndarray:
     width = hi - lo + 1
     step = _block_length(width)
     sa, ca, cos_sin = _sine_factors(lo, hi, step, u, length)
+    if ca is None:
+        return sa  # one row, the anchor's
     table = sa[:, None, :] * cos_sin[:, : len(u)]
     table += ca[:, None, :] * cos_sin[:, len(u) :]
     return table.reshape(-1, len(u))[:width]
@@ -400,7 +478,7 @@ class _Kernel:
     """
 
     box: HyperBox
-    indices: np.ndarray  # the system's listing, shared
+    indices: np.ndarray | None  # the system's listing, shared; None for a run
     low: tuple
     widths: tuple
     rows: int
@@ -410,19 +488,26 @@ class _Kernel:
 
     @classmethod
     def of(cls, system: EigenSystem) -> "_Kernel":
-        idx = system.indices
-        low = idx.min(axis=0)
-        widths = tuple(int(w) for w in idx.max(axis=0) - low + 1)
+        if isinstance(system, _Run):
+            # The run's first k and count are its one row, in order, with no listing read.
+            idx, low, widths, in_grid_order = None, (system.first,), (len(system),), True
+        else:
+            idx = system.indices
+            low = tuple(int(k) for k in idx.min(axis=0))
+            widths = tuple(int(w) for w in idx.max(axis=0) - low + 1)
+            # One row as wide as the listing, strictly ascending along it: the modes low, low + 1, ... in order.
+            in_grid_order = (
+                math.prod(widths[:-1]) == 1 and widths[-1] == len(idx) and bool(np.all(idx[1:, -1] > idx[:-1, -1]))
+            )
         rows = math.prod(widths[:-1])
         step = min(widths[-1], _block_length(rows * widths[-1]))
-        # One row as wide as the listing, strictly ascending along it: the modes low, low + 1, ... in order.
-        in_grid_order = rows == 1 and widths[-1] == len(idx) and bool(np.all(idx[1:, -1] > idx[:-1, -1]))
-        low = tuple(int(k) for k in low)
         return cls(system.box, idx, low, widths, rows, step, -(-widths[-1] // step), in_grid_order)
 
     @cached_property
     def modes(self) -> tuple:
         """Each mode's place in the dense grid, one index array an axis; made at the first use."""
+        if self.indices is None:
+            return (np.arange(self.widths[0]),)
         return tuple((self.indices - np.array(self.low)).T)
 
     def grid(self) -> np.ndarray:
@@ -464,19 +549,23 @@ class _Kernel:
         n = len(sa[0])
         both = (dense @ cos_sin).reshape(-1, self.anchors, 2 * n)
         partial = both[:, :, :n] * sa
-        partial += both[:, :, n:] * ca
+        if ca is not None:  # at step 1 the offset sines are 0
+            partial += both[:, :, n:] * ca
         return partial.sum(axis=1)
 
-    def matvec(self, front: np.ndarray, sa, ca, cos_sin) -> np.ndarray:
+    def matvec(self, front: np.ndarray, sa, ca, cos_sin, out=None) -> np.ndarray:
         """The transpose: G[r, k] = sum_i F[r, i] sqrt(2/L) sin(pi k u_i) for
         rows F of point weights, shaped (r x anchors, step), over the anchors
         that ``sa`` and ``ca`` hold: the weighted anchor factors, then one
-        BLAS product with the offset factors."""
+        BLAS product with the offset factors, into ``out`` when given."""
         n = len(sa[0])
         lhs = np.empty((len(front), len(sa), 2 * n))
         np.multiply(front[:, None, :], sa, out=lhs[:, :, :n])
-        np.multiply(front[:, None, :], ca, out=lhs[:, :, n:])
-        return lhs.reshape(-1, 2 * n) @ cos_sin.T
+        if ca is None:  # at step 1 they meet the offset sines, 0
+            lhs[:, :, n:] = 0.0
+        else:
+            np.multiply(front[:, None, :], ca, out=lhs[:, :, n:])
+        return np.matmul(lhs.reshape(-1, 2 * n), cos_sin.T, out=out)
 
 
 def listing_blocks(system: EigenSystem) -> list[slice]:
@@ -484,9 +573,20 @@ def listing_blocks(system: EigenSystem) -> list[slice]:
     rows of the kernel (at least one), the last block shorter.  At d = 1 the atom sums of
     ``eigen_matvec_blocks`` move with BLOCK_MODES in their last bits (3.4e-14 at most, seen at K =
     70000 and 524288): OpenBLAS may round the rows at a block's edge otherwise than inside a grid."""
-    step = system._kernel.step
-    size = step * max(1, BLOCK_MODES // step)
+    size = _block_size(system._kernel.step)
     return [slice(start, min(start + size, len(system))) for start in range(0, len(system), size)]
+
+
+def _block_size(step: int) -> int:
+    """Modes of a full block: BLOCK_MODES rounded down to whole anchor rows of ``step`` modes, at least one."""
+    return step * max(1, BLOCK_MODES // step)
+
+
+def block_cells(system: EigenSystem) -> int:
+    """Values that hold every block of ``listing_blocks`` in whole anchor rows, as
+    ``eigen_matvec_blocks`` writes one into its ``out``: its longest block, rounded up."""
+    step = system._kernel.step
+    return min(_block_size(step), -(-len(system) // step) * step)
 
 
 def positions(system: EigenSystem, indices) -> np.ndarray:
@@ -512,7 +612,9 @@ def eigen_matrix(system: EigenSystem, points: np.ndarray) -> np.ndarray:
         )
     kernel = system._kernel
     out = np.ones((len(system), len(unit)))
-    for table, k in zip(kernel.tables(unit.T), kernel.modes):
+    tables = kernel.tables(unit.T)
+    # In grid order the tables' rows are the listing's, and a front axis's one row broadcasts.
+    for table, k in zip(tables, [slice(None)] * len(tables) if kernel.in_grid_order else kernel.modes):
         out *= table[k]
     out[:, on_boundary] = 0.0
     return out
@@ -527,9 +629,12 @@ def _prefix_grid(tables: list, weights: np.ndarray) -> np.ndarray:
     return grid
 
 
-def eigen_matvec_blocks(system: EigenSystem, points, weights):
+def eigen_matvec_blocks(system: EigenSystem, points, weights, out=None):
     """E @ w, sum_i e_k(x_i) w_i for every mode, one block of ``listing_blocks`` at a
-    time: the values of each block, in order.
+    time: the values of each block, in order, each its own array.  Given an
+    ``out`` of ``block_cells`` values, a listing in grid order whose points fit
+    one chunk writes each block into its head instead and yields a view of it,
+    valid until the next block.
 
     A listing in grid order (``_Kernel.in_grid_order``, a sorted listing at
     d = 1) with points that fit one chunk builds the points' offset factors
@@ -552,7 +657,8 @@ def eigen_matvec_blocks(system: EigenSystem, points, weights):
         anchors = np.arange(kernel.low[-1], kernel.low[-1] + kernel.widths[-1], kernel.step)
         for part in blocks:
             rows = anchors[part.start // kernel.step : -(-part.stop // kernel.step)]
-            values = kernel.matvec(front, *_anchor_factors(rows, u, length), cos_sin).ravel()
+            grid = None if out is None else out[: len(rows) * kernel.step].reshape(len(rows), kernel.step)
+            values = kernel.matvec(front, *_anchor_factors(rows, u, length, kernel.step > 1), cos_sin, grid).ravel()
             values += 0.0
             yield values[: part.stop - part.start]
             del values  # hold no block while the next one is made

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .domain import EigenSystem, HyperBox, box_fourier, eigen_matvec_blocks, listing_blocks, positions
+from .domain import (
+    EigenSystem, HyperBox, block_cells, box_fourier, eigen_matvec_blocks, listing_blocks, positions
+)
 from .functions import Constant, FunctionDescriptor, SpectralFunction, fourier_vector, integral, lq_finite
 from .measures import LevyTriplet, sample_jump_sizes
 
@@ -151,13 +153,15 @@ class NoiseRealization:
     master_seed: int
     atoms: JumpAtomSet
 
-    def gaussian_blocks(self, system: EigenSystem):
+    def gaussian_blocks(self, system: EigenSystem, out=None):
         """The N(0, ``NoiseLaw.gaussian_variance``) coefficients of the system's
         modes, one block of ``domain.listing_blocks`` at a time: (slice, draws)
         per block, drawn in listing order from one GAUSS_COEFF generator of the
         master seed (``_rng.keyed_normals``).  The k-th mode of a listing takes
         the k-th draw, so a listing's draws are the first ones of any listing
-        it is a prefix of.
+        it is a prefix of.  Each block's draws are their own array, or, given
+        an ``out`` as long as the longest block, a view of its head, valid
+        until the next block.
 
         The draws are None, and no stream is made, when that variance is 0.
         """
@@ -167,9 +171,10 @@ class NoiseRealization:
         rng = _rng.stream(self.master_seed, _rng.GAUSS_COEFF)
 
         def draws(part: slice) -> np.ndarray:
-            out = _rng.keyed_normals(rng, part.stop - part.start)
-            out *= math.sqrt(var)
-            return out
+            n = part.stop - part.start
+            block = _rng.keyed_normals(rng, n, None if out is None else out[:n])
+            block *= math.sqrt(var)
+            return block
 
         # Each block is drawn when it is asked for and not held here after.
         return ((part, draws(part)) for part in blocks)
@@ -207,36 +212,46 @@ def pair_eigen(realization: NoiseRealization, system: EigenSystem) -> np.ndarray
     return out
 
 
-def pair_eigen_blocks(realization: NoiseRealization, system: EigenSystem):
+def pair_eigen_blocks(realization: NoiseRealization, system: EigenSystem, work=None):
     """The coefficients one block of ``domain.listing_blocks`` at a time: (slice, coefficients) per block.
 
     c_k = b <1, e_k> + sum_j e_k(y_j) z_j + sqrt(sigma^2 + v) g_k, summed in
     that order, into the first, over the parts present; a block's Gaussian
     part comes from ``NoiseRealization.gaussian_blocks``, drawn after the
-    block's atom sum, once the atom sum's temporaries are freed.  Deterministic
-    given the realization and the system: the Gaussian part is drawn in
-    listing order, and the atom sum runs over fixed chunks of atoms in atom
-    order and over the fixed blocks (``domain.eigen_matvec_blocks``).  Each
-    block's array is its own, free to overwrite.
+    block's atom sum.  Deterministic given the realization and the system:
+    the Gaussian part is drawn in listing order, and the atom sum runs over
+    fixed chunks of atoms in atom order and over the fixed blocks
+    (``domain.eigen_matvec_blocks``).
+
+    ``work`` holds two rows of ``domain.block_cells(system)`` values, made
+    here when not given: the drift and the atom sums, when they lead, are
+    written into the first, and the later parts into the second.  Each
+    block's coefficients are free to overwrite and valid until the next
+    block, so a caller that walks many realizations with one ``work`` makes
+    no block arrays where the atom sums fit one chunk of points.
     """
     _check_box(realization.law.box, system)
-    atoms = realization.atoms
-    jumps = eigen_matvec_blocks(system, atoms.locations, atoms.sizes) if atoms.count else None
-    gaussian = realization.gaussian_blocks(system)
+    b, atoms = realization.law.triplet.b, realization.atoms
+    total, term = np.empty((2, block_cells(system))) if work is None else work
+    jumps = None
+    if atoms.count:
+        jumps = eigen_matvec_blocks(system, atoms.locations, atoms.sizes, total if b == 0.0 else term)
+    gaussian = realization.gaussian_blocks(system, total if b == 0.0 and jumps is None else term)
     for part in listing_blocks(system):
-        block = EigenSystem(system.box, system.indices[part], system.lams[part])
-        # Drawn inline, the atom sums first, so no block is held here while the caller works.
-        yield part, _block_coefficients(realization, block, next(jumps) if jumps else None, next(gaussian)[1])
-
-
-def _block_coefficients(realization: NoiseRealization, block: EigenSystem, atom_sums, gaussian) -> np.ndarray:
-    """One block's b <1, e_k>, atom sums and Gaussian part, summed in that order into the first present."""
-    trip = realization.law.triplet
-    terms = [trip.b * box_fourier(block) if trip.b != 0.0 else None, atom_sums, gaussian]
-    terms = [term for term in terms if term is not None] or [np.zeros(len(block))]
-    for term in terms[1:]:
-        terms[0] += term
-    return terms[0]
+        c = None
+        if b != 0.0:
+            c = np.multiply(box_fourier(system.block(part)), b, out=total[: part.stop - part.start])
+        if jumps is not None:
+            atom_sums = next(jumps)
+            c = atom_sums if c is None else np.add(c, atom_sums, out=c)
+        # Drawn inline, after the atom sums, so no block is held here while the caller works.
+        draws = next(gaussian)[1]
+        if draws is not None:
+            c = draws if c is None else np.add(c, draws, out=c)
+        if c is None:  # no drift and nothing random
+            c = total[: part.stop - part.start]
+            c.fill(0.0)
+        yield part, c
 
 
 def pair_with_function(

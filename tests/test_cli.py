@@ -183,6 +183,25 @@ def test_d2_sobolev_sweep_repeats_byte_for_byte_across_workers(tmp_path, capsys,
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_d1_sobolev_sweep_on_more_workers_than_cores_repeats_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # Each worker thread reuses its block arrays across replicates: 12 replicates
+    # on 4 threads that switch often must read what one thread reads alone.
+    monkeypatch.setattr(domain, "BLOCK_MODES", 256)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for workers in ("1", "4"):
+            outdir = tmp_path / workers
+            argv = [*SOBOLEV, "--set", "replicates=12", "--seed", "5", "--workers", workers, "--out", str(outdir)]
+            assert run(argv) == 0
+            runs.append(outputs(outdir))
+    finally:
+        sys.setswitchinterval(interval)
+    assert "sweep_sobolev_d=1_gamma=1.0_r=1.6_.csv" in runs[0]
+    assert runs[0] == runs[1]
+
+
 # sigma = 0 and nu = 0: no random part, and gamma = 0.2 lies below the white-noise threshold d/4.
 DETERMINISTIC = ["--set", "measure=null", "--set", "gamma=0.2"]
 

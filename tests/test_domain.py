@@ -202,16 +202,72 @@ def test_both_modes_are_the_argsort_of_the_lattice_bit_for_bit(box, count):
 
 @pytest.mark.parametrize("cutoff", [{"count": 1 << 18}, {"lambda_max": (math.pi * (1 << 18)) ** 2}])
 def test_a_listing_at_d1_peaks_near_its_own_size(cutoff):
-    # The lattice of one axis is sorted, so no permutation is made: its k and
-    # eigenvalues are the listing, beside one temporary while they are made.
+    # At d = 1 the listing k = 1..K is held as K: enumerating it makes no
+    # K-sized array, and its eigenvalues, then its k, read whole, peak at
+    # their own 16 bytes a mode, the eigenvalues' k as doubles a temporary.
+    modes = 1 << 18
     tracemalloc.start()
     try:
         system = enumerate_eigen(UNIT, **cutoff)
-        peak = tracemalloc.get_traced_memory()[1]
+        enumerated = tracemalloc.get_traced_memory()[1]
+        system.lams, system.indices
+        read = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(system) == 1 << 18
-    assert peak <= 1.3 * (system.indices.nbytes + system.lams.nbytes)
+    assert len(system) == modes
+    assert enumerated < 2**16
+    assert read <= 1.1 * 16 * modes
+
+
+D1_BOXES = [UNIT, HyperBox(((-3.5, 9.25),)), HyperBox(((0.0, 0.3),))]
+
+
+def lattice_listing(box: HyperBox, t: float, count: int | None = None) -> EigenSystem:
+    """The first ``count`` rows of ``domain._lattice_below``'s listing below t, as arrays."""
+    lattice, lam = domain._lattice_below(box.lengths, t)
+    return EigenSystem(box, lattice[:count], lam[:count])
+
+
+def assert_same_listing(got: EigenSystem, want: EigenSystem) -> None:
+    """The two listings agree bit for bit in every read: whole, prefixes and blocks."""
+    assert len(got) == len(want)
+    assert got.indices.shape == want.indices.shape and got.indices.tobytes() == want.indices.tobytes()
+    assert got.lams.tobytes() == want.lams.tobytes()
+    assert got.lambda_max == float(want.lams[-1])
+    assert box_fourier(got).tobytes() == box_fourier(want).tobytes()
+    queries = np.arange(-1, len(want) + 3)[:, None]
+    assert np.array_equal(positions(got, queries), positions(want, queries))
+    for count in {1, (len(want) + 1) // 2, len(want)}:
+        assert got.prefix(count).lams.tobytes() == want.lams[:count].tobytes()
+    for part in domain.listing_blocks(want):
+        block = got.block(part)
+        assert block.indices.tobytes() == want.indices[part].tobytes()
+        assert block.lams.tobytes() == want.lams[part].tobytes()
+        assert block.eigenvalues(np.empty(len(block))).tobytes() == want.lams[part].tobytes()
+
+
+@pytest.mark.parametrize("box", D1_BOXES, ids=lambda box: str(box.intervals))
+def test_the_closed_form_d1_listing_is_the_lattice_bit_for_bit(monkeypatch, box):
+    # Blocks of a few dozen modes, so every listing but the shortest has several.
+    monkeypatch.setattr(domain, "BLOCK_MODES", 64)
+    counts = [1, 2, 65, 1000, 4099]
+    with monkeypatch.context() as patch:
+        # The closed form reads no lattice.
+        patch.setattr(domain, "_lattice_below", None)
+        systems = [enumerate_eigen(box, count=count) for count in counts]
+    lams = eigenvalues_of(box, np.arange(1, counts[-1] + 2)[:, None])
+    for count, system in zip(counts, systems):
+        assert_same_listing(system, lattice_listing(box, float(lams[count]), count))
+    # Thresholds at an eigenvalue and one ulp either side of it, the first one included.
+    for n in (1, 2, 65, 4099):
+        for t in (np.nextafter(lams[n - 1], -np.inf), lams[n - 1], np.nextafter(lams[n - 1], np.inf)):
+            want = lattice_listing(box, float(t))
+            assert len(want) == (n if t >= lams[n - 1] else n - 1)
+            if len(want) == 0:
+                with pytest.raises(ValueError, match="empty"):
+                    enumerate_eigen(box, lambda_max=float(t))
+                continue
+            assert_same_listing(enumerate_eigen(box, lambda_max=float(t)), want)
 
 
 @st.composite

@@ -28,6 +28,7 @@ from levy_elliptic.domain import (
     listing_blocks,
     positions,
     resolving_gauss_rule,
+    single_mode,
     tensor_points,
 )
 from levy_elliptic.measures import AlphaStable, LevyTriplet
@@ -156,6 +157,21 @@ def test_anchor_rows_of_the_sine_tables_are_np_sin(lo, width, unit):
     direct = math.sqrt(2.0 / 1.7) * np.sin(np.pi * np.outer(anchors, u))
     assert table.shape == (width, len(u))
     assert np.array_equal(table[anchors - lo], direct)
+
+
+@pytest.mark.parametrize(
+    "box, index",
+    [(HyperBox.unit(1), [1]), (HyperBox(((0.0, 2.0),)), [7]), (HyperBox(((0.0, 1.0), (-1.0, 0.5))), [3, 2])],
+)
+def test_a_one_mode_expansion_is_its_np_sin_product_bit_for_bit(box, index):
+    # Each axis of one mode is one row wide: offset 0's exact (1, 0) leaves the
+    # anchor sines as they are, so the kernel makes no cosine and adds nothing.
+    pts = box.lower + np.random.default_rng(5).random((50, box.dim)) * box.lengths
+    unit = (pts - box.lower) / box.lengths
+    direct = np.full(len(pts), -2.5)
+    for j in reversed(range(box.dim)):  # the last axis first, as the kernel multiplies
+        direct = direct * (math.sqrt(2.0 / box.lengths[j]) * np.sin(np.pi * np.outer([index[j]], unit[:, j]))[0])
+    assert np.array_equal(eigen_rmatvec(single_mode(box, index), [-2.5], pts), direct)
 
 
 def test_grid_contraction_matches_dense_reference():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,20 @@ class TestGreenKernel:
         system = enumerate_eigen(UNIT, count=5000)
         got = green_gamma_eval(system, 1.0, [0.5], [0.5])
         assert abs(got.value - 0.25) <= 1e-4
+
+    def test_the_diagonal_at_2_22_modes_holds_blocks_not_the_listing(self):
+        # At d = 1 neither the listing nor the walk over its blocks makes a
+        # K-sized array: the traced peak (3.3 MB seen) is a few arrays of one
+        # block's 2^16 values, where one array of the 2^22 modes is 32 MiB.
+        tracemalloc.start()
+        try:
+            system = enumerate_eigen(UNIT, count=1 << 22)
+            value = green_gamma_eval(system, 1.0, [0.5], [0.5]).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value - interval_green(0.5, 0.5)) <= 1e-7
+        assert peak < 6 * 2**20
 
     def test_symmetry_exact(self):
         system = enumerate_eigen(UNIT, count=300)
