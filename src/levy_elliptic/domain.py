@@ -55,13 +55,16 @@ the sorted listing is a run of anchor rows of the grid, so points that fit
 one chunk need memory for one block; otherwise the dense grid is summed
 first and each block gathered from it.
 
-CHUNK_CELLS bounds the memory of a chunk: it holds as many points (of the
-last axis, on a grid) as keep its tables, rows and factors within that
-many values.  Out of that bound are the mode grid itself, and on a tensor
-grid the whole front tables (width x coordinates an axis) and the front
-grid rows (one a front grid point and mode of the last axis): a thin box
-whose wide side is a front axis has long front tables.  Points on the
-boundary evaluate to exactly 0 (Dirichlet).
+One rule bounds the memory of a chunk (``_Kernel.chunk_points``): it holds
+as many points (of the last axis, on a grid) as keep its tables, rows and
+factors within max(CHUNK_CELLS, G) values, G = rows x anchors x step the
+dense grid of modes that its BLAS product writes or reads.  A small grid
+takes chunks of CHUNK_CELLS values, and a large one, held anyway, spreads
+its own size over more points.  Out of that bound are the mode grid
+itself, and on a tensor grid the whole front tables (width x coordinates
+an axis) and the front grid rows (one a front grid point and mode of the
+last axis): a thin box whose wide side is a front axis has long front
+tables.  Points on the boundary evaluate to exactly 0 (Dirichlet).
 """
 
 from __future__ import annotations
@@ -72,13 +75,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Values (modes x points) of tables, grids and factors a chunk of points may hold: 4 MiB.
-CHUNK_CELLS = 1 << 19
+# Values (modes x points) of tables, grids and factors a chunk of points may hold, 1 MiB, or the dense
+# grid of modes it fills where that is larger (``_Kernel.chunk_points``).  The benchmark's d = 2 ``sweep
+# continuity`` pairs about 1000 atoms with a grid of 3969 modes: it peaks at 41.3 MB RSS, and at 45.1 MB
+# with chunks of 4 MiB, which hold every atom's tables at once.
+CHUNK_CELLS = 1 << 17
 # Largest dense K x points block ``eigen_matrix`` returns, 128 MiB.
 MAX_MATRIX_VALUES = 1 << 24
 # Largest listing ``enumerate_eigen`` makes.  At d >= 2 its traced peak is 2x the listing (68 MB for 34
 # at d = 3, 2^20 modes); at d = 1 it holds K alone, and the 64 MiB of indices and eigenvalues are built
-# only when read whole.  ``check`` at 2^22 modes peaks at 34 MB RSS at d = 1, which reads them one block
+# only when read whole.  ``check`` at 2^22 modes peaks at 31 MB RSS at d = 1, which reads them one block
 # at a time (its Green diagonal walks ``listing_blocks``), and at 304 MB at d = 3, most of it the enumeration.
 MAX_MODES = 1 << 22
 # Most nodes ``gauss_rule`` makes an axis: numpy's leggauss solves a dense n x n eigenproblem, 2 GiB at 2^14.
@@ -87,11 +93,11 @@ MAX_GAUSS_NODES = 1 << 14
 # ``solver.green_gamma_grid`` tabulates; the CLI checks the grids of solve, sweep continuity and
 # green-oracle before any work, so other commands run at high d.
 MAX_GRID_VALUES = 1 << 21
-# Modes of a block of the listing (``listing_blocks``), rounded down to whole anchor rows: 512 KiB a
-# value array.  A default Sobolev sweep took 0.19-0.23 s on 2 workers and 0.31-0.34 s on 1 at every
-# size from 2^14 to 2^18 (in-process medians of 5, 2-core Xeon, one BLAS thread), so the size bounds
-# a replicate's memory and costs no time.
-BLOCK_MODES = 1 << 16
+# Modes of a block of the listing (``listing_blocks``), rounded down to whole anchor rows: 128 KiB a
+# value array, six of them a Sobolev worker.  A default Sobolev sweep took 0.17-0.19 s on 2 workers and
+# 0.27-0.28 s on 1 at 2^14, against 0.14-0.16 s and 0.27 s at 2^16 (in-process medians of 5, 2-core Xeon,
+# one BLAS thread), and its peak RSS on 2 workers fell from 45.0 to 40.2 MB.
+BLOCK_MODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -527,11 +533,13 @@ class _Kernel:
         ]
 
     def chunk_points(self, rows: int) -> int:
-        """Points of the last axis a chunk holds: about CHUNK_CELLS values for ``rows`` grid rows a point."""
+        """Points of the last axis a chunk holds for ``rows`` grid rows a point: about max(CHUNK_CELLS, G)
+        values, G = rows x anchors x step the dense grid of modes that the chunk's BLAS product writes
+        or reads, so a small grid takes CHUNK_CELLS and a large one spreads its own size over more points."""
         # A point's values: its front tables and rows, the anchor products
         # and their partial sums, and the offset phases, cosines and sines.
         cells = sum(self.widths[:-1]) + rows + 3 * rows * self.anchors + 3 * self.step
-        return max(1, CHUNK_CELLS // cells)
+        return max(1, max(CHUNK_CELLS, rows * self.anchors * self.step) // cells)
 
     def chunks(self, unit: np.ndarray, rows: int):
         """(slice, last-axis factors) per chunk of the last axis's fractions

@@ -77,13 +77,13 @@ def green_gamma_grid(system: EigenSystem, gamma: float, xs, ys) -> np.ndarray:
     weighted by lambda_k^(-gamma/2), and adds one product into the result,
     so memory holds one block, not K rows; at d = 1 the listing itself is
     held as K, and each block's k and eigenvalues are built as it is
-    reached, so nothing K-sized is made (2^22 modes: 3.3 MB traced).  Each
+    reached, so nothing K-sized is made (2^22 modes: 1.0 MB traced).  Each
     side carries the same factors, so the kernel at (x, y) and at (y, x)
     multiplies them in the same order, and the two agree exactly.  The same
     array on both sides builds its factor once.  A grid over
     ``domain.MAX_GRID_VALUES`` is refused, and so is a block over
     ``domain.MAX_MATRIX_VALUES``, before its sine tables are built.  A
-    listing of one block (at d = 1 up to 65536 modes) gives the bits of one
+    listing of one block (at d = 1 up to 16384 modes) gives the bits of one
     whole product; past it, the blocks' tables and partial sums move the last bits.
     """
     check_grid([len(xs), len(ys)])

@@ -278,13 +278,16 @@ def test_oversized_green_oracle_grid_is_refused_before_allocating(tmp_path, caps
 
 
 def test_oversized_green_oracle_block_is_refused_before_allocating(tmp_path, capsys, monkeypatch):
-    # 2^18 modes against 1448 points: the first block of the listing, 2^16 modes,
-    # makes two dense block x points matrices of 760 MB each.
+    # 2^18 modes against 1448 points: the first block of the listing, 2^14 modes,
+    # makes two dense block x points matrices of 190 MB each.
+    first = domain.listing_blocks(enumerate_eigen(HyperBox.unit(1), count=262144))[0]
+    assert (first.stop - first.start) * 1448 > domain.MAX_MATRIX_VALUES
     monkeypatch.setattr(domain, "_sine_table", lambda *a: pytest.fail("sine table built"))
     outdir = tmp_path / "out"
     assert run(["green-oracle", "--set", "K=262144", "--set", "grid_points=1448", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid request: ") and "65536 x 1448" in err and "MAX_MATRIX_VALUES=16777216" in err
+    assert err.startswith("invalid request: ") and f"{first.stop - first.start} x 1448" in err
+    assert "MAX_MATRIX_VALUES=16777216" in err
     assert not outdir.exists()
 
 

@@ -242,10 +242,20 @@ def test_matvec_blocks_cut_the_listing_in_whole_anchor_rows(monkeypatch, cells, 
 # d=2, K=65536, 1000 atoms: the dense K x atoms matrix alone is 500 MiB.
 # d=1, K=256, 2^18 atoms: the same matrix takes 512 MiB, and whole sine
 # tables of 64 modes at every atom took about 400 MB.
-@pytest.mark.parametrize("d,count,n", [(2, 65536, 1000), (1, 256, 1 << 18)])
-def test_pair_eigen_memory_is_bounded_by_the_block(d, count, n):
+# d=2 below (64 pi)^2, the continuity probe's level-6 grid of 3969 modes, 1000
+# atoms: a chunk of 4 MiB holds every atom at once, 2.6 MiB traced.
+@pytest.mark.parametrize(
+    "d,cutoff,n,bound",
+    [
+        (2, {"count": 65536}, 1000, 64 * 2**20),
+        (1, {"count": 256}, 1 << 18, 64 * 2**20),
+        (2, {"lambda_max": (64 * math.pi) ** 2}, 1000, 1.5 * 2**20),
+    ],
+    ids=["2-65536-1000", "1-256-262144", "2-level6-1000"],
+)
+def test_pair_eigen_memory_is_bounded_by_the_block(d, cutoff, n, bound):
     box = HyperBox.unit(d)
-    system = enumerate_eigen(box, count=count)
+    system = enumerate_eigen(box, **cutoff)
     rng = np.random.default_rng(11)
     atoms = JumpAtomSet(rng.random((n, d)), rng.standard_normal(n))
     realization = NoiseRealization(
@@ -257,9 +267,21 @@ def test_pair_eigen_memory_is_bounded_by_the_block(d, count, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < bound
     head = dense_reference(system.prefix(64), atoms.locations) @ atoms.sizes
     np.testing.assert_allclose(coeffs[:64], head, rtol=0.0, atol=1e-12 * math.sqrt(n / 1000))
+
+
+def test_a_chunk_holds_chunk_cells_or_the_mode_grid_it_fills():
+    # d = 2 below (64 pi)^2: widths 63 x 63, one anchor of 63 offsets, a grid of 3969 values.
+    # A point's values are 63 table rows, 63 prefix rows, 3 x 63 anchor products and 3 x 63 offsets.
+    small = enumerate_eigen(HyperBox.unit(2), lambda_max=(64 * math.pi) ** 2)._kernel
+    assert (small.rows, small.anchors, small.step) == (63, 1, 63)
+    assert small.chunk_points(small.rows) == domain.CHUNK_CELLS // 504
+    # d = 1 at K = 2^20: 1024 anchors of 1024 offsets, a grid of 2^20 values above CHUNK_CELLS.
+    large = enumerate_eigen(HyperBox.unit(1), count=1 << 20)._kernel
+    assert (large.rows, large.anchors, large.step) == (1, 1024, 1024)
+    assert large.chunk_points(1) == (1 << 20) // (1 + 3 * 1024 + 3 * 1024)
 
 
 # (d, K, grid points per axis); the grids include both ends of every side.
